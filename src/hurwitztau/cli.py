@@ -106,8 +106,8 @@ def build_report(cov: Covering0 | Covering1) -> dict:
         warnings.simplefilter("ignore", CausticWarning)
         an = isomon.analyze(cov)
         iso = isomon.build_isomonodromy(cov, an)
+        cd = an.critical
         if isinstance(cov, Covering0):
-            cd = cover0.critical_data(cov)
             fc = cover0.flat_coords(cov)
             ta = cover0.tau_product(cov, cd)
             tb = cover0.tau_resultant(cov)
@@ -121,7 +121,6 @@ def build_report(cov: Covering0 | Covering1) -> dict:
             ) / 24.0
             min_pt_gap = cd.min_alpha_gap
         else:
-            cd = cover1.critical_data(cov)
             fc = cover1.flat_coords(cov)
             ta = cover1.tau_product(cov, cd)
             tb = cover1.tau_resultant(cov, cd)

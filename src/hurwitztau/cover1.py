@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .cover0 import Pole, TauProduct, principal_root
 from .elliptic import (
     Modulus,
@@ -24,8 +26,12 @@ from .elliptic import (
     elliptic_zeros,
     lattice_distance,
     log_dedekind_eta,
+    newton_lanes,
+    point_array,
     reduce_to_cell,
+    shape_rows,
     sigma_w,
+    weierstrass_context,
     zeta_derivs,
 )
 from .errors import CausticWarning, CountMismatchError, NearPoleError, OnBoundaryError
@@ -108,25 +114,33 @@ class Covering1:
 
     @cached_property
     def ctx(self) -> WeierstrassContext:
-        return WeierstrassContext.create(self.modulus)
+        return weierstrass_context(self.modulus)
 
 
-def eval_p_derivs(c: Covering1, z: complex, n_max: int) -> list[complex]:
-    """[p(z), ..., p^(n_max)(z)] from the zeta-derivative basis."""
+def eval_p_derivs(c: Covering1, z, n_max: int):
+    """[p(z), ..., p^(n_max)(z)] from the zeta-derivative basis.
+
+    ``z`` is a complex scalar (returns a list of complex) or an array of
+    points (returns an array of shape (n_max + 1, *z.shape)); one
+    ``zeta_derivs`` call per pole covers all points.
+    """
+    pts, shape = point_array(z)
     sigma = c.modulus.sigma
     scale = 1.0 + abs(sigma)
     for pole in c.poles:
-        if lattice_distance(z - pole.b, sigma) <= POLE_GUARD * scale:
-            raise NearPoleError(f"z = {z} is too close to the pole at {pole.b}")
-    out = [0j] * (n_max + 1)
-    out[0] = complex(c.constant)
+        near = lattice_distance(pts - pole.b, sigma) <= POLE_GUARD * scale
+        if near.any():
+            raise NearPoleError(
+                f"z = {complex(pts[near][0])} is too close to the pole at {pole.b}"
+            )
+    out = np.zeros((n_max + 1, len(pts)), dtype=complex)
+    out[0] = c.constant
     ctx = c.ctx
     for pole in c.poles:
-        zd = zeta_derivs(ctx, z - pole.b, pole.order - 1 + n_max)
-        for a, coeff in enumerate(pole.c, start=1):
-            for n in range(n_max + 1):
-                out[n] += coeff * zd[a - 1 + n]
-    return out
+        zd = zeta_derivs(ctx, pts - pole.b, pole.order - 1 + n_max)
+        for a, coeff in enumerate(pole.c):
+            out += coeff * zd[a: a + n_max + 1]
+    return shape_rows(out, shape)
 
 
 def eval_p(c: Covering1, z: complex, n_deriv: int = 0) -> complex:
@@ -170,10 +184,10 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     sigma = c.modulus.sigma
     m_expected = c.dim
 
-    def h(z: complex) -> complex:
+    def h(z: np.ndarray) -> np.ndarray:
         return eval_p_derivs(c, z, 1)[1]
 
-    def hp(z: complex) -> complex:
+    def hp(z: np.ndarray) -> np.ndarray:
         return eval_p_derivs(c, z, 2)[2]
 
     if seeds is None:
@@ -183,33 +197,24 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     else:
         if len(seeds) != m_expected:
             raise ValueError("seed count must equal the moduli dimension")
-        zs = []
-        for s in seeds:
-            z = complex(s)
-            for _ in range(60):
-                step = h(z) / hp(z)
-                if abs(step) > 0.2:
-                    step = 0.2 * step / abs(step)
-                z -= step
-                if abs(step) < 1e-14 * (1 + abs(z)):
-                    break
-            zs.append(reduce_to_cell(z, sigma))
+        z0 = np.array(seeds, dtype=complex)
+        tracked, _ = newton_lanes(
+            lambda z: eval_p_derivs(c, z, 2)[1:], z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60
+        )
+        zs = [reduce_to_cell(complex(z), sigma) for z in tracked]
         for i in range(len(zs)):
             for j in range(i + 1, len(zs)):
                 if lattice_distance(zs[i] - zs[j], sigma) < 1e-10:
                     raise CountMismatchError("seeded zeros collapsed onto each other")
 
-    eta_t = c.ctx.eta_tilde
-    lam, fsq, sw, sb = [], [], [], []
-    for z in zs:
-        d = eval_p_derivs(c, z, 4)
-        al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
-        lam.append(d[0])
-        f2 = 2.0 / al
-        fsq.append(f2)
-        s = (2.0 * be * be - 3.0 * al * ga) / al**3
-        sw.append(s)
-        sb.append(s - 24j * math.pi * eta_t * f2)
+    d = eval_p_derivs(c, np.array(zs, dtype=complex), 4)
+    al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
+    f2 = 2.0 / al
+    s = (2.0 * be * be - 3.0 * al * ga) / (al * al * al)
+    lam = [complex(v) for v in d[0]]
+    fsq = [complex(v) for v in f2]
+    sw = [complex(v) for v in s]
+    sb = [complex(v) for v in s - 24j * math.pi * c.ctx.eta_tilde * f2]
 
     m = len(zs)
     min_lgap = min(
@@ -320,21 +325,17 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
         )
     zs[-1] = cd.z[-1] + mu + nu * sigma
 
-    kappa = 1.0 + 0j
-    for r in range(len(zs)):
-        for s in range(len(zs)):
-            if r != s:
-                kappa *= sigma_w(ctx, zs[r] - zs[s])
+    zs = np.array(zs)
+    bs = np.array([p.b for p in c.poles])
+    off_z = ~np.eye(len(zs), dtype=bool)
+    off_b = ~np.eye(len(bs), dtype=bool)
+    kappa = complex(np.prod(sigma_w(ctx, (zs[:, None] - zs[None, :])[off_z])))
 
-    b1 = c.poles[0].b
     k1 = ks[0]
     f_at_b1 = -k1 * (fc.t[0] ** k1)
-    for j in range(1, len(c.poles)):
-        f_at_b1 *= sigma_w(ctx, b1 - c.poles[j].b) ** (ks[j] + 1)
-    denom_f0 = 1.0 + 0j
-    for z in zs:
-        denom_f0 *= sigma_w(ctx, b1 - z)
-    f0 = f_at_b1 / denom_f0
+    for s_b, k in zip(sigma_w(ctx, bs[0] - bs[1:]), ks[1:]):
+        f_at_b1 *= complex(s_b) ** (k + 1)
+    f0 = f_at_b1 / complex(np.prod(sigma_w(ctx, bs[0] - zs)))
 
     if kappa == 0:
         return TauResultant1(
@@ -344,12 +345,9 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
     log48 = 48.0 * log_dedekind_eta(c.modulus)
     log48 += 2.0 * c.dim * cmath.log(f0)
     log48 += cmath.log(kappa)
-    for i in range(len(c.poles)):
-        for j in range(len(c.poles)):
-            if i != j:
-                log48 -= (ks[i] + 1) * (ks[j] + 1) * cmath.log(
-                    sigma_w(ctx, c.poles[i].b - c.poles[j].b)
-                )
+    kk = np.outer(np.array(ks) + 1, np.array(ks) + 1)[off_b]
+    for w, s_b in zip(kk, sigma_w(ctx, (bs[:, None] - bs[None, :])[off_b])):
+        log48 -= int(w) * cmath.log(complex(s_b))
     for k, t in zip(ks, fc.t):
         log48 -= (k + 1) * (k - 2) * cmath.log(t)
     return TauResultant1(

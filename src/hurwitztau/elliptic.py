@@ -10,6 +10,22 @@ Normalization constants relating the theta-based and Weierstrass-based
 conventions are solved from the Laurent conditions wp(z) = 1/z^2 + O(z^2)
 and sigma_w(z) = z + O(z^5) rather than hard-coded, and verified at
 construction time.
+
+Array contract.  ``theta1_derivs``, ``wp_derivs``/``wp``,
+``zeta_derivs``/``zeta_w``, ``sigma_w`` and ``lattice_distance`` take either
+a complex scalar or an ndarray of points.  A scalar returns plain
+``complex`` values (a list of them for the ``*_derivs`` functions); an
+array returns an ndarray with the point axes last, so ``derivs[k]`` is the
+k-th derivative at every point.  An array is reduced to the base cell and
+evaluated with one sin/cos over the (points x series terms) grid.  The
+lattice guard holds per point: one point of an array within
+``LATTICE_GUARD`` of the lattice raises ``LatticePointError``.
+
+``elliptic_zeros`` relies on this contract: its ``h`` and ``h_prime`` are
+called with a 1-d complex array of points and must return an array of the
+same length (closures over ``wp``/``zeta_w`` qualify as they are).  Each
+subdivision level of the zero search is one call of ``h``, and the Newton
+polish of all leaf cells is one lane-wise iteration.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,16 +49,21 @@ __all__ = [
     "WeierstrassContext",
     "SigmaProduct",
     "theta1",
+    "theta1_derivs",
     "dedekind_eta",
     "log_dedekind_eta",
     "eta_tilde",
     "eisenstein",
     "g_invariants",
+    "weierstrass_context",
     "wp",
+    "wp_derivs",
     "zeta_w",
+    "zeta_derivs",
     "sigma_w",
     "elliptic_resultant",
     "elliptic_zeros",
+    "newton_lanes",
     "reduce_to_cell",
     "lattice_distance",
     "half_periods",
@@ -52,6 +73,7 @@ TWO_PI_I = 2j * math.pi
 MIN_IM_SIGMA = 0.1
 LATTICE_GUARD = 1e-8
 SERIES_CAP = 400
+THETA_TABLE_ORDER = 7
 
 
 # --------------------------------------------------------------------------
@@ -98,12 +120,14 @@ class Modulus:
 
     @cached_property
     def _theta_tabs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Frequencies pi*(2j+1), signed series coefficients, and the
+        derivative weights of orders 0..THETA_TABLE_ORDER."""
         j = np.arange(self.theta_terms)
         half = j + 0.5
         coeff = np.exp(1j * math.pi * self.sigma * half * half)
         coeff = coeff * np.where(j % 2 == 0, 1.0, -1.0)
-        odd = 2 * j + 1
-        return j, odd.astype(float), coeff
+        freq = math.pi * (2 * j + 1).astype(float)
+        return freq, coeff, _theta_weights(freq, coeff, THETA_TABLE_ORDER)
 
     @cached_property
     def eisenstein_terms(self) -> int:
@@ -127,53 +151,94 @@ class Modulus:
         return self.q ** np.arange(1, n + 1)
 
 
-def _theta1_raw(mod: Modulus, z: complex, n_max: int) -> list[complex]:
-    """z-derivatives 0..n_max of the odd theta series, |Im z| moderate."""
-    _, odd, coeff = mod._theta_tabs
-    ang = (math.pi * z) * odd
-    s = np.sin(ang)
-    c = np.cos(ang)
-    trig = (s, c, -s, -c)
-    out = []
-    for n in range(n_max + 1):
-        fac = (math.pi * odd) ** n if n else 1.0
-        out.append(complex(2.0 * np.sum(coeff * fac * trig[n % 4])))
-    return out
+def point_array(z) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """Flat complex array of the points in ``z`` and the shape to restore.
+
+    The shape is None for a scalar (a Python or numpy number, or a 0-d
+    array), whose results are returned as plain ``complex`` values.
+    """
+    if np.ndim(z) == 0:
+        return np.array([complex(z)]), None
+    a = np.asarray(z, dtype=complex)
+    return a.ravel(), a.shape
 
 
-def _split_lattice(z: complex, sigma: complex) -> tuple[int, int, complex]:
+def shape_rows(rows: np.ndarray, shape: tuple[int, ...] | None):
+    """Rows of per-point values, shape (K, n): K complex for a scalar, else (K, *shape)."""
+    if shape is None:
+        return rows[:, 0].tolist()
+    return rows.reshape((rows.shape[0],) + shape)
+
+
+def _theta_weights(freq: np.ndarray, coeff: np.ndarray, n_max: int) -> np.ndarray:
+    """Row n weights sin (n even) or cos (n odd) of freq*z in the n-th derivative.
+
+    d^n/dz^n sin(f z) = f^n (sin, cos, -sin, -cos)[n % 4](f z); the factor 2
+    of the theta series is folded in.  Shape (n_max + 1, terms).
+    """
+    orders = np.arange(n_max + 1)
+    sign = np.where(orders % 4 < 2, 2.0, -2.0)
+    return sign[:, None] * (coeff * freq ** orders[:, None])
+
+
+_PARITY = np.arange(THETA_TABLE_ORDER + 1) % 2
+
+
+def _theta1_raw(mod: Modulus, z0: np.ndarray, n_max: int) -> np.ndarray:
+    """z-derivatives 0..n_max of the odd theta series at the points z0.
+
+    One sin and one cos over the (points x terms) grid, weighted per order
+    and summed along the contiguous terms axis.  That sum gives each point
+    the same bits whatever the batch it comes in (a BLAS product does not),
+    so a scalar call reproduces its value inside an array call exactly.
+    Returns shape (n_max + 1, len(z0)).
+    """
+    freq, coeff, table = mod._theta_tabs
+    if n_max <= THETA_TABLE_ORDER:
+        weights, parity = table[: n_max + 1], _PARITY[: n_max + 1]
+    else:
+        weights, parity = _theta_weights(freq, coeff, n_max), np.arange(n_max + 1) % 2
+    ang = np.multiply.outer(z0, freq)
+    trig = np.empty((2,) + ang.shape, dtype=complex)
+    np.sin(ang, out=trig[0])
+    np.cos(ang, out=trig[1])
+    return (trig[parity] * weights[:, None, :]).sum(axis=2)
+
+
+def _split_lattice(z: np.ndarray, sigma: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Write z = m + n*sigma + z0 with the cell coordinates of z0 in [-1/2, 1/2)."""
     v = z.imag / sigma.imag
-    u = z.real - v * sigma.real
-    m = math.floor(u + 0.5)
-    n = math.floor(v + 0.5)
+    m = np.floor(z.real - v * sigma.real + 0.5)
+    n = np.floor(v + 0.5)
     return m, n, z - m - n * sigma
 
 
-def theta1_derivs(mod: Modulus, z: complex, n_max: int) -> list[complex]:
+def theta1_derivs(mod: Modulus, z, n_max: int):
     """z-derivatives 0..n_max of theta1 at arbitrary z.
 
-    The argument is reduced to the base cell; quasi-periodicity supplies the
-    exponential factor, and the Leibniz rule propagates it through the
-    requested derivatives.
+    ``z`` is a complex scalar (returns a list of complex) or an array of
+    points (returns an array of shape (n_max + 1, *z.shape)).  Each argument
+    is reduced to the base cell; quasi-periodicity supplies the exponential
+    factor, and the Leibniz rule propagates it through the requested
+    derivatives.
     """
-    m, n, z0 = _split_lattice(z, mod.sigma)
+    pts, shape = point_array(z)
+    m, n, z0 = _split_lattice(pts, mod.sigma)
     raw = _theta1_raw(mod, z0, n_max)
-    if m == 0 and n == 0:
-        return raw
-    # theta1(z0 + m + n*sigma) = (-1)^(m+n) exp(-i pi sigma n^2 - 2 pi i n z0) theta1(z0)
-    expo = -1j * math.pi * mod.sigma * n * n - TWO_PI_I * n * z0
-    pref = cmath.exp(expo)
-    if (m + n) % 2:
-        pref = -pref
+    if not (m.any() or n.any()):
+        return shape_rows(raw, shape)
+    # theta1(z0 + m + n*sigma) = (-1)^(m+n) exp(mu z0 - i pi sigma n^2) theta1(z0),
+    # mu = -2 pi i n; the k-th derivative of exp(mu z0) theta1(z0) is
+    # exp(mu z0) (d/dz + mu)^k theta1(z0)
     mu = -TWO_PI_I * n
-    out = []
-    for k in range(n_max + 1):
-        acc = 0j
-        for j in range(k + 1):
-            acc += math.comb(k, j) * mu ** (k - j) * raw[j]
-        out.append(pref * acc)
-    return out
+    pref = np.exp(mu * z0 - 1j * math.pi * mod.sigma * n * n)
+    pref *= np.where((m + n) % 2, -1.0, 1.0)
+    out = np.empty_like(raw)
+    out[0] = raw[0]
+    for k in range(1, n_max + 1):
+        raw = raw[1:] + mu * raw[:-1]
+        out[k] = raw[0]
+    return shape_rows(out * pref, shape)
 
 
 def theta1(mod: Modulus, z: complex, n_deriv: int = 0) -> complex:
@@ -230,16 +295,19 @@ def reduce_to_cell(z: complex, sigma: complex) -> complex:
     return z - math.floor(u) - math.floor(v) * sigma
 
 
-def lattice_distance(z: complex, sigma: complex) -> float:
-    """Distance from z to the nearest lattice point of Z + sigma*Z."""
-    _, _, z0 = _split_lattice(z, sigma)
-    best = abs(z0)
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            d = abs(z0 - m - n * sigma)
-            if d < best:
-                best = d
-    return best
+_NEAR_M, _NEAR_N = (a.ravel() for a in np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]))
+
+
+def lattice_distance(z, sigma: complex):
+    """Distance from z to the nearest lattice point of Z + sigma*Z (per point for an array)."""
+    pts, shape = point_array(z)
+    d = _centered_distance(_split_lattice(pts, sigma)[2], sigma)
+    return float(d[0]) if shape is None else d.reshape(shape)
+
+
+def _centered_distance(z0: np.ndarray, sigma: complex) -> np.ndarray:
+    """lattice_distance of points already reduced by _split_lattice."""
+    return np.abs(z0[:, None] - (_NEAR_M + _NEAR_N * sigma)).min(axis=1)
 
 
 def half_periods(sigma: complex) -> tuple[complex, complex, complex]:
@@ -284,7 +352,7 @@ class WeierstrassContext:
 
     def _verify(self) -> None:
         z = 1e-3
-        if abs(wp(self, z) - 1.0 / (z * z)) > 1e-4:
+        if abs(wp(self, z) - (1.0 / (z * z) + self.g2 * z * z / 20.0)) > 1e-4:
             raise ValueError("wp Laurent calibration failed")
         if abs(sigma_w(self, z) / z - 1.0) > 1e-5:
             raise ValueError("sigma_w normalization failed")
@@ -298,86 +366,93 @@ class WeierstrassContext:
             raise ValueError("Legendre relation failed")
 
 
-def _log_theta_derivs(ctx: WeierstrassContext, z: complex) -> tuple[complex, complex, complex]:
-    """(log theta1)', '', ''' at z (z off the lattice)."""
-    t0, t1, t2, t3 = theta1_derivs(ctx.modulus, z, 3)
+@lru_cache(maxsize=16)
+def weierstrass_context(modulus: Modulus) -> WeierstrassContext:
+    """The context of ``modulus``, built once per distinct modulus (bounded cache)."""
+    return WeierstrassContext.create(modulus)
+
+
+def _log_theta_derivs(ctx: WeierstrassContext, z) -> tuple:
+    """Points of z, their shape, and the first three derivatives of log theta1.
+
+    theta1 is evaluated at the base-cell representative z0 = z - m - n*sigma
+    only: the first derivative of log theta1 shifts by -2 pi i n under the
+    reduction and the higher ones are periodic.  Any point within
+    LATTICE_GUARD of the lattice raises LatticePointError.
+    """
+    pts, shape = point_array(z)
+    sigma = ctx.modulus.sigma
+    _, n, z0 = _split_lattice(pts, sigma)
+    near = _centered_distance(z0, sigma) <= LATTICE_GUARD
+    if near.any():
+        raise LatticePointError(
+            f"z = {complex(pts[near][0])} is within {LATTICE_GUARD} of the lattice"
+        )
+    t0, t1, t2, t3 = theta1_derivs(ctx.modulus, z0, 3)
     r1 = t1 / t0
     r2 = t2 / t0
     r3 = t3 / t0
-    return r1, r2 - r1 * r1, r3 - 3.0 * r1 * r2 + 2.0 * r1**3
+    return pts, shape, r1 - TWO_PI_I * n, r2 - r1 * r1, r3 - 3.0 * r1 * r2 + 2.0 * r1**3
 
 
-def wp_derivs(ctx: WeierstrassContext, z: complex, n_max: int) -> list[complex]:
-    """[wp(z), wp'(z), ..., wp^(n_max)(z)], n_max <= 5.
+def _wp_rows(ctx: WeierstrassContext, l2: np.ndarray, l3: np.ndarray, n_max: int) -> np.ndarray:
+    """wp, wp', ..., wp^(n_max) from the 2nd and 3rd derivatives of log theta1.
 
-    wp and wp' come from the theta expansion; higher orders follow from the
-    differentiated Weierstrass cubic, which needs only g2.
+    wp and wp' come from the theta expansion; every higher order follows
+    from the differentiated Weierstrass cubic, which needs only g2:
+    wp'' = 6 wp^2 - g2/2 and wp^(k+2) = 6 sum_j C(k, j) wp^(j) wp^(k-j).
     """
-    if n_max > 5:
-        raise ValueError("wp derivatives implemented up to order 5")
-    if lattice_distance(z, ctx.modulus.sigma) <= LATTICE_GUARD:
-        raise LatticePointError(f"z = {z} is within {LATTICE_GUARD} of the lattice")
-    _, l2, l3 = _log_theta_derivs(ctx, z)
-    p = -l2 + ctx.calib_p
-    out = [p]
+    out = np.empty((n_max + 1, len(l2)), dtype=complex)
+    out[0] = -l2 + ctx.calib_p
     if n_max >= 1:
-        out.append(-l3)
+        out[1] = -l3
     if n_max >= 2:
-        out.append(6.0 * p * p - ctx.g2 / 2.0)
-    if n_max >= 3:
-        out.append(12.0 * p * out[1])
-    if n_max >= 4:
-        out.append(12.0 * out[1] ** 2 + 12.0 * p * out[2])
-    if n_max >= 5:
-        out.append(36.0 * out[1] * out[2] + 12.0 * p * out[3])
+        out[2] = 6.0 * out[0] * out[0] - ctx.g2 / 2.0
+    for k in range(1, n_max - 1):
+        out[k + 2] = 6.0 * sum(math.comb(k, j) * out[j] * out[k - j] for j in range(k + 1))
     return out
 
 
-def wp(ctx: WeierstrassContext, z: complex, n_deriv: int = 0) -> complex:
-    """n_deriv-th derivative of the Weierstrass wp-function (orders 0..5)."""
+def wp_derivs(ctx: WeierstrassContext, z, n_max: int):
+    """[wp(z), wp'(z), ..., wp^(n_max)(z)], any order.
+
+    ``z`` is a complex scalar (returns a list of complex) or an array of
+    points (returns an array of shape (n_max + 1, *z.shape)).
+    """
+    _, shape, _, l2, l3 = _log_theta_derivs(ctx, z)
+    return shape_rows(_wp_rows(ctx, l2, l3, n_max), shape)
+
+
+def wp(ctx: WeierstrassContext, z, n_deriv: int = 0):
+    """n_deriv-th derivative of the Weierstrass wp-function (scalar or array z)."""
     return wp_derivs(ctx, z, n_deriv)[n_deriv]
 
 
-def zeta_w(ctx: WeierstrassContext, z: complex, n_deriv: int = 0) -> complex:
-    """Weierstrass zeta and derivatives: zeta' = -wp, zeta'' = -wp', ...
+def zeta_derivs(ctx: WeierstrassContext, z, n_max: int):
+    """[zeta(z), zeta'(z), ..., zeta^(n_max)(z)] in one theta evaluation.
 
-    zeta itself is sigma_w'/sigma_w = (log theta1)'(z) + 2*calib_sigma*z.
+    zeta = sigma_w'/sigma_w = (log theta1)' + 2*calib_sigma*z, and
+    zeta^(k) = -wp^(k-1).  Scalar or array ``z`` as in ``wp_derivs``.
     """
-    if n_deriv == 0:
-        if lattice_distance(z, ctx.modulus.sigma) <= LATTICE_GUARD:
-            raise LatticePointError(f"z = {z} is within {LATTICE_GUARD} of the lattice")
-        r1, _, _ = _log_theta_derivs(ctx, z)
-        return r1 + 2.0 * ctx.calib_sigma * z
-    return -wp_derivs(ctx, z, n_deriv - 1)[n_deriv - 1]
-
-
-def zeta_derivs(ctx: WeierstrassContext, z: complex, n_max: int) -> list[complex]:
-    """[zeta(z), zeta'(z), ..., zeta^(n_max)(z)] in one theta evaluation."""
-    if lattice_distance(z, ctx.modulus.sigma) <= LATTICE_GUARD:
-        raise LatticePointError(f"z = {z} is within {LATTICE_GUARD} of the lattice")
-    r1, l2, l3 = _log_theta_derivs(ctx, z)
-    out = [r1 + 2.0 * ctx.calib_sigma * z]
+    pts, shape, l1, l2, l3 = _log_theta_derivs(ctx, z)
+    out = np.empty((n_max + 1, len(pts)), dtype=complex)
+    out[0] = l1 + 2.0 * ctx.calib_sigma * pts
     if n_max >= 1:
-        p = -l2 + ctx.calib_p
-        wps = [p]
-        if n_max >= 2:
-            wps.append(-l3)
-        if n_max >= 3:
-            wps.append(6.0 * p * p - ctx.g2 / 2.0)
-        if n_max >= 4:
-            wps.append(12.0 * p * wps[1])
-        if n_max >= 5:
-            wps.append(12.0 * wps[1] ** 2 + 12.0 * p * wps[2])
-        if n_max >= 6:
-            wps.append(36.0 * wps[1] * wps[2] + 12.0 * p * wps[3])
-        out.extend(-w for w in wps[: n_max])
-    return out
+        out[1:] = -_wp_rows(ctx, l2, l3, n_max - 1)
+    return shape_rows(out, shape)
 
 
-def sigma_w(ctx: WeierstrassContext, z: complex) -> complex:
-    """Weierstrass sigma, normalized so sigma_w(z) = z + O(z^5)."""
-    t = theta1_derivs(ctx.modulus, z, 0)[0]
-    return (t / ctx.theta1_deriv0) * cmath.exp(ctx.calib_sigma * z * z)
+def zeta_w(ctx: WeierstrassContext, z, n_deriv: int = 0):
+    """Weierstrass zeta and derivatives: zeta' = -wp, zeta'' = -wp', ..."""
+    return zeta_derivs(ctx, z, n_deriv)[n_deriv]
+
+
+def sigma_w(ctx: WeierstrassContext, z):
+    """Weierstrass sigma, normalized so sigma_w(z) = z + O(z^5) (scalar or array z)."""
+    pts, shape = point_array(z)
+    t = theta1_derivs(ctx.modulus, pts, 0)[0]
+    vals = (t / ctx.theta1_deriv0) * np.exp(ctx.calib_sigma * pts * pts)
+    return shape_rows(vals[None, :], shape)[0]
 
 
 # --------------------------------------------------------------------------
@@ -427,87 +502,233 @@ _OFFSETS = [
     (0.3595, 0.2279), (0.5191, 0.6475), (0.6787, 0.4671), (0.8383, 0.5867),
     (0.1979, 0.7063), (0.9575, 0.8259), (0.4171, 0.9455), (0.5767, 0.0651),
 ]
+_UNIT_CELL = (0.0, 1.0, 0.0, 1.0)
+_MIN_CELL = 1e-4
 
 
-def _edge_arg_change(h: Callable[[complex], complex], za: complex, zb: complex,
-                     n0: int = 12, max_depth: int = 13) -> float:
-    """Total continuous argument change of h along the segment [za, zb]."""
-    ts = [k / n0 for k in range(n0 + 1)]
-    vals = [h(za + t * (zb - za)) for t in ts]
-    total = 0.0
-    stack = list(zip(ts[:-1], ts[1:], vals[:-1], vals[1:], [0] * n0))
-    while stack:
-        t0, t1, v0, v1, depth = stack.pop()
-        if v0 == 0 or v1 == 0:
+def _arg_changes(h: Callable[[np.ndarray], np.ndarray], za: np.ndarray, zb: np.ndarray,
+                 n0: int = 12, max_depth: int = 13) -> np.ndarray:
+    """Total continuous argument change of h along each segment [za[i], zb[i]].
+
+    The (n0 + 1)-point grids of all segments go to h in one call.  Every
+    interval whose argument moves by more than 1.2 rad is bisected, breadth
+    first, with one h call per depth for all such intervals.
+    """
+    ts = np.arange(n0 + 1) / n0
+    dz = zb - za
+    vals = h((za[:, None] + ts[None, :] * dz[:, None]).ravel()).reshape(len(za), n0 + 1)
+    seg = np.repeat(np.arange(len(za)), n0)
+    t0 = np.tile(ts[:-1], len(za))
+    t1 = np.tile(ts[1:], len(za))
+    v0 = vals[:, :-1].ravel()
+    v1 = vals[:, 1:].ravel()
+    total = np.zeros(len(za))
+    depth = 0
+    while True:
+        if not (v0.all() and v1.all()):
             raise _EdgeTrouble("zero on contour")
-        d = cmath.phase(v1 / v0)
-        if abs(d) <= 1.2:
-            total += d
-            continue
+        d = np.angle(v1 / v0)
+        jump = np.abs(d) > 1.2
+        np.add.at(total, seg[~jump], d[~jump])
+        if not jump.any():
+            return total
         if depth >= max_depth:
             raise _EdgeTrouble("argument jump on contour")
+        seg, t0, t1, v0, v1 = seg[jump], t0[jump], t1[jump], v0[jump], v1[jump]
         tm = 0.5 * (t0 + t1)
-        vm = h(za + tm * (zb - za))
-        stack.append((t0, tm, v0, vm, depth + 1))
-        stack.append((tm, t1, vm, v1, depth + 1))
-    return total
+        vm = h(za[seg] + tm * dz[seg])
+        seg = np.concatenate([seg, seg])
+        t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
+        v0, v1 = np.concatenate([v0, vm]), np.concatenate([vm, v1])
+        depth += 1
 
 
-def _cell_zero_count(h, corner, e1, e2, poles_uv, cell) -> int:
-    """Zeros of h inside the parallelogram cell (winding + enclosed poles)."""
+def _cell_counts(h, corner: complex, sigma: complex, poles_uv, cells) -> list[int]:
+    """Zeros of h inside each parallelogram cell (winding + enclosed poles).
+
+    The four edges of every cell are tracked in one ``_arg_changes`` call.
+    """
+    za, zb = [], []
+    for u0, u1, v0, v1 in cells:
+        a = corner + u0 + v0 * sigma
+        b = corner + u1 + v0 * sigma
+        c = corner + u1 + v1 * sigma
+        d = corner + u0 + v1 * sigma
+        za += [a, b, c, d]
+        zb += [b, c, d, a]
+    totals = _arg_changes(h, np.array(za), np.array(zb)).reshape(len(cells), 4).sum(axis=1)
+    counts = []
+    for (u0, u1, v0, v1), total in zip(cells, totals):
+        w = float(total) / (2.0 * math.pi)
+        wi = round(w)
+        if abs(w - wi) > 0.2:
+            raise _EdgeTrouble(f"non-integer winding {w:.3f}")
+        p_in = sum(m for (u, v), m in poles_uv if u0 <= u < u1 and v0 <= v < v1)
+        counts.append(wi + p_in)
+    return counts
+
+
+def _cell_size(cell, sigma: complex) -> float:
     u0, u1, v0, v1 = cell
-    za = corner + u0 * e1 + v0 * e2
-    zb = corner + u1 * e1 + v0 * e2
-    zc = corner + u1 * e1 + v1 * e2
-    zd = corner + u0 * e1 + v1 * e2
-    total = (
-        _edge_arg_change(h, za, zb)
-        + _edge_arg_change(h, zb, zc)
-        + _edge_arg_change(h, zc, zd)
-        + _edge_arg_change(h, zd, za)
-    )
-    w = total / (2.0 * math.pi)
-    wi = round(w)
-    if abs(w - wi) > 0.2:
-        raise _EdgeTrouble(f"non-integer winding {w:.3f}")
-    p_in = sum(m for (u, v), m in poles_uv if u0 <= u < u1 and v0 <= v < v1)
-    return wi + p_in
+    return max((u1 - u0), (v1 - v0) * abs(sigma))
 
 
-def _newton_zero(h, hp, z, tol, max_iter=80):
+def _halves(cell, poles_uv, sigma: complex) -> list[tuple[float, float, float, float]]:
+    """Split along the longer side, jiggling past any pole line."""
+    u0, u1, v0, v1 = cell
+    if (u1 - u0) >= (v1 - v0) * abs(sigma):
+        um = 0.5 * (u0 + u1)
+        while any(abs(u - um) < 1e-6 for (u, _), _ in poles_uv):
+            um += 0.0137 * (u1 - u0)
+        return [(u0, um, v0, v1), (um, u1, v0, v1)]
+    vm = 0.5 * (v0 + v1)
+    while any(abs(v - vm) < 1e-6 for (_, v), _ in poles_uv):
+        vm += 0.0137 * (v1 - v0)
+    return [(u0, u1, v0, vm), (u0, u1, vm, v1)]
+
+
+def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
+                 tol, max_step: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's method from many starting points at once.
+
+    ``hd(w)`` returns (h(w), h'(w)) for an array of points w.  Each lane
+    iterates as scalar Newton does: the step h/h' is clipped to length
+    ``max_step``; the lane stops when the step is shorter than its ``tol``
+    (a scalar or one value per lane) and fails when h' vanishes or after
+    ``max_iter`` steps.  Only the live lanes are evaluated.  Returns the
+    final points and the mask of lanes that converged.
+    """
+    z = np.array(z, dtype=complex)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)
+    ok = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
     for _ in range(max_iter):
-        v = h(z)
-        d = hp(z)
-        if d == 0:
-            return None
+        if not live.size:
+            break
+        v, d = hd(z[live])
+        nonzero = d != 0
+        live, v, d = live[nonzero], v[nonzero], d[nonzero]
         step = v / d
-        if abs(step) > 0.5:
-            step = 0.5 * step / abs(step)
-        z = z - step
-        if abs(step) < tol:
-            return z
-    return None
+        size = np.abs(step)
+        big = size > max_step
+        step[big] = max_step * step[big] / size[big]
+        z[live] -= step
+        done = np.abs(step) < tol[live]
+        ok[live[done]] = True
+        live = live[~done]
+    return z, ok
+
+
+def _polish(h, h_prime, corner: complex, sigma: complex, cells, tol: float) -> list[complex | None]:
+    """One lane-wise Newton over the five seeds of every leaf cell.
+
+    A cell keeps the first seed, in seed order, whose converged point lies
+    in the cell (any converged point for a cell below the minimum size);
+    None marks a cell where no seed qualified.
+    """
+    seeds = []
+    for u0, u1, v0, v1 in cells:
+        seeds += [
+            corner + 0.5 * (u0 + u1) + 0.5 * (v0 + v1) * sigma,
+            corner + (0.75 * u0 + 0.25 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
+            corner + (0.25 * u0 + 0.75 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
+            corner + (0.75 * u0 + 0.25 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
+            corner + (0.25 * u0 + 0.75 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
+        ]
+    zs, ok = newton_lanes(lambda w: (h(w), h_prime(w)), seeds, tol, 0.5, 80)
+    roots: list[complex | None] = []
+    for i, cell in enumerate(cells):
+        u0, u1, v0, v1 = cell
+        small = _cell_size(cell, sigma) < _MIN_CELL
+        root = None
+        for r in zs[5 * i: 5 * i + 5][ok[5 * i: 5 * i + 5]]:
+            rr = reduce_to_cell(complex(r) - corner, sigma)
+            rv = rr.imag / sigma.imag
+            ru = rr.real - rv * sigma.real
+            in_cell = (u0 - 1e-9 <= ru <= u1 + 1e-9) and (v0 - 1e-9 <= rv <= v1 + 1e-9)
+            if in_cell or small:
+                root = complex(r)
+                break
+        roots.append(root)
+    return roots
+
+
+def _locate(h, h_prime, corner: complex, sigma: complex, poles_uv, total: int,
+            tol: float) -> list[complex]:
+    """Subdivide the unit cell until every zero sits in a leaf, then polish.
+
+    Cells of one subdivision level are counted together; leaves (one zero,
+    or below the minimum size) are polished together.  A one-zero leaf whose
+    Newton seeds all escape is split further.
+    """
+    found: list[complex] = []
+    leaves: list[tuple] = []
+    to_split: list[tuple] = []
+
+    def place(cell, count: int) -> None:
+        if count == 1 or _cell_size(cell, sigma) < _MIN_CELL:
+            leaves.append((cell, count))
+        else:
+            to_split.append(cell)
+
+    place(_UNIT_CELL, total)
+    while leaves or to_split:
+        while to_split:
+            children = [sub for cell in to_split for sub in _halves(cell, poles_uv, sigma)]
+            to_split = []
+            for cell, n in zip(children, _cell_counts(h, corner, sigma, poles_uv, children)):
+                if n < 0:
+                    raise _EdgeTrouble("negative zero count in cell")
+                if n > 0:
+                    place(cell, n)
+        roots = _polish(h, h_prime, corner, sigma, [cell for cell, _ in leaves], tol)
+        for (cell, count), root in zip(leaves, roots):
+            if root is not None:
+                found.extend([root] * count)
+            elif count == 1 and _cell_size(cell, sigma) >= _MIN_CELL:
+                to_split.append(cell)  # Newton escaped the cell: split further
+            else:
+                raise _EdgeTrouble("newton failed in small cell")
+        leaves = []
+    return found
+
+
+def _cell_representative(z: complex, sigma: complex, edge: float = 1e-12) -> complex:
+    """reduce_to_cell, with points within ``edge`` of the far edges moved to the near ones.
+
+    A zero on the cell boundary (a half-period, say) then gets the same
+    representative whichever way its last bits round.
+    """
+    r = reduce_to_cell(z, sigma)
+    v = r.imag / sigma.imag
+    u = r.real - v * sigma.real
+    if v > 1.0 - edge:
+        r -= sigma
+    if u > 1.0 - edge:
+        r -= 1.0
+    return r
 
 
 def elliptic_zeros(
     mod: Modulus,
-    h: Callable[[complex], complex],
-    h_prime: Callable[[complex], complex],
+    h: Callable[[np.ndarray], np.ndarray],
+    h_prime: Callable[[np.ndarray], np.ndarray],
     poles: Sequence[tuple[complex, int]],
     expected: int | None = None,
 ) -> list[complex]:
     """All zeros of the elliptic function h in one fundamental cell.
 
-    ``poles`` lists pole positions with multiplicities (the full divisor in
-    one cell).  The cell contour is translated until it avoids zeros and
-    poles; the argument principle fixes the total count, and adaptive cell
-    subdivision plus Newton polishing localizes the zeros.  Zeros are
-    returned reduced to {x + y*sigma : x, y in [0, 1)}.
+    ``h`` and ``h_prime`` take a 1-d complex array of points and return
+    the values there (see the module docstring).  ``poles`` lists pole
+    positions with multiplicities (the full divisor in one cell).  The cell
+    contour is translated until it avoids zeros and poles; the argument
+    principle fixes the total count, and adaptive cell subdivision plus
+    Newton polishing localizes the zeros.  Zeros are returned reduced to
+    {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
     """
     sigma = mod.sigma
     pole_count = sum(m for _, m in poles)
     target = pole_count if expected is None else expected
-    min_cell = 1e-4
     newton_tol = 1e-12 * (1.0 + abs(sigma))
 
     last_trouble = "no admissible contour"
@@ -526,7 +747,7 @@ def elliptic_zeros(
         if not ok:
             continue
         try:
-            total = _cell_zero_count(h, corner, 1.0, sigma, poles_uv, (0.0, 1.0, 0.0, 1.0))
+            total = _cell_counts(h, corner, sigma, poles_uv, [_UNIT_CELL])[0]
         except _EdgeTrouble as exc:
             last_trouble = str(exc)
             continue
@@ -537,68 +758,14 @@ def elliptic_zeros(
                 )
             last_trouble = f"count {total} != {target}"
             continue
-
-        found: list[complex] = []
-        stack = [((0.0, 1.0, 0.0, 1.0), total)]
         try:
-            while stack:
-                cell, count = stack.pop()
-                u0, u1, v0, v1 = cell
-                size = max((u1 - u0), (v1 - v0) * abs(sigma))
-                center = corner + 0.5 * (u0 + u1) + 0.5 * (v0 + v1) * sigma
-                if count == 1 or size < min_cell:
-                    seeds = [
-                        center,
-                        corner + (0.75 * u0 + 0.25 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
-                        corner + (0.25 * u0 + 0.75 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
-                        corner + (0.75 * u0 + 0.25 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
-                        corner + (0.25 * u0 + 0.75 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
-                    ]
-                    root = None
-                    for s in seeds:
-                        r = _newton_zero(h, h_prime, s, newton_tol)
-                        if r is None:
-                            continue
-                        rr = reduce_to_cell(r - corner, sigma)
-                        rv = rr.imag / sigma.imag
-                        ru = rr.real - rv * sigma.real
-                        in_cell = (u0 - 1e-9 <= ru <= u1 + 1e-9) and (v0 - 1e-9 <= rv <= v1 + 1e-9)
-                        if in_cell or size < min_cell:
-                            root = r
-                            break
-                    if root is None:
-                        if count == 1 and size >= min_cell:
-                            # Newton escaped the cell: split further
-                            pass
-                        else:
-                            raise _EdgeTrouble("newton failed in small cell")
-                    else:
-                        found.extend([root] * count)
-                        continue
-                # split along the longer side, jiggling past any pole line
-                if (u1 - u0) >= (v1 - v0) * abs(sigma):
-                    um = 0.5 * (u0 + u1)
-                    while any(abs(u - um) < 1e-6 for (u, _), _ in poles_uv):
-                        um += 0.0137 * (u1 - u0)
-                    sub = [(u0, um, v0, v1), (um, u1, v0, v1)]
-                else:
-                    vm = 0.5 * (v0 + v1)
-                    while any(abs(v - vm) < 1e-6 for (_, v), _ in poles_uv):
-                        vm += 0.0137 * (v1 - v0)
-                    sub = [(u0, u1, v0, vm), (u0, u1, vm, v1)]
-                for c in sub:
-                    n = _cell_zero_count(h, corner, 1.0, sigma, poles_uv, c)
-                    if n < 0:
-                        raise _EdgeTrouble("negative zero count in cell")
-                    if n > 0:
-                        stack.append((c, n))
+            found = _locate(h, h_prime, corner, sigma, poles_uv, total, newton_tol)
         except _EdgeTrouble as exc:
             last_trouble = str(exc)
             continue
-
         if len(found) != target:
             last_trouble = f"located {len(found)} of {target}"
             continue
-        return [reduce_to_cell(r, sigma) for r in found]
+        return [_cell_representative(r, sigma) for r in found]
 
     raise ContourClashError(f"zero localization failed: {last_trouble}")

@@ -61,6 +61,8 @@ class Analysis:
     when one is supplied (nearest branch at each step); otherwise principal
     branches are used throughout.  ``T`` is the log of the frame product
     whose canonical gradient is the Schwarzian of the uniformizing map.
+    ``critical`` is the genus module's critical data, in its own point order
+    (``pts`` follows the base analysis when one is supplied).
     """
 
     covering: Covering
@@ -84,6 +86,7 @@ class Analysis:
     gamma: complex
     caustic: bool
     min_lambda_gap: float
+    critical: cover0.CriticalData0 | cover1.CriticalData1
 
 
 def _cont_log(value: complex, ref_value: complex, ref_log: complex) -> complex:
@@ -195,6 +198,7 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
         gamma=complex(gamma),
         caustic=cd.caustic,
         min_lambda_gap=cd.min_lambda_gap,
+        critical=cd,
     )
 
 
@@ -231,18 +235,15 @@ def bergmann_values(covering: Covering, an: Analysis | None = None) -> tuple[np.
         ctx = covering.ctx
         four_pi_i_eta = 4j * math.pi * an.eta_tilde
         sigma = covering.modulus.sigma
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                if lattice_distance(an.pts[i] - an.pts[j], sigma) < 1e-10:
-                    raise CoincidentPointsError("coincident critical points")
-                B[i, j] = (wp(ctx, an.pts[i] - an.pts[j]) - four_pi_i_eta) * an.f[i] * an.f[j]
-        poles = [p.b for p in covering.poles]
-        Binf = np.zeros((m, len(poles)), dtype=complex)
-        for i in range(m):
-            for s, b in enumerate(poles):
-                Binf[i, s] = (wp(ctx, an.pts[i] - b) - four_pi_i_eta) * an.f[i] * an.h[s]
+        pts = np.array(an.pts)
+        f = np.array(an.f)
+        off = ~np.eye(m, dtype=bool)
+        diff = (pts[:, None] - pts[None, :])[off]
+        if (lattice_distance(diff, sigma) < 1e-10).any():
+            raise CoincidentPointsError("coincident critical points")
+        B[off] = (wp(ctx, diff) - four_pi_i_eta) * np.outer(f, f)[off]
+        poles = np.array([p.b for p in covering.poles])
+        Binf = (wp(ctx, pts[:, None] - poles[None, :]) - four_pi_i_eta) * np.outer(f, an.h)
     return B, Binf
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from .cover0 import Covering0, Pole, critical_data as critical_data0
 from .cover1 import Covering1, critical_data as critical_data1
 from .elliptic import Modulus
+from .errors import HurwitzError
 
 __all__ = ["random_covering0", "random_covering1", "builtin_example"]
 
@@ -57,7 +58,7 @@ def random_covering0(
         cov = Covering0(tuple(profile), coeffs, tuple(poles))
         try:
             cd = critical_data0(cov)
-        except Exception:
+        except (HurwitzError, ValueError):
             continue
         scale = max(abs(v) for v in cd.lam) + 1.0
         if cd.min_lambda_gap > min_gap * scale:
@@ -109,7 +110,7 @@ def random_covering1(
         try:
             cov = Covering1(mod, a, tuple(poles))
             cd = critical_data1(cov)
-        except Exception:
+        except (HurwitzError, ValueError):
             continue
         scale = max(abs(v) for v in cd.lam) + 1.0
         if cd.min_lambda_gap > min_gap * scale:
