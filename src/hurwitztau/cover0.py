@@ -39,6 +39,7 @@ __all__ = [
     "GFunction",
     "validate",
     "p_prime_as_ratio",
+    "factorization_denominator",
     "critical_data",
     "flat_coords",
     "tau_product",
@@ -240,17 +241,18 @@ def _sort_points(pts: list[complex]) -> list[complex]:
     return sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
-def _factorization_scale(c: Covering0, fc: "FlatCoords0") -> float:
-    acc = 1.0
+def factorization_denominator(c: Covering0, fc: "FlatCoords0") -> complex:
+    """R(f, g)'s pole/flat factor prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^(k_i(k_i+1))."""
+    denom = 1.0 + 0j
     bs = [p.b for p in c.poles]
     ks = c.profile[1:]
     for i in range(len(bs)):
         for j in range(len(bs)):
             if i != j:
-                acc *= abs(bs[i] - bs[j]) ** ((ks[i] + 1) * (ks[j] + 1))
+                denom *= (bs[i] - bs[j]) ** ((ks[i] + 1) * (ks[j] + 1))
     for k, t in zip(ks, fc.t):
-        acc *= abs(t) ** (k * (k + 1))
-    return acc
+        denom *= t ** (k * (k + 1))
+    return denom
 
 
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
@@ -292,7 +294,7 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
                 )
     # R(f, g) tracks the pole/flat-coordinate factorization, so that product
     # is the right scale to call the resultant zero against
-    if c.poles and abs(res_fg) < 1e-10 * _factorization_scale(c, fc):
+    if c.poles and abs(res_fg) < 1e-10 * abs(factorization_denominator(c, fc)):
         raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
 
     lam, fsq, sb = [], [], []

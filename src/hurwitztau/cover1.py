@@ -179,7 +179,8 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     """All M = l + N zeros of p' in the fundamental cell, with frame data.
 
     Zeros come from the argument-principle subdivision search, or by Newton
-    continuation when ``seeds`` is supplied (deformation engine path).
+    continuation from ``seeds``, where M converged, distinct lanes are all M
+    zeros and unconverged or collapsed lanes raise ``CountMismatchError``.
     """
     sigma = c.modulus.sigma
     m_expected = c.dim
@@ -198,9 +199,11 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
         if len(seeds) != m_expected:
             raise ValueError("seed count must equal the moduli dimension")
         z0 = np.array(seeds, dtype=complex)
-        tracked, _ = newton_lanes(
+        tracked, ok = newton_lanes(
             lambda z: eval_p_derivs(c, z, 2)[1:], z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60
         )
+        if not ok.all():
+            raise CountMismatchError("a seeded Newton lane did not converge")
         zs = [reduce_to_cell(complex(z), sigma) for z in tracked]
         for i in range(len(zs)):
             for j in range(i + 1, len(zs)):

@@ -23,7 +23,9 @@ from .cover1 import Covering1
 from .elliptic import lattice_distance, log_dedekind_eta, wp
 from .errors import (
     CoincidentPointsError,
+    CountMismatchError,
     IllConditionedError,
+    NearPoleError,
     StepUnderflowError,
 )
 
@@ -530,54 +532,65 @@ def _ratio_drift(values: list[complex]) -> float:
     return max(abs(v / ref - 1.0) for v in values)
 
 
+def _continued_critical_data(cov: Covering1, seeds) -> cover1.CriticalData1:
+    if seeds is not None:
+        try:
+            return cover1.critical_data(cov, seeds=seeds)
+        except (CountMismatchError, NearPoleError):
+            pass
+    return cover1.critical_data(cov)
+
+
+def _route_rows(coverings: Sequence[Covering], seeds=None) -> list[dict]:
+    """Cross-route tau data at each covering of a walk, in order.
+
+    At genus 1 the critical points are continued along the walk: each step
+    Newton-tracks the previous step's zeros (the first step tracks ``seeds``,
+    or runs the global search when None).  A step whose continuation fails
+    (a lane does not converge, two zeros collapse, a lane reaches a pole)
+    goes back to the global search.  Genus 0 solves every step globally.
+    """
+    rows = []
+    for cov in coverings:
+        if isinstance(cov, Covering0):
+            cd = cover0.critical_data(cov)
+            ta = cover0.tau_product(cov, cd)
+            tb = cover0.tau_resultant(cov)
+            f, g = cover0.p_prime_as_ratio(cov)
+            denom = cover0.factorization_denominator(cov, cover0.flat_coords(cov))
+            row = {"pts": cd.alpha, "resultant_ratio": cover0.resultant(f, g) / denom}
+        else:
+            cd = _continued_critical_data(cov, seeds)
+            ta = cover1.tau_product(cov, cd)
+            tb = cover1.tau_resultant(cov, cd)
+            row = {"pts": cd.z}
+            seeds = cd.z
+        row.update(
+            tau48_product=ta.tau_inv48,
+            tau48_resultant=tb.tau_inv48,
+            route_ratio=ta.tau_inv48 / tb.tau_inv48,
+            caustic=cd.caustic,
+        )
+        rows.append(row)
+    return rows
+
+
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     """Coverings and cross-route tau data along a straight parameter segment.
 
-    Yields (step index, covering, dict of per-step scalars).  Used by the
-    sweep command; raises the underlying boundary/caustic errors at the
-    offending step.
+    Returns (step index, covering, dict of per-step scalars) triples.  Used
+    by the sweep command; raises the underlying boundary/caustic errors at
+    the offending step.
     """
     v0 = _get(covering, path)
-    out = []
+    coverings = []
     for s in range(steps):
         t = s / (steps - 1) if steps > 1 else 0.0
         cov = _set(covering, path, v0 + (target - v0) * t)
         if isinstance(cov, Covering0):
             cover0.validate(cov)
-            cd = cover0.critical_data(cov)
-            ta = cover0.tau_product(cov, cd)
-            tb = cover0.tau_resultant(cov)
-            f, g = cover0.p_prime_as_ratio(cov)
-            fc = cover0.flat_coords(cov)
-            fact = cover0.resultant(f, g)
-            denom = 1.0 + 0j
-            bs = [p.b for p in cov.poles]
-            ks = cov.profile[1:]
-            for i in range(len(bs)):
-                for j in range(len(bs)):
-                    if i != j:
-                        denom *= (bs[i] - bs[j]) ** ((ks[i] + 1) * (ks[j] + 1))
-            for k, tt in zip(ks, fc.t):
-                denom *= tt ** (k * (k + 1))
-            row = {
-                "tau48_product": ta.tau_inv48,
-                "tau48_resultant": tb.tau_inv48,
-                "route_ratio": ta.tau_inv48 / tb.tau_inv48,
-                "resultant_ratio": fact / denom,
-                "caustic": cd.caustic,
-            }
-        else:
-            cd = cover1.critical_data(cov)
-            ta = cover1.tau_product(cov, cd)
-            tb = cover1.tau_resultant(cov, cd)
-            row = {
-                "tau48_product": ta.tau_inv48,
-                "tau48_resultant": tb.tau_inv48,
-                "route_ratio": ta.tau_inv48 / tb.tau_inv48,
-                "caustic": cd.caustic,
-            }
-        out.append((s, cov, row))
-    return out
+        coverings.append(cov)
+    return list(zip(range(steps), coverings, _route_rows(coverings)))
 
 
 # default tolerances per identity; a caller-supplied tolerance replaces all
@@ -679,32 +692,12 @@ def identity_report(
     path = _default_sweep_param(covering)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     sweep = _sweep_coverings(covering, path, sweep_steps, spread=0.1, phase=phase)
-    ratios = []
-    factorization_ratios = []
-    for cov in sweep:
-        if isinstance(cov, Covering0):
-            cd = cover0.critical_data(cov)
-            ta = cover0.tau_product(cov, cd)
-            tb = cover0.tau_resultant(cov)
-            ratios.append(ta.tau_inv48 / tb.tau_inv48)
-            f, g = cover0.p_prime_as_ratio(cov)
-            fc = cover0.flat_coords(cov)
-            denom = 1.0 + 0j
-            bs = [p.b for p in cov.poles]
-            ks = cov.profile[1:]
-            for i in range(len(bs)):
-                for j2 in range(len(bs)):
-                    if i != j2:
-                        denom *= (bs[i] - bs[j2]) ** ((ks[i] + 1) * (ks[j2] + 1))
-            for k, tt in zip(ks, fc.t):
-                denom *= tt ** (k * (k + 1))
-            factorization_ratios.append(cover0.resultant(f, g) / denom)
-        else:
-            cd = cover1.critical_data(cov)
-            ratios.append(
-                cover1.tau_product(cov, cd).tau_inv48
-                / cover1.tau_resultant(cov, cd).tau_inv48
-            )
+    # walk outward from the base point, whose critical points seed the middle
+    mid = sweep_steps // 2
+    upper = _route_rows(sweep[mid:], an.pts)
+    rows = _route_rows(sweep[:mid][::-1], upper[0]["pts"])[::-1] + upper
+    ratios = [row["route_ratio"] for row in rows]
+    factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
     checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),
                                 tolerance("tau-route-ratio"),
                                 f"product vs resultant route along {path}"))

@@ -1,0 +1,133 @@
+"""Genus-1 sweeps continue the critical points instead of searching again.
+
+The global argument-principle search is counted by wrapping
+``cover1.elliptic_zeros``.  Every continued route ratio is compared with the
+ratio from a fresh global search at the same covering.
+"""
+
+import numpy as np
+import pytest
+
+from hurwitztau import cover1, isomon
+from hurwitztau.elliptic import lattice_distance
+from hurwitztau.errors import CountMismatchError
+from hurwitztau.samples import random_covering1
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """Number of global zero searches made since the fixture was set up."""
+    count = {"n": 0}
+    orig = cover1.elliptic_zeros
+
+    def counted(*args, **kwargs):
+        count["n"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cover1, "elliptic_zeros", counted)
+    return count
+
+
+@pytest.fixture()
+def walked(monkeypatch):
+    """(covering, row) of every sweep step walked since set up."""
+    seen = []
+    orig = isomon._route_rows
+
+    def recorded(coverings, seeds=None):
+        rows = orig(coverings, seeds)
+        seen.extend(zip(coverings, rows))
+        return rows
+
+    monkeypatch.setattr(isomon, "_route_rows", recorded)
+    return seen
+
+
+def _failing_lane(monkeypatch, failing_call: int):
+    """Make the seeded Newton call number ``failing_call`` report lane 0 unconverged."""
+    calls = {"n": 0}
+    orig = cover1.newton_lanes
+
+    def lanes(*args, **kwargs):
+        z, ok = orig(*args, **kwargs)
+        calls["n"] += 1
+        if calls["n"] == failing_call:
+            ok = ok.copy()
+            ok[0] = False
+        return z, ok
+
+    monkeypatch.setattr(cover1, "newton_lanes", lanes)
+
+
+def _global_ratio(cov) -> complex:
+    cd = cover1.critical_data(cov)
+    return cover1.tau_product(cov, cd).tau_inv48 / cover1.tau_resultant(cov, cd).tau_inv48
+
+
+def _assert_ratios_match_global(pairs):
+    assert pairs
+    for cov, row in pairs:
+        assert abs(row["route_ratio"] / _global_ratio(cov) - 1.0) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def g1_21():
+    # module scope: built (the sampler solves too) before ``searches`` counts
+    return random_covering1((2, 1), seed=2025)
+
+
+def _sweep20(cov):
+    v0 = cov.poles[0].c[1]
+    return isomon.sweep_ratios(cov, "poles.0.c.1", v0 * 1.285, 20)
+
+
+class TestIdentityReport:
+    @pytest.mark.parametrize("name", ["h12", "g1(2,1)"])
+    def test_one_global_search(self, name, h12, g1_21, searches, walked):
+        cov = h12 if name == "h12" else g1_21
+        checks = isomon.identity_report(cov)
+        assert searches["n"] == 1
+        assert all(c.passed for c in checks)
+        assert len(walked) == 5
+        _assert_ratios_match_global(walked)
+
+
+class TestSweepRatios:
+    def test_one_global_search_over_20_steps(self, g1_21, searches):
+        table = _sweep20(g1_21)
+        assert searches["n"] == 1
+        assert len(table) == 20
+        _assert_ratios_match_global([(cov, row) for _, cov, row in table])
+
+    def test_unconverged_lane_falls_back(self, monkeypatch, g1_21, searches):
+        _failing_lane(monkeypatch, failing_call=2)
+        table = _sweep20(g1_21)
+        # step 0 searches; step 2's continuation fails and searches again
+        assert searches["n"] == 2
+        _, cov2, row2 = table[2]
+        assert row2["route_ratio"] == _global_ratio(cov2)
+        _assert_ratios_match_global([(c, row) for _, c, row in table])
+
+    def test_collapsed_seeds_fall_back(self, g1_21, searches):
+        cov = g1_21
+        z0 = cover1.critical_data(cov).z
+        assert searches["n"] == 1
+        (row,) = isomon._route_rows([cov], seeds=(z0[0],) * len(z0))
+        assert searches["n"] == 2
+        assert row["route_ratio"] == _global_ratio(cov)
+
+
+class TestSeededCriticalData:
+    def test_unconverged_lane_raises(self, monkeypatch, g1_21):
+        cov = g1_21
+        z0 = cover1.critical_data(cov).z
+        _failing_lane(monkeypatch, failing_call=1)
+        with pytest.raises(CountMismatchError, match="did not converge"):
+            cover1.critical_data(cov, seeds=z0)
+
+    def test_converged_lanes_return_the_zeros(self, g1_21):
+        cov = g1_21
+        cd = cover1.critical_data(cov)
+        tracked = cover1.critical_data(cov, seeds=cd.z)
+        gaps = lattice_distance(np.array(tracked.z) - np.array(cd.z), cov.modulus.sigma)
+        assert np.max(gaps) < 1e-12
