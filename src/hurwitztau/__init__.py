@@ -5,8 +5,9 @@ package computes the canonical coordinates (finite critical values), the
 flat coordinates, the quadratic Hamiltonians of the associated isomonodromic
 system, the isomonodromic tau-function by two independent closed-form
 routes, and the G-function with its scaling anomaly.  Every differential
-identity tying these together can be verified numerically through the
-finite-difference deformation engine.
+identity tying these together can be verified numerically: with exact
+derivatives in the canonical coordinates, or through the finite-difference
+deformation engine that serves as their reference.
 """
 
 from .cover0 import Covering0, Pole
@@ -34,6 +35,7 @@ from .isomon import (
     bergmann_values,
     build_isomonodromy,
     euler_unit_checks,
+    exact_lambda_derivatives,
     identity_report,
     lambda_derivative,
     lambda_derivatives,
@@ -60,6 +62,7 @@ __all__ = [
     "bergmann_values",
     "build_isomonodromy",
     "euler_unit_checks",
+    "exact_lambda_derivatives",
     "identity_report",
     "lambda_derivative",
     "lambda_derivatives",

@@ -3,13 +3,19 @@
 Subcommands:
 
   analyze <file> [--json] [--strict]        full report for one covering
-  check   <file> [--fd-step] [--tol] [--seed]   identity suite, one line each
+  check   <file> [--tol] [--seed]           identity suite, one line each
   sweep   <file> --param PATH --to RE,IM --steps N [--json]   ratio constancy
   example <name> [--out FILE]               emit a built-in covering spec
 
+``check`` takes its gradient identities from exact lambda derivatives of one
+analysis (implicit differentiation at the critical points), so it has no
+step size to choose.
+
 Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error,
-3 boundary point, 4 caustic under --strict, 5 sweep left the moduli space.
+3 boundary point, 4 caustic under --strict, 5 sweep left the moduli space,
+6 numerical failure (any other ``HurwitzError``, such as coincident
+critical points), each with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ EXIT_PARSE = 2
 EXIT_BOUNDARY = 3
 EXIT_CAUSTIC = 4
 EXIT_SWEEP = 5
+EXIT_NUMERICAL = 6
 
 
 def _c2pair(z: complex) -> list[float]:
@@ -94,6 +101,21 @@ def load_covering(path: str) -> Covering0 | Covering1:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return spec_to_covering(doc)
+
+
+def _load_or_exit(path: str) -> Covering0 | Covering1 | int:
+    """The covering in ``path``, or the exit code after reporting why it is unreadable.
+
+    A spec on the boundary raises ``OnBoundaryError``, which ``main`` reports.
+    """
+    try:
+        return load_covering(path)
+    except json.JSONDecodeError as exc:
+        print(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
+        return EXIT_PARSE
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"invalid covering spec: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 # --------------------------------------------------------------------------
@@ -225,27 +247,12 @@ def _print_report(rep: dict) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        cov = load_covering(args.file)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
-        return EXIT_PARSE
-    except OnBoundaryError as exc:
-        print(f"boundary point ({exc.component}): {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"invalid covering spec: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if isinstance(cov, Covering0):
-            cover0.validate(cov)
-        rep = build_report(cov)
-    except OnBoundaryError as exc:
-        print(f"boundary point ({exc.component}): {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except CommonRootError as exc:
-        print(f"boundary point: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
+    cov = _load_or_exit(args.file)
+    if isinstance(cov, int):
+        return cov
+    if isinstance(cov, Covering0):
+        cover0.validate(cov)
+    rep = build_report(cov)
     if args.strict and rep["caustic"]["warned"]:
         print("caustic proximity escalated by --strict", file=sys.stderr)
         return EXIT_CAUSTIC
@@ -261,22 +268,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        cov = load_covering(args.file)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
-        return EXIT_PARSE
-    except OnBoundaryError as exc:
-        print(f"boundary point ({exc.component}): {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"invalid covering spec: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    cov = _load_or_exit(args.file)
+    if isinstance(cov, int):
+        return cov
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CausticWarning)
-        checks = isomon.identity_report(
-            cov, rel_step=args.fd_step, tol=args.tol, seed=args.seed
-        )
+        checks = isomon.identity_report(cov, tol=args.tol, seed=args.seed)
     failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -291,17 +288,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        cov = load_covering(args.file)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
-        return EXIT_PARSE
-    except OnBoundaryError as exc:
-        print(f"boundary point ({exc.component}): {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"invalid covering spec: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    cov = _load_or_exit(args.file)
+    if isinstance(cov, int):
+        return cov
     try:
         target = complex(*(float(x) for x in args.to.split(",")))
     except (TypeError, ValueError):
@@ -389,8 +378,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("check", help="run the identity suite")
     p.add_argument("file")
-    p.add_argument("--fd-step", type=float, default=1e-5,
-                   help="relative finite-difference step (default 1e-5)")
     p.add_argument("--tol", type=float, default=None,
                    help="replace every per-identity tolerance with this value")
     p.add_argument("--seed", type=int, default=42,
@@ -413,7 +400,17 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_example)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OnBoundaryError as exc:
+        print(f"boundary point ({exc.component}): {exc}", file=sys.stderr)
+        return EXIT_BOUNDARY
+    except CommonRootError as exc:
+        print(f"boundary point: {exc}", file=sys.stderr)
+        return EXIT_BOUNDARY
+    except HurwitzError as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import newton_lanes
 from .errors import (
     CausticWarning,
     CommonRootError,
+    CountMismatchError,
     OnBoundaryError,
     SlopeUnstableError,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "TauResultant",
     "GFunction",
     "validate",
+    "eval_param_derivs",
     "p_prime_as_ratio",
     "factorization_denominator",
     "critical_data",
@@ -189,6 +192,33 @@ def eval_p(c: Covering0, z: complex, n_deriv: int = 0) -> complex:
     return eval_p_derivs(c, z, n_deriv)[n_deriv]
 
 
+def _tail_rows(w: np.ndarray, a: int, n_max: int) -> list[np.ndarray]:
+    """d^n/dz^n of -(z-b)^(-a) at w = z - b, for n = 0..n_max."""
+    return [-((-1) ** n) * math.prod(range(a, a + n)) * w ** (-a - n) for n in range(n_max + 1)]
+
+
+def eval_param_derivs(c: Covering0, z) -> np.ndarray:
+    """d/d theta of [p, p', p''] at the points z for each path theta of ``deformation_params``.
+
+    z is held fixed (it is the uniformizing coordinate).  Returns shape
+    (P, 3, len(z)): d p/d a_r = z^r, d p/d c_{i,a} = -(z-b_i)^(-a), and
+    d p/d b_i = -(pole part i)'(z).
+    """
+    pts = np.asarray(z, dtype=complex)
+    blocks = {
+        f"poly_coeffs.{r}": [math.perm(r, n) * pts ** max(r - n, 0) for n in range(3)]
+        for r in range(len(c.poly_coeffs))
+    }
+    for i, pole in enumerate(c.poles):
+        tails = [_tail_rows(pts - pole.b, a, 3) for a in range(1, pole.order + 1)]
+        for a, rows in enumerate(tails):
+            blocks[f"poles.{i}.c.{a}"] = rows[:3]
+        blocks[f"poles.{i}.b"] = [
+            -sum(coeff * rows[n + 1] for coeff, rows in zip(pole.c, tails)) for n in range(3)
+        ]
+    return np.array([blocks[path] for path in deformation_params(c)], dtype=complex)
+
+
 def p_prime_as_ratio(c: Covering0) -> tuple[CPoly, CPoly]:
     """p' = f/g with g = prod (z - b_i)^(k_i + 1), built at coefficient level.
 
@@ -230,6 +260,7 @@ class CriticalData0:
     min_alpha_gap: float
     caustic: bool
     resultant_fg: complex
+    numerator: CPoly  # f of p' = f/g, whose roots are ``alpha``
 
     @property
     def sw(self) -> tuple[complex, ...]:
@@ -260,8 +291,10 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
 
     ``fsq`` is 2/p''(alpha_m); ``sb`` is (2 beta^2 - 3 alpha gamma)/alpha^3
     from the cubic Taylor data of p' at the critical point.  With ``seeds``
-    given, roots are tracked by Newton from the seed points instead of a
-    global solve (used by the deformation engine).
+    given, roots are tracked by lane-wise Newton from the seed points instead
+    of a global solve (used by the deformation engine and ``analyze(base=...)``);
+    f has exactly M roots, so M converged, distinct lanes are all of them, and
+    an unconverged or collapsed lane raises ``CountMismatchError``.
     """
     f, g = p_prime_as_ratio(c)
     if seeds is None:
@@ -270,18 +303,24 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
     else:
         if len(seeds) != c.dim:
             raise ValueError("seed count must equal the moduli dimension")
-        alpha = []
-        for s in seeds:
-            z = complex(s)
-            for _ in range(60):
-                val, der = f.eval_derivatives(z, 1)
-                if der == 0:
-                    break
-                step = val / der
-                z -= step
-                if abs(step) < 1e-15 * (1 + abs(z)):
-                    break
-            alpha.append(z)
+        high = np.array(f.coeffs[::-1])
+        dhigh = np.array(f.derivative().coeffs[::-1])
+        z0 = np.array(seeds, dtype=complex)
+        # a lane has converged once its step is down to the rounding noise
+        # of f near the seed (about eps * sum |c_k| |z|^k / |f'|)
+        with np.errstate(divide="ignore"):
+            noise = np.polyval(np.abs(high), np.abs(z0)) / np.abs(np.polyval(dhigh, z0))
+        tol = 1e-14 * (1.0 + np.abs(z0)) + 8.0 * np.finfo(float).eps * noise
+        tracked, ok = newton_lanes(
+            lambda w: (np.polyval(high, w), np.polyval(dhigh, w)), z0, tol, math.inf, 60
+        )
+        if not ok.all():
+            raise CountMismatchError("a seeded Newton lane did not converge")
+        alpha = [complex(z) for z in tracked]
+        for i in range(len(alpha)):
+            for j in range(i + 1, len(alpha)):
+                if abs(alpha[i] - alpha[j]) < 1e-10:
+                    raise CountMismatchError("seeded roots collapsed onto each other")
 
     fc = flat_coords(c)
     res_fg = resultant(f, g)
@@ -328,6 +367,7 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
         min_alpha_gap=min_agap,
         caustic=caustic,
         resultant_fg=complex(res_fg),
+        numerator=f,
     )
 
 
@@ -383,12 +423,13 @@ def tau_product(c: Covering0, cd: CriticalData0 | None = None) -> TauProduct:
     return TauProduct(log_tau=log_tau, log_tau_inv48=log48, tau_inv48=cmath.exp(log48))
 
 
-def tau_resultant(c: Covering0) -> TauResultant:
+def tau_resultant(c: Covering0, cd: CriticalData0 | None = None) -> TauResultant:
     """tau^(-48) = R(f, f') / [prod (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2))].
 
     Needs no root finding; vanishes exactly on the caustic R(f, f') = 0.
+    With ``cd`` given, its already-built numerator f is reused.
     """
-    f, _ = p_prime_as_ratio(c)
+    f = cd.numerator if cd is not None else p_prime_as_ratio(c)[0]
     log_r = log_resultant(f, f.derivative())
     if log_r.real == -math.inf:
         return TauResultant(log_tau_inv48=complex(-math.inf), tau_inv48=0j)

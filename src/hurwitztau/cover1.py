@@ -33,6 +33,7 @@ from .elliptic import (
     sigma_w,
     weierstrass_context,
     zeta_derivs,
+    zeta_sigma_derivs,
 )
 from .errors import CausticWarning, CountMismatchError, NearPoleError, OnBoundaryError
 
@@ -44,6 +45,7 @@ __all__ = [
     "GFunction1",
     "eval_p",
     "eval_p_derivs",
+    "eval_param_derivs",
     "critical_data",
     "flat_coords",
     "tau_product",
@@ -147,6 +149,30 @@ def eval_p(c: Covering1, z: complex, n_deriv: int = 0) -> complex:
     return eval_p_derivs(c, z, n_deriv)[n_deriv]
 
 
+def eval_param_derivs(c: Covering1, z) -> np.ndarray:
+    """d/d theta of [p, p', p''] at the points z for each path theta of ``deformation_params``.
+
+    z and the pole positions are held fixed (z is the uniformizing
+    coordinate).  Returns shape (P, 3, len(z)).  A residue column c_{i,1}
+    carries the rebalanced last residue, zeta(z - b_i) - zeta(z - b_l); the
+    modulus column differentiates every zeta^(n) at fixed argument
+    (``zeta_sigma_derivs``).
+    """
+    pts = np.asarray(z, dtype=complex)
+    ctx = c.ctx
+    zetas = [zeta_derivs(ctx, pts - p.b, p.order + 2) for p in c.poles]
+    blocks = {"constant": np.zeros((3, pts.size), dtype=complex), "modulus": 0}
+    blocks["constant"][0] = 1.0
+    for i, (pole, zd) in enumerate(zip(c.poles, zetas)):
+        zs = zeta_sigma_derivs(ctx, pts - pole.b, pole.order + 1)
+        blocks["modulus"] += sum(coeff * zs[a: a + 3] for a, coeff in enumerate(pole.c))
+        blocks[f"poles.{i}.b"] = -sum(coeff * zd[a + 1: a + 4] for a, coeff in enumerate(pole.c))
+        blocks[f"poles.{i}.c.0"] = zd[:3] - zetas[-1][:3]
+        for a in range(1, pole.order):
+            blocks[f"poles.{i}.c.{a}"] = zd[a: a + 3]
+    return np.array([blocks[path] for path in deformation_params(c)], dtype=complex)
+
+
 @dataclass(frozen=True)
 class CriticalData1:
     """Critical points of p in the fundamental cell with local frame data.
@@ -185,23 +211,18 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     sigma = c.modulus.sigma
     m_expected = c.dim
 
-    def h(z: np.ndarray) -> np.ndarray:
-        return eval_p_derivs(c, z, 1)[1]
-
-    def hp(z: np.ndarray) -> np.ndarray:
-        return eval_p_derivs(c, z, 2)[2]
+    def hd(z: np.ndarray) -> np.ndarray:
+        return eval_p_derivs(c, z, 2)[1:]  # (p', p'') in one evaluation
 
     if seeds is None:
         pole_divisor = [(p.b, p.order + 1) for p in c.poles]
-        zs = elliptic_zeros(c.modulus, h, hp, pole_divisor, expected=m_expected)
+        zs = elliptic_zeros(c.modulus, hd, pole_divisor, expected=m_expected)
         zs = _sort_cell_points(zs, sigma)
     else:
         if len(seeds) != m_expected:
             raise ValueError("seed count must equal the moduli dimension")
         z0 = np.array(seeds, dtype=complex)
-        tracked, ok = newton_lanes(
-            lambda z: eval_p_derivs(c, z, 2)[1:], z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60
-        )
+        tracked, ok = newton_lanes(hd, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
         if not ok.all():
             raise CountMismatchError("a seeded Newton lane did not converge")
         zs = [reduce_to_cell(complex(z), sigma) for z in tracked]

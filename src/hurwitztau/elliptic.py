@@ -12,20 +12,21 @@ and sigma_w(z) = z + O(z^5) rather than hard-coded, and verified at
 construction time.
 
 Array contract.  ``theta1_derivs``, ``wp_derivs``/``wp``,
-``zeta_derivs``/``zeta_w``, ``sigma_w`` and ``lattice_distance`` take either
-a complex scalar or an ndarray of points.  A scalar returns plain
-``complex`` values (a list of them for the ``*_derivs`` functions); an
-array returns an ndarray with the point axes last, so ``derivs[k]`` is the
-k-th derivative at every point.  An array is reduced to the base cell and
-evaluated with one sin/cos over the (points x series terms) grid.  The
-lattice guard holds per point: one point of an array within
-``LATTICE_GUARD`` of the lattice raises ``LatticePointError``.
+``zeta_derivs``/``zeta_w``, ``zeta_sigma_derivs``, ``sigma_w`` and
+``lattice_distance`` take either a complex scalar or an ndarray of points.
+A scalar returns plain ``complex`` values (a list of them for the
+``*_derivs`` functions); an array returns an ndarray with the point axes
+last, so ``derivs[k]`` is the k-th derivative at every point.  An array is
+reduced to the base cell and evaluated with one sin/cos over the (points x
+series terms) grid.  The lattice guard holds per point: one point of an
+array within ``LATTICE_GUARD`` of the lattice raises ``LatticePointError``.
 
-``elliptic_zeros`` relies on this contract: its ``h`` and ``h_prime`` are
-called with a 1-d complex array of points and must return an array of the
-same length (closures over ``wp``/``zeta_w`` qualify as they are).  Each
-subdivision level of the zero search is one call of ``h``, and the Newton
-polish of all leaf cells is one lane-wise iteration.
+``elliptic_zeros`` relies on this contract: its ``hd`` is called with a
+1-d complex array of points and must return the pair (h, h') of arrays of
+the same length (closures over ``wp``/``zeta_w``, or rows 1 and 2 of
+``cover1.eval_p_derivs``, qualify as they are).  Each subdivision level of
+the zero search is one call of ``hd``, and the Newton polish of all leaf
+cells is one lane-wise iteration with one ``hd`` call per step.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "wp_derivs",
     "zeta_w",
     "zeta_derivs",
+    "zeta_sigma_derivs",
     "sigma_w",
     "elliptic_resultant",
     "elliptic_zeros",
@@ -325,25 +327,29 @@ class WeierstrassContext:
     ``calib_p`` makes wp(z) - 1/z^2 vanish at z = 0; ``calib_sigma`` makes
     sigma_w(z) = z + O(z^5).  Both are solved from the theta expansion at the
     origin, and the Laurent/Legendre conditions are re-verified numerically
-    at construction so any convention slip fails fast.
+    at construction so any convention slip fails fast.  ``calib_sigma_dsigma``
+    is d calib_sigma / d sigma, from the heat equation
+    4 pi i d theta1/d sigma = d^2 theta1/dz^2 at the origin.
     """
 
     modulus: Modulus
     theta1_deriv0: complex
     calib_p: complex
     calib_sigma: complex
+    calib_sigma_dsigma: complex
     eta_tilde: complex
     g2: complex
 
     @classmethod
     def create(cls, modulus: Modulus) -> "WeierstrassContext":
-        d = theta1_derivs(modulus, 0.0, 3)
-        t1, t3 = d[1], d[3]
+        d = theta1_derivs(modulus, 0.0, 5)
+        t1, t3, t5 = d[1], d[3], d[5]
         ctx = cls(
             modulus=modulus,
             theta1_deriv0=t1,
             calib_p=t3 / (3.0 * t1),
             calib_sigma=-t3 / (6.0 * t1),
+            calib_sigma_dsigma=-(t5 / t1 - (t3 / t1) ** 2) / (24j * math.pi),
             eta_tilde=eta_tilde(modulus),
             g2=g_invariants(modulus)[0],
         )
@@ -442,6 +448,31 @@ def zeta_derivs(ctx: WeierstrassContext, z, n_max: int):
     return shape_rows(out, shape)
 
 
+def zeta_sigma_derivs(ctx: WeierstrassContext, z, n_max: int):
+    """[d/dsigma zeta^(n)(z) for n = 0..n_max] at fixed z, in one theta evaluation.
+
+    With L = zeta - 2*calib_sigma*z = (log theta1)' the heat equation gives
+    d L/d sigma = (L'' + 2 L L')/(4 pi i), so
+    d zeta^(n)/d sigma = (L^(n+2) + sum_j C(n+1, j) L^(j) L^(n+1-j))/(4 pi i)
+    plus 2 c_sigma z (n = 0) or 2 c_sigma (n = 1), c_sigma = calib_sigma_dsigma.
+    Scalar or array ``z`` as in ``zeta_derivs``.
+    """
+    pts, shape = point_array(z)
+    big_l = zeta_derivs(ctx, pts, n_max + 2)
+    big_l[0] -= 2.0 * ctx.calib_sigma * pts
+    big_l[1] -= 2.0 * ctx.calib_sigma
+    out = np.empty((n_max + 1, len(pts)), dtype=complex)
+    for n in range(n_max + 1):
+        out[n] = big_l[n + 2] + sum(
+            math.comb(n + 1, j) * big_l[j] * big_l[n + 1 - j] for j in range(n + 2)
+        )
+    out /= 4j * math.pi
+    out[0] += 2.0 * ctx.calib_sigma_dsigma * pts
+    if n_max >= 1:
+        out[1] += 2.0 * ctx.calib_sigma_dsigma
+    return shape_rows(out, shape)
+
+
 def zeta_w(ctx: WeierstrassContext, z, n_deriv: int = 0):
     """Weierstrass zeta and derivatives: zeta' = -wp, zeta'' = -wp', ..."""
     return zeta_derivs(ctx, z, n_deriv)[n_deriv]
@@ -506,17 +537,17 @@ _UNIT_CELL = (0.0, 1.0, 0.0, 1.0)
 _MIN_CELL = 1e-4
 
 
-def _arg_changes(h: Callable[[np.ndarray], np.ndarray], za: np.ndarray, zb: np.ndarray,
-                 n0: int = 12, max_depth: int = 13) -> np.ndarray:
+def _arg_changes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 za: np.ndarray, zb: np.ndarray, n0: int = 12, max_depth: int = 13) -> np.ndarray:
     """Total continuous argument change of h along each segment [za[i], zb[i]].
 
-    The (n0 + 1)-point grids of all segments go to h in one call.  Every
+    The (n0 + 1)-point grids of all segments go to ``hd`` in one call.  Every
     interval whose argument moves by more than 1.2 rad is bisected, breadth
-    first, with one h call per depth for all such intervals.
+    first, with one ``hd`` call per depth for all such intervals.
     """
     ts = np.arange(n0 + 1) / n0
     dz = zb - za
-    vals = h((za[:, None] + ts[None, :] * dz[:, None]).ravel()).reshape(len(za), n0 + 1)
+    vals = hd((za[:, None] + ts[None, :] * dz[:, None]).ravel())[0].reshape(len(za), n0 + 1)
     seg = np.repeat(np.arange(len(za)), n0)
     t0 = np.tile(ts[:-1], len(za))
     t1 = np.tile(ts[1:], len(za))
@@ -536,15 +567,15 @@ def _arg_changes(h: Callable[[np.ndarray], np.ndarray], za: np.ndarray, zb: np.n
             raise _EdgeTrouble("argument jump on contour")
         seg, t0, t1, v0, v1 = seg[jump], t0[jump], t1[jump], v0[jump], v1[jump]
         tm = 0.5 * (t0 + t1)
-        vm = h(za[seg] + tm * dz[seg])
+        vm = hd(za[seg] + tm * dz[seg])[0]
         seg = np.concatenate([seg, seg])
         t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
         v0, v1 = np.concatenate([v0, vm]), np.concatenate([vm, v1])
         depth += 1
 
 
-def _cell_counts(h, corner: complex, sigma: complex, poles_uv, cells) -> list[int]:
-    """Zeros of h inside each parallelogram cell (winding + enclosed poles).
+def _cell_counts(hd, corner: complex, sigma: complex, poles_uv, cells) -> list[int]:
+    """Zeros of h = hd(w)[0] inside each parallelogram cell (winding + enclosed poles).
 
     The four edges of every cell are tracked in one ``_arg_changes`` call.
     """
@@ -556,7 +587,7 @@ def _cell_counts(h, corner: complex, sigma: complex, poles_uv, cells) -> list[in
         d = corner + u0 + v1 * sigma
         za += [a, b, c, d]
         zb += [b, c, d, a]
-    totals = _arg_changes(h, np.array(za), np.array(zb)).reshape(len(cells), 4).sum(axis=1)
+    totals = _arg_changes(hd, np.array(za), np.array(zb)).reshape(len(cells), 4).sum(axis=1)
     counts = []
     for (u0, u1, v0, v1), total in zip(cells, totals):
         w = float(total) / (2.0 * math.pi)
@@ -619,7 +650,7 @@ def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
     return z, ok
 
 
-def _polish(h, h_prime, corner: complex, sigma: complex, cells, tol: float) -> list[complex | None]:
+def _polish(hd, corner: complex, sigma: complex, cells, tol: float) -> list[complex | None]:
     """One lane-wise Newton over the five seeds of every leaf cell.
 
     A cell keeps the first seed, in seed order, whose converged point lies
@@ -635,7 +666,7 @@ def _polish(h, h_prime, corner: complex, sigma: complex, cells, tol: float) -> l
             corner + (0.75 * u0 + 0.25 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
             corner + (0.25 * u0 + 0.75 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
         ]
-    zs, ok = newton_lanes(lambda w: (h(w), h_prime(w)), seeds, tol, 0.5, 80)
+    zs, ok = newton_lanes(hd, seeds, tol, 0.5, 80)
     roots: list[complex | None] = []
     for i, cell in enumerate(cells):
         u0, u1, v0, v1 = cell
@@ -653,7 +684,7 @@ def _polish(h, h_prime, corner: complex, sigma: complex, cells, tol: float) -> l
     return roots
 
 
-def _locate(h, h_prime, corner: complex, sigma: complex, poles_uv, total: int,
+def _locate(hd, corner: complex, sigma: complex, poles_uv, total: int,
             tol: float) -> list[complex]:
     """Subdivide the unit cell until every zero sits in a leaf, then polish.
 
@@ -676,12 +707,12 @@ def _locate(h, h_prime, corner: complex, sigma: complex, poles_uv, total: int,
         while to_split:
             children = [sub for cell in to_split for sub in _halves(cell, poles_uv, sigma)]
             to_split = []
-            for cell, n in zip(children, _cell_counts(h, corner, sigma, poles_uv, children)):
+            for cell, n in zip(children, _cell_counts(hd, corner, sigma, poles_uv, children)):
                 if n < 0:
                     raise _EdgeTrouble("negative zero count in cell")
                 if n > 0:
                     place(cell, n)
-        roots = _polish(h, h_prime, corner, sigma, [cell for cell, _ in leaves], tol)
+        roots = _polish(hd, corner, sigma, [cell for cell, _ in leaves], tol)
         for (cell, count), root in zip(leaves, roots):
             if root is not None:
                 found.extend([root] * count)
@@ -711,15 +742,14 @@ def _cell_representative(z: complex, sigma: complex, edge: float = 1e-12) -> com
 
 def elliptic_zeros(
     mod: Modulus,
-    h: Callable[[np.ndarray], np.ndarray],
-    h_prime: Callable[[np.ndarray], np.ndarray],
+    hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     poles: Sequence[tuple[complex, int]],
     expected: int | None = None,
 ) -> list[complex]:
     """All zeros of the elliptic function h in one fundamental cell.
 
-    ``h`` and ``h_prime`` take a 1-d complex array of points and return
-    the values there (see the module docstring).  ``poles`` lists pole
+    ``hd`` takes a 1-d complex array of points and returns the pair
+    (h, h') there (see the module docstring and ``newton_lanes``).  ``poles`` lists pole
     positions with multiplicities (the full divisor in one cell).  The cell
     contour is translated until it avoids zeros and poles; the argument
     principle fixes the total count, and adaptive cell subdivision plus
@@ -747,7 +777,7 @@ def elliptic_zeros(
         if not ok:
             continue
         try:
-            total = _cell_counts(h, corner, sigma, poles_uv, [_UNIT_CELL])[0]
+            total = _cell_counts(hd, corner, sigma, poles_uv, [_UNIT_CELL])[0]
         except _EdgeTrouble as exc:
             last_trouble = str(exc)
             continue
@@ -759,7 +789,7 @@ def elliptic_zeros(
             last_trouble = f"count {total} != {target}"
             continue
         try:
-            found = _locate(h, h_prime, corner, sigma, poles_uv, total, newton_tol)
+            found = _locate(hd, corner, sigma, poles_uv, total, newton_tol)
         except _EdgeTrouble as exc:
             last_trouble = str(exc)
             continue

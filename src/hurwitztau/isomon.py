@@ -2,9 +2,10 @@
 
 Rotation coefficients from the Bergmann kernel, the commutator matrix V,
 quadratic Hamiltonians by two independent routes, Schlesinger residue
-matrices, and a finite-difference engine that converts derivatives in the
-covering parameters into derivatives in the canonical coordinates
-(the critical values).
+matrices, and derivatives in the canonical coordinates (the critical
+values): exact ones from the implicit function theorem at the critical
+points, which the identity suite uses, and a finite-difference engine over
+the covering parameters that serves as their independent reference.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
     "bergmann_values",
     "build_isomonodromy",
     "deformation_jacobian",
+    "exact_parameter_derivatives",
+    "exact_lambda_derivatives",
     "lambda_derivatives",
     "lambda_derivative",
     "euler_unit_checks",
@@ -381,18 +384,12 @@ def deformation_jacobian(covering: Covering, rel_step: float = DEFAULT_FD_STEP) 
     )
 
 
-def lambda_derivatives(
-    covering: Covering,
-    bundle_fn: Callable[[Covering], dict],
-    rel_step: float = DEFAULT_FD_STEP,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """d(bundle)/d(lambda_k) for every bundle entry.
+def _chain_to_lambda(derivs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Parameter derivatives (P, len(value)) to lambda derivatives (len(value), M).
 
-    The bundle must contain the key ``"lam"``; its parameter Jacobian is
-    inverted (the parameter count equals the moduli dimension) and chained
-    with every other entry's parameter derivatives.
+    The parameter Jacobian of ``derivs["lam"]`` is inverted (the parameter
+    count equals the moduli dimension) and chained with every entry.
     """
-    base, _, derivs = parameter_derivatives(covering, bundle_fn, rel_step)
     jac = derivs["lam"].T  # (M, P)
     m, p = jac.shape
     if m != p:
@@ -401,10 +398,21 @@ def lambda_derivatives(
     if cond > COND_LIMIT:
         raise IllConditionedError(f"deformation Jacobian condition {cond:.2e}")
     inv = np.linalg.inv(jac)  # (P, M): d params / d lambda
-    out = {}
-    for k, d in derivs.items():
-        out[k] = d.T @ inv  # (len(value), M)
-    return base, out
+    return {k: d.T @ inv for k, d in derivs.items()}
+
+
+def lambda_derivatives(
+    covering: Covering,
+    bundle_fn: Callable[[Covering], dict],
+    rel_step: float = DEFAULT_FD_STEP,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """d(bundle)/d(lambda_k) for every bundle entry, by finite differences.
+
+    The bundle must contain the key ``"lam"``; its parameter Jacobian is
+    inverted and chained with every other entry's parameter derivatives.
+    """
+    base, _, derivs = parameter_derivatives(covering, bundle_fn, rel_step)
+    return base, _chain_to_lambda(derivs)
 
 
 def lambda_derivative(
@@ -442,6 +450,85 @@ def check_bundle(base: Analysis) -> Callable[[Covering], dict]:
 
 
 # --------------------------------------------------------------------------
+# exact deformation derivatives
+
+
+def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
+    """d(top tail of pole s)/d theta, shape (P, S).
+
+    A path moves its own pole's top tail; at genus 1 a residue path also
+    moves the rebalanced last residue, which is the top tail of a simple
+    last pole.
+    """
+    poles = an.covering.poles
+    out = np.zeros((len(paths), len(poles)))
+    for j, path in enumerate(paths):
+        parts = path.split(".")
+        if parts[0] != "poles" or parts[2] != "c":
+            continue
+        i, a = int(parts[1]), int(parts[3])
+        if a == poles[i].order - 1:
+            out[j, i] = 1.0
+        if an.genus == 1 and a == 0 and poles[-1].order == 1:
+            out[j, -1] = -1.0
+    return out
+
+
+def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The check bundle's parameter derivatives in closed form at one analysis.
+
+    Same layout as ``parameter_derivatives``: (paths, arrays of shape
+    (P, len(value))) for ``lam``, ``fsq``, ``f``, ``h``, ``T``,
+    ``log_tau48``, ``G`` and, at genus 1, ``sigma``.  At a critical point
+    p'(z_m) = 0, so with the partials d_theta p^(n) at fixed z:
+    d lambda_m = d_theta p, d z_m = -d_theta p'/p'', and
+    d fsq_m = -2 (d_theta p'' + p^(3) d z_m)/p''^2; h_s follows its top tail
+    (h_s^k_s is proportional to it), and T, log tau^-48 and G are sums of
+    logarithms of these, plus d log eta/d sigma = eta_tilde at genus 1.
+    """
+    cov = an.covering
+    module = cover0 if an.genus == 0 else cover1
+    paths = module.deformation_params(cov)
+    pts = np.array(an.pts)
+    if an.genus == 0:
+        rows = np.array([cover0.eval_p_derivs(cov, z, 3) for z in pts]).T
+    else:
+        rows = cover1.eval_p_derivs(cov, pts, 3)
+    p2, p3 = rows[2], rows[3]
+    dp = module.eval_param_derivs(cov, pts)  # (P, 3, M)
+    dz = -dp[:, 1] / p2
+    dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
+    ks = np.array(an.ks, dtype=float)
+    top = np.array([p.top for p in cov.poles], dtype=complex)
+    dlog_h = _top_derivs(an, paths) / (ks * top)  # (P, S)
+    dlog_fsq = (dfsq / np.array(an.fsq)).sum(axis=1)
+    dlog_hk = dlog_h @ (ks + 1.0)
+    dsigma = np.array([float(path == "modulus") for path in paths])  # zero at genus 0
+    dlog_eta = dsigma * an.eta_tilde if an.genus == 1 else dsigma
+    derivs = {
+        "lam": dp[:, 0],
+        "fsq": dfsq,
+        "f": dfsq / (2.0 * np.array(an.f)),
+        "h": dlog_h * np.array(an.h, dtype=complex),
+        "T": 0.5 * dlog_fsq - dlog_hk,
+        "log_tau48": 2.0 * dlog_hk - dlog_fsq + 48.0 * dlog_eta,
+        "G": -dlog_hk / 24.0 - dlog_eta,
+    }
+    if an.genus == 1:
+        derivs["sigma"] = dsigma
+    n = len(paths)
+    return paths, {k: np.asarray(v, dtype=complex).reshape(n, -1) for k, v in derivs.items()}
+
+
+def exact_lambda_derivatives(an: Analysis) -> dict[str, np.ndarray]:
+    """d(check bundle)/d(lambda_k) from ``exact_parameter_derivatives``.
+
+    Same layout as the second result of ``lambda_derivatives``.
+    """
+    return _chain_to_lambda(exact_parameter_derivatives(an)[1])
+
+
+# --------------------------------------------------------------------------
 # Euler / unit field checks
 
 
@@ -470,7 +557,7 @@ class EulerReport:
     gamma: complex
 
 
-def euler_unit_checks(covering: Covering, rel_step: float = DEFAULT_FD_STEP) -> EulerReport:
+def euler_unit_checks(covering: Covering) -> EulerReport:
     """Unit-field annihilation, Euler degree of log tau, and E(G) vs gamma."""
     an = analyze(covering)
     iso = build_isomonodromy(covering, an)
@@ -478,7 +565,7 @@ def euler_unit_checks(covering: Covering, rel_step: float = DEFAULT_FD_STEP) -> 
     lam = np.array(iso.lam)
     sum_h = complex(np.sum(h))
     scale = float(np.max(np.abs(h))) or 1.0
-    _, d = lambda_derivatives(covering, check_bundle(an), rel_step)
+    d = exact_lambda_derivatives(an)
     eg = complex(d["G"][0] @ lam)
     return EulerReport(
         sum_h=sum_h,
@@ -555,10 +642,9 @@ def _route_rows(coverings: Sequence[Covering], seeds=None) -> list[dict]:
         if isinstance(cov, Covering0):
             cd = cover0.critical_data(cov)
             ta = cover0.tau_product(cov, cd)
-            tb = cover0.tau_resultant(cov)
-            f, g = cover0.p_prime_as_ratio(cov)
+            tb = cover0.tau_resultant(cov, cd)
             denom = cover0.factorization_denominator(cov, cover0.flat_coords(cov))
-            row = {"pts": cd.alpha, "resultant_ratio": cover0.resultant(f, g) / denom}
+            row = {"pts": cd.alpha, "resultant_ratio": cd.resultant_fg / denom}
         else:
             cd = _continued_critical_data(cov, seeds)
             ta = cover1.tau_product(cov, cd)
@@ -610,21 +696,21 @@ DEFAULT_TOLS = {
 
 def identity_report(
     covering: Covering,
-    rel_step: float = DEFAULT_FD_STEP,
     tol: float | None = None,
     seed: int = 42,
     sweep_steps: int = 5,
 ) -> list[IdentityCheck]:
     """Run every applicable differential/closed-form identity at one point.
 
-    Gradient identities come from the finite-difference engine; the
-    cross-route constancy identities run a short deterministic parameter
-    sweep around the instance.  A not-None ``tol`` replaces every default.
+    Gradient identities use the exact lambda derivatives of the one
+    analysis; the cross-route constancy identities run a short
+    deterministic parameter sweep around the instance.  A not-None ``tol``
+    replaces every default.
     """
     an = analyze(covering)
     iso = build_isomonodromy(covering, an)
     B, Binf = bergmann_values(covering, an)
-    _, d = lambda_derivatives(covering, check_bundle(an), rel_step)
+    d = exact_lambda_derivatives(an)
     m = len(an.lam)
     lam = np.array(an.lam)
     h = np.array(iso.hamiltonians)

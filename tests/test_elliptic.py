@@ -234,7 +234,7 @@ class TestEllipticZeros:
     def test_wp_prime_half_periods(self):
         mod = Modulus(0.3 + 1.1j)
         ctx = WeierstrassContext.create(mod)
-        zs = elliptic_zeros(mod, lambda u: wp(ctx, u, 1), lambda u: wp(ctx, u, 2), [(0.0, 3)])
+        zs = elliptic_zeros(mod, lambda u: (wp(ctx, u, 1), wp(ctx, u, 2)), [(0.0, 3)])
         assert len(zs) == 3
         want = sorted(
             (reduce_to_cell(w, mod.sigma) for w in half_periods(mod.sigma)),
@@ -248,7 +248,7 @@ class TestEllipticZeros:
         ctx = WeierstrassContext.create(mod)
         c = 0.31 + 0.18j
         val = wp(ctx, c)
-        zs = elliptic_zeros(mod, lambda u: wp(ctx, u) - val, lambda u: wp(ctx, u, 1), [(0.0, 2)])
+        zs = elliptic_zeros(mod, lambda u: (wp(ctx, u) - val, wp(ctx, u, 1)), [(0.0, 2)])
         want = sorted(
             (reduce_to_cell(w, mod.sigma) for w in (c, -c)),
             key=lambda t: (round(t.real, 6), round(t.imag, 6)),
@@ -275,7 +275,7 @@ class TestEllipticZeros:
                 return -wp(ctx, z - b1) + wp(ctx, z - b2) + c2 * wp(ctx, z - b2, 1)
 
             poles = [(b1, 1), (b2, 2)]
-            zs = elliptic_zeros(mod, h, hp, poles)
+            zs = elliptic_zeros(mod, lambda u: (h(u), hp(u)), poles)
             assert len(zs) == 3
             for z in zs:
                 assert abs(h(z)) < 1e-8
