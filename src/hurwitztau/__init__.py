@@ -22,6 +22,7 @@ from .errors import (
     IllConditionedError,
     LatticePointError,
     NearPoleError,
+    NoCriticalPointsError,
     NonConvergenceError,
     OnBoundaryError,
     SlopeUnstableError,
@@ -77,6 +78,7 @@ __all__ = [
     "IllConditionedError",
     "LatticePointError",
     "NearPoleError",
+    "NoCriticalPointsError",
     "NonConvergenceError",
     "OnBoundaryError",
     "SlopeUnstableError",

@@ -156,7 +156,7 @@ def build_report(cov: Covering0 | Covering1) -> dict:
 
     h1 = np.array(iso.hamiltonians)
     h2 = np.array(iso.hamiltonians_bergmann)
-    h_disc = float(np.max(np.abs(h1 - h2)) / np.max(np.abs(h1)))
+    h_disc = isomon._rel_error(h1 - h2, h1)
     ratio = ta.tau_inv48 / tb.tau_inv48 if tb.tau_inv48 != 0 else complex("nan")
     g_cross_err = abs(gf.g_value - gf.g_from_jacobian - cross_const)
 

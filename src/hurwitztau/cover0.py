@@ -25,6 +25,7 @@ from .errors import (
     CausticWarning,
     CommonRootError,
     CountMismatchError,
+    NoCriticalPointsError,
     OnBoundaryError,
     SlopeUnstableError,
 )
@@ -296,6 +297,8 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
     f has exactly M roots, so M converged, distinct lanes are all of them, and
     an unconverged or collapsed lane raises ``CountMismatchError``.
     """
+    if c.dim < 1:
+        raise NoCriticalPointsError(f"profile {c.profile} has no critical points (M = 0)")
     f, g = p_prime_as_ratio(c)
     if seeds is None:
         rs = all_roots(f)

@@ -23,6 +23,10 @@ class ContourClashError(HurwitzError):
     """No admissible integration contour could be found."""
 
 
+class NoCriticalPointsError(HurwitzError):
+    """The covering has no critical points (moduli dimension M = 0)."""
+
+
 class CountMismatchError(HurwitzError):
     """Located zeros disagree with the argument-principle count."""
 

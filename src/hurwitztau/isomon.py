@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import cover0, cover1
 from .cover0 import Covering0
@@ -66,8 +65,7 @@ class Analysis:
     when one is supplied (nearest branch at each step); otherwise principal
     branches are used throughout.  ``T`` is the log of the frame product
     whose canonical gradient is the Schwarzian of the uniformizing map.
-    ``critical`` is the genus module's critical data, in its own point order
-    (``pts`` follows the base analysis when one is supplied).
+    ``critical`` is the genus module's critical data, in the order of ``pts``.
     """
 
     covering: Covering
@@ -98,18 +96,16 @@ def _cont_log(value: complex, ref_value: complex, ref_log: complex) -> complex:
     return ref_log + cmath.log(value / ref_value)
 
 
-def _match(points: Sequence[complex], base: Sequence[complex],
-           dist: Callable[[complex, complex], float]) -> list[int]:
-    cost = np.array([[dist(p, b) for p in points] for b in base])
-    _, cols = linear_sum_assignment(cost)
-    return list(cols)
-
-
 def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
-    """Critical data, flat data and closed-form scalars in one bundle."""
+    """Critical data, flat data and closed-form scalars in one bundle.
+
+    With ``base``, the critical points are tracked from ``base.pts`` and kept
+    in that order; a tracked point nearer another base point than its own
+    raises ``CountMismatchError``.
+    """
+    seeds = base.pts if base is not None else None
     if isinstance(covering, Covering0):
         genus = 0
-        seeds = base.pts if base is not None else None
         cd = cover0.critical_data(covering, seeds=seeds)
         fc = cover0.flat_coords(covering)
         pts, lam, fsq, sb = cd.alpha, cd.lam, cd.fsq, cd.sb
@@ -118,10 +114,8 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
         ks = covering.profile[1:]
         sigma = None
         eta_t = None
-        dist = lambda a, b: abs(a - b)
     else:
         genus = 1
-        seeds = base.pts if base is not None else None
         cd = cover1.critical_data(covering, seeds=seeds)
         fc = cover1.flat_coords(covering)
         pts, lam, fsq, sb = cd.z, cd.lam, cd.fsq, cd.sb
@@ -130,16 +124,15 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
         ks = covering.profile
         sigma = covering.modulus.sigma
         eta_t = covering.ctx.eta_tilde
-        s = sigma
-        dist = lambda a, b: lattice_distance(a - b, s)
 
     if base is not None:
-        order = _match(pts, base.pts, dist)
-        pts = tuple(pts[i] for i in order)
-        lam = tuple(lam[i] for i in order)
-        fsq = tuple(fsq[i] for i in order)
-        sb = tuple(sb[i] for i in order)
-        sw = tuple(sw[i] for i in order)
+        # the seeded solve returns the tracked points lane by lane, in the
+        # order of base.pts; when each is nearest to its own base point the
+        # identity is an optimal assignment, so that order is kept
+        gaps = np.subtract.outer(np.array(pts), np.array(base.pts))
+        gaps = np.abs(gaps) if genus == 0 else lattice_distance(gaps, sigma)
+        if (np.argmin(gaps, axis=1) != np.arange(len(pts))).any():
+            raise CountMismatchError("a tracked critical point is nearer another base point")
         log_fsq = tuple(
             _cont_log(v, rv, rl) for v, rv, rl in zip(fsq, base.fsq, base.log_fsq)
         )
@@ -614,6 +607,13 @@ def _default_sweep_param(covering: Covering) -> str:
     return "poles.1.b" if len(covering.poles) > 1 else "constant"
 
 
+def _rel_error(diff, ref) -> float:
+    """max |diff| relative to max |ref|; the absolute error where ref is all zero."""
+    err = float(np.max(np.abs(diff)))
+    scale = float(np.max(np.abs(ref)))
+    return err / scale if scale else err
+
+
 def _ratio_drift(values: list[complex]) -> float:
     ref = values[0]
     return max(abs(v / ref - 1.0) for v in values)
@@ -626,6 +626,26 @@ def _continued_critical_data(cov: Covering1, seeds) -> cover1.CriticalData1:
         except (CountMismatchError, NearPoleError):
             pass
     return cover1.critical_data(cov)
+
+
+def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -> dict:
+    """Cross-route tau data of one covering from its critical data."""
+    if isinstance(cov, Covering0):
+        ta = cover0.tau_product(cov, cd)
+        tb = cover0.tau_resultant(cov, cd)
+        denom = cover0.factorization_denominator(cov, cover0.flat_coords(cov))
+        row = {"pts": cd.alpha, "resultant_ratio": cd.resultant_fg / denom}
+    else:
+        ta = cover1.tau_product(cov, cd)
+        tb = cover1.tau_resultant(cov, cd)
+        row = {"pts": cd.z}
+    row.update(
+        tau48_product=ta.tau_inv48,
+        tau48_resultant=tb.tau_inv48,
+        route_ratio=ta.tau_inv48 / tb.tau_inv48,
+        caustic=cd.caustic,
+    )
+    return row
 
 
 def _route_rows(coverings: Sequence[Covering], seeds=None) -> list[dict]:
@@ -641,23 +661,10 @@ def _route_rows(coverings: Sequence[Covering], seeds=None) -> list[dict]:
     for cov in coverings:
         if isinstance(cov, Covering0):
             cd = cover0.critical_data(cov)
-            ta = cover0.tau_product(cov, cd)
-            tb = cover0.tau_resultant(cov, cd)
-            denom = cover0.factorization_denominator(cov, cover0.flat_coords(cov))
-            row = {"pts": cd.alpha, "resultant_ratio": cd.resultant_fg / denom}
         else:
             cd = _continued_critical_data(cov, seeds)
-            ta = cover1.tau_product(cov, cd)
-            tb = cover1.tau_resultant(cov, cd)
-            row = {"pts": cd.z}
             seeds = cd.z
-        row.update(
-            tau48_product=ta.tau_inv48,
-            tau48_resultant=tb.tau_inv48,
-            route_ratio=ta.tau_inv48 / tb.tau_inv48,
-            caustic=cd.caustic,
-        )
-        rows.append(row)
+        rows.append(_route_row(cov, cd))
     return rows
 
 
@@ -681,14 +688,14 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
 
 # default tolerances per identity; a caller-supplied tolerance replaces all
 DEFAULT_TOLS = {
-    "tau-gradient": 1e-5,
-    "rauch-ramification": 1e-5,
-    "rauch-puncture": 1e-5,
-    "schwarzian-gradient": 1e-5,
+    "tau-gradient": 1e-9,
+    "rauch-ramification": 1e-9,
+    "rauch-puncture": 1e-9,
+    "schwarzian-gradient": 1e-9,
     "hamiltonian-two-route": 1e-8,  # 1e-6 at genus 1
     "hamiltonian-sum": 1e-10,
-    "euler-anomaly": 1e-5,
-    "modulus-flow": 1e-5,
+    "euler-anomaly": 1e-9,
+    "modulus-flow": 1e-9,
     "tau-route-ratio": 1e-7,
     "resultant-factorization": 1e-8,
 }
@@ -714,7 +721,6 @@ def identity_report(
     m = len(an.lam)
     lam = np.array(an.lam)
     h = np.array(iso.hamiltonians)
-    h_scale = float(np.max(np.abs(h)))
 
     def tolerance(name: str) -> float:
         if tol is not None:
@@ -727,37 +733,36 @@ def identity_report(
     checks: list[IdentityCheck] = []
 
     dlogtau = -d["log_tau48"][0] / 48.0
-    err = float(np.max(np.abs(dlogtau - h))) / h_scale
+    err = _rel_error(dlogtau - h, h)
     checks.append(IdentityCheck("tau-gradient", err, tolerance("tau-gradient"),
                                 "d log tau / d lambda_k vs H_k"))
 
-    df = d["f"]  # (M, M): df_n/dlam_m at [n, m]
-    rhs = 0.5 * B.T * np.array(an.f)[None, :]  # [n, m] = 0.5 B[m, n] f_m
-    mask = ~np.eye(m, dtype=bool)
-    scale = float(np.max(np.abs(rhs[mask])))
-    err = float(np.max(np.abs((df - rhs)[mask]))) / scale
-    checks.append(IdentityCheck("rauch-ramification", err, tolerance("rauch-ramification"),
-                                "d f_n / d lambda_m vs (1/2) b(P_m,P_n) f_m"))
+    if m > 1:  # one critical point has no pair to relate
+        df = d["f"]  # (M, M): df_n/dlam_m at [n, m]
+        rhs = 0.5 * B.T * np.array(an.f)[None, :]  # [n, m] = 0.5 B[m, n] f_m
+        mask = ~np.eye(m, dtype=bool)
+        err = _rel_error((df - rhs)[mask], rhs[mask])
+        checks.append(IdentityCheck("rauch-ramification", err, tolerance("rauch-ramification"),
+                                    "d f_n / d lambda_m vs (1/2) b(P_m,P_n) f_m"))
 
     if an.h:
         dh = d["h"]  # (S, M)
         rhs_h = 0.5 * Binf.T * np.array(an.f)[None, :]
-        scale = float(np.max(np.abs(rhs_h)))
-        err = float(np.max(np.abs(dh - rhs_h))) / scale
+        err = _rel_error(dh - rhs_h, rhs_h)
         checks.append(IdentityCheck("rauch-puncture", err, tolerance("rauch-puncture"),
                                     "d h_s / d lambda_m vs (1/2) b(P_m,inf_s) f_m"))
 
     dT = d["T"][0]
     sw = np.array(an.sw)
-    err = float(np.max(np.abs(dT - sw))) / float(np.max(np.abs(sw)))
+    err = _rel_error(dT - sw, sw)
     checks.append(IdentityCheck("schwarzian-gradient", err, tolerance("schwarzian-gradient"),
                                 "d T / d lambda_k vs Schwarzian at P_k"))
 
-    err = float(np.max(np.abs(h - np.array(iso.hamiltonians_bergmann)))) / h_scale
+    err = _rel_error(h - np.array(iso.hamiltonians_bergmann), h)
     checks.append(IdentityCheck("hamiltonian-two-route", err, tolerance("hamiltonian-two-route"),
                                 "H from V-quadratic form vs projective connection"))
 
-    err = abs(complex(np.sum(h))) / h_scale
+    err = _rel_error(np.sum(h), h)
     checks.append(IdentityCheck("hamiltonian-sum", err, tolerance("hamiltonian-sum"),
                                 "sum_m H_m = 0"))
 
@@ -769,7 +774,7 @@ def identity_report(
     if an.genus == 1:
         dsig = d["sigma"][0]
         rhs_s = 1j * math.pi * np.array(an.fsq)
-        err = float(np.max(np.abs(dsig - rhs_s))) / float(np.max(np.abs(rhs_s)))
+        err = _rel_error(dsig - rhs_s, rhs_s)
         checks.append(IdentityCheck("modulus-flow", err, tolerance("modulus-flow"),
                                     "d sigma / d lambda_k vs pi i f_k^2"))
 
@@ -778,10 +783,15 @@ def identity_report(
     path = _default_sweep_param(covering)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     sweep = _sweep_coverings(covering, path, sweep_steps, spread=0.1, phase=phase)
-    # walk outward from the base point, whose critical points seed the middle
+    # walk outward from the base point, whose critical points seed both
+    # halves; an odd sweep is centred on the covering itself, whose row comes
+    # from the analysis already made
     mid = sweep_steps // 2
-    upper = _route_rows(sweep[mid:], an.pts)
-    rows = _route_rows(sweep[:mid][::-1], upper[0]["pts"])[::-1] + upper
+    rows = _route_rows(sweep[:mid][::-1], an.pts)[::-1]
+    if sweep_steps % 2:
+        rows.append(_route_row(covering, an.critical))
+        mid += 1
+    rows += _route_rows(sweep[mid:], an.pts)
     ratios = [row["route_ratio"] for row in rows]
     factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
     checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),

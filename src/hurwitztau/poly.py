@@ -149,36 +149,34 @@ def all_roots(p: CPoly, max_iter: int = ABERTH_MAX_ITER) -> RootSet:
     # Cauchy bound for the root radius; slightly irrational angle offset so
     # symmetric polynomials do not start in an unstable configuration.
     radius = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading)
-    zs = np.array(
-        [
-            0.8 * radius * cmath.exp(2j * math.pi * (k + 0.354) / n + 0.41j)
-            for k in range(n)
-        ],
-        dtype=complex,
-    )
-
+    zs = [
+        0.8 * radius * cmath.exp(2j * math.pi * (k + 0.354) / n + 0.41j)
+        for k in range(n)
+    ]
+    # Python complex arithmetic with p and p' by inline Horner: at a handful
+    # of roots per iteration, numpy's per-call overhead and the general
+    # eval_derivatives cost more than the arithmetic
+    high_first = p.coeffs[::-1]
     for _ in range(max_iter):
-        vals = np.empty(n, dtype=complex)
-        ders = np.empty(n, dtype=complex)
-        for i in range(n):
-            v, d = p.eval_derivatives(zs[i], 1)
-            vals[i] = v
-            ders[i] = d
-        diff = zs[:, None] - zs[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(ders != 0, vals / ders, 0.0)
+        steps = []
+        for i, z in enumerate(zs):
+            val = der = 0j
+            for c in high_first:
+                der = der * z + val
+                val = val * z + c
+            try:
+                s = sum(1.0 / (z - other) for j, other in enumerate(zs) if j != i)
+            except ZeroDivisionError:
+                raise NonConvergenceError("two root iterates coincide") from None
+            w = val / der if der != 0 else 0j
             denom = 1.0 - w * s
-            step = np.where(denom != 0, w / denom, w)
-        zs = zs - step
-        if np.all(np.abs(step) < 1e-14 * (1.0 + np.abs(zs))):
+            steps.append(w / denom if denom != 0 else w)
+        zs = [z - step for z, step in zip(zs, steps)]
+        if all(abs(step) < 1e-14 * (1.0 + abs(z)) for z, step in zip(zs, steps)):
             break
     else:
         resid = max(abs(p(z)) for z in zs)
-        if resid > 1e-8 * coeff_scale * max(1.0, float(np.max(np.abs(zs)))) ** n:
+        if resid > 1e-8 * coeff_scale * max(1.0, max(abs(z) for z in zs)) ** n:
             raise NonConvergenceError(
                 f"root iteration stalled, residual {resid:.3e}"
             )

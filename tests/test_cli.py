@@ -121,6 +121,33 @@ class TestCheck:
         assert out1 == out2
 
 
+class TestFewCriticalPoints:
+    NO_POINTS = {"genus": 0, "profile": [1], "poly_coeffs": [], "poles": []}  # p = z, M = 0
+    ONE_POINT = {"genus": 0, "profile": [2], "poly_coeffs": [[1.0, 0.0]], "poles": []}  # z^2 + 1
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_no_critical_points_exits_6(self, command, tmp_path, capsys):
+        rc = main([command, _write(tmp_path, "z.json", self.NO_POINTS)])
+        err = capsys.readouterr().err
+        assert rc == 6
+        assert err.count("\n") == 1 and "NoCriticalPointsError" in err
+
+    def test_one_critical_point_checks(self, tmp_path, capsys):
+        # one critical point has H = 0, so the Hamiltonian errors are absolute
+        rc = main(["check", _write(tmp_path, "z2.json", self.ONE_POINT)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "FAIL" not in out and "tau-gradient" in out
+
+    def test_one_critical_point_analyzes(self, tmp_path, capsys):
+        rc = main(["analyze", _write(tmp_path, "z2.json", self.ONE_POINT), "--json"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert rep["dim"] == 1
+        assert rep["hamiltonians"]["max_discrepancy"] == 0.0
+        assert rep["hamiltonians"]["status"] == "checked"
+
+
 class TestSweep:
     def test_genus0_ratio_constancy(self, tmp_path, capsys):
         cov = builtin_example("h0_surf", seed=3)

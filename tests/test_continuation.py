@@ -88,7 +88,7 @@ class TestIdentityReport:
         checks = isomon.identity_report(cov)
         assert searches["n"] == 1
         assert all(c.passed for c in checks)
-        assert len(walked) == 5
+        assert len(walked) == 4  # the middle step reuses the base analysis
         _assert_ratios_match_global(walked)
 
 
