@@ -15,7 +15,8 @@ Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error,
 3 boundary point, 4 caustic under --strict, 5 sweep left the moduli space,
 6 numerical failure (any other ``HurwitzError``, such as coincident
-critical points), each with a one-line message on stderr.
+critical points), each with a one-line message on stderr.  A reader that
+closes the output pipe early (``| head``) ends the command quietly with 0.
 """
 
 from __future__ import annotations
@@ -296,6 +297,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (TypeError, ValueError):
         print("--to expects RE,IM", file=sys.stderr)
         return EXIT_PARSE
+    if args.steps < 2:
+        print(f"--steps must be at least 2, got {args.steps}", file=sys.stderr)
+        return EXIT_PARSE
     rows = []
     try:
         with warnings.catch_warnings():
@@ -401,7 +405,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
+    except BrokenPipeError:  # the reader (``| head``) has what it wanted
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OnBoundaryError as exc:
         print(f"boundary point ({exc.component}): {exc}", file=sys.stderr)
         return EXIT_BOUNDARY

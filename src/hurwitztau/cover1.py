@@ -23,6 +23,9 @@ from .cover0 import Pole, TauProduct, principal_root
 from .elliptic import (
     Modulus,
     WeierstrassContext,
+    _centered_distance,
+    _split_lattice,
+    _zeta_rows,
     elliptic_zeros,
     lattice_distance,
     log_dedekind_eta,
@@ -88,10 +91,11 @@ class Covering1:
         for i, p in enumerate(self.poles):
             if abs(p.top) <= 1e-10:
                 raise OnBoundaryError("S2", (i,))
-        for i in range(len(self.poles)):
-            for j in range(i + 1, len(self.poles)):
-                if lattice_distance(self.poles[i].b - self.poles[j].b, sigma) <= 1e-10:
-                    raise OnBoundaryError("S1", (i, j))
+        i, j = np.triu_indices(len(self.poles), 1)
+        bs = np.array([p.b for p in self.poles])
+        clash = np.flatnonzero(lattice_distance(bs[i] - bs[j], sigma) <= 1e-10)
+        if clash.size:
+            raise OnBoundaryError("S1", (int(i[clash[0]]), int(j[clash[0]])))
 
     @property
     def genus(self) -> int:
@@ -123,25 +127,28 @@ def eval_p_derivs(c: Covering1, z, n_max: int):
     """[p(z), ..., p^(n_max)(z)] from the zeta-derivative basis.
 
     ``z`` is a complex scalar (returns a list of complex) or an array of
-    points (returns an array of shape (n_max + 1, *z.shape)); one
-    ``zeta_derivs`` call per pole covers all points.
+    points (returns an array of shape (n_max + 1, *z.shape)).  All z - b_i
+    are reduced together and take one theta evaluation; the pole guard
+    POLE_GUARD*(1 + |sigma|) >= LATTICE_GUARD is their only distance check.
     """
     pts, shape = point_array(z)
     sigma = c.modulus.sigma
-    scale = 1.0 + abs(sigma)
-    for pole in c.poles:
-        near = lattice_distance(pts - pole.b, sigma) <= POLE_GUARD * scale
-        if near.any():
-            raise NearPoleError(
-                f"z = {complex(pts[near][0])} is too close to the pole at {pole.b}"
-            )
+    diffs = (pts[None, :] - np.array([p.b for p in c.poles])[:, None]).ravel()
+    _, n, z0 = _split_lattice(diffs, sigma)
+    guard = POLE_GUARD * (1.0 + abs(sigma))
+    near = _centered_distance(z0, sigma).reshape(len(c.poles), len(pts)) <= guard
+    if near.any():
+        i = int(near.any(axis=1).argmax())
+        raise NearPoleError(
+            f"z = {complex(pts[near[i]][0])} is too close to the pole at {c.poles[i].b}"
+        )
+    top = max(c.profile) - 1 + n_max
+    zd = _zeta_rows(c.ctx, diffs, n, z0, top).reshape(top + 1, len(c.poles), len(pts))
     out = np.zeros((n_max + 1, len(pts)), dtype=complex)
     out[0] = c.constant
-    ctx = c.ctx
-    for pole in c.poles:
-        zd = zeta_derivs(ctx, pts - pole.b, pole.order - 1 + n_max)
+    for i, pole in enumerate(c.poles):
         for a, coeff in enumerate(pole.c):
-            out += coeff * zd[a: a + n_max + 1]
+            out += coeff * zd[a: a + n_max + 1, i]
     return shape_rows(out, shape)
 
 
@@ -226,12 +233,13 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
         if not ok.all():
             raise CountMismatchError("a seeded Newton lane did not converge")
         zs = [reduce_to_cell(complex(z), sigma) for z in tracked]
-        for i in range(len(zs)):
-            for j in range(i + 1, len(zs)):
-                if lattice_distance(zs[i] - zs[j], sigma) < 1e-10:
-                    raise CountMismatchError("seeded zeros collapsed onto each other")
 
-    d = eval_p_derivs(c, np.array(zs, dtype=complex), 4)
+    za = np.array(zs, dtype=complex)
+    i, j = np.triu_indices(len(zs), 1)
+    z_gaps = lattice_distance(za[i] - za[j], sigma)
+    if seeds is not None and (z_gaps < 1e-10).any():
+        raise CountMismatchError("seeded zeros collapsed onto each other")
+    d = eval_p_derivs(c, za, 4)
     al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
     f2 = 2.0 / al
     s = (2.0 * be * be - 3.0 * al * ga) / (al * al * al)
@@ -240,19 +248,8 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     sw = [complex(v) for v in s]
     sb = [complex(v) for v in s - 24j * math.pi * c.ctx.eta_tilde * f2]
 
-    m = len(zs)
-    min_lgap = min(
-        (abs(lam[i] - lam[j]) for i in range(m) for j in range(i + 1, m)),
-        default=math.inf,
-    )
-    min_zgap = min(
-        (
-            lattice_distance(zs[i] - zs[j], sigma)
-            for i in range(m)
-            for j in range(i + 1, m)
-        ),
-        default=math.inf,
-    )
+    min_lgap = min((abs(lam[a] - lam[b]) for a, b in zip(i, j)), default=math.inf)
+    min_zgap = float(z_gaps.min(initial=math.inf))
     caustic = min_lgap < CAUSTIC_REL_TOL * (max(abs(v) for v in lam) + 1.0)
     if caustic:
         warnings.warn(

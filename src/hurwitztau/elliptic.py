@@ -20,6 +20,8 @@ last, so ``derivs[k]`` is the k-th derivative at every point.  An array is
 reduced to the base cell and evaluated with one sin/cos over the (points x
 series terms) grid.  The lattice guard holds per point: one point of an
 array within ``LATTICE_GUARD`` of the lattice raises ``LatticePointError``.
+``cover1.eval_p_derivs`` enters the kernel below this guard: it reduces the
+z - b_i of all its poles at once, guards them itself and calls ``_zeta_rows``.
 
 ``elliptic_zeros`` relies on this contract: its ``hd`` is called with a
 1-d complex array of points and must return the pair (h, h') of arrays of
@@ -183,28 +185,25 @@ def _theta_weights(freq: np.ndarray, coeff: np.ndarray, n_max: int) -> np.ndarra
     return sign[:, None] * (coeff * freq ** orders[:, None])
 
 
-_PARITY = np.arange(THETA_TABLE_ORDER + 1) % 2
-
-
 def _theta1_raw(mod: Modulus, z0: np.ndarray, n_max: int) -> np.ndarray:
     """z-derivatives 0..n_max of the odd theta series at the points z0.
 
     One sin and one cos over the (points x terms) grid, weighted per order
-    and summed along the contiguous terms axis.  That sum gives each point
-    the same bits whatever the batch it comes in (a BLAS product does not),
-    so a scalar call reproduces its value inside an array call exactly.
-    Returns shape (n_max + 1, len(z0)).
+    and summed along the contiguous terms axis, one order at a time.  That
+    sum gives each point the same bits whatever the batch it comes in (a
+    BLAS product does not), so a scalar call reproduces its value inside an
+    array call exactly.  Returns shape (n_max + 1, len(z0)).
     """
     freq, coeff, table = mod._theta_tabs
-    if n_max <= THETA_TABLE_ORDER:
-        weights, parity = table[: n_max + 1], _PARITY[: n_max + 1]
-    else:
-        weights, parity = _theta_weights(freq, coeff, n_max), np.arange(n_max + 1) % 2
+    weights = table if n_max <= THETA_TABLE_ORDER else _theta_weights(freq, coeff, n_max)
     ang = np.multiply.outer(z0, freq)
     trig = np.empty((2,) + ang.shape, dtype=complex)
     np.sin(ang, out=trig[0])
     np.cos(ang, out=trig[1])
-    return (trig[parity] * weights[:, None, :]).sum(axis=2)
+    out = np.empty((n_max + 1, len(z0)), dtype=complex)
+    for k in range(n_max + 1):
+        out[k] = (trig[k % 2] * weights[k]).sum(axis=1)
+    return out
 
 
 def _split_lattice(z: np.ndarray, sigma: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,14 +377,8 @@ def weierstrass_context(modulus: Modulus) -> WeierstrassContext:
     return WeierstrassContext.create(modulus)
 
 
-def _log_theta_derivs(ctx: WeierstrassContext, z) -> tuple:
-    """Points of z, their shape, and the first three derivatives of log theta1.
-
-    theta1 is evaluated at the base-cell representative z0 = z - m - n*sigma
-    only: the first derivative of log theta1 shifts by -2 pi i n under the
-    reduction and the higher ones are periodic.  Any point within
-    LATTICE_GUARD of the lattice raises LatticePointError.
-    """
+def _reduce_and_guard(ctx: WeierstrassContext, z) -> tuple:
+    """Points, shape, n and z0 of z = m + n*sigma + z0; LatticePointError within LATTICE_GUARD."""
     pts, shape = point_array(z)
     sigma = ctx.modulus.sigma
     _, n, z0 = _split_lattice(pts, sigma)
@@ -394,11 +387,7 @@ def _log_theta_derivs(ctx: WeierstrassContext, z) -> tuple:
         raise LatticePointError(
             f"z = {complex(pts[near][0])} is within {LATTICE_GUARD} of the lattice"
         )
-    t0, t1, t2, t3 = theta1_derivs(ctx.modulus, z0, 3)
-    r1 = t1 / t0
-    r2 = t2 / t0
-    r3 = t3 / t0
-    return pts, shape, r1 - TWO_PI_I * n, r2 - r1 * r1, r3 - 3.0 * r1 * r2 + 2.0 * r1**3
+    return pts, shape, n, z0
 
 
 def _wp_rows(ctx: WeierstrassContext, l2: np.ndarray, l3: np.ndarray, n_max: int) -> np.ndarray:
@@ -425,8 +414,8 @@ def wp_derivs(ctx: WeierstrassContext, z, n_max: int):
     ``z`` is a complex scalar (returns a list of complex) or an array of
     points (returns an array of shape (n_max + 1, *z.shape)).
     """
-    _, shape, _, l2, l3 = _log_theta_derivs(ctx, z)
-    return shape_rows(_wp_rows(ctx, l2, l3, n_max), shape)
+    pts, shape, n, z0 = _reduce_and_guard(ctx, z)
+    return shape_rows(-_zeta_rows(ctx, pts, n, z0, n_max + 1)[1:], shape)
 
 
 def wp(ctx: WeierstrassContext, z, n_deriv: int = 0):
@@ -440,12 +429,24 @@ def zeta_derivs(ctx: WeierstrassContext, z, n_max: int):
     zeta = sigma_w'/sigma_w = (log theta1)' + 2*calib_sigma*z, and
     zeta^(k) = -wp^(k-1).  Scalar or array ``z`` as in ``wp_derivs``.
     """
-    pts, shape, l1, l2, l3 = _log_theta_derivs(ctx, z)
+    pts, shape, n, z0 = _reduce_and_guard(ctx, z)
+    return shape_rows(_zeta_rows(ctx, pts, n, z0, n_max), shape)
+
+
+def _zeta_rows(ctx: WeierstrassContext, pts, n, z0, n_max: int) -> np.ndarray:
+    """zeta, ..., zeta^(n_max) at pts = m + n*sigma + z0, from the log theta1 rows at z0.
+
+    theta1 is evaluated at the base-cell representative z0 only: the first
+    derivative of log theta1 shifts by -2 pi i n under the reduction, the
+    higher ones are periodic.
+    """
+    t0, t1, t2, t3 = theta1_derivs(ctx.modulus, z0, 3)
+    r1, r2, r3 = t1 / t0, t2 / t0, t3 / t0
     out = np.empty((n_max + 1, len(pts)), dtype=complex)
-    out[0] = l1 + 2.0 * ctx.calib_sigma * pts
+    out[0] = r1 - TWO_PI_I * n + 2.0 * ctx.calib_sigma * pts
     if n_max >= 1:
-        out[1:] = -_wp_rows(ctx, l2, l3, n_max - 1)
-    return shape_rows(out, shape)
+        out[1:] = -_wp_rows(ctx, r2 - r1 * r1, r3 - 3.0 * r1 * r2 + 2.0 * r1**3, n_max - 1)
+    return out
 
 
 def zeta_sigma_derivs(ctx: WeierstrassContext, z, n_max: int):

@@ -712,8 +712,10 @@ def identity_report(
     Gradient identities use the exact lambda derivatives of the one
     analysis; the cross-route constancy identities run a short
     deterministic parameter sweep around the instance.  A not-None ``tol``
-    replaces every default.
+    replaces every default.  ``sweep_steps`` must be at least 2.
     """
+    if sweep_steps < 2:
+        raise ValueError(f"sweep_steps must be at least 2, got {sweep_steps}")
     an = analyze(covering)
     iso = build_isomonodromy(covering, an)
     B, Binf = bergmann_values(covering, an)

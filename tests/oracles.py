@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from hurwitztau import cover0, cover1
-from hurwitztau.elliptic import wp
+from hurwitztau.elliptic import lattice_distance, point_array, shape_rows, wp, zeta_derivs
+from hurwitztau.errors import NearPoleError
 
 
 def central_diff(fn, z: complex, h: float = 1e-6) -> complex:
@@ -102,18 +103,44 @@ def kernel_diagonal_sb(cov1_inst, z_m: complex, lam_m: complex, fsq_m: complex,
     return (64.0 * s4 - 20.0 * s2 + s1) / 45.0
 
 
+def per_pole_p_derivs(cov, z, n_max: int):
+    """p, p', ..., p^(n_max) of a genus-1 covering, pole by pole.
+
+    The reference for ``cover1.eval_p_derivs``: one pole guard and one
+    ``zeta_derivs`` call per pole, summed in pole order.  Scalar or array z.
+    """
+    pts, shape = point_array(z)
+    sigma = cov.modulus.sigma
+    for pole in cov.poles:
+        near = lattice_distance(pts - pole.b, sigma) <= cover1.POLE_GUARD * (1.0 + abs(sigma))
+        if near.any():
+            raise NearPoleError(
+                f"z = {complex(pts[near][0])} is too close to the pole at {pole.b}"
+            )
+    out = np.zeros((n_max + 1, len(pts)), dtype=complex)
+    out[0] = cov.constant
+    for pole in cov.poles:
+        zd = zeta_derivs(cov.ctx, pts - pole.b, pole.order - 1 + n_max)
+        for a, coeff in enumerate(pole.c):
+            out += coeff * zd[a: a + n_max + 1]
+    return shape_rows(out, shape)
+
+
 def trapezoid_argument_count(h_fn, corner: complex, e1: complex, e2: complex,
                              n: int = 4096) -> int:
-    """(1/2 pi) * total argument change of h around the parallelogram contour."""
+    """(1/2 pi) * total argument change of h around the parallelogram contour.
+
+    ``h_fn`` takes the array of the n + 1 points of one edge at a time.
+    """
     total = 0.0
+    ts = np.linspace(0.0, 1.0, n + 1)
     for za, zb in [
         (corner, corner + e1),
         (corner + e1, corner + e1 + e2),
         (corner + e1 + e2, corner + e2),
         (corner + e2, corner),
     ]:
-        ts = np.linspace(0.0, 1.0, n + 1)
-        vals = np.array([h_fn(za + t * (zb - za)) for t in ts])
+        vals = np.asarray(h_fn(za + ts * (zb - za)))
         total += float(np.sum(np.angle(vals[1:] / vals[:-1])))
     return round(total / (2.0 * math.pi))
 

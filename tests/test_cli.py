@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hurwitztau.cli import covering_to_spec, load_covering, main, spec_to_covering
 from hurwitztau.samples import builtin_example
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write(tmp_path, name, doc):
@@ -148,7 +154,29 @@ class TestFewCriticalPoints:
         assert rep["hamiltonians"]["status"] == "checked"
 
 
+class TestClosedPipe:
+    def test_reader_closing_the_pipe_exits_0_quietly(self, tmp_path):
+        # the read end is closed before the command writes, as after `| head -1`
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hurwitztau.cli", "analyze", _h12_file(tmp_path), "--json"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+        assert err == ""
+
+
 class TestSweep:
+    @pytest.mark.parametrize("steps", ["0", "1", "-3"])
+    def test_too_few_steps_exit_2(self, steps, tmp_path, capsys):
+        rc = main(["sweep", _a2_file(tmp_path), "--param", "poly_coeffs.0",
+                   "--to", "0.3,0.2", "--steps", steps])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--steps" in captured.err
+
     def test_genus0_ratio_constancy(self, tmp_path, capsys):
         cov = builtin_example("h0_surf", seed=3)
         path = _write(tmp_path, "g0.json", covering_to_spec(cov))

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from hurwitztau import isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
 from hurwitztau.samples import random_covering0, random_covering1
@@ -222,6 +223,11 @@ class TestIdentityReport:
         assert "modulus-flow" in {c.name for c in checks}
         for c in checks:
             assert c.passed, f"{c.name}: {c.error} >= {c.tol}"
+
+    @pytest.mark.parametrize("steps", [-1, 0, 1])
+    def test_too_few_sweep_steps_raise(self, a2, steps):
+        with pytest.raises(ValueError, match="sweep_steps"):
+            isomon.identity_report(a2, sweep_steps=steps)
 
     def test_tolerance_override(self):
         cov = random_covering0((2, 1), seed=19)
