@@ -15,6 +15,7 @@ from .cover1 import Covering1
 from .elliptic import Modulus, WeierstrassContext
 from .errors import (
     CausticWarning,
+    CoincidentPointsError,
     CommonRootError,
     ContourClashError,
     CountMismatchError,
@@ -72,6 +73,7 @@ __all__ = [
     "random_covering1",
     "HurwitzError",
     "CausticWarning",
+    "CoincidentPointsError",
     "CommonRootError",
     "ContourClashError",
     "CountMismatchError",

@@ -9,11 +9,14 @@ Subcommands:
 
 ``check`` takes its gradient identities from exact lambda derivatives of one
 analysis (implicit differentiation at the critical points), so it has no
-step size to choose.
+step size to choose.  The commands do not ask for the genus: the report
+calls the genus module ``(cover0, cover1)[cov.genus]`` through the names
+both define.
 
 Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error,
-3 boundary point, 4 caustic under --strict, 5 sweep left the moduli space,
+3 boundary point (a spec on the boundary is rejected when it is loaded, by
+every command), 4 caustic under --strict, 5 sweep left the moduli space,
 6 numerical failure (any other ``HurwitzError``, such as coincident
 critical points), each with a one-line message on stderr.  A reader that
 closes the output pipe early (``| head``) ends the command quietly with 0.
@@ -22,8 +25,8 @@ closes the output pipe early (``| head``) ends the command quietly with 0.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import math
 import os
 import sys
 import warnings
@@ -123,43 +126,31 @@ def _load_or_exit(path: str) -> Covering0 | Covering1 | int:
 # analyze
 
 
+def _pairs(v) -> list:
+    return [_c2pair(x) for x in v] if isinstance(v, tuple) else _c2pair(v)
+
+
 def build_report(cov: Covering0 | Covering1) -> dict:
     """Assemble the full analysis report, annotating verification status."""
+    model = (cover0, cover1)[cov.genus]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CausticWarning)
         an = isomon.analyze(cov)
         iso = isomon.build_isomonodromy(cov, an)
         cd = an.critical
-        if isinstance(cov, Covering0):
-            fc = cover0.flat_coords(cov)
-            ta = cover0.tau_product(cov, cd)
-            tb = cover0.tau_resultant(cov)
-            gf = cover0.g_function(cov, cd)
-            flat = {
-                "p": [_c2pair(v) for v in fc.p_flat],
-                "t": [_c2pair(v) for v in fc.t],
-            }
-            cross_const = -sum(
-                (k + 1) * math.log(k) for k in cov.profile[1:]
-            ) / 24.0
-            min_pt_gap = cd.min_alpha_gap
-        else:
-            fc = cover1.flat_coords(cov)
-            ta = cover1.tau_product(cov, cd)
-            tb = cover1.tau_resultant(cov, cd)
-            gf = cover1.g_function(cov, cd)
-            flat = {
-                "t0": _c2pair(fc.t0),
-                "t": [_c2pair(v) for v in fc.t],
-            }
-            cross_const = 0.0
-            min_pt_gap = cd.min_z_gap
+        tb = model.tau_resultant(cov, cd)
+    # every flat coordinate but h_s, the root that t_s is built from
+    fc = model.flat_coords(cov)
+    flat = {name: _pairs(v) for name, v in vars(fc).items() if name != "h"}
+    ta = an.tau
 
     h1 = np.array(iso.hamiltonians)
     h2 = np.array(iso.hamiltonians_bergmann)
     h_disc = isomon._rel_error(h1 - h2, h1)
     ratio = ta.tau_inv48 / tb.tau_inv48 if tb.tau_inv48 != 0 else complex("nan")
-    g_cross_err = abs(gf.g_value - gf.g_from_jacobian - cross_const)
+    # G and log(tau / J^(1/24)) differ by -(1/24) sum (k_s+1) log(t_s / h_s)
+    cross_const = -sum((k + 1) * cmath.log(t / h) for k, t, h in zip(an.ks, fc.t, fc.h)) / 24.0
+    g_cross_err = abs(ta.G - ta.g_from_jacobian - cross_const)
 
     order = np.argsort([(v.real, v.imag) for v in an.lam], axis=0)[:, 0]
     report = {
@@ -192,14 +183,14 @@ def build_report(cov: Covering0 | Covering1) -> dict:
             "status": "checked" if ratio == ratio else "warned",
         },
         "g_function": {
-            "g": _c2pair(gf.g_value),
-            "gamma": _c2pair(gf.gamma),
-            "g_from_jacobian": _c2pair(gf.g_from_jacobian),
+            "g": _c2pair(ta.G),
+            "gamma": _c2pair(an.gamma),
+            "g_from_jacobian": _c2pair(ta.g_from_jacobian),
             "status": "checked" if g_cross_err < 1e-9 else "warned",
         },
         "caustic": {
             "min_lambda_gap": cd.min_lambda_gap,
-            "min_point_gap": min_pt_gap,
+            "min_point_gap": cd.min_point_gap,
             "warned": bool(cd.caustic),
             "status": "warned" if cd.caustic else "checked",
         },
@@ -217,13 +208,11 @@ def _print_report(rep: dict) -> None:
     for lam, pt in zip(rep["canonical"]["lambda"], rep["canonical"]["points"]):
         print(f"   lambda = {_fmt_c(lam):<36s} at point {_fmt_c(pt)}")
     print(f"[{rep['flat']['status']}] flat coordinates")
-    if "t0" in rep["flat"]:
-        print(f"   t0 = {_fmt_c(rep['flat']['t0'])}")
-    if rep["flat"].get("p"):
-        for v in rep["flat"]["p"]:
-            print(f"   p  = {_fmt_c(v)}")
-    for v in rep["flat"]["t"]:
-        print(f"   t  = {_fmt_c(v)}")
+    for name, values in rep["flat"].items():
+        if name != "status":
+            # one [re, im] pair (t0) or a list of them
+            for v in [values] if values and isinstance(values[0], float) else values:
+                print(f"   {name:2s} = {_fmt_c(v)}")
     print(f"[{rep['frame']['status']}] frame data (fsq, sb)")
     for f2, sb in zip(rep["frame"]["fsq"], rep["frame"]["sb"]):
         print(f"   fsq = {_fmt_c(f2):<36s} sb = {_fmt_c(sb)}")
@@ -251,8 +240,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cov = _load_or_exit(args.file)
     if isinstance(cov, int):
         return cov
-    if isinstance(cov, Covering0):
-        cover0.validate(cov)
     rep = build_report(cov)
     if args.strict and rep["caustic"]["warned"]:
         print("caustic proximity escalated by --strict", file=sys.stderr)

@@ -8,7 +8,8 @@ with distinct poles and non-vanishing top Laurent coefficients.  This module
 computes the critical data (critical points, critical values, squared local
 frame f_m^2, Schwarzian values), the flat coordinates, the tau-function by
 two independent closed-form routes, the G-function with its scaling anomaly,
-and vanishing-order diagnostics on the caustic.
+and vanishing-order diagnostics on the caustic.  ``cover1`` defines the same
+model names; the formulas both share (``route_a``, ``frame_data``) live here.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .elliptic import newton_lanes
+from .elliptic import newton_lanes, point_array, shape_rows
 from .errors import (
     CausticWarning,
     CommonRootError,
@@ -41,6 +43,7 @@ __all__ = [
     "TauResultant",
     "GFunction",
     "validate",
+    "eval_p_derivs",
     "eval_param_derivs",
     "p_prime_as_ratio",
     "factorization_denominator",
@@ -92,6 +95,10 @@ class Covering0:
     ``profile[0]`` is the ramification index over infinity carried by the
     polynomial part; ``poles`` matches ``profile[1:]``.  The polynomial part
     has no z^(k1-1) term, which pins the uniformizing coordinate to z itself.
+    Construction rejects the boundary: poles that coincide (S1, within
+    BOUNDARY_TOL of the pole scale) or a top tail that vanishes (S2).  A tiny
+    non-zero top tail is a covering whose critical points approach the pole;
+    ``critical_data`` rejects it with ``CommonRootError`` once they reach it.
     """
 
     profile: tuple[int, ...]
@@ -119,6 +126,13 @@ class Covering0:
                 raise ValueError(
                     f"pole at {pole.b} carries {pole.order} tail coefficients, profile says {k}"
                 )
+        scale = 1.0 + max((abs(p.b) for p in self.poles), default=0.0)
+        for (i, p), (j, q) in combinations(enumerate(self.poles), 2):
+            if abs(p.b - q.b) <= BOUNDARY_TOL * scale:
+                raise OnBoundaryError("S1", (i, j))
+        for i, p in enumerate(self.poles):
+            if p.top == 0:
+                raise OnBoundaryError("S2", (i,))
 
     @property
     def genus(self) -> int:
@@ -146,56 +160,45 @@ class Diagnostics0:
 
 
 def validate(c: Covering0) -> Diagnostics0:
-    """Accept the covering iff it is off both boundary components.
+    """Distances of the covering to both boundary components.
 
-    S1 is the coincident-pole locus, S2 the vanishing-top-tail locus;
-    distances to both are reported.
+    S1 is the coincident-pole locus, S2 the vanishing-top-tail locus; a
+    covering on either is rejected at construction.
     """
-    scale = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
-    min_gap = math.inf
-    for i in range(len(c.poles)):
-        for j in range(i + 1, len(c.poles)):
-            gap = abs(c.poles[i].b - c.poles[j].b)
-            min_gap = min(min_gap, gap)
-            if gap <= BOUNDARY_TOL * scale:
-                raise OnBoundaryError("S1", (i, j))
-    min_top = math.inf
-    for i, p in enumerate(c.poles):
-        min_top = min(min_top, abs(p.top))
-        if abs(p.top) <= BOUNDARY_TOL:
-            raise OnBoundaryError("S2", (i,))
-    return Diagnostics0(dim=c.dim, min_pole_gap=min_gap, min_top_tail=min_top)
-
-
-def eval_p_derivs(c: Covering0, z: complex, n_max: int) -> list[complex]:
-    """[p(z), p'(z), ..., p^(n_max)(z)] evaluated exactly."""
-    z = complex(z)
-    k1 = c.profile[0]
-    poly = [0j] * (k1 + 1)
-    poly[k1] = 1.0
-    for r, a in enumerate(c.poly_coeffs):
-        poly[r] = a
-    out = CPoly(tuple(poly)).eval_derivatives(z, n_max)
-    for pole in c.poles:
-        w = z - pole.b
-        for a, coeff in enumerate(pole.c, start=1):
-            # d^n/dz^n of -(z-b)^(-a) is -(-1)^n a(a+1)...(a+n-1) (z-b)^(-a-n)
-            rising = 1.0
-            wpow = w ** (-a)
-            for n in range(n_max + 1):
-                out[n] += -coeff * ((-1) ** n) * rising * wpow
-                rising *= a + n
-                wpow /= w
-    return out
-
-
-def eval_p(c: Covering0, z: complex, n_deriv: int = 0) -> complex:
-    return eval_p_derivs(c, z, n_deriv)[n_deriv]
+    return Diagnostics0(
+        dim=c.dim,
+        min_pole_gap=min((abs(p.b - q.b) for p, q in combinations(c.poles, 2)), default=math.inf),
+        min_top_tail=min((abs(p.top) for p in c.poles), default=math.inf),
+    )
 
 
 def _tail_rows(w: np.ndarray, a: int, n_max: int) -> list[np.ndarray]:
     """d^n/dz^n of -(z-b)^(-a) at w = z - b, for n = 0..n_max."""
     return [-((-1) ** n) * math.prod(range(a, a + n)) * w ** (-a - n) for n in range(n_max + 1)]
+
+
+def eval_p_derivs(c: Covering0, z, n_max: int):
+    """[p(z), p'(z), ..., p^(n_max)(z)] evaluated exactly.
+
+    ``z`` is a complex scalar (returns a list of complex) or an array of
+    points (returns an array of shape (n_max + 1, *z.shape)).  The polynomial
+    part is Horner's scheme on p^(j)/j!, the pole part a sum of its tails.
+    The rows are laid end to end in one flat array: numpy multiplies complex
+    arrays of one dimension the same way at any length, so a scalar gives
+    its batch entry bit for bit.
+    """
+    pts, shape = point_array(z)
+    n = len(pts)
+    out = np.zeros((n_max + 1) * n, dtype=complex)
+    tiled = np.concatenate([pts] * (n_max + 1))[n:]
+    for coeff in (1.0, 0.0, *reversed(c.poly_coeffs)):  # degrees k1, k1 - 1, ..., 0
+        out[n:] = out[n:] * tiled + out[:-n]
+        out[:n] = out[:n] * pts + coeff
+    out *= np.repeat([float(math.factorial(j)) for j in range(n_max + 1)], n)
+    for pole in c.poles:
+        for a, coeff in enumerate(pole.c, start=1):
+            out += coeff * np.concatenate(_tail_rows(pts - pole.b, a, n_max))
+    return shape_rows(out.reshape(n_max + 1, n), shape)
 
 
 def eval_param_derivs(c: Covering0, z) -> np.ndarray:
@@ -251,22 +254,46 @@ def p_prime_as_ratio(c: Covering0) -> tuple[CPoly, CPoly]:
 
 @dataclass(frozen=True)
 class CriticalData0:
-    """Per-critical-point bundle driving every downstream formula."""
+    """Per-critical-point bundle driving every downstream formula.
 
-    alpha: tuple[complex, ...]
+    ``resultant_ratio`` is R(f, g) over its pole/flat factorization
+    ``factorization_denominator``, constant along any deformation.
+    """
+
+    pts: tuple[complex, ...]
     lam: tuple[complex, ...]
     fsq: tuple[complex, ...]
     sb: tuple[complex, ...]
     min_lambda_gap: float
-    min_alpha_gap: float
+    min_point_gap: float
     caustic: bool
     resultant_fg: complex
-    numerator: CPoly  # f of p' = f/g, whose roots are ``alpha``
+    resultant_ratio: complex
+    numerator: CPoly  # f of p' = f/g, whose roots are ``pts``
 
     @property
     def sw(self) -> tuple[complex, ...]:
         # On the sphere the Bergmann and Wirtinger connections coincide.
         return self.sb
+
+
+def frame_data(d: np.ndarray) -> tuple[list[complex], np.ndarray, np.ndarray, float, bool]:
+    """Critical values, f_m^2, Schwarzians, smallest value gap and caustic flag.
+
+    ``d`` holds the rows p, p', ..., p^(4) at the critical points.  f_m^2 is
+    2/p'' and the Schwarzian (2 beta^2 - 3 alpha gamma)/alpha^3 comes from the
+    cubic Taylor data of p' there.  Critical values closer than
+    CAUSTIC_REL_TOL (relative) flag the caustic, with a ``CausticWarning``.
+    """
+    al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
+    lam = [complex(v) for v in d[0]]
+    min_lgap = min((abs(a - b) for a, b in combinations(lam, 2)), default=math.inf)
+    caustic = min_lgap < CAUSTIC_REL_TOL * (max(abs(v) for v in lam) + 1.0)
+    if caustic:
+        warnings.warn(
+            f"critical values nearly collide (gap {min_lgap:.3e})", CausticWarning
+        )
+    return lam, 2.0 / al, (2.0 * be * be - 3.0 * al * ga) / (al * al * al), min_lgap, caustic
 
 
 def _sort_points(pts: list[complex]) -> list[complex]:
@@ -290,8 +317,7 @@ def factorization_denominator(c: Covering0, fc: "FlatCoords0") -> complex:
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
     """Critical points (roots of f), critical values, f_m^2 and Schwarzians.
 
-    ``fsq`` is 2/p''(alpha_m); ``sb`` is (2 beta^2 - 3 alpha gamma)/alpha^3
-    from the cubic Taylor data of p' at the critical point.  With ``seeds``
+    ``fsq`` and ``sb`` come from ``frame_data``.  With ``seeds``
     given, roots are tracked by lane-wise Newton from the seed points instead
     of a global solve (used by the deformation engine and ``analyze(base=...)``);
     f has exactly M roots, so M converged, distinct lanes are all of them, and
@@ -301,8 +327,7 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
         raise NoCriticalPointsError(f"profile {c.profile} has no critical points (M = 0)")
     f, g = p_prime_as_ratio(c)
     if seeds is None:
-        rs = all_roots(f)
-        alpha = _sort_points(list(rs.roots))
+        pts = _sort_points(list(all_roots(f).roots))
     else:
         if len(seeds) != c.dim:
             raise ValueError("seed count must equal the moduli dimension")
@@ -319,16 +344,17 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
         )
         if not ok.all():
             raise CountMismatchError("a seeded Newton lane did not converge")
-        alpha = [complex(z) for z in tracked]
-        for i in range(len(alpha)):
-            for j in range(i + 1, len(alpha)):
-                if abs(alpha[i] - alpha[j]) < 1e-10:
+        pts = [complex(z) for z in tracked]
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if abs(pts[i] - pts[j]) < 1e-10:
                     raise CountMismatchError("seeded roots collapsed onto each other")
 
     fc = flat_coords(c)
-    res_fg = resultant(f, g)
+    res_fg = complex(resultant(f, g))
+    denom = factorization_denominator(c, fc)
     scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
-    for a in alpha:
+    for a in pts:
         for pole in c.poles:
             if abs(a - pole.b) < ROOT_POLE_GUARD * scale_b:
                 raise CommonRootError(
@@ -336,40 +362,21 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
                 )
     # R(f, g) tracks the pole/flat-coordinate factorization, so that product
     # is the right scale to call the resultant zero against
-    if c.poles and abs(res_fg) < 1e-10 * abs(factorization_denominator(c, fc)):
+    if c.poles and abs(res_fg) < 1e-10 * abs(denom):
         raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
 
-    lam, fsq, sb = [], [], []
-    for a in alpha:
-        d = eval_p_derivs(c, a, 4)
-        al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
-        lam.append(d[0])
-        fsq.append(2.0 / al)
-        sb.append((2.0 * be * be - 3.0 * al * ga) / al**3)
-
-    m = len(alpha)
-    min_lgap = min(
-        (abs(lam[i] - lam[j]) for i in range(m) for j in range(i + 1, m)),
-        default=math.inf,
-    )
-    min_agap = min(
-        (abs(alpha[i] - alpha[j]) for i in range(m) for j in range(i + 1, m)),
-        default=math.inf,
-    )
-    caustic = min_lgap < CAUSTIC_REL_TOL * (max(abs(v) for v in lam) + 1.0)
-    if caustic:
-        warnings.warn(
-            f"critical values nearly collide (gap {min_lgap:.3e})", CausticWarning
-        )
+    lam, fsq, sb, min_lgap, caustic = frame_data(eval_p_derivs(c, np.array(pts), 4))
+    min_pgap = min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf)
     return CriticalData0(
-        alpha=tuple(alpha),
+        pts=tuple(pts),
         lam=tuple(lam),
-        fsq=tuple(fsq),
-        sb=tuple(sb),
+        fsq=tuple(complex(v) for v in fsq),
+        sb=tuple(complex(v) for v in sb),
         min_lambda_gap=min_lgap,
-        min_alpha_gap=min_agap,
+        min_point_gap=min_pgap,
         caustic=caustic,
-        resultant_fg=complex(res_fg),
+        resultant_fg=res_fg,
+        resultant_ratio=res_fg / denom,
         numerator=f,
     )
 
@@ -378,25 +385,73 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
 class FlatCoords0:
     """Flat coordinates entering the closed forms: p_i = b_i, t_i = k_i c_top^(1/k_i)."""
 
-    p_flat: tuple[complex, ...]
+    p: tuple[complex, ...]
     t: tuple[complex, ...]
     h: tuple[complex, ...]  # c_top^(1/k_i), principal branch
 
 
 def flat_coords(c: Covering0) -> FlatCoords0:
-    p_flat = tuple(p.b for p in c.poles)
     hs = tuple(principal_root(p.top, k) for k, p in zip(c.profile[1:], c.poles))
     ts = tuple(k * h for k, h in zip(c.profile[1:], hs))
-    return FlatCoords0(p_flat=p_flat, t=ts, h=hs)
+    return FlatCoords0(p=tuple(p.b for p in c.poles), t=ts, h=hs)
 
 
 @dataclass(frozen=True)
 class TauProduct:
-    """Route A: tau from the product of local frame data."""
+    """Route A: tau and G from the product of local frame and pole data.
 
+    ``T`` is the log of the frame product, whose canonical gradient is the
+    Schwarzian of the uniformizing map; ``g_from_jacobian`` is the
+    cross-check log(tau / J^(1/24)) with J = prod f_m.
+    """
+
+    T: complex
     log_tau: complex
     log_tau_inv48: complex
     tau_inv48: complex
+    G: complex
+    g_from_jacobian: complex
+
+
+def route_a(ks, log_fsq, log_h, log_t, log_eta: complex = 0) -> TauProduct:
+    """Route A from logarithms on any branch (of eta too at genus 1).
+
+    log tau = -log eta + (1/24) [sum log f_m - sum (k_s+1) log h_s],
+    log tau^-48 = 48 log eta + 2 sum (k_s+1) log h_s - sum log f_m^2 and
+    G = -log eta - (1/24) sum (k_s+1) log t_s, over the poles s with orders
+    ``ks``.  The 48th inverse power is assembled from branch-free squares.
+    """
+    log_f = sum(0.5 * v for v in log_fsq)
+    log_hk = sum((k + 1) * lh for k, lh in zip(ks, log_h))
+    T = log_f - log_hk
+    log_tau = -log_eta + T / 24.0
+    log48 = 48.0 * log_eta + 2.0 * log_hk - sum(log_fsq)
+    return TauProduct(
+        T=T,
+        log_tau=log_tau,
+        log_tau_inv48=log48,
+        tau_inv48=cmath.exp(log48),
+        G=-log_eta - sum((k + 1) * lt for k, lt in zip(ks, log_t)) / 24.0,
+        g_from_jacobian=log_tau - log_f / 24.0,
+    )
+
+
+def principal_route_a(c, fsq, fc, log_eta: complex = 0) -> TauProduct:
+    """``route_a`` on the principal branches of f_m^2 and of the flat data ``fc``."""
+    return route_a(
+        [p.order for p in c.poles],
+        [cmath.log(v) for v in fsq],
+        [cmath.log(h) for h in fc.h],
+        [cmath.log(t) for t in fc.t],
+        log_eta,
+    )
+
+
+def tau_product(c: Covering0, cd: CriticalData0 | None = None) -> TauProduct:
+    """Route A: log tau = (1/24) [sum log f_m - sum (k_s+1) log h_s], principal branches."""
+    if cd is None:
+        cd = critical_data(c)
+    return principal_route_a(c, cd.fsq, flat_coords(c))
 
 
 @dataclass(frozen=True)
@@ -405,25 +460,6 @@ class TauResultant:
 
     log_tau_inv48: complex
     tau_inv48: complex
-
-
-def tau_product(c: Covering0, cd: CriticalData0 | None = None) -> TauProduct:
-    """log tau = (1/24) [sum log f_m - sum (k_s+1) log h_s], principal branches.
-
-    The 48th inverse power is assembled from branch-free squares
-    (prod fsq_m and integer powers of h_s) and reported alongside.
-    """
-    if cd is None:
-        cd = critical_data(c)
-    fc = flat_coords(c)
-    log_f = [0.5 * cmath.log(v) for v in cd.fsq]
-    log_h = [cmath.log(h) for h in fc.h]
-    ks = c.profile[1:]
-    log_tau = (sum(log_f) - sum((k + 1) * lh for k, lh in zip(ks, log_h))) / 24.0
-    log48 = 2.0 * sum((k + 1) * lh for k, lh in zip(ks, log_h)) - sum(
-        cmath.log(v) for v in cd.fsq
-    )
-    return TauProduct(log_tau=log_tau, log_tau_inv48=log48, tau_inv48=cmath.exp(log48))
 
 
 def tau_resultant(c: Covering0, cd: CriticalData0 | None = None) -> TauResultant:
@@ -458,24 +494,27 @@ class GFunction:
 
 
 def g_function(c: Covering0, cd: CriticalData0 | None = None) -> GFunction:
-    """G = -(1/24) sum_{i>=2} (k_i+1) log t_i and its scaling anomaly.
+    """G = -(1/24) sum_{i>=2} (k_i+1) log t_i and its scaling anomaly ``gamma``.
 
-    gamma = -(1/24) (l - 2 + sum 1/k_i + M/k1).  ``g_from_jacobian`` is the
-    cross-check log(tau / J^(1/24)) with J = prod f_m: it differs from the
-    closed form by the profile constant -(1/24) sum (k_i+1) log k_i.
+    ``g_from_jacobian`` differs from the closed form by the profile constant
+    -(1/24) sum (k_i+1) log k_i, from t_i = k_i h_i.
     """
-    fc = flat_coords(c)
-    ks = c.profile[1:]
-    g_val = -sum((k + 1) * cmath.log(t) for k, t in zip(ks, fc.t)) / 24.0
-    l = c.n_poles
-    k1 = c.profile[0]
-    gamma = -(l - 2 + sum(1.0 / k for k in c.profile) + c.dim / k1) / 24.0
-    if cd is None:
-        cd = critical_data(c)
     tp = tau_product(c, cd)
-    log_j = sum(0.5 * cmath.log(v) for v in cd.fsq)
-    g_cross = tp.log_tau - log_j / 24.0
-    return GFunction(g_value=g_val, gamma=complex(gamma), g_from_jacobian=g_cross)
+    return GFunction(g_value=tp.G, gamma=gamma(c), g_from_jacobian=tp.g_from_jacobian)
+
+
+def gamma(c: Covering0) -> complex:
+    """Scaling anomaly of G: gamma = -(1/24) (l - 2 + sum 1/k_i + M/k1)."""
+    return complex(-(c.n_poles - 2 + sum(1.0 / k for k in c.profile) + c.dim / c.profile[0]) / 24.0)
+
+
+def euler_scaling_expected(c: Covering0) -> complex:
+    """Closed-form value of E(log tau) = sum lambda_m H_m from the profile."""
+    k1 = c.profile[0]
+    return complex(
+        (c.dim * (1.0 / k1 - 0.5) - sum((k + 1) * (1.0 / k + 1.0 / k1) for k in c.profile[1:]))
+        / 24.0
+    )
 
 
 # --------------------------------------------------------------------------
@@ -607,6 +646,11 @@ def caustic_orders(c: Covering0) -> CausticOrders:
 # parameter addressing (shared by the deformation engine and the CLI)
 
 
+def default_sweep_param(c: Covering0) -> str:
+    """The parameter the identity suite's cross-route sweep moves."""
+    return "poles.0.b" if c.poles else "poly_coeffs.0"
+
+
 def get_param(c: Covering0, path: str) -> complex:
     parts = path.split(".")
     if parts[0] == "poly_coeffs":
@@ -648,10 +692,3 @@ def deformation_params(c: Covering0) -> list[str]:
         paths.append(f"poles.{i}.b")
         paths.extend(f"poles.{i}.c.{a}" for a in range(pole.order))
     return paths
-
-
-def with_params(c: Covering0, paths: list[str], values: list[complex]) -> Covering0:
-    out = c
-    for p, v in zip(paths, values):
-        out = set_param(out, p, v)
-    return out

@@ -4,22 +4,29 @@ A point of the moduli space is an elliptic function on C/(Z + sigma*Z)
 
     p(z) = a + sum_{i=1..l} sum_{alpha=1..k_i} c_{i,alpha} zeta^(alpha-1)(z - b_i)
 
-whose residues sum to zero (ellipticity).  The module mirrors the genus-0
-one: critical data via zero localization of p', flat coordinates, the
-tau-function by two closed-form routes, and the G-function with anomaly.
+whose residues sum to zero (ellipticity).  The module defines the genus-0
+model's names with the same parameters: critical data via zero localization
+of p', flat coordinates, the tau-function by two closed-form routes, and the
+G-function with anomaly.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cover0 import Pole, TauProduct, principal_root
+from .cover0 import (
+    GFunction,
+    Pole,
+    TauProduct,
+    frame_data,
+    principal_root,
+    principal_route_a,
+)
 from .elliptic import (
     Modulus,
     WeierstrassContext,
@@ -38,14 +45,13 @@ from .elliptic import (
     zeta_derivs,
     zeta_sigma_derivs,
 )
-from .errors import CausticWarning, CountMismatchError, NearPoleError, OnBoundaryError
+from .errors import CountMismatchError, NearPoleError, OnBoundaryError
 
 __all__ = [
     "Covering1",
     "CriticalData1",
     "FlatCoords1",
     "TauResultant1",
-    "GFunction1",
     "eval_p",
     "eval_p_derivs",
     "eval_param_derivs",
@@ -58,7 +64,6 @@ __all__ = [
 
 RESIDUE_TOL = 1e-12
 POLE_GUARD = 1e-8
-CAUSTIC_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -186,17 +191,19 @@ class CriticalData1:
 
     ``sw`` is the Schwarzian of the uniformizing coordinate in the local
     parameter; ``sb`` subtracts the marking-dependent part:
-    sb = sw - 24*pi*i*eta_tilde*fsq.
+    sb = sw - 24*pi*i*eta_tilde*fsq.  There is no R(f, g) factorization at
+    genus 1, so ``resultant_ratio`` is None.
     """
 
-    z: tuple[complex, ...]
+    pts: tuple[complex, ...]
     lam: tuple[complex, ...]
     fsq: tuple[complex, ...]
     sw: tuple[complex, ...]
     sb: tuple[complex, ...]
     min_lambda_gap: float
-    min_z_gap: float
+    min_point_gap: float
     caustic: bool
+    resultant_ratio: None = None
 
 
 def _sort_cell_points(pts: list[complex], sigma: complex) -> list[complex]:
@@ -239,30 +246,16 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     z_gaps = lattice_distance(za[i] - za[j], sigma)
     if seeds is not None and (z_gaps < 1e-10).any():
         raise CountMismatchError("seeded zeros collapsed onto each other")
-    d = eval_p_derivs(c, za, 4)
-    al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
-    f2 = 2.0 / al
-    s = (2.0 * be * be - 3.0 * al * ga) / (al * al * al)
-    lam = [complex(v) for v in d[0]]
-    fsq = [complex(v) for v in f2]
-    sw = [complex(v) for v in s]
-    sb = [complex(v) for v in s - 24j * math.pi * c.ctx.eta_tilde * f2]
-
-    min_lgap = min((abs(lam[a] - lam[b]) for a, b in zip(i, j)), default=math.inf)
-    min_zgap = float(z_gaps.min(initial=math.inf))
-    caustic = min_lgap < CAUSTIC_REL_TOL * (max(abs(v) for v in lam) + 1.0)
-    if caustic:
-        warnings.warn(
-            f"critical values nearly collide (gap {min_lgap:.3e})", CausticWarning
-        )
+    lam, f2, s, min_lgap, caustic = frame_data(eval_p_derivs(c, za, 4))
+    sb = s - 24j * math.pi * c.ctx.eta_tilde * f2
     return CriticalData1(
-        z=tuple(zs),
+        pts=tuple(zs),
         lam=tuple(lam),
-        fsq=tuple(fsq),
-        sw=tuple(sw),
-        sb=tuple(sb),
+        fsq=tuple(complex(v) for v in f2),
+        sw=tuple(complex(v) for v in s),
+        sb=tuple(complex(v) for v in sb),
         min_lambda_gap=min_lgap,
-        min_z_gap=min_zgap,
+        min_point_gap=float(z_gaps.min(initial=math.inf)),
         caustic=caustic,
     )
 
@@ -289,23 +282,10 @@ def flat_coords(c: Covering1) -> FlatCoords1:
 
 
 def tau_product(c: Covering1, cd: CriticalData1 | None = None) -> TauProduct:
-    """log tau = -log eta + (1/24)[sum log f_m - sum_{s=1..l} (k_s+1) log h_s]."""
+    """Route A: log tau = -log eta + (1/24)[sum log f_m - sum_{s=1..l} (k_s+1) log h_s]."""
     if cd is None:
         cd = critical_data(c)
-    fc = flat_coords(c)
-    log_eta = log_dedekind_eta(c.modulus)
-    log_f = [0.5 * cmath.log(v) for v in cd.fsq]
-    log_h = [cmath.log(h) for h in fc.h]
-    ks = c.profile
-    log_tau = -log_eta + (
-        sum(log_f) - sum((k + 1) * lh for k, lh in zip(ks, log_h))
-    ) / 24.0
-    log48 = (
-        48.0 * log_eta
-        + 2.0 * sum((k + 1) * lh for k, lh in zip(ks, log_h))
-        - sum(cmath.log(v) for v in cd.fsq)
-    )
-    return TauProduct(log_tau=log_tau, log_tau_inv48=log48, tau_inv48=cmath.exp(log48))
+    return principal_route_a(c, cd.fsq, flat_coords(c), log_dedekind_eta(c.modulus))
 
 
 @dataclass(frozen=True)
@@ -334,7 +314,7 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
     ks = c.profile
     fc = flat_coords(c)
 
-    zs = list(cd.z)
+    zs = list(cd.pts)
     target = sum((k + 1) * p.b for k, p in zip(ks, c.poles))
     diff = target - sum(zs)
     v = diff.imag / sigma.imag
@@ -344,7 +324,7 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
         raise CountMismatchError(
             "critical divisor does not match the pole divisor modulo the lattice"
         )
-    zs[-1] = cd.z[-1] + mu + nu * sigma
+    zs[-1] = cd.pts[-1] + mu + nu * sigma
 
     zs = np.array(zs)
     bs = np.array([p.b for p in c.poles])
@@ -376,39 +356,38 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
     )
 
 
-@dataclass(frozen=True)
-class GFunction1:
-    g_value: complex
-    gamma: complex
-    g_from_jacobian: complex
-
-
-def g_function(c: Covering1, cd: CriticalData1 | None = None) -> GFunction1:
-    """G = -log eta(t0) - (1/24) sum_{i=1..l} (k_i+1) log t_i, with anomaly
-    gamma = -(1/24)(l + sum 1/k_i).
+def g_function(c: Covering1, cd: CriticalData1 | None = None) -> GFunction:
+    """G = -log eta(t0) - (1/24) sum_{i=1..l} (k_i+1) log t_i and its anomaly ``gamma``.
 
     The sum runs over every pole (including i = 1): this is forced by
     G = log(tau / J^(1/24)) with J = prod f_m and by the Euler identity
     E(G) = gamma, and is confirmed by the order-2 one-pole family where
     tau^(-48) is proportional to t1^12 eta^72.
     """
-    fc = flat_coords(c)
-    ks = c.profile
-    g_val = -log_dedekind_eta(c.modulus) - sum(
-        (k + 1) * cmath.log(t) for k, t in zip(ks, fc.t)
-    ) / 24.0
-    gamma = -(len(ks) + sum(1.0 / k for k in ks)) / 24.0
-    if cd is None:
-        cd = critical_data(c)
     tp = tau_product(c, cd)
-    log_j = sum(0.5 * cmath.log(v) for v in cd.fsq)
-    return GFunction1(
-        g_value=g_val, gamma=complex(gamma), g_from_jacobian=tp.log_tau - log_j / 24.0
-    )
+    return GFunction(g_value=tp.G, gamma=gamma(c), g_from_jacobian=tp.g_from_jacobian)
+
+
+def gamma(c: Covering1) -> complex:
+    """Scaling anomaly of G: gamma = -(1/24)(l + sum 1/k_i)."""
+    return complex(-(len(c.profile) + sum(1.0 / k for k in c.profile)) / 24.0)
+
+
+def euler_scaling_expected(c: Covering1) -> complex:
+    """Closed-form value of E(log tau) = sum lambda_m H_m from the profile."""
+    return complex((-0.5 * c.dim - sum((k + 1) / k for k in c.profile)) / 24.0)
 
 
 # --------------------------------------------------------------------------
 # parameter addressing
+
+
+def default_sweep_param(c: Covering1) -> str:
+    """The parameter the identity suite's cross-route sweep moves."""
+    k1 = c.poles[0].order
+    if k1 > 1:
+        return f"poles.0.c.{k1 - 1}"
+    return "poles.1.b" if len(c.poles) > 1 else "constant"
 
 
 def get_param(c: Covering1, path: str) -> complex:
@@ -426,12 +405,11 @@ def get_param(c: Covering1, path: str) -> complex:
     raise KeyError(f"unknown parameter path {path!r}")
 
 
-def set_param(c: Covering1, path: str, value: complex, rebalance: bool = False) -> Covering1:
+def set_param(c: Covering1, path: str, value: complex) -> Covering1:
     """Return a new covering with one parameter replaced.
 
-    With ``rebalance`` the residue of the last pole absorbs the change so
-    the ellipticity constraint keeps holding (used by the deformation
-    engine); otherwise the constraint is re-checked at construction.
+    The residue of the last pole absorbs the change, so the ellipticity
+    constraint keeps holding; that residue is not a parameter of its own.
     """
     parts = path.split(".")
     mod = c.modulus
@@ -451,9 +429,7 @@ def set_param(c: Covering1, path: str, value: complex, rebalance: bool = False) 
             raise KeyError(f"unknown parameter path {path!r}")
     else:
         raise KeyError(f"unknown parameter path {path!r}")
-    if rebalance and len(poles) >= 1:
-        others = sum(p[1][0] for p in poles[:-1])
-        poles[-1][1][0] = -others if len(poles) > 1 else 0j
+    poles[-1][1][0] = -sum(p[1][0] for p in poles[:-1])
     return Covering1(
         modulus=mod,
         constant=const,

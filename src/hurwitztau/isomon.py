@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cover0, cover1
-from .cover0 import Covering0
+from .cover0 import Covering0, TauProduct, route_a
 from .cover1 import Covering1
 from .elliptic import lattice_distance, log_dedekind_eta, wp
 from .errors import (
@@ -42,7 +42,6 @@ __all__ = [
     "lambda_derivatives",
     "lambda_derivative",
     "euler_unit_checks",
-    "euler_scaling_expected",
     "identity_report",
     "IdentityCheck",
     "sweep_ratios",
@@ -63,9 +62,9 @@ class Analysis:
 
     ``f`` and ``log_*`` entries are continuified against a base analysis
     when one is supplied (nearest branch at each step); otherwise principal
-    branches are used throughout.  ``T`` is the log of the frame product
-    whose canonical gradient is the Schwarzian of the uniformizing map.
-    ``critical`` is the genus module's critical data, in the order of ``pts``.
+    branches are used throughout, and ``tau`` is the genus module's
+    ``tau_product`` bit for bit.  ``critical`` is the genus module's
+    critical data, in the order of ``pts``.
     """
 
     covering: Covering
@@ -82,13 +81,8 @@ class Analysis:
     eta_tilde: complex | None
     log_fsq: tuple[complex, ...]
     log_h: tuple[complex, ...]
-    T: complex
-    log_tau48: complex
-    log_tau: complex
-    G: complex
+    tau: TauProduct
     gamma: complex
-    caustic: bool
-    min_lambda_gap: float
     critical: cover0.CriticalData0 | cover1.CriticalData1
 
 
@@ -103,35 +97,27 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
     in that order; a tracked point nearer another base point than its own
     raises ``CountMismatchError``.
     """
-    seeds = base.pts if base is not None else None
-    if isinstance(covering, Covering0):
-        genus = 0
-        cd = cover0.critical_data(covering, seeds=seeds)
-        fc = cover0.flat_coords(covering)
-        pts, lam, fsq, sb = cd.alpha, cd.lam, cd.fsq, cd.sb
-        sw = cd.sb
-        hs = fc.h
-        ks = covering.profile[1:]
-        sigma = None
-        eta_t = None
-    else:
-        genus = 1
-        cd = cover1.critical_data(covering, seeds=seeds)
-        fc = cover1.flat_coords(covering)
-        pts, lam, fsq, sb = cd.z, cd.lam, cd.fsq, cd.sb
-        sw = cd.sw
-        hs = fc.h
-        ks = covering.profile
+    model = (cover0, cover1)[covering.genus]
+    cd = model.critical_data(covering, seeds=base.pts if base is not None else None)
+    fc = model.flat_coords(covering)
+    fsq, hs = cd.fsq, fc.h
+    ks = tuple(p.order for p in covering.poles)
+    if covering.genus:  # the modulus and its eta quantities
         sigma = covering.modulus.sigma
         eta_t = covering.ctx.eta_tilde
+        log_eta = log_dedekind_eta(covering.modulus)
+        distance = lambda d: lattice_distance(d, sigma)
+    else:
+        sigma = eta_t = None
+        log_eta = 0
+        distance = np.abs
 
     if base is not None:
         # the seeded solve returns the tracked points lane by lane, in the
         # order of base.pts; when each is nearest to its own base point the
         # identity is an optimal assignment, so that order is kept
-        gaps = np.subtract.outer(np.array(pts), np.array(base.pts))
-        gaps = np.abs(gaps) if genus == 0 else lattice_distance(gaps, sigma)
-        if (np.argmin(gaps, axis=1) != np.arange(len(pts))).any():
+        gaps = distance(np.subtract.outer(np.array(cd.pts), np.array(base.pts)))
+        if (np.argmin(gaps, axis=1) != np.arange(len(cd.pts))).any():
             raise CountMismatchError("a tracked critical point is nearer another base point")
         log_fsq = tuple(
             _cont_log(v, rv, rl) for v, rv, rl in zip(fsq, base.fsq, base.log_fsq)
@@ -153,49 +139,32 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
             log_h.append(_cont_log(best, rh, rl))
         hs = tuple(hs2)
         log_h = tuple(log_h)
+        # t_s is a fixed multiple of h_s, so log t_s follows the branch of log h_s
+        log_t = [lh + cmath.log(t / h) for lh, t, h in zip(log_h, fc.t, fc.h)]
     else:
         log_fsq = tuple(cmath.log(v) for v in fsq)
         f = tuple(cmath.sqrt(v) for v in fsq)
         log_h = tuple(cmath.log(h) for h in hs)
         hs = tuple(hs)
-
-    T = 0.5 * sum(log_fsq) - sum((k + 1) * lh for k, lh in zip(ks, log_h))
-    log_tau48 = 2.0 * sum((k + 1) * lh for k, lh in zip(ks, log_h)) - sum(log_fsq)
-    if genus == 0:
-        log_tau = T / 24.0
-        g_val = -sum((k + 1) * (math.log(k) + lh) for k, lh in zip(ks, log_h)) / 24.0
-        l = covering.n_poles
-        k1 = covering.profile[0]
-        gamma = -(l - 2 + sum(1.0 / k for k in covering.profile) + covering.dim / k1) / 24.0
-    else:
-        log_eta = log_dedekind_eta(covering.modulus)
-        log_tau48 = log_tau48 + 48.0 * log_eta
-        log_tau = -log_eta + T / 24.0
-        g_val = -log_eta - sum((k + 1) * lh for k, lh in zip(ks, log_h)) / 24.0
-        gamma = -(len(ks) + sum(1.0 / k for k in ks)) / 24.0
+        log_t = [cmath.log(t) for t in fc.t]
 
     return Analysis(
         covering=covering,
-        genus=genus,
-        pts=tuple(pts),
-        lam=tuple(lam),
+        genus=covering.genus,
+        pts=tuple(cd.pts),
+        lam=tuple(cd.lam),
         fsq=tuple(fsq),
-        sw=tuple(sw),
-        sb=tuple(sb),
+        sw=tuple(cd.sw),
+        sb=tuple(cd.sb),
         f=f,
         h=hs,
-        ks=tuple(ks),
+        ks=ks,
         sigma=sigma,
         eta_tilde=eta_t,
         log_fsq=log_fsq,
         log_h=log_h,
-        T=T,
-        log_tau48=log_tau48,
-        log_tau=log_tau,
-        G=g_val,
-        gamma=complex(gamma),
-        caustic=cd.caustic,
-        min_lambda_gap=cd.min_lambda_gap,
+        tau=route_a(ks, log_fsq, log_h, log_t, log_eta),
+        gamma=model.gamma(covering),
         critical=cd,
     )
 
@@ -214,35 +183,22 @@ def bergmann_values(covering: Covering, an: Analysis | None = None) -> tuple[np.
     if an is None:
         an = analyze(covering)
     m = len(an.pts)
-    B = np.zeros((m, m), dtype=complex)
-    if an.genus == 0:
-        poles = [p.b for p in covering.poles]
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                dz = an.pts[i] - an.pts[j]
-                if abs(dz) < 1e-12:
-                    raise CoincidentPointsError("coincident critical points")
-                B[i, j] = an.f[i] * an.f[j] / dz**2
-        Binf = np.zeros((m, len(poles)), dtype=complex)
-        for i in range(m):
-            for s, b in enumerate(poles):
-                Binf[i, s] = an.f[i] * an.h[s] / (an.pts[i] - b) ** 2
+    pts = np.array(an.pts)
+    f = np.array(an.f)
+    off = ~np.eye(m, dtype=bool)
+    diff = (pts[:, None] - pts[None, :])[off]
+    to_poles = pts[:, None] - np.array([p.b for p in covering.poles], dtype=complex)[None, :]
+    if an.genus:
+        kernel = lambda w: wp(covering.ctx, w) - 4j * math.pi * an.eta_tilde
+        coincident = lattice_distance(diff, an.sigma) < 1e-10
     else:
-        ctx = covering.ctx
-        four_pi_i_eta = 4j * math.pi * an.eta_tilde
-        sigma = covering.modulus.sigma
-        pts = np.array(an.pts)
-        f = np.array(an.f)
-        off = ~np.eye(m, dtype=bool)
-        diff = (pts[:, None] - pts[None, :])[off]
-        if (lattice_distance(diff, sigma) < 1e-10).any():
-            raise CoincidentPointsError("coincident critical points")
-        B[off] = (wp(ctx, diff) - four_pi_i_eta) * np.outer(f, f)[off]
-        poles = np.array([p.b for p in covering.poles])
-        Binf = (wp(ctx, pts[:, None] - poles[None, :]) - four_pi_i_eta) * np.outer(f, an.h)
-    return B, Binf
+        kernel = lambda w: 1.0 / w**2
+        coincident = np.abs(diff) < 1e-12
+    if coincident.any():
+        raise CoincidentPointsError("coincident critical points")
+    B = np.zeros((m, m), dtype=complex)
+    B[off] = kernel(diff) * np.outer(f, f)[off]
+    return B, kernel(to_poles) * np.outer(f, an.h)
 
 
 @dataclass(frozen=True)
@@ -294,30 +250,12 @@ def build_isomonodromy(covering: Covering, an: Analysis | None = None) -> Isomon
         hamiltonians_bergmann=h_sb,
         residues=tuple(residues),
         lam=an.lam,
-        caustic=an.caustic,
+        caustic=an.critical.caustic,
     )
 
 
 # --------------------------------------------------------------------------
 # the finite-difference engine
-
-
-def _params_of(covering: Covering) -> list[str]:
-    if isinstance(covering, Covering0):
-        return cover0.deformation_params(covering)
-    return cover1.deformation_params(covering)
-
-
-def _get(covering: Covering, path: str) -> complex:
-    if isinstance(covering, Covering0):
-        return cover0.get_param(covering, path)
-    return cover1.get_param(covering, path)
-
-
-def _set(covering: Covering, path: str, value: complex) -> Covering:
-    if isinstance(covering, Covering0):
-        return cover0.set_param(covering, path, value)
-    return cover1.set_param(covering, path, value, rebalance=True)
 
 
 @dataclass(frozen=True)
@@ -346,17 +284,18 @@ def parameter_derivatives(
     complex derivative.  Returns (base bundle, parameter paths, derivative
     arrays of shape (P, len(value))).
     """
+    model = (cover0, cover1)[covering.genus]
     base = _bundle_arrays(bundle_fn(covering))
-    paths = _params_of(covering)
+    paths = model.deformation_params(covering)
     derivs: dict[str, list[np.ndarray]] = {k: [] for k in base}
     for path in paths:
-        v0 = _get(covering, path)
+        v0 = model.get_param(covering, path)
         h = rel_step * max(1.0, abs(v0))
         if h < 1e-13 * max(1.0, abs(v0)):
             raise StepUnderflowError(f"step underflow for {path}")
         evals = {}
         for mult in (1.0, -1.0, 0.5, -0.5):
-            evals[mult] = _bundle_arrays(bundle_fn(_set(covering, path, v0 + mult * h)))
+            evals[mult] = _bundle_arrays(bundle_fn(model.set_param(covering, path, v0 + mult * h)))
         for k in base:
             d1 = (evals[1.0][k] - evals[-1.0][k]) / (2.0 * h)
             d2 = (evals[0.5][k] - evals[-0.5][k]) / h
@@ -369,9 +308,10 @@ def deformation_jacobian(covering: Covering, rel_step: float = DEFAULT_FD_STEP) 
     bundle = lambda cov: {"lam": analyze(cov, base=an).lam}
     _, paths, derivs = parameter_derivatives(covering, bundle, rel_step)
     jac = derivs["lam"].T  # (M, P)
+    model = (cover0, cover1)[covering.genus]
     return DeformationJacobian(
         params=tuple(paths),
-        values=tuple(_get(covering, p) for p in paths),
+        values=tuple(model.get_param(covering, p) for p in paths),
         dlambda_dparams=jac,
         condition=float(np.linalg.cond(jac)),
     )
@@ -431,11 +371,11 @@ def check_bundle(base: Analysis) -> Callable[[Covering], dict]:
             "fsq": an.fsq,
             "f": an.f,
             "h": an.h,
-            "T": an.T,
-            "log_tau48": an.log_tau48,
-            "G": an.G,
+            "T": an.tau.T,
+            "log_tau48": an.tau.log_tau_inv48,
+            "G": an.tau.G,
         }
-        if an.genus == 1:
+        if an.genus:
             out["sigma"] = an.sigma
         return out
 
@@ -480,15 +420,12 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict[str, np.n
     logarithms of these, plus d log eta/d sigma = eta_tilde at genus 1.
     """
     cov = an.covering
-    module = cover0 if an.genus == 0 else cover1
-    paths = module.deformation_params(cov)
+    model = (cover0, cover1)[an.genus]
+    paths = model.deformation_params(cov)
     pts = np.array(an.pts)
-    if an.genus == 0:
-        rows = np.array([cover0.eval_p_derivs(cov, z, 3) for z in pts]).T
-    else:
-        rows = cover1.eval_p_derivs(cov, pts, 3)
+    rows = model.eval_p_derivs(cov, pts, 3)
     p2, p3 = rows[2], rows[3]
-    dp = module.eval_param_derivs(cov, pts)  # (P, 3, M)
+    dp = model.eval_param_derivs(cov, pts)  # (P, 3, M)
     dz = -dp[:, 1] / p2
     dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
     ks = np.array(an.ks, dtype=float)
@@ -496,18 +433,19 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict[str, np.n
     dlog_h = _top_derivs(an, paths) / (ks * top)  # (P, S)
     dlog_fsq = (dfsq / np.array(an.fsq)).sum(axis=1)
     dlog_hk = dlog_h @ (ks + 1.0)
-    dsigma = np.array([float(path == "modulus") for path in paths])  # zero at genus 0
-    dlog_eta = dsigma * an.eta_tilde if an.genus == 1 else dsigma
     derivs = {
         "lam": dp[:, 0],
         "fsq": dfsq,
         "f": dfsq / (2.0 * np.array(an.f)),
         "h": dlog_h * np.array(an.h, dtype=complex),
         "T": 0.5 * dlog_fsq - dlog_hk,
-        "log_tau48": 2.0 * dlog_hk - dlog_fsq + 48.0 * dlog_eta,
-        "G": -dlog_hk / 24.0 - dlog_eta,
+        "log_tau48": 2.0 * dlog_hk - dlog_fsq,
+        "G": -dlog_hk / 24.0,
     }
-    if an.genus == 1:
+    if an.genus:  # the modulus path moves sigma, and log eta at the rate eta_tilde
+        dsigma = np.array([float(path == "modulus") for path in paths])
+        derivs["log_tau48"] = derivs["log_tau48"] + 48.0 * an.eta_tilde * dsigma
+        derivs["G"] = derivs["G"] - an.eta_tilde * dsigma
         derivs["sigma"] = dsigma
     n = len(paths)
     return paths, {k: np.asarray(v, dtype=complex).reshape(n, -1) for k, v in derivs.items()}
@@ -523,21 +461,6 @@ def exact_lambda_derivatives(an: Analysis) -> dict[str, np.ndarray]:
 
 # --------------------------------------------------------------------------
 # Euler / unit field checks
-
-
-def euler_scaling_expected(covering: Covering) -> complex:
-    """Closed-form value of E(log tau) = sum lambda_m H_m from the profile."""
-    if isinstance(covering, Covering0):
-        ks = covering.profile[1:]
-        k1 = covering.profile[0]
-        m = covering.dim
-        return complex(
-            (m * (1.0 / k1 - 0.5) - sum((k + 1) * (1.0 / k + 1.0 / k1) for k in ks))
-            / 24.0
-        )
-    ks = covering.profile
-    m = covering.dim
-    return complex((-0.5 * m - sum((k + 1) / k for k in ks)) / 24.0)
 
 
 @dataclass(frozen=True)
@@ -564,7 +487,7 @@ def euler_unit_checks(covering: Covering) -> EulerReport:
         sum_h=sum_h,
         sum_h_rel=abs(sum_h) / scale,
         euler_log_tau=complex(h @ lam),
-        euler_log_tau_expected=euler_scaling_expected(covering),
+        euler_log_tau_expected=(cover0, cover1)[covering.genus].euler_scaling_expected(covering),
         euler_g=eg,
         gamma=an.gamma,
     )
@@ -588,23 +511,13 @@ class IdentityCheck:
 
 def _sweep_coverings(covering: Covering, path: str, steps: int, spread: float = 0.12,
                      phase: float = 0.6) -> list[Covering]:
-    v0 = _get(covering, path)
+    model = (cover0, cover1)[covering.genus]
+    v0 = model.get_param(covering, path)
     delta = spread * max(1.0, abs(v0)) * cmath.exp(1j * phase)
     return [
-        _set(covering, path, v0 + delta * (s / (steps - 1) - 0.5))
+        model.set_param(covering, path, v0 + delta * (s / (steps - 1) - 0.5))
         for s in range(steps)
     ]
-
-
-def _default_sweep_param(covering: Covering) -> str:
-    if isinstance(covering, Covering0):
-        if covering.poles:
-            return "poles.0.b"
-        return "poly_coeffs.0"
-    k1 = covering.poles[0].order
-    if k1 > 1:
-        return f"poles.0.c.{k1 - 1}"
-    return "poles.1.b" if len(covering.poles) > 1 else "constant"
 
 
 def _rel_error(diff, ref) -> float:
@@ -630,21 +543,18 @@ def _continued_critical_data(cov: Covering1, seeds) -> cover1.CriticalData1:
 
 def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -> dict:
     """Cross-route tau data of one covering from its critical data."""
-    if isinstance(cov, Covering0):
-        ta = cover0.tau_product(cov, cd)
-        tb = cover0.tau_resultant(cov, cd)
-        denom = cover0.factorization_denominator(cov, cover0.flat_coords(cov))
-        row = {"pts": cd.alpha, "resultant_ratio": cd.resultant_fg / denom}
-    else:
-        ta = cover1.tau_product(cov, cd)
-        tb = cover1.tau_resultant(cov, cd)
-        row = {"pts": cd.z}
-    row.update(
-        tau48_product=ta.tau_inv48,
-        tau48_resultant=tb.tau_inv48,
-        route_ratio=ta.tau_inv48 / tb.tau_inv48,
-        caustic=cd.caustic,
-    )
+    model = (cover0, cover1)[cov.genus]
+    ta = model.tau_product(cov, cd)
+    tb = model.tau_resultant(cov, cd)
+    row = {
+        "pts": cd.pts,
+        "tau48_product": ta.tau_inv48,
+        "tau48_resultant": tb.tau_inv48,
+        "route_ratio": ta.tau_inv48 / tb.tau_inv48,
+        "caustic": cd.caustic,
+    }
+    if cd.resultant_ratio is not None:
+        row["resultant_ratio"] = cd.resultant_ratio
     return row
 
 
@@ -659,11 +569,11 @@ def _route_rows(coverings: Sequence[Covering], seeds=None) -> list[dict]:
     """
     rows = []
     for cov in coverings:
-        if isinstance(cov, Covering0):
-            cd = cover0.critical_data(cov)
-        else:
+        if cov.genus:
             cd = _continued_critical_data(cov, seeds)
-            seeds = cd.z
+            seeds = cd.pts
+        else:
+            cd = cover0.critical_data(cov)
         rows.append(_route_row(cov, cd))
     return rows
 
@@ -673,16 +583,16 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
 
     Returns (step index, covering, dict of per-step scalars) triples.  Used
     by the sweep command; raises the underlying boundary/caustic errors at
-    the offending step.
+    the offending step, and ``ValueError`` for fewer than 2 steps.
     """
-    v0 = _get(covering, path)
-    coverings = []
-    for s in range(steps):
-        t = s / (steps - 1) if steps > 1 else 0.0
-        cov = _set(covering, path, v0 + (target - v0) * t)
-        if isinstance(cov, Covering0):
-            cover0.validate(cov)
-        coverings.append(cov)
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
+    model = (cover0, cover1)[covering.genus]
+    v0 = model.get_param(covering, path)
+    coverings = [
+        model.set_param(covering, path, v0 + (target - v0) * (s / (steps - 1)))
+        for s in range(steps)
+    ]
     return list(zip(range(steps), coverings, _route_rows(coverings)))
 
 
@@ -728,7 +638,7 @@ def identity_report(
         if tol is not None:
             return tol
         t = DEFAULT_TOLS[name]
-        if name == "hamiltonian-two-route" and an.genus == 1:
+        if name == "hamiltonian-two-route" and an.genus:
             t = 1e-6
         return t
 
@@ -773,7 +683,7 @@ def identity_report(
     checks.append(IdentityCheck("euler-anomaly", err, tolerance("euler-anomaly"),
                                 "E(G) vs closed-form gamma"))
 
-    if an.genus == 1:
+    if an.genus:
         dsig = d["sigma"][0]
         rhs_s = 1j * math.pi * np.array(an.fsq)
         err = _rel_error(dsig - rhs_s, rhs_s)
@@ -782,7 +692,7 @@ def identity_report(
 
     # cross-route constancy on a short deterministic sweep
     rng = np.random.default_rng(seed)
-    path = _default_sweep_param(covering)
+    path = (cover0, cover1)[covering.genus].default_sweep_param(covering)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     sweep = _sweep_coverings(covering, path, sweep_steps, spread=0.1, phase=phase)
     # walk outward from the base point, whose critical points seed both

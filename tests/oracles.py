@@ -16,6 +16,7 @@ import numpy as np
 from hurwitztau import cover0, cover1
 from hurwitztau.elliptic import lattice_distance, point_array, shape_rows, wp, zeta_derivs
 from hurwitztau.errors import NearPoleError
+from hurwitztau.poly import CPoly
 
 
 def central_diff(fn, z: complex, h: float = 1e-6) -> complex:
@@ -124,6 +125,26 @@ def per_pole_p_derivs(cov, z, n_max: int):
         for a, coeff in enumerate(pole.c):
             out += coeff * zd[a: a + n_max + 1]
     return shape_rows(out, shape)
+
+
+def per_point_p_derivs0(cov, z: complex, n_max: int) -> list[complex]:
+    """p, p', ..., p^(n_max) of a genus-0 covering at one point.
+
+    The reference for ``cover0.eval_p_derivs``: ``CPoly`` Horner on the
+    polynomial part plus each pole tail term by term, in Python complex
+    arithmetic, one point at a time.
+    """
+    z = complex(z)
+    poly = [0j] * (cov.profile[0] + 1)
+    poly[-1] = 1.0
+    poly[: len(cov.poly_coeffs)] = cov.poly_coeffs
+    out = CPoly(tuple(poly)).eval_derivatives(z, n_max)
+    for pole in cov.poles:
+        for a, coeff in enumerate(pole.c, start=1):
+            # d^n/dz^n of -(z-b)^(-a) is -(-1)^n a(a+1)...(a+n-1) (z-b)^(-a-n)
+            for n in range(n_max + 1):
+                out[n] -= coeff * (-1) ** n * math.perm(a + n - 1, n) * (z - pole.b) ** (-a - n)
+    return out
 
 
 def trapezoid_argument_count(h_fn, corner: complex, e1: complex, e2: complex,

@@ -171,10 +171,10 @@ def test_criterion_6_route_constancy():
     seeds = None
     for s in range(20):
         c2 = cover1.set_param(
-            cov1_inst, "poles.0.c.1", v0 * (1 + 0.015 * s), rebalance=True
+            cov1_inst, "poles.0.c.1", v0 * (1 + 0.015 * s)
         )
         cd = cover1.critical_data(c2, seeds=seeds)
-        seeds = cd.z
+        seeds = cd.pts
         ratios1.append(
             cover1.tau_product(c2, cd).tau_inv48
             / cover1.tau_resultant(c2, cd).tau_inv48

@@ -212,8 +212,8 @@ class TestDerivativeOrders:
         d = eval_p_derivs(cov, 0.13 + 0.71j, 4)
         assert len(d) == 5
         cd = critical_data(cov)
-        assert len(cd.z) == cov.dim == 5
-        for z in cd.z:
+        assert len(cd.pts) == cov.dim == 5
+        for z in cd.pts:
             assert abs(eval_p_derivs(cov, z, 1)[1]) < 1e-9
 
 
@@ -267,8 +267,8 @@ class TestZeroSearchPerProfile:
         cov = random_covering1(profile, 11)
         s = cov.modulus.sigma
         cd = critical_data(cov)
-        assert len(cd.z) == cov.dim
-        for z in cd.z:
+        assert len(cd.pts) == cov.dim
+        for z in cd.pts:
             assert abs(eval_p_derivs(cov, z, 1)[1]) < 1e-8
         # p' has zeros minus poles = 0 on a period cell: the independent
         # trapezoid winding plus the pole count is the zero count
@@ -276,7 +276,7 @@ class TestZeroSearchPerProfile:
         corner = 0.0731 + 0.0457 * s
         winding = oracles.trapezoid_argument_count(
             lambda z: eval_p_derivs(cov, z, 1)[1], corner, 1.0, s, n=512)
-        assert winding + poles == len(cd.z)
+        assert winding + poles == len(cd.pts)
 
     def test_wp_prime_zeros_on_arrays(self):
         mod = Modulus(0.1 + 0.45j)

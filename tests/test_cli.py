@@ -217,6 +217,30 @@ class TestSweep:
         assert res["max_drift"]["route_ratio"] < 1e-7
 
 
+class TestBoundarySpecs:
+    """A genus-0 spec on the boundary is rejected when the covering is built."""
+
+    S1 = {"genus": 0, "profile": [2, 1, 1], "poly_coeffs": [[0.3, 0.0]],
+          "poles": [{"b": [0.5, 0.2], "c": [[1.0, 0.0]]},
+                    {"b": [0.5, 0.2], "c": [[2.0, 0.0]]}]}
+    # a double pole whose top tail vanishes
+    S2 = {"genus": 0, "profile": [2, 2], "poly_coeffs": [[0.3, 0.0]],
+          "poles": [{"b": [0.5, 0.0], "c": [[0.2, 0.0], [0.0, 0.0]]}]}
+
+    @pytest.mark.parametrize("component", ["S1", "S2"])
+    @pytest.mark.parametrize("command", [
+        ["check"], ["analyze", "--json"],
+        ["sweep", "--param", "poly_coeffs.0", "--to", "0.1,0.1", "--steps", "3"],
+    ], ids=["check", "analyze", "sweep"])
+    def test_exits_3_with_one_line(self, component, command, tmp_path, capsys):
+        path = _write(tmp_path, f"{component}.json", getattr(self, component))
+        rc = main([command[0], path, *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"({component})" in captured.err
+
+
 class TestExample:
     @pytest.mark.parametrize("name", ["a2", "h0_surf", "h12"])
     def test_roundtrip(self, name, tmp_path, capsys):

@@ -110,7 +110,7 @@ class TestSweepRatios:
 
     def test_collapsed_seeds_fall_back(self, g1_21, searches):
         cov = g1_21
-        z0 = cover1.critical_data(cov).z
+        z0 = cover1.critical_data(cov).pts
         assert searches["n"] == 1
         (row,) = isomon._route_rows([cov], seeds=(z0[0],) * len(z0))
         assert searches["n"] == 2
@@ -120,7 +120,7 @@ class TestSweepRatios:
 class TestSeededCriticalData:
     def test_unconverged_lane_raises(self, monkeypatch, g1_21):
         cov = g1_21
-        z0 = cover1.critical_data(cov).z
+        z0 = cover1.critical_data(cov).pts
         _failing_lane(monkeypatch, failing_call=1)
         with pytest.raises(CountMismatchError, match="did not converge"):
             cover1.critical_data(cov, seeds=z0)
@@ -128,6 +128,6 @@ class TestSeededCriticalData:
     def test_converged_lanes_return_the_zeros(self, g1_21):
         cov = g1_21
         cd = cover1.critical_data(cov)
-        tracked = cover1.critical_data(cov, seeds=cd.z)
-        gaps = lattice_distance(np.array(tracked.z) - np.array(cd.z), cov.modulus.sigma)
+        tracked = cover1.critical_data(cov, seeds=cd.pts)
+        gaps = lattice_distance(np.array(tracked.pts) - np.array(cd.pts), cov.modulus.sigma)
         assert np.max(gaps) < 1e-12

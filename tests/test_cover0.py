@@ -11,6 +11,7 @@ from hurwitztau.cover0 import (
     Pole,
     caustic_orders,
     critical_data,
+    euler_scaling_expected,
     eval_p_derivs,
     flat_coords,
     g_function,
@@ -29,7 +30,7 @@ PROFILES = [(3,), (2, 1), (2, 2), (3, 2), (2, 1, 1)]
 
 def _by_lambda(cd):
     order = sorted(range(len(cd.lam)), key=lambda i: (cd.lam[i].real, cd.lam[i].imag))
-    return [(cd.lam[i], cd.alpha[i], cd.fsq[i], cd.sb[i]) for i in order]
+    return [(cd.lam[i], cd.pts[i], cd.fsq[i], cd.sb[i]) for i in order]
 
 
 class TestValidate:
@@ -38,16 +39,14 @@ class TestValidate:
         assert d.dim == 2 and a2.dim == 2
 
     def test_coincident_poles(self):
-        cov = Covering0((1, 1, 1), (), (Pole(1.0, (1.0,)), Pole(1.0, (2.0,))))
         with pytest.raises(OnBoundaryError) as err:
-            validate(cov)
+            Covering0((1, 1, 1), (), (Pole(1.0, (1.0,)), Pole(1.0, (2.0,))))
         assert err.value.component == "S1"
         assert err.value.indices == (0, 1)
 
     def test_vanishing_top_tail(self):
-        cov = Covering0((1, 1), (), (Pole(1.0, (0.0,)),))
         with pytest.raises(OnBoundaryError) as err:
-            validate(cov)
+            Covering0((1, 1), (), (Pole(1.0, (0.0,)),))
         assert err.value.component == "S2"
 
     def test_membership_reported_distances(self):
@@ -112,7 +111,7 @@ class TestCriticalData:
         cov = Covering0((1, 1), (), (Pole(b, (cm,)),))
         cd = critical_data(cov)
         root = cmath.sqrt(-cm)
-        assert _set_close(cd.alpha, [b + root, b - root], 1e-10)
+        assert _set_close(cd.pts, [b + root, b - root], 1e-10)
         assert _set_close(cd.fsq, [root, -root], 1e-10)
         assert _set_close(cd.sb, [-3 / (4 * root), 3 / (4 * root)], 1e-10)
 
@@ -120,19 +119,19 @@ class TestCriticalData:
     def test_count_equals_dimension(self, profile):
         cov = random_covering0(profile, seed=17 + sum(profile))
         cd = critical_data(cov)
-        assert len(cd.alpha) == cov.dim == len(profile) + sum(profile) - 2
+        assert len(cd.pts) == cov.dim == len(profile) + sum(profile) - 2
 
     def test_fsq_times_second_derivative(self):
         cov = random_covering0((2, 2), seed=4)
         cd = critical_data(cov)
-        for a, f2 in zip(cd.alpha, cd.fsq):
+        for a, f2 in zip(cd.pts, cd.fsq):
             d2 = eval_p_derivs(cov, a, 2)[2]
             assert abs(f2 * d2 - 2.0) < 1e-9
 
     def test_schwarzian_oracle(self):
         cov = random_covering0((2, 1, 1), seed=5)
         cd = critical_data(cov)
-        for z, lam, f2, sb in zip(cd.alpha, cd.lam, cd.fsq, cd.sb):
+        for z, lam, f2, sb in zip(cd.pts, cd.lam, cd.fsq, cd.sb):
             est = oracles.fd_schwarzian(cov, z, lam, f2, h=0.1)
             assert abs(est - sb) / abs(sb) < 1e-5
 
@@ -173,7 +172,7 @@ class TestFlatCoords:
     def test_pole_positions(self):
         cov = random_covering0((2, 1, 1), seed=2)
         fc = flat_coords(cov)
-        assert fc.p_flat == tuple(p.b for p in cov.poles)
+        assert fc.p == tuple(p.b for p in cov.poles)
 
 
 class TestTauProduct:
@@ -223,8 +222,8 @@ class TestScalingCovariance:
         cd = critical_data(cov)
         cd2 = critical_data(scaled)
         # match critical points via alpha -> c * alpha
-        for a, sb in zip(cd.alpha, cd.sb):
-            j = min(range(len(cd2.alpha)), key=lambda i: abs(cd2.alpha[i] - c * a))
+        for a, sb in zip(cd.pts, cd.sb):
+            j = min(range(len(cd2.pts)), key=lambda i: abs(cd2.pts[i] - c * a))
             assert abs(cd2.sb[j] * c**k1 - sb) < 1e-9 * abs(sb)
 
 
@@ -318,7 +317,7 @@ class TestEulerInvariants:
     def test_hamiltonian_sum_and_degree(self, quiet_caustic):
         rng = np.random.default_rng(12)
         cov0 = random_covering0((2, 1), seed=13)
-        expected = isomon.euler_scaling_expected(cov0)
+        expected = euler_scaling_expected(cov0)
         values = []
         for _ in range(20):
             cov = random_covering0((2, 1), rng)

@@ -118,12 +118,12 @@ class TestCriticalData:
         s = cov.modulus.sigma
         b = cov.poles[0].b
         cd = critical_data(cov)
-        assert len(cd.z) == 3
+        assert len(cd.pts) == 3
         want = sorted(
             (reduce_to_cell(b + w, s) for w in half_periods(s)),
             key=lambda t: (round(t.real, 6), round(t.imag, 6)),
         )
-        got = sorted(cd.z, key=lambda t: (round(t.real, 6), round(t.imag, 6)))
+        got = sorted(cd.pts, key=lambda t: (round(t.real, 6), round(t.imag, 6)))
         assert max(abs(a - b2) for a, b2 in zip(got, want)) < 1e-9
         # critical values are a - c * wp(half-period)
         es = [wp(cov.ctx, w) for w in half_periods(s)]
@@ -138,15 +138,15 @@ class TestCriticalData:
         cov = _h12()
         cd = critical_data(cov)
         cov2 = _h12(a=cov.constant + 0.37 - 0.21j)
-        cd2 = critical_data(cov2, seeds=cd.z)
-        assert max(abs(a - b) for a, b in zip(cd.z, cd2.z)) < 1e-10
+        cd2 = critical_data(cov2, seeds=cd.pts)
+        assert max(abs(a - b) for a, b in zip(cd.pts, cd2.pts)) < 1e-10
         assert max(abs(l2 - l1 - (0.37 - 0.21j)) for l1, l2 in zip(cd.lam, cd2.lam)) < 1e-10
 
     @pytest.mark.parametrize("profile", [(2,), (1, 1), (2, 1)])
     def test_zero_count_is_dimension(self, profile):
         cov = random_covering1(profile, seed=5 + sum(profile))
         cd = critical_data(cov)
-        assert len(cd.z) == cov.dim == len(profile) + sum(profile)
+        assert len(cd.pts) == cov.dim == len(profile) + sum(profile)
 
     def test_wirtinger_defect_is_exact(self):
         cov = random_covering1((2, 1), seed=6)
@@ -158,7 +158,7 @@ class TestCriticalData:
     def test_schwarzian_oracle(self):
         cov = random_covering1((2, 1), seed=7)
         cd = critical_data(cov)
-        for z, lam, f2, sw in zip(cd.z, cd.lam, cd.fsq, cd.sw):
+        for z, lam, f2, sw in zip(cd.pts, cd.lam, cd.fsq, cd.sw):
             est = oracles.fd_schwarzian(cov, z, lam, f2, h=0.12)
             assert abs(est - sw) / abs(sw) < 1e-5
 
@@ -168,7 +168,7 @@ class TestCriticalData:
         cov = random_covering1((1, 1), seed=8)
         cd = critical_data(cov)
         eta_t = cov.ctx.eta_tilde
-        for z, lam, f2, sw, sb in zip(cd.z, cd.lam, cd.fsq, cd.sw, cd.sb):
+        for z, lam, f2, sw, sb in zip(cd.pts, cd.lam, cd.fsq, cd.sw, cd.sb):
             sb_est = oracles.kernel_diagonal_sb(cov, z, lam, f2, h=0.12)
             assert abs(sb_est - sb) / max(1.0, abs(sw)) < 1e-6
             assert abs(sw - (sb_est + 24j * math.pi * eta_t * f2)) / max(1.0, abs(sw)) < 1e-6
@@ -242,9 +242,9 @@ class TestTauRoutes:
         ratios = []
         seeds = None
         for s in range(12):
-            c2 = set_param(cov, "poles.0.c.1", v0 * (1 + 0.02 * s), rebalance=True)
+            c2 = set_param(cov, "poles.0.c.1", v0 * (1 + 0.02 * s))
             cd = critical_data(c2, seeds=seeds)
-            seeds = cd.z
+            seeds = cd.pts
             ratios.append(tau_product(c2, cd).tau_inv48 / tau_resultant(c2, cd).tau_inv48)
         assert max(abs(r / ratios[0] - 1) for r in ratios) < 1e-7
 
@@ -294,8 +294,8 @@ class TestTauRoutes:
         for r in range(3):
             for s in range(3):
                 if r != s:
-                    k1 *= sigma_w(ctx, cd.z[r] - cd.z[s])
-                    k2 *= sigma_w(ctx, cd.z[perm[r]] - cd.z[perm[s]])
+                    k1 *= sigma_w(ctx, cd.pts[r] - cd.pts[s])
+                    k2 *= sigma_w(ctx, cd.pts[perm[r]] - cd.pts[perm[s]])
         assert abs(k1 - k2) < 1e-12 * abs(k1)
 
 

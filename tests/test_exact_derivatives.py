@@ -173,9 +173,8 @@ class TestPartials:
         z = np.array([0.41 + 0.27 * s, 0.93 + 0.61 * s, 0.07 + 0.88 * s])
         got = cover1.eval_param_derivs(cov, z)
         evaluate = lambda c, pts: cover1.eval_p_derivs(c, pts, 2)
-        setter = lambda c, path, v: cover1.set_param(c, path, v, rebalance=True)
         for j, path in enumerate(cover1.deformation_params(cov)):
-            want = self._fd(cov, path, z, evaluate, setter)
+            want = self._fd(cov, path, z, evaluate, cover1.set_param)
             assert _rel(got[j], want) < 1e-7, path
 
     @pytest.mark.parametrize("sigma", [0.23 + 0.97j, -0.4 + 0.35j, 0.1 + 1.6j])
@@ -208,8 +207,8 @@ class TestSeededGenus0:
     def test_tracks_the_global_roots(self):
         cov = random_covering0((3, 2), 3)
         cd = cover0.critical_data(cov)
-        seeded = cover0.critical_data(cov, seeds=tuple(a + 1e-3 for a in cd.alpha))
-        assert max(abs(a - b) for a, b in zip(seeded.alpha, cd.alpha)) < 1e-12
+        seeded = cover0.critical_data(cov, seeds=tuple(a + 1e-3 for a in cd.pts))
+        assert max(abs(a - b) for a, b in zip(seeded.pts, cd.pts)) < 1e-12
 
     def test_unconverged_lane_raises(self, a2):
         # f = 3z^2 - 3 has f'(0) = 0, so the lane seeded at 0 cannot step

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hurwitztau import isomon
+from hurwitztau import cover0, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
 from hurwitztau.samples import random_covering0, random_covering1
 
@@ -196,7 +196,7 @@ class TestEulerChecks:
 
     def test_scaling_degree_closed_form_cubic(self, a2):
         # for the cubic family: sum lambda_m H_m = -1/72
-        assert abs(isomon.euler_scaling_expected(a2) - (-1.0 / 72.0)) < 1e-15
+        assert abs(cover0.euler_scaling_expected(a2) - (-1.0 / 72.0)) < 1e-15
 
 
 class TestIdentityReport:
@@ -228,6 +228,12 @@ class TestIdentityReport:
     def test_too_few_sweep_steps_raise(self, a2, steps):
         with pytest.raises(ValueError, match="sweep_steps"):
             isomon.identity_report(a2, sweep_steps=steps)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_too_few_sweep_ratio_steps_raise(self, a2, steps):
+        # one step has no segment to walk, and zero steps no covering at all
+        with pytest.raises(ValueError, match="steps must be at least 2"):
+            isomon.sweep_ratios(a2, "poly_coeffs.0", 0.3 + 0.2j, steps)
 
     def test_tolerance_override(self):
         cov = random_covering0((2, 1), seed=19)

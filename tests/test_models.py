@@ -1,0 +1,88 @@
+"""The two genus modules are one model: same names, same signatures.
+
+``isomon`` and ``cli`` pick the module with ``(cover0, cover1)[cov.genus]``
+and call these names without knowing the genus, so each must exist in both
+modules with the same parameters.  The genus-0 covering evaluation takes
+arrays of points, and is checked against a per-point reference.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hurwitztau
+import oracles
+from hurwitztau import cover0, cover1, errors
+from hurwitztau.samples import random_covering0
+
+MODEL_NAMES = [
+    "critical_data",
+    "flat_coords",
+    "eval_p_derivs",
+    "eval_param_derivs",
+    "deformation_params",
+    "get_param",
+    "set_param",
+    "tau_product",
+    "tau_resultant",
+    "g_function",
+    "gamma",
+    "euler_scaling_expected",
+    "default_sweep_param",
+]
+# the genus-0 profiles of the benchmark pool
+POOL_PROFILES = [(3,), (4,), (2, 1), (2, 2), (3, 2), (2, 1, 1), (3, 3), (2, 3), (4, 2), (3, 1, 1)]
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_both_genera_define_the_name_alike(name):
+    sig0 = inspect.signature(getattr(cover0, name))
+    sig1 = inspect.signature(getattr(cover1, name))
+    assert list(sig0.parameters) == list(sig1.parameters)
+    assert [p.default for p in sig0.parameters.values()] == [
+        p.default for p in sig1.parameters.values()]
+
+
+def test_every_error_type_is_exported():
+    types = [name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, (errors.HurwitzError, Warning))]
+    assert types and all(name in hurwitztau.__all__ for name in types)
+    assert hurwitztau.CoincidentPointsError is errors.CoincidentPointsError
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_points = st.lists(st.builds(complex, _coord, _coord), min_size=8, max_size=8, unique=True)
+
+
+class TestGenus0Evaluation:
+    @pytest.mark.parametrize("profile", POOL_PROFILES)
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(points=_points, seed=st.integers(0, 50))
+    def test_array_matches_per_point_reference(self, profile, points, seed):
+        cov = random_covering0(profile, seed)
+        zs = np.array(points)
+        if cov.poles:  # stay off the poles, where every row is unbounded
+            zs = zs[np.min(np.abs(zs[:, None] - np.array([p.b for p in cov.poles])), axis=1) > 0.05]
+        got = cover0.eval_p_derivs(cov, zs, 4)
+        want = np.array([oracles.per_point_p_derivs0(cov, z, 4) for z in zs]).T
+        assert got.shape == want.shape == (5, len(zs))
+        scale = np.max(np.abs(want), axis=1, initial=0.0)
+        err = np.max(np.abs(got - want), axis=1, initial=0.0)
+        assert np.all(err <= 1e-15 * scale), err / scale
+
+    @pytest.mark.parametrize("profile", [(3,), (2, 1), (1, 2, 1), (3, 1, 1)])
+    def test_scalar_equals_its_batch_entry(self, profile):
+        cov = random_covering0(profile, 3)
+        zs = np.array([0.3 + 0.7j, -1.1 + 0.2j, 2.0 - 1.0j, 0.05 - 0.4j])
+        for n_max in (0, 1, 4):
+            batch = cover0.eval_p_derivs(cov, zs, n_max)
+            for k, z in enumerate(zs):
+                assert cover0.eval_p_derivs(cov, complex(z), n_max) == batch[:, k].tolist()
+
+    def test_array_shape_is_kept(self):
+        cov = random_covering0((3, 2), 3)
+        zs = np.array([[0.3 + 0.7j, -1.1 + 0.2j], [2.0 - 1.0j, 0.05 - 0.4j]])
+        assert cover0.eval_p_derivs(cov, zs, 2).shape == (3, 2, 2)
