@@ -59,23 +59,20 @@ def _pair2c(v, where: str) -> complex:
 
 
 def covering_to_spec(cov: Covering0 | Covering1) -> dict:
+    poles = [{"b": _c2pair(p.b), "c": [_c2pair(v) for v in p.c]} for p in cov.poles]
     if isinstance(cov, Covering0):
         return {
             "genus": 0,
             "profile": list(cov.profile),
             "poly_coeffs": [_c2pair(a) for a in cov.poly_coeffs],
-            "poles": [
-                {"b": _c2pair(p.b), "c": [_c2pair(v) for v in p.c]} for p in cov.poles
-            ],
+            "poles": poles,
         }
     return {
         "genus": 1,
         "profile": list(cov.profile),
         "modulus": _c2pair(cov.modulus.sigma),
         "constant": _c2pair(cov.constant),
-        "poles": [
-            {"b": _c2pair(p.b), "c": [_c2pair(v) for v in p.c]} for p in cov.poles
-        ],
+        "poles": poles,
     }
 
 
@@ -93,7 +90,7 @@ def spec_to_covering(doc: dict) -> Covering0 | Covering1:
         coeffs = tuple(
             _pair2c(v, f"poly_coeffs[{r}]") for r, v in enumerate(doc.get("poly_coeffs", ()))
         )
-        return Covering0(profile, coeffs, poles)
+        return cover0.reject_near_s2(Covering0(profile, coeffs, poles))
     if genus == 1:
         trunc = int(os.environ.get("HURWITZ_TRUNC", 400))
         mod = Modulus(_pair2c(doc["modulus"], "modulus"), truncation=trunc)

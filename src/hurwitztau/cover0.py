@@ -43,6 +43,7 @@ __all__ = [
     "TauResultant",
     "GFunction",
     "validate",
+    "reject_near_s2",
     "eval_p_derivs",
     "eval_param_derivs",
     "p_prime_as_ratio",
@@ -96,9 +97,11 @@ class Covering0:
     polynomial part; ``poles`` matches ``profile[1:]``.  The polynomial part
     has no z^(k1-1) term, which pins the uniformizing coordinate to z itself.
     Construction rejects the boundary: poles that coincide (S1, within
-    BOUNDARY_TOL of the pole scale) or a top tail that vanishes (S2).  A tiny
-    non-zero top tail is a covering whose critical points approach the pole;
-    ``critical_data`` rejects it with ``CommonRootError`` once they reach it.
+    BOUNDARY_TOL of the pole scale) or a top tail that is exactly 0 (S2).  A
+    tiny non-zero top tail is a covering whose critical points approach the
+    pole (``caustic_orders`` walks such rays); ``critical_data`` rejects it
+    with ``CommonRootError`` once they reach it.  ``reject_near_s2`` holds
+    a covering to BOUNDARY_TOL from S2.
     """
 
     profile: tuple[int, ...]
@@ -130,9 +133,7 @@ class Covering0:
         for (i, p), (j, q) in combinations(enumerate(self.poles), 2):
             if abs(p.b - q.b) <= BOUNDARY_TOL * scale:
                 raise OnBoundaryError("S1", (i, j))
-        for i, p in enumerate(self.poles):
-            if p.top == 0:
-                raise OnBoundaryError("S2", (i,))
+        reject_near_s2(self, 0.0)
 
     @property
     def genus(self) -> int:
@@ -172,9 +173,16 @@ def validate(c: Covering0) -> Diagnostics0:
     )
 
 
-def _tail_rows(w: np.ndarray, a: int, n_max: int) -> list[np.ndarray]:
-    """d^n/dz^n of -(z-b)^(-a) at w = z - b, for n = 0..n_max."""
-    return [-((-1) ** n) * math.prod(range(a, a + n)) * w ** (-a - n) for n in range(n_max + 1)]
+def reject_near_s2(c: Covering0, tol: float = BOUNDARY_TOL) -> Covering0:
+    """``c``, or ``OnBoundaryError`` (S2) when a top tail is within ``tol`` of 0.
+
+    A spec read from a file and every ``set_param`` result are held to
+    BOUNDARY_TOL, as every ``Covering1`` is.
+    """
+    for i, p in enumerate(c.poles):
+        if abs(p.top) <= tol:
+            raise OnBoundaryError("S2", (i,))
+    return c
 
 
 def eval_p_derivs(c: Covering0, z, n_max: int):
@@ -182,22 +190,29 @@ def eval_p_derivs(c: Covering0, z, n_max: int):
 
     ``z`` is a complex scalar (returns a list of complex) or an array of
     points (returns an array of shape (n_max + 1, *z.shape)).  The polynomial
-    part is Horner's scheme on p^(j)/j!, the pole part a sum of its tails.
-    The rows are laid end to end in one flat array: numpy multiplies complex
-    arrays of one dimension the same way at any length, so a scalar gives
-    its batch entry bit for bit.
+    part is Horner's scheme on p^(j)/j!, started from its leading terms
+    z^k1 + 0 z^(k1-1); the pole part is each tail coefficient times the
+    powers (z - b)^(-a-j).  The rows are laid end to end in one flat array:
+    numpy multiplies complex arrays of one dimension the same way at any
+    length, so a scalar gives its batch entry bit for bit.
     """
     pts, shape = point_array(z)
     n = len(pts)
-    out = np.zeros((n_max + 1) * n, dtype=complex)
-    tiled = np.concatenate([pts] * (n_max + 1))[n:]
-    for coeff in (1.0, 0.0, *reversed(c.poly_coeffs)):  # degrees k1, k1 - 1, ..., 0
-        out[n:] = out[n:] * tiled + out[:-n]
-        out[:n] = out[:n] * pts + coeff
-    out *= np.repeat([float(math.factorial(j)) for j in range(n_max + 1)], n)
+    buf = np.zeros((n_max + 2) * n, dtype=complex)  # the next coefficient, then p^(j)/j!
+    buf[n : 2 * n] = pts
+    buf[2 * n : 3 * n] = 1.0
+    tiled = np.concatenate([pts] * (n_max + 1))
+    for coeff in reversed(c.poly_coeffs):  # degrees k1 - 2, ..., 0
+        buf[:n] = coeff
+        buf[n:] = buf[n:] * tiled + buf[:-n]
+    out = buf[n:] * np.array([float(math.factorial(j)) for j in range(n_max + 1)]).repeat(n)
     for pole in c.poles:
+        w = pts - pole.b
+        powers = np.concatenate([w**-k for k in range(1, pole.order + n_max + 1)])
         for a, coeff in enumerate(pole.c, start=1):
-            out += coeff * np.concatenate(_tail_rows(pts - pole.b, a, n_max))
+            # d^j/dz^j of -c (z-b)^(-a) is -(-1)^j a(a+1)...(a+j-1) c (z-b)^(-a-j)
+            factors = [-coeff * (-1) ** j * math.perm(a + j - 1, j) for j in range(n_max + 1)]
+            out += np.array(factors).repeat(n) * powers[(a - 1) * n : (a + n_max) * n]
     return shape_rows(out.reshape(n_max + 1, n), shape)
 
 
@@ -214,7 +229,12 @@ def eval_param_derivs(c: Covering0, z) -> np.ndarray:
         for r in range(len(c.poly_coeffs))
     }
     for i, pole in enumerate(c.poles):
-        tails = [_tail_rows(pts - pole.b, a, 3) for a in range(1, pole.order + 1)]
+        w = pts - pole.b
+        # d^n/dz^n of -(z-b)^(-a), n = 0..3
+        tails = [
+            [-((-1) ** n) * math.perm(a + n - 1, n) * w ** (-a - n) for n in range(4)]
+            for a in range(1, pole.order + 1)
+        ]
         for a, rows in enumerate(tails):
             blocks[f"poles.{i}.c.{a}"] = rows[:3]
         blocks[f"poles.{i}.b"] = [
@@ -286,7 +306,7 @@ def frame_data(d: np.ndarray) -> tuple[list[complex], np.ndarray, np.ndarray, fl
     CAUSTIC_REL_TOL (relative) flag the caustic, with a ``CausticWarning``.
     """
     al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
-    lam = [complex(v) for v in d[0]]
+    lam = d[0].tolist()
     min_lgap = min((abs(a - b) for a, b in combinations(lam, 2)), default=math.inf)
     caustic = min_lgap < CAUSTIC_REL_TOL * (max(abs(v) for v in lam) + 1.0)
     if caustic:
@@ -370,8 +390,8 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
     return CriticalData0(
         pts=tuple(pts),
         lam=tuple(lam),
-        fsq=tuple(complex(v) for v in fsq),
-        sb=tuple(complex(v) for v in sb),
+        fsq=tuple(fsq.tolist()),
+        sb=tuple(sb.tolist()),
         min_lambda_gap=min_lgap,
         min_point_gap=min_pgap,
         caustic=caustic,
@@ -669,7 +689,7 @@ def set_param(c: Covering0, path: str, value: complex) -> Covering0:
     if parts[0] == "poly_coeffs":
         coeffs = list(c.poly_coeffs)
         coeffs[int(parts[1])] = value
-        return Covering0(c.profile, tuple(coeffs), c.poles)
+        return reject_near_s2(Covering0(c.profile, tuple(coeffs), c.poles))
     if parts[0] == "poles":
         i = int(parts[1])
         poles = list(c.poles)
@@ -681,7 +701,7 @@ def set_param(c: Covering0, path: str, value: complex) -> Covering0:
             poles[i] = Pole(poles[i].b, tuple(tails))
         else:
             raise KeyError(f"unknown parameter path {path!r}")
-        return Covering0(c.profile, c.poly_coeffs, tuple(poles))
+        return reject_near_s2(Covering0(c.profile, c.poly_coeffs, tuple(poles)))
     raise KeyError(f"unknown parameter path {path!r}")
 
 

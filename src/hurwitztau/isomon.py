@@ -122,30 +122,20 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
         log_fsq = tuple(
             _cont_log(v, rv, rl) for v, rv, rl in zip(fsq, base.fsq, base.log_fsq)
         )
-        f = []
-        for v, rf in zip(fsq, base.f):
-            r = cmath.sqrt(v)
-            f.append(r if abs(r - rf) <= abs(-r - rf) else -r)
-        f = tuple(f)
-        log_h = []
-        hs2 = []
-        for hval, k, rh, rl in zip(hs, ks, base.h, base.log_h):
-            # nearest among the k-th root branches of hval^k
-            best = min(
-                (hval * cmath.exp(2j * math.pi * j / k) for j in range(k)),
-                key=lambda w: abs(w - rh),
-            )
-            hs2.append(best)
-            log_h.append(_cont_log(best, rh, rl))
-        hs = tuple(hs2)
-        log_h = tuple(log_h)
+        roots = [cmath.sqrt(v) for v in fsq]
+        f = tuple(r if abs(r - rf) <= abs(-r - rf) else -r for r, rf in zip(roots, base.f))
+        # nearest among the k-th root branches of h_s^k
+        hs = tuple(
+            min((hval * cmath.exp(2j * math.pi * j / k) for j in range(k)), key=lambda w: abs(w - rh))
+            for hval, k, rh in zip(hs, ks, base.h)
+        )
+        log_h = tuple(_cont_log(h, rh, rl) for h, rh, rl in zip(hs, base.h, base.log_h))
         # t_s is a fixed multiple of h_s, so log t_s follows the branch of log h_s
         log_t = [lh + cmath.log(t / h) for lh, t, h in zip(log_h, fc.t, fc.h)]
     else:
         log_fsq = tuple(cmath.log(v) for v in fsq)
         f = tuple(cmath.sqrt(v) for v in fsq)
         log_h = tuple(cmath.log(h) for h in hs)
-        hs = tuple(hs)
         log_t = [cmath.log(t) for t in fc.t]
 
     return Analysis(
@@ -183,22 +173,21 @@ def bergmann_values(covering: Covering, an: Analysis | None = None) -> tuple[np.
     if an is None:
         an = analyze(covering)
     m = len(an.pts)
-    pts = np.array(an.pts)
-    f = np.array(an.f)
-    off = ~np.eye(m, dtype=bool)
-    diff = (pts[:, None] - pts[None, :])[off]
-    to_poles = pts[:, None] - np.array([p.b for p in covering.poles], dtype=complex)[None, :]
+    # columns: the critical points, then the poles; the diagonal holds 1/2,
+    # a regular point of both kernels, until it is zeroed
+    diff = np.subtract.outer(an.pts, an.pts + tuple(p.b for p in covering.poles))
+    diff.reshape(-1)[:: diff.shape[1] + 1] = 0.5
     if an.genus:
-        kernel = lambda w: wp(covering.ctx, w) - 4j * math.pi * an.eta_tilde
-        coincident = lattice_distance(diff, an.sigma) < 1e-10
+        values = wp(covering.ctx, diff) - 4j * math.pi * an.eta_tilde
+        coincident = lattice_distance(diff[:, :m], an.sigma) < 1e-10
     else:
-        kernel = lambda w: 1.0 / w**2
-        coincident = np.abs(diff) < 1e-12
+        values = 1.0 / diff**2
+        coincident = np.abs(diff[:, :m]) < 1e-12
     if coincident.any():
         raise CoincidentPointsError("coincident critical points")
-    B = np.zeros((m, m), dtype=complex)
-    B[off] = kernel(diff) * np.outer(f, f)[off]
-    return B, kernel(to_poles) * np.outer(f, an.h)
+    values *= np.multiply.outer(an.f, an.f + an.h)
+    values.reshape(-1)[:: values.shape[1] + 1] = 0.0
+    return values[:, :m], values[:, m:]
 
 
 @dataclass(frozen=True)
@@ -230,19 +219,13 @@ def build_isomonodromy(covering: Covering, an: Analysis | None = None) -> Isomon
     gamma = 0.5 * B
     lam = np.array(an.lam)
     v = gamma * (lam[None, :] - lam[:, None])
-    h = []
-    for i in range(m):
-        acc = 0j
-        for n in range(m):
-            if n != i:
-                acc += gamma[i, n] ** 2 * (lam[i] - lam[n])
-        h.append(0.5 * acc)
+    h = [
+        0.5 * sum((gamma[i, n] ** 2 * (lam[i] - lam[n]) for n in range(m) if n != i), 0j)
+        for i in range(m)
+    ]
     h_sb = tuple(s / 24.0 for s in an.sb)
-    residues = []
-    for k in range(m):
-        a = np.zeros((m, m), dtype=complex)
-        a[k, :] = v[k, :]
-        residues.append(a)
+    # the k-th residue keeps the k-th row of V
+    residues = [np.where(np.arange(m)[:, None] == k, v, 0j) for k in range(m)]
     return IsomonodromyData(
         gamma_matrix=gamma,
         v_matrix=v,
@@ -389,11 +372,12 @@ def check_bundle(base: Analysis) -> Callable[[Covering], dict]:
 def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
     """d(top tail of pole s)/d theta, shape (P, S).
 
-    A path moves its own pole's top tail; at genus 1 a residue path also
-    moves the rebalanced last residue, which is the top tail of a simple
-    last pole.
+    A path moves its own pole's top tail.  Where the last residue is not a
+    parameter of its own (genus 1: it absorbs the residue constraint), a
+    residue path also moves it, and it is the top tail of a simple last pole.
     """
     poles = an.covering.poles
+    rebalanced = f"poles.{len(poles) - 1}.c.0" not in paths
     out = np.zeros((len(paths), len(poles)))
     for j, path in enumerate(paths):
         parts = path.split(".")
@@ -402,7 +386,7 @@ def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
         i, a = int(parts[1]), int(parts[3])
         if a == poles[i].order - 1:
             out[j, i] = 1.0
-        if an.genus == 1 and a == 0 and poles[-1].order == 1:
+        if rebalanced and a == 0 and poles[-1].order == 1:
             out[j, -1] = -1.0
     return out
 
@@ -553,7 +537,7 @@ def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -
         "route_ratio": ta.tau_inv48 / tb.tau_inv48,
         "caustic": cd.caustic,
     }
-    if cd.resultant_ratio is not None:
+    if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
         row["resultant_ratio"] = cd.resultant_ratio
     return row
 

@@ -240,6 +240,25 @@ class TestBoundarySpecs:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and f"({component})" in captured.err
 
+    # p = z - 1e-12/(z - 0.5): a top tail within the boundary tolerance of 0
+    NEAR_S2 = {"genus": 0, "profile": [1, 1], "poly_coeffs": [],
+               "poles": [{"b": [0.5, 0.0], "c": [[1e-12, 0.0]]}]}
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_top_tail_within_tolerance_exits_3(self, command, tmp_path, capsys):
+        rc = main([command, _write(tmp_path, "near.json", self.NEAR_S2)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.count("\n") == 1 and "(S2)" in captured.err
+
+    def test_sweep_reaching_tail_within_tolerance_exits_5(self, tmp_path, capsys):
+        spec = {**self.NEAR_S2, "poles": [{"b": [0.5, 0.0], "c": [[0.5, 0.0]]}]}
+        rc = main(["sweep", _write(tmp_path, "ok.json", spec), "--param", "poles.0.c.0",
+                   "--to", "1e-12,0", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.err.count("\n") == 1 and "S2" in captured.err
+
 
 class TestExample:
     @pytest.mark.parametrize("name", ["a2", "h0_surf", "h12"])
