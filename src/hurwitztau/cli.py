@@ -16,7 +16,9 @@ both define.
 Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error,
 3 boundary point (a spec on the boundary is rejected when it is loaded, by
-every command), 4 caustic under --strict, 5 sweep left the moduli space,
+every command; ``analyze`` and ``check`` also reject critical data too near
+a pole to verify, the model's ``reject_ill_conditioned``), 4 caustic under
+--strict, 5 sweep left the moduli space,
 6 numerical failure (any other ``HurwitzError``, such as coincident
 critical points), each with a one-line message on stderr.  A reader that
 closes the output pipe early (``| head``) ends the command quietly with 0.
@@ -133,8 +135,9 @@ def build_report(cov: Covering0 | Covering1) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CausticWarning)
         an = isomon.analyze(cov)
-        iso = isomon.build_isomonodromy(cov, an)
         cd = an.critical
+        model.reject_ill_conditioned(cov, cd)
+        iso = isomon.build_isomonodromy(cov, an)
         tb = model.tau_resultant(cov, cd)
     # every flat coordinate but h_s, the root that t_s is built from
     fc = model.flat_coords(cov)

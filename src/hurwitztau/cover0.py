@@ -44,6 +44,7 @@ __all__ = [
     "GFunction",
     "validate",
     "reject_near_s2",
+    "reject_ill_conditioned",
     "eval_p_derivs",
     "eval_param_derivs",
     "p_prime_as_ratio",
@@ -60,6 +61,9 @@ __all__ = [
 BOUNDARY_TOL = 1e-10
 CAUSTIC_REL_TOL = 1e-6
 ROOT_POLE_GUARD = 1e-8
+# round-off a verified covering may lose near S2 (the gradient identities' 1e-9)
+S2_CONDITION_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def principal_root(c: complex, k: int) -> complex:
@@ -183,6 +187,30 @@ def reject_near_s2(c: Covering0, tol: float = BOUNDARY_TOL) -> Covering0:
         if abs(p.top) <= tol:
             raise OnBoundaryError("S2", (i,))
     return c
+
+
+def check_pole_gaps(poles: tuple[Pole, ...], gaps, scale: float) -> None:
+    """``OnBoundaryError`` (S2) when a critical point is too near a pole to verify.
+
+    Near S2 the critical points close in on a pole of order k whose top tail
+    goes to 0.  At distance d they carry derivatives that grow like
+    (scale/d)^(k+1), so round-off eps * (scale/d)^(k+1) is what the identity
+    suite can resolve; ``gaps[i]`` is the distance from pole i to the nearest
+    critical point, and a gap below scale * (eps/S2_CONDITION_TOL)^(1/(k+1))
+    is rejected.
+    """
+    for i, (pole, d) in enumerate(zip(poles, gaps)):
+        if d < scale * (_EPS / S2_CONDITION_TOL) ** (1.0 / (pole.order + 1)):
+            raise OnBoundaryError(
+                "S2", (i,), f"a critical point lies {d:.3e} from pole {i}: "
+                "too ill-conditioned to verify"
+            )
+
+
+def reject_ill_conditioned(c: Covering0, cd: "CriticalData0") -> None:
+    """``check_pole_gaps`` at the pole scale 1 + max |b_i|, the scale of ``ROOT_POLE_GUARD``."""
+    scale = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
+    check_pole_gaps(c.poles, [min(abs(a - p.b) for a in cd.pts) for p in c.poles], scale)
 
 
 def eval_p_derivs(c: Covering0, z, n_max: int):
@@ -334,6 +362,15 @@ def factorization_denominator(c: Covering0, fc: "FlatCoords0") -> complex:
     return denom
 
 
+def profile_constant(c: Covering0) -> float:
+    """prod k_i^-(k_i^2 - 1) over the finite poles.
+
+    Off the boundary |R(f, g)| is this constant times its pole/flat
+    factorization ``factorization_denominator``.
+    """
+    return math.prod(float(k) ** -(k * k - 1) for k in c.profile[1:])
+
+
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
     """Critical points (roots of f), critical values, f_m^2 and Schwarzians.
 
@@ -380,9 +417,9 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
                 raise CommonRootError(
                     f"critical point {a} collides with pole {pole.b}"
                 )
-    # R(f, g) tracks the pole/flat-coordinate factorization, so that product
-    # is the right scale to call the resultant zero against
-    if c.poles and abs(res_fg) < 1e-10 * abs(denom):
+    # off the boundary R(f, g) is its pole/flat factorization times the
+    # profile constant prod k_i^-(k_i^2 - 1), the scale to call it zero against
+    if c.poles and abs(res_fg) < 1e-10 * abs(denom) * profile_constant(c):
         raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
 
     lam, fsq, sb, min_lgap, caustic = frame_data(eval_p_derivs(c, np.array(pts), 4))

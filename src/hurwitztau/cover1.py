@@ -23,6 +23,7 @@ from .cover0 import (
     GFunction,
     Pole,
     TauProduct,
+    check_pole_gaps,
     frame_data,
     principal_root,
     principal_route_a,
@@ -56,6 +57,7 @@ __all__ = [
     "eval_p_derivs",
     "eval_param_derivs",
     "critical_data",
+    "reject_ill_conditioned",
     "flat_coords",
     "tau_product",
     "tau_resultant",
@@ -258,6 +260,12 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
         min_point_gap=float(z_gaps.min(initial=math.inf)),
         caustic=caustic,
     )
+
+
+def reject_ill_conditioned(c: Covering1, cd: CriticalData1) -> None:
+    """``cover0.check_pole_gaps`` with lattice distances, at the unit period's scale."""
+    gaps = lattice_distance(np.subtract.outer(cd.pts, [p.b for p in c.poles]), c.modulus.sigma)
+    check_pole_gaps(c.poles, gaps.min(axis=0).tolist(), 1.0)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,13 @@ z - b_i of all its poles at once, guards them itself and calls ``_zeta_rows``.
 ``elliptic_zeros`` relies on this contract: its ``hd`` is called with a
 1-d complex array of points and must return the pair (h, h') of arrays of
 the same length (closures over ``wp``/``zeta_w``, or rows 1 and 2 of
-``cover1.eval_p_derivs``, qualify as they are).  Each subdivision level of
-the zero search is one call of ``hd``, and the Newton polish of all leaf
-cells is one lane-wise iteration with one ``hd`` call per step.
+``cover1.eval_p_derivs``, qualify as they are).  The zero search first
+takes the contour moments of h'/h from one ``hd`` call on the Gauss-Legendre
+nodes of two cell edges, and polishes the roots of the polynomial they
+define in one lane-wise Newton iteration, one ``hd`` call per step.  Only
+when that fails does the argument-principle subdivision run: one ``hd``
+call per subdivision level, and one lane-wise Newton polish of all leaf
+cells.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,8 +49,11 @@ import numpy as np
 from .errors import (
     ContourClashError,
     CountMismatchError,
+    HurwitzError,
     LatticePointError,
+    NonConvergenceError,
 )
+from .poly import CPoly, all_roots
 
 __all__ = [
     "Modulus",
@@ -536,6 +544,10 @@ _OFFSETS = [
 ]
 _UNIT_CELL = (0.0, 1.0, 0.0, 1.0)
 _MIN_CELL = 1e-4
+# moment stage: contours tried, quadrature nodes per edge, Newton steps per try
+MOMENT_CORNERS = 3
+GAUSS_NODES = 32
+MOMENT_NEWTON_STEPS = 20
 
 
 def _arg_changes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -741,6 +753,108 @@ def _cell_representative(z: complex, sigma: complex, edge: float = 1e-12) -> com
     return r
 
 
+def _contour_corners(poles: Sequence[tuple[complex, int]], sigma: complex):
+    """Contour corners from ``_OFFSETS`` whose unit cell keeps every pole off its edges.
+
+    Yields (corner, poles_uv): the corner, and each pole's cell coordinates
+    (u, v) with its multiplicity, every coordinate at least 5e-3 from 0 and 1.
+    """
+    for du, dv in _OFFSETS:
+        corner = du + dv * sigma
+        poles_uv = []
+        for p, mult in poles:
+            r = reduce_to_cell(p - corner, sigma)
+            v = r.imag / sigma.imag
+            u = r.real - v * sigma.real
+            if min(u, 1 - u, v, 1 - v) < 5e-3:
+                break
+            poles_uv.append(((u, v), mult))
+        else:
+            yield corner, poles_uv
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GAUSS_NODES-point Gauss-Legendre rule on [0, 1].
+
+    Newton's method on the three-term Legendre recurrence, in plain Python:
+    the rule is built once, without loading ``numpy.polynomial`` or LAPACK.
+    """
+    n = GAUSS_NODES
+    nodes, weights = [], []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) < 1e-16:
+                break
+        nodes.append(0.5 * (1.0 - x))
+        weights.append(1.0 / ((1.0 - x * x) * dp * dp))
+    return np.array(nodes), np.array(weights)
+
+
+def _moment_zeros(hd, corner: complex, sigma: complex, poles_uv, total: int,
+                  tol: float) -> list[complex] | None:
+    """The ``total`` zeros of h from contour moments of h'/h, or None on failure.
+
+    About the cell centre c, the power sums s_j = sum (z - c)^j of the zeros
+    in the cell are (1/2 pi i) times the contour integral of (w - c)^j h'/h
+    plus the enclosed pole terms sum m (r - c)^j.  h'/h is periodic, so the
+    top edge folds onto the bottom one and the right edge onto the left one:
+    one ``hd`` call on the Gauss-Legendre nodes of those two edges gives
+    every s_j.  The Newton identities turn s_1..s_total into a monic
+    polynomial whose roots seed one lane-wise Newton polish.  The result is
+    accepted only when every lane converges and no two of them coincide
+    modulo the lattice: ``total`` distinct zeros of an elliptic function
+    with ``total`` poles are all of its zeros.
+    """
+    t, wt = _gauss_legendre()
+    n = len(t)
+    centre = corner + 0.5 + 0.5 * sigma
+    xb = (corner - centre) + t          # bottom edge, w = corner + t
+    xl = (corner - centre) + t * sigma  # left edge, w = corner + t sigma
+    h, dh = hd(np.concatenate([xb, xl]) + centre)
+    with np.errstate(all="ignore"):
+        g = dh / h
+    if not np.isfinite(g).all():
+        return None
+    j = np.arange(1, total + 1)
+    pw = np.stack([xb, xb + sigma, xl + 1.0, xl]) ** j[:, None, None]
+    s = ((pw[:, 0] - pw[:, 1]) * (wt * g[:n])).sum(axis=1)
+    s += sigma * ((pw[:, 2] - pw[:, 3]) * (wt * g[n:])).sum(axis=1)
+    s /= TWO_PI_I
+    for (u, v), mult in poles_uv:
+        s += mult * ((u - 0.5) + (v - 0.5) * sigma) ** j
+    s = s.tolist()
+    # Newton identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i
+    e = [1.0 + 0j]
+    for k in range(1, total + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
+    try:
+        seeds = all_roots(CPoly(tuple((-1) ** k * e[k] for k in range(total, -1, -1)))).roots
+    except NonConvergenceError:
+        return None
+    try:
+        zs, ok = newton_lanes(hd, np.array(seeds) + centre, tol, 0.5, MOMENT_NEWTON_STEPS)
+    except HurwitzError:
+        return None
+    if not ok.all():
+        return None
+    i, k = np.triu_indices(total, 1)
+    if (lattice_distance(zs[i] - zs[k], sigma) < 1e-10).any():
+        return None
+    return zs.tolist()
+
+
+def _newton_tol(sigma: complex) -> float:
+    return 1e-12 * (1.0 + abs(sigma))
+
+
 def elliptic_zeros(
     mod: Modulus,
     hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -751,32 +865,45 @@ def elliptic_zeros(
 
     ``hd`` takes a 1-d complex array of points and returns the pair
     (h, h') there (see the module docstring and ``newton_lanes``).  ``poles`` lists pole
-    positions with multiplicities (the full divisor in one cell).  The cell
-    contour is translated until it avoids zeros and poles; the argument
-    principle fixes the total count, and adaptive cell subdivision plus
-    Newton polishing localizes the zeros.  Zeros are returned reduced to
+    positions with multiplicities (the full divisor in one cell), so h has
+    as many zeros as the multiplicities add up to.  The cell contour is
+    translated until it clears the poles.  The moment stage
+    (``_moment_zeros``) seeds Newton from the contour moments of h'/h on up
+    to MOMENT_CORNERS contours; if none of them yields every zero, or
+    ``expected`` differs from the pole count, the subdivision search
+    (``_subdivision_zeros``) decides.  Zeros are returned reduced to
     {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
+    """
+    sigma = mod.sigma
+    total = sum(m for _, m in poles)
+    if expected is None or expected == total:
+        for corner, poles_uv in islice(_contour_corners(poles, sigma), MOMENT_CORNERS):
+            found = _moment_zeros(hd, corner, sigma, poles_uv, total, _newton_tol(sigma))
+            if found is not None:
+                return [_cell_representative(r, sigma) for r in found]
+    return _subdivision_zeros(mod, hd, poles, expected)
+
+
+def _subdivision_zeros(
+    mod: Modulus,
+    hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    poles: Sequence[tuple[complex, int]],
+    expected: int | None = None,
+) -> list[complex]:
+    """``elliptic_zeros`` by the argument principle and adaptive subdivision.
+
+    The winding of h around the translated cell contour, plus the enclosed
+    poles, fixes the zero count; adaptive cell subdivision plus Newton
+    polishing localizes the zeros.  A count equal to the pole count but not
+    to ``expected`` raises ``CountMismatchError``; when no contour works,
+    ``ContourClashError``.
     """
     sigma = mod.sigma
     pole_count = sum(m for _, m in poles)
     target = pole_count if expected is None else expected
-    newton_tol = 1e-12 * (1.0 + abs(sigma))
 
     last_trouble = "no admissible contour"
-    for du, dv in _OFFSETS:
-        corner = du + dv * sigma
-        poles_uv = []
-        ok = True
-        for p, mult in poles:
-            r = reduce_to_cell(p - corner, sigma)
-            v = r.imag / sigma.imag
-            u = r.real - v * sigma.real
-            if min(u, 1 - u, v, 1 - v) < 5e-3:
-                ok = False
-                break
-            poles_uv.append(((u, v), mult))
-        if not ok:
-            continue
+    for corner, poles_uv in _contour_corners(poles, sigma):
         try:
             total = _cell_counts(hd, corner, sigma, poles_uv, [_UNIT_CELL])[0]
         except _EdgeTrouble as exc:
@@ -790,7 +917,7 @@ def elliptic_zeros(
             last_trouble = f"count {total} != {target}"
             continue
         try:
-            found = _locate(hd, corner, sigma, poles_uv, total, newton_tol)
+            found = _locate(hd, corner, sigma, poles_uv, total, _newton_tol(sigma))
         except _EdgeTrouble as exc:
             last_trouble = str(exc)
             continue

@@ -526,8 +526,12 @@ def _continued_critical_data(cov: Covering1, seeds) -> cover1.CriticalData1:
 
 
 def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -> dict:
-    """Cross-route tau data of one covering from its critical data."""
+    """Cross-route tau data of one covering from its critical data.
+
+    A covering too near S2 to verify raises ``OnBoundaryError``.
+    """
     model = (cover0, cover1)[cov.genus]
+    model.reject_ill_conditioned(cov, cd)
     ta = model.tau_product(cov, cd)
     tb = model.tau_resultant(cov, cd)
     row = {
@@ -606,11 +610,14 @@ def identity_report(
     Gradient identities use the exact lambda derivatives of the one
     analysis; the cross-route constancy identities run a short
     deterministic parameter sweep around the instance.  A not-None ``tol``
-    replaces every default.  ``sweep_steps`` must be at least 2.
+    replaces every default.  ``sweep_steps`` must be at least 2.  A covering
+    whose critical points sit too near a pole to verify (the model's
+    ``reject_ill_conditioned``) raises ``OnBoundaryError``.
     """
     if sweep_steps < 2:
         raise ValueError(f"sweep_steps must be at least 2, got {sweep_steps}")
     an = analyze(covering)
+    (cover0, cover1)[covering.genus].reject_ill_conditioned(covering, an.critical)
     iso = build_isomonodromy(covering, an)
     B, Binf = bergmann_values(covering, an)
     d = exact_lambda_derivatives(an)

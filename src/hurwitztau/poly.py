@@ -187,12 +187,29 @@ def all_roots(p: CPoly, max_iter: int = ABERTH_MAX_ITER) -> RootSet:
     return RootSet(roots=roots, residual=residual)
 
 
+def _shifted(coeffs: tuple[complex, ...], z0: complex) -> list[complex]:
+    """Coefficients of p(w + z0), highest degree first, by repeated synthetic division."""
+    c = list(coeffs[::-1])
+    for i in range(len(c) - 1, 0, -1):
+        acc = c[0]
+        for j in range(1, i + 1):
+            acc = c[j] = c[j] + z0 * acc
+    return c
+
+
 def _sylvester(f: CPoly, g: CPoly) -> np.ndarray:
+    """Sylvester matrix of f and g after moving the origin to the mean root of f.
+
+    A common translation of both polynomials leaves their resultant as it
+    is; centred coefficients are smaller, and so is the determinant's
+    round-off (by several digits for degrees near 12 with roots off 0).
+    """
     m, n = f.degree, g.degree
     size = m + n
     mat = np.zeros((size, size), dtype=complex)
-    fc = list(reversed(f.coeffs))  # highest degree first
-    gc = list(reversed(g.coeffs))
+    z0 = -f.coeffs[-2] / (m * f.leading)
+    fc = _shifted(f.coeffs, z0)  # highest degree first
+    gc = _shifted(g.coeffs, z0)
     for r in range(n):
         mat[r, r : r + m + 1] = fc
     for r in range(m):

@@ -251,6 +251,27 @@ class TestBoundarySpecs:
         assert rc == 3
         assert captured.err.count("\n") == 1 and "(S2)" in captured.err
 
+    @staticmethod
+    def _tail(c: float) -> dict:
+        """p = z - c/(z - 0.5): the critical points sit sqrt(c) from the pole."""
+        return {"genus": 0, "profile": [1, 1], "poly_coeffs": [],
+                "poles": [{"b": [0.5, 0.0], "c": [[c, 0.0]]}]}
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-8, 1e-7])
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_too_ill_conditioned_to_verify_exits_3(self, c, command, tmp_path, capsys):
+        # above the 1e-10 tolerance, but the identities would lose their digits
+        rc = main([command, _write(tmp_path, "cond.json", self._tail(c))])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "(S2)" in captured.err
+
+    def test_conditioned_enough_still_verifies(self, tmp_path, capsys):
+        rc = main(["check", _write(tmp_path, "cond.json", self._tail(1e-6))])
+        assert rc == 0
+        assert capsys.readouterr().out.strip().endswith("9/9 identities passed")
+
     def test_sweep_reaching_tail_within_tolerance_exits_5(self, tmp_path, capsys):
         spec = {**self.NEAR_S2, "poles": [{"b": [0.5, 0.0], "c": [[0.5, 0.0]]}]}
         rc = main(["sweep", _write(tmp_path, "ok.json", spec), "--param", "poles.0.c.0",

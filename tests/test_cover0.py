@@ -16,6 +16,8 @@ from hurwitztau.cover0 import (
     flat_coords,
     g_function,
     p_prime_as_ratio,
+    profile_constant,
+    reject_ill_conditioned,
     set_param,
     tau_product,
     tau_resultant,
@@ -153,6 +155,53 @@ def _set_close(got, want, tol):
     got = sorted(got, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     want = sorted(want, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     return max(abs(a - b) for a, b in zip(got, want)) < tol
+
+
+class TestBoundaryConstant:
+    """|R(f, g)| is |its pole/flat factorization| times prod k_i^-(k_i^2 - 1)."""
+
+    @pytest.mark.parametrize("profile", [(2, 1), (3, 2), (2, 3), (3, 3), (2, 4), (3, 2, 2)])
+    def test_ratio_is_the_profile_constant(self, profile):
+        cov = random_covering0(profile, seed=8)
+        cd = critical_data(cov)
+        assert abs(abs(cd.resultant_ratio) / profile_constant(cov) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("profile", [(2, 4, 4), (3, 4, 4), (5, 4, 4), (6, 5, 5, 4)])
+    def test_profiles_with_two_high_order_poles_sample(self, profile, quiet_caustic):
+        # |R(f, g)| / factorization is 4^-30 or less here: below the boundary
+        # test's 1e-10 unless that test is scaled by the profile constant.
+        # min_gap=0 takes the first draw with critical data: with 14 or 21
+        # critical values most draws miss the default 5% critical-value gap
+        cov = random_covering0(profile, 0, min_gap=0.0)
+        assert profile_constant(cov) < 1e-10
+        cd = critical_data(cov)
+        assert len(cd.pts) == cov.dim
+        assert abs(abs(cd.resultant_ratio) / profile_constant(cov) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generic_instances_with_two_order_four_poles(self, seed):
+        for profile in [(2, 4, 4), (3, 4, 4)]:
+            assert random_covering0(profile, seed).profile == profile
+
+
+class TestConditioning:
+    def test_pool_profiles_pass(self):
+        for profile in PROFILES + [(2, 4, 4), (4, 3)]:
+            cov = random_covering0(profile, seed=3)
+            reject_ill_conditioned(cov, critical_data(cov))
+
+    @pytest.mark.parametrize("c,rejected", [(1e-9, True), (1e-7, True), (1e-6, False)])
+    def test_critical_points_near_a_pole(self, c, rejected):
+        # the critical points of z - c/(z - 0.5) sit sqrt(c) from the pole;
+        # the gap must exceed 1.5 * (eps / 1e-9)^(1/2) = 7.1e-4
+        cov = Covering0((1, 1), (), (Pole(0.5, (c,)),))
+        cd = critical_data(cov)
+        if rejected:
+            with pytest.raises(OnBoundaryError) as err:
+                reject_ill_conditioned(cov, cd)
+            assert err.value.component == "S2" and err.value.indices == (0,)
+        else:
+            reject_ill_conditioned(cov, cd)
 
 
 class TestFlatCoords:

@@ -85,7 +85,8 @@ class TestAgainstFiniteDifferences:
         _assert_exact_matches_fd(NAMED[name]())
 
     @SETTINGS
-    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 10_000))
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 10_000))
+    @example([2, 4, 4], 15)
     def test_sampled_genus0(self, profile, seed):
         assume(len(profile) + sum(profile) - 2 >= 2)
         _assert_exact_matches_fd(_sample(random_covering0, profile, seed))
@@ -107,7 +108,8 @@ class TestIdentityErrors:
         _assert_identities_tight(NAMED[name]())
 
     @SETTINGS
-    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 10_000))
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 10_000))
+    @example([2, 4, 4], 16)
     def test_sampled_genus0(self, profile, seed):
         assume(len(profile) + sum(profile) - 2 >= 2)
         _assert_identities_tight(_sample(random_covering0, profile, seed))

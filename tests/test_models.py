@@ -20,6 +20,7 @@ from hurwitztau.samples import random_covering0
 
 MODEL_NAMES = [
     "critical_data",
+    "reject_ill_conditioned",
     "flat_coords",
     "eval_p_derivs",
     "eval_param_derivs",

@@ -1,10 +1,13 @@
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
+from hurwitztau.cover0 import p_prime_as_ratio
 from hurwitztau.poly import CPoly, all_roots, log_resultant, resultant
+from hurwitztau.samples import random_covering0
 
 
 def _close_sets(got, want, tol):
@@ -144,6 +147,30 @@ class TestResultant:
         assert abs(cmath.exp(log_resultant(f, g)) - resultant(f, g)) < 1e-12 * abs(
             resultant(f, g)
         )
+
+    def test_roots_off_the_origin_keep_their_digits(self):
+        # degree 12 against a quintic-squared g whose roots sit near 1.5 + 1i:
+        # a translation leaves R unchanged, and the centred Sylvester matrix
+        # keeps about 11 digits where the uncentred one kept about 5
+        cov = random_covering0((3, 4, 4), 7297)
+        f, g = p_prime_as_ratio(cov)
+        for a, b in ((f, g), (f, f.derivative())):
+            n, m = len(a.coeffs) - 1, len(b.coeffs) - 1
+            rows = [[0] * r + list(a.coeffs[::-1]) + [0] * (m - 1 - r) for r in range(m)]
+            rows += [[0] * r + list(b.coeffs[::-1]) + [0] * (n - 1 - r) for r in range(n)]
+            with mpmath.workdps(50):
+                want = complex(mpmath.det(mpmath.matrix(rows)))
+            assert abs(resultant(a, b) / want - 1.0) < 1e-9
+            assert abs(cmath.exp(log_resultant(a, b)) / want - 1.0) < 1e-9
+
+    def test_translation_invariance(self):
+        rng = np.random.default_rng(10)
+        f = CPoly.from_roots(rng.normal(size=6) + 1j * rng.normal(size=6))
+        g = CPoly.from_roots(rng.normal(size=4) + 1j * rng.normal(size=4))
+        shift = 2.0 - 1.5j
+        fs = CPoly.from_roots([r + shift for r in all_roots(f).roots])
+        gs = CPoly.from_roots([r + shift for r in all_roots(g).roots])
+        assert abs(resultant(fs, gs) / resultant(f, g) - 1.0) < 1e-10
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
