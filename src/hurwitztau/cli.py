@@ -136,7 +136,7 @@ def build_report(cov: Covering0 | Covering1) -> dict:
         warnings.simplefilter("ignore", CausticWarning)
         an = isomon.analyze(cov)
         cd = an.critical
-        model.reject_ill_conditioned(cov, cd)
+        model.reject_ill_conditioned(cov, an.pts)
         iso = isomon.build_isomonodromy(cov, an)
         tb = model.tau_resultant(cov, cd)
     # every flat coordinate but h_s, the root that t_s is built from

@@ -207,10 +207,13 @@ def check_pole_gaps(poles: tuple[Pole, ...], gaps, scale: float) -> None:
             )
 
 
-def reject_ill_conditioned(c: Covering0, cd: "CriticalData0") -> None:
-    """``check_pole_gaps`` at the pole scale 1 + max |b_i|, the scale of ``ROOT_POLE_GUARD``."""
+def reject_ill_conditioned(c: Covering0, pts) -> None:
+    """``check_pole_gaps`` for the critical points ``pts``, at the pole scale 1 + max |b_i|.
+
+    That is the scale of ``ROOT_POLE_GUARD``.
+    """
     scale = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
-    check_pole_gaps(c.poles, [min(abs(a - p.b) for a in cd.pts) for p in c.poles], scale)
+    check_pole_gaps(c.poles, [min(abs(a - p.b) for a in pts) for p in c.poles], scale)
 
 
 def eval_p_derivs(c: Covering0, z, n_max: int):

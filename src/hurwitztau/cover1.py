@@ -262,9 +262,12 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     )
 
 
-def reject_ill_conditioned(c: Covering1, cd: CriticalData1) -> None:
-    """``cover0.check_pole_gaps`` with lattice distances, at the unit period's scale."""
-    gaps = lattice_distance(np.subtract.outer(cd.pts, [p.b for p in c.poles]), c.modulus.sigma)
+def reject_ill_conditioned(c: Covering1, pts) -> None:
+    """``cover0.check_pole_gaps`` for the critical points ``pts``, by lattice distance.
+
+    The scale is the unit period.
+    """
+    gaps = lattice_distance(np.subtract.outer(pts, [p.b for p in c.poles]), c.modulus.sigma)
     check_pole_gaps(c.poles, gaps.min(axis=0).tolist(), 1.0)
 
 

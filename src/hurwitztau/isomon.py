@@ -526,12 +526,8 @@ def _continued_critical_data(cov: Covering1, seeds) -> cover1.CriticalData1:
 
 
 def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -> dict:
-    """Cross-route tau data of one covering from its critical data.
-
-    A covering too near S2 to verify raises ``OnBoundaryError``.
-    """
+    """Cross-route tau data of one covering from its critical data."""
     model = (cover0, cover1)[cov.genus]
-    model.reject_ill_conditioned(cov, cd)
     ta = model.tau_product(cov, cd)
     tb = model.tau_resultant(cov, cd)
     row = {
@@ -571,7 +567,9 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
 
     Returns (step index, covering, dict of per-step scalars) triples.  Used
     by the sweep command; raises the underlying boundary/caustic errors at
-    the offending step, and ``ValueError`` for fewer than 2 steps.
+    the offending step (``OnBoundaryError`` for a step too near S2 to
+    verify, the model's ``reject_ill_conditioned``), and ``ValueError`` for
+    fewer than 2 steps.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -581,7 +579,10 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
         model.set_param(covering, path, v0 + (target - v0) * (s / (steps - 1)))
         for s in range(steps)
     ]
-    return list(zip(range(steps), coverings, _route_rows(coverings)))
+    rows = _route_rows(coverings)
+    for cov, row in zip(coverings, rows):
+        model.reject_ill_conditioned(cov, row["pts"])
+    return list(zip(range(steps), coverings, rows))
 
 
 # default tolerances per identity; a caller-supplied tolerance replaces all
@@ -617,7 +618,7 @@ def identity_report(
     if sweep_steps < 2:
         raise ValueError(f"sweep_steps must be at least 2, got {sweep_steps}")
     an = analyze(covering)
-    (cover0, cover1)[covering.genus].reject_ill_conditioned(covering, an.critical)
+    (cover0, cover1)[covering.genus].reject_ill_conditioned(covering, an.pts)
     iso = build_isomonodromy(covering, an)
     B, Binf = bergmann_values(covering, an)
     d = exact_lambda_derivatives(an)

@@ -267,6 +267,13 @@ class TestBoundarySpecs:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "(S2)" in captured.err
 
+    def test_sweep_reaching_an_ill_conditioned_step_exits_5(self, tmp_path, capsys):
+        rc = main(["sweep", _write(tmp_path, "cond.json", self._tail(0.5)), "--param",
+                   "poles.0.c.0", "--to", "1e-8,0", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.err.count("\n") == 1 and "ill-conditioned" in captured.err
+
     def test_conditioned_enough_still_verifies(self, tmp_path, capsys):
         rc = main(["check", _write(tmp_path, "cond.json", self._tail(1e-6))])
         assert rc == 0

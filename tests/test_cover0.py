@@ -188,20 +188,20 @@ class TestConditioning:
     def test_pool_profiles_pass(self):
         for profile in PROFILES + [(2, 4, 4), (4, 3)]:
             cov = random_covering0(profile, seed=3)
-            reject_ill_conditioned(cov, critical_data(cov))
+            reject_ill_conditioned(cov, critical_data(cov).pts)
 
     @pytest.mark.parametrize("c,rejected", [(1e-9, True), (1e-7, True), (1e-6, False)])
     def test_critical_points_near_a_pole(self, c, rejected):
         # the critical points of z - c/(z - 0.5) sit sqrt(c) from the pole;
         # the gap must exceed 1.5 * (eps / 1e-9)^(1/2) = 7.1e-4
         cov = Covering0((1, 1), (), (Pole(0.5, (c,)),))
-        cd = critical_data(cov)
+        pts = critical_data(cov).pts
         if rejected:
             with pytest.raises(OnBoundaryError) as err:
-                reject_ill_conditioned(cov, cd)
+                reject_ill_conditioned(cov, pts)
             assert err.value.component == "S2" and err.value.indices == (0,)
         else:
-            reject_ill_conditioned(cov, cd)
+            reject_ill_conditioned(cov, pts)
 
 
 class TestFlatCoords:
