@@ -14,7 +14,9 @@ calls the genus module ``(cover0, cover1)[cov.genus]`` through the names
 both define.
 
 Covering spec files are JSON; complex numbers are two-element [re, im]
-arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error,
+arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error
+(an unreadable spec, or a ``sweep`` path the covering does not have, a
+target that is not two finite numbers or fewer than 2 steps),
 3 boundary point (a spec on the boundary is rejected when it is loaded, by
 every command; ``analyze`` and ``check`` also reject critical data too near
 a pole to verify, the model's ``reject_ill_conditioned``), 4 caustic under
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import os
 import sys
@@ -79,6 +82,8 @@ def covering_to_spec(cov: Covering0 | Covering1) -> dict:
 
 
 def spec_to_covering(doc: dict) -> Covering0 | Covering1:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a covering spec is a JSON object, got {type(doc).__name__}")
     genus = doc.get("genus")
     profile = tuple(int(k) for k in doc.get("profile", ()))
     poles = tuple(
@@ -116,7 +121,7 @@ def _load_or_exit(path: str) -> Covering0 | Covering1 | int:
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"invalid covering spec: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -281,11 +286,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return cov
     try:
         target = complex(*(float(x) for x in args.to.split(",")))
+        if not cmath.isfinite(target):
+            raise ValueError
     except (TypeError, ValueError):
-        print("--to expects RE,IM", file=sys.stderr)
+        print("--to expects RE,IM (finite numbers)", file=sys.stderr)
         return EXIT_PARSE
     if args.steps < 2:
         print(f"--steps must be at least 2, got {args.steps}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        (cover0, cover1)[cov.genus].get_param(cov, args.param)
+    except (KeyError, IndexError, ValueError):
+        print(f"--param: no parameter {args.param!r} in this covering", file=sys.stderr)
         return EXIT_PARSE
     rows = []
     try:
@@ -352,7 +364,9 @@ def cmd_example(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process (a build costs about 20 parses)."""
     ap = argparse.ArgumentParser(
         prog="hurwitztau",
         description="Canonical coordinates, Hamiltonians, tau- and G-functions "
@@ -389,8 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_example)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the exit flush

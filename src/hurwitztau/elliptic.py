@@ -148,14 +148,10 @@ class Modulus:
 
     @cached_property
     def _divisor_sums(self) -> dict[int, np.ndarray]:
-        n = self.eisenstein_terms
-        out = {}
-        for k in (1, 3, 5):
-            s = np.zeros(n + 1)
-            for d in range(1, n + 1):
-                s[d::d] += float(d) ** k
-            out[k] = s[1:]
-        return out
+        """sigma_k(m) for m = 1..n and k = 1, 3, 5: exact, every sum is an integer below 2^53."""
+        d = np.arange(1, self.eisenstein_terms + 1, dtype=float)
+        divides = d[:, None] % d == 0.0  # [m - 1, d - 1]: d divides m
+        return {k: divides @ d**k for k in (1, 3, 5)}
 
     @cached_property
     def _q_powers(self) -> np.ndarray:
@@ -334,8 +330,11 @@ class WeierstrassContext:
     ``calib_p`` makes wp(z) - 1/z^2 vanish at z = 0; ``calib_sigma`` makes
     sigma_w(z) = z + O(z^5).  Both are solved from the theta expansion at the
     origin, and the Laurent/Legendre conditions are re-verified numerically
-    at construction so any convention slip fails fast.  ``calib_sigma_dsigma``
-    is d calib_sigma / d sigma, from the heat equation
+    at construction so any convention slip fails fast.  The verification is
+    one batched evaluation: the wp Laurent, zeta principal-part and Legendre
+    checks share one ``zeta_derivs`` call at four points (wp = -zeta'), and
+    the sigma normalisation takes one ``sigma_w`` call.
+    ``calib_sigma_dsigma`` is d calib_sigma / d sigma, from the heat equation
     4 pi i d theta1/d sigma = d^2 theta1/dz^2 at the origin.
     """
 
@@ -365,16 +364,17 @@ class WeierstrassContext:
 
     def _verify(self) -> None:
         z = 1e-3
-        if abs(wp(self, z) - (1.0 / (z * z) + self.g2 * z * z / 20.0)) > 1e-4:
+        s = self.modulus.sigma
+        zt = 0.31 + 0.27 * s
+        zeta, dzeta = zeta_derivs(self, np.array([z, zt, zt + 1.0, zt + s]), 1)
+        if abs(-dzeta[0] - (1.0 / (z * z) + self.g2 * z * z / 20.0)) > 1e-4:  # wp = -zeta'
             raise ValueError("wp Laurent calibration failed")
         if abs(sigma_w(self, z) / z - 1.0) > 1e-5:
             raise ValueError("sigma_w normalization failed")
-        if abs(zeta_w(self, z) - 1.0 / z) > 1e-4:
+        if abs(zeta[0] - 1.0 / z) > 1e-4:
             raise ValueError("zeta_w principal part failed")
-        s = self.modulus.sigma
-        zt = 0.31 + 0.27 * s
-        e1 = zeta_w(self, zt + 1.0) - zeta_w(self, zt)
-        e2 = zeta_w(self, zt + s) - zeta_w(self, zt)
+        e1 = zeta[2] - zeta[1]
+        e2 = zeta[3] - zeta[1]
         if abs(e1 * s - e2 - TWO_PI_I) > 1e-10:
             raise ValueError("Legendre relation failed")
 

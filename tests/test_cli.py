@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hurwitztau import cli
 from hurwitztau.cli import covering_to_spec, load_covering, main, spec_to_covering
 from hurwitztau.samples import builtin_example
 
@@ -127,6 +129,50 @@ class TestCheck:
         assert out1 == out2
 
 
+class TestParser:
+    def test_tree_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        try:
+            assert main(["example", "a2"]) == 0
+            one_tree = len(built)
+            assert one_tree == 5  # the top-level parser and its 4 subcommands
+            assert main(["analyze", _a2_file(tmp_path), "--json"]) == 0
+            assert main(["check", _a2_file(tmp_path)]) == 0
+            assert main(["example", "h12"]) == 0
+            assert len(built) == one_tree
+        finally:
+            cli._parser.cache_clear()  # later tests get a plain parser
+
+
+class TestSpecShape:
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    @pytest.mark.parametrize("doc", ["[1, 2]", "3", '"a2"', "null"])
+    def test_top_level_not_an_object_exits_2(self, command, doc, tmp_path, capsys):
+        rc = main([command, _write(tmp_path, "list.json", doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "JSON object" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_wrongly_typed_field_exits_2(self, command, genus, tmp_path, capsys):
+        doc = covering_to_spec(builtin_example(("a2", "h12")[genus]))
+        doc["poles"] = [1]
+        rc = main([command, _write(tmp_path, "typed.json", doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
+
+
 class TestFewCriticalPoints:
     NO_POINTS = {"genus": 0, "profile": [1], "poly_coeffs": [], "poles": []}  # p = z, M = 0
     ONE_POINT = {"genus": 0, "profile": [2], "poly_coeffs": [[1.0, 0.0]], "poles": []}  # z^2 + 1
@@ -176,6 +222,28 @@ class TestSweep:
         assert rc == 2
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "--steps" in captured.err
+
+    @pytest.mark.parametrize("spec, param", [
+        ("a2", "nope"), ("a2", "poly_coeffs.9"), ("a2", "poles.0.b"),
+        ("h12", "nope"), ("h12", "poles.3.b"), ("h12", "poles.0.c.7"), ("h12", "poles.x.b"),
+    ])
+    def test_unknown_param_exits_2(self, spec, param, tmp_path, capsys):
+        path = _write(tmp_path, f"{spec}.json", covering_to_spec(builtin_example(spec)))
+        rc = main(["sweep", path, "--param", param, "--to", "0.3,0.2", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--param" in captured.err
+
+    @pytest.mark.parametrize("spec, param", [("a2", "poly_coeffs.0"), ("h12", "constant")])
+    @pytest.mark.parametrize("to", ["nan,0", "0,nan", "inf,0", "0,-inf"])
+    def test_non_finite_target_exits_2(self, spec, param, to, tmp_path, capsys):
+        path = _write(tmp_path, f"{spec}.json", covering_to_spec(builtin_example(spec)))
+        rc = main(["sweep", path, "--param", param, f"--to={to}", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--to" in captured.err
 
     def test_genus0_ratio_constancy(self, tmp_path, capsys):
         cov = builtin_example("h0_surf", seed=3)

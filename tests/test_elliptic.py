@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 import oracles
+from hurwitztau import elliptic
 from hurwitztau.elliptic import (
     Modulus,
     SigmaProduct,
@@ -49,6 +51,15 @@ class TestModulus:
         y = 1.1
         bound = math.exp(-math.pi * y * (j * j - 0.25) + math.pi * y / 4)
         assert bound < 1e-16
+
+    @pytest.mark.parametrize("im_sigma", [0.11, 0.5, 1.0, 3.0])
+    def test_divisor_sums_exact(self, im_sigma):
+        m = Modulus(complex(0.2, im_sigma))
+        sums = m._divisor_sums
+        for k in (1, 3, 5):
+            brute = [sum(d**k for d in range(1, n + 1) if n % d == 0)
+                     for n in range(1, m.eisenstein_terms + 1)]
+            assert sums[k].tolist() == brute
 
 
 class TestTheta:
@@ -179,6 +190,39 @@ class TestWeierstrass:
         zd = zeta_derivs(ctx, z, 4)
         assert abs(zd[1] + wp(ctx, z)) < 1e-12 * abs(wp(ctx, z))
         assert abs(zd[3] + wp(ctx, z, 2)) < 1e-12 * abs(wp(ctx, z, 2))
+
+
+class TestContextVerification:
+    """Each check of ``WeierstrassContext._verify`` fires on the slip it guards against."""
+
+    @pytest.fixture()
+    def ctx(self):
+        return _ctx(0.3 + 1.1j)
+
+    @pytest.mark.parametrize("field, corrupt, message", [
+        ("calib_p", lambda v: v + 1e-2, "wp Laurent calibration failed"),
+        ("theta1_deriv0", lambda v: v * 1.001, "sigma_w normalization failed"),
+        ("calib_sigma", lambda v: v + 1.0, "zeta_w principal part failed"),
+        ("calib_sigma", lambda v: v + 1e3, "sigma_w normalization failed"),
+    ])
+    def test_corrupted_calibration_raises(self, ctx, field, corrupt, message):
+        ctx._verify()
+        bad = dataclasses.replace(ctx, **{field: corrupt(getattr(ctx, field))})
+        with pytest.raises(ValueError, match=message):
+            bad._verify()
+
+    def test_lost_quasi_period_shift_fails_legendre(self, ctx, monkeypatch):
+        # a reduction that reports the lattice shift but keeps z unreduced
+        # counts the -2 pi i n of zeta twice; only the Legendre check sees it
+        split = elliptic._split_lattice
+
+        def unreduced(z, sigma):
+            m, n, _ = split(z, sigma)
+            return m, n, z
+
+        monkeypatch.setattr(elliptic, "_split_lattice", unreduced)
+        with pytest.raises(ValueError, match="Legendre relation failed"):
+            ctx._verify()
 
 
 class TestEllipticResultant:
