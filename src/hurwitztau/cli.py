@@ -5,7 +5,7 @@ Subcommands:
   analyze <file> [--json] [--strict]        full report for one covering
   check   <file> [--tol] [--seed]           identity suite, one line each
   sweep   <file> --param PATH --to RE,IM --steps N [--json]   ratio constancy
-  example <name> [--out FILE]               emit a built-in covering spec
+  example <name> [--out FILE] [--seed]     emit a built-in covering spec
 
 ``check`` takes its gradient identities from exact lambda derivatives of one
 analysis (implicit differentiation at the critical points), so it has no
@@ -15,8 +15,10 @@ both define.
 
 Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error
-(an unreadable spec, or a ``sweep`` path the covering does not have, a
-target that is not two finite numbers or fewer than 2 steps),
+(an unreadable spec; a ``--tol`` that is not positive and finite; a
+negative ``--seed``; or a ``sweep`` path that is not in the covering's
+parameter table, a target that is not two finite numbers or fewer than
+2 steps),
 3 boundary point (a spec on the boundary is rejected when it is loaded, by
 every command; ``analyze`` and ``check`` also reject critical data too near
 a pole to verify, the model's ``reject_ill_conditioned``), 4 caustic under
@@ -32,6 +34,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -99,8 +102,7 @@ def spec_to_covering(doc: dict) -> Covering0 | Covering1:
         )
         return cover0.reject_near_s2(Covering0(profile, coeffs, poles))
     if genus == 1:
-        trunc = int(os.environ.get("HURWITZ_TRUNC", 400))
-        mod = Modulus(_pair2c(doc["modulus"], "modulus"), truncation=trunc)
+        mod = Modulus(_pair2c(doc["modulus"], "modulus"))
         return Covering1(mod, _pair2c(doc["constant"], "constant"), poles)
     raise ValueError(f"genus must be 0 or 1, got {genus!r}")
 
@@ -119,11 +121,15 @@ def _load_or_exit(path: str) -> Covering0 | Covering1 | int:
     try:
         return load_covering(path)
     except json.JSONDecodeError as exc:
-        print(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}")
     except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"invalid covering spec: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error(f"invalid covering spec: {exc}")
+
+
+def _parse_error(message: str) -> int:
+    """EXIT_PARSE, after ``message`` on stderr."""
+    print(message, file=sys.stderr)
+    return EXIT_PARSE
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +267,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        return _parse_error(f"--tol must be positive and finite, got {args.tol}")
+    if args.seed < 0:
+        return _parse_error(f"--seed must be >= 0, got {args.seed}")
     cov = _load_or_exit(args.file)
     if isinstance(cov, int):
         return cov
@@ -289,16 +299,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not cmath.isfinite(target):
             raise ValueError
     except (TypeError, ValueError):
-        print("--to expects RE,IM (finite numbers)", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error("--to expects RE,IM (finite numbers)")
     if args.steps < 2:
-        print(f"--steps must be at least 2, got {args.steps}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        (cover0, cover1)[cov.genus].get_param(cov, args.param)
-    except (KeyError, IndexError, ValueError):
-        print(f"--param: no parameter {args.param!r} in this covering", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error(f"--steps must be at least 2, got {args.steps}")
+    if args.param not in (cover0, cover1)[cov.genus].params(cov):
+        return _parse_error(f"--param: no parameter {args.param!r} in this covering")
     rows = []
     try:
         with warnings.catch_warnings():
@@ -350,11 +355,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        return _parse_error(f"--seed must be >= 0, got {args.seed}")
     try:
         cov = builtin_example(args.name, seed=args.seed)
     except KeyError:
-        print(f"unknown example {args.name!r} (choose a2, h0_surf, h12)", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error(f"unknown example {args.name!r} (choose a2, h0_surf, h12)")
     doc = json.dumps(covering_to_spec(cov), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

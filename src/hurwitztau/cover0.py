@@ -18,7 +18,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -711,44 +711,35 @@ def default_sweep_param(c: Covering0) -> str:
     return "poles.0.b" if c.poles else "poly_coeffs.0"
 
 
-def get_param(c: Covering0, path: str) -> complex:
-    parts = path.split(".")
-    if parts[0] == "poly_coeffs":
-        return c.poly_coeffs[int(parts[1])]
-    if parts[0] == "poles":
-        pole = c.poles[int(parts[1])]
-        if parts[2] == "b":
-            return pole.b
-        if parts[2] == "c":
-            return pole.c[int(parts[3])]
-    raise KeyError(f"unknown parameter path {path!r}")
+def params(c: Covering0) -> dict[str, complex]:
+    """Every free complex parameter by dot path, in ``deformation_params`` order.
+
+    That is the order of the covering's fields, in which ``set_param`` reads
+    the table back.
+    """
+    table = {f"poly_coeffs.{r}": a for r, a in enumerate(c.poly_coeffs)}
+    for i, pole in enumerate(c.poles):
+        table[f"poles.{i}.b"] = pole.b
+        for a, v in enumerate(pole.c):
+            table[f"poles.{i}.c.{a}"] = v
+    return table
 
 
 def set_param(c: Covering0, path: str, value: complex) -> Covering0:
-    parts = path.split(".")
-    if parts[0] == "poly_coeffs":
-        coeffs = list(c.poly_coeffs)
-        coeffs[int(parts[1])] = value
-        return reject_near_s2(Covering0(c.profile, tuple(coeffs), c.poles))
-    if parts[0] == "poles":
-        i = int(parts[1])
-        poles = list(c.poles)
-        if parts[2] == "b":
-            poles[i] = Pole(value, poles[i].c)
-        elif parts[2] == "c":
-            tails = list(poles[i].c)
-            tails[int(parts[3])] = value
-            poles[i] = Pole(poles[i].b, tuple(tails))
-        else:
-            raise KeyError(f"unknown parameter path {path!r}")
-        return reject_near_s2(Covering0(c.profile, c.poly_coeffs, tuple(poles)))
-    raise KeyError(f"unknown parameter path {path!r}")
+    """``c`` rebuilt from its ``params`` table with ``path`` set to ``value``.
+
+    A path that is not in the table raises ``KeyError``.
+    """
+    table = params(c)
+    if path not in table:
+        raise KeyError(f"unknown parameter path {path!r}")
+    table[path] = value
+    values = iter(table.values())
+    coeffs = tuple(islice(values, len(c.poly_coeffs)))
+    poles = tuple(Pole(next(values), tuple(islice(values, p.order))) for p in c.poles)
+    return reject_near_s2(Covering0(c.profile, coeffs, poles))
 
 
 def deformation_params(c: Covering0) -> list[str]:
     """Paths of the M independent complex coordinates of the moduli space."""
-    paths = [f"poly_coeffs.{r}" for r in range(len(c.poly_coeffs))]
-    for i, pole in enumerate(c.poles):
-        paths.append(f"poles.{i}.b")
-        paths.extend(f"poles.{i}.c.{a}" for a in range(pole.order))
-    return paths
+    return list(params(c))

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .elliptic import (
     _centered_distance,
     _split_lattice,
     _zeta_rows,
+    cell_coords,
     elliptic_zeros,
     lattice_distance,
     log_dedekind_eta,
@@ -53,7 +55,6 @@ __all__ = [
     "CriticalData1",
     "FlatCoords1",
     "TauResultant1",
-    "eval_p",
     "eval_p_derivs",
     "eval_param_derivs",
     "critical_data",
@@ -159,10 +160,6 @@ def eval_p_derivs(c: Covering1, z, n_max: int):
     return shape_rows(out, shape)
 
 
-def eval_p(c: Covering1, z: complex, n_deriv: int = 0) -> complex:
-    return eval_p_derivs(c, z, n_deriv)[n_deriv]
-
-
 def eval_param_derivs(c: Covering1, z) -> np.ndarray:
     """d/d theta of [p, p', p''] at the points z for each path theta of ``deformation_params``.
 
@@ -210,8 +207,7 @@ class CriticalData1:
 
 def _sort_cell_points(pts: list[complex], sigma: complex) -> list[complex]:
     def key(z: complex):
-        v = z.imag / sigma.imag
-        u = z.real - v * sigma.real
+        u, v = cell_coords(z, sigma)
         return (round(u, 9), round(v, 9))
 
     return sorted(pts, key=key)
@@ -225,17 +221,15 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     zeros and unconverged or collapsed lanes raise ``CountMismatchError``.
     """
     sigma = c.modulus.sigma
-    m_expected = c.dim
 
     def hd(z: np.ndarray) -> np.ndarray:
         return eval_p_derivs(c, z, 2)[1:]  # (p', p'') in one evaluation
 
     if seeds is None:
         pole_divisor = [(p.b, p.order + 1) for p in c.poles]
-        zs = elliptic_zeros(c.modulus, hd, pole_divisor, expected=m_expected)
-        zs = _sort_cell_points(zs, sigma)
+        zs = _sort_cell_points(elliptic_zeros(c.modulus, hd, pole_divisor), sigma)
     else:
-        if len(seeds) != m_expected:
+        if len(seeds) != c.dim:
             raise ValueError("seed count must equal the moduli dimension")
         z0 = np.array(seeds, dtype=complex)
         tracked, ok = newton_lanes(hd, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
@@ -328,9 +322,7 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
     zs = list(cd.pts)
     target = sum((k + 1) * p.b for k, p in zip(ks, c.poles))
     diff = target - sum(zs)
-    v = diff.imag / sigma.imag
-    u = diff.real - v * sigma.real
-    mu, nu = round(u), round(v)
+    mu, nu = (round(x) for x in cell_coords(diff, sigma))
     if abs(diff - mu - nu * sigma) > 1e-6 * (1.0 + abs(sigma)):
         raise CountMismatchError(
             "critical divisor does not match the pole divisor modulo the lattice"
@@ -401,66 +393,45 @@ def default_sweep_param(c: Covering1) -> str:
     return "poles.1.b" if len(c.poles) > 1 else "constant"
 
 
-def get_param(c: Covering1, path: str) -> complex:
-    parts = path.split(".")
-    if parts[0] == "modulus":
-        return c.modulus.sigma
-    if parts[0] == "constant":
-        return c.constant
-    if parts[0] == "poles":
-        pole = c.poles[int(parts[1])]
-        if parts[2] == "b":
-            return pole.b
-        if parts[2] == "c":
-            return pole.c[int(parts[3])]
-    raise KeyError(f"unknown parameter path {path!r}")
+def params(c: Covering1) -> dict[str, complex]:
+    """Every free complex parameter by dot path, in ``deformation_params`` order.
+
+    The last residue is not one: the constraint fixes it.  The order is that
+    of the covering's fields, in which ``set_param`` reads the table back.
+    """
+    table = {"modulus": c.modulus.sigma, "constant": c.constant}
+    last = len(c.poles) - 1
+    for i, pole in enumerate(c.poles):
+        table[f"poles.{i}.b"] = pole.b
+        for a in range(1 if i == last else 0, pole.order):
+            table[f"poles.{i}.c.{a}"] = pole.c[a]
+    return table
 
 
 def set_param(c: Covering1, path: str, value: complex) -> Covering1:
-    """Return a new covering with one parameter replaced.
+    """``c`` rebuilt from its ``params`` table with ``path`` set to ``value``.
 
-    The residue of the last pole absorbs the change, so the ellipticity
-    constraint keeps holding; that residue is not a parameter of its own.
+    A path that is not in the table raises ``KeyError``.  The residue of the
+    last pole absorbs the change, so the ellipticity constraint keeps holding.
     """
-    parts = path.split(".")
-    mod = c.modulus
-    const = c.constant
-    poles = [[p.b, list(p.c)] for p in c.poles]
-    if parts[0] == "modulus":
-        mod = Modulus(complex(value), truncation=c.modulus.truncation)
-    elif parts[0] == "constant":
-        const = complex(value)
-    elif parts[0] == "poles":
-        i = int(parts[1])
-        if parts[2] == "b":
-            poles[i][0] = complex(value)
-        elif parts[2] == "c":
-            poles[i][1][int(parts[3])] = complex(value)
-        else:
-            raise KeyError(f"unknown parameter path {path!r}")
-    else:
+    table = params(c)
+    if path not in table:
         raise KeyError(f"unknown parameter path {path!r}")
-    poles[-1][1][0] = -sum(p[1][0] for p in poles[:-1])
-    return Covering1(
-        modulus=mod,
-        constant=const,
-        poles=tuple(Pole(b, tuple(cs)) for b, cs in poles),
-    )
+    table[path] = value
+    values = iter(table.values())
+    sigma, constant = next(values), next(values)
+    last = len(c.poles) - 1
+    poles = [(next(values), list(islice(values, p.order - 1 if i == last else p.order)))
+             for i, p in enumerate(c.poles)]
+    poles[last][1].insert(0, -sum(tails[0] for _, tails in poles[:last]))
+    mod = replace(c.modulus, sigma=sigma) if path == "modulus" else c.modulus
+    return Covering1(mod, constant, tuple(Pole(b, tuple(tails)) for b, tails in poles))
 
 
 def deformation_params(c: Covering1) -> list[str]:
-    """Paths of M independent complex coordinates.
+    """Paths of M independent complex coordinates: ``params`` without ``poles.0.b``.
 
-    The first pole position is pinned (translations act trivially on the
-    critical values) and the last residue is eliminated by the constraint.
+    The first pole position is pinned: translations act trivially on the
+    critical values.
     """
-    paths = ["modulus", "constant"]
-    l = len(c.poles)
-    for i, pole in enumerate(c.poles):
-        if i > 0:
-            paths.append(f"poles.{i}.b")
-        for a in range(pole.order):
-            if a == 0 and (i == l - 1 or l == 1):
-                continue
-            paths.append(f"poles.{i}.c.{a}")
-    return paths
+    return [path for path in params(c) if path != "poles.0.b"]

@@ -1,10 +1,9 @@
 """Genus-1 special functions on the lattice Z + sigma*Z.
 
 The odd theta function is the single primitive: everything else (Dedekind
-eta and its logarithmic derivative, Weierstrass wp/zeta/sigma, the elliptic
-resultant of sigma-function products, zero localization for elliptic
-functions) is derived from its q-series in the unit-lattice convention
-(periods 1 and sigma, Im sigma > 0).
+eta and its logarithmic derivative, Weierstrass wp/zeta/sigma, zero
+localization for elliptic functions) is derived from its q-series in the
+unit-lattice convention (periods 1 and sigma, Im sigma > 0).
 
 Normalization constants relating the theta-based and Weierstrass-based
 conventions are solved from the Laurent conditions wp(z) = 1/z^2 + O(z^2)
@@ -48,7 +47,6 @@ import numpy as np
 
 from .errors import (
     ContourClashError,
-    CountMismatchError,
     HurwitzError,
     LatticePointError,
     NonConvergenceError,
@@ -58,7 +56,6 @@ from .poly import CPoly, all_roots
 __all__ = [
     "Modulus",
     "WeierstrassContext",
-    "SigmaProduct",
     "theta1",
     "theta1_derivs",
     "dedekind_eta",
@@ -73,7 +70,6 @@ __all__ = [
     "zeta_derivs",
     "zeta_sigma_derivs",
     "sigma_w",
-    "elliptic_resultant",
     "elliptic_zeros",
     "newton_lanes",
     "reduce_to_cell",
@@ -210,10 +206,16 @@ def _theta1_raw(mod: Modulus, z0: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
+def cell_coords(z, sigma: complex):
+    """Real coordinates (u, v) of z = u + v*sigma (scalar or array z)."""
+    v = z.imag / sigma.imag
+    return z.real - v * sigma.real, v
+
+
 def _split_lattice(z: np.ndarray, sigma: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Write z = m + n*sigma + z0 with the cell coordinates of z0 in [-1/2, 1/2)."""
-    v = z.imag / sigma.imag
-    m = np.floor(z.real - v * sigma.real + 0.5)
+    u, v = cell_coords(z, sigma)
+    m = np.floor(u + 0.5)
     n = np.floor(v + 0.5)
     return m, n, z - m - n * sigma
 
@@ -295,8 +297,7 @@ def g_invariants(mod: Modulus) -> tuple[complex, complex]:
 
 def reduce_to_cell(z: complex, sigma: complex) -> complex:
     """Representative of z in the fundamental cell {x + y*sigma : x,y in [0,1)}."""
-    v = z.imag / sigma.imag
-    u = z.real - v * sigma.real
+    u, v = cell_coords(z, sigma)
     return z - math.floor(u) - math.floor(v) * sigma
 
 
@@ -496,38 +497,6 @@ def sigma_w(ctx: WeierstrassContext, z):
 
 
 # --------------------------------------------------------------------------
-# elliptic resultant of sigma-function products
-
-
-@dataclass(frozen=True)
-class SigmaProduct:
-    """prefactor * prod_i sigma_w(z - zeros[i])."""
-
-    prefactor: complex
-    zeros: tuple[complex, ...]
-
-    def __call__(self, ctx: WeierstrassContext, z: complex) -> complex:
-        acc = complex(self.prefactor)
-        for a in self.zeros:
-            acc *= sigma_w(ctx, z - a)
-        return acc
-
-
-def elliptic_resultant(ctx: WeierstrassContext, F: SigmaProduct, G: SigmaProduct) -> complex:
-    """Resultant of two sigma-products: F.prefactor^len(G) * prod_i G(a_i).
-
-    Vanishes exactly when F and G share a zero modulo the lattice, and picks
-    up (-1)^(M*N) under swapping the arguments.
-    """
-    if F.prefactor == 0 or G.prefactor == 0:
-        raise ValueError("degenerate sigma-product (zero prefactor)")
-    acc = F.prefactor ** len(G.zeros)
-    for a in F.zeros:
-        acc *= G(ctx, a)
-    return acc
-
-
-# --------------------------------------------------------------------------
 # zero localization for elliptic functions
 
 
@@ -544,6 +513,9 @@ _OFFSETS = [
 ]
 _UNIT_CELL = (0.0, 1.0, 0.0, 1.0)
 _MIN_CELL = 1e-4
+# argument tracking: grid intervals per contour edge, bisection depth limit
+EDGE_INTERVALS = 12
+MAX_BISECTIONS = 13
 # moment stage: contours tried, quadrature nodes per edge, Newton steps per try
 MOMENT_CORNERS = 3
 GAUSS_NODES = 32
@@ -551,13 +523,15 @@ MOMENT_NEWTON_STEPS = 20
 
 
 def _arg_changes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                 za: np.ndarray, zb: np.ndarray, n0: int = 12, max_depth: int = 13) -> np.ndarray:
+                 za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """Total continuous argument change of h along each segment [za[i], zb[i]].
 
-    The (n0 + 1)-point grids of all segments go to ``hd`` in one call.  Every
-    interval whose argument moves by more than 1.2 rad is bisected, breadth
-    first, with one ``hd`` call per depth for all such intervals.
+    The (EDGE_INTERVALS + 1)-point grids of all segments go to ``hd`` in one
+    call.  Every interval whose argument moves by more than 1.2 rad is
+    bisected, breadth first, with one ``hd`` call per depth for all such
+    intervals, at most MAX_BISECTIONS deep.
     """
+    n0 = EDGE_INTERVALS
     ts = np.arange(n0 + 1) / n0
     dz = zb - za
     vals = hd((za[:, None] + ts[None, :] * dz[:, None]).ravel())[0].reshape(len(za), n0 + 1)
@@ -576,7 +550,7 @@ def _arg_changes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         np.add.at(total, seg[~jump], d[~jump])
         if not jump.any():
             return total
-        if depth >= max_depth:
+        if depth >= MAX_BISECTIONS:
             raise _EdgeTrouble("argument jump on contour")
         seg, t0, t1, v0, v1 = seg[jump], t0[jump], t1[jump], v0[jump], v1[jump]
         tm = 0.5 * (t0 + t1)
@@ -686,9 +660,7 @@ def _polish(hd, corner: complex, sigma: complex, cells, tol: float) -> list[comp
         small = _cell_size(cell, sigma) < _MIN_CELL
         root = None
         for r in zs[5 * i: 5 * i + 5][ok[5 * i: 5 * i + 5]]:
-            rr = reduce_to_cell(complex(r) - corner, sigma)
-            rv = rr.imag / sigma.imag
-            ru = rr.real - rv * sigma.real
+            ru, rv = cell_coords(reduce_to_cell(complex(r) - corner, sigma), sigma)
             in_cell = (u0 - 1e-9 <= ru <= u1 + 1e-9) and (v0 - 1e-9 <= rv <= v1 + 1e-9)
             if in_cell or small:
                 root = complex(r)
@@ -744,8 +716,7 @@ def _cell_representative(z: complex, sigma: complex, edge: float = 1e-12) -> com
     representative whichever way its last bits round.
     """
     r = reduce_to_cell(z, sigma)
-    v = r.imag / sigma.imag
-    u = r.real - v * sigma.real
+    u, v = cell_coords(r, sigma)
     if v > 1.0 - edge:
         r -= sigma
     if u > 1.0 - edge:
@@ -763,9 +734,7 @@ def _contour_corners(poles: Sequence[tuple[complex, int]], sigma: complex):
         corner = du + dv * sigma
         poles_uv = []
         for p, mult in poles:
-            r = reduce_to_cell(p - corner, sigma)
-            v = r.imag / sigma.imag
-            u = r.real - v * sigma.real
+            u, v = cell_coords(reduce_to_cell(p - corner, sigma), sigma)
             if min(u, 1 - u, v, 1 - v) < 5e-3:
                 break
             poles_uv.append(((u, v), mult))
@@ -859,7 +828,6 @@ def elliptic_zeros(
     mod: Modulus,
     hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     poles: Sequence[tuple[complex, int]],
-    expected: int | None = None,
 ) -> list[complex]:
     """All zeros of the elliptic function h in one fundamental cell.
 
@@ -869,38 +837,33 @@ def elliptic_zeros(
     as many zeros as the multiplicities add up to.  The cell contour is
     translated until it clears the poles.  The moment stage
     (``_moment_zeros``) seeds Newton from the contour moments of h'/h on up
-    to MOMENT_CORNERS contours; if none of them yields every zero, or
-    ``expected`` differs from the pole count, the subdivision search
-    (``_subdivision_zeros``) decides.  Zeros are returned reduced to
-    {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
+    to MOMENT_CORNERS contours; if none of them yields every zero, the
+    subdivision search (``_subdivision_zeros``) decides.  Zeros are
+    returned reduced to {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
     """
     sigma = mod.sigma
     total = sum(m for _, m in poles)
-    if expected is None or expected == total:
-        for corner, poles_uv in islice(_contour_corners(poles, sigma), MOMENT_CORNERS):
-            found = _moment_zeros(hd, corner, sigma, poles_uv, total, _newton_tol(sigma))
-            if found is not None:
-                return [_cell_representative(r, sigma) for r in found]
-    return _subdivision_zeros(mod, hd, poles, expected)
+    for corner, poles_uv in islice(_contour_corners(poles, sigma), MOMENT_CORNERS):
+        found = _moment_zeros(hd, corner, sigma, poles_uv, total, _newton_tol(sigma))
+        if found is not None:
+            return [_cell_representative(r, sigma) for r in found]
+    return _subdivision_zeros(mod, hd, poles)
 
 
 def _subdivision_zeros(
     mod: Modulus,
     hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     poles: Sequence[tuple[complex, int]],
-    expected: int | None = None,
 ) -> list[complex]:
     """``elliptic_zeros`` by the argument principle and adaptive subdivision.
 
     The winding of h around the translated cell contour, plus the enclosed
-    poles, fixes the zero count; adaptive cell subdivision plus Newton
-    polishing localizes the zeros.  A count equal to the pole count but not
-    to ``expected`` raises ``CountMismatchError``; when no contour works,
-    ``ContourClashError``.
+    poles, gives the zero count, which must equal the pole count; adaptive
+    cell subdivision plus Newton polishing localizes the zeros.  When no
+    contour works, ``ContourClashError``.
     """
     sigma = mod.sigma
-    pole_count = sum(m for _, m in poles)
-    target = pole_count if expected is None else expected
+    target = sum(m for _, m in poles)
 
     last_trouble = "no admissible contour"
     for corner, poles_uv in _contour_corners(poles, sigma):
@@ -910,10 +873,6 @@ def _subdivision_zeros(
             last_trouble = str(exc)
             continue
         if total != target:
-            if expected is not None and total == pole_count:
-                raise CountMismatchError(
-                    f"argument principle counts {total} zeros, expected {expected}"
-                )
             last_trouble = f"count {total} != {target}"
             continue
         try:

@@ -49,6 +49,7 @@ __all__ = [
 
 Covering = Covering0 | Covering1
 DEFAULT_FD_STEP = 1e-5
+SWEEP_STEPS = 5  # odd: the middle step is the covering itself
 COND_LIMIT = 1e8
 
 
@@ -269,10 +270,11 @@ def parameter_derivatives(
     """
     model = (cover0, cover1)[covering.genus]
     base = _bundle_arrays(bundle_fn(covering))
+    table = model.params(covering)
     paths = model.deformation_params(covering)
     derivs: dict[str, list[np.ndarray]] = {k: [] for k in base}
     for path in paths:
-        v0 = model.get_param(covering, path)
+        v0 = table[path]
         h = rel_step * max(1.0, abs(v0))
         if h < 1e-13 * max(1.0, abs(v0)):
             raise StepUnderflowError(f"step underflow for {path}")
@@ -291,10 +293,10 @@ def deformation_jacobian(covering: Covering, rel_step: float = DEFAULT_FD_STEP) 
     bundle = lambda cov: {"lam": analyze(cov, base=an).lam}
     _, paths, derivs = parameter_derivatives(covering, bundle, rel_step)
     jac = derivs["lam"].T  # (M, P)
-    model = (cover0, cover1)[covering.genus]
+    table = (cover0, cover1)[covering.genus].params(covering)
     return DeformationJacobian(
         params=tuple(paths),
-        values=tuple(model.get_param(covering, p) for p in paths),
+        values=tuple(table[p] for p in paths),
         dlambda_dparams=jac,
         condition=float(np.linalg.cond(jac)),
     )
@@ -372,22 +374,19 @@ def check_bundle(base: Analysis) -> Callable[[Covering], dict]:
 def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
     """d(top tail of pole s)/d theta, shape (P, S).
 
-    A path moves its own pole's top tail.  Where the last residue is not a
-    parameter of its own (genus 1: it absorbs the residue constraint), a
-    residue path also moves it, and it is the top tail of a simple last pole.
+    A path moves its own pole's top tail.  A top tail that is not a path is
+    the residue of a simple last pole that the residue constraint fixes
+    (genus 1): every other residue path moves it, with weight -1.
     """
     poles = an.covering.poles
-    rebalanced = f"poles.{len(poles) - 1}.c.0" not in paths
+    row = {path: j for j, path in enumerate(paths)}
     out = np.zeros((len(paths), len(poles)))
-    for j, path in enumerate(paths):
-        parts = path.split(".")
-        if parts[0] != "poles" or parts[2] != "c":
-            continue
-        i, a = int(parts[1]), int(parts[3])
-        if a == poles[i].order - 1:
-            out[j, i] = 1.0
-        if rebalanced and a == 0 and poles[-1].order == 1:
-            out[j, -1] = -1.0
+    for i, pole in enumerate(poles):
+        top = f"poles.{i}.c.{pole.order - 1}"
+        if top in row:
+            out[row[top], i] = 1.0
+        else:
+            out[[row[f"poles.{r}.c.0"] for r in range(i)], i] = -1.0
     return out
 
 
@@ -493,14 +492,17 @@ class IdentityCheck:
         return self.error < self.tol
 
 
-def _sweep_coverings(covering: Covering, path: str, steps: int, spread: float = 0.12,
-                     phase: float = 0.6) -> list[Covering]:
+def _sweep_coverings(covering: Covering, path: str, phase: float) -> list[Covering]:
+    """The identity sweep's SWEEP_STEPS steps but the middle one, ``covering`` itself.
+
+    ``path`` moves by up to 5% of max(1, |value|) either way, along ``phase``.
+    """
     model = (cover0, cover1)[covering.genus]
-    v0 = model.get_param(covering, path)
-    delta = spread * max(1.0, abs(v0)) * cmath.exp(1j * phase)
+    v0 = model.params(covering)[path]
+    delta = 0.1 * max(1.0, abs(v0)) * cmath.exp(1j * phase)
     return [
-        model.set_param(covering, path, v0 + delta * (s / (steps - 1) - 0.5))
-        for s in range(steps)
+        model.set_param(covering, path, v0 + delta * (s / (SWEEP_STEPS - 1) - 0.5))
+        for s in range(SWEEP_STEPS) if s != SWEEP_STEPS // 2
     ]
 
 
@@ -574,7 +576,7 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     model = (cover0, cover1)[covering.genus]
-    v0 = model.get_param(covering, path)
+    v0 = model.params(covering)[path]
     coverings = [
         model.set_param(covering, path, v0 + (target - v0) * (s / (steps - 1)))
         for s in range(steps)
@@ -604,19 +606,16 @@ def identity_report(
     covering: Covering,
     tol: float | None = None,
     seed: int = 42,
-    sweep_steps: int = 5,
 ) -> list[IdentityCheck]:
     """Run every applicable differential/closed-form identity at one point.
 
     Gradient identities use the exact lambda derivatives of the one
     analysis; the cross-route constancy identities run a short
-    deterministic parameter sweep around the instance.  A not-None ``tol``
-    replaces every default.  ``sweep_steps`` must be at least 2.  A covering
+    deterministic parameter sweep of SWEEP_STEPS coverings around the
+    instance.  A not-None ``tol`` replaces every default.  A covering
     whose critical points sit too near a pole to verify (the model's
     ``reject_ill_conditioned``) raises ``OnBoundaryError``.
     """
-    if sweep_steps < 2:
-        raise ValueError(f"sweep_steps must be at least 2, got {sweep_steps}")
     an = analyze(covering)
     (cover0, cover1)[covering.genus].reject_ill_conditioned(covering, an.pts)
     iso = build_isomonodromy(covering, an)
@@ -686,16 +685,14 @@ def identity_report(
     rng = np.random.default_rng(seed)
     path = (cover0, cover1)[covering.genus].default_sweep_param(covering)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    sweep = _sweep_coverings(covering, path, sweep_steps, spread=0.1, phase=phase)
+    sweep = _sweep_coverings(covering, path, phase)
     # walk outward from the base point, whose critical points seed both
-    # halves; an odd sweep is centred on the covering itself, whose row comes
-    # from the analysis already made
-    mid = sweep_steps // 2
-    rows = _route_rows(sweep[:mid][::-1], an.pts)[::-1]
-    if sweep_steps % 2:
-        rows.append(_route_row(covering, an.critical))
-        mid += 1
-    rows += _route_rows(sweep[mid:], an.pts)
+    # halves; the middle step is the covering itself, whose row comes from
+    # the analysis already made
+    mid = SWEEP_STEPS // 2
+    rows = (_route_rows(sweep[:mid][::-1], an.pts)[::-1]
+            + [_route_row(covering, an.critical)]
+            + _route_rows(sweep[mid:], an.pts))
     ratios = [row["route_ratio"] for row in rows]
     factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
     checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),

@@ -129,7 +129,7 @@ def _newton_polish(p: CPoly, z: complex, tol_abs: float) -> complex:
     return z
 
 
-def all_roots(p: CPoly, max_iter: int = ABERTH_MAX_ITER) -> RootSet:
+def all_roots(p: CPoly) -> RootSet:
     """All roots of ``p`` (with multiplicity) by simultaneous iteration.
 
     Aberth-Ehrlich from a scaled circle of initial guesses, then a Newton
@@ -157,7 +157,7 @@ def all_roots(p: CPoly, max_iter: int = ABERTH_MAX_ITER) -> RootSet:
     # of roots per iteration, numpy's per-call overhead and the general
     # eval_derivatives cost more than the arithmetic
     high_first = p.coeffs[::-1]
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         steps = []
         for i, z in enumerate(zs):
             val = der = 0j

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from hurwitztau import cli
-from hurwitztau.cli import covering_to_spec, load_covering, main, spec_to_covering
-from hurwitztau.samples import builtin_example
+from hurwitztau import cli, cover1
+from hurwitztau.cli import covering_to_spec, load_covering, main
+from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,6 +26,18 @@ def _a2_file(tmp_path):
 
 def _h12_file(tmp_path):
     return _write(tmp_path, "h12.json", covering_to_spec(builtin_example("h12")))
+
+
+# two finite poles at each genus, next to the one-pole built-in examples
+TWO_POLES = {
+    "g0_2poles": lambda: random_covering0((2, 1, 1), 3),
+    "g1_2poles": lambda: random_covering1((1, 1), 3),
+}
+
+
+def _spec_file(tmp_path, name):
+    cov = TWO_POLES[name]() if name in TWO_POLES else builtin_example(name)
+    return _write(tmp_path, f"{name}.json", covering_to_spec(cov))
 
 
 class TestAnalyze:
@@ -119,6 +131,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "0"), ("--seed", "-1"),
+    ])
+    def test_bad_option_exits_2(self, option, value, tmp_path, capsys):
+        rc = main(["check", _a2_file(tmp_path), option, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and option in captured.err
 
     def test_deterministic_under_seed(self, tmp_path, capsys):
         f = _a2_file(tmp_path)
@@ -226,9 +248,14 @@ class TestSweep:
     @pytest.mark.parametrize("spec, param", [
         ("a2", "nope"), ("a2", "poly_coeffs.9"), ("a2", "poles.0.b"),
         ("h12", "nope"), ("h12", "poles.3.b"), ("h12", "poles.0.c.7"), ("h12", "poles.x.b"),
+        # not in the parameter table: the constrained last residue, negative
+        # indices and trailing parts
+        ("h12", "poles.0.c.0"), ("g1_2poles", "poles.1.c.0"), ("a2", "poly_coeffs.-1"),
+        ("h12", "poles.0.b.x"), ("h12", "modulus.x"),
+        ("g0_2poles", "poles.-1.b"), ("g1_2poles", "poles.-1.b"),
     ])
     def test_unknown_param_exits_2(self, spec, param, tmp_path, capsys):
-        path = _write(tmp_path, f"{spec}.json", covering_to_spec(builtin_example(spec)))
+        path = _spec_file(tmp_path, spec)
         rc = main(["sweep", path, "--param", param, "--to", "0.3,0.2", "--steps", "3"])
         captured = capsys.readouterr()
         assert rc == 2
@@ -273,6 +300,16 @@ class TestSweep:
             "--to=-0.7,-0.4", "--steps", "10",
         ])
         assert rc == 5
+
+    @pytest.mark.parametrize("param, shift", [("poles.0.b", 0.05 + 0.02j), ("modulus", 0.03 + 0.02j)])
+    def test_genus1_first_pole_and_modulus_sweep(self, param, shift, tmp_path, capsys):
+        # poles.0.b is not a deformation parameter (translations), but it is in the table
+        cov = builtin_example("h12")
+        to = cover1.params(cov)[param] + shift
+        rc = main(["sweep", _h12_file(tmp_path), "--param", param,
+                   "--to", f"{to.real},{to.imag}", "--steps", "3", "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["max_drift"]["route_ratio"] < 1e-7
 
     def test_genus1_ratio_constancy(self, tmp_path, capsys):
         path = _h12_file(tmp_path)
@@ -386,6 +423,13 @@ class TestExample:
         rc = main(["example", "nope"])
         assert rc == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        rc = main(["example", "h0_surf", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--seed" in captured.err
+
     def test_seeded_generator_deterministic(self, capsys):
         main(["example", "h0_surf", "--seed", "5"])
         doc1 = capsys.readouterr().out
@@ -393,10 +437,3 @@ class TestExample:
         doc2 = capsys.readouterr().out
         assert doc1 == doc2
 
-
-class TestEnvOverrides:
-    def test_truncation_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HURWITZ_TRUNC", "99")
-        doc = covering_to_spec(builtin_example("h12"))
-        cov = spec_to_covering(doc)
-        assert cov.modulus.truncation == 99

@@ -10,10 +10,8 @@ import oracles
 from hurwitztau import elliptic
 from hurwitztau.elliptic import (
     Modulus,
-    SigmaProduct,
     WeierstrassContext,
     dedekind_eta,
-    elliptic_resultant,
     elliptic_zeros,
     eta_tilde,
     g_invariants,
@@ -184,6 +182,16 @@ class TestWeierstrass:
         rhs = -sigma_w(ctx, z) * cmath.exp(eta1 * (z + 0.5))
         assert abs(lhs - rhs) / abs(lhs) < 1e-9
 
+    def test_sigma_vanishes_on_the_lattice_only(self):
+        # exactly representable modulus so the lattice translate is exact;
+        # the quasi-periodic growth of sigma_w amplifies any representation
+        # dust on the point
+        ctx = _ctx(0.25 + 1.0j)
+        s = ctx.modulus.sigma
+        assert abs(sigma_w(ctx, -2 - 3 * s)) < 1e-10
+        assert 0 < abs(sigma_w(ctx, -1 - s - 1e-9)) < 1e-3  # near miss
+        assert abs(sigma_w(ctx, -0.37)) > 1e-6
+
     def test_zeta_derivs_consistent(self):
         ctx = _ctx(0.2 + 1.3j)
         z = 0.41 + 0.18j
@@ -223,55 +231,6 @@ class TestContextVerification:
         monkeypatch.setattr(elliptic, "_split_lattice", unreduced)
         with pytest.raises(ValueError, match="Legendre relation failed"):
             ctx._verify()
-
-
-class TestEllipticResultant:
-    def test_single_factor(self):
-        ctx = _ctx(0.3 + 1.1j)
-        a, b = 0.31 + 0.2j, 0.62 + 0.4j
-        F = SigmaProduct(1.0, (a,))
-        G = SigmaProduct(1.0, (b,))
-        r = elliptic_resultant(ctx, F, G)
-        assert abs(r - sigma_w(ctx, a - b)) < 1e-13
-
-    def test_antisymmetry(self):
-        ctx = _ctx(0.3 + 1.1j)
-        rng = np.random.default_rng(4)
-        s = ctx.modulus.sigma
-        for _ in range(4):
-            fz = tuple(complex(u, 0) + v * s for u, v in rng.uniform(0.05, 0.95, size=(3, 2)))
-            gz = tuple(complex(u, 0) + v * s for u, v in rng.uniform(0.05, 0.95, size=(2, 2)))
-            F = SigmaProduct(1.3 - 0.2j, fz)
-            G = SigmaProduct(0.4 + 1.1j, gz)
-            r1 = elliptic_resultant(ctx, F, G)
-            r2 = elliptic_resultant(ctx, G, F) * (-1) ** (len(fz) * len(gz))
-            assert abs(r1 - r2) / abs(r1) < 1e-10
-
-    def test_vanishes_iff_common_zero_mod_lattice(self):
-        # exactly representable modulus so the lattice translate is exact;
-        # the quasi-periodic growth of sigma_w amplifies any representation
-        # dust on the shared zero
-        ctx = _ctx(0.25 + 1.0j)
-        s = ctx.modulus.sigma
-        shared = 0.375 + 0.25 * s
-        F = SigmaProduct(1.0, (shared, 0.1 + 0.2j))
-        G = SigmaProduct(2.0, (shared + 2 + 3 * s,))  # same zero mod lattice
-        assert abs(elliptic_resultant(ctx, F, G)) < 1e-10
-        G2 = SigmaProduct(2.0, (shared + 1 + s + 1e-9,))  # near miss
-        near = abs(elliptic_resultant(ctx, F, G2))
-        assert 0 < near < 1e-3
-        G3 = SigmaProduct(2.0, (shared + 0.37,))
-        assert abs(elliptic_resultant(ctx, F, G3)) > 1e-6
-
-    def test_permutation_invariance(self):
-        ctx = _ctx(0.3 + 1.1j)
-        zs = (0.2 + 0.1j, 0.5 + 0.4j, 0.7 + 0.2j)
-        F1 = SigmaProduct(1.1, zs)
-        F2 = SigmaProduct(1.1, (zs[2], zs[0], zs[1]))
-        G = SigmaProduct(0.9, (0.3 + 0.5j, 0.8 + 0.1j))
-        r1 = elliptic_resultant(ctx, F1, G)
-        r2 = elliptic_resultant(ctx, F2, G)
-        assert abs(r1 - r2) < 1e-12 * abs(r1)
 
 
 class TestEllipticZeros:

@@ -143,7 +143,7 @@ class TestOneAnalysis:
         calls = []
         real = cover0.p_prime_as_ratio
         monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda c: calls.append(c) or real(c))
-        isomon.identity_report(cov, sweep_steps=5)
+        isomon.identity_report(cov)
         # the base analysis, then one per sweep step; the middle step is the
         # covering itself and reuses the base analysis
         assert len(calls) == 1 + 4
@@ -154,7 +154,7 @@ class TestPartials:
 
     @staticmethod
     def _fd(cov, path, z, evaluate, setter):
-        v0 = (cover0 if cov.genus == 0 else cover1).get_param(cov, path)
+        v0 = (cover0, cover1)[cov.genus].params(cov)[path]
         h = 1e-5 * max(1.0, abs(v0))
         rows = [np.asarray(evaluate(setter(cov, path, v0 + s * h), z)) for s in (2, 1, -1, -2)]
         return (8.0 * (rows[1] - rows[2]) - (rows[0] - rows[3])) / (12.0 * h)

@@ -149,9 +149,9 @@ class TestDeformationEngine:
         cov = random_covering0((2, 1), seed=14)
         an = isomon.analyze(cov)
         path = "poles.0.c.0"
-        from hurwitztau.cover0 import get_param, set_param
+        from hurwitztau.cover0 import params, set_param
 
-        v0 = get_param(cov, path)
+        v0 = params(cov)[path]
 
         def h1(value):
             c2 = set_param(cov, path, value)
@@ -223,11 +223,6 @@ class TestIdentityReport:
         assert "modulus-flow" in {c.name for c in checks}
         for c in checks:
             assert c.passed, f"{c.name}: {c.error} >= {c.tol}"
-
-    @pytest.mark.parametrize("steps", [-1, 0, 1])
-    def test_too_few_sweep_steps_raise(self, a2, steps):
-        with pytest.raises(ValueError, match="sweep_steps"):
-            isomon.identity_report(a2, sweep_steps=steps)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_too_few_sweep_ratio_steps_raise(self, a2, steps):

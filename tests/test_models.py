@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hurwitztau
 import oracles
 from hurwitztau import cover0, cover1, errors
-from hurwitztau.samples import random_covering0
+from hurwitztau.samples import random_covering0, random_covering1
 
 MODEL_NAMES = [
     "critical_data",
@@ -24,8 +24,8 @@ MODEL_NAMES = [
     "flat_coords",
     "eval_p_derivs",
     "eval_param_derivs",
+    "params",
     "deformation_params",
-    "get_param",
     "set_param",
     "tau_product",
     "tau_resultant",
@@ -34,8 +34,9 @@ MODEL_NAMES = [
     "euler_scaling_expected",
     "default_sweep_param",
 ]
-# the genus-0 profiles of the benchmark pool
+# the genus-0 and genus-1 profiles of the benchmark pool
 POOL_PROFILES = [(3,), (4,), (2, 1), (2, 2), (3, 2), (2, 1, 1), (3, 3), (2, 3), (4, 2), (3, 1, 1)]
+GENUS1_PROFILES = [(2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1)]
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -45,6 +46,18 @@ def test_both_genera_define_the_name_alike(name):
     assert list(sig0.parameters) == list(sig1.parameters)
     assert [p.default for p in sig0.parameters.values()] == [
         p.default for p in sig1.parameters.values()]
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_set_param_to_its_own_value_keeps_the_table(genus, data):
+    profile = data.draw(st.sampled_from((POOL_PROFILES, GENUS1_PROFILES)[genus]))
+    cov = (random_covering0, random_covering1)[genus](profile, data.draw(st.integers(0, 10_000)))
+    model = (cover0, cover1)[genus]
+    table = model.params(cov)
+    for path, value in table.items():
+        assert model.params(model.set_param(cov, path, value)) == table, path
 
 
 def test_every_error_type_is_exported():

@@ -27,11 +27,11 @@ PROFILES = [(2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (4,), (4, 1)]
 
 
 def _search_args(cov):
-    """(modulus, hd, pole divisor, expected) of the search for the zeros of p'."""
+    """(modulus, hd, pole divisor) of the search for the zeros of p'."""
     def hd(z):
         return cover1.eval_p_derivs(cov, z, 2)[1:]
 
-    return cov.modulus, hd, [(p.b, p.order + 1) for p in cov.poles], cov.dim
+    return cov.modulus, hd, [(p.b, p.order + 1) for p in cov.poles]
 
 
 class _OverBudget(Exception):
@@ -100,19 +100,19 @@ class TestMomentStage:
     @SETTINGS
     @given(coverings())
     def test_agrees_with_subdivision(self, cov):
-        mod, hd, poles, m = _search_args(cov)
+        mod, hd, poles = _search_args(cov)
         try:
-            want = elliptic._subdivision_zeros(mod, _budgeted(hd, 2000), poles, m)
+            want = elliptic._subdivision_zeros(mod, _budgeted(hd, 2000), poles)
         except (HurwitzError, _OverBudget):  # no reference for this covering
             assume(False)
         sigma = mod.sigma
         tol = elliptic._newton_tol(sigma)
         corners = list(elliptic._contour_corners(poles, sigma))[: elliptic.MOMENT_CORNERS]
         for corner, poles_uv in corners:
-            got = elliptic._moment_zeros(hd, corner, sigma, poles_uv, m, tol)
+            got = elliptic._moment_zeros(hd, corner, sigma, poles_uv, cov.dim, tol)
             if got is not None:
                 _assert_same_zeros(got, want, hd, poles, sigma)
-        _assert_same_zeros(elliptic_zeros(mod, hd, poles, m), want, hd, poles, sigma)
+        _assert_same_zeros(elliptic_zeros(mod, hd, poles), want, hd, poles, sigma)
 
     @pytest.mark.parametrize("name,cov", [
         ("h12", builtin_example("h12")),
@@ -121,9 +121,9 @@ class TestMomentStage:
         ("g1(4)", random_covering1((4,), 3)),
     ])
     def test_one_contour_call_and_a_short_polish(self, name, cov):
-        mod, hd, poles, m = _search_args(cov)
+        mod, hd, poles = _search_args(cov)
         calls = []
-        elliptic_zeros(mod, lambda z: calls.append(len(z)) or hd(z), poles, m)
+        elliptic_zeros(mod, lambda z: calls.append(len(z)) or hd(z), poles)
         # the moment quadrature on two edges, then one Newton step per call
         assert calls[0] == 2 * elliptic.GAUSS_NODES
         assert len(calls) <= 12
@@ -136,10 +136,10 @@ class TestFallback:
         ("g1(4,1)", random_covering1((4, 1), 14)),
     ])
     def test_failed_moment_stage_is_the_subdivision_search(self, name, cov, monkeypatch):
-        mod, hd, poles, m = _search_args(cov)
-        want = elliptic._subdivision_zeros(mod, hd, poles, m)
+        mod, hd, poles = _search_args(cov)
+        want = elliptic._subdivision_zeros(mod, hd, poles)
         monkeypatch.setattr(elliptic, "_moment_zeros", lambda *args: None)
-        assert elliptic_zeros(mod, hd, poles, m) == want
+        assert elliptic_zeros(mod, hd, poles) == want
 
     def test_double_zero_falls_back_after_bounded_attempts(self, monkeypatch):
         # wp - e1 has a double zero at 1/2: its two Newton lanes meet, so no
@@ -161,10 +161,3 @@ class TestFallback:
         assert len(moment_runs) == elliptic.MOMENT_CORNERS == 3
         assert max_iters[:3] == moment_runs and elliptic.MOMENT_NEWTON_STEPS == 20
         assert len(zs) == 2 and max(abs(z - 0.5) for z in zs) < 1e-8
-
-    def test_expected_other_than_pole_count_skips_the_moment_stage(self, monkeypatch):
-        cov = builtin_example("h12")
-        mod, hd, poles, m = _search_args(cov)
-        monkeypatch.setattr(elliptic, "_moment_zeros", pytest.fail)
-        with pytest.raises(HurwitzError):
-            elliptic_zeros(mod, hd, poles, m + 1)
