@@ -27,19 +27,15 @@ from .errors import (
     NonConvergenceError,
     OnBoundaryError,
     SlopeUnstableError,
-    StepUnderflowError,
 )
 from .isomon import (
     Analysis,
-    DeformationJacobian,
     IsomonodromyData,
     analyze,
     bergmann_values,
     build_isomonodromy,
-    euler_unit_checks,
     exact_lambda_derivatives,
     identity_report,
-    lambda_derivative,
     lambda_derivatives,
 )
 from .poly import CPoly, RootSet, all_roots, resultant
@@ -59,14 +55,11 @@ __all__ = [
     "resultant",
     "Analysis",
     "IsomonodromyData",
-    "DeformationJacobian",
     "analyze",
     "bergmann_values",
     "build_isomonodromy",
-    "euler_unit_checks",
     "exact_lambda_derivatives",
     "identity_report",
-    "lambda_derivative",
     "lambda_derivatives",
     "builtin_example",
     "random_covering0",
@@ -84,5 +77,4 @@ __all__ = [
     "NonConvergenceError",
     "OnBoundaryError",
     "SlopeUnstableError",
-    "StepUnderflowError",
 ]

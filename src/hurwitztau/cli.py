@@ -15,17 +15,18 @@ both define.
 
 Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error
-(an unreadable spec; a ``--tol`` that is not positive and finite; a
-negative ``--seed``; or a ``sweep`` path that is not in the covering's
-parameter table, a target that is not two finite numbers or fewer than
-2 steps),
+(an unreadable spec, one with a non-finite number included; a ``--tol``
+that is not positive and finite; a negative ``--seed``; or a ``sweep``
+path that is not in the covering's parameter table, a target that is not
+two finite numbers or fewer than 2 steps),
 3 boundary point (a spec on the boundary is rejected when it is loaded, by
 every command; ``analyze`` and ``check`` also reject critical data too near
 a pole to verify, the model's ``reject_ill_conditioned``), 4 caustic under
 --strict, 5 sweep left the moduli space,
 6 numerical failure (any other ``HurwitzError``, such as coincident
-critical points), each with a one-line message on stderr.  A reader that
-closes the output pipe early (``| head``) ends the command quietly with 0.
+critical points, or a floating-point overflow), each with a one-line
+message on stderr.  A reader that closes the output pipe early (``| head``)
+ends the command quietly with 0.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def _c2pair(z: complex) -> list[float]:
 def _pair2c(v, where: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ValueError(f"{where}: complex values are [re, im] pairs, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    z = complex(float(v[0]), float(v[1]))
+    if not cmath.isfinite(z):  # json reads NaN and Infinity
+        raise ValueError(f"{where}: complex values are finite, got {v!r}")
+    return z
 
 
 def covering_to_spec(cov: Covering0 | Covering1) -> dict:
@@ -102,6 +106,8 @@ def spec_to_covering(doc: dict) -> Covering0 | Covering1:
         )
         return cover0.reject_near_s2(Covering0(profile, coeffs, poles))
     if genus == 1:
+        if profile != (orders := tuple(p.order for p in poles)):
+            raise ValueError(f"profile {list(profile)} is not the pole orders {list(orders)}")
         mod = Modulus(_pair2c(doc["modulus"], "modulus"))
         return Covering1(mod, _pair2c(doc["constant"], "constant"), poles)
     raise ValueError(f"genus must be 0 or 1, got {genus!r}")
@@ -427,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except CommonRootError as exc:
         print(f"boundary point: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
-    except HurwitzError as exc:
+    except (HurwitzError, OverflowError) as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -36,13 +36,10 @@ from .poly import CPoly, all_roots, log_resultant, resultant
 __all__ = [
     "Pole",
     "Covering0",
-    "Diagnostics0",
     "CriticalData0",
     "FlatCoords0",
     "TauProduct",
     "TauResultant",
-    "GFunction",
-    "validate",
     "reject_near_s2",
     "reject_ill_conditioned",
     "eval_p_derivs",
@@ -53,7 +50,6 @@ __all__ = [
     "flat_coords",
     "tau_product",
     "tau_resultant",
-    "g_function",
     "caustic_orders",
     "principal_root",
 ]
@@ -155,26 +151,6 @@ class Covering0:
     def dim(self) -> int:
         """Moduli dimension M = l + N - 2."""
         return len(self.profile) + self.degree - 2
-
-
-@dataclass(frozen=True)
-class Diagnostics0:
-    dim: int
-    min_pole_gap: float
-    min_top_tail: float
-
-
-def validate(c: Covering0) -> Diagnostics0:
-    """Distances of the covering to both boundary components.
-
-    S1 is the coincident-pole locus, S2 the vanishing-top-tail locus; a
-    covering on either is rejected at construction.
-    """
-    return Diagnostics0(
-        dim=c.dim,
-        min_pole_gap=min((abs(p.b - q.b) for p, q in combinations(c.poles, 2)), default=math.inf),
-        min_top_tail=min((abs(p.top) for p in c.poles), default=math.inf),
-    )
 
 
 def reject_near_s2(c: Covering0, tol: float = BOUNDARY_TOL) -> Covering0:
@@ -335,7 +311,10 @@ def frame_data(d: np.ndarray) -> tuple[list[complex], np.ndarray, np.ndarray, fl
     2/p'' and the Schwarzian (2 beta^2 - 3 alpha gamma)/alpha^3 comes from the
     cubic Taylor data of p' there.  Critical values closer than
     CAUSTIC_REL_TOL (relative) flag the caustic, with a ``CausticWarning``.
+    Rows that overflow double precision raise ``OverflowError``.
     """
+    if not np.isfinite(d).all():
+        raise OverflowError("p and its derivatives overflow at the critical points")
     al, be, ga = d[2], d[3] / 2.0, d[4] / 6.0
     lam = d[0].tolist()
     min_lgap = min((abs(a - b) for a, b in combinations(lam, 2)), default=math.inf)
@@ -411,8 +390,9 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
                     raise CountMismatchError("seeded roots collapsed onto each other")
 
     fc = flat_coords(c)
-    res_fg = complex(resultant(f, g))
+    # before the determinant: huge tails overflow here as an OverflowError, not a warning
     denom = factorization_denominator(c, fc)
+    res_fg = complex(resultant(f, g))
     scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
     for a in pts:
         for pole in c.poles:
@@ -480,6 +460,9 @@ def route_a(ks, log_fsq, log_h, log_t, log_eta: complex = 0) -> TauProduct:
     log tau^-48 = 48 log eta + 2 sum (k_s+1) log h_s - sum log f_m^2 and
     G = -log eta - (1/24) sum (k_s+1) log t_s, over the poles s with orders
     ``ks``.  The 48th inverse power is assembled from branch-free squares.
+
+    ``g_from_jacobian`` = log(tau / J^(1/24)), J = prod f_m, is G + (1/24) sum (k_s+1)
+    log(t_s / h_s), a profile constant: log(t_s / h_s) = log k_s at genus 0, 0 at genus 1.
     """
     log_f = sum(0.5 * v for v in log_fsq)
     log_hk = sum((k + 1) * lh for k, lh in zip(ks, log_h))
@@ -507,10 +490,8 @@ def principal_route_a(c, fsq, fc, log_eta: complex = 0) -> TauProduct:
     )
 
 
-def tau_product(c: Covering0, cd: CriticalData0 | None = None) -> TauProduct:
+def tau_product(c: Covering0, cd: CriticalData0) -> TauProduct:
     """Route A: log tau = (1/24) [sum log f_m - sum (k_s+1) log h_s], principal branches."""
-    if cd is None:
-        cd = critical_data(c)
     return principal_route_a(c, cd.fsq, flat_coords(c))
 
 
@@ -522,13 +503,13 @@ class TauResultant:
     tau_inv48: complex
 
 
-def tau_resultant(c: Covering0, cd: CriticalData0 | None = None) -> TauResultant:
+def tau_resultant(c: Covering0, cd: CriticalData0) -> TauResultant:
     """tau^(-48) = R(f, f') / [prod (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2))].
 
-    Needs no root finding; vanishes exactly on the caustic R(f, f') = 0.
-    With ``cd`` given, its already-built numerator f is reused.
+    Uses no root of f, only its coefficients (``cd.numerator``); vanishes
+    exactly on the caustic R(f, f') = 0.
     """
-    f = cd.numerator if cd is not None else p_prime_as_ratio(c)[0]
+    f = cd.numerator
     log_r = log_resultant(f, f.derivative())
     if log_r.real == -math.inf:
         return TauResultant(log_tau_inv48=complex(-math.inf), tau_inv48=0j)
@@ -544,23 +525,6 @@ def tau_resultant(c: Covering0, cd: CriticalData0 | None = None) -> TauResultant
         denom += (k + 1) * (k - 2) * cmath.log(t)
     log48 = log_r - denom
     return TauResultant(log_tau_inv48=log48, tau_inv48=cmath.exp(log48))
-
-
-@dataclass(frozen=True)
-class GFunction:
-    g_value: complex
-    gamma: complex
-    g_from_jacobian: complex
-
-
-def g_function(c: Covering0, cd: CriticalData0 | None = None) -> GFunction:
-    """G = -(1/24) sum_{i>=2} (k_i+1) log t_i and its scaling anomaly ``gamma``.
-
-    ``g_from_jacobian`` differs from the closed form by the profile constant
-    -(1/24) sum (k_i+1) log k_i, from t_i = k_i h_i.
-    """
-    tp = tau_product(c, cd)
-    return GFunction(g_value=tp.G, gamma=gamma(c), g_from_jacobian=tp.g_from_jacobian)
 
 
 def gamma(c: Covering0) -> complex:

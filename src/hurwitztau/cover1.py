@@ -21,7 +21,6 @@ from itertools import islice
 import numpy as np
 
 from .cover0 import (
-    GFunction,
     Pole,
     TauProduct,
     check_pole_gaps,
@@ -62,7 +61,6 @@ __all__ = [
     "flat_coords",
     "tau_product",
     "tau_resultant",
-    "g_function",
 ]
 
 RESIDUE_TOL = 1e-12
@@ -92,6 +90,8 @@ class Covering1:
         )
         if not self.poles:
             raise ValueError("need at least one pole")
+        if any(p.order < 1 for p in self.poles):
+            raise ValueError("every pole needs at least one tail coefficient")
         res = sum(p.c[0] for p in self.poles)
         scale = max(max(abs(v) for v in p.c) for p in self.poles)
         if abs(res) > RESIDUE_TOL * max(1.0, scale):
@@ -216,7 +216,8 @@ def _sort_cell_points(pts: list[complex], sigma: complex) -> list[complex]:
 def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> CriticalData1:
     """All M = l + N zeros of p' in the fundamental cell, with frame data.
 
-    Zeros come from the argument-principle subdivision search, or by Newton
+    Zeros come from the global search ``elliptic.elliptic_zeros`` (contour
+    moments seeding Newton, with subdivision as its fallback), or by Newton
     continuation from ``seeds``, where M converged, distinct lanes are all M
     zeros and unconverged or collapsed lanes raise ``CountMismatchError``.
     """
@@ -286,10 +287,13 @@ def flat_coords(c: Covering1) -> FlatCoords1:
     return FlatCoords1(t0=c.modulus.sigma, t=tuple(ts))
 
 
-def tau_product(c: Covering1, cd: CriticalData1 | None = None) -> TauProduct:
-    """Route A: log tau = -log eta + (1/24)[sum log f_m - sum_{s=1..l} (k_s+1) log h_s]."""
-    if cd is None:
-        cd = critical_data(c)
+def tau_product(c: Covering1, cd: CriticalData1) -> TauProduct:
+    """Route A: log tau = -log eta + (1/24)[sum log f_m - sum_{s=1..l} (k_s+1) log h_s].
+
+    G = -log eta(t0) - (1/24) sum_{i=1..l} (k_i+1) log t_i sums over every pole,
+    i = 1 included: G = log(tau / J^(1/24)) with J = prod f_m and E(G) = gamma
+    force it, and the order-2 one-pole family, tau^(-48) ~ t1^12 eta^72, confirms it.
+    """
     return principal_route_a(c, cd.fsq, flat_coords(c), log_dedekind_eta(c.modulus))
 
 
@@ -302,7 +306,7 @@ class TauResultant1:
     kappa: complex
 
 
-def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant1:
+def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
     """tau^(-48) as eta^48 f0^(2M) kappa / [prod sigma_w(b_i-b_j)^((k_i+1)(k_j+1))
     prod t_i^((k_i+1)(k_i-2))].
 
@@ -312,8 +316,6 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
     the pole divisor exactly, which makes the combination independent of the
     fundamental-cell choice.  kappa vanishes exactly on the caustic.
     """
-    if cd is None:
-        cd = critical_data(c)
     ctx = c.ctx
     sigma = c.modulus.sigma
     ks = c.profile
@@ -357,18 +359,6 @@ def tau_resultant(c: Covering1, cd: CriticalData1 | None = None) -> TauResultant
     return TauResultant1(
         log_tau_inv48=log48, tau_inv48=cmath.exp(log48), kappa=complex(kappa)
     )
-
-
-def g_function(c: Covering1, cd: CriticalData1 | None = None) -> GFunction:
-    """G = -log eta(t0) - (1/24) sum_{i=1..l} (k_i+1) log t_i and its anomaly ``gamma``.
-
-    The sum runs over every pole (including i = 1): this is forced by
-    G = log(tau / J^(1/24)) with J = prod f_m and by the Euler identity
-    E(G) = gamma, and is confirmed by the order-2 one-pole family where
-    tau^(-48) is proportional to t1^12 eta^72.
-    """
-    tp = tau_product(c, cd)
-    return GFunction(g_value=tp.G, gamma=gamma(c), g_from_jacobian=tp.g_from_jacobian)
 
 
 def gamma(c: Covering1) -> complex:

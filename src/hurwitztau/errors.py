@@ -28,7 +28,7 @@ class NoCriticalPointsError(HurwitzError):
 
 
 class CountMismatchError(HurwitzError):
-    """Located zeros disagree with the argument-principle count."""
+    """Seeded zeros were lost or merged, or miss the pole divisor modulo the lattice."""
 
 
 class OnBoundaryError(HurwitzError):
@@ -50,10 +50,6 @@ class CommonRootError(HurwitzError):
 
 class IllConditionedError(HurwitzError):
     """Deformation Jacobian is too ill-conditioned to invert."""
-
-
-class StepUnderflowError(HurwitzError):
-    """Finite-difference step underflowed the parameter scale."""
 
 
 class SlopeUnstableError(HurwitzError):

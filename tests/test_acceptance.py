@@ -122,7 +122,7 @@ def test_criterion_3_cubic_anchor(a2):
     # (and by hand series inversion): lambda -2 pairs with sb = +1/12,
     # H = +1/288; lambda +2 with the opposite signs, so that sum H = 0
     cd = cover0.critical_data(a2)
-    iso = isomon.build_isomonodromy(a2)
+    iso = isomon.build_isomonodromy(a2, isomon.analyze(a2))
     ok = len(cd.lam) == 2
     pairs = sorted(zip(cd.lam, cd.sb), key=lambda t: t[0].real)
     ok &= abs(pairs[0][0] + 2) < 1e-12 and abs(pairs[1][0] - 2) < 1e-12
@@ -195,8 +195,9 @@ def test_criterion_7_g_function_and_anomaly(battery_g0, battery_g1):
     rng = np.random.default_rng(77)
     for n in (3, 4, 5):
         coeffs = tuple(complex(rng.normal(), rng.normal()) for _ in range(n - 1))
-        gf = cover0.g_function(Covering0((n,), coeffs, ()))
-        ok &= gf.g_value == 0 and abs(gf.gamma) < 1e-14
+        cov = Covering0((n,), coeffs, ())
+        g = cover0.tau_product(cov, cover0.critical_data(cov)).G
+        ok &= g == 0 and abs(cover0.gamma(cov)) < 1e-14
     e = max(r["euler_anomaly"] for r in battery_g0 + battery_g1)
     ok &= e < 1e-5
     _verdict(
@@ -252,7 +253,7 @@ def test_criterion_9_caustic_behavior():
         for s in np.geomspace(1e-1, 1e-5, 7):
             tails = (cov.poles[0].c[0] * s,)
             c2 = Covering0(cov.profile, cov.poly_coeffs, (Pole(cov.poles[0].b, tails),))
-            mags.append(abs(cover0.tau_resultant(c2).tau_inv48))
+            mags.append(abs(cover0.tau_resultant(c2, cover0.critical_data(c2)).tau_inv48))
         ok &= all(a > b for a, b in zip(mags, mags[1:])) and mags[-1] / mags[0] < 1e-3
 
         cov2 = random_covering0((2, 1, 1), seed=42)

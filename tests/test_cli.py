@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,6 +194,52 @@ class TestSpecShape:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
+
+
+class TestSpecNumbers:
+    """Spec numbers must be finite, and each genus-1 pole must match the profile."""
+
+    H12 = {"genus": 1, "profile": [2], "modulus": [0.0, 1.1], "constant": [0.0, 0.0],
+           "poles": [{"b": [0.23, 0.31], "c": [[0.0, 0.0], [1.0, 0.05]]}]}
+    # json writes and reads NaN and Infinity, which are no covering's numbers
+    BAD = {
+        "nan-coefficient": {"genus": 0, "profile": [3], "poly_coeffs": [[math.nan, 0], [1, 0]],
+                            "poles": []},
+        "infinite-constant": {**H12, "constant": [math.inf, 0]},
+        "nan-pole": {"genus": 0, "profile": [1, 1], "poly_coeffs": [],
+                     "poles": [{"b": [math.nan, 0], "c": [[1, 0]]}]},
+        "profile-mismatch": {**H12, "profile": [7, 3]},
+        "empty-tail": {**H12, "profile": [2, 0],
+                       "poles": [*H12["poles"], {"b": [0.5, 0.5], "c": []}]},
+    }
+    # numbers that overflow double precision on the way to the critical data
+    HUGE = {
+        "coefficients-1e308": {"genus": 0, "profile": [3], "poly_coeffs": [[1e308, 0], [1e308, 0]],
+                               "poles": []},
+        "tail-1e300": {"genus": 0, "profile": [2, 2], "poly_coeffs": [[0.3, 0]],
+                       "poles": [{"b": [0.5, 0], "c": [[0.2, 0], [1e300, 0]]}]},
+    }
+    COMMANDS = pytest.mark.parametrize("command", [["check"], ["analyze", "--json"]],
+                                       ids=["check", "analyze"])
+
+    @COMMANDS
+    @pytest.mark.parametrize("name", list(BAD))
+    def test_bad_spec_exits_2(self, command, name, tmp_path, capsys):
+        rc = main([command[0], _write(tmp_path, "bad.json", self.BAD[name]), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
+
+    @COMMANDS
+    @pytest.mark.parametrize("name", list(HUGE))
+    @pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
+    def test_overflow_exits_6(self, command, name, tmp_path, capsys):
+        rc = main([command[0], _write(tmp_path, "huge.json", self.HUGE[name]), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 6
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "OverflowError" in captured.err
 
 
 class TestFewCriticalPoints:

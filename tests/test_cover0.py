@@ -14,14 +14,13 @@ from hurwitztau.cover0 import (
     euler_scaling_expected,
     eval_p_derivs,
     flat_coords,
-    g_function,
+    gamma,
     p_prime_as_ratio,
     profile_constant,
     reject_ill_conditioned,
     set_param,
     tau_product,
     tau_resultant,
-    validate,
 )
 from hurwitztau.errors import CommonRootError, OnBoundaryError
 from hurwitztau.poly import resultant
@@ -36,10 +35,6 @@ def _by_lambda(cd):
 
 
 class TestValidate:
-    def test_cubic_polynomial_case(self, a2):
-        d = validate(a2)
-        assert d.dim == 2 and a2.dim == 2
-
     def test_coincident_poles(self):
         with pytest.raises(OnBoundaryError) as err:
             Covering0((1, 1, 1), (), (Pole(1.0, (1.0,)), Pole(1.0, (2.0,))))
@@ -50,12 +45,6 @@ class TestValidate:
         with pytest.raises(OnBoundaryError) as err:
             Covering0((1, 1), (), (Pole(1.0, (0.0,)),))
         assert err.value.component == "S2"
-
-    def test_membership_reported_distances(self):
-        cov = random_covering0((2, 1, 1), seed=1)
-        d = validate(cov)
-        assert d.min_pole_gap > 0.5
-        assert d.min_top_tail > 0.3
 
 
 class TestPrimeRatio:
@@ -226,7 +215,7 @@ class TestFlatCoords:
 
 class TestTauProduct:
     def test_cubic_magnitude(self, a2):
-        tp = tau_product(a2)
+        tp = tau_product(a2, critical_data(a2))
         assert abs(abs(tp.tau_inv48) - 9.0) < 1e-10
         assert abs(cmath.exp(tp.log_tau_inv48) - tp.tau_inv48) < 1e-12
 
@@ -247,8 +236,8 @@ class TestTauProduct:
             cov.poly_coeffs,
             tuple(Pole(p.b - 1.0, p.c) for p in cov.poles),
         )
-        t1 = tau_product(cov)
-        t2 = tau_product(shifted)
+        t1 = tau_product(cov, critical_data(cov))
+        t2 = tau_product(shifted, critical_data(shifted))
         assert abs(t1.tau_inv48 - t2.tau_inv48) / abs(t1.tau_inv48) < 1e-10
         l1 = sorted(critical_data(cov).lam, key=lambda z: (z.real, z.imag))
         l2 = sorted(critical_data(shifted).lam, key=lambda z: (z.real, z.imag))
@@ -283,13 +272,14 @@ class TestTauResultant:
         ratios = []
         for s in range(20):
             c2 = set_param(cov, "poles.0.b", v0 + 0.02 * s * cmath.exp(0.5j))
-            ratios.append(tau_product(c2).tau_inv48 / tau_resultant(c2).tau_inv48)
+            cd = critical_data(c2)
+            ratios.append(tau_product(c2, cd).tau_inv48 / tau_resultant(c2, cd).tau_inv48)
         drift = max(abs(r / ratios[0] - 1.0) for r in ratios)
         assert drift < 1e-8
 
-    def test_collided_critical_points_vanish(self):
+    def test_collided_critical_points_vanish(self, quiet_caustic):
         z3 = Covering0((3,), (0.0, 0.0), ())  # pure cube: double critical point
-        assert tau_resultant(z3).tau_inv48 == 0
+        assert tau_resultant(z3, critical_data(z3)).tau_inv48 == 0
 
     def test_resultant_factorization_constant(self):
         cov = random_covering0((2, 1, 1), seed=8)
@@ -319,14 +309,14 @@ class TestGFunction:
         rng = np.random.default_rng(n)
         coeffs = tuple(complex(rng.normal(), rng.normal()) for _ in range(n - 1))
         cov = Covering0((n,), coeffs, ())
-        gf = g_function(cov)
-        assert gf.g_value == 0
-        assert abs(gf.gamma) < 1e-15
+        assert tau_product(cov, critical_data(cov)).G == 0
+        assert abs(gamma(cov)) < 1e-15
 
     def test_euler_flow_matches_anomaly(self):
+        # |gamma| < 1, so the identity's error is |E(G) - gamma|
         cov = random_covering0((2, 2), seed=10)
-        rep = isomon.euler_unit_checks(cov)
-        assert abs(rep.euler_g - rep.gamma) < 1e-6
+        errors = {c.name: c.error for c in isomon.identity_report(cov)}
+        assert errors["euler-anomaly"] < 1e-6
 
     def test_cross_route_differs_by_profile_constant(self):
         cov = random_covering0((3, 2), seed=11)
@@ -335,8 +325,8 @@ class TestGFunction:
         v0 = cov.poles[0].b
         for s in range(5):
             c2 = set_param(cov, "poles.0.b", v0 + 0.03 * s)
-            gf = g_function(c2)
-            diffs.append(gf.g_value - gf.g_from_jacobian)
+            tp = tau_product(c2, critical_data(c2))
+            diffs.append(tp.G - tp.g_from_jacobian)
         assert max(abs(d - expected) for d in diffs) < 1e-10
 
 
@@ -370,7 +360,7 @@ class TestEulerInvariants:
         values = []
         for _ in range(20):
             cov = random_covering0((2, 1), rng)
-            iso = isomon.build_isomonodromy(cov)
+            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
             h = np.array(iso.hamiltonians)
             assert abs(np.sum(h)) / np.max(np.abs(h)) < 1e-9
             values.append(complex(h @ np.array(iso.lam)))

@@ -11,9 +11,10 @@ from hurwitztau.cover1 import (
     Covering1,
     critical_data,
     deformation_params,
+    euler_scaling_expected,
     eval_p_derivs,
     flat_coords,
-    g_function,
+    gamma,
     set_param,
     tau_product,
     tau_resultant,
@@ -304,21 +305,24 @@ class TestGFunction:
         # t1 term is forced by G = log(tau / J^(1/24)) and by E(G) = gamma,
         # and matches the order-2 family where tau^-48 ~ t1^12 eta^72
         cov = _h12()
-        gf = g_function(cov)
+        tp = tau_product(cov, critical_data(cov))
         k1 = cov.profile[0]
         want = -log_dedekind_eta(cov.modulus) - (k1 + 1) / 24.0 * cmath.log(
             flat_coords(cov).t[0]
         )
-        assert abs(gf.g_value - want) < 1e-13
-        assert abs(gf.g_value - gf.g_from_jacobian) < 1e-12
+        assert abs(tp.G - want) < 1e-13
+        assert abs(tp.G - tp.g_from_jacobian) < 1e-12
         # gamma for profile (2): -(1/24)(l + sum 1/k) = -(1/24)(1 + 1/2)
-        assert abs(gf.gamma - (-(1 + 0.5) / 24.0)) < 1e-15
+        assert abs(gamma(cov) - (-(1 + 0.5) / 24.0)) < 1e-15
 
     def test_euler_flow_matches_anomaly(self):
+        # |gamma| < 1, so the identity's error is |E(G) - gamma|
         cov = random_covering1((1, 1), seed=14)
-        rep = isomon.euler_unit_checks(cov)
-        assert abs(rep.euler_g - rep.gamma) < 1e-5
-        assert abs(rep.euler_log_tau - rep.euler_log_tau_expected) < 1e-8
+        errors = {c.name: c.error for c in isomon.identity_report(cov)}
+        assert errors["euler-anomaly"] < 1e-5
+        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
+        euler_log_tau = complex(np.array(iso.hamiltonians) @ np.array(iso.lam))
+        assert abs(euler_log_tau - euler_scaling_expected(cov)) < 1e-8
 
     def test_modulus_gradient_of_g(self):
         from hurwitztau.elliptic import eta_tilde
@@ -328,7 +332,7 @@ class TestGFunction:
 
         def g_of_sigma(ds):
             c2 = _h12(mod=Modulus(cov.modulus.sigma + ds))
-            return g_function(c2).g_value
+            return tau_product(c2, critical_data(c2)).G
 
         fd = (g_of_sigma(h) - g_of_sigma(-h)) / (2 * h)
         assert abs(fd + eta_tilde(cov.modulus)) < 1e-6
@@ -344,18 +348,16 @@ class TestGFunction:
         l1 = sorted(critical_data(cov).lam, key=lambda z: (round(z.real, 8), z.imag))
         l2 = sorted(critical_data(shifted).lam, key=lambda z: (round(z.real, 8), z.imag))
         assert max(abs(a - b) for a, b in zip(l1, l2)) < 1e-10
-        t1 = tau_product(cov).tau_inv48
-        t2 = tau_product(shifted).tau_inv48
-        assert abs(t1 - t2) / abs(t1) < 1e-10
-        g1 = g_function(cov).g_value
-        g2 = g_function(shifted).g_value
-        assert abs(g1 - g2) < 1e-12
+        tp1 = tau_product(cov, critical_data(cov))
+        tp2 = tau_product(shifted, critical_data(shifted))
+        assert abs(tp1.tau_inv48 - tp2.tau_inv48) / abs(tp1.tau_inv48) < 1e-10
+        assert abs(tp1.G - tp2.G) < 1e-12
         h1 = sorted(
-            isomon.build_isomonodromy(cov).hamiltonians,
+            isomon.build_isomonodromy(cov, isomon.analyze(cov)).hamiltonians,
             key=lambda z: (round(z.real, 8), z.imag),
         )
         h2 = sorted(
-            isomon.build_isomonodromy(shifted).hamiltonians,
+            isomon.build_isomonodromy(shifted, isomon.analyze(shifted)).hamiltonians,
             key=lambda z: (round(z.real, 8), z.imag),
         )
         assert max(abs(a - b) for a, b in zip(h1, h2)) < 1e-10

@@ -20,11 +20,6 @@ from hurwitztau.errors import CountMismatchError
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 SETTINGS = settings(max_examples=8, deadline=None, database=None, derandomize=True)
-# The reference's Richardson truncation error is O(h^4) while the round-off
-# of its perturbed root solves grows as 1/h; at h = 1e-4 (relative) the
-# round-off dominates and is about 10x below that at the engine default 1e-5
-# (worst of 60 sampled specs of both genera: 1.5e-8 against 1.5e-7).
-FD_STEP = 1e-4
 DERIVATIVE_IDENTITIES = {
     "tau-gradient",
     "rauch-ramification",
@@ -44,7 +39,7 @@ def _rel(got: np.ndarray, want: np.ndarray) -> float:
 def _assert_exact_matches_fd(cov) -> None:
     an = isomon.analyze(cov)
     paths, exact = isomon.exact_parameter_derivatives(an)
-    _, fd_paths, fd = isomon.parameter_derivatives(cov, isomon.check_bundle(an), FD_STEP)
+    _, fd_paths, fd = isomon.parameter_derivatives(cov, isomon.check_bundle(an))
     assert paths == fd_paths
     assert set(exact) == set(fd)
     for key in fd:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hurwitztau import cover0, isomon
+from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
 from hurwitztau.samples import random_covering0, random_covering1
 
@@ -11,7 +11,7 @@ from hurwitztau.samples import random_covering0, random_covering1
 class TestBergmann:
     def test_symmetry(self):
         for cov in (random_covering0((2, 2), seed=1), random_covering1((1, 1), seed=2)):
-            B, _ = isomon.bergmann_values(cov)
+            B, _ = isomon.bergmann_values(cov, isomon.analyze(cov))
             assert np.max(np.abs(B - B.T)) < 1e-12 * np.max(np.abs(B))
 
     def test_cubic_closed_form(self, a2):
@@ -24,7 +24,7 @@ class TestBergmann:
 
 class TestIsomonodromyData:
     def test_cubic_hamiltonians_both_routes(self, a2):
-        iso = isomon.build_isomonodromy(a2)
+        iso = isomon.build_isomonodromy(a2, isomon.analyze(a2))
         by_lam = {round(l.real): h for l, h in zip(iso.lam, iso.hamiltonians)}
         assert abs(by_lam[-2] - 1 / 288) < 1e-14
         assert abs(by_lam[2] + 1 / 288) < 1e-14
@@ -33,7 +33,7 @@ class TestIsomonodromyData:
 
     def test_v_antisymmetric_and_consistent(self):
         cov = random_covering0((3, 2), seed=3)
-        iso = isomon.build_isomonodromy(cov)
+        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
         v = iso.v_matrix
         assert np.max(np.abs(v + v.T)) < 1e-12 * np.max(np.abs(v))
         lam = np.array(iso.lam)
@@ -42,7 +42,7 @@ class TestIsomonodromyData:
 
     def test_residue_row_structure(self):
         cov = random_covering0((2, 1), seed=4)
-        iso = isomon.build_isomonodromy(cov)
+        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
         for k, a in enumerate(iso.residues):
             mask = np.ones(len(iso.lam), dtype=bool)
             mask[k] = False
@@ -52,7 +52,7 @@ class TestIsomonodromyData:
     def test_residue_extraction(self):
         # contour integrals of sum_k A_k/(lambda - lambda_k) recover each A_k
         cov = random_covering0((2, 2), seed=5)
-        iso = isomon.build_isomonodromy(cov)
+        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
         lam = np.array(iso.lam)
         m = len(lam)
 
@@ -75,7 +75,7 @@ class TestIsomonodromyData:
     def test_two_route_agreement_random(self):
         for seed, make in [(6, random_covering0), (7, random_covering1)]:
             cov = make((2, 1), seed=seed)
-            iso = isomon.build_isomonodromy(cov)
+            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
             h1 = np.array(iso.hamiltonians)
             h2 = np.array(iso.hamiltonians_bergmann)
             tol = 1e-8 if isinstance(cov, Covering0) else 1e-6
@@ -85,20 +85,24 @@ class TestIsomonodromyData:
 class TestDeformationEngine:
     def test_jacobian_well_conditioned(self):
         for cov in (random_covering0((2, 2), seed=8), random_covering1((2,), seed=9)):
-            jac = isomon.deformation_jacobian(cov)
+            an = isomon.analyze(cov)
+            bundle = lambda c: {"lam": isomon.analyze(c, base=an).lam}
+            _, _, derivs = isomon.parameter_derivatives(cov, bundle)
+            jac = derivs["lam"].T  # (M, P)
             m = cov.dim
-            assert jac.dlambda_dparams.shape == (m, m)
-            assert jac.condition < 1e8
+            assert jac.shape == (m, m)
+            assert np.linalg.cond(jac) < 1e8
 
     def test_lambda_derivative_self_consistency(self):
         cov = random_covering0((2, 1), seed=10)
         an = isomon.analyze(cov)
+        # the functional F = lambda, evaluated apart from the bundle's own "lam"
+        bundle = lambda c: {"lam": isomon.analyze(c, base=an).lam,
+                            "F": isomon.analyze(c, base=an).lam}
+        _, d = isomon.lambda_derivatives(cov, bundle)
         for k in range(cov.dim):
             for j in range(cov.dim):
-                d = isomon.lambda_derivative(
-                    cov, lambda c, jj=j: isomon.analyze(c, base=an).lam[jj], k
-                )
-                assert abs(d - (1.0 if j == k else 0.0)) < 1e-7
+                assert abs(d["F"][j, k] - (1.0 if j == k else 0.0)) < 1e-7
 
     def test_gamma_definition_finite_difference(self):
         # rotation coefficients: d sqrt(metric_mm) / d lambda_n / sqrt(metric_nn)
@@ -172,7 +176,7 @@ class TestDeformationEngine:
         values = []
         for c in np.geomspace(1e-1, 1e-8, 8):
             cov = Covering0((1, 1), (), (Pole(b, (complex(-c),)),))
-            iso = isomon.build_isomonodromy(cov)
+            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
             values.append(float(np.max(np.abs(iso.hamiltonians))))
         assert all(a < b2 for a, b2 in zip(values, values[1:]))
         assert values[-1] / values[0] > 1e3
@@ -182,17 +186,22 @@ class TestDeformationEngine:
         cov = Covering0((1, 1), (), (Pole(0.3 + 0.2j, (-1e-14,)),))
         cd = critical_data0(cov)
         assert cd.caustic
-        iso = isomon.build_isomonodromy(cov)
+        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
         assert iso.caustic
 
 
 class TestEulerChecks:
     def test_sum_and_degree_both_genera(self):
+        # sum H and E(G) = gamma are identities of the suite; |gamma| < 1, so
+        # the euler-anomaly error is |E(G) - gamma|
         for cov in (random_covering0((2, 2), seed=15), random_covering1((1, 1), seed=16)):
-            rep = isomon.euler_unit_checks(cov)
-            assert rep.sum_h_rel < 1e-10
-            assert abs(rep.euler_log_tau - rep.euler_log_tau_expected) < 1e-8
-            assert abs(rep.euler_g - rep.gamma) < 1e-5
+            errors = {c.name: c.error for c in isomon.identity_report(cov)}
+            assert errors["hamiltonian-sum"] < 1e-10
+            assert errors["euler-anomaly"] < 1e-5
+            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
+            euler_log_tau = complex(np.array(iso.hamiltonians) @ np.array(iso.lam))
+            model = (cover0, cover1)[cov.genus]
+            assert abs(euler_log_tau - model.euler_scaling_expected(cov)) < 1e-8
 
     def test_scaling_degree_closed_form_cubic(self, a2):
         # for the cubic family: sum lambda_m H_m = -1/72

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import hurwitztau
 import oracles
-from hurwitztau import cover0, cover1, errors
+from hurwitztau import cover0, cover1, elliptic, errors, isomon, poly
 from hurwitztau.samples import random_covering0, random_covering1
 
 MODEL_NAMES = [
@@ -29,7 +29,6 @@ MODEL_NAMES = [
     "set_param",
     "tau_product",
     "tau_resultant",
-    "g_function",
     "gamma",
     "euler_scaling_expected",
     "default_sweep_param",
@@ -58,6 +57,12 @@ def test_set_param_to_its_own_value_keeps_the_table(genus, data):
     table = model.params(cov)
     for path, value in table.items():
         assert model.params(model.set_param(cov, path, value)) == table, path
+
+
+@pytest.mark.parametrize("module", [hurwitztau, cover0, cover1, isomon, elliptic, poly],
+                         ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_every_error_type_is_exported():
