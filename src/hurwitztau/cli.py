@@ -421,7 +421,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        # overflow shows as a HurwitzError or OverflowError below, not as numpy warnings
+        with np.errstate(all="ignore"):
+            code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
         return code
     except BrokenPipeError:  # the reader (``| head``) has what it wanted

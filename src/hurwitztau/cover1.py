@@ -217,9 +217,10 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     """All M = l + N zeros of p' in the fundamental cell, with frame data.
 
     Zeros come from the global search ``elliptic.elliptic_zeros`` (contour
-    moments seeding Newton, with subdivision as its fallback), or by Newton
-    continuation from ``seeds``, where M converged, distinct lanes are all M
-    zeros and unconverged or collapsed lanes raise ``CountMismatchError``.
+    moments seeding an elliptic Aberth polish, ``ContourClashError`` when no
+    contour yields every zero), or by Newton continuation from ``seeds``,
+    where M converged, distinct lanes are all M zeros and unconverged or
+    collapsed lanes raise ``CountMismatchError``.
     """
     sigma = c.modulus.sigma
 

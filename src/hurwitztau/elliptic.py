@@ -25,13 +25,12 @@ z - b_i of all its poles at once, guards them itself and calls ``_zeta_rows``.
 ``elliptic_zeros`` relies on this contract: its ``hd`` is called with a
 1-d complex array of points and must return the pair (h, h') of arrays of
 the same length (closures over ``wp``/``zeta_w``, or rows 1 and 2 of
-``cover1.eval_p_derivs``, qualify as they are).  The zero search first
-takes the contour moments of h'/h from one ``hd`` call on the Gauss-Legendre
-nodes of two cell edges, and polishes the roots of the polynomial they
-define in one lane-wise Newton iteration, one ``hd`` call per step.  Only
-when that fails does the argument-principle subdivision run: one ``hd``
-call per subdivision level, and one lane-wise Newton polish of all leaf
-cells.
+``cover1.eval_p_derivs``, qualify as they are).  The zero search takes the
+contour moments of h'/h from one ``hd`` call on the Gauss-Legendre nodes of
+two cell edges, and polishes the roots of the polynomial they define with a
+lane-wise elliptic Aberth iteration: one ``hd`` call and one first-order
+theta call per step.  It tries the admissible contours in turn and raises
+``ContourClashError`` when none yields every zero.
 """
 
 from __future__ import annotations
@@ -40,17 +39,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContourClashError,
-    HurwitzError,
-    LatticePointError,
-    NonConvergenceError,
-)
+from .errors import ContourClashError, HurwitzError, LatticePointError
 from .poly import CPoly, all_roots
 
 __all__ = [
@@ -500,10 +493,6 @@ def sigma_w(ctx: WeierstrassContext, z):
 # zero localization for elliptic functions
 
 
-class _EdgeTrouble(Exception):
-    """Argument tracking failed along a contour edge (zero/pole too close)."""
-
-
 _OFFSETS = [
     (0.0731, 0.0457), (0.3117, 0.1723), (0.5303, 0.2919), (0.7489, 0.4115),
     (0.1327, 0.5711), (0.8923, 0.6907), (0.4519, 0.8103), (0.6115, 0.9299),
@@ -511,98 +500,10 @@ _OFFSETS = [
     (0.3595, 0.2279), (0.5191, 0.6475), (0.6787, 0.4671), (0.8383, 0.5867),
     (0.1979, 0.7063), (0.9575, 0.8259), (0.4171, 0.9455), (0.5767, 0.0651),
 ]
-_UNIT_CELL = (0.0, 1.0, 0.0, 1.0)
-_MIN_CELL = 1e-4
-# argument tracking: grid intervals per contour edge, bisection depth limit
-EDGE_INTERVALS = 12
-MAX_BISECTIONS = 13
-# moment stage: contours tried, quadrature nodes per edge, Newton steps per try
-MOMENT_CORNERS = 3
+# moment stage: quadrature nodes per edge; Aberth steps per contour and their length cap
 GAUSS_NODES = 32
-MOMENT_NEWTON_STEPS = 20
-
-
-def _arg_changes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                 za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """Total continuous argument change of h along each segment [za[i], zb[i]].
-
-    The (EDGE_INTERVALS + 1)-point grids of all segments go to ``hd`` in one
-    call.  Every interval whose argument moves by more than 1.2 rad is
-    bisected, breadth first, with one ``hd`` call per depth for all such
-    intervals, at most MAX_BISECTIONS deep.
-    """
-    n0 = EDGE_INTERVALS
-    ts = np.arange(n0 + 1) / n0
-    dz = zb - za
-    vals = hd((za[:, None] + ts[None, :] * dz[:, None]).ravel())[0].reshape(len(za), n0 + 1)
-    seg = np.repeat(np.arange(len(za)), n0)
-    t0 = np.tile(ts[:-1], len(za))
-    t1 = np.tile(ts[1:], len(za))
-    v0 = vals[:, :-1].ravel()
-    v1 = vals[:, 1:].ravel()
-    total = np.zeros(len(za))
-    depth = 0
-    while True:
-        if not (v0.all() and v1.all()):
-            raise _EdgeTrouble("zero on contour")
-        d = np.angle(v1 / v0)
-        jump = np.abs(d) > 1.2
-        np.add.at(total, seg[~jump], d[~jump])
-        if not jump.any():
-            return total
-        if depth >= MAX_BISECTIONS:
-            raise _EdgeTrouble("argument jump on contour")
-        seg, t0, t1, v0, v1 = seg[jump], t0[jump], t1[jump], v0[jump], v1[jump]
-        tm = 0.5 * (t0 + t1)
-        vm = hd(za[seg] + tm * dz[seg])[0]
-        seg = np.concatenate([seg, seg])
-        t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
-        v0, v1 = np.concatenate([v0, vm]), np.concatenate([vm, v1])
-        depth += 1
-
-
-def _cell_counts(hd, corner: complex, sigma: complex, poles_uv, cells) -> list[int]:
-    """Zeros of h = hd(w)[0] inside each parallelogram cell (winding + enclosed poles).
-
-    The four edges of every cell are tracked in one ``_arg_changes`` call.
-    """
-    za, zb = [], []
-    for u0, u1, v0, v1 in cells:
-        a = corner + u0 + v0 * sigma
-        b = corner + u1 + v0 * sigma
-        c = corner + u1 + v1 * sigma
-        d = corner + u0 + v1 * sigma
-        za += [a, b, c, d]
-        zb += [b, c, d, a]
-    totals = _arg_changes(hd, np.array(za), np.array(zb)).reshape(len(cells), 4).sum(axis=1)
-    counts = []
-    for (u0, u1, v0, v1), total in zip(cells, totals):
-        w = float(total) / (2.0 * math.pi)
-        wi = round(w)
-        if abs(w - wi) > 0.2:
-            raise _EdgeTrouble(f"non-integer winding {w:.3f}")
-        p_in = sum(m for (u, v), m in poles_uv if u0 <= u < u1 and v0 <= v < v1)
-        counts.append(wi + p_in)
-    return counts
-
-
-def _cell_size(cell, sigma: complex) -> float:
-    u0, u1, v0, v1 = cell
-    return max((u1 - u0), (v1 - v0) * abs(sigma))
-
-
-def _halves(cell, poles_uv, sigma: complex) -> list[tuple[float, float, float, float]]:
-    """Split along the longer side, jiggling past any pole line."""
-    u0, u1, v0, v1 = cell
-    if (u1 - u0) >= (v1 - v0) * abs(sigma):
-        um = 0.5 * (u0 + u1)
-        while any(abs(u - um) < 1e-6 for (u, _), _ in poles_uv):
-            um += 0.0137 * (u1 - u0)
-        return [(u0, um, v0, v1), (um, u1, v0, v1)]
-    vm = 0.5 * (v0 + v1)
-    while any(abs(v - vm) < 1e-6 for (_, v), _ in poles_uv):
-        vm += 0.0137 * (v1 - v0)
-    return [(u0, u1, v0, vm), (u0, u1, vm, v1)]
+ABERTH_STEPS = 20
+ABERTH_MAX_STEP = 0.5
 
 
 def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
@@ -616,6 +517,21 @@ def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
     ``max_iter`` steps.  Only the live lanes are evaluated.  Returns the
     final points and the mask of lanes that converged.
     """
+    def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+        v, d = hd(z[live])
+        return v / d
+
+    return _iterate_lanes(newton_step, z, tol, max_step, max_iter)
+
+
+def _iterate_lanes(step_of, z, tol, max_step: float,
+                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """z[live] -= step_of(z, live) lane by lane, for Newton and Aberth alike.
+
+    A step is clipped to length ``max_step``; a lane stops when its step is
+    shorter than its ``tol`` (a scalar or one value per lane) and fails when
+    its step is not finite or after ``max_iter`` steps.
+    """
     z = np.array(z, dtype=complex)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)
     ok = np.zeros(z.shape, dtype=bool)
@@ -623,10 +539,10 @@ def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
     for _ in range(max_iter):
         if not live.size:
             break
-        v, d = hd(z[live])
-        nonzero = d != 0
-        live, v, d = live[nonzero], v[nonzero], d[nonzero]
-        step = v / d
+        with np.errstate(all="ignore"):
+            step = step_of(z, live)
+        finite = np.isfinite(step)
+        live, step = live[finite], step[finite]
         size = np.abs(step)
         big = size > max_step
         step[big] = max_step * step[big] / size[big]
@@ -635,78 +551,6 @@ def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
         ok[live[done]] = True
         live = live[~done]
     return z, ok
-
-
-def _polish(hd, corner: complex, sigma: complex, cells, tol: float) -> list[complex | None]:
-    """One lane-wise Newton over the five seeds of every leaf cell.
-
-    A cell keeps the first seed, in seed order, whose converged point lies
-    in the cell (any converged point for a cell below the minimum size);
-    None marks a cell where no seed qualified.
-    """
-    seeds = []
-    for u0, u1, v0, v1 in cells:
-        seeds += [
-            corner + 0.5 * (u0 + u1) + 0.5 * (v0 + v1) * sigma,
-            corner + (0.75 * u0 + 0.25 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
-            corner + (0.25 * u0 + 0.75 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
-            corner + (0.75 * u0 + 0.25 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
-            corner + (0.25 * u0 + 0.75 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
-        ]
-    zs, ok = newton_lanes(hd, seeds, tol, 0.5, 80)
-    roots: list[complex | None] = []
-    for i, cell in enumerate(cells):
-        u0, u1, v0, v1 = cell
-        small = _cell_size(cell, sigma) < _MIN_CELL
-        root = None
-        for r in zs[5 * i: 5 * i + 5][ok[5 * i: 5 * i + 5]]:
-            ru, rv = cell_coords(reduce_to_cell(complex(r) - corner, sigma), sigma)
-            in_cell = (u0 - 1e-9 <= ru <= u1 + 1e-9) and (v0 - 1e-9 <= rv <= v1 + 1e-9)
-            if in_cell or small:
-                root = complex(r)
-                break
-        roots.append(root)
-    return roots
-
-
-def _locate(hd, corner: complex, sigma: complex, poles_uv, total: int,
-            tol: float) -> list[complex]:
-    """Subdivide the unit cell until every zero sits in a leaf, then polish.
-
-    Cells of one subdivision level are counted together; leaves (one zero,
-    or below the minimum size) are polished together.  A one-zero leaf whose
-    Newton seeds all escape is split further.
-    """
-    found: list[complex] = []
-    leaves: list[tuple] = []
-    to_split: list[tuple] = []
-
-    def place(cell, count: int) -> None:
-        if count == 1 or _cell_size(cell, sigma) < _MIN_CELL:
-            leaves.append((cell, count))
-        else:
-            to_split.append(cell)
-
-    place(_UNIT_CELL, total)
-    while leaves or to_split:
-        while to_split:
-            children = [sub for cell in to_split for sub in _halves(cell, poles_uv, sigma)]
-            to_split = []
-            for cell, n in zip(children, _cell_counts(hd, corner, sigma, poles_uv, children)):
-                if n < 0:
-                    raise _EdgeTrouble("negative zero count in cell")
-                if n > 0:
-                    place(cell, n)
-        roots = _polish(hd, corner, sigma, [cell for cell, _ in leaves], tol)
-        for (cell, count), root in zip(leaves, roots):
-            if root is not None:
-                found.extend([root] * count)
-            elif count == 1 and _cell_size(cell, sigma) >= _MIN_CELL:
-                to_split.append(cell)  # Newton escaped the cell: split further
-            else:
-                raise _EdgeTrouble("newton failed in small cell")
-        leaves = []
-    return found
 
 
 def _cell_representative(z: complex, sigma: complex, edge: float = 1e-12) -> complex:
@@ -767,21 +611,22 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.array(nodes), np.array(weights)
 
 
-def _moment_zeros(hd, corner: complex, sigma: complex, poles_uv, total: int,
-                  tol: float) -> list[complex] | None:
-    """The ``total`` zeros of h from contour moments of h'/h, or None on failure.
+def _moment_zeros(hd, ctx: WeierstrassContext, corner: complex,
+                  poles: Sequence[tuple[complex, int]], poles_uv) -> list[complex] | None:
+    """All zeros of h from contour moments of h'/h and an Aberth polish, or None on failure.
 
     About the cell centre c, the power sums s_j = sum (z - c)^j of the zeros
     in the cell are (1/2 pi i) times the contour integral of (w - c)^j h'/h
     plus the enclosed pole terms sum m (r - c)^j.  h'/h is periodic, so the
     top edge folds onto the bottom one and the right edge onto the left one:
     one ``hd`` call on the Gauss-Legendre nodes of those two edges gives
-    every s_j.  The Newton identities turn s_1..s_total into a monic
-    polynomial whose roots seed one lane-wise Newton polish.  The result is
-    accepted only when every lane converges and no two of them coincide
-    modulo the lattice: ``total`` distinct zeros of an elliptic function
-    with ``total`` poles are all of its zeros.
+    every s_j.  The Newton identities turn s_1..s_M into a monic polynomial
+    whose roots seed ``_aberth_lanes``.  The result is accepted only when
+    every lane converges and no two of them coincide modulo the lattice: M
+    distinct zeros of an elliptic function with M poles are all of its zeros.
     """
+    sigma = ctx.modulus.sigma
+    total = sum(m for _, m in poles)
     t, wt = _gauss_legendre()
     n = len(t)
     centre = corner + 0.5 + 0.5 * sigma
@@ -806,10 +651,7 @@ def _moment_zeros(hd, corner: complex, sigma: complex, poles_uv, total: int,
         e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
     try:
         seeds = all_roots(CPoly(tuple((-1) ** k * e[k] for k in range(total, -1, -1)))).roots
-    except NonConvergenceError:
-        return None
-    try:
-        zs, ok = newton_lanes(hd, np.array(seeds) + centre, tol, 0.5, MOMENT_NEWTON_STEPS)
+        zs, ok = _aberth_lanes(hd, ctx, np.array(seeds) + centre, poles, _newton_tol(sigma))
     except HurwitzError:
         return None
     if not ok.all():
@@ -818,6 +660,49 @@ def _moment_zeros(hd, corner: complex, sigma: complex, poles_uv, total: int,
     if (lattice_distance(zs[i] - zs[k], sigma) < 1e-10).any():
         return None
     return zs.tolist()
+
+
+def _aberth_lanes(hd, ctx: WeierstrassContext, z, poles: Sequence[tuple[complex, int]],
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The elliptic Aberth-Ehrlich iteration: every zero of h at once, from the points z.
+
+    An elliptic h with zeros a_j and poles b_k of multiplicity m_k has a
+    sigma-product form (Whittaker & Watson, ch. 20), so
+    h'/h(w) = sum_j zeta(w - a_j) - sum_k m_k zeta(w - b_k) + eta(S), where
+    S = sum_j a_j - sum_k m_k b_k is a lattice point and eta(S) its
+    quasi-period.  Lane i steps by
+    1 / (h'/h(z_i) - sum_{j != i} zeta(z_i - z_j) + sum_k m_k zeta(z_i - b_k) - eta(S)),
+    S the lattice point p + q sigma nearest sum_j z_j - sum_k m_k b_k: the
+    Newton step on h with the other lanes divided out, which keeps two lanes
+    from settling on one zero (Aberth, Math. Comp. 27, 1973).  With
+    c = calib_sigma, zeta(u) = (log theta1)'(u) + 2c u and
+    eta(S) = p 2c + q (2c sigma - 2 pi i), so the 2c u terms of the zeta sums
+    and eta(S) add up to 2c (sum_j z_j - sum_k m_k b_k - S) + 2 pi i q, which
+    needs no evaluation.  Steps are clipped to ABERTH_MAX_STEP and stop as
+    in ``_iterate_lanes``.  A step makes one ``hd`` call and one first-order
+    theta call over the live lanes.  Returns the final points and the mask
+    of lanes that converged.
+    """
+    sigma = ctx.modulus.sigma
+    b = np.array([p for p, _ in poles], dtype=complex)
+    m = np.array([k for _, k in poles], dtype=float)
+    mb = m @ b
+
+    def aberth_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+        gap = z.sum() - mb
+        p, q = (round(x) for x in cell_coords(gap, sigma))
+        u = np.subtract.outer(z[live], np.concatenate([z, b]))
+        own = (np.arange(live.size), live)
+        u[own] = 0.5  # a regular point of theta1'/theta1 in place of z_i - z_i
+        _, n, u0 = _split_lattice(u.ravel(), sigma)
+        t0, t1 = _theta1_raw(ctx.modulus, u0, 1)
+        dlog = (t1 / t0 - TWO_PI_I * n).reshape(u.shape)  # (log theta1)'(u)
+        dlog[own] = 0.0
+        v, d = hd(z[live])
+        return 1.0 / (d / v - dlog[:, : z.size].sum(axis=1) + dlog[:, z.size:] @ m
+                      + 2.0 * ctx.calib_sigma * (gap - p - q * sigma) + TWO_PI_I * q)
+
+    return _iterate_lanes(aberth_step, z, tol, ABERTH_MAX_STEP, ABERTH_STEPS)
 
 
 def _newton_tol(sigma: complex) -> float:
@@ -832,57 +717,18 @@ def elliptic_zeros(
     """All zeros of the elliptic function h in one fundamental cell.
 
     ``hd`` takes a 1-d complex array of points and returns the pair
-    (h, h') there (see the module docstring and ``newton_lanes``).  ``poles`` lists pole
+    (h, h') there (see the module docstring).  ``poles`` lists pole
     positions with multiplicities (the full divisor in one cell), so h has
-    as many zeros as the multiplicities add up to.  The cell contour is
-    translated until it clears the poles.  The moment stage
-    (``_moment_zeros``) seeds Newton from the contour moments of h'/h on up
-    to MOMENT_CORNERS contours; if none of them yields every zero, the
-    subdivision search (``_subdivision_zeros``) decides.  Zeros are
-    returned reduced to {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
+    as many zeros as the multiplicities add up to.  Each admissible contour
+    of ``_contour_corners`` is tried in turn (``_moment_zeros``: contour
+    moments of h'/h seed an elliptic Aberth polish) until one yields every
+    zero; when none does, ``ContourClashError``.  Zeros are returned reduced
+    to {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
     """
     sigma = mod.sigma
-    total = sum(m for _, m in poles)
-    for corner, poles_uv in islice(_contour_corners(poles, sigma), MOMENT_CORNERS):
-        found = _moment_zeros(hd, corner, sigma, poles_uv, total, _newton_tol(sigma))
+    ctx = weierstrass_context(mod)
+    for corner, poles_uv in _contour_corners(poles, sigma):
+        found = _moment_zeros(hd, ctx, corner, poles, poles_uv)
         if found is not None:
             return [_cell_representative(r, sigma) for r in found]
-    return _subdivision_zeros(mod, hd, poles)
-
-
-def _subdivision_zeros(
-    mod: Modulus,
-    hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    poles: Sequence[tuple[complex, int]],
-) -> list[complex]:
-    """``elliptic_zeros`` by the argument principle and adaptive subdivision.
-
-    The winding of h around the translated cell contour, plus the enclosed
-    poles, gives the zero count, which must equal the pole count; adaptive
-    cell subdivision plus Newton polishing localizes the zeros.  When no
-    contour works, ``ContourClashError``.
-    """
-    sigma = mod.sigma
-    target = sum(m for _, m in poles)
-
-    last_trouble = "no admissible contour"
-    for corner, poles_uv in _contour_corners(poles, sigma):
-        try:
-            total = _cell_counts(hd, corner, sigma, poles_uv, [_UNIT_CELL])[0]
-        except _EdgeTrouble as exc:
-            last_trouble = str(exc)
-            continue
-        if total != target:
-            last_trouble = f"count {total} != {target}"
-            continue
-        try:
-            found = _locate(hd, corner, sigma, poles_uv, total, _newton_tol(sigma))
-        except _EdgeTrouble as exc:
-            last_trouble = str(exc)
-            continue
-        if len(found) != target:
-            last_trouble = f"located {len(found)} of {target}"
-            continue
-        return [_cell_representative(r, sigma) for r in found]
-
-    raise ContourClashError(f"zero localization failed: {last_trouble}")
+    raise ContourClashError("zero search failed: no admissible contour gave every zero")

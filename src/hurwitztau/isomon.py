@@ -185,8 +185,14 @@ def bergmann_values(covering: Covering, an: Analysis) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class IsomonodromyData:
-    """Rotation coefficients, commutator matrix, Hamiltonians, residues."""
+    """Rotation coefficients, commutator matrix, Hamiltonians, residues.
 
+    ``bergmann`` and ``bergmann_poles`` are the kernel values of
+    ``bergmann_values`` the data is built from.
+    """
+
+    bergmann: np.ndarray
+    bergmann_poles: np.ndarray
     gamma_matrix: np.ndarray
     v_matrix: np.ndarray
     hamiltonians: tuple[complex, ...]
@@ -205,7 +211,7 @@ def build_isomonodromy(covering: Covering, an: Analysis) -> IsomonodromyData:
     On a near-caustic instance the data is still produced, tagged by the
     ``caustic`` flag (a CausticWarning is emitted by the critical data).
     """
-    B, _ = bergmann_values(covering, an)
+    B, Binf = bergmann_values(covering, an)
     m = len(an.lam)
     gamma = 0.5 * B
     lam = np.array(an.lam)
@@ -218,6 +224,8 @@ def build_isomonodromy(covering: Covering, an: Analysis) -> IsomonodromyData:
     # the k-th residue keeps the k-th row of V
     residues = [np.where(np.arange(m)[:, None] == k, v, 0j) for k in range(m)]
     return IsomonodromyData(
+        bergmann=B,
+        bergmann_poles=Binf,
         gamma_matrix=gamma,
         v_matrix=v,
         hamiltonians=tuple(h),
@@ -534,7 +542,7 @@ def identity_report(
     an = analyze(covering)
     (cover0, cover1)[covering.genus].reject_ill_conditioned(covering, an.pts)
     iso = build_isomonodromy(covering, an)
-    B, Binf = bergmann_values(covering, an)
+    B, Binf = iso.bergmann, iso.bergmann_poles
     d = exact_lambda_derivatives(an)
     m = len(an.lam)
     lam = np.array(an.lam)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check:
 plain central differences, Newton inversion of the covering map composed
 with the local square root, kernel diagonal limits, and a trapezoid
-argument-principle count.
+argument-principle count, and the argument-principle subdivision search
+that ``elliptic.elliptic_zeros`` replaced, as the reference for its zeros.
 """
 
 from __future__ import annotations
@@ -13,9 +14,25 @@ import math
 
 import numpy as np
 
+from typing import Callable, Sequence
+
 from hurwitztau import cover0, cover1
-from hurwitztau.elliptic import lattice_distance, point_array, shape_rows, wp, zeta_derivs
-from hurwitztau.errors import NearPoleError
+from hurwitztau.elliptic import (
+    Modulus,
+    _cell_representative,
+    _contour_corners,
+    _gauss_legendre,
+    _newton_tol,
+    cell_coords,
+    lattice_distance,
+    newton_lanes,
+    point_array,
+    reduce_to_cell,
+    shape_rows,
+    wp,
+    zeta_derivs,
+)
+from hurwitztau.errors import ContourClashError, NearPoleError
 from hurwitztau.poly import CPoly
 
 
@@ -166,6 +183,24 @@ def trapezoid_argument_count(h_fn, corner: complex, e1: complex, e2: complex,
     return round(total / (2.0 * math.pi))
 
 
+def first_contour(poles, sigma) -> np.ndarray:
+    """The quadrature nodes on the two edges of the zero search's first contour."""
+    corner, _ = next(_contour_corners(poles, sigma))
+    t, _ = _gauss_legendre()
+    return np.concatenate([corner + t, corner + t * sigma])
+
+
+def round_off_spread(zs, hd, poles, sigma) -> np.ndarray:
+    """How far round-off can move each zero z of h: 10 eps S / |h'(z)|.
+
+    S is the size of h on ``first_contour``, so 10 eps S bounds the
+    round-off in a value of h.  Far from the poles of a thin cell
+    (Im sigma near 0.1) |h'| can fall to 1e-4 of S.
+    """
+    size = np.abs(hd(first_contour(poles, sigma))[0]).max()
+    return 10 * np.finfo(float).eps * size / np.abs(hd(np.array(zs))[1])
+
+
 def product_resultant(f_coeffs, g) -> complex:
     """lc(f)^deg(g) * prod g(root) with roots from the companion-matrix solver."""
     roots = np.roots(list(reversed(f_coeffs)))
@@ -174,3 +209,211 @@ def product_resultant(f_coeffs, g) -> complex:
     for r in roots:
         acc *= g(complex(r))
     return complex(acc)
+
+
+# --------------------------------------------------------------------------
+# the argument-principle subdivision search: the reference for elliptic_zeros
+
+
+class _EdgeTrouble(Exception):
+    """Argument tracking failed along a contour edge (zero/pole too close)."""
+
+
+_UNIT_CELL = (0.0, 1.0, 0.0, 1.0)
+_MIN_CELL = 1e-4
+# argument tracking: grid intervals per contour edge, bisection depth limit
+EDGE_INTERVALS = 12
+MAX_BISECTIONS = 13
+
+
+def _arg_changes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """Total continuous argument change of h along each segment [za[i], zb[i]].
+
+    The (EDGE_INTERVALS + 1)-point grids of all segments go to ``hd`` in one
+    call.  Every interval whose argument moves by more than 1.2 rad is
+    bisected, breadth first, with one ``hd`` call per depth for all such
+    intervals, at most MAX_BISECTIONS deep.
+    """
+    n0 = EDGE_INTERVALS
+    ts = np.arange(n0 + 1) / n0
+    dz = zb - za
+    vals = hd((za[:, None] + ts[None, :] * dz[:, None]).ravel())[0].reshape(len(za), n0 + 1)
+    seg = np.repeat(np.arange(len(za)), n0)
+    t0 = np.tile(ts[:-1], len(za))
+    t1 = np.tile(ts[1:], len(za))
+    v0 = vals[:, :-1].ravel()
+    v1 = vals[:, 1:].ravel()
+    total = np.zeros(len(za))
+    depth = 0
+    while True:
+        if not (v0.all() and v1.all()):
+            raise _EdgeTrouble("zero on contour")
+        d = np.angle(v1 / v0)
+        jump = np.abs(d) > 1.2
+        np.add.at(total, seg[~jump], d[~jump])
+        if not jump.any():
+            return total
+        if depth >= MAX_BISECTIONS:
+            raise _EdgeTrouble("argument jump on contour")
+        seg, t0, t1, v0, v1 = seg[jump], t0[jump], t1[jump], v0[jump], v1[jump]
+        tm = 0.5 * (t0 + t1)
+        vm = hd(za[seg] + tm * dz[seg])[0]
+        seg = np.concatenate([seg, seg])
+        t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
+        v0, v1 = np.concatenate([v0, vm]), np.concatenate([vm, v1])
+        depth += 1
+
+
+def _cell_counts(hd, corner: complex, sigma: complex, poles_uv, cells) -> list[int]:
+    """Zeros of h = hd(w)[0] inside each parallelogram cell (winding + enclosed poles).
+
+    The four edges of every cell are tracked in one ``_arg_changes`` call.
+    """
+    za, zb = [], []
+    for u0, u1, v0, v1 in cells:
+        a = corner + u0 + v0 * sigma
+        b = corner + u1 + v0 * sigma
+        c = corner + u1 + v1 * sigma
+        d = corner + u0 + v1 * sigma
+        za += [a, b, c, d]
+        zb += [b, c, d, a]
+    totals = _arg_changes(hd, np.array(za), np.array(zb)).reshape(len(cells), 4).sum(axis=1)
+    counts = []
+    for (u0, u1, v0, v1), total in zip(cells, totals):
+        w = float(total) / (2.0 * math.pi)
+        wi = round(w)
+        if abs(w - wi) > 0.2:
+            raise _EdgeTrouble(f"non-integer winding {w:.3f}")
+        p_in = sum(m for (u, v), m in poles_uv if u0 <= u < u1 and v0 <= v < v1)
+        counts.append(wi + p_in)
+    return counts
+
+
+def _cell_size(cell, sigma: complex) -> float:
+    u0, u1, v0, v1 = cell
+    return max((u1 - u0), (v1 - v0) * abs(sigma))
+
+
+def _halves(cell, poles_uv, sigma: complex) -> list[tuple[float, float, float, float]]:
+    """Split along the longer side, jiggling past any pole line."""
+    u0, u1, v0, v1 = cell
+    if (u1 - u0) >= (v1 - v0) * abs(sigma):
+        um = 0.5 * (u0 + u1)
+        while any(abs(u - um) < 1e-6 for (u, _), _ in poles_uv):
+            um += 0.0137 * (u1 - u0)
+        return [(u0, um, v0, v1), (um, u1, v0, v1)]
+    vm = 0.5 * (v0 + v1)
+    while any(abs(v - vm) < 1e-6 for (_, v), _ in poles_uv):
+        vm += 0.0137 * (v1 - v0)
+    return [(u0, u1, v0, vm), (u0, u1, vm, v1)]
+
+
+def _polish(hd, corner: complex, sigma: complex, cells, tol: float) -> list[complex | None]:
+    """One lane-wise Newton over the five seeds of every leaf cell.
+
+    A cell keeps the first seed, in seed order, whose converged point lies
+    in the cell (any converged point for a cell below the minimum size);
+    None marks a cell where no seed qualified.
+    """
+    seeds = []
+    for u0, u1, v0, v1 in cells:
+        seeds += [
+            corner + 0.5 * (u0 + u1) + 0.5 * (v0 + v1) * sigma,
+            corner + (0.75 * u0 + 0.25 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
+            corner + (0.25 * u0 + 0.75 * u1) + (0.75 * v0 + 0.25 * v1) * sigma,
+            corner + (0.75 * u0 + 0.25 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
+            corner + (0.25 * u0 + 0.75 * u1) + (0.25 * v0 + 0.75 * v1) * sigma,
+        ]
+    zs, ok = newton_lanes(hd, seeds, tol, 0.5, 80)
+    roots: list[complex | None] = []
+    for i, cell in enumerate(cells):
+        u0, u1, v0, v1 = cell
+        small = _cell_size(cell, sigma) < _MIN_CELL
+        root = None
+        for r in zs[5 * i: 5 * i + 5][ok[5 * i: 5 * i + 5]]:
+            ru, rv = cell_coords(reduce_to_cell(complex(r) - corner, sigma), sigma)
+            in_cell = (u0 - 1e-9 <= ru <= u1 + 1e-9) and (v0 - 1e-9 <= rv <= v1 + 1e-9)
+            if in_cell or small:
+                root = complex(r)
+                break
+        roots.append(root)
+    return roots
+
+
+def _locate(hd, corner: complex, sigma: complex, poles_uv, total: int,
+            tol: float) -> list[complex]:
+    """Subdivide the unit cell until every zero sits in a leaf, then polish.
+
+    Cells of one subdivision level are counted together; leaves (one zero,
+    or below the minimum size) are polished together.  A one-zero leaf whose
+    Newton seeds all escape is split further.
+    """
+    found: list[complex] = []
+    leaves: list[tuple] = []
+    to_split: list[tuple] = []
+
+    def place(cell, count: int) -> None:
+        if count == 1 or _cell_size(cell, sigma) < _MIN_CELL:
+            leaves.append((cell, count))
+        else:
+            to_split.append(cell)
+
+    place(_UNIT_CELL, total)
+    while leaves or to_split:
+        while to_split:
+            children = [sub for cell in to_split for sub in _halves(cell, poles_uv, sigma)]
+            to_split = []
+            for cell, n in zip(children, _cell_counts(hd, corner, sigma, poles_uv, children)):
+                if n < 0:
+                    raise _EdgeTrouble("negative zero count in cell")
+                if n > 0:
+                    place(cell, n)
+        roots = _polish(hd, corner, sigma, [cell for cell, _ in leaves], tol)
+        for (cell, count), root in zip(leaves, roots):
+            if root is not None:
+                found.extend([root] * count)
+            elif count == 1 and _cell_size(cell, sigma) >= _MIN_CELL:
+                to_split.append(cell)  # Newton escaped the cell: split further
+            else:
+                raise _EdgeTrouble("newton failed in small cell")
+        leaves = []
+    return found
+
+
+def _subdivision_zeros(
+    mod: Modulus,
+    hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    poles: Sequence[tuple[complex, int]],
+) -> list[complex]:
+    """``elliptic_zeros`` by the argument principle and adaptive subdivision.
+
+    The winding of h around the translated cell contour, plus the enclosed
+    poles, gives the zero count, which must equal the pole count; adaptive
+    cell subdivision plus Newton polishing localizes the zeros.  When no
+    contour works, ``ContourClashError``.
+    """
+    sigma = mod.sigma
+    target = sum(m for _, m in poles)
+
+    last_trouble = "no admissible contour"
+    for corner, poles_uv in _contour_corners(poles, sigma):
+        try:
+            total = _cell_counts(hd, corner, sigma, poles_uv, [_UNIT_CELL])[0]
+        except _EdgeTrouble as exc:
+            last_trouble = str(exc)
+            continue
+        if total != target:
+            last_trouble = f"count {total} != {target}"
+            continue
+        try:
+            found = _locate(hd, corner, sigma, poles_uv, total, _newton_tol(sigma))
+        except _EdgeTrouble as exc:
+            last_trouble = str(exc)
+            continue
+        if len(found) != target:
+            last_trouble = f"located {len(found)} of {target}"
+            continue
+        return [_cell_representative(r, sigma) for r in found]
+
+    raise ContourClashError(f"zero localization failed: {last_trouble}")

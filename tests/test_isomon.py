@@ -21,6 +21,16 @@ class TestBergmann:
         want = an.f[0] * an.f[1] / (an.pts[0] - an.pts[1]) ** 2
         assert abs(B[0, 1] - want) < 1e-14
 
+    def test_one_evaluation_per_identity_report(self, monkeypatch, a2, h12):
+        # the report takes the kernel values build_isomonodromy was built from
+        calls = []
+        real = isomon.bergmann_values
+        monkeypatch.setattr(isomon, "bergmann_values", lambda *args: calls.append(1) or real(*args))
+        for cov in (a2, h12):
+            calls.clear()
+            isomon.identity_report(cov)
+            assert len(calls) == 1
+
 
 class TestIsomonodromyData:
     def test_cubic_hamiltonians_both_routes(self, a2):

@@ -6,6 +6,14 @@
   period, shifts zeta(z - b) by a constant; the constant term takes it back.)
   lambda and H do not move, and log eta(sigma) shifts by i pi/12, which
   route A passes on to log tau and G as -i pi/12.
+* S-move: sigma -> sigma' = -1/sigma maps the lattice L = Z + sigma Z to
+  L/sigma = Z + sigma' Z, and zeta^(alpha-1)(sigma u; L) =
+  sigma^(-alpha) zeta^(alpha-1)(u; L/sigma).  So b -> b/sigma and
+  c_{i,alpha} -> sigma^(-alpha) c_{i,alpha}, with the constant kept, give
+  the covering p'(u) = p(sigma u): the critical values do not move, the
+  critical points go to z/sigma, f^2 goes to f^2/sigma^2, and
+  eta(sigma') = sqrt(-i sigma) eta(sigma).  With Im sigma' drawn in
+  [0.15, 0.5] the image lives on a thin cell.
 * lambda-shift: a0 -> a0 + c adds c to p, so every critical value moves by
   c and the Hamiltonians, tau (both routes) and G do not move.  At genus 1
   a0 is the constant term; at genus 0 it is ``poly_coeffs.0``, the constant
@@ -16,12 +24,16 @@ import cmath
 import math
 
 import numpy as np
+import oracles
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hurwitztau import cover0, isomon
+from hurwitztau import cover0, cover1, isomon
+from hurwitztau.cover0 import Pole
 from hurwitztau.cover1 import Covering1, tau_resultant
-from hurwitztau.elliptic import Modulus, log_dedekind_eta, zeta_w
+from hurwitztau.elliptic import Modulus, _newton_tol, lattice_distance, log_dedekind_eta, zeta_w
+from hurwitztau.errors import ContourClashError, HurwitzError
 from hurwitztau.samples import random_covering0, random_covering1
 
 SETTINGS = settings(max_examples=10, deadline=None, database=None, derandomize=True)
@@ -67,6 +79,71 @@ class TestTMove:
         # route A: log tau = -log eta + ..., G = -log eta - ...
         assert abs(an_t.tau.log_tau - an.tau.log_tau + 1j * math.pi / 12.0) < 1e-12
         assert abs(an_t.tau.G - an.tau.G + 1j * math.pi / 12.0) < 1e-12
+
+
+def _s_moved(cov: Covering1) -> Covering1:
+    """``cov`` under sigma -> -1/sigma: the covering u -> p(sigma u) on Z + (-1/sigma) Z."""
+    sigma = cov.modulus.sigma
+    poles = tuple(Pole(p.b / sigma, tuple(c * sigma ** -(a + 1) for a, c in enumerate(p.c)))
+                  for p in cov.poles)
+    return Covering1(Modulus(-1.0 / sigma), cov.constant, poles)
+
+
+def _p_prime(cov: Covering1):
+    """(hd, pole divisor, sigma) of the zero search for the zeros of p'."""
+    return (lambda z: cover1.eval_p_derivs(cov, z, 2)[1:],
+            [(p.b, p.order + 1) for p in cov.poles], cov.modulus.sigma)
+
+
+def _nearest(values, targets, distance=np.abs) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and distance to, the nearest target of each value."""
+    gaps = distance(np.subtract.outer(np.asarray(values), np.asarray(targets)))
+    return gaps.argmin(axis=1), gaps.min(axis=1)
+
+
+class TestSMove:
+    @pytest.mark.filterwarnings("ignore::hurwitztau.errors.CausticWarning")
+    @SETTINGS
+    @given(st.sampled_from(PROFILES), st.integers(0, 10_000),
+           st.floats(-0.5, 0.5), st.floats(0.15, 0.5))
+    def test_critical_data_and_eta(self, profile, seed, re, im):
+        sigma = -1.0 / complex(re, im)  # the image modulus -1/sigma is re + i im
+        try:
+            cov = cover1.set_param(_sample(profile, seed), "modulus", sigma)
+            an = isomon.analyze(cov)
+        except HurwitzError:  # poles clash on this lattice, or a degenerate instance
+            assume(False)
+        moved = _s_moved(cov)
+        sigma_s = moved.modulus.sigma
+        want = np.array(an.pts) / sigma
+        # round-off moves a zero of p' by up to oracles.round_off_spread in either frame
+        slack = 1e-10 + oracles.round_off_spread(want, *_p_prime(moved))
+        slack += oracles.round_off_spread(an.pts, *_p_prime(cov)) / abs(sigma)
+        try:
+            an_s = isomon.analyze(moved)
+        except ContourClashError:  # allowed only where a zero is not determined to the tolerance
+            assert slack.max() > _newton_tol(sigma_s)
+            return
+        # the same critical values, at the points z/sigma
+        lam, lam_s = np.array(an.lam), np.array(an_s.lam)
+        scale = max(1.0, float(np.abs(lam).max()))
+        assert _nearest(lam, lam_s)[1].max() < 1e-10 * scale
+        assert _nearest(lam_s, lam)[1].max() < 1e-10 * scale
+        match, gaps = _nearest(want, an_s.pts, lambda d: lattice_distance(d, sigma_s))
+        assert (gaps <= slack).all()
+        assert sorted(match) == list(range(len(match)))
+        # f^2 = 2/p'': a point off by dz moves it by |p'''/p''| dz, relative, and
+        # the round-off of p'' is 10 eps S'' / |p''|, S'' the size of p'' on the contour
+        d = cover1.eval_p_derivs(moved, want, 3)
+        hd, poles, _ = _p_prime(moved)
+        size = np.abs(hd(oracles.first_contour(poles, sigma_s))[1]).max()
+        bound = 1e-10 + (10 * np.finfo(float).eps * size + np.abs(d[3]) * slack) / np.abs(d[2])
+        fsq, fsq_s = np.array(an.fsq) / sigma**2, np.array(an_s.fsq)[match]
+        assert (np.abs(fsq_s / fsq - 1.0) <= bound).all()
+        # eta(-1/sigma) = sqrt(-i sigma) eta(sigma)
+        shift = log_dedekind_eta(moved.modulus) - log_dedekind_eta(cov.modulus)
+        shift -= 0.5 * cmath.log(-1j * sigma)
+        assert abs(shift - 2j * math.pi * round(shift.imag / (2 * math.pi))) < 1e-12
 
 
 class TestLambdaShift:
