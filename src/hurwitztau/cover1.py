@@ -229,7 +229,7 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
 
     if seeds is None:
         pole_divisor = [(p.b, p.order + 1) for p in c.poles]
-        zs = _sort_cell_points(elliptic_zeros(c.modulus, hd, pole_divisor), sigma)
+        zs = _sort_cell_points(elliptic_zeros(c.ctx, hd, pole_divisor), sigma)
     else:
         if len(seeds) != c.dim:
             raise ValueError("seed count must equal the moduli dimension")

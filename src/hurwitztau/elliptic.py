@@ -710,23 +710,24 @@ def _newton_tol(sigma: complex) -> float:
 
 
 def elliptic_zeros(
-    mod: Modulus,
+    ctx: WeierstrassContext,
     hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     poles: Sequence[tuple[complex, int]],
 ) -> list[complex]:
     """All zeros of the elliptic function h in one fundamental cell.
 
-    ``hd`` takes a 1-d complex array of points and returns the pair
-    (h, h') there (see the module docstring).  ``poles`` lists pole
-    positions with multiplicities (the full divisor in one cell), so h has
-    as many zeros as the multiplicities add up to.  Each admissible contour
-    of ``_contour_corners`` is tried in turn (``_moment_zeros``: contour
-    moments of h'/h seed an elliptic Aberth polish) until one yields every
-    zero; when none does, ``ContourClashError``.  Zeros are returned reduced
-    to {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
+    ``ctx`` is the Weierstrass context of the cell's modulus, which the
+    Aberth step needs for its zeta sums.  ``hd`` takes a 1-d complex array
+    of points and returns the pair (h, h') there (see the module
+    docstring).  ``poles`` lists pole positions with multiplicities (the
+    full divisor in one cell), so h has as many zeros as the multiplicities
+    add up to.  Each admissible contour of ``_contour_corners`` is tried in
+    turn (``_moment_zeros``: contour moments of h'/h seed an elliptic
+    Aberth polish) until one yields every zero; when none does,
+    ``ContourClashError``.  Zeros are returned reduced to
+    {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
     """
-    sigma = mod.sigma
-    ctx = weierstrass_context(mod)
+    sigma = ctx.modulus.sigma
     for corner, poles_uv in _contour_corners(poles, sigma):
         found = _moment_zeros(hd, ctx, corner, poles, poles_uv)
         if found is not None:

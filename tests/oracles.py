@@ -201,6 +201,22 @@ def round_off_spread(zs, hd, poles, sigma) -> np.ndarray:
     return 10 * np.finfo(float).eps * size / np.abs(hd(np.array(zs))[1])
 
 
+# Where the zero search raises on a sampled covering, round-off moves some zero
+# by 7.8e3 to 1e8 times the Newton tolerance; a margin of 100 keeps a failure on
+# well-determined zeros from passing as one on zeros that round-off moves.
+NOT_DETERMINED_MARGIN = 100.0
+
+
+def assert_not_determined(zs, hd, poles, sigma) -> None:
+    """Round-off moves some zero of ``zs`` by far more than the search's Newton tolerance.
+
+    Where this holds, ``elliptic_zeros`` may raise ``ContourClashError``: no
+    lane can meet its tolerance on that zero.
+    """
+    spread = round_off_spread(zs, hd, poles, sigma).max()
+    assert spread > NOT_DETERMINED_MARGIN * _newton_tol(sigma), spread / _newton_tol(sigma)
+
+
 def product_resultant(f_coeffs, g) -> complex:
     """lc(f)^deg(g) * prod g(root) with roots from the companion-matrix solver."""
     roots = np.roots(list(reversed(f_coeffs)))

@@ -281,7 +281,7 @@ class TestZeroSearchPerProfile:
     def test_wp_prime_zeros_on_arrays(self):
         mod = Modulus(0.1 + 0.45j)
         ctx = weierstrass_context(mod)
-        zs = elliptic_zeros(mod, lambda u: (wp(ctx, u, 1), wp(ctx, u, 2)), [(0.0, 3)])
+        zs = elliptic_zeros(ctx, lambda u: (wp(ctx, u, 1), wp(ctx, u, 2)), [(0.0, 3)])
         assert len(zs) == 3
         for z in zs:
             assert abs(wp(ctx, z, 1)) < 1e-8 * max(1.0, abs(wp(ctx, z, 2)))

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from hurwitztau import cli, cover1
 from hurwitztau.cli import covering_to_spec, load_covering, main
+from hurwitztau.cover0 import Pole
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -196,6 +198,40 @@ class TestSpecShape:
         assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
 
 
+class TestGenus1PointCollision:
+    """A (2,1) family through a double zero of p': tail c_(1,2) = T + s e^(0.3i).
+
+    At s = 0 two zeros of p' coincide; at s > 0 they lie about 1.6 sqrt(s)
+    apart.  Down to a gap near 1e-5 the zero search parts them and the
+    caustic is reported; below it no contour gives two distinct zeros.
+    """
+
+    T = complex(-0.11311449376152663, -0.06278302015477011)
+
+    def _spec(self, tmp_path, s):
+        cov = random_covering1((2, 1), 3)
+        first, second = cov.poles
+        tail = (first.c[0], self.T + s * cmath.exp(0.3j))
+        near = cover1.Covering1(cov.modulus, cov.constant, (Pole(first.b, tail), second))
+        return _write(tmp_path, "collision.json", covering_to_spec(near))
+
+    def test_near_collision_warns(self, tmp_path, capsys):
+        path = self._spec(tmp_path, 1e-6)
+        assert main(["analyze", path, "--json"]) == 0
+        caustic = json.loads(capsys.readouterr().out)["caustic"]
+        assert caustic["warned"] is True
+        assert 1e-3 < caustic["min_point_gap"] < 3e-3
+        assert main(["analyze", path, "--strict"]) == 4
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_collision_exits_6(self, command, tmp_path, capsys):
+        rc = main([command, self._spec(tmp_path, 0.0)])
+        captured = capsys.readouterr()
+        assert rc == 6
+        assert captured.err.count("\n") == 1
+        assert "numerical failure (ContourClashError)" in captured.err
+
+
 class TestSpecNumbers:
     """Spec numbers must be finite, and each genus-1 pole must match the profile."""
 
@@ -212,18 +248,22 @@ class TestSpecNumbers:
         "empty-tail": {**H12, "profile": [2, 0],
                        "poles": [*H12["poles"], {"b": [0.5, 0.5], "c": []}]},
     }
-    # numbers that overflow double precision on the way to the critical data
+    # numbers that overflow double precision on the way to the critical data, each with
+    # the error that names it; p' overflows on every contour of the genus-1 1e307 tail
     HUGE = {
-        "coefficients-1e308": {"genus": 0, "profile": [3], "poly_coeffs": [[1e308, 0], [1e308, 0]],
-                               "poles": []},
-        "tail-1e300": {"genus": 0, "profile": [2, 2], "poly_coeffs": [[0.3, 0]],
-                       "poles": [{"b": [0.5, 0], "c": [[0.2, 0], [1e300, 0]]}]},
-        "g0-tail-1e150": {"genus": 0, "profile": [2, 1], "poly_coeffs": [[-0.14, -0.57]],
-                          "poles": [{"b": [2.08, -0.70], "c": [[1e150, 0]]}]},
-        "g0-position-1e150": {"genus": 0, "profile": [2, 1], "poly_coeffs": [[-0.14, -0.57]],
-                              "poles": [{"b": [1e150, -0.70], "c": [[-0.17, 0.88]]}]},
-        "h12-tail-1e150": {**H12, "poles": [{"b": [0.23, 0.31], "c": [[0, 0], [1e150, 0]]}]},
-        "h12-tail-1e307": {**H12, "poles": [{"b": [0.23, 0.31], "c": [[0, 0], [1e307, 0]]}]},
+        "coefficients-1e308": ({"genus": 0, "profile": [3], "poly_coeffs": [[1e308, 0], [1e308, 0]],
+                                "poles": []}, "OverflowError"),
+        "tail-1e300": ({"genus": 0, "profile": [2, 2], "poly_coeffs": [[0.3, 0]],
+                        "poles": [{"b": [0.5, 0], "c": [[0.2, 0], [1e300, 0]]}]}, "OverflowError"),
+        "g0-tail-1e150": ({"genus": 0, "profile": [2, 1], "poly_coeffs": [[-0.14, -0.57]],
+                           "poles": [{"b": [2.08, -0.70], "c": [[1e150, 0]]}]}, "OverflowError"),
+        "g0-position-1e150": ({"genus": 0, "profile": [2, 1], "poly_coeffs": [[-0.14, -0.57]],
+                               "poles": [{"b": [1e150, -0.70], "c": [[-0.17, 0.88]]}]},
+                              "OverflowError"),
+        "h12-tail-1e150": ({**H12, "poles": [{"b": [0.23, 0.31], "c": [[0, 0], [1e150, 0]]}]},
+                           "OverflowError"),
+        "h12-tail-1e307": ({**H12, "poles": [{"b": [0.23, 0.31], "c": [[0, 0], [1e307, 0]]}]},
+                           "ContourClashError"),
     }
     COMMANDS = pytest.mark.parametrize("command", [["check"], ["analyze", "--json"]],
                                        ids=["check", "analyze"])
@@ -241,11 +281,12 @@ class TestSpecNumbers:
     @pytest.mark.parametrize("name", list(HUGE))
     @pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
     def test_overflow_exits_6(self, command, name, tmp_path, capsys):
-        rc = main([command[0], _write(tmp_path, "huge.json", self.HUGE[name]), *command[1:]])
+        spec, error = self.HUGE[name]
+        rc = main([command[0], _write(tmp_path, "huge.json", spec), *command[1:]])
         captured = capsys.readouterr()
         assert rc == 6
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "numerical failure" in captured.err
+        assert captured.err.count("\n") == 1 and f"numerical failure ({error})" in captured.err
 
 
 class TestFewCriticalPoints:

@@ -33,11 +33,11 @@ PROFILES = [(2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (4,), (4, 1), (4, 2),
 
 
 def _search_args(cov):
-    """(modulus, hd, pole divisor) of the search for the zeros of p'."""
+    """(context, hd, pole divisor) of the search for the zeros of p'."""
     def hd(z):
         return cover1.eval_p_derivs(cov, z, 2)[1:]
 
-    return cov.modulus, hd, [(p.b, p.order + 1) for p in cov.poles]
+    return cov.ctx, hd, [(p.b, p.order + 1) for p in cov.poles]
 
 
 class _OverBudget(Exception):
@@ -82,15 +82,6 @@ def _assert_same_zeros(got, want, hd, poles, sigma) -> None:
             assert gap <= 1e-10 + spread, (z, gap)
 
 
-def _assert_not_determined(zs, hd, poles, sigma) -> None:
-    """Round-off moves some zero of ``zs`` by more than the search's Newton tolerance.
-
-    Where this holds, the search may raise ``ContourClashError``: no lane can
-    meet its tolerance on that zero.
-    """
-    assert oracles.round_off_spread(zs, hd, poles, sigma).max() > elliptic._newton_tol(sigma)
-
-
 def _moved(profile, seed, sigma):
     """``random_covering1(profile, seed)`` moved to ``sigma``."""
     return cover1.set_param(random_covering1(profile, seed), "modulus", sigma)
@@ -121,18 +112,18 @@ class TestMomentStage:
     @SETTINGS
     @given(coverings())
     def test_agrees_with_subdivision(self, cov):
-        mod, hd, poles = _search_args(cov)
-        want = _reference(mod, hd, poles)
-        sigma = mod.sigma
-        ctx = elliptic.weierstrass_context(mod)
+        ctx, hd, poles = _search_args(cov)
+        want = _reference(ctx.modulus, hd, poles)
+        sigma = ctx.modulus.sigma
         for corner, poles_uv in islice(elliptic._contour_corners(poles, sigma), 3):
             got = elliptic._moment_zeros(hd, ctx, corner, poles, poles_uv)
             if got is not None:
                 _assert_same_zeros(got, want, hd, poles, sigma)
         try:
-            got = elliptic_zeros(mod, hd, poles)
-        except ContourClashError:
-            _assert_not_determined(want, hd, poles, sigma)
+            got = elliptic_zeros(ctx, hd, poles)
+        except ContourClashError:  # only on the thin branch of the drawn moduli
+            assert sigma.imag < 0.4
+            oracles.assert_not_determined(want, hd, poles, sigma)
         else:
             _assert_same_zeros(got, want, hd, poles, sigma)
 
@@ -141,11 +132,12 @@ class TestMomentStage:
     @example(_moved((3, 1), 1355, 0.003767238927799066 + 0.12160506158282378j))
     @example(_moved((4,), 6810, -0.01644975782895375 + 0.14599177092649795j))
     def test_fails_only_where_a_zero_is_not_determined(self, cov):
-        mod, hd, poles = _search_args(cov)
+        ctx, hd, poles = _search_args(cov)
+        mod = ctx.modulus
         try:
-            elliptic_zeros(mod, hd, poles)
+            elliptic_zeros(ctx, hd, poles)
         except ContourClashError:
-            _assert_not_determined(_reference(mod, hd, poles), hd, poles, mod.sigma)
+            oracles.assert_not_determined(_reference(mod, hd, poles), hd, poles, mod.sigma)
 
     @pytest.mark.parametrize("name,cov", [
         ("h12", builtin_example("h12")),
@@ -155,9 +147,9 @@ class TestMomentStage:
         ("g1(5,1)", random_covering1((5, 1), 1000)),
     ])
     def test_one_contour_call_and_a_short_polish(self, name, cov):
-        mod, hd, poles = _search_args(cov)
+        ctx, hd, poles = _search_args(cov)
         calls = []
-        elliptic_zeros(mod, lambda z: calls.append(len(z)) or hd(z), poles)
+        elliptic_zeros(ctx, lambda z: calls.append(len(z)) or hd(z), poles)
         # the moment quadrature on two edges, then one Aberth step per call
         assert calls[0] == 2 * elliptic.GAUSS_NODES
         assert len(calls) <= 12
@@ -169,9 +161,9 @@ class TestAberth:
         # h'/h = sum_j zeta(w - a_j) - sum_k m_k zeta(w - b_k) + eta(S) for any
         # representatives: S = p + q sigma and eta(S) = p 2c + q (2c sigma - 2 pi i)
         cov = random_covering1(profile, seed)
-        mod, hd, poles = _search_args(cov)
-        ctx, sigma = cov.ctx, mod.sigma
-        zeros = np.array(elliptic_zeros(mod, hd, poles))
+        ctx, hd, poles = _search_args(cov)
+        sigma = ctx.modulus.sigma
+        zeros = np.array(elliptic_zeros(ctx, hd, poles))
         zeros += np.arange(len(zeros)) % 3 - 1 + (np.arange(len(zeros)) % 2) * sigma
         c2 = 2.0 * ctx.calib_sigma
         p, q = (round(x) for x in elliptic.cell_coords(
@@ -186,16 +178,17 @@ class TestAberth:
         # two lanes seeded next to the same zero: Newton merges them, Aberth
         # repels one of them onto the zero that no lane was seeded near
         cov = random_covering1((2, 1), 2025)
-        mod, hd, poles = _search_args(cov)
-        zeros = np.array(elliptic_zeros(mod, hd, poles))
+        ctx, hd, poles = _search_args(cov)
+        sigma = ctx.modulus.sigma
+        zeros = np.array(elliptic_zeros(ctx, hd, poles))
         seeds = zeros + 0.02 * np.exp(1j * np.arange(len(zeros)))
         seeds[1] = zeros[0] - 0.02
-        tol = elliptic._newton_tol(mod.sigma)
+        tol = elliptic._newton_tol(sigma)
         newton, _ = elliptic.newton_lanes(hd, seeds, tol, 0.5, 20)
-        assert lattice_distance(newton[1] - newton[0], mod.sigma) < 1e-10
-        zs, ok = elliptic._aberth_lanes(hd, cov.ctx, seeds, poles, tol)
+        assert lattice_distance(newton[1] - newton[0], sigma) < 1e-10
+        zs, ok = elliptic._aberth_lanes(hd, ctx, seeds, poles, tol)
         assert ok.all()
-        _assert_same_zeros(zs.tolist(), zeros.tolist(), hd, poles, mod.sigma)
+        _assert_same_zeros(zs.tolist(), zeros.tolist(), hd, poles, sigma)
 
 
 class TestFailure:
@@ -217,7 +210,7 @@ class TestFailure:
         monkeypatch.setattr(elliptic, "_moment_zeros", recorded)
         poles = [(0.0, 2)]
         with pytest.raises(ContourClashError):
-            elliptic_zeros(mod, hd, poles)
+            elliptic_zeros(ctx, hd, poles)
         corners = [corner for corner, _ in elliptic._contour_corners(poles, mod.sigma)]
         assert tried == corners and len(corners) == len(elliptic._OFFSETS) == 20
         assert len(calls) <= len(corners) * (1 + elliptic.ABERTH_STEPS)
