@@ -22,12 +22,13 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .elliptic import newton_lanes, point_array, shape_rows
+from .elliptic import point_array, shape_rows
 from .errors import (
     CausticWarning,
     CommonRootError,
     CountMismatchError,
     NoCriticalPointsError,
+    NonConvergenceError,
     OnBoundaryError,
     SlopeUnstableError,
 )
@@ -356,11 +357,12 @@ def profile_constant(c: Covering0) -> float:
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
     """Critical points (roots of f), critical values, f_m^2 and Schwarzians.
 
-    ``fsq`` and ``sb`` come from ``frame_data``.  With ``seeds``
-    given, roots are tracked by lane-wise Newton from the seed points instead
-    of a global solve (used by the deformation engine and ``analyze(base=...)``);
-    f has exactly M roots, so M converged, distinct lanes are all of them, and
-    an unconverged or collapsed lane raises ``CountMismatchError``.
+    ``fsq`` and ``sb`` come from ``frame_data``.  Without ``seeds`` the
+    roots come from a global solve, sorted.  With ``seeds`` (one per
+    critical point, such as the previous step of a sweep), Aberth starts
+    from them and point i continues seed i; a solve that stalls or whose
+    iterates coincide raises ``CountMismatchError``, so the caller can fall
+    back to the global solve.
     """
     if c.dim < 1:
         raise NoCriticalPointsError(f"profile {c.profile} has no critical points (M = 0)")
@@ -368,26 +370,10 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
     if seeds is None:
         pts = _sort_points(list(all_roots(f).roots))
     else:
-        if len(seeds) != c.dim:
-            raise ValueError("seed count must equal the moduli dimension")
-        high = np.array(f.coeffs[::-1])
-        dhigh = np.array(f.derivative().coeffs[::-1])
-        z0 = np.array(seeds, dtype=complex)
-        # a lane has converged once its step is down to the rounding noise
-        # of f near the seed (about eps * sum |c_k| |z|^k / |f'|)
-        with np.errstate(divide="ignore"):
-            noise = np.polyval(np.abs(high), np.abs(z0)) / np.abs(np.polyval(dhigh, z0))
-        tol = 1e-14 * (1.0 + np.abs(z0)) + 8.0 * np.finfo(float).eps * noise
-        tracked, ok = newton_lanes(
-            lambda w: (np.polyval(high, w), np.polyval(dhigh, w)), z0, tol, math.inf, 60
-        )
-        if not ok.all():
-            raise CountMismatchError("a seeded Newton lane did not converge")
-        pts = [complex(z) for z in tracked]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) < 1e-10:
-                    raise CountMismatchError("seeded roots collapsed onto each other")
+        try:
+            pts = list(all_roots(f, start=seeds).roots)
+        except NonConvergenceError as exc:
+            raise CountMismatchError(f"seeded root solve failed: {exc}") from None
 
     fc = flat_coords(c)
     # before the determinant: huge tails overflow here as an OverflowError, not a warning

@@ -441,13 +441,14 @@ def _ratio_drift(values: list[complex]) -> float:
     return max(abs(v / ref - 1.0) for v in values)
 
 
-def _continued_critical_data(cov: Covering1, seeds) -> cover1.CriticalData1:
+def _continued_critical_data(cov: Covering, seeds) -> cover0.CriticalData0 | cover1.CriticalData1:
+    model = (cover0, cover1)[cov.genus]
     if seeds is not None:
         try:
-            return cover1.critical_data(cov, seeds=seeds)
+            return model.critical_data(cov, seeds=seeds)
         except (CountMismatchError, NearPoleError):
             pass
-    return cover1.critical_data(cov)
+    return model.critical_data(cov)
 
 
 def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -> dict:
@@ -470,19 +471,16 @@ def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -
 def _route_rows(coverings: Sequence[Covering], seeds=None) -> list[dict]:
     """Cross-route tau data at each covering of a walk, in order.
 
-    At genus 1 the critical points are continued along the walk: each step
-    Newton-tracks the previous step's zeros (the first step tracks ``seeds``,
-    or runs the global search when None).  A step whose continuation fails
-    (a lane does not converge, two zeros collapse, a lane reaches a pole)
-    goes back to the global search.  Genus 0 solves every step globally.
+    The critical points are continued along the walk: each step solves from
+    the previous step's points (the first step from ``seeds``, or globally
+    when None), by Newton at genus 1 and by Aberth at genus 0.  A step
+    whose continuation fails (a lane does not converge, two points
+    collapse, a lane reaches a pole) goes back to the global solve.
     """
     rows = []
     for cov in coverings:
-        if cov.genus:
-            cd = _continued_critical_data(cov, seeds)
-            seeds = cd.pts
-        else:
-            cd = cover0.critical_data(cov)
+        cd = _continued_critical_data(cov, seeds)
+        seeds = cd.pts
         rows.append(_route_row(cov, cd))
     return rows
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,15 +129,18 @@ def _newton_polish(p: CPoly, z: complex, tol_abs: float) -> complex:
     return z
 
 
-def all_roots(p: CPoly) -> RootSet:
+def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
     """All roots of ``p`` (with multiplicity) by simultaneous iteration.
 
-    Aberth-Ehrlich from a scaled circle of initial guesses, then a Newton
-    polish of every root.  Root clusters from nearly multiple roots are kept
-    as-is; detecting them is the caller's business.
+    Aberth-Ehrlich from ``start`` (one point per root, returned root i
+    continues start point i), or from a scaled circle of initial guesses
+    when None, then a Newton polish of every root.  Root clusters from
+    nearly multiple roots are kept as-is; detecting them is the caller's
+    business.
 
-    Raises ``NonConvergenceError`` when the iteration stalls, which signals
-    an ill-conditioned instance that the caller may perturb.
+    Raises ``NonConvergenceError`` when the iteration stalls or two iterates
+    coincide (coincident start points included), which signals an
+    ill-conditioned instance that the caller may perturb.
     """
     n = p.degree
     if n < 1:
@@ -146,13 +149,18 @@ def all_roots(p: CPoly) -> RootSet:
     if coeff_scale == 0:
         raise ValueError("zero polynomial has no well-defined root set")
 
-    # Cauchy bound for the root radius; slightly irrational angle offset so
-    # symmetric polynomials do not start in an unstable configuration.
-    radius = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading)
-    zs = [
-        0.8 * radius * cmath.exp(2j * math.pi * (k + 0.354) / n + 0.41j)
-        for k in range(n)
-    ]
+    if start is None:
+        # Cauchy bound for the root radius; slightly irrational angle offset so
+        # symmetric polynomials do not start in an unstable configuration.
+        radius = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading)
+        zs = [
+            0.8 * radius * cmath.exp(2j * math.pi * (k + 0.354) / n + 0.41j)
+            for k in range(n)
+        ]
+    elif len(start) != n:
+        raise ValueError(f"need {n} start points, got {len(start)}")
+    else:
+        zs = [complex(z) for z in start]
     # Python complex arithmetic with p and p' by inline Horner: at a handful
     # of roots per iteration, numpy's per-call overhead and the general
     # eval_derivatives cost more than the arithmetic
@@ -168,9 +176,14 @@ def all_roots(p: CPoly) -> RootSet:
                 s = sum(1.0 / (z - other) for j, other in enumerate(zs) if j != i)
             except ZeroDivisionError:
                 raise NonConvergenceError("two root iterates coincide") from None
-            w = val / der if der != 0 else 0j
-            denom = 1.0 - w * s
-            steps.append(w / denom if denom != 0 else w)
+            if der != 0:
+                w = val / der
+                denom = 1.0 - w * s
+                steps.append(w / denom if denom != 0 else w)
+            elif s != 0:
+                steps.append(-1.0 / s)  # the Aberth step 1/(p'/p - s) at p' = 0
+            else:
+                raise NonConvergenceError("p' and the Aberth sum vanish together")
         zs = [z - step for z, step in zip(zs, steps)]
         if all(abs(step) < 1e-14 * (1.0 + abs(z)) for z, step in zip(zs, steps)):
             break

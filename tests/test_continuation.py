@@ -1,17 +1,21 @@
-"""Genus-1 sweeps continue the critical points instead of searching again.
+"""Sweeps continue the critical points instead of solving again, at both genera.
 
-The global argument-principle search is counted by wrapping
-``cover1.elliptic_zeros``.  Every continued route ratio is compared with the
-ratio from a fresh global search at the same covering.
+The global genus-1 zero search is counted by wrapping
+``cover1.elliptic_zeros``, and the genus-0 solves by wrapping
+``cover0.critical_data``.  Every continued route ratio is compared with the
+ratio from a fresh global solve at the same covering.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from hurwitztau import cover1, isomon
+from hurwitztau import cover0, cover1, isomon
+from hurwitztau.cli import covering_to_spec, main
 from hurwitztau.elliptic import lattice_distance
-from hurwitztau.errors import CountMismatchError
-from hurwitztau.samples import random_covering1
+from hurwitztau.errors import CountMismatchError, NonConvergenceError
+from hurwitztau.samples import random_covering0, random_covering1
 
 
 @pytest.fixture()
@@ -131,3 +135,71 @@ class TestSeededCriticalData:
         tracked = cover1.critical_data(cov, seeds=cd.pts)
         gaps = lattice_distance(np.array(tracked.pts) - np.array(cd.pts), cov.modulus.sigma)
         assert np.max(gaps) < 1e-12
+
+
+@pytest.fixture()
+def solves0(monkeypatch):
+    """Global and seeded ``cover0.critical_data`` calls made since set up."""
+    count = {"global": 0, "seeded": 0}
+    orig = cover0.critical_data
+
+    def counted(c, seeds=None):
+        count["global" if seeds is None else "seeded"] += 1
+        return orig(c, seeds)
+
+    monkeypatch.setattr(cover0, "critical_data", counted)
+    return count
+
+
+def _failing_seeded_solve(monkeypatch, failing_call: int):
+    """Make the seeded genus-0 root solve number ``failing_call`` stall."""
+    calls = {"n": 0}
+    orig = cover0.all_roots
+
+    def roots(f, start=None):
+        if start is not None:
+            calls["n"] += 1
+            if calls["n"] == failing_call:
+                raise NonConvergenceError("root iteration stalled")
+        return orig(f, start)
+
+    monkeypatch.setattr(cover0, "all_roots", roots)
+
+
+def _global_ratio0(cov) -> complex:
+    cd = cover0.critical_data(cov)
+    return cover0.tau_product(cov, cd).tau_inv48 / cover0.tau_resultant(cov, cd).tau_inv48
+
+
+@pytest.fixture(scope="module")
+def g0_32():
+    return random_covering0((3, 2), 3)
+
+
+def _sweep20_g0(cov):
+    v0 = cov.poles[0].b
+    return isomon.sweep_ratios(cov, "poles.0.b", v0 + 0.3, 20)
+
+
+class TestGenus0:
+    def test_check_makes_one_global_solve(self, g0_32, tmp_path, capsys, solves0):
+        spec = tmp_path / "g0.json"
+        spec.write_text(json.dumps(covering_to_spec(g0_32)))
+        assert main(["check", str(spec)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        # the base analysis solves globally; the 4 other sweep steps continue
+        assert solves0 == {"global": 1, "seeded": 4}
+
+    def test_sweep_ratios_match_global(self, g0_32, solves0):
+        table = _sweep20_g0(g0_32)
+        assert solves0 == {"global": 1, "seeded": 19}
+        for _, cov, row in table:
+            assert abs(row["route_ratio"] / _global_ratio0(cov) - 1.0) < 1e-12
+
+    def test_failed_seeded_solve_falls_back(self, monkeypatch, g0_32, solves0):
+        _failing_seeded_solve(monkeypatch, failing_call=2)
+        table = _sweep20_g0(g0_32)
+        # step 0 solves globally; step 2's seeded solve fails and solves again
+        assert solves0 == {"global": 2, "seeded": 19}
+        _, cov2, row2 = table[2]
+        assert row2["route_ratio"] == _global_ratio0(cov2)

@@ -207,14 +207,17 @@ class TestSeededGenus0:
         seeded = cover0.critical_data(cov, seeds=tuple(a + 1e-3 for a in cd.pts))
         assert max(abs(a - b) for a, b in zip(seeded.pts, cd.pts)) < 1e-12
 
-    def test_unconverged_lane_raises(self, a2):
-        # f = 3z^2 - 3 has f'(0) = 0, so the lane seeded at 0 cannot step
-        with pytest.raises(CountMismatchError):
-            cover0.critical_data(a2, seeds=(0.0, 1.1))
+    @pytest.mark.parametrize("seeds", [(0.0, 1.1), (0.9, 1.1)], ids=["stationary", "one_basin"])
+    def test_lanes_reach_both_roots(self, a2, seeds):
+        # f = 3z^2 - 3: f'(0) = 0 at the first seed, and both seeds of the
+        # second pair lie nearest 1; the Aberth repulsion still finds both roots
+        pts = cover0.critical_data(a2, seeds=seeds).pts
+        got = sorted(pts, key=lambda z: z.real)
+        assert max(abs(a - b) for a, b in zip(got, (-1.0, 1.0))) < 1e-12
 
-    def test_collapsed_lanes_raise(self, a2):
+    def test_coincident_seeds_raise(self, a2):
         with pytest.raises(CountMismatchError):
-            cover0.critical_data(a2, seeds=(0.9, 1.1))
+            cover0.critical_data(a2, seeds=(1.1, 1.1))
 
 
 class TestNumericalFailureExit:

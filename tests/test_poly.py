@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from hurwitztau.cover0 import p_prime_as_ratio
+from hurwitztau.errors import NonConvergenceError
 from hurwitztau.poly import CPoly, all_roots, log_resultant, resultant
 from hurwitztau.samples import random_covering0
 
@@ -94,6 +95,22 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             all_roots(CPoly((1.0,)))
+
+    def test_start_points_continue_lane_by_lane(self):
+        roots = [0.3 + 1j, -1.2, 2.0 - 0.5j, 0.1j]
+        p = CPoly.from_roots(roots, leading=0.5 + 0.2j)
+        rs = all_roots(p, start=[r + 0.05 - 0.02j for r in roots])
+        assert max(abs(a - b) for a, b in zip(rs.roots, roots)) < 1e-12
+
+    def test_start_count_must_match_degree(self):
+        with pytest.raises(ValueError):
+            all_roots(CPoly((-3, 0, 3)), start=[1.1])
+
+    def test_stationary_start_off_a_root(self):
+        # z^3 + 1 has p'(0) = 0, and the Aberth sum at 0 cancels for starts
+        # at +-i: no step is defined, which is a stall, not a root at 0
+        with pytest.raises(NonConvergenceError):
+            all_roots(CPoly((1, 0, 0, 1)), start=[0, 1j, -1j])
 
 
 class TestResultant:
