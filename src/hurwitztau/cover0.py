@@ -48,6 +48,7 @@ __all__ = [
     "p_prime_as_ratio",
     "factorization_denominator",
     "critical_data",
+    "critical_data_many",
     "flat_coords",
     "tau_product",
     "tau_resultant",
@@ -405,6 +406,17 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
         resultant_ratio=res_fg / denom,
         numerator=f,
     )
+
+
+def critical_data_many(coverings, seeds) -> list[CriticalData0 | None]:
+    """``critical_data(c, seeds=s)`` per covering, None where it raises ``CountMismatchError``."""
+    out = []
+    for c, s in zip(coverings, seeds):
+        try:
+            out.append(critical_data(c, seeds=s))
+        except CountMismatchError:
+            out.append(None)
+    return out
 
 
 @dataclass(frozen=True)

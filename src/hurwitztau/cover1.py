@@ -16,7 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +33,14 @@ from .elliptic import (
     Modulus,
     WeierstrassContext,
     _centered_distance,
+    _iterate_lanes,
+    _pair_indices,
     _split_lattice,
     _zeta_rows,
     cell_coords,
     elliptic_zeros,
     lattice_distance,
     log_dedekind_eta,
-    newton_lanes,
     point_array,
     reduce_to_cell,
     shape_rows,
@@ -57,6 +59,7 @@ __all__ = [
     "eval_p_derivs",
     "eval_param_derivs",
     "critical_data",
+    "critical_data_many",
     "reject_ill_conditioned",
     "flat_coords",
     "tau_product",
@@ -99,7 +102,7 @@ class Covering1:
         for i, p in enumerate(self.poles):
             if abs(p.top) <= 1e-10:
                 raise OnBoundaryError("S2", (i,))
-        i, j = np.triu_indices(len(self.poles), 1)
+        i, j = _pair_indices(len(self.poles))
         bs = np.array([p.b for p in self.poles])
         clash = np.flatnonzero(lattice_distance(bs[i] - bs[j], sigma) <= 1e-10)
         if clash.size:
@@ -131,32 +134,42 @@ class Covering1:
         return weierstrass_context(self.modulus)
 
 
-def eval_p_derivs(c: Covering1, z, n_max: int):
+def eval_p_derivs(c: Covering1 | Sequence[Covering1], z, n_max: int):
     """[p(z), ..., p^(n_max)(z)] from the zeta-derivative basis.
 
     ``z`` is a complex scalar (returns a list of complex) or an array of
-    points (returns an array of shape (n_max + 1, *z.shape)).  All z - b_i
-    are reduced together and take one theta evaluation; the pole guard
-    POLE_GUARD*(1 + |sigma|) >= LATTICE_GUARD is their only distance check.
+    points (returns an array of shape (n_max + 1, *z.shape)).  Stacked: ``c``
+    is a sequence of coverings of one modulus and one profile and ``z`` one
+    1-d point array per covering; the columns are all their points in turn.
+    All z - b_i are reduced together and take one theta evaluation; the pole
+    guard POLE_GUARD*(1 + |sigma|) >= LATTICE_GUARD is their only distance check.
     """
-    pts, shape = point_array(z)
-    sigma = c.modulus.sigma
-    diffs = (pts[None, :] - np.array([p.b for p in c.poles])[:, None]).ravel()
+    if isinstance(c, Covering1):
+        cs, (pts, shape) = (c,), point_array(z)
+        counts = [len(pts)]
+    else:
+        cs, pts, counts = c, np.concatenate(z), [len(part) for part in z]
+        shape = pts.shape
+    ends = list(accumulate(counts, initial=0))
+    sigma = cs[0].modulus.sigma
+    bs = np.repeat(np.array([[p.b for p in cv.poles] for cv in cs]), counts, axis=0).T
+    diffs = (pts[None, :] - bs).ravel()
     _, n, z0 = _split_lattice(diffs, sigma)
     guard = POLE_GUARD * (1.0 + abs(sigma))
-    near = _centered_distance(z0, sigma).reshape(len(c.poles), len(pts)) <= guard
+    near = _centered_distance(z0, sigma).reshape(bs.shape) <= guard
     if near.any():
         i = int(near.any(axis=1).argmax())
-        raise NearPoleError(
-            f"z = {complex(pts[near[i]][0])} is too close to the pole at {c.poles[i].b}"
-        )
-    top = max(c.profile) - 1 + n_max
-    zd = _zeta_rows(c.ctx, diffs, n, z0, top).reshape(top + 1, len(c.poles), len(pts))
+        raise NearPoleError(f"z = {complex(pts[near[i]][0])} is too close to the pole at "
+                            f"{complex(bs[i][near[i]][0])}")
+    top = max(cs[0].profile) - 1 + n_max
+    zd = _zeta_rows(cs[0].ctx, diffs, n, z0, top).reshape((top + 1,) + bs.shape)
     out = np.zeros((n_max + 1, len(pts)), dtype=complex)
-    out[0] = c.constant
-    for i, pole in enumerate(c.poles):
-        for a, coeff in enumerate(pole.c):
-            out += coeff * zd[a: a + n_max + 1, i]
+    for cv, lo, hi in zip(cs, ends, ends[1:]):
+        block = out[:, lo:hi]
+        block[0] = cv.constant
+        for i, pole in enumerate(cv.poles):
+            for a, coeff in enumerate(pole.c):
+                block += coeff * zd[a: a + n_max + 1, i, lo:hi]
     return shape_rows(out, shape)
 
 
@@ -218,44 +231,73 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
 
     Zeros come from the global search ``elliptic.elliptic_zeros`` (contour
     moments seeding an elliptic Aberth polish, ``ContourClashError`` when no
-    contour yields every zero), or by Newton continuation from ``seeds``,
-    where M converged, distinct lanes are all M zeros and unconverged or
-    collapsed lanes raise ``CountMismatchError``.
+    contour yields every zero), or with ``seeds`` from the one-covering case
+    of ``critical_data_many``, whose failure raises ``CountMismatchError``.
     """
-    sigma = c.modulus.sigma
+    if seeds is not None:
+        (cd,) = critical_data_many([c], [seeds])
+        if cd is None:
+            raise CountMismatchError("a seeded lane did not converge, collapsed or hit a pole")
+        return cd
 
     def hd(z: np.ndarray) -> np.ndarray:
         return eval_p_derivs(c, z, 2)[1:]  # (p', p'') in one evaluation
 
-    if seeds is None:
-        pole_divisor = [(p.b, p.order + 1) for p in c.poles]
-        zs = _sort_cell_points(elliptic_zeros(c.ctx, hd, pole_divisor), sigma)
-    else:
-        if len(seeds) != c.dim:
-            raise ValueError("seed count must equal the moduli dimension")
-        z0 = np.array(seeds, dtype=complex)
-        tracked, ok = newton_lanes(hd, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
-        if not ok.all():
-            raise CountMismatchError("a seeded Newton lane did not converge")
-        zs = [reduce_to_cell(complex(z), sigma) for z in tracked]
+    zs = elliptic_zeros(c.ctx, hd, [(p.b, p.order + 1) for p in c.poles])
+    return _critical_data_at([c], np.array([_sort_cell_points(zs, c.modulus.sigma)]))[0]
 
-    za = np.array(zs, dtype=complex)
-    i, j = np.triu_indices(len(zs), 1)
-    z_gaps = lattice_distance(za[i] - za[j], sigma)
-    if seeds is not None and (z_gaps < 1e-10).any():
-        raise CountMismatchError("seeded zeros collapsed onto each other")
-    lam, f2, s, min_lgap, caustic = frame_data(eval_p_derivs(c, za, 4))
-    sb = s - 24j * math.pi * c.ctx.eta_tilde * f2
-    return CriticalData1(
-        pts=tuple(zs),
-        lam=tuple(lam),
-        fsq=tuple(complex(v) for v in f2),
-        sw=tuple(complex(v) for v in s),
-        sb=tuple(complex(v) for v in sb),
-        min_lambda_gap=min_lgap,
-        min_point_gap=float(z_gaps.min(initial=math.inf)),
-        caustic=caustic,
-    )
+
+def critical_data_many(coverings: Sequence[Covering1],
+                       seeds: Sequence[tuple[complex, ...]]) -> list[CriticalData1 | None]:
+    """``critical_data(c, seeds=s)`` of several coverings, None where it fails.
+
+    Lane m of covering k steps from seeds[k][m] by p'/p'' (capped at 0.2, at most 60 steps)
+    to its tolerance 1e-14*(1 + |seed|); M converged, distinct lanes are all M zeros.  One
+    lane run and one frame evaluation serve coverings of one modulus and one profile; a lane
+    that does not converge, collapses or reaches a pole fails its own covering only.
+    """
+    if any(len(s) != c.dim for c, s in zip(coverings, seeds)):
+        raise ValueError("seed count must equal the moduli dimension")
+    if len({(c.modulus, c.profile) for c in coverings}) == 1:
+        z0 = np.array(seeds, dtype=complex).ravel()
+        starts = coverings[0].dim * np.arange(len(coverings) + 1)  # each covering's first lane
+
+        def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+            cut = np.searchsorted(live, starts)
+            _, v, d = eval_p_derivs(coverings, [z[live[a:b]] for a, b in zip(cut, cut[1:])], 2)
+            return v / d
+
+        try:
+            tracked, ok = _iterate_lanes(newton_step, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
+            zs = np.array([reduce_to_cell(complex(z), coverings[0].modulus.sigma) for z in tracked])
+            zs[~ok] = np.nan  # an unconverged lane fails the gap test of _critical_data_at
+            return _critical_data_at(coverings, zs.reshape(len(coverings), -1))
+        except NearPoleError:
+            if len(coverings) == 1:
+                return [None]
+    # one covering at a time, so that a lane at a pole fails its own covering only
+    return [critical_data_many([c], [s])[0] for c, s in zip(coverings, seeds)]
+
+
+def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalData1 | None]:
+    """Critical data of each covering cs[k] with zeros zs[k], from one order-4 evaluation.
+
+    None where two zeros lie within 1e-10 modulo the lattice or are NaN (failed seeded lanes).
+    """
+    i, j = _pair_indices(zs.shape[1])
+    gaps = lattice_distance(zs[:, i] - zs[:, j], cs[0].modulus.sigma)
+    keep = np.flatnonzero((gaps >= 1e-10).all(axis=1))
+    out: list[CriticalData1 | None] = [None] * len(cs)
+    if keep.size:
+        rows = eval_p_derivs([cs[k] for k in keep], zs[keep], 4).reshape(5, keep.size, -1)
+        for k, d in zip(keep, rows.transpose(1, 0, 2)):
+            lam, f2, s, min_lgap, caustic = frame_data(d)
+            sb = s - 24j * math.pi * cs[k].ctx.eta_tilde * f2
+            out[k] = CriticalData1(
+                pts=tuple(zs[k].tolist()), lam=tuple(lam), fsq=tuple(f2.tolist()),
+                sw=tuple(s.tolist()), sb=tuple(sb.tolist()), min_lambda_gap=min_lgap,
+                min_point_gap=float(gaps[k].min(initial=math.inf)), caustic=caustic)
+    return out
 
 
 def reject_ill_conditioned(c: Covering1, pts) -> None:
@@ -336,13 +378,18 @@ def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
     bs = np.array([p.b for p in c.poles])
     off_z = ~np.eye(len(zs), dtype=bool)
     off_b = ~np.eye(len(bs), dtype=bool)
-    kappa = complex(np.prod(sigma_w(ctx, (zs[:, None] - zs[None, :])[off_z])))
+    # one sigma_w call: z_r - z_s, b_1 - b_j, b_1 - z_m and b_i - b_j, in that order
+    args = [(zs[:, None] - zs[None, :])[off_z], bs[0] - bs[1:], bs[0] - zs,
+            (bs[:, None] - bs[None, :])[off_b]]
+    s_zz, s_b1, s_bz, s_bb = np.split(sigma_w(ctx, np.concatenate(args)),
+                                      list(accumulate(len(a) for a in args[:-1])))
+    kappa = complex(np.prod(s_zz))
 
     k1 = ks[0]
     f_at_b1 = -k1 * (fc.t[0] ** k1)
-    for s_b, k in zip(sigma_w(ctx, bs[0] - bs[1:]), ks[1:]):
+    for s_b, k in zip(s_b1, ks[1:]):
         f_at_b1 *= complex(s_b) ** (k + 1)
-    f0 = f_at_b1 / complex(np.prod(sigma_w(ctx, bs[0] - zs)))
+    f0 = f_at_b1 / complex(np.prod(s_bz))
 
     if kappa == 0:
         return TauResultant1(
@@ -353,7 +400,7 @@ def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
     log48 += 2.0 * c.dim * cmath.log(f0)
     log48 += cmath.log(kappa)
     kk = np.outer(np.array(ks) + 1, np.array(ks) + 1)[off_b]
-    for w, s_b in zip(kk, sigma_w(ctx, (bs[:, None] - bs[None, :])[off_b])):
+    for w, s_b in zip(kk, s_bb):
         log48 -= int(w) * cmath.log(complex(s_b))
     for k, t in zip(ks, fc.t):
         log48 -= (k + 1) * (k - 2) * cmath.log(t)

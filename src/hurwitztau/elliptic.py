@@ -38,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,7 +64,6 @@ __all__ = [
     "zeta_sigma_derivs",
     "sigma_w",
     "elliptic_zeros",
-    "newton_lanes",
     "reduce_to_cell",
     "lattice_distance",
     "half_periods",
@@ -217,10 +216,11 @@ def theta1_derivs(mod: Modulus, z, n_max: int):
     """z-derivatives 0..n_max of theta1 at arbitrary z.
 
     ``z`` is a complex scalar (returns a list of complex) or an array of
-    points (returns an array of shape (n_max + 1, *z.shape)).  Each argument
-    is reduced to the base cell; quasi-periodicity supplies the exponential
-    factor, and the Leibniz rule propagates it through the requested
-    derivatives.
+    points (returns an array of shape (n_max + 1, *z.shape)).  Each argument is
+    reduced to the base cell; quasi-periodicity supplies the exponential factor,
+    and the Leibniz rule propagates it through the requested derivatives.  The
+    base-cell sums are batch-invariant, but numpy rounds the product with that
+    factor by array length: a scalar can differ from its array entry in the last bit.
     """
     pts, shape = point_array(z)
     m, n, z0 = _split_lattice(pts, mod.sigma)
@@ -307,6 +307,14 @@ def lattice_distance(z, sigma: complex):
 def _centered_distance(z0: np.ndarray, sigma: complex) -> np.ndarray:
     """lattice_distance of points already reduced by _split_lattice."""
     return np.abs(z0[:, None] - (_NEAR_M + _NEAR_N * sigma)).min(axis=1)
+
+
+@cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the n(n-1)/2 pairs i < j of n items, built once per n."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def half_periods(sigma: complex) -> tuple[complex, complex, complex]:
@@ -482,7 +490,8 @@ def zeta_w(ctx: WeierstrassContext, z, n_deriv: int = 0):
 
 
 def sigma_w(ctx: WeierstrassContext, z):
-    """Weierstrass sigma, normalized so sigma_w(z) = z + O(z^5) (scalar or array z)."""
+    """Weierstrass sigma, normalized so sigma_w(z) = z + O(z^5) (scalar or array z,
+    which agree to round-off, not bit for bit: see ``theta1_derivs``)."""
     pts, shape = point_array(z)
     t = theta1_derivs(ctx.modulus, pts, 0)[0]
     vals = (t / ctx.theta1_deriv0) * np.exp(ctx.calib_sigma * pts * pts)
@@ -504,24 +513,6 @@ _OFFSETS = [
 GAUSS_NODES = 32
 ABERTH_STEPS = 20
 ABERTH_MAX_STEP = 0.5
-
-
-def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
-                 tol, max_step: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton's method from many starting points at once.
-
-    ``hd(w)`` returns (h(w), h'(w)) for an array of points w.  Each lane
-    iterates as scalar Newton does: the step h/h' is clipped to length
-    ``max_step``; the lane stops when the step is shorter than its ``tol``
-    (a scalar or one value per lane) and fails when h' vanishes or after
-    ``max_iter`` steps.  Only the live lanes are evaluated.  Returns the
-    final points and the mask of lanes that converged.
-    """
-    def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
-        v, d = hd(z[live])
-        return v / d
-
-    return _iterate_lanes(newton_step, z, tol, max_step, max_iter)
 
 
 def _iterate_lanes(step_of, z, tol, max_step: float,
@@ -656,7 +647,7 @@ def _moment_zeros(hd, ctx: WeierstrassContext, corner: complex,
         return None
     if not ok.all():
         return None
-    i, k = np.triu_indices(total, 1)
+    i, k = _pair_indices(total)
     if (lattice_distance(zs[i] - zs[k], sigma) < 1e-10).any():
         return None
     return zs.tolist()

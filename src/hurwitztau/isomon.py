@@ -21,7 +21,7 @@ from . import cover0, cover1
 from .cover0 import Covering0, TauProduct, route_a
 from .cover1 import Covering1
 from .elliptic import lattice_distance, log_dedekind_eta, wp
-from .errors import CoincidentPointsError, CountMismatchError, IllConditionedError, NearPoleError
+from .errors import CoincidentPointsError, CountMismatchError, IllConditionedError
 
 __all__ = [
     "Analysis",
@@ -441,16 +441,6 @@ def _ratio_drift(values: list[complex]) -> float:
     return max(abs(v / ref - 1.0) for v in values)
 
 
-def _continued_critical_data(cov: Covering, seeds) -> cover0.CriticalData0 | cover1.CriticalData1:
-    model = (cover0, cover1)[cov.genus]
-    if seeds is not None:
-        try:
-            return model.critical_data(cov, seeds=seeds)
-        except (CountMismatchError, NearPoleError):
-            pass
-    return model.critical_data(cov)
-
-
 def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -> dict:
     """Cross-route tau data of one covering from its critical data."""
     model = (cover0, cover1)[cov.genus]
@@ -468,21 +458,22 @@ def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -
     return row
 
 
-def _route_rows(coverings: Sequence[Covering], seeds=None) -> list[dict]:
-    """Cross-route tau data at each covering of a walk, in order.
+def _route_rows(walks: Sequence[Sequence[Covering]], seeds=None) -> list[list[dict]]:
+    """Cross-route tau data at each covering of each walk, in order.
 
-    The critical points are continued along the walk: each step solves from
-    the previous step's points (the first step from ``seeds``, or globally
-    when None), by Newton at genus 1 and by Aberth at genus 0.  A step
-    whose continuation fails (a lane does not converge, two points
-    collapse, a lane reaches a pole) goes back to the global solve.
+    The walks have one length and advance in lockstep: step r of each walk
+    continues its points at step r - 1 (step 0 ``seeds``, or solves globally
+    when None), in one ``critical_data_many`` call per step; a covering whose
+    continuation fails goes back to the global solve alone.
     """
-    rows = []
-    for cov in coverings:
-        cd = _continued_critical_data(cov, seeds)
-        seeds = cd.pts
-        rows.append(_route_row(cov, cd))
-    return rows
+    model = (cover0, cover1)[walks[0][0].genus]
+    pts, rows = [seeds] * len(walks), []
+    for step in zip(*walks, strict=True):
+        cds = model.critical_data_many(step, pts) if pts[0] is not None else [None] * len(step)
+        cds = [cd or model.critical_data(cov) for cov, cd in zip(step, cds)]
+        pts = [cd.pts for cd in cds]
+        rows.append([_route_row(cov, cd) for cov, cd in zip(step, cds)])
+    return [list(walk_rows) for walk_rows in zip(*rows)]
 
 
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
@@ -502,7 +493,7 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
         model.set_param(covering, path, v0 + (target - v0) * (s / (steps - 1)))
         for s in range(steps)
     ]
-    rows = _route_rows(coverings)
+    (rows,) = _route_rows([coverings])
     for cov, row in zip(coverings, rows):
         model.reject_ill_conditioned(cov, row["pts"])
     return list(zip(range(steps), coverings, rows))
@@ -608,12 +599,11 @@ def identity_report(
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     sweep = _sweep_coverings(covering, path, phase)
     # walk outward from the base point, whose critical points seed both
-    # halves; the middle step is the covering itself, whose row comes from
-    # the analysis already made
+    # halves, the two walks in lockstep; the middle step is the covering
+    # itself, whose row comes from the analysis already made
     mid = SWEEP_STEPS // 2
-    rows = (_route_rows(sweep[:mid][::-1], an.pts)[::-1]
-            + [_route_row(covering, an.critical)]
-            + _route_rows(sweep[mid:], an.pts))
+    lower, upper = _route_rows([sweep[:mid][::-1], sweep[mid:]], an.pts)
+    rows = lower[::-1] + [_route_row(covering, an.critical)] + upper
     ratios = [row["route_ratio"] for row in rows]
     factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
     checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),

@@ -22,10 +22,10 @@ from hurwitztau.elliptic import (
     _cell_representative,
     _contour_corners,
     _gauss_legendre,
+    _iterate_lanes,
     _newton_tol,
     cell_coords,
     lattice_distance,
-    newton_lanes,
     point_array,
     reduce_to_cell,
     shape_rows,
@@ -34,6 +34,24 @@ from hurwitztau.elliptic import (
 )
 from hurwitztau.errors import ContourClashError, NearPoleError
 from hurwitztau.poly import CPoly
+
+
+def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
+                 tol, max_step: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's method from many starting points at once, on ``elliptic._iterate_lanes``.
+
+    ``hd(w)`` returns (h(w), h'(w)) for an array of points w.  Each lane
+    iterates as scalar Newton does: the step h/h' is clipped to length
+    ``max_step``; the lane stops when the step is shorter than its ``tol``
+    (a scalar or one value per lane) and fails when h' vanishes or after
+    ``max_iter`` steps.  Only the live lanes are evaluated.  Returns the
+    final points and the mask of lanes that converged.
+    """
+    def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+        v, d = hd(z[live])
+        return v / d
+
+    return _iterate_lanes(newton_step, z, tol, max_step, max_iter)
 
 
 def central_diff(fn, z: complex, h: float = 1e-6) -> complex:

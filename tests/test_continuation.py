@@ -14,7 +14,7 @@ import pytest
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cli import covering_to_spec, main
 from hurwitztau.elliptic import lattice_distance
-from hurwitztau.errors import CountMismatchError, NonConvergenceError
+from hurwitztau.errors import CountMismatchError, NearPoleError, NonConvergenceError
 from hurwitztau.samples import random_covering0, random_covering1
 
 
@@ -34,33 +34,38 @@ def searches(monkeypatch):
 
 @pytest.fixture()
 def walked(monkeypatch):
-    """(covering, row) of every sweep step walked since set up."""
+    """(covering, row) of every sweep step walked since set up, walk by walk."""
     seen = []
     orig = isomon._route_rows
 
-    def recorded(coverings, seeds=None):
-        rows = orig(coverings, seeds)
-        seen.extend(zip(coverings, rows))
+    def recorded(walks, seeds=None):
+        rows = orig(walks, seeds)
+        for walk, walk_rows in zip(walks, rows):
+            seen.extend(zip(walk, walk_rows))
         return rows
 
     monkeypatch.setattr(isomon, "_route_rows", recorded)
     return seen
 
 
-def _failing_lane(monkeypatch, failing_call: int):
-    """Make the seeded Newton call number ``failing_call`` report lane 0 unconverged."""
+def _failing_lane(monkeypatch, failing_call: int, lane: int = 0):
+    """Make the seeded Newton run number ``failing_call`` report ``lane`` unconverged.
+
+    The run is the one ``_iterate_lanes`` call of a stacked seeded solve;
+    its lanes are those of every covering of the round, covering by covering.
+    """
     calls = {"n": 0}
-    orig = cover1.newton_lanes
+    orig = cover1._iterate_lanes
 
     def lanes(*args, **kwargs):
         z, ok = orig(*args, **kwargs)
         calls["n"] += 1
         if calls["n"] == failing_call:
             ok = ok.copy()
-            ok[0] = False
+            ok[lane] = False
         return z, ok
 
-    monkeypatch.setattr(cover1, "newton_lanes", lanes)
+    monkeypatch.setattr(cover1, "_iterate_lanes", lanes)
 
 
 def _global_ratio(cov) -> complex:
@@ -95,6 +100,19 @@ class TestIdentityReport:
         assert len(walked) == 4  # the middle step reuses the base analysis
         _assert_ratios_match_global(walked)
 
+    def test_failing_lane_sends_only_its_covering_to_the_search(self, monkeypatch, g1_21,
+                                                                 searches, walked):
+        # the first round stacks the lower walk's step 1 and the upper walk's
+        # step 3; lane M is the first lane of step 3
+        _failing_lane(monkeypatch, failing_call=1, lane=g1_21.dim)
+        checks = isomon.identity_report(g1_21)
+        assert searches["n"] == 2  # the base analysis and step 3 alone
+        assert all(c.passed for c in checks)
+        assert len(walked) == 4
+        cov3, row3 = walked[2]  # the upper walk starts at step 3
+        assert row3["route_ratio"] == _global_ratio(cov3)
+        _assert_ratios_match_global(walked)
+
 
 class TestSweepRatios:
     def test_one_global_search_over_20_steps(self, g1_21, searches):
@@ -116,7 +134,7 @@ class TestSweepRatios:
         cov = g1_21
         z0 = cover1.critical_data(cov).pts
         assert searches["n"] == 1
-        (row,) = isomon._route_rows([cov], seeds=(z0[0],) * len(z0))
+        ((row,),) = isomon._route_rows([[cov]], seeds=(z0[0],) * len(z0))
         assert searches["n"] == 2
         assert row["route_ratio"] == _global_ratio(cov)
 
@@ -203,3 +221,43 @@ class TestGenus0:
         assert solves0 == {"global": 2, "seeded": 19}
         _, cov2, row2 = table[2]
         assert row2["route_ratio"] == _global_ratio0(cov2)
+
+
+def _sweep_steps(cov, count):
+    """The first ``count`` coverings of the identity sweep around ``cov``."""
+    path = cover1.default_sweep_param(cov)
+    return isomon._sweep_coverings(cov, path, 0.7)[:count]
+
+
+@pytest.fixture(scope="module")
+def g1_11():
+    cov = random_covering1((1, 1), seed=11)
+    assert cover1.default_sweep_param(cov) == "poles.1.b"
+    return cov
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("name, count", [("h12", 2), ("g1(2,1)", 3), ("g1(1,1)", 3)])
+    def test_matches_per_covering_solves(self, name, count, h12, g1_21, g1_11):
+        cov = {"h12": h12, "g1(2,1)": g1_21, "g1(1,1)": g1_11}[name]
+        seeds = cover1.critical_data(cov).pts
+        steps = _sweep_steps(cov, count)
+        stacked = cover1.critical_data_many(steps, [seeds] * count)
+        for step, cd in zip(steps, stacked):
+            one = cover1.critical_data(step, seeds=seeds)
+            for field in ("pts", "lam", "fsq"):
+                got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
+                assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13, field
+
+    def test_lane_at_a_pole_isolates_its_covering(self, g1_21):
+        cov = g1_21
+        seeds = cover1.critical_data(cov).pts
+        steps = _sweep_steps(cov, 3)
+        at_pole = (steps[1].poles[0].b,) + seeds[1:]
+        with pytest.raises(NearPoleError):
+            cover1.eval_p_derivs(steps[:2], [np.array(seeds), np.array(at_pole)], 2)
+        got = cover1.critical_data_many(steps, [seeds, at_pole, seeds])
+        assert got[1] is None
+        for k in (0, 2):
+            want = cover1.critical_data(steps[k], seeds=seeds)
+            assert np.max(np.abs(np.array(got[k].pts) - np.array(want.pts))) < 1e-13

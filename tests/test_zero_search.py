@@ -184,7 +184,7 @@ class TestAberth:
         seeds = zeros + 0.02 * np.exp(1j * np.arange(len(zeros)))
         seeds[1] = zeros[0] - 0.02
         tol = elliptic._newton_tol(sigma)
-        newton, _ = elliptic.newton_lanes(hd, seeds, tol, 0.5, 20)
+        newton, _ = oracles.newton_lanes(hd, seeds, tol, 0.5, 20)
         assert lattice_distance(newton[1] - newton[0], sigma) < 1e-10
         zs, ok = elliptic._aberth_lanes(hd, ctx, seeds, poles, tol)
         assert ok.all()
