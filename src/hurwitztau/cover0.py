@@ -15,10 +15,12 @@ model names; the formulas both share (``route_a``, ``frame_data``) live here.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import Sequence
 
 import numpy as np
 
@@ -194,34 +196,48 @@ def reject_ill_conditioned(c: Covering0, pts) -> None:
     check_pole_gaps(c.poles, [min(abs(a - p.b) for a in pts) for p in c.poles], scale)
 
 
-def eval_p_derivs(c: Covering0, z, n_max: int):
+def eval_p_derivs(c: Covering0 | Sequence[Covering0], z, n_max: int):
     """[p(z), p'(z), ..., p^(n_max)(z)] evaluated exactly.
 
     ``z`` is a complex scalar (returns a list of complex) or an array of
-    points (returns an array of shape (n_max + 1, *z.shape)).  The polynomial
+    points (returns an array of shape (n_max + 1, *z.shape)).  Stacked: ``c``
+    is a sequence of coverings of one profile and ``z`` one 1-d point array
+    per covering; the columns are all their points in turn.  The polynomial
     part is Horner's scheme on p^(j)/j!, started from its leading terms
     z^k1 + 0 z^(k1-1); the pole part is each tail coefficient times the
     powers (z - b)^(-a-j).  The rows are laid end to end in one flat array:
     numpy multiplies complex arrays of one dimension the same way at any
-    length, so a scalar gives its batch entry bit for bit.
+    length, so a scalar gives its batch entry bit for bit, as a covering
+    does its stacked columns.
     """
-    pts, shape = point_array(z)
+    if isinstance(c, Covering0):
+        cs, (pts, shape) = (c,), point_array(z)
+        counts = [len(pts)]
+    else:
+        cs, pts, counts = c, np.concatenate(z), [len(part) for part in z]
+        shape = pts.shape
     n = len(pts)
+    # row q: coefficient q of each point's covering, the polynomial part's
+    # from degree k1 - 2 down, then per pole b, c_1, ..., c_k
+    cols = np.array([[*cv.poly_coeffs[::-1], *(v for p in cv.poles for v in (p.b, *p.c))]
+                     for cv in cs]).T.take(np.repeat(np.arange(len(cs)), counts), axis=1)
     buf = np.zeros((n_max + 2) * n, dtype=complex)  # the next coefficient, then p^(j)/j!
     buf[n : 2 * n] = pts
     buf[2 * n : 3 * n] = 1.0
     tiled = np.concatenate([pts] * (n_max + 1))
-    for coeff in reversed(c.poly_coeffs):  # degrees k1 - 2, ..., 0
+    q = len(cs[0].poly_coeffs)
+    for coeff in cols[:q]:
         buf[:n] = coeff
         buf[n:] = buf[n:] * tiled + buf[:-n]
     out = buf[n:] * np.array([float(math.factorial(j)) for j in range(n_max + 1)]).repeat(n)
-    for pole in c.poles:
-        w = pts - pole.b
-        powers = np.concatenate([w**-k for k in range(1, pole.order + n_max + 1)])
-        for a, coeff in enumerate(pole.c, start=1):
+    for k in cs[0].profile[1:]:
+        w = pts - cols[q]
+        powers = np.concatenate([w**-e for e in range(1, k + n_max + 1)])
+        for a in range(1, k + 1):
             # d^j/dz^j of -c (z-b)^(-a) is -(-1)^j a(a+1)...(a+j-1) c (z-b)^(-a-j)
-            factors = [-coeff * (-1) ** j * math.perm(a + j - 1, j) for j in range(n_max + 1)]
-            out += np.array(factors).repeat(n) * powers[(a - 1) * n : (a + n_max) * n]
+            factors = [-((-1) ** j) * math.perm(a + j - 1, j) for j in range(n_max + 1)]
+            out += np.outer(factors, cols[q + a]).ravel() * powers[(a - 1) * n : (a + n_max) * n]
+        q += k + 1
     return shape_rows(out.reshape(n_max + 1, n), shape)
 
 
@@ -252,32 +268,43 @@ def eval_param_derivs(c: Covering0, z) -> np.ndarray:
     return np.array([blocks[path] for path in deformation_params(c)], dtype=complex)
 
 
-def p_prime_as_ratio(c: Covering0) -> tuple[CPoly, CPoly]:
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two stacks of polynomials, lowest degree first."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=complex)
+    for r in range(a.shape[1]):
+        out[:, r : r + b.shape[1]] += a[:, r : r + 1] * b
+    return out
+
+
+def p_prime_as_ratio(c: Covering0 | Sequence[Covering0]):
     """p' = f/g with g = prod (z - b_i)^(k_i + 1), built at coefficient level.
 
     f has degree M with leading coefficient k1; its roots are exactly the
-    finite critical points.
+    finite critical points.  ``c`` is a covering (gives the CPolys f, g) or
+    coverings of one profile (gives two arrays, a row of coefficients per
+    covering, lowest degree first).  (z - b)^m is the row C(m, r) (-b)^(m-r).
     """
-    k1 = c.profile[0]
-    g = CPoly((1.0,))
-    for pole in c.poles:
-        g = g * CPoly.from_roots([pole.b] * (pole.order + 1))
-
-    dpoly = [0j] * k1
-    dpoly[k1 - 1] = float(k1)
-    for r, a in enumerate(c.poly_coeffs):
-        if r >= 1:
-            dpoly[r - 1] = r * a
-    f = CPoly(tuple(dpoly)) * g
-
-    for i, pole in enumerate(c.poles):
-        rest = CPoly((1.0,))
-        for j, other in enumerate(c.poles):
-            if j != i:
-                rest = rest * CPoly.from_roots([other.b] * (other.order + 1))
-        for a, coeff in enumerate(pole.c, start=1):
-            term = CPoly.from_roots([pole.b] * (pole.order - a)).scale(a * coeff)
-            f = f + term * rest
+    cs = (c,) if isinstance(c, Covering0) else c
+    k1, ks = cs[0].profile[0], cs[0].profile[1:]
+    powers = []  # (z - b_i)^m of every covering for m = 0..k_i + 1
+    for i, k in enumerate(ks):
+        neg_b = np.vander([-cv.poles[i].b for cv in cs], k + 2, increasing=True)
+        powers.append([[math.comb(m, r) for r in range(m + 1)] * neg_b[:, m::-1]
+                       for m in range(k + 2)])
+    factors = [rows[k + 1] for rows, k in zip(powers, ks)]
+    g = functools.reduce(_times, factors, np.ones((len(cs), 1)))
+    # the polynomial part's derivative k1 z^(k1-1) + 0 z^(k1-2) + sum_r r a_r z^(r-1)
+    dpoly = [([r * a for r, a in enumerate(cv.poly_coeffs) if r] + [0, k1])[-k1:] for cv in cs]
+    f = _times(np.array(dpoly, dtype=complex), g)
+    for i, k in enumerate(ks):
+        # sum_a a c_a (z - b)^(k - a) times the other poles' factors
+        tail = np.zeros((len(cs), k), dtype=complex)
+        for a in range(1, k + 1):
+            tail[:, : k - a + 1] += [[a * cv.poles[i].c[a - 1]] for cv in cs] * powers[i][k - a]
+        term = functools.reduce(_times, factors[:i] + factors[i + 1 :], tail)
+        f[:, : term.shape[1]] += term
+    if isinstance(c, Covering0):
+        return CPoly(tuple(f[0].tolist())), CPoly(tuple(g[0].tolist()))
     return f, g
 
 
@@ -358,64 +385,66 @@ def profile_constant(c: Covering0) -> float:
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
     """Critical points (roots of f), critical values, f_m^2 and Schwarzians.
 
-    ``fsq`` and ``sb`` come from ``frame_data``.  Without ``seeds`` the
-    roots come from a global solve, sorted.  With ``seeds`` (one per
-    critical point, such as the previous step of a sweep), Aberth starts
-    from them and point i continues seed i; a solve that stalls or whose
-    iterates coincide raises ``CountMismatchError``, so the caller can fall
-    back to the global solve.
+    The one-covering case of ``critical_data_many``.  Without ``seeds`` the
+    roots come from a global solve, sorted.  With ``seeds`` (one per critical
+    point, such as the previous step of a sweep) Aberth starts from them and
+    point i continues seed i; a solve that stalls or whose iterates coincide
+    raises ``CountMismatchError``, so the caller can fall back to the global solve.
     """
-    if c.dim < 1:
-        raise NoCriticalPointsError(f"profile {c.profile} has no critical points (M = 0)")
-    f, g = p_prime_as_ratio(c)
-    if seeds is None:
-        pts = _sort_points(list(all_roots(f).roots))
-    else:
-        try:
-            pts = list(all_roots(f, start=seeds).roots)
-        except NonConvergenceError as exc:
-            raise CountMismatchError(f"seeded root solve failed: {exc}") from None
+    (cd,) = critical_data_many([c], [seeds])
+    if cd is None:
+        raise CountMismatchError("seeded root solve stalled or its iterates coincided")
+    return cd
 
-    fc = flat_coords(c)
+
+def critical_data_many(coverings: Sequence[Covering0], seeds) -> list[CriticalData0 | None]:
+    """``critical_data(c, seeds=s)`` of several coverings, None where a seeded solve fails.
+
+    Coverings of one profile share one f/g build, one stacked determinant for
+    R(f, g) and one frame evaluation; the roots are solved covering by
+    covering (globally where s is None).  Mixed profiles go one at a time.
+    """
+    if len({c.profile for c in coverings}) > 1:
+        return [critical_data_many([c], [s])[0] for c, s in zip(coverings, seeds)]
+    if coverings[0].dim < 1:
+        raise NoCriticalPointsError(
+            f"profile {coverings[0].profile} has no critical points (M = 0)")
+    fs, gs = p_prime_as_ratio(coverings)
+    found = {}  # covering index -> (f, its roots)
+    for k, (row, s) in enumerate(zip(fs, seeds)):
+        f = CPoly(tuple(row.tolist()))
+        try:
+            found[k] = f, (_sort_points(list(all_roots(f).roots)) if s is None
+                           else list(all_roots(f, start=s).roots))
+        except NonConvergenceError:
+            if s is None:
+                raise
+    out: list[CriticalData0 | None] = [None] * len(coverings)
+    keep = list(found)
+    if not keep:
+        return out
+    kept = [coverings[k] for k in keep]
     # before the determinant: huge tails overflow here as an OverflowError, not a warning
-    denom = factorization_denominator(c, fc)
-    res_fg = complex(resultant(f, g))
-    scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
-    for a in pts:
-        for pole in c.poles:
-            if abs(a - pole.b) < ROOT_POLE_GUARD * scale_b:
-                raise CommonRootError(
-                    f"critical point {a} collides with pole {pole.b}"
-                )
-    # off the boundary R(f, g) is its pole/flat factorization times the
-    # profile constant prod k_i^-(k_i^2 - 1), the scale to call it zero against
-    if c.poles and abs(res_fg) < 1e-10 * abs(denom) * profile_constant(c):
-        raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
-
-    lam, fsq, sb, min_lgap, caustic = frame_data(eval_p_derivs(c, np.array(pts), 4))
-    min_pgap = min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf)
-    return CriticalData0(
-        pts=tuple(pts),
-        lam=tuple(lam),
-        fsq=tuple(fsq.tolist()),
-        sb=tuple(sb.tolist()),
-        min_lambda_gap=min_lgap,
-        min_point_gap=min_pgap,
-        caustic=caustic,
-        resultant_fg=res_fg,
-        resultant_ratio=res_fg / denom,
-        numerator=f,
-    )
-
-
-def critical_data_many(coverings, seeds) -> list[CriticalData0 | None]:
-    """``critical_data(c, seeds=s)`` per covering, None where it raises ``CountMismatchError``."""
-    out = []
-    for c, s in zip(coverings, seeds):
-        try:
-            out.append(critical_data(c, seeds=s))
-        except CountMismatchError:
-            out.append(None)
+    denoms = [factorization_denominator(c, flat_coords(c)) for c in kept]
+    res_fg = resultant(fs[keep], gs[keep]).tolist()
+    for k, c, denom, res in zip(keep, kept, denoms, res_fg):
+        scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
+        for a, b in ((a, p.b) for a in found[k][1] for p in c.poles):
+            if abs(a - b) < ROOT_POLE_GUARD * scale_b:
+                raise CommonRootError(f"critical point {a} collides with pole {b}")
+        # off the boundary R(f, g) is its pole/flat factorization times the
+        # profile constant prod k_i^-(k_i^2 - 1), the scale to call it zero against
+        if c.poles and abs(res) < 1e-10 * abs(denom) * profile_constant(c):
+            raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
+    rows = eval_p_derivs(kept, [np.array(found[k][1]) for k in keep], 4)
+    for j, (k, denom, res) in enumerate(zip(keep, denoms, res_fg)):
+        f, pts = found[k]
+        lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * len(pts) : (j + 1) * len(pts)])
+        out[k] = CriticalData0(
+            pts=tuple(pts), lam=tuple(lam), fsq=tuple(fsq.tolist()), sb=tuple(sb.tolist()),
+            min_lambda_gap=min_lgap,
+            min_point_gap=min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf),
+            caustic=caustic, resultant_fg=complex(res), resultant_ratio=res / denom, numerator=f)
     return out
 
 

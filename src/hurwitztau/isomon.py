@@ -458,22 +458,24 @@ def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -
     return row
 
 
-def _route_rows(walks: Sequence[Sequence[Covering]], seeds=None) -> list[list[dict]]:
-    """Cross-route tau data at each covering of each walk, in order.
+def _continued(coverings: Sequence[Covering], seeds) -> list:
+    """Critical data of each covering from its seeds in one call; failures solve globally alone."""
+    model = (cover0, cover1)[coverings[0].genus]
+    cds = [None] * len(coverings) if seeds[0] is None else model.critical_data_many(coverings, seeds)
+    return [cd or model.critical_data(cov) for cov, cd in zip(coverings, cds)]
 
-    The walks have one length and advance in lockstep: step r of each walk
-    continues its points at step r - 1 (step 0 ``seeds``, or solves globally
-    when None), in one ``critical_data_many`` call per step; a covering whose
-    continuation fails goes back to the global solve alone.
+
+def _route_rows(walk: Sequence[Covering], seeds=None) -> list[dict]:
+    """Cross-route tau data at each covering of ``walk``, each continuing the one before.
+
+    The first continues ``seeds``, or solves globally when they are None.
     """
-    model = (cover0, cover1)[walks[0][0].genus]
-    pts, rows = [seeds] * len(walks), []
-    for step in zip(*walks, strict=True):
-        cds = model.critical_data_many(step, pts) if pts[0] is not None else [None] * len(step)
-        cds = [cd or model.critical_data(cov) for cov, cd in zip(step, cds)]
-        pts = [cd.pts for cd in cds]
-        rows.append([_route_row(cov, cd) for cov, cd in zip(step, cds)])
-    return [list(walk_rows) for walk_rows in zip(*rows)]
+    rows = []
+    for cov in walk:
+        (cd,) = _continued([cov], [seeds])
+        rows.append(_route_row(cov, cd))
+        seeds = cd.pts
+    return rows
 
 
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
@@ -493,7 +495,7 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
         model.set_param(covering, path, v0 + (target - v0) * (s / (steps - 1)))
         for s in range(steps)
     ]
-    (rows,) = _route_rows([coverings])
+    rows = _route_rows(coverings)
     for cov, row in zip(coverings, rows):
         model.reject_ill_conditioned(cov, row["pts"])
     return list(zip(range(steps), coverings, rows))
@@ -598,12 +600,11 @@ def identity_report(
     path = (cover0, cover1)[covering.genus].default_sweep_param(covering)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     sweep = _sweep_coverings(covering, path, phase)
-    # walk outward from the base point, whose critical points seed both
-    # halves, the two walks in lockstep; the middle step is the covering
-    # itself, whose row comes from the analysis already made
-    mid = SWEEP_STEPS // 2
-    lower, upper = _route_rows([sweep[:mid][::-1], sweep[mid:]], an.pts)
-    rows = lower[::-1] + [_route_row(covering, an.critical)] + upper
+    # every sweep covering continues the base point's critical points, all
+    # in one round; the middle step is the covering itself, whose row comes
+    # from the analysis already made
+    rows = [_route_row(cov, cd) for cov, cd in zip(sweep, _continued(sweep, [an.pts] * len(sweep)))]
+    rows.insert(SWEEP_STEPS // 2, _route_row(covering, an.critical))
     ratios = [row["route_ratio"] for row in rows]
     factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
     checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),

@@ -8,6 +8,7 @@ is plain double-precision complex; no exact arithmetic.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -200,7 +201,7 @@ def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
     return RootSet(roots=roots, residual=residual)
 
 
-def _shifted(coeffs: tuple[complex, ...], z0: complex) -> list[complex]:
+def _shifted(coeffs: Sequence[complex], z0: complex) -> list[complex]:
     """Coefficients of p(w + z0), highest degree first, by repeated synthetic division."""
     c = list(coeffs[::-1])
     for i in range(len(c) - 1, 0, -1):
@@ -210,41 +211,50 @@ def _shifted(coeffs: tuple[complex, ...], z0: complex) -> list[complex]:
     return c
 
 
-def _sylvester(f: CPoly, g: CPoly) -> np.ndarray:
-    """Sylvester matrix of f and g after moving the origin to the mean root of f.
-
-    A common translation of both polynomials leaves their resultant as it
-    is; centred coefficients are smaller, and so is the determinant's
-    round-off (by several digits for degrees near 12 with roots off 0).
-    """
-    m, n = f.degree, g.degree
+@functools.cache
+def _sylvester_slots(m: int, n: int) -> np.ndarray:
+    """Flat positions in the Sylvester matrix of n rows of f's m + 1 coefficients, then m of g's."""
     size = m + n
-    mat = np.zeros((size, size), dtype=complex)
-    z0 = -f.coeffs[-2] / (m * f.leading)
-    fc = _shifted(f.coeffs, z0)  # highest degree first
-    gc = _shifted(g.coeffs, z0)
-    for r in range(n):
-        mat[r, r : r + m + 1] = fc
-    for r in range(m):
-        mat[n + r, r : r + n + 1] = gc
-    return mat
+    return np.array([r * size + r + j for r in range(n) for j in range(m + 1)]
+                    + [(n + r) * size + r + j for r in range(m) for j in range(n + 1)])
 
 
-def resultant(f: CPoly, g: CPoly) -> complex:
+def _sylvester(fs, gs) -> np.ndarray:
+    """Sylvester matrices of the pairs of ``fs``, ``gs`` (coefficients, lowest degree first).
+
+    The origin moves to the mean root of f.  A common translation of both
+    polynomials leaves their resultant as it is; centred coefficients are
+    smaller, and so is the determinant's round-off (by several digits for
+    degrees near 12 with roots off 0).
+    """
+    m, n = len(fs[0]) - 1, len(gs[0]) - 1
+    rows = []
+    for f, g in zip(fs, gs):
+        z0 = -f[-2] / (m * f[-1])
+        rows.append(_shifted(f, z0) * n + _shifted(g, z0) * m)
+    mat = np.zeros((len(fs), (m + n) ** 2), dtype=complex)
+    mat[:, _sylvester_slots(m, n)] = rows
+    return mat.reshape(len(fs), m + n, m + n)
+
+
+def resultant(f, g):
     """Sylvester resultant of ``f`` and ``g``.
 
     Convention: equals lc(f)^deg(g) * prod g(root_i(f)).  Computed as the
     Sylvester determinant by pivoted elimination, independent of any root
-    finding.
+    finding.  ``f`` and ``g`` are CPolys, or arrays of coefficient rows (lowest
+    degree first, leading one non-zero); one stacked determinant gives each row pair's.
     """
-    if f.is_zero or g.is_zero:
+    single = isinstance(f, CPoly)
+    if single and (f.is_zero or g.is_zero):
         raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    return complex(np.linalg.det(_sylvester(f, g)))
+    fs, gs = ([f.coeffs], [g.coeffs]) if single else (f.tolist(), g.tolist())
+    m, n = len(fs[0]) - 1, len(gs[0]) - 1
+    if m and n:
+        out = np.linalg.det(_sylvester(fs, gs))
+    else:
+        out = np.array([b[0] ** m if n == 0 else a[0] ** n for a, b in zip(fs, gs)])
+    return complex(out[0]) if single else out
 
 
 def log_resultant(f: CPoly, g: CPoly) -> complex:
@@ -258,7 +268,7 @@ def log_resultant(f: CPoly, g: CPoly) -> complex:
     m, n = f.degree, g.degree
     if m == 0 or n == 0:
         return cmath.log(resultant(f, g))
-    sign, logabs = np.linalg.slogdet(_sylvester(f, g))
+    sign, logabs = np.linalg.slogdet(_sylvester([f.coeffs], [g.coeffs])[0])
     if sign == 0:
         return complex(-math.inf, 0.0)
     return complex(logabs) + cmath.log(sign)

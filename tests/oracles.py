@@ -35,6 +35,8 @@ from hurwitztau.elliptic import (
 from hurwitztau.errors import ContourClashError, NearPoleError
 from hurwitztau.poly import CPoly
 
+_ULP = float(np.finfo(float).eps)
+
 
 def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
                  tol, max_step: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,17 +73,30 @@ def _p_and_dp(cov):
 
 
 def local_inverse(cov, z_m: complex, lam_m: complex, fsq_m: complex):
-    """z(x) with p(z(x)) = lam_m + x^2, z(0) = z_m, by Newton from a linear seed."""
+    """z(x) with p(z(x)) = lam_m + x^2, z(0) = z_m, by Newton from a linear seed.
+
+    Newton stops at round-off: after a step within a few ulps of z, or
+    before a step that is no shorter than the one before it (which only
+    round-off makes).  So when it stops does not hang on the last bits of p.
+    z(0) is z_m itself: there p' = 0, and a Newton step would be round-off
+    over round-off.
+    """
     p, dp = _p_and_dp(cov)
     f_m = cmath.sqrt(fsq_m)
 
     def z_of_x(x: complex) -> complex:
+        if x == 0:
+            return z_m
         z = z_m + f_m * x
         target = lam_m + x * x
+        last = math.inf
         for _ in range(80):
             step = (p(z) - target) / dp(z)
+            if abs(step) >= last:
+                break
             z -= step
-            if abs(step) < 1e-15 * (1.0 + abs(z)):
+            last = abs(step)
+            if last <= 4.0 * _ULP * abs(z):
                 break
         return z
 
@@ -233,6 +248,38 @@ def assert_not_determined(zs, hd, poles, sigma) -> None:
     """
     spread = round_off_spread(zs, hd, poles, sigma).max()
     assert spread > NOT_DETERMINED_MARGIN * _newton_tol(sigma), spread / _newton_tol(sigma)
+
+
+def p_prime_as_ratio(c: cover0.Covering0) -> tuple[CPoly, CPoly]:
+    """p' = f/g with g = prod (z - b_i)^(k_i + 1), built at coefficient level.
+
+    f has degree M with leading coefficient k1; its roots are exactly the
+    finite critical points.
+
+    The reference for ``cover0.p_prime_as_ratio``: ``CPoly`` products of
+    root factors, one covering at a time.
+    """
+    k1 = c.profile[0]
+    g = CPoly((1.0,))
+    for pole in c.poles:
+        g = g * CPoly.from_roots([pole.b] * (pole.order + 1))
+
+    dpoly = [0j] * k1
+    dpoly[k1 - 1] = float(k1)
+    for r, a in enumerate(c.poly_coeffs):
+        if r >= 1:
+            dpoly[r - 1] = r * a
+    f = CPoly(tuple(dpoly)) * g
+
+    for i, pole in enumerate(c.poles):
+        rest = CPoly((1.0,))
+        for j, other in enumerate(c.poles):
+            if j != i:
+                rest = rest * CPoly.from_roots([other.b] * (other.order + 1))
+        for a, coeff in enumerate(pole.c, start=1):
+            term = CPoly.from_roots([pole.b] * (pole.order - a)).scale(a * coeff)
+            f = f + term * rest
+    return f, g
 
 
 def product_resultant(f_coeffs, g) -> complex:

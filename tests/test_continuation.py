@@ -2,8 +2,9 @@
 
 The global genus-1 zero search is counted by wrapping
 ``cover1.elliptic_zeros``, and the genus-0 solves by wrapping
-``cover0.critical_data``.  Every continued route ratio is compared with the
-ratio from a fresh global solve at the same covering.
+``cover0.critical_data`` and its ``critical_data_many`` hook.  Every
+continued route ratio is compared with the ratio from a fresh global solve
+at the same covering.
 """
 
 import json
@@ -33,19 +34,23 @@ def searches(monkeypatch):
 
 
 @pytest.fixture()
-def walked(monkeypatch):
-    """(covering, row) of every sweep step walked since set up, walk by walk."""
+def routed(monkeypatch):
+    """(covering, row) of every cross-route row made since set up, in order."""
     seen = []
-    orig = isomon._route_rows
+    orig = isomon._route_row
 
-    def recorded(walks, seeds=None):
-        rows = orig(walks, seeds)
-        for walk, walk_rows in zip(walks, rows):
-            seen.extend(zip(walk, walk_rows))
-        return rows
+    def recorded(cov, cd):
+        row = orig(cov, cd)
+        seen.append((cov, row))
+        return row
 
-    monkeypatch.setattr(isomon, "_route_rows", recorded)
+    monkeypatch.setattr(isomon, "_route_row", recorded)
     return seen
+
+
+def _sweep_rows(routed, cov):
+    """The identity sweep's rows but the base covering's, in sweep order."""
+    return [(c, row) for c, row in routed if c is not cov]
 
 
 def _failing_lane(monkeypatch, failing_call: int, lane: int = 0):
@@ -92,26 +97,28 @@ def _sweep20(cov):
 
 class TestIdentityReport:
     @pytest.mark.parametrize("name", ["h12", "g1(2,1)"])
-    def test_one_global_search(self, name, h12, g1_21, searches, walked):
+    def test_one_global_search(self, name, h12, g1_21, searches, routed):
         cov = h12 if name == "h12" else g1_21
         checks = isomon.identity_report(cov)
         assert searches["n"] == 1
         assert all(c.passed for c in checks)
-        assert len(walked) == 4  # the middle step reuses the base analysis
-        _assert_ratios_match_global(walked)
+        sweep = _sweep_rows(routed, cov)
+        assert len(sweep) == 4  # the middle step reuses the base analysis
+        _assert_ratios_match_global(sweep)
 
     def test_failing_lane_sends_only_its_covering_to_the_search(self, monkeypatch, g1_21,
-                                                                 searches, walked):
-        # the first round stacks the lower walk's step 1 and the upper walk's
-        # step 3; lane M is the first lane of step 3
-        _failing_lane(monkeypatch, failing_call=1, lane=g1_21.dim)
+                                                                 searches, routed):
+        # the one round stacks the sweep steps 0, 1, 3 and 4 in that order;
+        # lane 2M is the first lane of step 3
+        _failing_lane(monkeypatch, failing_call=1, lane=2 * g1_21.dim)
         checks = isomon.identity_report(g1_21)
         assert searches["n"] == 2  # the base analysis and step 3 alone
         assert all(c.passed for c in checks)
-        assert len(walked) == 4
-        cov3, row3 = walked[2]  # the upper walk starts at step 3
+        sweep = _sweep_rows(routed, g1_21)
+        assert len(sweep) == 4
+        cov3, row3 = sweep[2]
         assert row3["route_ratio"] == _global_ratio(cov3)
-        _assert_ratios_match_global(walked)
+        _assert_ratios_match_global(sweep)
 
 
 class TestSweepRatios:
@@ -134,7 +141,7 @@ class TestSweepRatios:
         cov = g1_21
         z0 = cover1.critical_data(cov).pts
         assert searches["n"] == 1
-        ((row,),) = isomon._route_rows([[cov]], seeds=(z0[0],) * len(z0))
+        (row,) = isomon._route_rows([cov], seeds=(z0[0],) * len(z0))
         assert searches["n"] == 2
         assert row["route_ratio"] == _global_ratio(cov)
 
@@ -157,15 +164,21 @@ class TestSeededCriticalData:
 
 @pytest.fixture()
 def solves0(monkeypatch):
-    """Global and seeded ``cover0.critical_data`` calls made since set up."""
+    """Coverings solved since set up: globally by ``cover0.critical_data``, and from
+    seeds by the ``cover0.critical_data_many`` hook (calls on one profile only)."""
     count = {"global": 0, "seeded": 0}
-    orig = cover0.critical_data
+    orig, orig_many = cover0.critical_data, cover0.critical_data_many
 
     def counted(c, seeds=None):
-        count["global" if seeds is None else "seeded"] += 1
+        count["global"] += seeds is None
         return orig(c, seeds)
 
+    def counted_many(coverings, seeds):
+        count["seeded"] += sum(s is not None for s in seeds)
+        return orig_many(coverings, seeds)
+
     monkeypatch.setattr(cover0, "critical_data", counted)
+    monkeypatch.setattr(cover0, "critical_data_many", counted_many)
     return count
 
 
@@ -206,6 +219,7 @@ class TestGenus0:
         assert main(["check", str(spec)]) == 0
         assert "FAIL" not in capsys.readouterr().out
         # the base analysis solves globally; the 4 other sweep steps continue
+        # from it in one round
         assert solves0 == {"global": 1, "seeded": 4}
 
     def test_sweep_ratios_match_global(self, g0_32, solves0):
@@ -221,6 +235,17 @@ class TestGenus0:
         assert solves0 == {"global": 2, "seeded": 19}
         _, cov2, row2 = table[2]
         assert row2["route_ratio"] == _global_ratio0(cov2)
+
+    def test_failed_step_of_the_round_solves_alone(self, monkeypatch, g0_32, solves0, routed):
+        # the round solves the sweep steps 0, 1, 3 and 4 in that order; step 1 stalls
+        _failing_seeded_solve(monkeypatch, failing_call=2)
+        checks = isomon.identity_report(g0_32)
+        assert all(c.passed for c in checks)
+        assert solves0 == {"global": 2, "seeded": 4}
+        sweep = _sweep_rows(routed, g0_32)
+        assert len(sweep) == 4
+        cov1, row1 = sweep[1]
+        assert row1["route_ratio"] == _global_ratio0(cov1)
 
 
 def _sweep_steps(cov, count):
@@ -261,3 +286,43 @@ class TestStackedSolve:
         for k in (0, 2):
             want = cover1.critical_data(steps[k], seeds=seeds)
             assert np.max(np.abs(np.array(got[k].pts) - np.array(want.pts))) < 1e-13
+
+
+def _sweep_steps0(cov, count):
+    """The first ``count`` coverings of the identity sweep around a genus-0 ``cov``."""
+    return isomon._sweep_coverings(cov, cover0.default_sweep_param(cov), 0.7)[:count]
+
+
+class TestStackedSolve0:
+    @pytest.mark.parametrize("profile, seed", [((3, 2), 3), ((2, 1, 1), 5), ((4,), 2),
+                                               ((3, 1, 1), 8)])
+    def test_matches_per_covering_solves(self, profile, seed):
+        cov = random_covering0(profile, seed)
+        seeds = cover0.critical_data(cov).pts
+        steps = _sweep_steps0(cov, 4)
+        stacked = cover0.critical_data_many(steps, [seeds] * 4)
+        for step, cd in zip(steps, stacked):
+            one = cover0.critical_data(step, seeds=seeds)
+            for field in ("pts", "lam", "fsq"):
+                got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
+                assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12, field
+            assert abs(cd.resultant_fg / one.resultant_fg - 1.0) < 1e-10
+
+    def test_coincident_seeds_fail_their_covering_only(self, g0_32):
+        seeds = cover0.critical_data(g0_32).pts
+        steps = _sweep_steps0(g0_32, 3)
+        got = cover0.critical_data_many(steps, [seeds, (seeds[0],) * len(seeds), seeds])
+        assert got[1] is None
+        for k in (0, 2):
+            assert got[k].pts == cover0.critical_data(steps[k], seeds=seeds).pts
+
+    def test_mixed_profiles_go_one_at_a_time(self, monkeypatch, g0_32):
+        coverings = [g0_32, random_covering0((2, 1, 1), 5), g0_32]
+        seeds = [cover0.critical_data(c).pts for c in coverings]
+        want = [cover0.critical_data(c, seeds=s) for c, s in zip(coverings, seeds)]
+        built = []
+        real = cover0.p_prime_as_ratio
+        monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda cs: built.append(len(cs)) or real(cs))
+        got = cover0.critical_data_many(coverings, seeds)
+        assert built == [1, 1, 1]
+        assert [cd.pts for cd in got] == [cd.pts for cd in want]

@@ -27,6 +27,8 @@ from hurwitztau.poly import resultant
 from hurwitztau.samples import random_covering0
 
 PROFILES = [(3,), (2, 1), (2, 2), (3, 2), (2, 1, 1)]
+# the genus-0 profiles of the benchmark pool
+POOL_PROFILES = [(3,), (4,), (2, 1), (2, 2), (3, 2), (2, 1, 1), (3, 3), (2, 3), (4, 2), (3, 1, 1)]
 
 
 def _by_lambda(cd):
@@ -76,6 +78,24 @@ class TestPrimeRatio:
             val = f(z) / g(z)
             assert abs(fd - val) / abs(val) < 1e-7
             checked += 1
+
+    @pytest.mark.parametrize("profile", POOL_PROFILES)
+    def test_matches_the_product_builder(self, profile):
+        # every coefficient to 1e-13 relative, the exact zeros included
+        for seed in range(6):
+            cov = random_covering0(profile, seed=seed)
+            for got, want in zip(p_prime_as_ratio(cov), oracles.p_prime_as_ratio(cov)):
+                got, want = np.array(got.coeffs), np.array(want.coeffs)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_stacked_rows_are_the_single_builds(self):
+        coverings = [random_covering0((3, 1, 1), seed=s) for s in range(4)]
+        fs, gs = p_prime_as_ratio(coverings)
+        for cov, f_row, g_row in zip(coverings, fs, gs):
+            f, g = p_prime_as_ratio(cov)
+            assert f_row.tolist() == list(f.coeffs)
+            assert g_row.tolist() == list(g.coeffs)
 
     def test_degree_and_leading(self):
         for profile in PROFILES:

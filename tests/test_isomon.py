@@ -252,5 +252,7 @@ class TestIdentityReport:
     def test_tolerance_override(self):
         cov = random_covering0((2, 1), seed=19)
         checks = isomon.identity_report(cov, tol=1e-15)
-        assert any(not c.passed for c in checks)
         assert all(c.tol == 1e-15 for c in checks)
+        assert all(c.passed == (c.error < 1e-15) for c in checks)
+        # below every nonzero error, some check fails
+        assert any(not c.passed for c in isomon.identity_report(cov, tol=1e-30))
