@@ -15,10 +15,11 @@ both define.
 
 Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error
-(an unreadable spec, one with a non-finite number included; a ``--tol``
-that is not positive and finite; a negative ``--seed``; or a ``sweep``
-path that is not in the covering's parameter table, a target that is not
-two finite numbers or fewer than 2 steps),
+(an unreadable spec, one with a non-finite number or nesting deeper than
+the recursion limit included; a ``--tol`` that is not positive and finite;
+a negative ``--seed``; an ``example --out`` path that cannot be written; or
+a ``sweep`` path that is not in the covering's parameter table, a target
+that is not two finite numbers or fewer than 2 steps),
 3 boundary point (a spec on the boundary is rejected when it is loaded, by
 every command; ``analyze`` and ``check`` also reject critical data too near
 a pole to verify, the model's ``reject_ill_conditioned``), 4 caustic under
@@ -128,7 +129,7 @@ def _load_or_exit(path: str) -> Covering0 | Covering1 | int:
         return load_covering(path)
     except json.JSONDecodeError as exc:
         return _parse_error(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}")
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
         return _parse_error(f"invalid covering spec: {exc}")
 
 
@@ -157,7 +158,7 @@ def build_report(cov: Covering0 | Covering1) -> dict:
         iso = isomon.build_isomonodromy(cov, an)
         tb = model.tau_resultant(cov, cd)
     # every flat coordinate but h_s, the root that t_s is built from
-    fc = model.flat_coords(cov)
+    fc = cd.flat
     flat = {name: _pairs(v) for name, v in vars(fc).items() if name != "h"}
     ta = an.tau
 
@@ -369,8 +370,11 @@ def cmd_example(args: argparse.Namespace) -> int:
         return _parse_error(f"unknown example {args.name!r} (choose a2, h0_surf, h12)")
     doc = json.dumps(covering_to_spec(cov), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc + "\n")
+        except OSError as exc:
+            return _parse_error(f"--out: cannot write {args.out}: {exc.strerror}")
     else:
         print(doc)
     return 0

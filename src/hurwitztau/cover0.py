@@ -19,7 +19,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from typing import Sequence
 
 import numpy as np
@@ -276,15 +276,14 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def p_prime_as_ratio(c: Covering0 | Sequence[Covering0]):
+def p_prime_as_ratio(cs: Sequence[Covering0]) -> tuple[np.ndarray, np.ndarray]:
     """p' = f/g with g = prod (z - b_i)^(k_i + 1), built at coefficient level.
 
     f has degree M with leading coefficient k1; its roots are exactly the
-    finite critical points.  ``c`` is a covering (gives the CPolys f, g) or
-    coverings of one profile (gives two arrays, a row of coefficients per
-    covering, lowest degree first).  (z - b)^m is the row C(m, r) (-b)^(m-r).
+    finite critical points.  ``cs`` are coverings of one profile; f and g are
+    arrays with a row of coefficients per covering, lowest degree first.
+    (z - b)^m is the row C(m, r) (-b)^(m-r).
     """
-    cs = (c,) if isinstance(c, Covering0) else c
     k1, ks = cs[0].profile[0], cs[0].profile[1:]
     powers = []  # (z - b_i)^m of every covering for m = 0..k_i + 1
     for i, k in enumerate(ks):
@@ -303,8 +302,6 @@ def p_prime_as_ratio(c: Covering0 | Sequence[Covering0]):
             tail[:, : k - a + 1] += [[a * cv.poles[i].c[a - 1]] for cv in cs] * powers[i][k - a]
         term = functools.reduce(_times, factors[:i] + factors[i + 1 :], tail)
         f[:, : term.shape[1]] += term
-    if isinstance(c, Covering0):
-        return CPoly(tuple(f[0].tolist())), CPoly(tuple(g[0].tolist()))
     return f, g
 
 
@@ -313,7 +310,9 @@ class CriticalData0:
     """Per-critical-point bundle driving every downstream formula.
 
     ``resultant_ratio`` is R(f, g) over its pole/flat factorization
-    ``factorization_denominator``, constant along any deformation.
+    ``factorization_denominator``, constant along any deformation;
+    ``log_resultant_ff`` is log R(f, f') (f of p' = f/g, whose roots are
+    ``pts``), the route-B numerator; ``flat`` is ``flat_coords`` of the covering.
     """
 
     pts: tuple[complex, ...]
@@ -325,7 +324,8 @@ class CriticalData0:
     caustic: bool
     resultant_fg: complex
     resultant_ratio: complex
-    numerator: CPoly  # f of p' = f/g, whose roots are ``pts``
+    log_resultant_ff: complex
+    flat: FlatCoords0
 
     @property
     def sw(self) -> tuple[complex, ...]:
@@ -400,9 +400,10 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
 def critical_data_many(coverings: Sequence[Covering0], seeds) -> list[CriticalData0 | None]:
     """``critical_data(c, seeds=s)`` of several coverings, None where a seeded solve fails.
 
-    Coverings of one profile share one f/g build, one stacked determinant for
-    R(f, g) and one frame evaluation; the roots are solved covering by
-    covering (globally where s is None).  Mixed profiles go one at a time.
+    Coverings of one profile share one f/g build, one stacked determinant
+    each for R(f, g) and R(f, f') and one frame evaluation; the roots are
+    solved covering by covering (globally where s is None).  Mixed profiles
+    go one at a time.
     """
     if len({c.profile for c in coverings}) > 1:
         return [critical_data_many([c], [s])[0] for c, s in zip(coverings, seeds)]
@@ -410,12 +411,12 @@ def critical_data_many(coverings: Sequence[Covering0], seeds) -> list[CriticalDa
         raise NoCriticalPointsError(
             f"profile {coverings[0].profile} has no critical points (M = 0)")
     fs, gs = p_prime_as_ratio(coverings)
-    found = {}  # covering index -> (f, its roots)
+    found = {}  # covering index -> the roots of its f
     for k, (row, s) in enumerate(zip(fs, seeds)):
         f = CPoly(tuple(row.tolist()))
         try:
-            found[k] = f, (_sort_points(list(all_roots(f).roots)) if s is None
-                           else list(all_roots(f, start=s).roots))
+            found[k] = (_sort_points(list(all_roots(f).roots)) if s is None
+                        else list(all_roots(f, start=s).roots))
         except NonConvergenceError:
             if s is None:
                 raise
@@ -424,28 +425,36 @@ def critical_data_many(coverings: Sequence[Covering0], seeds) -> list[CriticalDa
     if not keep:
         return out
     kept = [coverings[k] for k in keep]
+    flats = [flat_coords(c) for c in kept]
     # before the determinant: huge tails overflow here as an OverflowError, not a warning
-    denoms = [factorization_denominator(c, flat_coords(c)) for c in kept]
+    denoms = [factorization_denominator(c, fc) for c, fc in zip(kept, flats)]
     res_fg = resultant(fs[keep], gs[keep]).tolist()
     for k, c, denom, res in zip(keep, kept, denoms, res_fg):
         scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
-        for a, b in ((a, p.b) for a in found[k][1] for p in c.poles):
+        for a, b in ((a, p.b) for a in found[k] for p in c.poles):
             if abs(a - b) < ROOT_POLE_GUARD * scale_b:
                 raise CommonRootError(f"critical point {a} collides with pole {b}")
         # off the boundary R(f, g) is its pole/flat factorization times the
         # profile constant prod k_i^-(k_i^2 - 1), the scale to call it zero against
         if c.poles and abs(res) < 1e-10 * abs(denom) * profile_constant(c):
             raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
-    rows = eval_p_derivs(kept, [np.array(found[k][1]) for k in keep], 4)
-    for j, (k, denom, res) in enumerate(zip(keep, denoms, res_fg)):
-        f, pts = found[k]
+    log_ff = _log_r_ff(fs[keep]).tolist()
+    rows = eval_p_derivs(kept, [np.array(found[k]) for k in keep], 4)
+    for j, (k, fc, denom, res, log_r) in enumerate(zip(keep, flats, denoms, res_fg, log_ff)):
+        pts = found[k]
         lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * len(pts) : (j + 1) * len(pts)])
         out[k] = CriticalData0(
             pts=tuple(pts), lam=tuple(lam), fsq=tuple(fsq.tolist()), sb=tuple(sb.tolist()),
             min_lambda_gap=min_lgap,
             min_point_gap=min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf),
-            caustic=caustic, resultant_fg=complex(res), resultant_ratio=res / denom, numerator=f)
+            caustic=caustic, resultant_fg=complex(res), resultant_ratio=res / denom,
+            log_resultant_ff=log_r, flat=fc)
     return out
+
+
+def _log_r_ff(fs: np.ndarray) -> np.ndarray:
+    """log R(f, f') of each row f of ``fs`` (coefficients, lowest degree first)."""
+    return log_resultant(fs, fs[:, 1:] * np.arange(1, fs.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -519,7 +528,7 @@ def principal_route_a(c, fsq, fc, log_eta: complex = 0) -> TauProduct:
 
 def tau_product(c: Covering0, cd: CriticalData0) -> TauProduct:
     """Route A: log tau = (1/24) [sum log f_m - sum (k_s+1) log h_s], principal branches."""
-    return principal_route_a(c, cd.fsq, flat_coords(c))
+    return principal_route_a(c, cd.fsq, cd.flat)
 
 
 @dataclass(frozen=True)
@@ -533,14 +542,13 @@ class TauResultant:
 def tau_resultant(c: Covering0, cd: CriticalData0) -> TauResultant:
     """tau^(-48) = R(f, f') / [prod (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2))].
 
-    Uses no root of f, only its coefficients (``cd.numerator``); vanishes
-    exactly on the caustic R(f, f') = 0.
+    Uses no root of f, only its coefficients (``cd.log_resultant_ff``);
+    vanishes exactly on the caustic R(f, f') = 0.
     """
-    f = cd.numerator
-    log_r = log_resultant(f, f.derivative())
+    log_r = cd.log_resultant_ff
     if log_r.real == -math.inf:
         return TauResultant(log_tau_inv48=complex(-math.inf), tau_inv48=0j)
-    fc = flat_coords(c)
+    fc = cd.flat
     ks = c.profile[1:]
     bs = [p.b for p in c.poles]
     denom = 0j
@@ -586,11 +594,6 @@ class CausticOrders:
     rays: tuple[RayOrder, ...]
 
 
-def _log_r_ff(c: Covering0) -> float:
-    f, _ = p_prime_as_ratio(c)
-    return log_resultant(f, f.derivative()).real
-
-
 def _fit_slope(xs: list[float], ys: list[float], label: str) -> tuple[float, float]:
     """Least-squares log-log slope with endpoint trimming.
 
@@ -619,6 +622,23 @@ def _fit_slope(xs: list[float], ys: list[float], label: str) -> tuple[float, flo
     return slope, resid
 
 
+def _ray_slope(ray: Sequence[Covering0], xs: list[float], label: str) -> tuple[float, float]:
+    """``_fit_slope`` of log10 |R(f, f')| over the coverings of ``ray`` against ``xs``.
+
+    One f build and one stacked determinant serve the whole ray; a covering
+    whose R(f, f') is exactly 0 drops out of the fit.
+    """
+    fs, _ = p_prime_as_ratio(ray)
+    ys = _log_r_ff(fs).real.tolist()
+    keep = [j for j, y in enumerate(ys) if math.isfinite(y)]
+    return _fit_slope([xs[j] for j in keep], [ys[j] / math.log(10) for j in keep], label)
+
+
+def _with_pole(c: Covering0, i: int, pole: Pole) -> Covering0:
+    """``c`` with pole i replaced by ``pole``."""
+    return Covering0(c.profile, c.poly_coeffs, c.poles[:i] + (pole,) + c.poles[i + 1 :])
+
+
 def caustic_orders(c: Covering0) -> CausticOrders:
     """Vanishing order of R(f, f') along boundary rays, by log-log slope.
 
@@ -640,56 +660,20 @@ def caustic_orders(c: Covering0) -> CausticOrders:
         if t_lo >= t_hi:
             continue
         tgrid = np.geomspace(t_hi, t_lo, 12)
-        xs, ys = [], []
-        for tmag in tgrid:
-            s = (tmag / t0) ** k
-            tails = list(pole.c)
-            tails[-1] = pole.top * s
-            poles = list(c.poles)
-            poles[i] = Pole(pole.b, tuple(tails))
-            y = _log_r_ff(Covering0(c.profile, c.poly_coeffs, tuple(poles)))
-            if math.isfinite(y):
-                xs.append(math.log10(tmag))
-                ys.append(y / math.log(10))
-        slope, resid = _fit_slope(xs, ys, f"top-tail ray {i}")
-        rays.append(
-            RayOrder(
-                kind="top-tail",
-                indices=(i,),
-                order=slope,
-                fit_residual=resid,
-                expected_min=1.0 if k == 1 else 0.0,
-            )
-        )
+        ray = [_with_pole(c, i, Pole(pole.b, pole.c[:-1] + (pole.top * (tmag / t0) ** k,)))
+               for tmag in tgrid]
+        fit = _ray_slope(ray, [math.log10(t) for t in tgrid], f"top-tail ray {i}")
+        rays.append(RayOrder("top-tail", (i,), *fit, expected_min=1.0 if k == 1 else 0.0))
 
-    for r in range(len(c.poles)):
-        for s in range(len(c.poles)):
-            if r == s:
-                continue
-            # aim the window at |R| between ~1e-4 and ~1e-10 of its scale,
-            # using the expected order as the guide
-            guide = float(ks[r] + ks[s])
-            eps = np.geomspace(10.0 ** (-4.0 / guide), 10.0 ** (-10.0 / guide), 12)
-            xs, ys = [], []
-            for e in eps:
-                poles = list(c.poles)
-                poles[r] = Pole(
-                    c.poles[s].b + e * (c.poles[r].b - c.poles[s].b), c.poles[r].c
-                )
-                y = _log_r_ff(Covering0(c.profile, c.poly_coeffs, tuple(poles)))
-                if math.isfinite(y):
-                    xs.append(math.log10(e))
-                    ys.append(y / math.log(10))
-            slope, resid = _fit_slope(xs, ys, f"pole-collision ray ({r},{s})")
-            rays.append(
-                RayOrder(
-                    kind="pole-collision",
-                    indices=(r, s),
-                    order=slope,
-                    fit_residual=resid,
-                    expected_min=guide,
-                )
-            )
+    for r, s in permutations(range(len(c.poles)), 2):
+        # aim the window at |R| between ~1e-4 and ~1e-10 of its scale,
+        # using the expected order as the guide
+        guide = float(ks[r] + ks[s])
+        eps = np.geomspace(10.0 ** (-4.0 / guide), 10.0 ** (-10.0 / guide), 12)
+        br, bs = c.poles[r].b, c.poles[s].b
+        ray = [_with_pole(c, r, Pole(bs + e * (br - bs), c.poles[r].c)) for e in eps]
+        fit = _ray_slope(ray, [math.log10(e) for e in eps], f"pole-collision ray ({r},{s})")
+        rays.append(RayOrder("pole-collision", (r, s), *fit, expected_min=guide))
     return CausticOrders(rays=tuple(rays))
 
 

@@ -203,8 +203,9 @@ class CriticalData1:
 
     ``sw`` is the Schwarzian of the uniformizing coordinate in the local
     parameter; ``sb`` subtracts the marking-dependent part:
-    sb = sw - 24*pi*i*eta_tilde*fsq.  There is no R(f, g) factorization at
-    genus 1, so ``resultant_ratio`` is None.
+    sb = sw - 24*pi*i*eta_tilde*fsq.  ``flat`` is ``flat_coords`` of the
+    covering.  There is no R(f, g) factorization at genus 1, so
+    ``resultant_ratio`` is None.
     """
 
     pts: tuple[complex, ...]
@@ -215,6 +216,7 @@ class CriticalData1:
     min_lambda_gap: float
     min_point_gap: float
     caustic: bool
+    flat: FlatCoords1
     resultant_ratio: None = None
 
 
@@ -296,7 +298,8 @@ def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalD
             out[k] = CriticalData1(
                 pts=tuple(zs[k].tolist()), lam=tuple(lam), fsq=tuple(f2.tolist()),
                 sw=tuple(s.tolist()), sb=tuple(sb.tolist()), min_lambda_gap=min_lgap,
-                min_point_gap=float(gaps[k].min(initial=math.inf)), caustic=caustic)
+                min_point_gap=float(gaps[k].min(initial=math.inf)), caustic=caustic,
+                flat=flat_coords(cs[k]))
     return out
 
 
@@ -337,7 +340,7 @@ def tau_product(c: Covering1, cd: CriticalData1) -> TauProduct:
     i = 1 included: G = log(tau / J^(1/24)) with J = prod f_m and E(G) = gamma
     force it, and the order-2 one-pole family, tau^(-48) ~ t1^12 eta^72, confirms it.
     """
-    return principal_route_a(c, cd.fsq, flat_coords(c), log_dedekind_eta(c.modulus))
+    return principal_route_a(c, cd.fsq, cd.flat, log_dedekind_eta(c.modulus))
 
 
 @dataclass(frozen=True)
@@ -362,7 +365,7 @@ def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
     ctx = c.ctx
     sigma = c.modulus.sigma
     ks = c.profile
-    fc = flat_coords(c)
+    fc = cd.flat
 
     zs = list(cd.pts)
     target = sum((k + 1) * p.b for k, p in zip(ks, c.poles))

@@ -94,7 +94,7 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
     """
     model = (cover0, cover1)[covering.genus]
     cd = model.critical_data(covering, seeds=base.pts if base is not None else None)
-    fc = model.flat_coords(covering)
+    fc = cd.flat
     fsq, hs = cd.fsq, fc.h
     ks = tuple(p.order for p in covering.poles)
     if covering.genus:  # the modulus and its eta quantities

@@ -1,8 +1,9 @@
-"""Complex polynomial arithmetic.
+"""Complex polynomials.
 
 Evaluation with derivatives (Horner), simultaneous root finding
-(Aberth-Ehrlich with Newton polish) and Sylvester resultants.  Everything
-is plain double-precision complex; no exact arithmetic.
+(Aberth-Ehrlich with Newton polish) and Sylvester resultants of stacked
+coefficient rows.  Everything is plain double-precision complex; no exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,19 +50,8 @@ class CPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
-
-    @property
     def leading(self) -> complex:
         return self.coeffs[-1]
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[complex], leading: complex = 1.0) -> "CPoly":
-        cs = np.array([leading], dtype=complex)
-        for r in roots:
-            cs = np.convolve(cs, np.array([-r, 1.0], dtype=complex))
-        return cls(tuple(cs))
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
@@ -86,26 +76,6 @@ class CPoly:
             out.append(b[j] * fact)
             fact *= j + 1
         return out
-
-    def derivative(self) -> "CPoly":
-        if self.degree == 0:
-            return CPoly((0j,))
-        return CPoly(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
-
-    def __mul__(self, other: "CPoly") -> "CPoly":
-        a = np.array(self.coeffs, dtype=complex)
-        b = np.array(other.coeffs, dtype=complex)
-        return CPoly(tuple(np.convolve(a, b)))
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return CPoly(tuple(a))
-
-    def scale(self, s: complex) -> "CPoly":
-        return CPoly(tuple(s * c for c in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -220,13 +190,14 @@ def _sylvester_slots(m: int, n: int) -> np.ndarray:
 
 
 def _sylvester(fs, gs) -> np.ndarray:
-    """Sylvester matrices of the pairs of ``fs``, ``gs`` (coefficients, lowest degree first).
+    """Sylvester matrices of the row pairs of ``fs``, ``gs`` (coefficients, lowest degree first).
 
     The origin moves to the mean root of f.  A common translation of both
     polynomials leaves their resultant as it is; centred coefficients are
     smaller, and so is the determinant's round-off (by several digits for
     degrees near 12 with roots off 0).
     """
+    fs, gs = np.asarray(fs, dtype=complex).tolist(), np.asarray(gs, dtype=complex).tolist()
     m, n = len(fs[0]) - 1, len(gs[0]) - 1
     rows = []
     for f, g in zip(fs, gs):
@@ -237,38 +208,23 @@ def _sylvester(fs, gs) -> np.ndarray:
     return mat.reshape(len(fs), m + n, m + n)
 
 
-def resultant(f, g):
-    """Sylvester resultant of ``f`` and ``g``.
+def resultant(fs, gs) -> np.ndarray:
+    """Sylvester resultant R(f, g) of each row pair of ``fs``, ``gs``.
 
-    Convention: equals lc(f)^deg(g) * prod g(root_i(f)).  Computed as the
-    Sylvester determinant by pivoted elimination, independent of any root
-    finding.  ``f`` and ``g`` are CPolys, or arrays of coefficient rows (lowest
-    degree first, leading one non-zero); one stacked determinant gives each row pair's.
+    Rows are coefficients, lowest degree first, leading one non-zero; f has
+    degree >= 1 and g any degree.  Convention: R(f, g) = lc(f)^deg(g) *
+    prod g(root_i(f)).  One stacked determinant by pivoted elimination,
+    independent of any root finding.
     """
-    single = isinstance(f, CPoly)
-    if single and (f.is_zero or g.is_zero):
-        raise ValueError("resultant of the zero polynomial is undefined")
-    fs, gs = ([f.coeffs], [g.coeffs]) if single else (f.tolist(), g.tolist())
-    m, n = len(fs[0]) - 1, len(gs[0]) - 1
-    if m and n:
-        out = np.linalg.det(_sylvester(fs, gs))
-    else:
-        out = np.array([b[0] ** m if n == 0 else a[0] ** n for a, b in zip(fs, gs)])
-    return complex(out[0]) if single else out
+    return np.linalg.det(_sylvester(fs, gs))
 
 
-def log_resultant(f: CPoly, g: CPoly) -> complex:
-    """log of the resultant (principal imaginary part).
+def log_resultant(fs, gs) -> np.ndarray:
+    """log R(f, g) (principal imaginary part) of each row pair, from one stacked ``slogdet``.
 
-    Returns a value with real part ``-inf`` when the resultant vanishes
-    exactly; useful for scale-robust ratios along parameter sweeps.
+    The real part is ``-inf`` where the resultant vanishes exactly; useful
+    for scale-robust ratios along parameter sweeps.
     """
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = f.degree, g.degree
-    if m == 0 or n == 0:
-        return cmath.log(resultant(f, g))
-    sign, logabs = np.linalg.slogdet(_sylvester([f.coeffs], [g.coeffs])[0])
-    if sign == 0:
-        return complex(-math.inf, 0.0)
-    return complex(logabs) + cmath.log(sign)
+    signs, logabs = np.linalg.slogdet(_sylvester(fs, gs))
+    return np.array([complex(-math.inf, 0.0) if s == 0 else complex(v) + cmath.log(s)
+                     for s, v in zip(signs.tolist(), logabs.tolist())])

@@ -10,6 +10,7 @@ that ``elliptic.elliptic_zeros`` replaced, as the reference for its zeros.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -250,45 +251,52 @@ def assert_not_determined(zs, hd, poles, sigma) -> None:
     assert spread > NOT_DETERMINED_MARGIN * _newton_tol(sigma), spread / _newton_tol(sigma)
 
 
-def p_prime_as_ratio(c: cover0.Covering0) -> tuple[CPoly, CPoly]:
+def _linear_power(b: complex, m: int) -> np.ndarray:
+    """(z - b)^m, lowest degree first, as m convolutions with the root factor."""
+    return functools.reduce(np.convolve, [np.array([-b, 1.0])] * m, np.ones(1))
+
+
+def p_prime_as_ratio(c: cover0.Covering0) -> tuple[np.ndarray, np.ndarray]:
     """p' = f/g with g = prod (z - b_i)^(k_i + 1), built at coefficient level.
 
     f has degree M with leading coefficient k1; its roots are exactly the
-    finite critical points.
+    finite critical points.  Both are coefficient rows, lowest degree first.
 
-    The reference for ``cover0.p_prime_as_ratio``: ``CPoly`` products of
-    root factors, one covering at a time.
+    The reference for ``cover0.p_prime_as_ratio``: ``np.convolve`` products
+    of root factors, one covering at a time.
     """
     k1 = c.profile[0]
-    g = CPoly((1.0,))
+    g = np.ones(1, dtype=complex)
     for pole in c.poles:
-        g = g * CPoly.from_roots([pole.b] * (pole.order + 1))
+        g = np.convolve(g, _linear_power(pole.b, pole.order + 1))
 
-    dpoly = [0j] * k1
+    dpoly = np.zeros(k1, dtype=complex)
     dpoly[k1 - 1] = float(k1)
     for r, a in enumerate(c.poly_coeffs):
         if r >= 1:
             dpoly[r - 1] = r * a
-    f = CPoly(tuple(dpoly)) * g
+    f = np.convolve(dpoly, g)
 
     for i, pole in enumerate(c.poles):
-        rest = CPoly((1.0,))
+        rest = np.ones(1, dtype=complex)
         for j, other in enumerate(c.poles):
             if j != i:
-                rest = rest * CPoly.from_roots([other.b] * (other.order + 1))
+                rest = np.convolve(rest, _linear_power(other.b, other.order + 1))
         for a, coeff in enumerate(pole.c, start=1):
-            term = CPoly.from_roots([pole.b] * (pole.order - a)).scale(a * coeff)
-            f = f + term * rest
+            term = np.convolve(a * coeff * _linear_power(pole.b, pole.order - a), rest)
+            f[: len(term)] += term
     return f, g
 
 
-def product_resultant(f_coeffs, g) -> complex:
-    """lc(f)^deg(g) * prod g(root) with roots from the companion-matrix solver."""
-    roots = np.roots(list(reversed(f_coeffs)))
-    lc = f_coeffs[-1]
-    acc = lc ** g.degree
+def product_resultant(f, g) -> complex:
+    """lc(f)^deg(g) * prod g(root) with roots from the companion-matrix solver.
+
+    ``f`` and ``g`` are coefficient rows, lowest degree first.
+    """
+    roots = np.roots(list(reversed(f)))
+    acc = f[-1] ** (len(g) - 1)
     for r in roots:
-        acc *= g(complex(r))
+        acc *= np.polyval(list(reversed(g)), complex(r))
     return complex(acc)
 
 

@@ -197,6 +197,15 @@ class TestSpecShape:
         assert rc == 2
         assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
 
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_nesting_deeper_than_the_recursion_limit_exits_2(self, command, tmp_path, capsys):
+        doc = "[" * 100000 + "]" * 100000
+        rc = main([command, _write(tmp_path, "nested.json", doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
+
 
 class TestGenus1PointCollision:
     """A (2,1) family through a double zero of p': tail c_(1,2) = T + s e^(0.3i).
@@ -512,6 +521,13 @@ class TestExample:
         assert doc["genus"] == 1
         assert doc["profile"] == [2]
         assert len(doc["poles"]) == 1
+
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
+        rc = main(["example", "a2", "--out", str(tmp_path / "missing" / "a2.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--out" in captured.err
 
     def test_unknown_name(self, capsys):
         rc = main(["example", "nope"])

@@ -326,3 +326,35 @@ class TestStackedSolve0:
         got = cover0.critical_data_many(coverings, seeds)
         assert built == [1, 1, 1]
         assert [cd.pts for cd in got] == [cd.pts for cd in want]
+
+
+def _calls(monkeypatch, module, name: str) -> list:
+    """The argument tuples of every call of ``module.name`` made since set up."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestGenus0OncePerSolve:
+    """Each genus-0 solve computes the flat coordinates and R(f, f') once per covering."""
+
+    def test_identity_report_builds_flat_coords_once_per_covering(self, monkeypatch, g0_32):
+        flat = _calls(monkeypatch, cover0, "flat_coords")
+        isomon.identity_report(g0_32)
+        # the base covering and the 4 other sweep steps, each inside its solve
+        assert len(flat) == 5
+
+    def test_identity_report_stacks_log_resultants(self, monkeypatch, g0_32):
+        logs = _calls(monkeypatch, cover0, "log_resultant")
+        isomon.identity_report(g0_32)
+        # one for the base analysis, one stacked call for the sweep round
+        assert [len(fs) for fs, _ in logs] == [1, 4]
+
+    def test_caustic_orders_solve_each_ray_in_one_call(self, monkeypatch):
+        cov = random_covering0((2, 1, 1), seed=7)
+        built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
+        logs = _calls(monkeypatch, cover0, "log_resultant")
+        rays = cover0.caustic_orders(cov).rays
+        assert len(rays) == len(built) == len(logs) == 4  # 2 top tails, 2 pole collisions
+        assert [len(cs) for (cs,) in built] == [12] * len(rays)

@@ -137,8 +137,7 @@ class TestOneAnalysis:
         cov = random_covering0((3, 2), 3)
         calls = []
         real = cover0.p_prime_as_ratio
-        monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda c: calls.extend(
-            [c] if isinstance(c, cover0.Covering0) else c) or real(c))
+        monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda cs: calls.extend(cs) or real(cs))
         isomon.identity_report(cov)
         # the base analysis, then one per sweep step; the middle step is the
         # covering itself and reuses the base analysis

@@ -11,6 +11,21 @@ from hurwitztau.poly import CPoly, all_roots, log_resultant, resultant
 from hurwitztau.samples import random_covering0
 
 
+def _row(roots, leading=1.0) -> np.ndarray:
+    """Coefficients of leading * prod (z - root), lowest degree first."""
+    return leading * np.poly(roots)[::-1].astype(complex)
+
+
+def _res(f, g) -> complex:
+    """``resultant`` of one row pair."""
+    return resultant([f], [g])[0]
+
+
+def _log_res(f, g) -> complex:
+    """``log_resultant`` of one row pair."""
+    return log_resultant([f], [g])[0]
+
+
 def _close_sets(got, want, tol):
     got = sorted(got, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     want = sorted(want, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
@@ -59,7 +74,7 @@ class TestRoots:
                 for j in range(i + 1, 8)
             ) > 0.1:
                 break
-        p = CPoly.from_roots(roots, leading=1.3 - 0.4j)
+        p = CPoly(tuple(_row(roots, 1.3 - 0.4j)))
         rs = all_roots(p)
         assert len(rs.roots) == 8
         assert _close_sets(rs.roots, list(roots), 1e-10)
@@ -81,10 +96,10 @@ class TestRoots:
             ) > 0.25:
                 break
         lead = 0.7 + 0.2j
-        p = CPoly.from_roots(roots, leading=lead)
+        p = CPoly(tuple(_row(roots, lead)))
         rs = all_roots(p)
-        back = CPoly.from_roots(rs.roots, leading=lead)
-        for a, b in zip(back.coeffs, p.coeffs):
+        back = _row(rs.roots, lead)
+        for a, b in zip(back, p.coeffs):
             assert abs(a - b) <= 1e-9 * max(abs(v) for v in p.coeffs)
 
     def test_double_root_cluster_reported_as_is(self):
@@ -98,7 +113,7 @@ class TestRoots:
 
     def test_start_points_continue_lane_by_lane(self):
         roots = [0.3 + 1j, -1.2, 2.0 - 0.5j, 0.1j]
-        p = CPoly.from_roots(roots, leading=0.5 + 0.2j)
+        p = CPoly(tuple(_row(roots, 0.5 + 0.2j)))
         rs = all_roots(p, start=[r + 0.05 - 0.02j for r in roots])
         assert max(abs(a - b) for a, b in zip(rs.roots, roots)) < 1e-12
 
@@ -116,79 +131,86 @@ class TestRoots:
 class TestResultant:
     def test_linear_pair(self):
         a, b = 1.3 + 0.2j, -0.7 + 1.1j
-        r = resultant(CPoly((-a, 1)), CPoly((-b, 1)))
+        r = _res([-a, 1], [-b, 1])
         assert abs(r - (a - b)) < 1e-14
 
     def test_biquadratic(self):
-        r = resultant(CPoly((-1, 0, 1)), CPoly((-4, 0, 1)))
+        r = _res([-1, 0, 1], [-4, 0, 1])
         assert abs(r - 9) < 1e-12
+
+    def test_constant_second_polynomial(self):
+        # R(f, c) = c^deg(f): g of degree 0, as g = 1 without poles or a
+        # constant f' for a linear f
+        assert abs(_res([1, 2, 3], [2.0]) - 4.0) < 1e-14
+        assert abs(_res([1 + 1j, 2], [2.0]) - 2.0) < 1e-14
+        assert abs(cmath.exp(_log_res([0.5, -1j, 3], [1.5j])) - (1.5j) ** 2) < 1e-14
 
     def test_product_over_roots_oracle(self):
         rng = np.random.default_rng(5)
-        f = CPoly(tuple(rng.normal(size=6) + 1j * rng.normal(size=6)))
-        g = CPoly(tuple(rng.normal(size=8) + 1j * rng.normal(size=8)))
-        r = resultant(f, g)
-        oracle = oracles.product_resultant(f.coeffs, g)
+        f = rng.normal(size=6) + 1j * rng.normal(size=6)
+        g = rng.normal(size=8) + 1j * rng.normal(size=8)
+        r = _res(f, g)
+        oracle = oracles.product_resultant(f, g)
         assert abs(r - oracle) / abs(r) < 1e-9
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            f = CPoly(tuple(rng.normal(size=5) + 1j * rng.normal(size=5)))
-            g = CPoly(tuple(rng.normal(size=7) + 1j * rng.normal(size=7)))
-            r1 = resultant(f, g)
-            r2 = resultant(g, f) * (-1) ** (f.degree * g.degree)
+            f = rng.normal(size=5) + 1j * rng.normal(size=5)
+            g = rng.normal(size=7) + 1j * rng.normal(size=7)
+            r1 = _res(f, g)
+            r2 = _res(g, f) * (-1) ** ((len(f) - 1) * (len(g) - 1))
             assert abs(r1 - r2) / abs(r1) < 1e-10
 
     def test_zero_iff_common_root(self):
-        rng = np.random.default_rng(8)
         shared = 0.4 - 0.9j
-        f = CPoly.from_roots([shared, 1.0, -2.0 + 1j])
-        g = CPoly.from_roots([shared, 0.5j])
-        scale = abs(oracles.product_resultant(f.coeffs, CPoly.from_roots([1.1, 0.5j])))
-        assert abs(resultant(f, g)) < 1e-12 * max(1.0, scale)
+        f = _row([shared, 1.0, -2.0 + 1j])
+        g = _row([shared, 0.5j])
+        scale = abs(oracles.product_resultant(f, _row([1.1, 0.5j])))
+        assert abs(_res(f, g)) < 1e-12 * max(1.0, scale)
         # and conversely: separated roots give a resultant bounded away from 0
-        f2 = CPoly.from_roots([1.0, -2.0 + 1j])
-        g2 = CPoly.from_roots([0.3 + 0.4j, -1.5])
-        r = resultant(f2, g2)
-        rf = all_roots(f2).roots
-        rg = all_roots(g2).roots
+        f2 = _row([1.0, -2.0 + 1j])
+        g2 = _row([0.3 + 0.4j, -1.5])
+        r = _res(f2, g2)
+        rf = all_roots(CPoly(tuple(f2))).roots
+        rg = all_roots(CPoly(tuple(g2))).roots
         min_gap = min(abs(a - b) for a in rf for b in rg)
         assert abs(r) > 1e-6
         assert min_gap > 1e-3
 
     def test_log_resultant_matches(self):
         rng = np.random.default_rng(9)
-        f = CPoly(tuple(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        g = CPoly(tuple(rng.normal(size=5) + 1j * rng.normal(size=5)))
-        assert abs(cmath.exp(log_resultant(f, g)) - resultant(f, g)) < 1e-12 * abs(
-            resultant(f, g)
-        )
+        f = rng.normal(size=4) + 1j * rng.normal(size=4)
+        g = rng.normal(size=5) + 1j * rng.normal(size=5)
+        assert abs(cmath.exp(_log_res(f, g)) - _res(f, g)) < 1e-12 * abs(_res(f, g))
+
+    def test_stacked_rows_are_the_one_row_calls(self):
+        rng = np.random.default_rng(12)
+        fs = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        gs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        for fn in (resultant, log_resultant):
+            assert fn(fs, gs).tolist() == [fn([f], [g])[0] for f, g in zip(fs, gs)]
 
     def test_roots_off_the_origin_keep_their_digits(self):
         # degree 12 against a quintic-squared g whose roots sit near 1.5 + 1i:
         # a translation leaves R unchanged, and the centred Sylvester matrix
         # keeps about 11 digits where the uncentred one kept about 5
-        cov = random_covering0((3, 4, 4), 7297)
-        f, g = p_prime_as_ratio(cov)
-        for a, b in ((f, g), (f, f.derivative())):
-            n, m = len(a.coeffs) - 1, len(b.coeffs) - 1
-            rows = [[0] * r + list(a.coeffs[::-1]) + [0] * (m - 1 - r) for r in range(m)]
-            rows += [[0] * r + list(b.coeffs[::-1]) + [0] * (n - 1 - r) for r in range(n)]
+        fs, gs = p_prime_as_ratio([random_covering0((3, 4, 4), 7297)])
+        f, g = fs[0], gs[0]
+        for a, b in ((f, g), (f, f[1:] * np.arange(1, len(f)))):
+            n, m = len(a) - 1, len(b) - 1
+            rows = [[0] * r + a[::-1].tolist() + [0] * (m - 1 - r) for r in range(m)]
+            rows += [[0] * r + b[::-1].tolist() + [0] * (n - 1 - r) for r in range(n)]
             with mpmath.workdps(50):
                 want = complex(mpmath.det(mpmath.matrix(rows)))
-            assert abs(resultant(a, b) / want - 1.0) < 1e-9
-            assert abs(cmath.exp(log_resultant(a, b)) / want - 1.0) < 1e-9
+            assert abs(_res(a, b) / want - 1.0) < 1e-9
+            assert abs(cmath.exp(_log_res(a, b)) / want - 1.0) < 1e-9
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(10)
-        f = CPoly.from_roots(rng.normal(size=6) + 1j * rng.normal(size=6))
-        g = CPoly.from_roots(rng.normal(size=4) + 1j * rng.normal(size=4))
+        f = _row(rng.normal(size=6) + 1j * rng.normal(size=6))
+        g = _row(rng.normal(size=4) + 1j * rng.normal(size=4))
         shift = 2.0 - 1.5j
-        fs = CPoly.from_roots([r + shift for r in all_roots(f).roots])
-        gs = CPoly.from_roots([r + shift for r in all_roots(g).roots])
-        assert abs(resultant(fs, gs) / resultant(f, g) - 1.0) < 1e-10
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            resultant(CPoly((0,)), CPoly((1, 1)))
+        fs = _row([r + shift for r in all_roots(CPoly(tuple(f))).roots])
+        gs = _row([r + shift for r in all_roots(CPoly(tuple(g))).roots])
+        assert abs(_res(fs, gs) / _res(f, g) - 1.0) < 1e-10
