@@ -54,6 +54,7 @@ __all__ = [
     "flat_coords",
     "tau_product",
     "tau_resultant",
+    "tau_resultant_many",
     "caustic_orders",
     "principal_root",
 ]
@@ -241,11 +242,13 @@ def eval_p_derivs(c: Covering0 | Sequence[Covering0], z, n_max: int):
     return shape_rows(out.reshape(n_max + 1, n), shape)
 
 
-def eval_param_derivs(c: Covering0, z) -> np.ndarray:
-    """d/d theta of [p, p', p''] at the points z for each path theta of ``deformation_params``.
+def eval_param_derivs(c: Covering0, z) -> tuple[np.ndarray, np.ndarray]:
+    """p, ..., p^(3) at the points z, and d/d theta of [p, p', p''] for each
+    path theta of ``deformation_params``.
 
-    z is held fixed (it is the uniformizing coordinate).  Returns shape
-    (P, 3, len(z)): d p/d a_r = z^r, d p/d c_{i,a} = -(z-b_i)^(-a), and
+    z is held fixed (it is the uniformizing coordinate).  Returns the rows,
+    shape (4, len(z)), and the partials, shape (P, 3, len(z)):
+    d p/d a_r = z^r, d p/d c_{i,a} = -(z-b_i)^(-a), and
     d p/d b_i = -(pole part i)'(z).
     """
     pts = np.asarray(z, dtype=complex)
@@ -265,7 +268,8 @@ def eval_param_derivs(c: Covering0, z) -> np.ndarray:
         blocks[f"poles.{i}.b"] = [
             -sum(coeff * rows[n + 1] for coeff, rows in zip(pole.c, tails)) for n in range(3)
         ]
-    return np.array([blocks[path] for path in deformation_params(c)], dtype=complex)
+    partials = [blocks[path] for path in deformation_params(c)]
+    return eval_p_derivs(c, pts, 3), np.array(partials, dtype=complex)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -560,6 +564,12 @@ def tau_resultant(c: Covering0, cd: CriticalData0) -> TauResultant:
         denom += (k + 1) * (k - 2) * cmath.log(t)
     log48 = log_r - denom
     return TauResultant(log_tau_inv48=log48, tau_inv48=cmath.exp(log48))
+
+
+def tau_resultant_many(coverings: Sequence[Covering0],
+                       cds: Sequence[CriticalData0]) -> list[TauResultant]:
+    """``tau_resultant`` of each covering: R(f, f') comes stacked in its critical data."""
+    return [tau_resultant(c, cd) for c, cd in zip(coverings, cds)]
 
 
 def gamma(c: Covering0) -> complex:

@@ -37,6 +37,7 @@ from .elliptic import (
     _pair_indices,
     _split_lattice,
     _zeta_rows,
+    _zeta_sigma_rows,
     cell_coords,
     elliptic_zeros,
     lattice_distance,
@@ -47,7 +48,6 @@ from .elliptic import (
     sigma_w,
     weierstrass_context,
     zeta_derivs,
-    zeta_sigma_derivs,
 )
 from .errors import CountMismatchError, NearPoleError, OnBoundaryError
 
@@ -64,6 +64,7 @@ __all__ = [
     "flat_coords",
     "tau_product",
     "tau_resultant",
+    "tau_resultant_many",
 ]
 
 RESIDUE_TOL = 1e-12
@@ -165,36 +166,47 @@ def eval_p_derivs(c: Covering1 | Sequence[Covering1], z, n_max: int):
     zd = _zeta_rows(cs[0].ctx, diffs, n, z0, top).reshape((top + 1,) + bs.shape)
     out = np.zeros((n_max + 1, len(pts)), dtype=complex)
     for cv, lo, hi in zip(cs, ends, ends[1:]):
-        block = out[:, lo:hi]
-        block[0] = cv.constant
-        for i, pole in enumerate(cv.poles):
-            for a, coeff in enumerate(pole.c):
-                block += coeff * zd[a: a + n_max + 1, i, lo:hi]
+        _fill_p_rows(out[:, lo:hi], cv, zd[:, :, lo:hi])
     return shape_rows(out, shape)
 
 
-def eval_param_derivs(c: Covering1, z) -> np.ndarray:
-    """d/d theta of [p, p', p''] at the points z for each path theta of ``deformation_params``.
+def _fill_p_rows(block: np.ndarray, c: Covering1, zd: np.ndarray) -> None:
+    """Fill ``block`` (zero on entry) with the rows p, p', ... of ``c`` from the zeta rows
+    ``zd`` (order, pole, point) of its points."""
+    block[0] = c.constant
+    for i, pole in enumerate(c.poles):
+        for a, coeff in enumerate(pole.c):
+            block += coeff * zd[a: a + len(block), i]
+
+
+def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray]:
+    """p, ..., p^(3) at the points z, and d/d theta of [p, p', p''] for each
+    path theta of ``deformation_params``, from one zeta evaluation.
 
     z and the pole positions are held fixed (z is the uniformizing
-    coordinate).  Returns shape (P, 3, len(z)).  A residue column c_{i,1}
-    carries the rebalanced last residue, zeta(z - b_i) - zeta(z - b_l); the
-    modulus column differentiates every zeta^(n) at fixed argument
-    (``zeta_sigma_derivs``).
+    coordinate).  Returns the rows, shape (4, len(z)), and the partials,
+    shape (P, 3, len(z)); every z - b_i takes one ``zeta_derivs`` call.  A
+    residue column c_{i,1} carries the rebalanced last residue,
+    zeta(z - b_i) - zeta(z - b_l); the modulus column differentiates every
+    zeta^(n) at fixed argument (``_zeta_sigma_rows``).
     """
     pts = np.asarray(z, dtype=complex)
     ctx = c.ctx
-    zetas = [zeta_derivs(ctx, pts - p.b, p.order + 2) for p in c.poles]
+    diffs = pts[None, :] - np.array([[p.b] for p in c.poles])
+    top = max(c.profile) + 3
+    zd = zeta_derivs(ctx, diffs, top)  # (top + 1, S, M)
+    zs = _zeta_sigma_rows(ctx, zd, diffs, top - 2)
+    rows = np.zeros((4, pts.size), dtype=complex)
+    _fill_p_rows(rows, c, zd)
     blocks = {"constant": np.zeros((3, pts.size), dtype=complex), "modulus": 0}
     blocks["constant"][0] = 1.0
-    for i, (pole, zd) in enumerate(zip(c.poles, zetas)):
-        zs = zeta_sigma_derivs(ctx, pts - pole.b, pole.order + 1)
-        blocks["modulus"] += sum(coeff * zs[a: a + 3] for a, coeff in enumerate(pole.c))
-        blocks[f"poles.{i}.b"] = -sum(coeff * zd[a + 1: a + 4] for a, coeff in enumerate(pole.c))
-        blocks[f"poles.{i}.c.0"] = zd[:3] - zetas[-1][:3]
+    for i, pole in enumerate(c.poles):
+        blocks["modulus"] += sum(coeff * zs[a: a + 3, i] for a, coeff in enumerate(pole.c))
+        blocks[f"poles.{i}.b"] = -sum(coeff * zd[a + 1: a + 4, i] for a, coeff in enumerate(pole.c))
+        blocks[f"poles.{i}.c.0"] = zd[:3, i] - zd[:3, -1]
         for a in range(1, pole.order):
-            blocks[f"poles.{i}.c.{a}"] = zd[a: a + 3]
-    return np.array([blocks[path] for path in deformation_params(c)], dtype=complex)
+            blocks[f"poles.{i}.c.{a}"] = zd[a: a + 3, i]
+    return rows, np.array([blocks[path] for path in deformation_params(c)], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -353,63 +365,69 @@ class TauResultant1:
 
 
 def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
+    """Route B of one covering: the one-covering case of ``tau_resultant_many``."""
+    return tau_resultant_many([c], [cd])[0]
+
+
+def tau_resultant_many(coverings: Sequence[Covering1],
+                       cds: Sequence[CriticalData1]) -> list[TauResultant1]:
     """tau^(-48) as eta^48 f0^(2M) kappa / [prod sigma_w(b_i-b_j)^((k_i+1)(k_j+1))
-    prod t_i^((k_i+1)(k_i-2))].
+    prod t_i^((k_i+1)(k_i-2))] of each covering from its critical data.
 
     kappa = prod_{r != s} sigma_w(z_r - z_s) over the critical points; f0
-    normalizes the sigma-product representation of the numerator of p'.  The
-    zero representatives are shifted by a lattice vector so their sum matches
-    the pole divisor exactly, which makes the combination independent of the
-    fundamental-cell choice.  kappa vanishes exactly on the caustic.
+    normalizes the sigma-product representation of the numerator of p'.
+    kappa vanishes exactly on the caustic.  One ``sigma_w`` call serves
+    coverings of one modulus; mixed moduli go one at a time.
     """
-    ctx = c.ctx
-    sigma = c.modulus.sigma
-    ks = c.profile
-    fc = cd.flat
+    if len({c.modulus for c in coverings}) > 1:
+        return [tau_resultant_many([c], [cd])[0] for c, cd in zip(coverings, cds)]
+    args = [a for c, cd in zip(coverings, cds) for a in _sigma_args(c, cd)]
+    values = np.split(sigma_w(coverings[0].ctx, np.concatenate(args)),
+                      list(accumulate(len(a) for a in args[:-1])))
+    out = []
+    for k, (c, cd) in enumerate(zip(coverings, cds)):
+        s_zz, s_b1, s_bz, s_bb = values[4 * k: 4 * k + 4]
+        ks, fc = c.profile, cd.flat
+        kappa = complex(np.prod(s_zz))
+        f_at_b1 = -ks[0] * (fc.t[0] ** ks[0])
+        for s_b, kb in zip(s_b1, ks[1:]):
+            f_at_b1 *= complex(s_b) ** (kb + 1)
+        f0 = f_at_b1 / complex(np.prod(s_bz))
+        if kappa == 0:
+            out.append(TauResultant1(log_tau_inv48=complex(-math.inf), tau_inv48=0j, kappa=0j))
+            continue
+        log48 = 48.0 * log_dedekind_eta(c.modulus)
+        log48 += 2.0 * c.dim * cmath.log(f0)
+        log48 += cmath.log(kappa)
+        kk = np.outer(np.array(ks) + 1, np.array(ks) + 1)[~np.eye(len(ks), dtype=bool)]
+        for w, s_b in zip(kk, s_bb):
+            log48 -= int(w) * cmath.log(complex(s_b))
+        for kt, t in zip(ks, fc.t):
+            log48 -= (kt + 1) * (kt - 2) * cmath.log(t)
+        out.append(TauResultant1(log_tau_inv48=log48, tau_inv48=cmath.exp(log48), kappa=kappa))
+    return out
 
+
+def _sigma_args(c: Covering1, cd: CriticalData1) -> list[np.ndarray]:
+    """Route B's sigma_w arguments: z_r - z_s, b_1 - b_j, b_1 - z_m and b_i - b_j.
+
+    The zero representatives are shifted by a lattice vector so their sum
+    matches the pole divisor exactly, which makes route B independent of the
+    fundamental-cell choice.
+    """
+    sigma = c.modulus.sigma
     zs = list(cd.pts)
-    target = sum((k + 1) * p.b for k, p in zip(ks, c.poles))
-    diff = target - sum(zs)
+    diff = sum((k + 1) * p.b for k, p in zip(c.profile, c.poles)) - sum(zs)
     mu, nu = (round(x) for x in cell_coords(diff, sigma))
     if abs(diff - mu - nu * sigma) > 1e-6 * (1.0 + abs(sigma)):
         raise CountMismatchError(
             "critical divisor does not match the pole divisor modulo the lattice"
         )
     zs[-1] = cd.pts[-1] + mu + nu * sigma
-
     zs = np.array(zs)
     bs = np.array([p.b for p in c.poles])
-    off_z = ~np.eye(len(zs), dtype=bool)
-    off_b = ~np.eye(len(bs), dtype=bool)
-    # one sigma_w call: z_r - z_s, b_1 - b_j, b_1 - z_m and b_i - b_j, in that order
-    args = [(zs[:, None] - zs[None, :])[off_z], bs[0] - bs[1:], bs[0] - zs,
-            (bs[:, None] - bs[None, :])[off_b]]
-    s_zz, s_b1, s_bz, s_bb = np.split(sigma_w(ctx, np.concatenate(args)),
-                                      list(accumulate(len(a) for a in args[:-1])))
-    kappa = complex(np.prod(s_zz))
-
-    k1 = ks[0]
-    f_at_b1 = -k1 * (fc.t[0] ** k1)
-    for s_b, k in zip(s_b1, ks[1:]):
-        f_at_b1 *= complex(s_b) ** (k + 1)
-    f0 = f_at_b1 / complex(np.prod(s_bz))
-
-    if kappa == 0:
-        return TauResultant1(
-            log_tau_inv48=complex(-math.inf), tau_inv48=0j, kappa=0j
-        )
-
-    log48 = 48.0 * log_dedekind_eta(c.modulus)
-    log48 += 2.0 * c.dim * cmath.log(f0)
-    log48 += cmath.log(kappa)
-    kk = np.outer(np.array(ks) + 1, np.array(ks) + 1)[off_b]
-    for w, s_b in zip(kk, s_bb):
-        log48 -= int(w) * cmath.log(complex(s_b))
-    for k, t in zip(ks, fc.t):
-        log48 -= (k + 1) * (k - 2) * cmath.log(t)
-    return TauResultant1(
-        log_tau_inv48=log48, tau_inv48=cmath.exp(log48), kappa=complex(kappa)
-    )
+    return [(zs[:, None] - zs[None, :])[~np.eye(len(zs), dtype=bool)], bs[0] - bs[1:],
+            bs[0] - zs, (bs[:, None] - bs[None, :])[~np.eye(len(bs), dtype=bool)]]
 
 
 def gamma(c: Covering1) -> complex:

@@ -460,19 +460,24 @@ def _zeta_rows(ctx: WeierstrassContext, pts, n, z0, n_max: int) -> np.ndarray:
 
 
 def zeta_sigma_derivs(ctx: WeierstrassContext, z, n_max: int):
-    """[d/dsigma zeta^(n)(z) for n = 0..n_max] at fixed z, in one theta evaluation.
+    """[d/dsigma zeta^(n)(z), n = 0..n_max] at fixed z (``_zeta_sigma_rows``), scalar or array z."""
+    pts, shape = point_array(z)
+    return shape_rows(_zeta_sigma_rows(ctx, zeta_derivs(ctx, pts, n_max + 2), pts, n_max), shape)
 
-    With L = zeta - 2*calib_sigma*z = (log theta1)' the heat equation gives
-    d L/d sigma = (L'' + 2 L L')/(4 pi i), so
+
+def _zeta_sigma_rows(ctx: WeierstrassContext, zeta: np.ndarray, pts, n_max: int) -> np.ndarray:
+    """d/dsigma zeta^(n) at fixed argument, n = 0..n_max, from the zeta rows at ``pts``.
+
+    ``zeta`` holds zeta, ..., zeta^(N) (N >= n_max + 2) over the points
+    ``pts`` (any shape).  With L = zeta - 2*calib_sigma*z = (log theta1)' the
+    heat equation gives d L/d sigma = (L'' + 2 L L')/(4 pi i), so
     d zeta^(n)/d sigma = (L^(n+2) + sum_j C(n+1, j) L^(j) L^(n+1-j))/(4 pi i)
     plus 2 c_sigma z (n = 0) or 2 c_sigma (n = 1), c_sigma = calib_sigma_dsigma.
-    Scalar or array ``z`` as in ``zeta_derivs``.
     """
-    pts, shape = point_array(z)
-    big_l = zeta_derivs(ctx, pts, n_max + 2)
+    big_l = zeta[: n_max + 3].copy()
     big_l[0] -= 2.0 * ctx.calib_sigma * pts
     big_l[1] -= 2.0 * ctx.calib_sigma
-    out = np.empty((n_max + 1, len(pts)), dtype=complex)
+    out = np.empty((n_max + 1,) + big_l.shape[1:], dtype=complex)
     for n in range(n_max + 1):
         out[n] = big_l[n + 2] + sum(
             math.comb(n + 1, j) * big_l[j] * big_l[n + 1 - j] for j in range(n + 2)
@@ -481,7 +486,7 @@ def zeta_sigma_derivs(ctx: WeierstrassContext, z, n_max: int):
     out[0] += 2.0 * ctx.calib_sigma_dsigma * pts
     if n_max >= 1:
         out[1] += 2.0 * ctx.calib_sigma_dsigma
-    return shape_rows(out, shape)
+    return out
 
 
 def zeta_w(ctx: WeierstrassContext, z, n_deriv: int = 0):

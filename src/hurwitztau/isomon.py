@@ -347,12 +347,13 @@ def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
     return out
 
 
-def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict[str, np.ndarray]]:
+def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarray]:
     """The check bundle's parameter derivatives in closed form at one analysis.
 
     Same layout as ``parameter_derivatives``: (paths, arrays of shape
     (P, len(value))) for ``lam``, ``fsq``, ``f``, ``h``, ``T``,
-    ``log_tau48``, ``G`` and, at genus 1, ``sigma``.  At a critical point
+    ``log_tau48``, ``G`` and, at genus 1, ``sigma``; then the tangent of the
+    critical points, d z_m/d theta of shape (P, M).  At a critical point
     p'(z_m) = 0, so with the partials d_theta p^(n) at fixed z:
     d lambda_m = d_theta p, d z_m = -d_theta p'/p'', and
     d fsq_m = -2 (d_theta p'' + p^(3) d z_m)/p''^2; h_s follows its top tail
@@ -363,9 +364,8 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict[str, np.n
     model = (cover0, cover1)[an.genus]
     paths = model.deformation_params(cov)
     pts = np.array(an.pts)
-    rows = model.eval_p_derivs(cov, pts, 3)
+    rows, dp = model.eval_param_derivs(cov, pts)  # (4, M), (P, 3, M)
     p2, p3 = rows[2], rows[3]
-    dp = model.eval_param_derivs(cov, pts)  # (P, 3, M)
     dz = -dp[:, 1] / p2
     dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
     ks = np.array(an.ks, dtype=float)
@@ -388,7 +388,7 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict[str, np.n
         derivs["G"] = derivs["G"] - an.eta_tilde * dsigma
         derivs["sigma"] = dsigma
     n = len(paths)
-    return paths, {k: np.asarray(v, dtype=complex).reshape(n, -1) for k, v in derivs.items()}
+    return paths, {k: np.asarray(v, dtype=complex).reshape(n, -1) for k, v in derivs.items()}, dz
 
 
 def exact_lambda_derivatives(an: Analysis) -> dict[str, np.ndarray]:
@@ -415,18 +415,22 @@ class IdentityCheck:
         return self.error < self.tol
 
 
-def _sweep_coverings(covering: Covering, path: str, phase: float) -> list[Covering]:
-    """The identity sweep's SWEEP_STEPS steps but the middle one, ``covering`` itself.
+def _sweep_offsets(covering: Covering, path: str, phase: float) -> list[complex]:
+    """The identity sweep's moves of ``path``: SWEEP_STEPS steps but the middle one (no move).
 
     ``path`` moves by up to 5% of max(1, |value|) either way, along ``phase``.
     """
+    v0 = (cover0, cover1)[covering.genus].params(covering)[path]
+    delta = 0.1 * max(1.0, abs(v0)) * cmath.exp(1j * phase)
+    return [delta * (s / (SWEEP_STEPS - 1) - 0.5)
+            for s in range(SWEEP_STEPS) if s != SWEEP_STEPS // 2]
+
+
+def _sweep_coverings(covering: Covering, path: str, phase: float) -> list[Covering]:
+    """The identity sweep's steps but the middle one, ``covering`` itself: ``_sweep_offsets``."""
     model = (cover0, cover1)[covering.genus]
     v0 = model.params(covering)[path]
-    delta = 0.1 * max(1.0, abs(v0)) * cmath.exp(1j * phase)
-    return [
-        model.set_param(covering, path, v0 + delta * (s / (SWEEP_STEPS - 1) - 0.5))
-        for s in range(SWEEP_STEPS) if s != SWEEP_STEPS // 2
-    ]
+    return [model.set_param(covering, path, v0 + d) for d in _sweep_offsets(covering, path, phase)]
 
 
 def _rel_error(diff, ref) -> float:
@@ -441,11 +445,9 @@ def _ratio_drift(values: list[complex]) -> float:
     return max(abs(v / ref - 1.0) for v in values)
 
 
-def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -> dict:
-    """Cross-route tau data of one covering from its critical data."""
-    model = (cover0, cover1)[cov.genus]
-    ta = model.tau_product(cov, cd)
-    tb = model.tau_resultant(cov, cd)
+def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1, tb) -> dict:
+    """Cross-route tau data of one covering from its critical data and its route B ``tb``."""
+    ta = (cover0, cover1)[cov.genus].tau_product(cov, cd)
     row = {
         "pts": cd.pts,
         "tau48_product": ta.tau_inv48,
@@ -458,24 +460,17 @@ def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1) -
     return row
 
 
+def _route_rows(coverings: Sequence[Covering], cds: Sequence) -> list[dict]:
+    """Cross-route tau data of each covering from its critical data, route B in one call."""
+    tbs = (cover0, cover1)[coverings[0].genus].tau_resultant_many(coverings, cds)
+    return [_route_row(cov, cd, tb) for cov, cd, tb in zip(coverings, cds, tbs)]
+
+
 def _continued(coverings: Sequence[Covering], seeds) -> list:
     """Critical data of each covering from its seeds in one call; failures solve globally alone."""
     model = (cover0, cover1)[coverings[0].genus]
     cds = [None] * len(coverings) if seeds[0] is None else model.critical_data_many(coverings, seeds)
     return [cd or model.critical_data(cov) for cov, cd in zip(coverings, cds)]
-
-
-def _route_rows(walk: Sequence[Covering], seeds=None) -> list[dict]:
-    """Cross-route tau data at each covering of ``walk``, each continuing the one before.
-
-    The first continues ``seeds``, or solves globally when they are None.
-    """
-    rows = []
-    for cov in walk:
-        (cd,) = _continued([cov], [seeds])
-        rows.append(_route_row(cov, cd))
-        seeds = cd.pts
-    return rows
 
 
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
@@ -495,7 +490,10 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
         model.set_param(covering, path, v0 + (target - v0) * (s / (steps - 1)))
         for s in range(steps)
     ]
-    rows = _route_rows(coverings)
+    cds = []
+    for cov in coverings:  # each step continues the one before; the first solves globally
+        cds += _continued([cov], [cds[-1].pts if cds else None])
+    rows = _route_rows(coverings, cds)
     for cov, row in zip(coverings, rows):
         model.reject_ill_conditioned(cov, row["pts"])
     return list(zip(range(steps), coverings, rows))
@@ -534,7 +532,8 @@ def identity_report(
     (cover0, cover1)[covering.genus].reject_ill_conditioned(covering, an.pts)
     iso = build_isomonodromy(covering, an)
     B, Binf = iso.bergmann, iso.bergmann_poles
-    d = exact_lambda_derivatives(an)
+    paths, pderivs, dz = exact_parameter_derivatives(an)
+    d = _chain_to_lambda(pderivs)
     m = len(an.lam)
     lam = np.array(an.lam)
     h = np.array(iso.hamiltonians)
@@ -600,11 +599,16 @@ def identity_report(
     path = (cover0, cover1)[covering.genus].default_sweep_param(covering)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     sweep = _sweep_coverings(covering, path, phase)
-    # every sweep covering continues the base point's critical points, all
-    # in one round; the middle step is the covering itself, whose row comes
-    # from the analysis already made
-    rows = [_route_row(cov, cd) for cov, cd in zip(sweep, _continued(sweep, [an.pts] * len(sweep)))]
-    rows.insert(SWEEP_STEPS // 2, _route_row(covering, an.critical))
+    # every sweep covering continues the base point's critical points, all in
+    # one round, each from its tangent prediction z_m + offset * dz_m/d path;
+    # the middle step is the covering itself, whose critical data come from
+    # the analysis already made
+    tangent = dz[paths.index(path)]
+    cds = _continued(sweep, [np.array(an.pts) + move * tangent
+                             for move in _sweep_offsets(covering, path, phase)])
+    mid = SWEEP_STEPS // 2
+    rows = _route_rows(sweep[:mid] + [covering] + sweep[mid:],
+                       cds[:mid] + [an.critical] + cds[mid:])
     ratios = [row["route_ratio"] for row in rows]
     factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
     checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),

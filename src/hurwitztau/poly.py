@@ -86,9 +86,13 @@ class RootSet:
     residual: float
 
 
-def _newton_polish(p: CPoly, z: complex, tol_abs: float) -> complex:
+def _newton_polish(high_first: Sequence[complex], z: complex, tol_abs: float) -> complex:
+    """Newton steps on the polynomial of coefficients ``high_first`` (highest degree first)."""
     for _ in range(POLISH_MAX_ITER):
-        val, der = p.eval_derivatives(z, 1)
+        val = der = 0j
+        for c in high_first:
+            der = der * z + val
+            val = val * z + c
         if abs(val) < tol_abs:
             break
         if der == 0:
@@ -132,31 +136,37 @@ def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
         raise ValueError(f"need {n} start points, got {len(start)}")
     else:
         zs = [complex(z) for z in start]
-    # Python complex arithmetic with p and p' by inline Horner: at a handful
-    # of roots per iteration, numpy's per-call overhead and the general
-    # eval_derivatives cost more than the arithmetic
+    # Python complex arithmetic with p and p' by inline Horner, here and in
+    # the polish: at a handful of roots per iteration, numpy's per-call
+    # overhead and the general eval_derivatives cost more than the arithmetic
     high_first = p.coeffs[::-1]
     for _ in range(ABERTH_MAX_ITER):
-        steps = []
+        new_zs, converged = [], True
         for i, z in enumerate(zs):
             val = der = 0j
             for c in high_first:
                 der = der * z + val
                 val = val * z + c
+            s = 0
             try:
-                s = sum(1.0 / (z - other) for j, other in enumerate(zs) if j != i)
+                for j, other in enumerate(zs):
+                    if j != i:
+                        s += 1.0 / (z - other)
             except ZeroDivisionError:
                 raise NonConvergenceError("two root iterates coincide") from None
             if der != 0:
                 w = val / der
                 denom = 1.0 - w * s
-                steps.append(w / denom if denom != 0 else w)
+                step = w / denom if denom != 0 else w
             elif s != 0:
-                steps.append(-1.0 / s)  # the Aberth step 1/(p'/p - s) at p' = 0
+                step = -1.0 / s  # the Aberth step 1/(p'/p - s) at p' = 0
             else:
                 raise NonConvergenceError("p' and the Aberth sum vanish together")
-        zs = [z - step for z, step in zip(zs, steps)]
-        if all(abs(step) < 1e-14 * (1.0 + abs(z)) for z, step in zip(zs, steps)):
+            z = z - step
+            new_zs.append(z)
+            converged = converged and abs(step) < 1e-14 * (1.0 + abs(z))
+        zs = new_zs
+        if converged:
             break
     else:
         resid = max(abs(p(z)) for z in zs)
@@ -166,7 +176,7 @@ def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
             )
 
     tol_abs = POLISH_REL * coeff_scale
-    roots = tuple(_newton_polish(p, z, tol_abs) for z in zs)
+    roots = tuple(_newton_polish(high_first, z, tol_abs) for z in zs)
     residual = max(abs(p(r)) for r in roots)
     return RootSet(roots=roots, residual=residual)
 

@@ -32,6 +32,7 @@ from hurwitztau.elliptic import (
     shape_rows,
     wp,
     zeta_derivs,
+    zeta_sigma_derivs,
 )
 from hurwitztau.errors import ContourClashError, NearPoleError
 from hurwitztau.poly import CPoly
@@ -176,6 +177,28 @@ def per_pole_p_derivs(cov, z, n_max: int):
         for a, coeff in enumerate(pole.c):
             out += coeff * zd[a: a + n_max + 1]
     return shape_rows(out, shape)
+
+
+def per_pole_param_derivs(cov, z) -> np.ndarray:
+    """d/d theta of [p, p', p''] of a genus-1 covering, pole by pole.
+
+    The reference for the partials of ``cover1.eval_param_derivs``: per pole
+    one ``zeta_derivs`` and one ``zeta_sigma_derivs`` call.  Shape
+    (P, 3, len(z)), rows in ``cover1.deformation_params`` order.
+    """
+    pts = np.asarray(z, dtype=complex)
+    ctx = cov.ctx
+    zetas = [zeta_derivs(ctx, pts - p.b, p.order + 2) for p in cov.poles]
+    blocks = {"constant": np.zeros((3, pts.size), dtype=complex), "modulus": 0}
+    blocks["constant"][0] = 1.0
+    for i, (pole, zd) in enumerate(zip(cov.poles, zetas)):
+        zs = zeta_sigma_derivs(ctx, pts - pole.b, pole.order + 1)
+        blocks["modulus"] += sum(coeff * zs[a: a + 3] for a, coeff in enumerate(pole.c))
+        blocks[f"poles.{i}.b"] = -sum(coeff * zd[a + 1: a + 4] for a, coeff in enumerate(pole.c))
+        blocks[f"poles.{i}.c.0"] = zd[:3] - zetas[-1][:3]
+        for a in range(1, pole.order):
+            blocks[f"poles.{i}.c.{a}"] = zd[a: a + 3]
+    return np.array([blocks[path] for path in cover1.deformation_params(cov)], dtype=complex)
 
 
 def per_point_p_derivs0(cov, z: complex, n_max: int) -> list[complex]:

@@ -4,7 +4,8 @@ The global genus-1 zero search is counted by wrapping
 ``cover1.elliptic_zeros``, and the genus-0 solves by wrapping
 ``cover0.critical_data`` and its ``critical_data_many`` hook.  Every
 continued route ratio is compared with the ratio from a fresh global solve
-at the same covering.
+at the same covering.  The theta and sigma evaluations of a genus-1 check
+are counted by wrapping ``elliptic.theta1_derivs`` and ``cover1.sigma_w``.
 """
 
 import json
@@ -12,9 +13,10 @@ import json
 import numpy as np
 import pytest
 
-from hurwitztau import cover0, cover1, isomon
+import oracles
+from hurwitztau import cover0, cover1, elliptic, isomon
 from hurwitztau.cli import covering_to_spec, main
-from hurwitztau.elliptic import lattice_distance
+from hurwitztau.elliptic import _split_lattice, lattice_distance
 from hurwitztau.errors import CountMismatchError, NearPoleError, NonConvergenceError
 from hurwitztau.samples import random_covering0, random_covering1
 
@@ -39,8 +41,8 @@ def routed(monkeypatch):
     seen = []
     orig = isomon._route_row
 
-    def recorded(cov, cd):
-        row = orig(cov, cd)
+    def recorded(cov, cd, tb):
+        row = orig(cov, cd, tb)
         seen.append((cov, row))
         return row
 
@@ -141,7 +143,8 @@ class TestSweepRatios:
         cov = g1_21
         z0 = cover1.critical_data(cov).pts
         assert searches["n"] == 1
-        (row,) = isomon._route_rows([cov], seeds=(z0[0],) * len(z0))
+        (cd,) = isomon._continued([cov], [(z0[0],) * len(z0)])
+        (row,) = isomon._route_rows([cov], [cd])
         assert searches["n"] == 2
         assert row["route_ratio"] == _global_ratio(cov)
 
@@ -358,3 +361,88 @@ class TestGenus0OncePerSolve:
         rays = cover0.caustic_orders(cov).rays
         assert len(rays) == len(built) == len(logs) == 4  # 2 top tails, 2 pole collisions
         assert [len(cs) for (cs,) in built] == [12] * len(rays)
+
+
+@pytest.fixture(scope="module")
+def g1_111():
+    # pool spec g1-1.1.1-5: seeded at the base points instead of the tangent
+    # prediction, one of its sweep lanes fails and goes to the global search
+    return random_covering1((1, 1, 1), 914005)
+
+
+class TestGenus1OncePerCheck:
+    """A genus-1 check evaluates zeta once for the exact derivatives and sigma once for route B."""
+
+    def test_exact_derivatives_make_one_theta_evaluation(self, monkeypatch, g1_21):
+        an = isomon.analyze(g1_21)
+        theta = _calls(monkeypatch, elliptic, "theta1_derivs")
+        isomon.exact_parameter_derivatives(an)
+        assert len(theta) == 1  # every pole, the d/dsigma column and p, ..., p^(3) share it
+
+    def test_identity_report_makes_one_route_b_sigma_call(self, monkeypatch, g1_21):
+        sigmas = _calls(monkeypatch, cover1, "sigma_w")
+        isomon.identity_report(g1_21)
+        assert len(sigmas) == 1  # the 5 sweep steps, the middle one included
+
+    def test_predicted_seeds_keep_every_lane(self, g1_111, searches):
+        checks = isomon.identity_report(g1_111)
+        assert all(c.passed for c in checks)
+        assert searches["n"] == 1  # the base analysis only
+
+    @pytest.mark.parametrize("profile, seed", [((2,), 3), ((1, 1), 5), ((3,), 4), ((2, 1), 2025),
+                                               ((1, 1, 1), 7), ((2, 2), 9), ((3, 1), 6), ((4,), 1)])
+    def test_fused_partials_match_per_pole_code(self, profile, seed):
+        cov = random_covering1(profile, seed)
+        pts = np.array(cover1.critical_data(cov).pts)
+        rows, partials = cover1.eval_param_derivs(cov, pts)
+        want = oracles.per_pole_param_derivs(cov, pts)
+        assert partials.shape == want.shape
+        for path, got_p, want_p in zip(cover1.deformation_params(cov), partials, want):
+            assert _rel(got_p, want_p) < 1e-12, path
+        assert _rel(rows, cover1.eval_p_derivs(cov, pts, 3)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["h12", "g1(2,1)", "g1(1,1)"])
+    def test_tau_resultant_many_matches_one_covering_calls(self, name, h12, g1_21, g1_11):
+        cov = {"h12": h12, "g1(2,1)": g1_21, "g1(1,1)": g1_11}[name]
+        seeds = cover1.critical_data(cov).pts
+        steps = [cov] + _sweep_steps(cov, 4)
+        cds = cover1.critical_data_many(steps, [seeds] * len(steps))
+        many = cover1.tau_resultant_many(steps, cds)
+        for step, cd, got in zip(steps, cds, many):
+            one = cover1.tau_resultant(step, cd)
+            assert abs(got.tau_inv48 / one.tau_inv48 - 1.0) < 1e-13
+            assert abs(got.kappa / one.kappa - 1.0) < 1e-13
+
+
+def _rel(got, want) -> float:
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+def _tangent_fd(cov, path, base_pts, h_rel=1e-4) -> np.ndarray:
+    """d z_m/d path by central differences (one Richardson level) of the continued points."""
+    model = (cover0, cover1)[cov.genus]
+    v0 = model.params(cov)[path]
+    h = h_rel * max(1.0, abs(v0))
+    z0 = np.array(base_pts)
+    moved = []
+    for s in (2, 1, -1, -2):
+        step = model.set_param(cov, path, v0 + s * h)
+        shift = np.array(model.critical_data(step, seeds=base_pts).pts) - z0
+        if cov.genus:  # the points are reduced to the cell: take the shortest lattice shift
+            shift = _split_lattice(shift, step.modulus.sigma)[2]
+        moved.append(shift)
+    return (8.0 * (moved[1] - moved[2]) - (moved[0] - moved[3])) / (12.0 * h)
+
+
+class TestCriticalPointTangent:
+    """The tangent dz that seeds the sweep is the derivative of the continued critical points."""
+
+    @pytest.mark.parametrize("name", ["a2", "g0(3,2)", "g0(2,1,1)", "h12", "g1(2,1)", "g1(1,1,1)"])
+    def test_matches_central_differences(self, name, a2, h12, g1_21, g0_32):
+        cov = {"a2": a2, "g0(3,2)": g0_32, "g0(2,1,1)": random_covering0((2, 1, 1), 5),
+               "h12": h12, "g1(2,1)": g1_21, "g1(1,1,1)": random_covering1((1, 1, 1), 7)}[name]
+        an = isomon.analyze(cov)
+        paths, _, dz = isomon.exact_parameter_derivatives(an)
+        assert dz.shape == (len(paths), len(an.pts))
+        fd = np.array([_tangent_fd(cov, path, an.pts) for path in paths])
+        assert _rel(dz, fd) < 1e-6
