@@ -34,7 +34,6 @@ from .isomon import (
     analyze,
     bergmann_values,
     build_isomonodromy,
-    exact_lambda_derivatives,
     identity_report,
     lambda_derivatives,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "analyze",
     "bergmann_values",
     "build_isomonodromy",
-    "exact_lambda_derivatives",
     "identity_report",
     "lambda_derivatives",
     "builtin_example",

@@ -41,7 +41,6 @@ from .elliptic import (
     cell_coords,
     elliptic_zeros,
     lattice_distance,
-    log_dedekind_eta,
     point_array,
     reduce_to_cell,
     shape_rows,
@@ -352,7 +351,7 @@ def tau_product(c: Covering1, cd: CriticalData1) -> TauProduct:
     i = 1 included: G = log(tau / J^(1/24)) with J = prod f_m and E(G) = gamma
     force it, and the order-2 one-pole family, tau^(-48) ~ t1^12 eta^72, confirms it.
     """
-    return principal_route_a(c, cd.fsq, cd.flat, log_dedekind_eta(c.modulus))
+    return principal_route_a(c, cd.fsq, cd.flat, c.ctx.log_eta)
 
 
 @dataclass(frozen=True)
@@ -381,8 +380,9 @@ def tau_resultant_many(coverings: Sequence[Covering1],
     """
     if len({c.modulus for c in coverings}) > 1:
         return [tau_resultant_many([c], [cd])[0] for c, cd in zip(coverings, cds)]
+    ctx = coverings[0].ctx
     args = [a for c, cd in zip(coverings, cds) for a in _sigma_args(c, cd)]
-    values = np.split(sigma_w(coverings[0].ctx, np.concatenate(args)),
+    values = np.split(sigma_w(ctx, np.concatenate(args)),
                       list(accumulate(len(a) for a in args[:-1])))
     out = []
     for k, (c, cd) in enumerate(zip(coverings, cds)):
@@ -396,7 +396,7 @@ def tau_resultant_many(coverings: Sequence[Covering1],
         if kappa == 0:
             out.append(TauResultant1(log_tau_inv48=complex(-math.inf), tau_inv48=0j, kappa=0j))
             continue
-        log48 = 48.0 * log_dedekind_eta(c.modulus)
+        log48 = 48.0 * ctx.log_eta
         log48 += 2.0 * c.dim * cmath.log(f0)
         log48 += cmath.log(kappa)
         kk = np.outer(np.array(ks) + 1, np.array(ks) + 1)[~np.eye(len(ks), dtype=bool)]

@@ -8,7 +8,8 @@ unit-lattice convention (periods 1 and sigma, Im sigma > 0).
 Normalization constants relating the theta-based and Weierstrass-based
 conventions are solved from the Laurent conditions wp(z) = 1/z^2 + O(z^2)
 and sigma_w(z) = z + O(z^5) rather than hard-coded, and verified at
-construction time.
+construction time.  The theta series is summed at points reduced to the
+base cell only, and its length ``Modulus.theta_terms`` is sized for them.
 
 Array contract.  ``theta1_derivs``, ``wp_derivs``/``wp``,
 ``zeta_derivs``/``zeta_w``, ``zeta_sigma_derivs``, ``sigma_w`` and
@@ -84,10 +85,10 @@ THETA_TABLE_ORDER = 7
 class Modulus:
     """Period ratio sigma of the lattice Z + sigma*Z, with series cutoffs.
 
-    ``truncation`` caps every q-series; the effective number of terms is
-    chosen adaptively below it so the first dropped term is < 1e-16 of the
-    running peak.  Moduli with Im(sigma) <= 0.1 are rejected rather than
-    reduced: modular reduction would silently change the homology marking.
+    ``truncation`` caps every q-series; the theta series keeps the fewest
+    terms whose first dropped one ``_theta_tail`` bounds below 1e-16.  Moduli
+    with Im(sigma) <= 0.1 are rejected rather than reduced: modular reduction
+    would silently change the homology marking.
     """
 
     sigma: complex
@@ -100,10 +101,7 @@ class Modulus:
             raise ValueError(f"Im(sigma) must exceed {MIN_IM_SIGMA}, got {y}")
         if self.truncation < 8:
             raise ValueError("series truncation too small")
-        # bound on the first dropped theta term, relative to the peak term
-        j = self.theta_terms
-        dropped = math.exp(-math.pi * y * (j * j - 0.25) + math.pi * y / 4)
-        if dropped > 1e-16:
+        if _theta_tail(self.theta_terms, y) >= 1e-16:
             raise ValueError("truncation too small for this modulus")
 
     @property
@@ -113,10 +111,9 @@ class Modulus:
 
     @cached_property
     def theta_terms(self) -> int:
-        """Number of theta-series terms (arguments reduced to the base cell)."""
-        y = self.sigma.imag
-        j = math.ceil(math.sqrt(80.0 / (math.pi * y))) + 3
-        return min(self.truncation, max(j, 8))
+        """Number of theta-series terms, at most ``truncation`` (see ``_theta_tail``)."""
+        y, cap = self.sigma.imag, self.truncation
+        return next((j for j in range(1, cap) if _theta_tail(j, y) < 1e-16), cap)
 
     @cached_property
     def _theta_tabs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,6 +142,15 @@ class Modulus:
     def _q_powers(self) -> np.ndarray:
         n = self.eisenstein_terms
         return self.q ** np.arange(1, n + 1)
+
+
+def _theta_tail(j: int, y: float) -> float:
+    """Bound on theta term j of derivative order n <= THETA_TABLE_ORDER, over 2 pi^n.
+
+    At Im(sigma) = y and |Im z| <= y/2 (a base-cell argument) the term is at
+    most 2 (pi (2j+1))^n exp(-pi y (j^2 - 1/4)) (Whittaker & Watson, ch. 21).
+    """
+    return (2 * j + 1) ** THETA_TABLE_ORDER * math.exp(-math.pi * y * (j * j - 0.5))
 
 
 def point_array(z) -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -178,7 +184,7 @@ def _theta_weights(freq: np.ndarray, coeff: np.ndarray, n_max: int) -> np.ndarra
 
 
 def _theta1_raw(mod: Modulus, z0: np.ndarray, n_max: int) -> np.ndarray:
-    """z-derivatives 0..n_max of the odd theta series at the points z0.
+    """z-derivatives 0..n_max of the odd theta series at base-cell points z0.
 
     One sin and one cos over the (points x terms) grid, weighted per order
     and summed along the contiguous terms axis, one order at a time.  That
@@ -277,11 +283,13 @@ def eta_tilde(mod: Modulus) -> complex:
     return (1j * math.pi / 12.0) * eisenstein(mod, 2)
 
 
+def _g2(mod: Modulus) -> complex:
+    return (4.0 * math.pi**4 / 3.0) * eisenstein(mod, 4)
+
+
 def g_invariants(mod: Modulus) -> tuple[complex, complex]:
     """Weierstrass invariants (g2, g3) of the lattice Z + sigma*Z."""
-    g2 = (4.0 * math.pi**4 / 3.0) * eisenstein(mod, 4)
-    g3 = (8.0 * math.pi**6 / 27.0) * eisenstein(mod, 6)
-    return g2, g3
+    return _g2(mod), (8.0 * math.pi**6 / 27.0) * eisenstein(mod, 6)
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +345,8 @@ class WeierstrassContext:
     checks share one ``zeta_derivs`` call at four points (wp = -zeta'), and
     the sigma normalisation takes one ``sigma_w`` call.
     ``calib_sigma_dsigma`` is d calib_sigma / d sigma, from the heat equation
-    4 pi i d theta1/d sigma = d^2 theta1/dz^2 at the origin.
+    4 pi i d theta1/d sigma = d^2 theta1/dz^2 at the origin.  ``eta_tilde``,
+    ``g2`` and ``log_eta`` of the modulus are computed once, here.
     """
 
     modulus: Modulus
@@ -347,11 +356,12 @@ class WeierstrassContext:
     calib_sigma_dsigma: complex
     eta_tilde: complex
     g2: complex
+    log_eta: complex
 
     @classmethod
     def create(cls, modulus: Modulus) -> "WeierstrassContext":
-        d = theta1_derivs(modulus, 0.0, 5)
-        t1, t3, t5 = d[1], d[3], d[5]
+        # theta1^(k)(0) for odd k is the sum of row k of the weight table (cos 0 = 1)
+        t1, t3, t5 = (complex(modulus._theta_tabs[2][k].sum()) for k in (1, 3, 5))
         ctx = cls(
             modulus=modulus,
             theta1_deriv0=t1,
@@ -359,7 +369,8 @@ class WeierstrassContext:
             calib_sigma=-t3 / (6.0 * t1),
             calib_sigma_dsigma=-(t5 / t1 - (t3 / t1) ** 2) / (24j * math.pi),
             eta_tilde=eta_tilde(modulus),
-            g2=g_invariants(modulus)[0],
+            g2=_g2(modulus),
+            log_eta=log_dedekind_eta(modulus),
         )
         ctx._verify()
         return ctx

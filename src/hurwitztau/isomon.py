@@ -20,7 +20,7 @@ import numpy as np
 from . import cover0, cover1
 from .cover0 import Covering0, TauProduct, route_a
 from .cover1 import Covering1
-from .elliptic import lattice_distance, log_dedekind_eta, wp
+from .elliptic import lattice_distance, wp
 from .errors import CoincidentPointsError, CountMismatchError, IllConditionedError
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "bergmann_values",
     "build_isomonodromy",
     "exact_parameter_derivatives",
-    "exact_lambda_derivatives",
     "lambda_derivatives",
     "identity_report",
     "IdentityCheck",
@@ -100,7 +99,7 @@ def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
     if covering.genus:  # the modulus and its eta quantities
         sigma = covering.modulus.sigma
         eta_t = covering.ctx.eta_tilde
-        log_eta = log_dedekind_eta(covering.modulus)
+        log_eta = covering.ctx.log_eta
         distance = lambda d: lattice_distance(d, sigma)
     else:
         sigma = eta_t = None
@@ -389,14 +388,6 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarr
         derivs["sigma"] = dsigma
     n = len(paths)
     return paths, {k: np.asarray(v, dtype=complex).reshape(n, -1) for k, v in derivs.items()}, dz
-
-
-def exact_lambda_derivatives(an: Analysis) -> dict[str, np.ndarray]:
-    """d(check bundle)/d(lambda_k) from ``exact_parameter_derivatives``.
-
-    Same layout as the second result of ``lambda_derivatives``.
-    """
-    return _chain_to_lambda(exact_parameter_derivatives(an)[1])
 
 
 # --------------------------------------------------------------------------

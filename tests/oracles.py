@@ -529,3 +529,29 @@ def _subdivision_zeros(
         return [_cell_representative(r, sigma) for r in found]
 
     raise ContourClashError(f"zero localization failed: {last_trouble}")
+
+
+def theta1_long(sigma: complex, z, n_max: int, terms: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """z-derivatives 0..n_max of theta1 from ``terms`` terms of its q-series, unreduced.
+
+    theta1(z) = 2 sum_j (-1)^j exp(i pi sigma (j+1/2)^2) sin(pi (2j+1) z), and
+    d^n/dz^n sin(f z) = f^n (sin, cos, -sin, -cos)[n % 4](f z): the weights of
+    ``elliptic._theta_weights``, summed here over ``terms`` terms at the points
+    as given.  Returns the sums and, per order and point, the size of the
+    largest term: its weight times sqrt(|sin|^2 + |cos|^2) = sqrt(cosh(2 Im fz)),
+    which does not vanish where the sine or the cosine does.
+    """
+    j = np.arange(terms)
+    coeff = 2.0 * np.where(j % 2, -1.0, 1.0) * np.exp(1j * math.pi * sigma * (j + 0.5) ** 2)
+    freq = math.pi * (2 * j + 1)
+    ang = np.multiply.outer(np.asarray(z, dtype=complex), freq)
+    sin, cos = np.sin(ang), np.cos(ang)
+    orders = np.arange(n_max + 1)[:, None, None]
+    rows = np.array([(sin, cos, -sin, -cos)[k % 4] for k in range(n_max + 1)])
+    rows *= coeff * freq**orders
+    # log of |coeff| freq^k sqrt(cosh(2t)), t = Im fz, without overflow
+    log_size = (math.log(2.0) - math.pi * sigma.imag * (j + 0.5) ** 2 + orders * np.log(freq)
+                + 0.5 * (np.logaddexp(2.0 * ang.imag, -2.0 * ang.imag) - math.log(2.0)))
+    # correctly rounded sums (math.fsum), so the reference adds no round-off of its own
+    sums = np.array([[complex(math.fsum(r.real), math.fsum(r.imag)) for r in row] for row in rows])
+    return sums, np.exp(log_size.max(axis=-1))

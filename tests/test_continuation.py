@@ -5,16 +5,19 @@ The global genus-1 zero search is counted by wrapping
 ``cover0.critical_data`` and its ``critical_data_many`` hook.  Every
 continued route ratio is compared with the ratio from a fresh global solve
 at the same covering.  The theta and sigma evaluations of a genus-1 check
-are counted by wrapping ``elliptic.theta1_derivs`` and ``cover1.sigma_w``.
+are counted by wrapping ``elliptic.theta1_derivs`` and ``cover1.sigma_w``,
+and the per-modulus constants by wrapping ``log_dedekind_eta`` and
+``eisenstein``.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import oracles
-from hurwitztau import cover0, cover1, elliptic, isomon
+from hurwitztau import cli, cover0, cover1, elliptic, isomon
 from hurwitztau.cli import covering_to_spec, main
 from hurwitztau.elliptic import _split_lattice, lattice_distance
 from hurwitztau.errors import CountMismatchError, NearPoleError, NonConvergenceError
@@ -412,6 +415,43 @@ class TestGenus1OncePerCheck:
             one = cover1.tau_resultant(step, cd)
             assert abs(got.tau_inv48 / one.tau_inv48 - 1.0) < 1e-13
             assert abs(got.kappa / one.kappa - 1.0) < 1e-13
+
+
+def _calls_anywhere(monkeypatch, name: str) -> list:
+    """The argument tuples of every call of ``elliptic.name``, through any module holding it."""
+    calls = []
+    real = getattr(elliptic, name)
+    for module in (elliptic, cover0, cover1, isomon, cli):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _unbuilt(cov):
+    """A copy of ``cov`` whose Weierstrass context is not built yet, in or out of the cache."""
+    elliptic.weierstrass_context.cache_clear()
+    return dataclasses.replace(cov)
+
+
+class TestGenus1OncePerModulus:
+    """log eta, eta_tilde and g2 are computed once, in the context build of the modulus."""
+
+    def test_identity_report_computes_log_eta_once(self, monkeypatch, g1_21):
+        cov = _unbuilt(g1_21)
+        logs = _calls_anywhere(monkeypatch, "log_dedekind_eta")
+        isomon.identity_report(cov)
+        assert len(logs) == 1  # the base analysis and both routes of the 5 sweep steps
+
+    def test_build_report_computes_log_eta_once(self, monkeypatch, g1_21):
+        cov = _unbuilt(g1_21)
+        logs = _calls_anywhere(monkeypatch, "log_dedekind_eta")
+        cli.build_report(cov)
+        assert len(logs) == 1  # the analysis and route A
+
+    def test_context_build_takes_two_eisenstein_series(self, monkeypatch):
+        series = _calls_anywhere(monkeypatch, "eisenstein")
+        elliptic.WeierstrassContext.create(elliptic.Modulus(0.3 + 1.1j))
+        assert sorted(weight for _, weight in series) == [2, 4]  # eta_tilde and g2, no E_6
 
 
 def _rel(got, want) -> float:

@@ -26,6 +26,7 @@ from hurwitztau.elliptic import (
     zeta_w,
 )
 from hurwitztau.errors import LatticePointError
+from hurwitztau.samples import random_covering1
 
 MODULI = [0.3 + 1.1j, -0.2 + 0.7j, 1.3j, 0.45 + 2.1j]
 
@@ -58,6 +59,44 @@ class TestModulus:
             brute = [sum(d**k for d in range(1, n + 1) if n % d == 0)
                      for n in range(1, m.eisenstein_terms + 1)]
             assert sums[k].tolist() == brute
+
+
+# the seven genus-1 pool profiles and the sampler seed of each one's first pool spec
+POOL_PROFILES = [((2,), 910000), ((1, 1), 911000), ((3,), 912000), ((2, 1), 913000),
+                 ((1, 1, 1), 914000), ((2, 2), 915000), ((3, 1), 916000)]
+_EDGE = 0.5 - 1e-9  # the far edges of the base cell [-1/2, 1/2)^2, approached from inside
+
+
+class TestSeriesLength:
+    """``Modulus.theta_terms`` terms against a 40-term reference series.
+
+    The points are in the base cell, so ``theta1_derivs`` sums the series at
+    them as given: its four corners, points on its edges, the half periods
+    (as their representatives -1/2, -sigma/2 and -(1 + sigma)/2) and points
+    within 1e-6 of 0.  At Im sigma = 0.11 the series' own round-off (the same
+    with 19 terms) reaches 1.5e-15 of the largest term, hence the bound 2e-15.
+    """
+
+    @pytest.mark.parametrize("re_sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("im_sigma", [0.11, 0.3, 1.0, 3.0])
+    def test_matches_long_series(self, re_sigma, im_sigma):
+        m = Modulus(complex(re_sigma, im_sigma))
+        s = m.sigma
+        uv = [(-0.5, -0.5), (_EDGE, -0.5), (-0.5, _EDGE), (_EDGE, _EDGE),
+              (-0.5, 0.0), (-0.5, 0.3), (0.0, -0.5), (0.3, -0.5), (0.0, _EDGE), (_EDGE, 0.2)]
+        near_zero = [1e-6 * cmath.exp(1j * a) for a in (0.3, 2.1, 4.4)] + [1e-9, 1e-7j]
+        pts = np.array([u + v * s for u, v in uv] + [-0.5, -0.5 * s, -0.5 * (1 + s)] + near_zero)
+        got = theta1_derivs(m, pts, 7)
+        want, peak = oracles.theta1_long(s, pts, 7)
+        assert (np.abs(got - want) <= 2e-15 * peak).all()
+
+    @pytest.mark.parametrize("profile, seed", POOL_PROFILES)
+    def test_pool_moduli_take_four_or_five_terms(self, profile, seed):
+        assert random_covering1(profile, seed).modulus.theta_terms in (4, 5)
+
+    @pytest.mark.parametrize("im_sigma, terms", [(0.11, 14), (0.12, 13), (0.8, 5), (1.5, 4)])
+    def test_term_counts(self, im_sigma, terms):
+        assert Modulus(complex(0.0, im_sigma)).theta_terms == terms
 
 
 class TestTheta:
@@ -198,6 +237,28 @@ class TestWeierstrass:
         zd = zeta_derivs(ctx, z, 4)
         assert abs(zd[1] + wp(ctx, z)) < 1e-12 * abs(wp(ctx, z))
         assert abs(zd[3] + wp(ctx, z, 2)) < 1e-12 * abs(wp(ctx, z, 2))
+
+
+class TestContextConstants:
+    """The context's constants are the module's functions of its modulus, bit for bit."""
+
+    @pytest.mark.parametrize("sigma", MODULI + [0.11j])
+    def test_table_sums_are_the_derivatives_at_zero(self, sigma):
+        m = Modulus(sigma)
+        d = theta1_derivs(m, 0.0, 5)
+        weights = m._theta_tabs[2]
+        assert [complex(weights[k].sum()) for k in (1, 3, 5)] == [d[1], d[3], d[5]]
+        ctx = _ctx(sigma)
+        assert ctx.theta1_deriv0 == d[1]
+        assert ctx.calib_p == d[3] / (3.0 * d[1])
+
+    @pytest.mark.parametrize("sigma", MODULI + [0.11j])
+    def test_fields_match_the_module_functions(self, sigma):
+        m = Modulus(sigma)
+        ctx = WeierstrassContext.create(m)
+        assert ctx.eta_tilde == eta_tilde(m)
+        assert ctx.g2 == g_invariants(m)[0]
+        assert ctx.log_eta == log_dedekind_eta(m)
 
 
 class TestContextVerification:
