@@ -5,9 +5,8 @@ package computes the canonical coordinates (finite critical values), the
 flat coordinates, the quadratic Hamiltonians of the associated isomonodromic
 system, the isomonodromic tau-function by two independent closed-form
 routes, and the G-function with its scaling anomaly.  Every differential
-identity tying these together can be verified numerically: with exact
-derivatives in the canonical coordinates, or through the finite-difference
-deformation engine that serves as their reference.
+identity tying these together is verified numerically, with exact
+derivatives in the canonical coordinates.
 """
 
 from .cover0 import Covering0, Pole
@@ -35,7 +34,6 @@ from .isomon import (
     bergmann_values,
     build_isomonodromy,
     identity_report,
-    lambda_derivatives,
 )
 from .poly import CPoly, RootSet, all_roots, resultant
 from .samples import builtin_example, random_covering0, random_covering1
@@ -58,7 +56,6 @@ __all__ = [
     "bergmann_values",
     "build_isomonodromy",
     "identity_report",
-    "lambda_derivatives",
     "builtin_example",
     "random_covering0",
     "random_covering1",

@@ -322,9 +322,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ref = None
     max_drift = {"route_ratio": 0.0, "resultant_ratio": 0.0}
     for s, _, row in table:
-        if row.get("caustic"):
-            print(f"sweep crossed the caustic at step {s}", file=sys.stderr)
-            return EXIT_SWEEP
         if ref is None:
             ref = row
         entry = {"step": s}

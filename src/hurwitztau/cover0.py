@@ -9,7 +9,8 @@ computes the critical data (critical points, critical values, squared local
 frame f_m^2, Schwarzian values), the flat coordinates, the tau-function by
 two independent closed-form routes, the G-function with its scaling anomaly,
 and vanishing-order diagnostics on the caustic.  ``cover1`` defines the same
-model names; the formulas both share (``route_a``, ``frame_data``) live here.
+model names; the formulas both share (``route_a``,
+``route_b_denominator_terms``, ``frame_data``) live here.
 """
 
 from __future__ import annotations
@@ -488,9 +489,12 @@ class TauProduct:
     T: complex
     log_tau: complex
     log_tau_inv48: complex
-    tau_inv48: complex
     G: complex
     g_from_jacobian: complex
+
+    @property
+    def tau_inv48(self) -> complex:
+        return cmath.exp(self.log_tau_inv48)
 
 
 def route_a(ks, log_fsq, log_h, log_t, log_eta: complex = 0) -> TauProduct:
@@ -503,36 +507,55 @@ def route_a(ks, log_fsq, log_h, log_t, log_eta: complex = 0) -> TauProduct:
 
     ``g_from_jacobian`` = log(tau / J^(1/24)), J = prod f_m, is G + (1/24) sum (k_s+1)
     log(t_s / h_s), a profile constant: log(t_s / h_s) = log k_s at genus 0, 0 at genus 1.
+
+    Route A is linear in its logarithms, so rows of their derivatives give the
+    derivatives of T, log tau^-48 and G (``isomon.exact_parameter_derivatives``);
+    ``log_eta`` then carries the length of the rows, even where there are no poles.
     """
     log_f = sum(0.5 * v for v in log_fsq)
     log_hk = sum((k + 1) * lh for k, lh in zip(ks, log_h))
     T = log_f - log_hk
     log_tau = -log_eta + T / 24.0
-    log48 = 48.0 * log_eta + 2.0 * log_hk - sum(log_fsq)
     return TauProduct(
         T=T,
         log_tau=log_tau,
-        log_tau_inv48=log48,
-        tau_inv48=cmath.exp(log48),
+        log_tau_inv48=48.0 * log_eta + 2.0 * log_hk - sum(log_fsq),
         G=-log_eta - sum((k + 1) * lt for k, lt in zip(ks, log_t)) / 24.0,
         g_from_jacobian=log_tau - log_f / 24.0,
     )
 
 
 def principal_route_a(c, fsq, fc, log_eta: complex = 0) -> TauProduct:
-    """``route_a`` on the principal branches of f_m^2 and of the flat data ``fc``."""
-    return route_a(
+    """``route_a`` on the principal branches of f_m^2 and of the flat data ``fc``.
+
+    A tau^-48 beyond double precision raises ``OverflowError`` here.
+    """
+    tau = route_a(
         [p.order for p in c.poles],
         [cmath.log(v) for v in fsq],
         [cmath.log(h) for h in fc.h],
         [cmath.log(t) for t in fc.t],
         log_eta,
     )
+    tau.tau_inv48  # evaluated for its OverflowError
+    return tau
 
 
 def tau_product(c: Covering0, cd: CriticalData0) -> TauProduct:
     """Route A: log tau = (1/24) [sum log f_m - sum (k_s+1) log h_s], principal branches."""
     return principal_route_a(c, cd.fsq, cd.flat)
+
+
+def route_b_denominator_terms(ks, log_d, log_t) -> list[complex]:
+    """The terms of route B's log pole/flat denominator over the poles with orders ``ks``:
+    (k_i+1)(k_j+1) log D(b_i - b_j), then (k_i+1)(k_i-2) log t_i.
+
+    ``log_d`` runs over the ordered pairs i != j, row by row; D is the plain
+    difference at genus 0 and sigma_w at genus 1.
+    """
+    weights = [(ki + 1) * (kj + 1) for i, ki in enumerate(ks) for j, kj in enumerate(ks) if i != j]
+    return ([w * ld for w, ld in zip(weights, log_d)]
+            + [(k + 1) * (k - 2) * lt for k, lt in zip(ks, log_t)])
 
 
 @dataclass(frozen=True)
@@ -552,17 +575,10 @@ def tau_resultant(c: Covering0, cd: CriticalData0) -> TauResultant:
     log_r = cd.log_resultant_ff
     if log_r.real == -math.inf:
         return TauResultant(log_tau_inv48=complex(-math.inf), tau_inv48=0j)
-    fc = cd.flat
-    ks = c.profile[1:]
     bs = [p.b for p in c.poles]
-    denom = 0j
-    for i in range(len(bs)):
-        for j in range(len(bs)):
-            if i != j:
-                denom += (ks[i] + 1) * (ks[j] + 1) * cmath.log(bs[i] - bs[j])
-    for k, t in zip(ks, fc.t):
-        denom += (k + 1) * (k - 2) * cmath.log(t)
-    log48 = log_r - denom
+    log_d = [cmath.log(bi - bj) for i, bi in enumerate(bs) for j, bj in enumerate(bs) if i != j]
+    log48 = log_r - sum(route_b_denominator_terms(c.profile[1:], log_d,
+                                                  [cmath.log(t) for t in cd.flat.t]), 0j)
     return TauResultant(log_tau_inv48=log48, tau_inv48=cmath.exp(log48))
 
 

@@ -28,6 +28,7 @@ from .cover0 import (
     frame_data,
     principal_root,
     principal_route_a,
+    route_b_denominator_terms,
 )
 from .elliptic import (
     Modulus,
@@ -399,11 +400,9 @@ def tau_resultant_many(coverings: Sequence[Covering1],
         log48 = 48.0 * ctx.log_eta
         log48 += 2.0 * c.dim * cmath.log(f0)
         log48 += cmath.log(kappa)
-        kk = np.outer(np.array(ks) + 1, np.array(ks) + 1)[~np.eye(len(ks), dtype=bool)]
-        for w, s_b in zip(kk, s_bb):
-            log48 -= int(w) * cmath.log(complex(s_b))
-        for kt, t in zip(ks, fc.t):
-            log48 -= (kt + 1) * (kt - 2) * cmath.log(t)
+        for term in route_b_denominator_terms(ks, [cmath.log(complex(s)) for s in s_bb],
+                                              [cmath.log(t) for t in fc.t]):
+            log48 -= term
         out.append(TauResultant1(log_tau_inv48=log48, tau_inv48=cmath.exp(log48), kappa=kappa))
     return out
 

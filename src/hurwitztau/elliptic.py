@@ -211,10 +211,14 @@ def cell_coords(z, sigma: complex):
 
 
 def _split_lattice(z: np.ndarray, sigma: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Write z = m + n*sigma + z0 with the cell coordinates of z0 in [-1/2, 1/2)."""
+    """Write z = m + n*sigma + z0 with the cell coordinates of z0 in [-1/2, 1/2].
+
+    A coordinate of exactly +-1/2 stays: shifting it to the other edge costs
+    the quasi-periodic factor of ``theta1_derivs`` digits for nothing.
+    """
     u, v = cell_coords(z, sigma)
-    m = np.floor(u + 0.5)
-    n = np.floor(v + 0.5)
+    m = np.rint(u)
+    n = np.rint(v)
     return m, n, z - m - n * sigma
 
 
@@ -461,7 +465,7 @@ def _zeta_rows(ctx: WeierstrassContext, pts, n, z0, n_max: int) -> np.ndarray:
     derivative of log theta1 shifts by -2 pi i n under the reduction, the
     higher ones are periodic.
     """
-    t0, t1, t2, t3 = theta1_derivs(ctx.modulus, z0, 3)
+    t0, t1, t2, t3 = _theta1_raw(ctx.modulus, z0, 3)
     r1, r2, r3 = t1 / t0, t2 / t0, t3 / t0
     out = np.empty((n_max + 1, len(pts)), dtype=complex)
     out[0] = r1 - TWO_PI_I * n + 2.0 * ctx.calib_sigma * pts

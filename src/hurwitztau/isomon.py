@@ -2,10 +2,15 @@
 
 Rotation coefficients from the Bergmann kernel, the commutator matrix V,
 quadratic Hamiltonians by two independent routes, Schlesinger residue
-matrices, and derivatives in the canonical coordinates (the critical
-values): exact ones from the implicit function theorem at the critical
-points, which the identity suite uses, and a finite-difference engine over
-the covering parameters that serves as their independent reference.
+matrices, and exact derivatives in the canonical coordinates (the critical
+values) from the implicit function theorem at the critical points, which
+the identity suite uses.  Route A's tau and G come from ``cover0.route_a``
+alone: ``analyze`` reports it on principal logarithms, and
+``exact_parameter_derivatives`` differentiates it by applying it to rows of
+logarithmic derivatives.  ``parameter_derivatives`` (central differences
+over the covering parameters) drives the finite-difference reference in
+``tests/oracles.py``; it stays here while ``perfbench/tracer.py`` wraps it
+by name.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from . import cover0, cover1
 from .cover0 import Covering0, TauProduct, route_a
 from .cover1 import Covering1
 from .elliptic import lattice_distance, wp
-from .errors import CoincidentPointsError, CountMismatchError, IllConditionedError
+from .errors import CoincidentPointsError, IllConditionedError
 
 __all__ = [
     "Analysis",
@@ -30,7 +35,6 @@ __all__ = [
     "bergmann_values",
     "build_isomonodromy",
     "exact_parameter_derivatives",
-    "lambda_derivatives",
     "identity_report",
     "IdentityCheck",
     "sweep_ratios",
@@ -52,12 +56,9 @@ COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything the identity checks consume, with branch continuity.
+    """Everything the identity checks consume, on principal branches.
 
-    ``f`` and ``log_*`` entries are continuified against a base analysis
-    when one is supplied (nearest branch at each step); otherwise principal
-    branches are used throughout, and ``tau`` is the genus module's
-    ``tau_product`` bit for bit.  ``critical`` is the genus module's
+    ``tau`` is the genus module's ``tau_product`` and ``critical`` its
     critical data, in the order of ``pts``.
     """
 
@@ -73,81 +74,33 @@ class Analysis:
     ks: tuple[int, ...]
     sigma: complex | None
     eta_tilde: complex | None
-    log_fsq: tuple[complex, ...]
-    log_h: tuple[complex, ...]
     tau: TauProduct
     gamma: complex
     critical: cover0.CriticalData0 | cover1.CriticalData1
 
 
-def _cont_log(value: complex, ref_value: complex, ref_log: complex) -> complex:
-    return ref_log + cmath.log(value / ref_value)
+def analyze(covering: Covering) -> Analysis:
+    """Critical data, flat data and closed-form scalars in one bundle."""
+    return _analysis(covering, (cover0, cover1)[covering.genus].critical_data(covering))
 
 
-def analyze(covering: Covering, base: "Analysis | None" = None) -> Analysis:
-    """Critical data, flat data and closed-form scalars in one bundle.
-
-    With ``base``, the critical points are tracked from ``base.pts`` and kept
-    in that order; a tracked point nearer another base point than its own
-    raises ``CountMismatchError``.
-    """
+def _analysis(covering: Covering, cd) -> Analysis:
+    """``analyze`` of ``covering`` from its critical data ``cd``."""
     model = (cover0, cover1)[covering.genus]
-    cd = model.critical_data(covering, seeds=base.pts if base is not None else None)
-    fc = cd.flat
-    fsq, hs = cd.fsq, fc.h
-    ks = tuple(p.order for p in covering.poles)
-    if covering.genus:  # the modulus and its eta quantities
-        sigma = covering.modulus.sigma
-        eta_t = covering.ctx.eta_tilde
-        log_eta = covering.ctx.log_eta
-        distance = lambda d: lattice_distance(d, sigma)
-    else:
-        sigma = eta_t = None
-        log_eta = 0
-        distance = np.abs
-
-    if base is not None:
-        # the seeded solve returns the tracked points lane by lane, in the
-        # order of base.pts; when each is nearest to its own base point the
-        # identity is an optimal assignment, so that order is kept
-        gaps = distance(np.subtract.outer(np.array(cd.pts), np.array(base.pts)))
-        if (np.argmin(gaps, axis=1) != np.arange(len(cd.pts))).any():
-            raise CountMismatchError("a tracked critical point is nearer another base point")
-        log_fsq = tuple(
-            _cont_log(v, rv, rl) for v, rv, rl in zip(fsq, base.fsq, base.log_fsq)
-        )
-        roots = [cmath.sqrt(v) for v in fsq]
-        f = tuple(r if abs(r - rf) <= abs(-r - rf) else -r for r, rf in zip(roots, base.f))
-        # nearest among the k-th root branches of h_s^k
-        hs = tuple(
-            min((hval * cmath.exp(2j * math.pi * j / k) for j in range(k)), key=lambda w: abs(w - rh))
-            for hval, k, rh in zip(hs, ks, base.h)
-        )
-        log_h = tuple(_cont_log(h, rh, rl) for h, rh, rl in zip(hs, base.h, base.log_h))
-        # t_s is a fixed multiple of h_s, so log t_s follows the branch of log h_s
-        log_t = [lh + cmath.log(t / h) for lh, t, h in zip(log_h, fc.t, fc.h)]
-    else:
-        log_fsq = tuple(cmath.log(v) for v in fsq)
-        f = tuple(cmath.sqrt(v) for v in fsq)
-        log_h = tuple(cmath.log(h) for h in hs)
-        log_t = [cmath.log(t) for t in fc.t]
-
     return Analysis(
         covering=covering,
         genus=covering.genus,
         pts=tuple(cd.pts),
         lam=tuple(cd.lam),
-        fsq=tuple(fsq),
+        fsq=tuple(cd.fsq),
         sw=tuple(cd.sw),
         sb=tuple(cd.sb),
-        f=f,
-        h=hs,
-        ks=ks,
-        sigma=sigma,
-        eta_tilde=eta_t,
-        log_fsq=log_fsq,
-        log_h=log_h,
-        tau=route_a(ks, log_fsq, log_h, log_t, log_eta),
+        f=tuple(cmath.sqrt(v) for v in cd.fsq),
+        h=tuple(cd.flat.h),
+        ks=tuple(p.order for p in covering.poles),
+        sigma=covering.modulus.sigma if covering.genus else None,
+        eta_tilde=covering.ctx.eta_tilde if covering.genus else None,
+        tau=model.tau_product(covering, cd),
         gamma=model.gamma(covering),
         critical=cd,
     )
@@ -289,40 +242,6 @@ def _chain_to_lambda(derivs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: d.T @ inv for k, d in derivs.items()}
 
 
-def lambda_derivatives(
-    covering: Covering,
-    bundle_fn: Callable[[Covering], dict],
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """d(bundle)/d(lambda_k) for every bundle entry, by finite differences.
-
-    The bundle must contain the key ``"lam"``; its parameter Jacobian is
-    inverted and chained with every other entry's parameter derivatives.
-    """
-    base, _, derivs = parameter_derivatives(covering, bundle_fn)
-    return base, _chain_to_lambda(derivs)
-
-
-def check_bundle(base: Analysis) -> Callable[[Covering], dict]:
-    """The standard bundle for the identity suite (branch-continuified)."""
-
-    def fn(cov: Covering) -> dict:
-        an = analyze(cov, base=base)
-        out = {
-            "lam": an.lam,
-            "fsq": an.fsq,
-            "f": an.f,
-            "h": an.h,
-            "T": an.tau.T,
-            "log_tau48": an.tau.log_tau_inv48,
-            "G": an.tau.G,
-        }
-        if an.genus:
-            out["sigma"] = an.sigma
-        return out
-
-    return fn
-
-
 # --------------------------------------------------------------------------
 # exact deformation derivatives
 
@@ -347,7 +266,7 @@ def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
 
 
 def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarray]:
-    """The check bundle's parameter derivatives in closed form at one analysis.
+    """The analysis' parameter derivatives in closed form.
 
     Same layout as ``parameter_derivatives``: (paths, arrays of shape
     (P, len(value))) for ``lam``, ``fsq``, ``f``, ``h``, ``T``,
@@ -356,8 +275,9 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarr
     p'(z_m) = 0, so with the partials d_theta p^(n) at fixed z:
     d lambda_m = d_theta p, d z_m = -d_theta p'/p'', and
     d fsq_m = -2 (d_theta p'' + p^(3) d z_m)/p''^2; h_s follows its top tail
-    (h_s^k_s is proportional to it), and T, log tau^-48 and G are sums of
-    logarithms of these, plus d log eta/d sigma = eta_tilde at genus 1.
+    (h_s^k_s is proportional to it), and so does t_s.  T, log tau^-48 and G
+    are ``route_a`` of the rows d log f_m^2, d log h_s = d log t_s and
+    d log eta = eta_tilde d sigma.
     """
     cov = an.covering
     model = (cover0, cover1)[an.genus]
@@ -367,24 +287,21 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarr
     p2, p3 = rows[2], rows[3]
     dz = -dp[:, 1] / p2
     dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
-    ks = np.array(an.ks, dtype=float)
     top = np.array([p.top for p in cov.poles], dtype=complex)
-    dlog_h = _top_derivs(an, paths) / (ks * top)  # (P, S)
-    dlog_fsq = (dfsq / np.array(an.fsq)).sum(axis=1)
-    dlog_hk = dlog_h @ (ks + 1.0)
+    dlog_h = _top_derivs(an, paths) / (np.array(an.ks) * top)  # (P, S)
+    dsigma = np.array([float(path == "modulus") for path in paths])
+    tau = route_a(an.ks, (dfsq / np.array(an.fsq)).T, dlog_h.T, dlog_h.T,
+                  (an.eta_tilde or 0.0) * dsigma)
     derivs = {
         "lam": dp[:, 0],
         "fsq": dfsq,
         "f": dfsq / (2.0 * np.array(an.f)),
         "h": dlog_h * np.array(an.h, dtype=complex),
-        "T": 0.5 * dlog_fsq - dlog_hk,
-        "log_tau48": 2.0 * dlog_hk - dlog_fsq,
-        "G": -dlog_hk / 24.0,
+        "T": tau.T,
+        "log_tau48": tau.log_tau_inv48,
+        "G": tau.G,
     }
-    if an.genus:  # the modulus path moves sigma, and log eta at the rate eta_tilde
-        dsigma = np.array([float(path == "modulus") for path in paths])
-        derivs["log_tau48"] = derivs["log_tau48"] + 48.0 * an.eta_tilde * dsigma
-        derivs["G"] = derivs["G"] - an.eta_tilde * dsigma
+    if an.genus:
         derivs["sigma"] = dsigma
     n = len(paths)
     return paths, {k: np.asarray(v, dtype=complex).reshape(n, -1) for k, v in derivs.items()}, dz
@@ -439,13 +356,7 @@ def _ratio_drift(values: list[complex]) -> float:
 def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1, tb) -> dict:
     """Cross-route tau data of one covering from its critical data and its route B ``tb``."""
     ta = (cover0, cover1)[cov.genus].tau_product(cov, cd)
-    row = {
-        "pts": cd.pts,
-        "tau48_product": ta.tau_inv48,
-        "tau48_resultant": tb.tau_inv48,
-        "route_ratio": ta.tau_inv48 / tb.tau_inv48,
-        "caustic": cd.caustic,
-    }
+    row = {"pts": cd.pts, "route_ratio": ta.tau_inv48 / tb.tau_inv48}
     if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
         row["resultant_ratio"] = cd.resultant_ratio
     return row

@@ -5,11 +5,16 @@ plain central differences, Newton inversion of the covering map composed
 with the local square root, kernel diagonal limits, and a trapezoid
 argument-principle count, and the argument-principle subdivision search
 that ``elliptic.elliptic_zeros`` replaced, as the reference for its zeros.
+The finite-difference reference for ``isomon.exact_parameter_derivatives``
+is here too: ``check_bundle`` continues an analysis from a base one (seeded
+critical points, nearest branches), and ``lambda_derivatives`` differences
+it with ``isomon.parameter_derivatives``.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from typing import Callable, Sequence
 
-from hurwitztau import cover0, cover1
+from hurwitztau import cover0, cover1, isomon
 from hurwitztau.elliptic import (
     Modulus,
     _cell_representative,
@@ -34,7 +39,7 @@ from hurwitztau.elliptic import (
     zeta_derivs,
     zeta_sigma_derivs,
 )
-from hurwitztau.errors import ContourClashError, NearPoleError
+from hurwitztau.errors import ContourClashError, CountMismatchError, NearPoleError
 from hurwitztau.poly import CPoly
 
 _ULP = float(np.finfo(float).eps)
@@ -555,3 +560,78 @@ def theta1_long(sigma: complex, z, n_max: int, terms: int = 40) -> tuple[np.ndar
     # correctly rounded sums (math.fsum), so the reference adds no round-off of its own
     sums = np.array([[complex(math.fsum(r.real), math.fsum(r.imag)) for r in row] for row in rows])
     return sums, np.exp(log_size.max(axis=-1))
+
+
+# --------------------------------------------------------------------------
+# the finite-difference reference: analyses continued from a base analysis
+
+
+def _nearest_log(v: complex, ref: complex) -> complex:
+    """The logarithm of v nearest the logarithm ``ref``: the principal one plus 2 pi i n."""
+    lv = cmath.log(v)
+    return lv + 2j * math.pi * round((ref.imag - lv.imag) / (2.0 * math.pi))
+
+
+def continue_branches(an: isomon.Analysis, base: isomon.Analysis) -> isomon.Analysis:
+    """``an`` with f, h and route A on the branches that continue ``base``'s.
+
+    f_m is the square root of f_m^2 nearest base.f[m] and h_s the k_s-th root
+    of h_s^k_s nearest base.h[s]; the logarithms of f_m^2 and h_s are those
+    nearest base's principal ones, and log t_s moves with log h_s (t_s is a
+    fixed multiple of h_s).  ``cover0.route_a`` of these gives ``tau``.  With
+    ``an`` = ``base`` every value is base's own, bit for bit.
+    """
+    f = tuple(r if abs(r - rf) <= abs(-r - rf) else -r
+              for r, rf in zip((cmath.sqrt(v) for v in an.fsq), base.f))
+    h = tuple(
+        min((hv * cmath.exp(2j * math.pi * j / k) for j in range(k)), key=lambda w: abs(w - rh))
+        for hv, k, rh in zip(an.h, an.ks, base.h)
+    )
+    log_fsq = [_nearest_log(v, cmath.log(rv)) for v, rv in zip(an.fsq, base.fsq)]
+    log_h0 = [cmath.log(rh) for rh in base.h]
+    log_h = [_nearest_log(hv, lh0) for hv, lh0 in zip(h, log_h0)]
+    log_t = [cmath.log(rt) + (lh - lh0) for rt, lh, lh0 in zip(base.critical.flat.t, log_h, log_h0)]
+    log_eta = an.covering.ctx.log_eta if an.genus else 0
+    return dataclasses.replace(an, f=f, h=h,
+                               tau=cover0.route_a(an.ks, log_fsq, log_h, log_t, log_eta))
+
+
+def continued_analysis(cov, base: isomon.Analysis) -> isomon.Analysis:
+    """The analysis of ``cov`` with the critical points tracked from ``base.pts``.
+
+    The seeded solve returns the tracked points lane by lane, in the order of
+    base.pts; when each is nearest its own base point the identity is an
+    optimal assignment, so that order is kept, and a tracked point nearer
+    another base point raises ``CountMismatchError``.  The branches continue
+    base's (``continue_branches``).
+    """
+    cd = (cover0, cover1)[cov.genus].critical_data(cov, seeds=base.pts)
+    diff = np.subtract.outer(np.array(cd.pts), np.array(base.pts))
+    gaps = lattice_distance(diff, cov.modulus.sigma) if cov.genus else np.abs(diff)
+    if (np.argmin(gaps, axis=1) != np.arange(len(cd.pts))).any():
+        raise CountMismatchError("a tracked critical point is nearer another base point")
+    return continue_branches(isomon._analysis(cov, cd), base)
+
+
+def bundle(an: isomon.Analysis) -> dict:
+    """The quantities ``isomon.exact_parameter_derivatives`` differentiates, by key."""
+    out = {"lam": an.lam, "fsq": an.fsq, "f": an.f, "h": an.h, "T": an.tau.T,
+           "log_tau48": an.tau.log_tau_inv48, "G": an.tau.G}
+    if an.genus:
+        out["sigma"] = an.sigma
+    return out
+
+
+def check_bundle(base: isomon.Analysis) -> Callable:
+    """The bundle function of coverings near ``base``'s, branch-continued from ``base``."""
+    return lambda cov: bundle(continued_analysis(cov, base))
+
+
+def lambda_derivatives(cov, bundle_fn: Callable) -> tuple[dict, dict]:
+    """d(bundle)/d(lambda_k) of every bundle entry, by finite differences.
+
+    The bundle must contain the key ``"lam"``; its parameter Jacobian is
+    inverted and chained with every other entry's parameter derivatives.
+    """
+    base, _, derivs = isomon.parameter_derivatives(cov, bundle_fn)
+    return base, isomon._chain_to_lambda(derivs)

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole
 from hurwitztau.cover1 import Covering1
@@ -45,7 +46,7 @@ def _instance_checks(cov):
     an = isomon.analyze(cov)
     iso = isomon.build_isomonodromy(cov, an)
     B, Binf = isomon.bergmann_values(cov, an)
-    _, d = isomon.lambda_derivatives(cov, isomon.check_bundle(an))
+    _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
     h = np.array(iso.hamiltonians)
     h_scale = float(np.max(np.abs(h)))
     m = len(h)

@@ -5,7 +5,7 @@ The global genus-1 zero search is counted by wrapping
 ``cover0.critical_data`` and its ``critical_data_many`` hook.  Every
 continued route ratio is compared with the ratio from a fresh global solve
 at the same covering.  The theta and sigma evaluations of a genus-1 check
-are counted by wrapping ``elliptic.theta1_derivs`` and ``cover1.sigma_w``,
+are counted by wrapping ``elliptic._theta1_raw`` and ``cover1.sigma_w``,
 and the per-modulus constants by wrapping ``log_dedekind_eta`` and
 ``eisenstein``.
 """
@@ -378,7 +378,7 @@ class TestGenus1OncePerCheck:
 
     def test_exact_derivatives_make_one_theta_evaluation(self, monkeypatch, g1_21):
         an = isomon.analyze(g1_21)
-        theta = _calls(monkeypatch, elliptic, "theta1_derivs")
+        theta = _calls(monkeypatch, elliptic, "_theta1_raw")
         isomon.exact_parameter_derivatives(an)
         assert len(theta) == 1  # every pole, the d/dsigma column and p, ..., p^(3) share it
 

@@ -247,7 +247,7 @@ class TestTauProduct:
     def test_gradient_is_hamiltonian(self, a2):
         an = isomon.analyze(a2)
         iso = isomon.build_isomonodromy(a2, an)
-        _, d = isomon.lambda_derivatives(a2, isomon.check_bundle(an))
+        _, d = oracles.lambda_derivatives(a2, oracles.check_bundle(an))
         dlogtau = -d["log_tau48"][0] / 48.0
         err = max(abs(a - b) for a, b in zip(dlogtau, iso.hamiltonians))
         assert err / max(abs(h) for h in iso.hamiltonians) < 1e-6

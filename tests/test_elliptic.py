@@ -64,17 +64,20 @@ class TestModulus:
 # the seven genus-1 pool profiles and the sampler seed of each one's first pool spec
 POOL_PROFILES = [((2,), 910000), ((1, 1), 911000), ((3,), 912000), ((2, 1), 913000),
                  ((1, 1, 1), 914000), ((2, 2), 915000), ((3, 1), 916000)]
-_EDGE = 0.5 - 1e-9  # the far edges of the base cell [-1/2, 1/2)^2, approached from inside
+_EDGE = 0.5 - 1e-9  # the far edges of the base cell, approached from inside
 
 
 class TestSeriesLength:
     """``Modulus.theta_terms`` terms against a 40-term reference series.
 
-    The points are in the base cell, so ``theta1_derivs`` sums the series at
-    them as given: its four corners, points on its edges, the half periods
-    (as their representatives -1/2, -sigma/2 and -(1 + sigma)/2) and points
-    within 1e-6 of 0.  At Im sigma = 0.11 the series' own round-off (the same
-    with 19 terms) reaches 1.5e-15 of the largest term, hence the bound 2e-15.
+    The points are in the base cell [-1/2, 1/2]^2, so ``theta1_derivs`` sums
+    the series at them as given: its corners, points on its edges, the half
+    periods (as their representatives +-1/2, +-sigma/2 and +-(1 + sigma)/2)
+    and points within 1e-6 of 0.  A cell coordinate of exactly +1/2 is summed
+    as given, not moved to -1/2 with the quasi-periodic factor, which cost up
+    to 1.4e-13 of the largest term at Im sigma = 3.  At Im sigma = 0.11 the
+    series' own round-off (the same with 19 terms) reaches 1.5e-15 of the
+    largest term, hence the bound 2e-15.
     """
 
     @pytest.mark.parametrize("re_sigma", [0.0, 0.5])
@@ -83,9 +86,11 @@ class TestSeriesLength:
         m = Modulus(complex(re_sigma, im_sigma))
         s = m.sigma
         uv = [(-0.5, -0.5), (_EDGE, -0.5), (-0.5, _EDGE), (_EDGE, _EDGE),
-              (-0.5, 0.0), (-0.5, 0.3), (0.0, -0.5), (0.3, -0.5), (0.0, _EDGE), (_EDGE, 0.2)]
+              (-0.5, 0.0), (-0.5, 0.3), (0.0, -0.5), (0.3, -0.5), (0.0, _EDGE), (_EDGE, 0.2),
+              (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5), (0.5, 0.0), (0.5, 0.2), (0.0, 0.5), (0.3, 0.5)]
+        halves = [0.5, 0.5 * s, 0.5 * (1 + s)]
         near_zero = [1e-6 * cmath.exp(1j * a) for a in (0.3, 2.1, 4.4)] + [1e-9, 1e-7j]
-        pts = np.array([u + v * s for u, v in uv] + [-0.5, -0.5 * s, -0.5 * (1 + s)] + near_zero)
+        pts = np.array([u + v * s for u, v in uv] + [-h for h in halves] + halves + near_zero)
         got = theta1_derivs(m, pts, 7)
         want, peak = oracles.theta1_long(s, pts, 7)
         assert (np.abs(got - want) <= 2e-15 * peak).all()

@@ -2,17 +2,20 @@
 
 ``isomon.exact_parameter_derivatives`` differentiates the check bundle in
 closed form at the critical points; ``isomon.parameter_derivatives`` (central
-differences with one Richardson level over perturbed analyses) is the
-independent reference it is compared with.
+differences with one Richardson level) over the analyses that
+``oracles.check_bundle`` continues from the base one is the independent
+reference it is compared with.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cli import main
 from hurwitztau.elliptic import Modulus, weierstrass_context, zeta_derivs, zeta_sigma_derivs
@@ -39,7 +42,7 @@ def _rel(got: np.ndarray, want: np.ndarray) -> float:
 def _assert_exact_matches_fd(cov) -> None:
     an = isomon.analyze(cov)
     paths, exact, _ = isomon.exact_parameter_derivatives(an)
-    _, fd_paths, fd = isomon.parameter_derivatives(cov, isomon.check_bundle(an))
+    _, fd_paths, fd = isomon.parameter_derivatives(cov, oracles.check_bundle(an))
     assert paths == fd_paths
     assert set(exact) == set(fd)
     for key in fd:
@@ -142,6 +145,37 @@ class TestOneAnalysis:
         # the base analysis, then one per sweep step; the middle step is the
         # covering itself and reuses the base analysis
         assert len(calls) == 1 + 4
+
+
+class TestRouteAOnce:
+    """T, log tau^-48 and G are differentiated through ``cover0.route_a`` itself."""
+
+    def test_wrong_pole_orders_fail_tau_gradient(self, monkeypatch):
+        # every pole order one too high in route A, wherever a module holds it: the
+        # reported tau is wrong, and so must be the derivatives that check verifies
+        real = cover0.route_a
+        holders = [mod for name, mod in sys.modules.items()
+                   if name.split(".")[0] == "hurwitztau" and getattr(mod, "route_a", None) is real]
+        for mod in holders:
+            monkeypatch.setattr(mod, "route_a", lambda ks, *logs: real([k + 1 for k in ks], *logs))
+        checks = {c.name: c for c in isomon.identity_report(NAMED["h0_surf"]())}
+        assert not checks["tau-gradient"].passed
+        assert not checks["schwarzian-gradient"].passed
+
+
+class TestContinuedBundle:
+    """The finite-difference reference continues the analysis that ``check`` differentiates."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_base_is_the_analysis_bit_for_bit(self, name, quiet_caustic):
+        # on the base analysis' own critical data (the seeded re-solve of the base
+        # covering moves the points by round-off), the continued branches are the
+        # principal ones and route A is analyze's
+        an = isomon.analyze(NAMED[name]())
+        got = oracles.continue_branches(an, an)
+        assert (got.tau.T, got.tau.log_tau_inv48, got.tau.G) == (
+            an.tau.T, an.tau.log_tau_inv48, an.tau.G)
+        assert (got.f, got.h) == (an.f, an.h)
 
 
 class TestPartials:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+
+import oracles
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
 from hurwitztau.samples import random_covering0, random_covering1
@@ -96,7 +98,7 @@ class TestDeformationEngine:
     def test_jacobian_well_conditioned(self):
         for cov in (random_covering0((2, 2), seed=8), random_covering1((2,), seed=9)):
             an = isomon.analyze(cov)
-            bundle = lambda c: {"lam": isomon.analyze(c, base=an).lam}
+            bundle = lambda c: {"lam": oracles.continued_analysis(c, an).lam}
             _, _, derivs = isomon.parameter_derivatives(cov, bundle)
             jac = derivs["lam"].T  # (M, P)
             m = cov.dim
@@ -107,9 +109,9 @@ class TestDeformationEngine:
         cov = random_covering0((2, 1), seed=10)
         an = isomon.analyze(cov)
         # the functional F = lambda, evaluated apart from the bundle's own "lam"
-        bundle = lambda c: {"lam": isomon.analyze(c, base=an).lam,
-                            "F": isomon.analyze(c, base=an).lam}
-        _, d = isomon.lambda_derivatives(cov, bundle)
+        bundle = lambda c: {"lam": oracles.continued_analysis(c, an).lam,
+                            "F": oracles.continued_analysis(c, an).lam}
+        _, d = oracles.lambda_derivatives(cov, bundle)
         for k in range(cov.dim):
             for j in range(cov.dim):
                 assert abs(d["F"][j, k] - (1.0 if j == k else 0.0)) < 1e-7
@@ -119,7 +121,7 @@ class TestDeformationEngine:
         cov = random_covering0((2, 1), seed=11)
         an = isomon.analyze(cov)
         iso = isomon.build_isomonodromy(cov, an)
-        _, d = isomon.lambda_derivatives(cov, isomon.check_bundle(an))
+        _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
         df = d["f"]  # df[n, m] = d f_n / d lambda_m
         m = cov.dim
         for i in range(m):
@@ -132,7 +134,7 @@ class TestDeformationEngine:
     def test_schwarzian_gradient(self):
         for cov in (random_covering0((3, 2), seed=12), random_covering1((1, 1), seed=13)):
             an = isomon.analyze(cov)
-            _, d = isomon.lambda_derivatives(cov, isomon.check_bundle(an))
+            _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
             sw = np.array(an.sw)
             err = np.max(np.abs(d["T"][0] - sw)) / np.max(np.abs(sw))
             assert err < 1e-5
@@ -149,7 +151,7 @@ class TestDeformationEngine:
             (random_covering1((1, 1), seed=22), ev1),
         ):
             an = isomon.analyze(cov)
-            _, d = isomon.lambda_derivatives(cov, isomon.check_bundle(an))
+            _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
             for k in range(len(an.lam)):
                 dlogf = d["fsq"][k, k] / (2 * an.fsq[k])
                 der = ev(cov, an.pts[k], 4)
@@ -169,7 +171,7 @@ class TestDeformationEngine:
 
         def h1(value):
             c2 = set_param(cov, path, value)
-            return isomon.build_isomonodromy(c2, isomon.analyze(c2, base=an)).hamiltonians[0]
+            return isomon.build_isomonodromy(c2, oracles.continued_analysis(c2, an)).hamiltonians[0]
 
         def central(h):
             return (h1(v0 + h) - h1(v0 - h)) / (2 * h)

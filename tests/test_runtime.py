@@ -1,7 +1,8 @@
 """The package runs on numpy alone, and tracked critical points keep their lanes.
 
-The CLI commands and the finite-difference engine run in a fresh interpreter,
-once with every scipy import made to fail and once to see that none is made.
+The CLI commands and the finite-difference reference of the tests
+(``oracles.lambda_derivatives``) run in a fresh interpreter, once with every
+scipy import made to fail and once to see that none is made.
 """
 
 import dataclasses
@@ -14,16 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.errors import CountMismatchError
 from hurwitztau.samples import builtin_example
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 SCRIPT = """
 import contextlib, io, json, sys
 if sys.argv[2] == "block":
     sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import oracles
 from hurwitztau import isomon
 from hurwitztau.cli import load_covering, main
 
@@ -39,14 +43,14 @@ for name, sweep in sweeps.items():
             rc = main(argv)
         assert rc == 0, (argv, rc)
     cov = load_covering(spec)
-    isomon.lambda_derivatives(cov, isomon.check_bundle(isomon.analyze(cov)))
+    oracles.lambda_derivatives(cov, oracles.check_bundle(isomon.analyze(cov)))
 loaded = [m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"]
 print(json.dumps(loaded))
 """
 
 
 def _run(tmp_path, mode: str) -> list[str]:
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), mode],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -65,7 +69,7 @@ def test_commands_load_no_scipy(tmp_path):
 def test_swapped_tracked_points_raise(module, name, monkeypatch):
     cov = builtin_example(name)
     base = isomon.analyze(cov)
-    tracked = isomon.analyze(cov, base=base).pts
+    tracked = oracles.continued_analysis(cov, base).pts
     assert np.allclose(tracked, base.pts, rtol=0.0, atol=1e-12)
     real = module.critical_data
 
@@ -75,4 +79,4 @@ def test_swapped_tracked_points_raise(module, name, monkeypatch):
 
     monkeypatch.setattr(module, "critical_data", swapped)
     with pytest.raises(CountMismatchError):
-        isomon.analyze(cov, base=base)
+        oracles.continued_analysis(cov, base)
