@@ -33,11 +33,10 @@ from .cover0 import (
 from .elliptic import (
     Modulus,
     WeierstrassContext,
-    _centered_distance,
     _iterate_lanes,
     _pair_indices,
-    _split_lattice,
-    _zeta_rows,
+    _pole_zeta_rows,
+    _principal_sum,
     _zeta_sigma_rows,
     cell_coords,
     elliptic_zeros,
@@ -68,7 +67,6 @@ __all__ = [
 ]
 
 RESIDUE_TOL = 1e-12
-POLE_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,8 @@ def eval_p_derivs(c: Covering1 | Sequence[Covering1], z, n_max: int):
     points (returns an array of shape (n_max + 1, *z.shape)).  Stacked: ``c``
     is a sequence of coverings of one modulus and one profile and ``z`` one
     1-d point array per covering; the columns are all their points in turn.
-    All z - b_i are reduced together and take one theta evaluation; the pole
-    guard POLE_GUARD*(1 + |sigma|) >= LATTICE_GUARD is their only distance check.
+    All z - b_i are reduced together and take one theta evaluation
+    (``elliptic._pole_zeta_rows``, whose pole guard raises ``NearPoleError``).
     """
     if isinstance(c, Covering1):
         cs, (pts, shape) = (c,), point_array(z)
@@ -152,31 +150,12 @@ def eval_p_derivs(c: Covering1 | Sequence[Covering1], z, n_max: int):
         cs, pts, counts = c, np.concatenate(z), [len(part) for part in z]
         shape = pts.shape
     ends = list(accumulate(counts, initial=0))
-    sigma = cs[0].modulus.sigma
     bs = np.repeat(np.array([[p.b for p in cv.poles] for cv in cs]), counts, axis=0).T
-    diffs = (pts[None, :] - bs).ravel()
-    _, n, z0 = _split_lattice(diffs, sigma)
-    guard = POLE_GUARD * (1.0 + abs(sigma))
-    near = _centered_distance(z0, sigma).reshape(bs.shape) <= guard
-    if near.any():
-        i = int(near.any(axis=1).argmax())
-        raise NearPoleError(f"z = {complex(pts[near[i]][0])} is too close to the pole at "
-                            f"{complex(bs[i][near[i]][0])}")
-    top = max(cs[0].profile) - 1 + n_max
-    zd = _zeta_rows(cs[0].ctx, diffs, n, z0, top).reshape((top + 1,) + bs.shape)
+    zd = _pole_zeta_rows(cs[0].ctx, pts, bs, max(cs[0].profile) - 1 + n_max, len(bs))
     out = np.zeros((n_max + 1, len(pts)), dtype=complex)
     for cv, lo, hi in zip(cs, ends, ends[1:]):
-        _fill_p_rows(out[:, lo:hi], cv, zd[:, :, lo:hi])
+        _principal_sum(out[:, lo:hi], cv.constant, [p.c for p in cv.poles], zd[:, :, lo:hi])
     return shape_rows(out, shape)
-
-
-def _fill_p_rows(block: np.ndarray, c: Covering1, zd: np.ndarray) -> None:
-    """Fill ``block`` (zero on entry) with the rows p, p', ... of ``c`` from the zeta rows
-    ``zd`` (order, pole, point) of its points."""
-    block[0] = c.constant
-    for i, pole in enumerate(c.poles):
-        for a, coeff in enumerate(pole.c):
-            block += coeff * zd[a: a + len(block), i]
 
 
 def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +176,7 @@ def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray]:
     zd = zeta_derivs(ctx, diffs, top)  # (top + 1, S, M)
     zs = _zeta_sigma_rows(ctx, zd, diffs, top - 2)
     rows = np.zeros((4, pts.size), dtype=complex)
-    _fill_p_rows(rows, c, zd)
+    _principal_sum(rows, c.constant, [p.c for p in c.poles], zd)
     blocks = {"constant": np.zeros((3, pts.size), dtype=complex), "modulus": 0}
     blocks["constant"][0] = 1.0
     for i, pole in enumerate(c.poles):
@@ -253,11 +232,8 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
         if cd is None:
             raise CountMismatchError("a seeded lane did not converge, collapsed or hit a pole")
         return cd
-
-    def hd(z: np.ndarray) -> np.ndarray:
-        return eval_p_derivs(c, z, 2)[1:]  # (p', p'') in one evaluation
-
-    zs = elliptic_zeros(c.ctx, hd, [(p.b, p.order + 1) for p in c.poles])
+    # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): the principal parts of a pole of order k_i + 1
+    zs = elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles])
     return _critical_data_at([c], np.array([_sort_cell_points(zs, c.modulus.sigma)]))[0]
 
 

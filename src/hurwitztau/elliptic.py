@@ -20,18 +20,17 @@ last, so ``derivs[k]`` is the k-th derivative at every point.  An array is
 reduced to the base cell and evaluated with one sin/cos over the (points x
 series terms) grid.  The lattice guard holds per point: one point of an
 array within ``LATTICE_GUARD`` of the lattice raises ``LatticePointError``.
-``cover1.eval_p_derivs`` enters the kernel below this guard: it reduces the
-z - b_i of all its poles at once, guards them itself and calls ``_zeta_rows``.
-
-``elliptic_zeros`` relies on this contract: its ``hd`` is called with a
-1-d complex array of points and must return the pair (h, h') of arrays of
-the same length (closures over ``wp``/``zeta_w``, or rows 1 and 2 of
-``cover1.eval_p_derivs``, qualify as they are).  The zero search takes the
-contour moments of h'/h from one ``hd`` call on the Gauss-Legendre nodes of
-two cell edges, and polishes the roots of the polynomial they define with a
-lane-wise elliptic Aberth iteration: one ``hd`` call and one first-order
-theta call per step.  It tries the admissible contours in turn and raises
-``ContourClashError`` when none yields every zero.
+A sum h = constant + sum_k sum_a c_{k,a} zeta^(a)(z - b_k) of principal
+parts enters the kernel below this guard: ``_pole_zeta_rows`` reduces every
+z - b_k at once under the wider pole guard, and ``_principal_sum`` adds the
+parts up.  ``cover1.eval_p_derivs`` and ``elliptic_zeros(ctx, constant,
+parts)`` both evaluate h so.  The zero search takes the contour moments of
+h'/h on the Gauss-Legendre nodes of two cell edges, seeds lanes with the
+roots of the polynomial they define and polishes them by an elliptic Aberth
+iteration, one theta pass per step: the zeta rows at each live lane minus
+every pole and every lane give h, h' and both zeta sums.  It tries the
+admissible contours in turn and raises ``ContourClashError`` when none
+yields every zero.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ContourClashError, HurwitzError, LatticePointError
+from .errors import ContourClashError, HurwitzError, LatticePointError, NearPoleError
 from .poly import CPoly, all_roots
 
 __all__ = [
@@ -73,6 +72,7 @@ __all__ = [
 TWO_PI_I = 2j * math.pi
 MIN_IM_SIGMA = 0.1
 LATTICE_GUARD = 1e-8
+POLE_GUARD = 1e-8
 SERIES_CAP = 400
 THETA_TABLE_ORDER = 7
 
@@ -132,16 +132,20 @@ class Modulus:
         return min(self.truncation, math.ceil(14.0 / y) + 8)
 
     @cached_property
-    def _divisor_sums(self) -> dict[int, np.ndarray]:
-        """sigma_k(m) for m = 1..n and k = 1, 3, 5: exact, every sum is an integer below 2^53."""
-        d = np.arange(1, self.eisenstein_terms + 1, dtype=float)
-        divides = d[:, None] % d == 0.0  # [m - 1, d - 1]: d divides m
-        return {k: divides @ d**k for k in (1, 3, 5)}
-
-    @cached_property
     def _q_powers(self) -> np.ndarray:
         n = self.eisenstein_terms
         return self.q ** np.arange(1, n + 1)
+
+
+@cache
+def _divisor_sums(n: int) -> dict[int, np.ndarray]:
+    """Read-only sigma_k(m), m = 1..n, k = 1, 3, 5, once per n: exact, all integers below 2^53."""
+    d = np.arange(1, n + 1, dtype=float)
+    divides = d[:, None] % d == 0.0  # [m - 1, d - 1]: d divides m
+    sums = {k: divides @ d**k for k in (1, 3, 5)}  # matrix-vector products: no BLAS dgemm
+    for row in sums.values():
+        row.flags.writeable = False
+    return sums
 
 
 def _theta_tail(j: int, y: float) -> float:
@@ -263,7 +267,7 @@ def eisenstein(mod: Modulus, weight: int) -> complex:
     consts = {2: -24.0, 4: 240.0, 6: -504.0}
     if weight not in consts:
         raise ValueError("weight must be 2, 4 or 6")
-    sig = mod._divisor_sums[weight - 1]
+    sig = _divisor_sums(mod.eisenstein_terms)[weight - 1]
     return 1.0 + consts[weight] * complex(np.sum(sig * mod._q_powers))
 
 
@@ -474,6 +478,43 @@ def _zeta_rows(ctx: WeierstrassContext, pts, n, z0, n_max: int) -> np.ndarray:
     return out
 
 
+def _pole_zeta_rows(ctx: WeierstrassContext, pts: np.ndarray, bs: np.ndarray, top: int,
+                    n_poles: int, own=((), ())) -> np.ndarray:
+    """zeta, ..., zeta^(top) over the grid u = pts - bs in one theta pass: (top + 1, *u.shape).
+
+    ``bs`` holds centres, (R, 1) or (R, len(pts)); its first ``n_poles`` rows are poles, and a
+    point within POLE_GUARD*(1 + |sigma|) >= LATTICE_GUARD of one modulo the lattice raises
+    ``NearPoleError``.  The entries ``own`` of u (z_i - z_i of an Aberth sum) become 1/2.
+    """
+    sigma = ctx.modulus.sigma
+    u = pts - bs
+    u[own] = 0.5  # a regular point
+    _, n, z0 = _split_lattice(u.ravel(), sigma)
+    near = _centered_distance(z0[: n_poles * len(pts)], sigma) <= POLE_GUARD * (1.0 + abs(sigma))
+    if near.any():
+        i, j = divmod(int(near.argmax()), u.shape[1])
+        raise NearPoleError(f"z = {complex(pts[j])} is too close to the pole at "
+                            f"{complex(np.broadcast_to(bs, u.shape)[i, j])}")
+    return _zeta_rows(ctx, u.ravel(), n, z0, top).reshape((top + 1,) + u.shape)
+
+
+def _principal_sum(out: np.ndarray, constant: complex, tails, zd: np.ndarray) -> np.ndarray:
+    """``out`` (zero on entry) filled with h, h', ... of h = constant + sum_k sum_a tails[k][a]
+    zeta^(a)(z - b_k), from the zeta rows ``zd`` (order, pole k, point) of ``_pole_zeta_rows``."""
+    out[0] = constant
+    for k, tail in enumerate(tails):
+        for a, coeff in enumerate(tail):
+            out += coeff * zd[a: a + len(out), k]
+    return out
+
+
+def _parts_hd(ctx: WeierstrassContext, constant: complex, parts, w: np.ndarray) -> np.ndarray:
+    """(h, h') at the 1-d points w of h given by its ``parts`` (see ``elliptic_zeros``)."""
+    bs, tails = np.array([[b] for b, _ in parts]), [tail for _, tail in parts]
+    zd = _pole_zeta_rows(ctx, w, bs, len(max(tails, key=len)), len(bs))
+    return _principal_sum(np.zeros((2, len(w)), dtype=complex), constant, tails, zd)
+
+
 def zeta_sigma_derivs(ctx: WeierstrassContext, z, n_max: int):
     """[d/dsigma zeta^(n)(z), n = 0..n_max] at fixed z (``_zeta_sigma_rows``), scalar or array z."""
     pts, shape = point_array(z)
@@ -622,28 +663,29 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.array(nodes), np.array(weights)
 
 
-def _moment_zeros(hd, ctx: WeierstrassContext, corner: complex,
-                  poles: Sequence[tuple[complex, int]], poles_uv) -> list[complex] | None:
+def _moment_zeros(ctx: WeierstrassContext, constant: complex, parts, corner: complex,
+                  poles_uv) -> list[complex] | None:
     """All zeros of h from contour moments of h'/h and an Aberth polish, or None on failure.
 
     About the cell centre c, the power sums s_j = sum (z - c)^j of the zeros
     in the cell are (1/2 pi i) times the contour integral of (w - c)^j h'/h
     plus the enclosed pole terms sum m (r - c)^j.  h'/h is periodic, so the
     top edge folds onto the bottom one and the right edge onto the left one:
-    one ``hd`` call on the Gauss-Legendre nodes of those two edges gives
-    every s_j.  The Newton identities turn s_1..s_M into a monic polynomial
-    whose roots seed ``_aberth_lanes``.  The result is accepted only when
-    every lane converges and no two of them coincide modulo the lattice: M
-    distinct zeros of an elliptic function with M poles are all of its zeros.
+    one ``_parts_hd`` call on the Gauss-Legendre nodes of those two edges
+    gives every s_j.  The Newton identities turn s_1..s_M into a monic
+    polynomial whose roots seed the ``_aberth_step`` lanes.  The result is
+    accepted only when every lane converges and no two of them coincide
+    modulo the lattice: M distinct zeros of an elliptic function with M
+    poles are all of its zeros.
     """
     sigma = ctx.modulus.sigma
-    total = sum(m for _, m in poles)
+    total = sum(len(tail) for _, tail in parts)
     t, wt = _gauss_legendre()
     n = len(t)
     centre = corner + 0.5 + 0.5 * sigma
     xb = (corner - centre) + t          # bottom edge, w = corner + t
     xl = (corner - centre) + t * sigma  # left edge, w = corner + t sigma
-    h, dh = hd(np.concatenate([xb, xl]) + centre)
+    h, dh = _parts_hd(ctx, constant, parts, np.concatenate([xb, xl]) + centre)
     with np.errstate(all="ignore"):
         g = dh / h
     if not np.isfinite(g).all():
@@ -662,7 +704,8 @@ def _moment_zeros(hd, ctx: WeierstrassContext, corner: complex,
         e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
     try:
         seeds = all_roots(CPoly(tuple((-1) ** k * e[k] for k in range(total, -1, -1)))).roots
-        zs, ok = _aberth_lanes(hd, ctx, np.array(seeds) + centre, poles, _newton_tol(sigma))
+        zs, ok = _iterate_lanes(_aberth_step(ctx, constant, parts), np.array(seeds) + centre,
+                                _newton_tol(sigma), ABERTH_MAX_STEP, ABERTH_STEPS)
     except HurwitzError:
         return None
     if not ok.all():
@@ -673,9 +716,8 @@ def _moment_zeros(hd, ctx: WeierstrassContext, corner: complex,
     return zs.tolist()
 
 
-def _aberth_lanes(hd, ctx: WeierstrassContext, z, poles: Sequence[tuple[complex, int]],
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The elliptic Aberth-Ehrlich iteration: every zero of h at once, from the points z.
+def _aberth_step(ctx: WeierstrassContext, constant: complex, parts):
+    """The elliptic Aberth-Ehrlich step of ``_iterate_lanes``: every zero of h at once.
 
     An elliptic h with zeros a_j and poles b_k of multiplicity m_k has a
     sigma-product form (Whittaker & Watson, ch. 20), so
@@ -686,61 +728,48 @@ def _aberth_lanes(hd, ctx: WeierstrassContext, z, poles: Sequence[tuple[complex,
     S the lattice point p + q sigma nearest sum_j z_j - sum_k m_k b_k: the
     Newton step on h with the other lanes divided out, which keeps two lanes
     from settling on one zero (Aberth, Math. Comp. 27, 1973).  With
-    c = calib_sigma, zeta(u) = (log theta1)'(u) + 2c u and
-    eta(S) = p 2c + q (2c sigma - 2 pi i), so the 2c u terms of the zeta sums
-    and eta(S) add up to 2c (sum_j z_j - sum_k m_k b_k - S) + 2 pi i q, which
-    needs no evaluation.  Steps are clipped to ABERTH_MAX_STEP and stop as
-    in ``_iterate_lanes``.  A step makes one ``hd`` call and one first-order
-    theta call over the live lanes.  Returns the final points and the mask
-    of lanes that converged.
+    c = calib_sigma, eta(S) = p 2c + q (2c sigma - 2 pi i) needs no
+    evaluation.  A step is one theta pass: the zeta rows at the live lanes
+    minus every pole and every lane (``_pole_zeta_rows``) give h and h' from
+    the pole columns (``_principal_sum``) and both zeta sums from row 0.
     """
     sigma = ctx.modulus.sigma
-    b = np.array([p for p, _ in poles], dtype=complex)
-    m = np.array([k for _, k in poles], dtype=float)
-    mb = m @ b
+    b, tails = np.array([p for p, _ in parts], dtype=complex), [tail for _, tail in parts]
+    m = np.array([len(tail) for tail in tails], dtype=float)
+    mb, top, n_poles = m @ b, len(max(tails, key=len)), len(b)
 
     def aberth_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
-        gap = z.sum() - mb
-        p, q = (round(x) for x in cell_coords(gap, sigma))
-        u = np.subtract.outer(z[live], np.concatenate([z, b]))
-        own = (np.arange(live.size), live)
-        u[own] = 0.5  # a regular point of theta1'/theta1 in place of z_i - z_i
-        _, n, u0 = _split_lattice(u.ravel(), sigma)
-        t0, t1 = _theta1_raw(ctx.modulus, u0, 1)
-        dlog = (t1 / t0 - TWO_PI_I * n).reshape(u.shape)  # (log theta1)'(u)
-        dlog[own] = 0.0
-        v, d = hd(z[live])
-        return 1.0 / (d / v - dlog[:, : z.size].sum(axis=1) + dlog[:, z.size:] @ m
-                      + 2.0 * ctx.calib_sigma * (gap - p - q * sigma) + TWO_PI_I * q)
+        p, q = np.rint(cell_coords(z.sum() - mb, sigma))  # NaN from a NaN seed fails every lane
+        own = (n_poles + live, np.arange(live.size))  # z_i - z_i, set to a regular point
+        zd = _pole_zeta_rows(ctx, z[live], np.concatenate([b, z])[:, None], top, n_poles, own)
+        v, d = _principal_sum(np.zeros((2, live.size), dtype=complex), constant, tails, zd)
+        zd[0][own] = 0.0
+        return 1.0 / (d / v - zd[0, n_poles:].sum(axis=0) + m @ zd[0, :n_poles]
+                      - 2.0 * ctx.calib_sigma * (p + q * sigma) + TWO_PI_I * q)
 
-    return _iterate_lanes(aberth_step, z, tol, ABERTH_MAX_STEP, ABERTH_STEPS)
+    return aberth_step
 
 
 def _newton_tol(sigma: complex) -> float:
     return 1e-12 * (1.0 + abs(sigma))
 
 
-def elliptic_zeros(
-    ctx: WeierstrassContext,
-    hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    poles: Sequence[tuple[complex, int]],
-) -> list[complex]:
-    """All zeros of the elliptic function h in one fundamental cell.
+def elliptic_zeros(ctx: WeierstrassContext, constant: complex, parts) -> list[complex]:
+    """All zeros in one fundamental cell of h = constant + sum_k sum_a c_{k,a} zeta^(a)(z - b_k).
 
-    ``ctx`` is the Weierstrass context of the cell's modulus, which the
-    Aberth step needs for its zeta sums.  ``hd`` takes a 1-d complex array
-    of points and returns the pair (h, h') there (see the module
-    docstring).  ``poles`` lists pole positions with multiplicities (the
-    full divisor in one cell), so h has as many zeros as the multiplicities
-    add up to.  Each admissible contour of ``_contour_corners`` is tried in
-    turn (``_moment_zeros``: contour moments of h'/h seed an elliptic
-    Aberth polish) until one yields every zero; when none does,
+    ``ctx`` is the Weierstrass context of the cell's modulus.  ``parts`` lists
+    each pole b_k with its coefficients (c_{k,0}, c_{k,1}, ...), the last one
+    non-zero, so the pole has the multiplicity of their number, and h has as
+    many zeros as those numbers add up to.  The residues c_{k,0} must sum to
+    zero.  Each admissible contour of ``_contour_corners`` is tried in turn
+    (``_moment_zeros``: contour moments of h'/h seed an elliptic Aberth
+    polish) until one yields every zero; when none does,
     ``ContourClashError``.  Zeros are returned reduced to
     {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
     """
     sigma = ctx.modulus.sigma
-    for corner, poles_uv in _contour_corners(poles, sigma):
-        found = _moment_zeros(hd, ctx, corner, poles, poles_uv)
+    for corner, poles_uv in _contour_corners([(b, len(tail)) for b, tail in parts], sigma):
+        found = _moment_zeros(ctx, constant, parts, corner, poles_uv)
         if found is not None:
             return [_cell_representative(r, sigma) for r in found]
     raise ContourClashError("zero search failed: no admissible contour gave every zero")

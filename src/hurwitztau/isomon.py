@@ -353,19 +353,21 @@ def _ratio_drift(values: list[complex]) -> float:
     return max(abs(v / ref - 1.0) for v in values)
 
 
-def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1, tb) -> dict:
-    """Cross-route tau data of one covering from its critical data and its route B ``tb``."""
-    ta = (cover0, cover1)[cov.genus].tau_product(cov, cd)
+def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1,
+               tb, ta) -> dict:
+    """Cross-route tau data of one covering from its critical data and routes A and B."""
     row = {"pts": cd.pts, "route_ratio": ta.tau_inv48 / tb.tau_inv48}
     if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
         row["resultant_ratio"] = cd.resultant_ratio
     return row
 
 
-def _route_rows(coverings: Sequence[Covering], cds: Sequence) -> list[dict]:
-    """Cross-route tau data of each covering from its critical data, route B in one call."""
-    tbs = (cover0, cover1)[coverings[0].genus].tau_resultant_many(coverings, cds)
-    return [_route_row(cov, cd, tb) for cov, cd, tb in zip(coverings, cds, tbs)]
+def _route_rows(coverings: Sequence[Covering], cds: Sequence, tas=None) -> list[dict]:
+    """Cross-route tau data of each covering: route B in one call, route A unless ``tas`` has it."""
+    model = (cover0, cover1)[coverings[0].genus]
+    tbs = model.tau_resultant_many(coverings, cds)
+    return [_route_row(cov, cd, tb, ta or model.tau_product(cov, cd))
+            for cov, cd, tb, ta in zip(coverings, cds, tbs, tas or [None] * len(cds))]
 
 
 def _continued(coverings: Sequence[Covering], seeds) -> list:
@@ -503,14 +505,15 @@ def identity_report(
     sweep = _sweep_coverings(covering, path, phase)
     # every sweep covering continues the base point's critical points, all in
     # one round, each from its tangent prediction z_m + offset * dz_m/d path;
-    # the middle step is the covering itself, whose critical data come from
-    # the analysis already made
+    # the middle step is the covering itself, whose critical data and route A
+    # come from the analysis already made
     tangent = dz[paths.index(path)]
     cds = _continued(sweep, [np.array(an.pts) + move * tangent
                              for move in _sweep_offsets(covering, path, phase)])
     mid = SWEEP_STEPS // 2
     rows = _route_rows(sweep[:mid] + [covering] + sweep[mid:],
-                       cds[:mid] + [an.critical] + cds[mid:])
+                       cds[:mid] + [an.critical] + cds[mid:],
+                       [None] * mid + [an.tau] + [None] * (len(sweep) - mid))
     ratios = [row["route_ratio"] for row in rows]
     factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
     checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),

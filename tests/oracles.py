@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 plain central differences, Newton inversion of the covering map composed
 with the local square root, kernel diagonal limits, and a trapezoid
-argument-principle count, and the argument-principle subdivision search
-that ``elliptic.elliptic_zeros`` replaced, as the reference for its zeros.
+argument-principle count, the argument-principle subdivision search
+that ``elliptic.elliptic_zeros`` replaced, as the reference for its zeros,
+and the two-pass elliptic Aberth step, as the reference for its one-pass step.
 The finite-difference reference for ``isomon.exact_parameter_derivatives``
 is here too: ``check_bundle`` continues an analysis from a base one (seeded
 critical points, nearest branches), and ``lambda_derivatives`` differences
@@ -24,12 +25,15 @@ from typing import Callable, Sequence
 
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.elliptic import (
+    POLE_GUARD,
     Modulus,
     _cell_representative,
     _contour_corners,
     _gauss_legendre,
     _iterate_lanes,
     _newton_tol,
+    _split_lattice,
+    _theta1_raw,
     cell_coords,
     lattice_distance,
     point_array,
@@ -61,6 +65,38 @@ def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
         return v / d
 
     return _iterate_lanes(newton_step, z, tol, max_step, max_iter)
+
+
+def aberth_step_two_pass(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                         ctx, poles: Sequence[tuple[complex, int]]) -> Callable:
+    """The elliptic Aberth step of ``elliptic._aberth_step`` in two theta passes.
+
+    The reference for the one-pass step: h and h' come from ``hd`` on the
+    live lanes, and the zeta sums from a second, first-order theta call on
+    every z_i - z_j and z_i - b_k.  The sums take (log theta1)' = zeta - 2c u
+    (c = calib_sigma), and the 2c u terms, summed over the lanes and the
+    pole divisor, add up to 2c (sum_j z_j - sum_k m_k b_k) in closed form.
+    """
+    sigma = ctx.modulus.sigma
+    b = np.array([p for p, _ in poles], dtype=complex)
+    m = np.array([k for _, k in poles], dtype=float)
+    mb = m @ b
+
+    def aberth_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+        gap = z.sum() - mb
+        p, q = (round(x) for x in cell_coords(gap, sigma))
+        u = np.subtract.outer(z[live], np.concatenate([z, b]))
+        own = (np.arange(live.size), live)
+        u[own] = 0.5  # a regular point of theta1'/theta1 in place of z_i - z_i
+        _, n, u0 = _split_lattice(u.ravel(), sigma)
+        t0, t1 = _theta1_raw(ctx.modulus, u0, 1)
+        dlog = (t1 / t0 - 2j * math.pi * n).reshape(u.shape)  # (log theta1)'(u)
+        dlog[own] = 0.0
+        v, d = hd(z[live])
+        return 1.0 / (d / v - dlog[:, : z.size].sum(axis=1) + dlog[:, z.size:] @ m
+                      + 2.0 * ctx.calib_sigma * (gap - p - q * sigma) + 2j * math.pi * q)
+
+    return aberth_step
 
 
 def central_diff(fn, z: complex, h: float = 1e-6) -> complex:
@@ -170,7 +206,7 @@ def per_pole_p_derivs(cov, z, n_max: int):
     pts, shape = point_array(z)
     sigma = cov.modulus.sigma
     for pole in cov.poles:
-        near = lattice_distance(pts - pole.b, sigma) <= cover1.POLE_GUARD * (1.0 + abs(sigma))
+        near = lattice_distance(pts - pole.b, sigma) <= POLE_GUARD * (1.0 + abs(sigma))
         if near.any():
             raise NearPoleError(
                 f"z = {complex(pts[near][0])} is too close to the pole at {pole.b}"

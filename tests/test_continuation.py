@@ -44,8 +44,8 @@ def routed(monkeypatch):
     seen = []
     orig = isomon._route_row
 
-    def recorded(cov, cd, tb):
-        row = orig(cov, cd, tb)
+    def recorded(cov, cd, tb, ta):
+        row = orig(cov, cd, tb, ta)
         seen.append((cov, row))
         return row
 

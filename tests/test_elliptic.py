@@ -54,11 +54,33 @@ class TestModulus:
     @pytest.mark.parametrize("im_sigma", [0.11, 0.5, 1.0, 3.0])
     def test_divisor_sums_exact(self, im_sigma):
         m = Modulus(complex(0.2, im_sigma))
-        sums = m._divisor_sums
+        sums = elliptic._divisor_sums(m.eisenstein_terms)
         for k in (1, 3, 5):
             brute = [sum(d**k for d in range(1, n + 1) if n % d == 0)
                      for n in range(1, m.eisenstein_terms + 1)]
             assert sums[k].tolist() == brute
+
+    def test_divisor_sums_shared_per_series_length(self):
+        # two moduli with one series length share one read-only table
+        a, b = Modulus(0.3 + 1.1j), Modulus(-0.2 + 1.1j)
+        assert a.eisenstein_terms == b.eisenstein_terms
+        table = elliptic._divisor_sums(a.eisenstein_terms)
+        assert elliptic._divisor_sums(b.eisenstein_terms) is table
+        for row in table.values():
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 2.0
+
+    @pytest.mark.parametrize("sigma", [0.3 + 1.1j, 0.15 + 0.11j, 2.8j])
+    def test_eisenstein_series_bit_identical(self, sigma):
+        # E_2, E_4, E_6 from the shared table equal the per-modulus sums term for term
+        m = Modulus(sigma)
+        d = np.arange(1, m.eisenstein_terms + 1, dtype=float)
+        divides = d[:, None] % d == 0.0
+        q_powers = m.q ** np.arange(1, m.eisenstein_terms + 1)
+        for weight, const in ((2, -24.0), (4, 240.0), (6, -504.0)):
+            want = 1.0 + const * complex(np.sum((divides @ d ** (weight - 1)) * q_powers))
+            assert elliptic.eisenstein(m, weight) == want
 
 
 # the seven genus-1 pool profiles and the sampler seed of each one's first pool spec
@@ -299,11 +321,59 @@ class TestContextVerification:
             ctx._verify()
 
 
+def _two_pole_functions(ctx):
+    """Three elliptic functions with two zeta tails on the modulus of ``ctx``.
+
+    Each is (constant, parts, h, h'): its principal parts, for ``elliptic_zeros``,
+    and closures over ``zeta_w``/``wp``.
+    """
+    rng = np.random.default_rng(10)
+    s = ctx.modulus.sigma
+    for _ in range(3):
+        b1 = complex(rng.uniform(0.1, 0.45)) + complex(0, rng.uniform(0.1, 0.45)) * s
+        b2 = complex(rng.uniform(0.55, 0.9)) + complex(0, rng.uniform(0.55, 0.9)) * s
+        c2 = complex(rng.normal(), rng.normal())
+
+        def h(z, b1=b1, b2=b2, c2=c2):
+            return zeta_w(ctx, z - b1) - zeta_w(ctx, z - b2) + c2 * wp(ctx, z - b2)
+
+        def hp(z, b1=b1, b2=b2, c2=c2):
+            return -wp(ctx, z - b1) + wp(ctx, z - b2) + c2 * wp(ctx, z - b2, 1)
+
+        # wp = -zeta', so c2 wp(z - b2) is the tail coefficient -c2 of zeta'
+        yield 0, [(b1, (1,)), (b2, (-1, -c2))], h, hp
+
+
+class TestPrincipalParts:
+    """``elliptic._parts_hd`` against closures over ``wp`` and ``zeta_w``."""
+
+    def test_wp_prime_and_shifted_wp(self):
+        ctx = _ctx(0.2 + 0.9j)
+        val = wp(ctx, 0.31 + 0.18j)
+        w = np.array([0.13 + 0.4j, 0.77 + 0.05j, -1.6 + 2.2j, 0.5, 0.45j])
+        cases = [
+            (0, [(0.0, (0, 0, -1))], lambda u: wp(ctx, u, 1), lambda u: wp(ctx, u, 2)),
+            (-val, [(0.0, (0, -1))], lambda u: wp(ctx, u) - val, lambda u: wp(ctx, u, 1)),
+        ]
+        for constant, parts, h, hp in cases:
+            got = elliptic._parts_hd(ctx, constant, parts, w)
+            for row, want in zip(got, (h(w), hp(w))):
+                assert np.abs(row - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_two_pole_functions(self):
+        ctx = _ctx(0.15 + 1.05j)
+        w = np.array([0.37 + 0.21j, 0.83 + 0.66j, 2.1 - 1.3j, 0.05 + 0.97j])
+        for constant, parts, h, hp in _two_pole_functions(ctx):
+            got = elliptic._parts_hd(ctx, constant, parts, w)
+            for row, want in zip(got, (h(w), hp(w))):
+                assert np.abs(row - want).max() < 1e-12 * np.abs(want).max()
+
+
 class TestEllipticZeros:
     def test_wp_prime_half_periods(self):
         mod = Modulus(0.3 + 1.1j)
         ctx = WeierstrassContext.create(mod)
-        zs = elliptic_zeros(ctx, lambda u: (wp(ctx, u, 1), wp(ctx, u, 2)), [(0.0, 3)])
+        zs = elliptic_zeros(ctx, 0, [(0.0, (0, 0, -1))])  # wp' = -zeta''
         assert len(zs) == 3
         want = sorted(
             (reduce_to_cell(w, mod.sigma) for w in half_periods(mod.sigma)),
@@ -317,7 +387,7 @@ class TestEllipticZeros:
         ctx = WeierstrassContext.create(mod)
         c = 0.31 + 0.18j
         val = wp(ctx, c)
-        zs = elliptic_zeros(ctx, lambda u: (wp(ctx, u) - val, wp(ctx, u, 1)), [(0.0, 2)])
+        zs = elliptic_zeros(ctx, -val, [(0.0, (0, -1))])  # wp - val = -zeta' - val
         want = sorted(
             (reduce_to_cell(w, mod.sigma) for w in (c, -c)),
             key=lambda t: (round(t.real, 6), round(t.imag, 6)),
@@ -328,23 +398,10 @@ class TestEllipticZeros:
     def test_zero_count_random_two_pole_functions(self):
         # elliptic functions with two zeta tails: zeros == poles, confirmed
         # against an independent trapezoid argument-principle count
-        rng = np.random.default_rng(10)
-        mod = Modulus(0.15 + 1.05j)
-        ctx = WeierstrassContext.create(mod)
-        s = mod.sigma
-        for _ in range(3):
-            b1 = complex(rng.uniform(0.1, 0.45)) + complex(0, rng.uniform(0.1, 0.45)) * s
-            b2 = complex(rng.uniform(0.55, 0.9)) + complex(0, rng.uniform(0.55, 0.9)) * s
-            c2 = complex(rng.normal(), rng.normal())
-
-            def h(z):
-                return zeta_w(ctx, z - b1) - zeta_w(ctx, z - b2) + c2 * wp(ctx, z - b2)
-
-            def hp(z):
-                return -wp(ctx, z - b1) + wp(ctx, z - b2) + c2 * wp(ctx, z - b2, 1)
-
-            poles = [(b1, 1), (b2, 2)]
-            zs = elliptic_zeros(ctx, lambda u: (h(u), hp(u)), poles)
+        ctx = WeierstrassContext.create(Modulus(0.15 + 1.05j))
+        s = ctx.modulus.sigma
+        for constant, parts, h, _ in _two_pole_functions(ctx):
+            zs = elliptic_zeros(ctx, constant, parts)
             assert len(zs) == 3
             for z in zs:
                 assert abs(h(z)) < 1e-8

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import oracles
 from hurwitztau.cover0 import Pole
-from hurwitztau.cover1 import POLE_GUARD, Covering1, eval_p_derivs
-from hurwitztau.elliptic import Modulus, half_periods
+from hurwitztau.cover1 import Covering1, eval_p_derivs
+from hurwitztau.elliptic import POLE_GUARD, Modulus, half_periods
 from hurwitztau.errors import NearPoleError
 from hurwitztau.samples import random_covering1
 

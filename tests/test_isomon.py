@@ -7,7 +7,7 @@ import pytest
 import oracles
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
-from hurwitztau.samples import random_covering0, random_covering1
+from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 
 class TestBergmann:
@@ -32,6 +32,18 @@ class TestBergmann:
             calls.clear()
             isomon.identity_report(cov)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["h0_surf", "h12"])
+    def test_route_a_once_per_covering(self, monkeypatch, name):
+        # the analysis and the four sweep coverings: the middle sweep row reuses
+        # the analysis's route A instead of building it again
+        cov = builtin_example(name)
+        model = (cover0, cover1)[cov.genus]
+        calls = []
+        real = model.tau_product
+        monkeypatch.setattr(model, "tau_product", lambda *args: calls.append(1) or real(*args))
+        isomon.identity_report(cov)
+        assert len(calls) == isomon.SWEEP_STEPS == 5
 
 
 class TestIsomonodromyData:

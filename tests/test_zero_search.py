@@ -1,11 +1,12 @@
 """The genus-1 zero search against the subdivision search.
 
-``elliptic_zeros`` seeds an elliptic Aberth polish from contour moments of
-h'/h (``_moment_zeros``), one admissible contour after another, and raises
-``ContourClashError`` when no contour yields every zero.  The reference is
-the argument-principle subdivision search in ``oracles``: both must find the
-same zero set, and the search may fail only where the zeros are not
-determined to its tolerance.
+``elliptic_zeros`` takes h by its principal parts and seeds an elliptic
+Aberth polish from contour moments of h'/h (``_moment_zeros``), one
+admissible contour after another, and raises ``ContourClashError`` when no
+contour yields every zero.  The reference is the argument-principle
+subdivision search in ``oracles``: both must find the same zero set, and the
+search may fail only where the zeros are not determined to its tolerance.
+The one-pass Aberth step is checked against the two-pass one in ``oracles``.
 """
 
 from itertools import islice
@@ -25,19 +26,44 @@ from hurwitztau.elliptic import (
     wp,
     zeta_w,
 )
-from hurwitztau.errors import ContourClashError, HurwitzError
+from hurwitztau.errors import ContourClashError, HurwitzError, NonConvergenceError
+from hurwitztau.poly import CPoly, RootSet
 from hurwitztau.samples import builtin_example, random_covering1
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 PROFILES = [(2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (4,), (4, 1), (4, 2), (5, 1)]
+# the seven genus-1 pool profiles with the sampler seed of each one's first pool spec,
+# and the deepest pole orders the sampler reaches
+STEP_CASES = [((2,), 910000), ((1, 1), 911000), ((3,), 912000), ((2, 1), 913000),
+              ((1, 1, 1), 914000), ((2, 2), 915000), ((3, 1), 916000),
+              ((4,), 3), ((4, 1), 11), ((5, 1), 1000)]
 
 
 def _search_args(cov):
-    """(context, hd, pole divisor) of the search for the zeros of p'."""
+    """(context, principal parts, hd, pole divisor) of the search for the zeros of p'.
+
+    p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i) has the constant 0 and the parts
+    (b_i, (0, c_{i,0}, ...)).  ``hd`` evaluates (p', p'') through ``eval_p_derivs``,
+    apart from the search, for the references.
+    """
     def hd(z):
         return cover1.eval_p_derivs(cov, z, 2)[1:]
 
-    return cov.ctx, hd, [(p.b, p.order + 1) for p in cov.poles]
+    parts = [(p.b, (0,) + p.c) for p in cov.poles]
+    return cov.ctx, parts, hd, [(p.b, p.order + 1) for p in cov.poles]
+
+
+def _counted_passes(monkeypatch):
+    """Point counts of the search's theta passes (``elliptic._pole_zeta_rows``) from now on."""
+    calls = []
+    real = elliptic._pole_zeta_rows
+
+    def counted(ctx, pts, *args):
+        calls.append(len(pts))
+        return real(ctx, pts, *args)
+
+    monkeypatch.setattr(elliptic, "_pole_zeta_rows", counted)
+    return calls
 
 
 class _OverBudget(Exception):
@@ -112,15 +138,15 @@ class TestMomentStage:
     @SETTINGS
     @given(coverings())
     def test_agrees_with_subdivision(self, cov):
-        ctx, hd, poles = _search_args(cov)
+        ctx, parts, hd, poles = _search_args(cov)
         want = _reference(ctx.modulus, hd, poles)
         sigma = ctx.modulus.sigma
         for corner, poles_uv in islice(elliptic._contour_corners(poles, sigma), 3):
-            got = elliptic._moment_zeros(hd, ctx, corner, poles, poles_uv)
+            got = elliptic._moment_zeros(ctx, 0, parts, corner, poles_uv)
             if got is not None:
                 _assert_same_zeros(got, want, hd, poles, sigma)
         try:
-            got = elliptic_zeros(ctx, hd, poles)
+            got = elliptic_zeros(ctx, 0, parts)
         except ContourClashError:  # only on the thin branch of the drawn moduli
             assert sigma.imag < 0.4
             oracles.assert_not_determined(want, hd, poles, sigma)
@@ -132,10 +158,10 @@ class TestMomentStage:
     @example(_moved((3, 1), 1355, 0.003767238927799066 + 0.12160506158282378j))
     @example(_moved((4,), 6810, -0.01644975782895375 + 0.14599177092649795j))
     def test_fails_only_where_a_zero_is_not_determined(self, cov):
-        ctx, hd, poles = _search_args(cov)
+        ctx, parts, hd, poles = _search_args(cov)
         mod = ctx.modulus
         try:
-            elliptic_zeros(ctx, hd, poles)
+            elliptic_zeros(ctx, 0, parts)
         except ContourClashError:
             oracles.assert_not_determined(_reference(mod, hd, poles), hd, poles, mod.sigma)
 
@@ -146,13 +172,13 @@ class TestMomentStage:
         ("g1(4)", random_covering1((4,), 3)),
         ("g1(5,1)", random_covering1((5, 1), 1000)),
     ])
-    def test_one_contour_call_and_a_short_polish(self, name, cov):
-        ctx, hd, poles = _search_args(cov)
-        calls = []
-        elliptic_zeros(ctx, lambda z: calls.append(len(z)) or hd(z), poles)
-        # the moment quadrature on two edges, then one Aberth step per call
+    def test_one_contour_call_and_a_short_polish(self, name, cov, monkeypatch):
+        ctx, parts, _, _ = _search_args(cov)
+        calls = _counted_passes(monkeypatch)
+        elliptic_zeros(ctx, 0, parts)
+        # the moment quadrature on two edges, then one theta pass per Aberth step
         assert calls[0] == 2 * elliptic.GAUSS_NODES
-        assert len(calls) <= 12
+        assert 2 <= len(calls) <= 12
 
 
 class TestAberth:
@@ -161,9 +187,9 @@ class TestAberth:
         # h'/h = sum_j zeta(w - a_j) - sum_k m_k zeta(w - b_k) + eta(S) for any
         # representatives: S = p + q sigma and eta(S) = p 2c + q (2c sigma - 2 pi i)
         cov = random_covering1(profile, seed)
-        ctx, hd, poles = _search_args(cov)
+        ctx, parts, hd, poles = _search_args(cov)
         sigma = ctx.modulus.sigma
-        zeros = np.array(elliptic_zeros(ctx, hd, poles))
+        zeros = np.array(elliptic_zeros(ctx, 0, parts))
         zeros += np.arange(len(zeros)) % 3 - 1 + (np.arange(len(zeros)) % 2) * sigma
         c2 = 2.0 * ctx.calib_sigma
         p, q = (round(x) for x in elliptic.cell_coords(
@@ -178,17 +204,35 @@ class TestAberth:
         # two lanes seeded next to the same zero: Newton merges them, Aberth
         # repels one of them onto the zero that no lane was seeded near
         cov = random_covering1((2, 1), 2025)
-        ctx, hd, poles = _search_args(cov)
+        ctx, parts, hd, poles = _search_args(cov)
         sigma = ctx.modulus.sigma
-        zeros = np.array(elliptic_zeros(ctx, hd, poles))
+        zeros = np.array(elliptic_zeros(ctx, 0, parts))
         seeds = zeros + 0.02 * np.exp(1j * np.arange(len(zeros)))
         seeds[1] = zeros[0] - 0.02
         tol = elliptic._newton_tol(sigma)
         newton, _ = oracles.newton_lanes(hd, seeds, tol, 0.5, 20)
         assert lattice_distance(newton[1] - newton[0], sigma) < 1e-10
-        zs, ok = elliptic._aberth_lanes(hd, ctx, seeds, poles, tol)
+        zs, ok = elliptic._iterate_lanes(elliptic._aberth_step(ctx, 0, parts), seeds, tol,
+                                         elliptic.ABERTH_MAX_STEP, elliptic.ABERTH_STEPS)
         assert ok.all()
         _assert_same_zeros(zs.tolist(), zeros.tolist(), hd, poles, sigma)
+
+    @pytest.mark.parametrize("profile,seed", STEP_CASES)
+    def test_one_pass_step_matches_the_two_pass_reference(self, profile, seed):
+        # seeded lanes about the zeros, one representative shifted by a period
+        # and one by sigma; every lane live, then every other lane only
+        cov = random_covering1(profile, seed)
+        ctx, parts, hd, poles = _search_args(cov)
+        sigma = ctx.modulus.sigma
+        zeros = np.array(elliptic_zeros(ctx, 0, parts))
+        lanes = zeros + 0.03 * np.exp(2j * np.arange(len(zeros)))
+        lanes[0] += 1.0
+        lanes[-1] -= sigma
+        one_pass = elliptic._aberth_step(ctx, 0, parts)
+        two_pass = oracles.aberth_step_two_pass(hd, ctx, poles)
+        for live in (np.arange(len(lanes)), np.arange(0, len(lanes), 2)):
+            got, want = one_pass(lanes, live), two_pass(lanes, live)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), np.abs(got / want - 1).max()
 
 
 class TestFailure:
@@ -198,19 +242,63 @@ class TestFailure:
         mod = Modulus(0.3 + 1.1j)
         ctx = WeierstrassContext.create(mod)
         e1 = wp(ctx, 0.5)
-        calls = []
-        hd = lambda u: calls.append(len(u)) or (wp(ctx, u) - e1, wp(ctx, u, 1))
+        calls = _counted_passes(monkeypatch)
         tried = []
         real = elliptic._moment_zeros
 
         def recorded(*args):
-            tried.append(args[2])
+            tried.append(args[3])
             return real(*args)
 
         monkeypatch.setattr(elliptic, "_moment_zeros", recorded)
         poles = [(0.0, 2)]
         with pytest.raises(ContourClashError):
-            elliptic_zeros(ctx, hd, poles)
+            elliptic_zeros(ctx, -e1, [(0.0, (0, -1))])  # wp - e1 = -zeta' - e1
         corners = [corner for corner, _ in elliptic._contour_corners(poles, mod.sigma)]
         assert tried == corners and len(corners) == len(elliptic._OFFSETS) == 20
         assert len(calls) <= len(corners) * (1 + elliptic.ABERTH_STEPS)
+
+    def test_degenerate_moment_polynomial_moves_to_the_next_contour(self, monkeypatch):
+        # a non-finite moment polynomial on the first contour, seeds that all coincide
+        # on the second: both contours are rejected and the third gives every zero
+        cov = random_covering1((2, 1), 2025)
+        ctx, parts, hd, poles = _search_args(cov)
+        want = elliptic_zeros(ctx, 0, parts)
+        real = elliptic.all_roots
+        seen = []
+
+        def degenerate(p):
+            seen.append(p.degree)
+            if len(seen) == 1:
+                return real(CPoly((np.nan,) + p.coeffs[1:]))
+            if len(seen) == 2:
+                return RootSet((real(p).roots[0],) * p.degree, 0.0)
+            return real(p)
+
+        monkeypatch.setattr(elliptic, "all_roots", degenerate)
+        got = elliptic_zeros(ctx, 0, parts)
+        assert seen == [cov.dim] * 3
+        _assert_same_zeros(got, want, hd, poles, ctx.modulus.sigma)
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "coincident", "stalled"])
+    def test_degenerate_moment_polynomial_on_every_contour_raises(self, monkeypatch, fault):
+        # every contour's moment polynomial is degenerate: ContourClashError, no traceback
+        cov = random_covering1((1, 1, 1), 7)
+        ctx, parts, _, poles = _search_args(cov)
+        real = elliptic.all_roots
+        tried = []
+
+        def degenerate(p):
+            tried.append(p.degree)
+            root = real(p).roots[0]
+            if fault == "stalled":
+                raise NonConvergenceError("root iteration stalled")
+            if fault == "coincident":  # every seed on one point
+                return RootSet((root,) * p.degree, 0.0)
+            return real(CPoly(p.coeffs[:1] + ({"nan": np.nan, "inf": np.inf}[fault],)
+                              + p.coeffs[2:]))
+
+        monkeypatch.setattr(elliptic, "all_roots", degenerate)
+        with pytest.raises(ContourClashError):
+            elliptic_zeros(ctx, 0, parts)
+        assert len(tried) == len(list(elliptic._contour_corners(poles, ctx.modulus.sigma)))
