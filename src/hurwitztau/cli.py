@@ -25,9 +25,10 @@ every command; ``analyze`` and ``check`` also reject critical data too near
 a pole to verify, the model's ``reject_ill_conditioned``), 4 caustic under
 --strict, 5 sweep left the moduli space,
 6 numerical failure (any other ``HurwitzError``, such as coincident
-critical points, or a floating-point overflow), each with a one-line
-message on stderr.  A reader that closes the output pipe early (``| head``)
-ends the command quietly with 0.
+critical points or a route B that vanishes, or a floating-point overflow),
+each with a one-line message on stderr.  A reader that closes the output
+pipe early (``| head``) ends the command quietly with 0.  JSON output is
+strict: a smallest gap that does not exist (M = 1) is null.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def build_report(cov: Covering0 | Covering1) -> dict:
     h1 = np.array(iso.hamiltonians)
     h2 = np.array(iso.hamiltonians_bergmann)
     h_disc = isomon._rel_error(h1 - h2, h1)
-    ratio = ta.tau_inv48 / tb.tau_inv48 if tb.tau_inv48 != 0 else complex("nan")
+    ratio = isomon.route_ratio(ta, tb)
     # G and log(tau / J^(1/24)) differ by -(1/24) sum (k_s+1) log(t_s / h_s)
     cross_const = -sum((k + 1) * cmath.log(t / h) for k, t, h in zip(an.ks, fc.t, fc.h)) / 24.0
     g_cross_err = abs(ta.G - ta.g_from_jacobian - cross_const)
@@ -198,7 +199,7 @@ def build_report(cov: Covering0 | Covering1) -> dict:
             "tau_inv48_product": _c2pair(ta.tau_inv48),
             "tau_inv48_resultant": _c2pair(tb.tau_inv48),
             "route_ratio": _c2pair(ratio),
-            "status": "checked" if ratio == ratio else "warned",
+            "status": "checked",
         },
         "g_function": {
             "g": _c2pair(ta.G),
@@ -207,13 +208,18 @@ def build_report(cov: Covering0 | Covering1) -> dict:
             "status": "checked" if g_cross_err < 1e-9 else "warned",
         },
         "caustic": {
-            "min_lambda_gap": cd.min_lambda_gap,
-            "min_point_gap": cd.min_point_gap,
+            "min_lambda_gap": _gap(cd.min_lambda_gap),
+            "min_point_gap": _gap(cd.min_point_gap),
             "warned": bool(cd.caustic),
             "status": "warned" if cd.caustic else "checked",
         },
     }
     return report
+
+
+def _gap(value: float) -> float | None:
+    """A smallest gap for the report: None (JSON null) where there is no pair (M = 1)."""
+    return None if math.isinf(value) else value
 
 
 def _fmt_c(pair: list[float]) -> str:
@@ -249,9 +255,9 @@ def _print_report(rep: dict) -> None:
     print(f"   G     = {_fmt_c(g['g'])}")
     print(f"   gamma = {_fmt_c(g['gamma'])}")
     c = rep["caustic"]
-    print(f"[{c['status']}] caustic diagnostics: min |lambda_i - lambda_j| = "
-          f"{c['min_lambda_gap']:.6g}, min point gap = {c['min_point_gap']:.6g}"
-          + ("  ** near caustic **" if c["warned"] else ""))
+    gaps = ["none" if c[k] is None else f"{c[k]:.6g}" for k in ("min_lambda_gap", "min_point_gap")]
+    print(f"[{c['status']}] caustic diagnostics: min |lambda_i - lambda_j| = {gaps[0]}, "
+          f"min point gap = {gaps[1]}" + ("  ** near caustic **" if c["warned"] else ""))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -263,7 +269,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("caustic proximity escalated by --strict", file=sys.stderr)
         return EXIT_CAUSTIC
     if args.json:
-        print(json.dumps(rep, indent=2))
+        print(json.dumps(rep, indent=2, allow_nan=False))
     else:
         _print_report(rep)
     return 0
@@ -311,7 +317,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _parse_error(f"--steps must be at least 2, got {args.steps}")
     if args.param not in (cover0, cover1)[cov.genus].params(cov):
         return _parse_error(f"--param: no parameter {args.param!r} in this covering")
-    rows = []
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CausticWarning)
@@ -319,33 +324,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (OnBoundaryError, CommonRootError, CausticWarning, HurwitzError, ValueError) as exc:
         print(f"sweep left the moduli space: {exc}", file=sys.stderr)
         return EXIT_SWEEP
-    ref = None
-    max_drift = {"route_ratio": 0.0, "resultant_ratio": 0.0}
+    ref = table[0][2]
+    keys = [key for key in ("route_ratio", "resultant_ratio") if key in ref]
+    rows = []
     for s, _, row in table:
-        if ref is None:
-            ref = row
         entry = {"step": s}
-        for key in ("route_ratio", "resultant_ratio"):
-            if key in row:
-                drift = abs(row[key] / ref[key] - 1.0)
-                max_drift[key] = max(max_drift[key], drift)
-                entry[key] = _c2pair(row[key])
-                entry[f"{key}_drift"] = drift
+        for key in keys:
+            entry[key], entry[f"{key}_drift"] = _c2pair(row[key]), abs(row[key] / ref[key] - 1.0)
         rows.append(entry)
     result = {
         "param": args.param,
         "steps": args.steps,
         "rows": rows,
-        "max_drift": {k: v for k, v in max_drift.items() if any(k in r for r in rows)},
+        "max_drift": {key: max(entry[f"{key}_drift"] for entry in rows) for key in keys},
     }
     if args.json:
-        print(json.dumps(result, indent=2))
+        print(json.dumps(result, indent=2, allow_nan=False))
     else:
         for entry in rows:
-            parts = [f"step {entry['step']:3d}"]
-            if "route_ratio" in entry:
-                parts.append(f"tau route ratio {_fmt_c(entry['route_ratio'])} "
-                             f"(drift {entry['route_ratio_drift']:.3e})")
+            parts = [f"step {entry['step']:3d}", f"tau route ratio {_fmt_c(entry['route_ratio'])} "
+                     f"(drift {entry['route_ratio_drift']:.3e})"]
             if "resultant_ratio" in entry:
                 parts.append(f"resultant ratio drift {entry['resultant_ratio_drift']:.3e}")
             print("  ".join(parts))

@@ -560,10 +560,13 @@ def route_b_denominator_terms(ks, log_d, log_t) -> list[complex]:
 
 @dataclass(frozen=True)
 class TauResultant:
-    """Route B: tau^(-48) as a ratio of quasi-homogeneous polynomials."""
+    """Route B: tau^(-48) as a ratio of closed-form products, kept as its logarithm."""
 
     log_tau_inv48: complex
-    tau_inv48: complex
+
+    @property
+    def tau_inv48(self) -> complex:
+        return cmath.exp(self.log_tau_inv48)
 
 
 def tau_resultant(c: Covering0, cd: CriticalData0) -> TauResultant:
@@ -572,14 +575,10 @@ def tau_resultant(c: Covering0, cd: CriticalData0) -> TauResultant:
     Uses no root of f, only its coefficients (``cd.log_resultant_ff``);
     vanishes exactly on the caustic R(f, f') = 0.
     """
-    log_r = cd.log_resultant_ff
-    if log_r.real == -math.inf:
-        return TauResultant(log_tau_inv48=complex(-math.inf), tau_inv48=0j)
     bs = [p.b for p in c.poles]
     log_d = [cmath.log(bi - bj) for i, bi in enumerate(bs) for j, bj in enumerate(bs) if i != j]
-    log48 = log_r - sum(route_b_denominator_terms(c.profile[1:], log_d,
-                                                  [cmath.log(t) for t in cd.flat.t]), 0j)
-    return TauResultant(log_tau_inv48=log48, tau_inv48=cmath.exp(log48))
+    return TauResultant(cd.log_resultant_ff - sum(route_b_denominator_terms(
+        c.profile[1:], log_d, [cmath.log(t) for t in cd.flat.t]), 0j))
 
 
 def tau_resultant_many(coverings: Sequence[Covering0],

@@ -24,6 +24,7 @@ import numpy as np
 from .cover0 import (
     Pole,
     TauProduct,
+    TauResultant,
     check_pole_gaps,
     frame_data,
     principal_root,
@@ -332,12 +333,14 @@ def tau_product(c: Covering1, cd: CriticalData1) -> TauProduct:
 
 
 @dataclass(frozen=True)
-class TauResultant1:
-    """Route B: tau^(-48) from sigma-function products over the critical divisor."""
+class TauResultant1(TauResultant):
+    """Route B with log kappa, kappa = prod_{r != s} sigma_w(z_r - z_s)."""
 
-    log_tau_inv48: complex
-    tau_inv48: complex
-    kappa: complex
+    log_kappa: complex
+
+    @property
+    def kappa(self) -> complex:
+        return cmath.exp(self.log_kappa)
 
 
 def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
@@ -348,38 +351,31 @@ def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
 def tau_resultant_many(coverings: Sequence[Covering1],
                        cds: Sequence[CriticalData1]) -> list[TauResultant1]:
     """tau^(-48) as eta^48 f0^(2M) kappa / [prod sigma_w(b_i-b_j)^((k_i+1)(k_j+1))
-    prod t_i^((k_i+1)(k_i-2))] of each covering from its critical data.
+    prod t_i^((k_i+1)(k_i-2))] of each covering from its critical data, in logarithms.
 
     kappa = prod_{r != s} sigma_w(z_r - z_s) over the critical points; f0
     normalizes the sigma-product representation of the numerator of p'.
-    kappa vanishes exactly on the caustic.  One ``sigma_w`` call serves
-    coverings of one modulus; mixed moduli go one at a time.
+    kappa vanishes exactly on the caustic.  Every factor enters as the sum of
+    its logarithms, so a kappa below double precision (thick tori) stays
+    finite.  One ``sigma_w`` call and one ``np.log`` serve coverings of one
+    modulus; mixed moduli go one at a time.
     """
     if len({c.modulus for c in coverings}) > 1:
         return [tau_resultant_many([c], [cd])[0] for c, cd in zip(coverings, cds)]
     ctx = coverings[0].ctx
     args = [a for c, cd in zip(coverings, cds) for a in _sigma_args(c, cd)]
-    values = np.split(sigma_w(ctx, np.concatenate(args)),
-                      list(accumulate(len(a) for a in args[:-1])))
+    logs = np.split(np.log(sigma_w(ctx, np.concatenate(args))),
+                    list(accumulate(len(a) for a in args[:-1])))
     out = []
     for k, (c, cd) in enumerate(zip(coverings, cds)):
-        s_zz, s_b1, s_bz, s_bb = values[4 * k: 4 * k + 4]
-        ks, fc = c.profile, cd.flat
-        kappa = complex(np.prod(s_zz))
-        f_at_b1 = -ks[0] * (fc.t[0] ** ks[0])
-        for s_b, kb in zip(s_b1, ks[1:]):
-            f_at_b1 *= complex(s_b) ** (kb + 1)
-        f0 = f_at_b1 / complex(np.prod(s_bz))
-        if kappa == 0:
-            out.append(TauResultant1(log_tau_inv48=complex(-math.inf), tau_inv48=0j, kappa=0j))
-            continue
-        log48 = 48.0 * ctx.log_eta
-        log48 += 2.0 * c.dim * cmath.log(f0)
-        log48 += cmath.log(kappa)
-        for term in route_b_denominator_terms(ks, [cmath.log(complex(s)) for s in s_bb],
-                                              [cmath.log(t) for t in fc.t]):
-            log48 -= term
-        out.append(TauResultant1(log_tau_inv48=log48, tau_inv48=cmath.exp(log48), kappa=kappa))
+        l_zz, l_b1, l_bz, l_bb = (v.tolist() for v in logs[4 * k: 4 * k + 4])
+        ks, log_t = c.profile, [cmath.log(t) for t in cd.flat.t]
+        log_kappa = sum(l_zz, 0j)
+        log_f0 = (cmath.log(-ks[0]) + ks[0] * log_t[0] - sum(l_bz, 0j)
+                  + sum((kb + 1) * lb for lb, kb in zip(l_b1, ks[1:])))
+        log48 = 48.0 * ctx.log_eta + 2.0 * c.dim * log_f0 + log_kappa
+        log48 -= sum(route_b_denominator_terms(ks, l_bb, log_t), 0j)
+        out.append(TauResultant1(log_tau_inv48=log48, log_kappa=log_kappa))
     return out
 
 

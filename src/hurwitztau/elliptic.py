@@ -51,11 +51,9 @@ __all__ = [
     "WeierstrassContext",
     "theta1",
     "theta1_derivs",
-    "dedekind_eta",
     "log_dedekind_eta",
     "eta_tilde",
     "eisenstein",
-    "g_invariants",
     "weierstrass_context",
     "wp",
     "wp_derivs",
@@ -66,7 +64,6 @@ __all__ = [
     "elliptic_zeros",
     "reduce_to_cell",
     "lattice_distance",
-    "half_periods",
 ]
 
 TWO_PI_I = 2j * math.pi
@@ -281,11 +278,6 @@ def log_dedekind_eta(mod: Modulus) -> complex:
     return acc
 
 
-def dedekind_eta(mod: Modulus) -> complex:
-    """Dedekind eta: q^(1/24) * prod(1 - q^n)."""
-    return cmath.exp(log_dedekind_eta(mod))
-
-
 def eta_tilde(mod: Modulus) -> complex:
     """d/dsigma log eta(sigma), from the weight-2 Eisenstein series."""
     return (1j * math.pi / 12.0) * eisenstein(mod, 2)
@@ -293,11 +285,6 @@ def eta_tilde(mod: Modulus) -> complex:
 
 def _g2(mod: Modulus) -> complex:
     return (4.0 * math.pi**4 / 3.0) * eisenstein(mod, 4)
-
-
-def g_invariants(mod: Modulus) -> tuple[complex, complex]:
-    """Weierstrass invariants (g2, g3) of the lattice Z + sigma*Z."""
-    return _g2(mod), (8.0 * math.pi**6 / 27.0) * eisenstein(mod, 6)
 
 
 # --------------------------------------------------------------------------
@@ -331,10 +318,6 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(n, 1)
     i.flags.writeable = j.flags.writeable = False
     return i, j
-
-
-def half_periods(sigma: complex) -> tuple[complex, complex, complex]:
-    return (0.5, sigma / 2.0, (1.0 + sigma) / 2.0)
 
 
 # --------------------------------------------------------------------------

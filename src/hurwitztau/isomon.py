@@ -37,6 +37,7 @@ __all__ = [
     "exact_parameter_derivatives",
     "identity_report",
     "IdentityCheck",
+    "route_ratio",
     "sweep_ratios",
 ]
 
@@ -353,10 +354,18 @@ def _ratio_drift(values: list[complex]) -> float:
     return max(abs(v / ref - 1.0) for v in values)
 
 
+def route_ratio(ta: TauProduct, tb: cover0.TauResultant) -> complex:
+    """exp(log tau^-48_A - log tau^-48_B); a route B that vanishes (log -inf, as
+    where critical points collide) raises ``CoincidentPointsError``."""
+    if tb.log_tau_inv48.real == -math.inf:
+        raise CoincidentPointsError("route B vanishes: log tau^-48 is -inf")
+    return cmath.exp(ta.log_tau_inv48 - tb.log_tau_inv48)
+
+
 def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1,
                tb, ta) -> dict:
     """Cross-route tau data of one covering from its critical data and routes A and B."""
-    row = {"pts": cd.pts, "route_ratio": ta.tau_inv48 / tb.tau_inv48}
+    row = {"pts": cd.pts, "route_ratio": route_ratio(ta, tb)}
     if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
         row["resultant_ratio"] = cd.resultant_ratio
     return row

@@ -113,13 +113,16 @@ def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
     nearly multiple roots are kept as-is; detecting them is the caller's
     business.
 
-    Raises ``NonConvergenceError`` when the iteration stalls or two iterates
-    coincide (coincident start points included), which signals an
-    ill-conditioned instance that the caller may perturb.
+    Raises ``NonConvergenceError`` for a coefficient that is not finite, and
+    when the iteration stalls or two iterates coincide (coincident start
+    points included), which signals an ill-conditioned instance that the
+    caller may perturb.
     """
     n = p.degree
     if n < 1:
         raise ValueError("need degree >= 1")
+    if not all(map(cmath.isfinite, p.coeffs)):
+        raise NonConvergenceError("a coefficient is not finite")
     coeff_scale = max(abs(c) for c in p.coeffs)
     if coeff_scale == 0:
         raise ValueError("zero polynomial has no well-defined root set")

@@ -29,16 +29,20 @@ from hurwitztau.elliptic import (
     Modulus,
     _cell_representative,
     _contour_corners,
+    _g2,
     _gauss_legendre,
     _iterate_lanes,
     _newton_tol,
     _split_lattice,
     _theta1_raw,
     cell_coords,
+    eisenstein,
     lattice_distance,
+    log_dedekind_eta,
     point_array,
     reduce_to_cell,
     shape_rows,
+    sigma_w,
     wp,
     zeta_derivs,
     zeta_sigma_derivs,
@@ -47,6 +51,24 @@ from hurwitztau.errors import ContourClashError, CountMismatchError, NearPoleErr
 from hurwitztau.poly import CPoly
 
 _ULP = float(np.finfo(float).eps)
+
+
+# --------------------------------------------------------------------------
+# closed forms over the elliptic module, references for its tests
+
+
+def dedekind_eta(mod: Modulus) -> complex:
+    """Dedekind eta: q^(1/24) * prod(1 - q^n)."""
+    return cmath.exp(log_dedekind_eta(mod))
+
+
+def g_invariants(mod: Modulus) -> tuple[complex, complex]:
+    """Weierstrass invariants (g2, g3) of the lattice Z + sigma*Z."""
+    return _g2(mod), (8.0 * math.pi**6 / 27.0) * eisenstein(mod, 6)
+
+
+def half_periods(sigma: complex) -> tuple[complex, complex, complex]:
+    return (0.5, sigma / 2.0, (1.0 + sigma) / 2.0)
 
 
 def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
@@ -596,6 +618,26 @@ def theta1_long(sigma: complex, z, n_max: int, terms: int = 40) -> tuple[np.ndar
     # correctly rounded sums (math.fsum), so the reference adds no round-off of its own
     sums = np.array([[complex(math.fsum(r.real), math.fsum(r.imag)) for r in row] for row in rows])
     return sums, np.exp(log_size.max(axis=-1))
+
+
+def tau_resultant_float_product(c: cover1.Covering1, cd: cover1.CriticalData1) -> complex:
+    """log tau^-48 of genus-1 route B with kappa and f0 formed as float products.
+
+    The same sigma_w values as ``cover1.tau_resultant_many``, multiplied out
+    before one logarithm each: the float-product form of route B, which
+    underflows where kappa = prod sigma_w(z_r - z_s) leaves double precision.
+    """
+    s_zz, s_b1, s_bz, s_bb = (sigma_w(c.ctx, a).tolist() for a in cover1._sigma_args(c, cd))
+    ks, t = c.profile, cd.flat.t
+    f0 = -ks[0] * t[0] ** ks[0]
+    for s, k in zip(s_b1, ks[1:]):
+        f0 *= s ** (k + 1)
+    f0 /= complex(np.prod(s_bz))
+    log48 = 48.0 * c.ctx.log_eta + 2.0 * c.dim * cmath.log(f0) + cmath.log(complex(np.prod(s_zz)))
+    for term in cover0.route_b_denominator_terms(ks, [cmath.log(s) for s in s_bb],
+                                                 [cmath.log(v) for v in t]):
+        log48 -= term
+    return log48
 
 
 # --------------------------------------------------------------------------

@@ -325,6 +325,72 @@ class TestFewCriticalPoints:
         assert rep["hamiltonians"]["status"] == "checked"
 
 
+class TestStrictJson:
+    """``analyze --json`` and ``sweep --json`` print no ``NaN`` or ``Infinity``."""
+
+    @staticmethod
+    def _strict(text: str):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_one_critical_point_has_null_gaps(self, tmp_path, capsys):
+        # M = 1: there is no pair of critical values or points, so no smallest gap
+        path = _write(tmp_path, "z2.json", TestFewCriticalPoints.ONE_POINT)
+        assert main(["analyze", path, "--json"]) == 0
+        caustic = self._strict(capsys.readouterr().out)["caustic"]
+        assert caustic["min_lambda_gap"] is None and caustic["min_point_gap"] is None
+        assert caustic["status"] == "checked"
+        assert main(["analyze", path]) == 0
+        assert "min |lambda_i - lambda_j| = none, min point gap = none" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["a2", "h0_surf", "h12", "g0_2poles", "g1_2poles"])
+    def test_analyze_is_strict_json(self, name, tmp_path, capsys):
+        assert main(["analyze", _spec_file(tmp_path, name), "--json"]) == 0
+        assert self._strict(capsys.readouterr().out)["tau"]["status"] == "checked"
+
+    def test_sweep_is_strict_json(self, tmp_path, capsys):
+        rc = main(["sweep", _h12_file(tmp_path), "--param", "poles.0.c.1", "--to", "1.4,0.12",
+                   "--steps", "3", "--json"])
+        assert rc == 0
+        assert self._strict(capsys.readouterr().out)["max_drift"]["route_ratio"] < 1e-7
+
+
+class TestKappaUnderflow:
+    """Specs whose kappa = prod sigma_w(z_r - z_s) lies below double precision.
+
+    The thick torus is pool spec g1-1.1.1-2 of the benchmark moved to
+    Im sigma = 4, where kappa is about e^-842; the thin one is a (4,3,2) spec
+    at Im sigma = 0.126.  A float product of kappa underflowed on both (a
+    ``ZeroDivisionError``, and a NaN route ratio on the thin torus's sweep);
+    route B summed in logarithms stays finite.
+    """
+
+    SPECS = {"thick": ((1, 1, 1), 914002, 4.0), "thin": ((4, 3, 2), 1, 0.126)}
+
+    def _path(self, tmp_path, name):
+        profile, seed, im_sigma = self.SPECS[name]
+        base = random_covering1(profile, seed)
+        cov = cover1.set_param(base, "modulus", complex(base.modulus.sigma.real, im_sigma))
+        return _write(tmp_path, f"{name}.json", covering_to_spec(cov))
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_check_runs_every_identity(self, name, tmp_path, capsys):
+        rc = main(["check", self._path(tmp_path, name)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert "9/9 identities passed" in captured.out
+        assert "PASS  tau-route-ratio" in captured.out
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_analyze_checks_the_route_ratio(self, name, tmp_path, capsys):
+        assert main(["analyze", self._path(tmp_path, name), "--json"]) == 0
+        tau = TestStrictJson._strict(capsys.readouterr().out)["tau"]
+        assert tau["status"] == "checked"
+        assert all(math.isfinite(x) for x in tau["route_ratio"])
+
+
 class TestClosedPipe:
     def test_reader_closing_the_pipe_exits_0_quietly(self, tmp_path):
         # the read end is closed before the command writes, as after `| head -1`

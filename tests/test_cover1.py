@@ -21,7 +21,6 @@ from hurwitztau.cover1 import (
 )
 from hurwitztau.elliptic import (
     Modulus,
-    half_periods,
     lattice_distance,
     log_dedekind_eta,
     reduce_to_cell,
@@ -120,13 +119,13 @@ class TestCriticalData:
         cd = critical_data(cov)
         assert len(cd.pts) == 3
         want = sorted(
-            (reduce_to_cell(b + w, s) for w in half_periods(s)),
+            (reduce_to_cell(b + w, s) for w in oracles.half_periods(s)),
             key=lambda t: (round(t.real, 6), round(t.imag, 6)),
         )
         got = sorted(cd.pts, key=lambda t: (round(t.real, 6), round(t.imag, 6)))
         assert max(abs(a - b2) for a, b2 in zip(got, want)) < 1e-9
         # critical values are a - c * wp(half-period)
-        es = [wp(cov.ctx, w) for w in half_periods(s)]
+        es = [wp(cov.ctx, w) for w in oracles.half_periods(s)]
         lam_want = sorted(
             (cov.constant - cov.poles[0].c[1] * e for e in es),
             key=lambda t: (round(t.real, 6), round(t.imag, 6)),
@@ -368,3 +367,37 @@ class TestDeformationParams:
     def test_count_matches_dimension(self, profile):
         cov = random_covering1(profile, seed=16)
         assert len(deformation_params(cov)) == cov.dim
+
+
+# the genus-1 pool of the benchmark: 12 specs of each profile, sampler seeds
+# 910000 + 1000 i + j for the i-th profile
+POOL = [(profile, 910000 + 1000 * i + j)
+        for i, profile in enumerate([(2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1)])
+        for j in range(12)]
+
+
+class TestRouteBLogs:
+    def test_matches_the_float_product_on_the_pool(self):
+        worst = 0.0
+        for profile, seed in POOL:
+            cov = random_covering1(profile, seed)
+            cd = critical_data(cov)
+            log48 = tau_resultant(cov, cd).log_tau_inv48
+            # equal up to 2 pi i n: compare tau^-48 itself
+            worst = max(worst, abs(cmath.exp(log48 - oracles.tau_resultant_float_product(cov, cd))
+                                   - 1.0))
+        assert worst <= 1e-12
+
+    def test_kappa_below_double_precision_stays_finite(self):
+        # pool spec g1-1.1.1-2 at Im sigma = 4: kappa is about e^-842, a float product
+        # underflows to 0, and the route ratio divided by it
+        base = random_covering1((1, 1, 1), 914002)
+        cov = set_param(base, "modulus", complex(base.modulus.sigma.real, 4.0))
+        an = isomon.analyze(cov)
+        tb = tau_resultant(cov, an.critical)
+        assert tb.log_kappa.real < math.log(5e-324) and tb.kappa == 0
+        assert cmath.isfinite(tb.log_tau_inv48)
+        # the route ratio at the pool modulus and at Im sigma = 4 is one constant
+        ratio = isomon.route_ratio(an.tau, tb)
+        (base_row,) = isomon._route_rows([base], [critical_data(base)])
+        assert abs(ratio / base_row["route_ratio"] - 1.0) < 1e-8

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from hurwitztau.cover0 import Pole
 from hurwitztau.cover1 import Covering1, eval_p_derivs
-from hurwitztau.elliptic import POLE_GUARD, Modulus, half_periods
+from hurwitztau.elliptic import POLE_GUARD, Modulus
 from hurwitztau.errors import NearPoleError
 from hurwitztau.samples import random_covering1
 
@@ -70,7 +70,7 @@ class TestEqualsPerPoleSum:
         edge = [-0.5, 0.5, -0.25, 0.0, 0.25]
         offsets = [u + v * sigma for u in edge for v in (-0.5, 0.5)]
         offsets += [u * sigma + v for u in edge for v in (-0.5, 0.5)]
-        offsets += list(half_periods(sigma))
+        offsets += list(oracles.half_periods(sigma))
         centres = [0.0] + [p.b for p in cov.poles]
         base = np.array([c + o for c in centres for o in offsets])
         shifts = np.array([0.0, 1.0, -1.0, sigma, -sigma])

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
+from hurwitztau.errors import CoincidentPointsError
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 
@@ -44,6 +45,25 @@ class TestBergmann:
         monkeypatch.setattr(model, "tau_product", lambda *args: calls.append(1) or real(*args))
         isomon.identity_report(cov)
         assert len(calls) == isomon.SWEEP_STEPS == 5
+
+
+class TestRouteRatio:
+    @pytest.mark.parametrize("name", ["a2", "h0_surf", "h12"])
+    def test_exp_of_the_log_difference(self, name):
+        cov = builtin_example(name)
+        an = isomon.analyze(cov)
+        tb = (cover0, cover1)[cov.genus].tau_resultant(cov, an.critical)
+        ratio = isomon.route_ratio(an.tau, tb)
+        assert ratio == cmath.exp(an.tau.log_tau_inv48 - tb.log_tau_inv48)
+        assert abs(ratio / (an.tau.tau_inv48 / tb.tau_inv48) - 1.0) < 1e-12
+
+    def test_vanishing_route_b_raises(self, a2, quiet_caustic):
+        # z^3 has a double critical point: R(f, f') = 0 and log tau^-48 of route B is -inf
+        z3 = Covering0((3,), (0.0, 0.0), ())
+        tb = cover0.tau_resultant(z3, critical_data0(z3))
+        assert tb.log_tau_inv48.real == -math.inf
+        with pytest.raises(CoincidentPointsError, match="route B vanishes"):
+            isomon.route_ratio(isomon.analyze(a2).tau, tb)
 
 
 class TestIsomonodromyData:

@@ -121,6 +121,13 @@ class TestRoots:
         with pytest.raises(ValueError):
             all_roots(CPoly((-3, 0, 3)), start=[1.1])
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("nan"))])
+    def test_non_finite_coefficient_raises_on_entry(self, bad):
+        # a NaN residual never fails the stall test, so without the entry check the
+        # iteration ran every sweep and returned NaN roots
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            all_roots(CPoly((bad, 0.3 + 0.1j, -0.2j, 0.5, 1, 0, 1)))
+
     def test_stationary_start_off_a_root(self):
         # z^3 + 1 has p'(0) = 0, and the Aberth sum at 0 cancels for starts
         # at +-i: no step is defined, which is a stall, not a root at 0
