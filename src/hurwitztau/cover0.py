@@ -35,7 +35,7 @@ from .errors import (
     OnBoundaryError,
     SlopeUnstableError,
 )
-from .poly import CPoly, all_roots, log_resultant, resultant
+from .poly import CPoly, all_roots, log_resultant
 
 __all__ = [
     "Pole",
@@ -49,9 +49,10 @@ __all__ = [
     "eval_p_derivs",
     "eval_param_derivs",
     "p_prime_as_ratio",
-    "factorization_denominator",
+    "log_factorization_denominator",
     "critical_data",
     "critical_data_many",
+    "critical_round",
     "flat_coords",
     "tau_product",
     "tau_resultant",
@@ -287,8 +288,10 @@ def p_prime_as_ratio(cs: Sequence[Covering0]) -> tuple[np.ndarray, np.ndarray]:
     f has degree M with leading coefficient k1; its roots are exactly the
     finite critical points.  ``cs`` are coverings of one profile; f and g are
     arrays with a row of coefficients per covering, lowest degree first.
-    (z - b)^m is the row C(m, r) (-b)^(m-r).
+    (z - b)^m is the row C(m, r) (-b)^(m-r).  M = 0 raises ``NoCriticalPointsError``.
     """
+    if cs[0].dim < 1:
+        raise NoCriticalPointsError(f"profile {cs[0].profile} has no critical points (M = 0)")
     k1, ks = cs[0].profile[0], cs[0].profile[1:]
     powers = []  # (z - b_i)^m of every covering for m = 0..k_i + 1
     for i, k in enumerate(ks):
@@ -315,7 +318,7 @@ class CriticalData0:
     """Per-critical-point bundle driving every downstream formula.
 
     ``resultant_ratio`` is R(f, g) over its pole/flat factorization
-    ``factorization_denominator``, constant along any deformation;
+    ``log_factorization_denominator``, constant along any deformation;
     ``log_resultant_ff`` is log R(f, f') (f of p' = f/g, whose roots are
     ``pts``), the route-B numerator; ``flat`` is ``flat_coords`` of the covering.
     """
@@ -364,27 +367,12 @@ def _sort_points(pts: list[complex]) -> list[complex]:
     return sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
-def factorization_denominator(c: Covering0, fc: "FlatCoords0") -> complex:
-    """R(f, g)'s pole/flat factor prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^(k_i(k_i+1))."""
-    denom = 1.0 + 0j
-    bs = [p.b for p in c.poles]
-    ks = c.profile[1:]
-    for i in range(len(bs)):
-        for j in range(len(bs)):
-            if i != j:
-                denom *= (bs[i] - bs[j]) ** ((ks[i] + 1) * (ks[j] + 1))
-    for k, t in zip(ks, fc.t):
-        denom *= t ** (k * (k + 1))
-    return denom
-
-
-def profile_constant(c: Covering0) -> float:
-    """prod k_i^-(k_i^2 - 1) over the finite poles.
-
-    Off the boundary |R(f, g)| is this constant times its pole/flat
-    factorization ``factorization_denominator``.
-    """
-    return math.prod(float(k) ** -(k * k - 1) for k in c.profile[1:])
+def log_factorization_denominator(c: Covering0, fc: "FlatCoords0") -> complex:
+    """log prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^(k_i(k_i+1)), R(f, g)'s pole/flat factor,
+    on no fixed branch: the factor itself underflows where poles of high order nearly meet."""
+    pairs = permutations(zip(c.profile[1:], (p.b for p in c.poles)), 2)
+    return (sum(((ki + 1) * (kj + 1) * cmath.log(bi - bj) for (ki, bi), (kj, bj) in pairs), 0j)
+            + sum(k * (k + 1) * cmath.log(t) for k, t in zip(c.profile[1:], fc.t)))
 
 
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
@@ -405,55 +393,83 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
 def critical_data_many(coverings: Sequence[Covering0], seeds) -> list[CriticalData0 | None]:
     """``critical_data(c, seeds=s)`` of several coverings, None where a seeded solve fails.
 
-    Coverings of one profile share one f/g build, one stacked determinant
-    each for R(f, g) and R(f, f') and one frame evaluation; the roots are
-    solved covering by covering (globally where s is None).  Mixed profiles
-    go one at a time.
+    Coverings of one profile share one f/g build and one data pass; the roots
+    are solved covering by covering (globally where s is None).  Mixed
+    profiles go one at a time.
     """
     if len({c.profile for c in coverings}) > 1:
         return [critical_data_many([c], [s])[0] for c, s in zip(coverings, seeds)]
-    if coverings[0].dim < 1:
-        raise NoCriticalPointsError(
-            f"profile {coverings[0].profile} has no critical points (M = 0)")
     fs, gs = p_prime_as_ratio(coverings)
-    found = {}  # covering index -> the roots of its f
-    for k, (row, s) in enumerate(zip(fs, seeds)):
-        f = CPoly(tuple(row.tolist()))
-        try:
-            found[k] = (_sort_points(list(all_roots(f).roots)) if s is None
-                        else list(all_roots(f, start=s).roots))
-        except NonConvergenceError:
-            if s is None:
-                raise
-    out: list[CriticalData0 | None] = [None] * len(coverings)
-    keep = list(found)
+    return _raised(_critical_data_at(coverings, [_roots(f, s) for f, s in zip(fs, seeds)], fs, gs))
+
+
+def critical_round(coverings: Sequence[Covering0], predict) -> list:
+    """Critical data of ``coverings[0]``, solved globally, and of the others (of its profile),
+    seeded with ``predict(its critical points)``, from one f/g build and one data pass.
+    None stands for a failed seeded solve and the error for a covering whose data fails."""
+    fs, gs = p_prime_as_ratio(coverings)
+    pts = _roots(fs[0], None)
+    found = [pts] + [_roots(f, s) for f, s in zip(fs[1:], predict(pts))]
+    return _critical_data_at(coverings, found, fs, gs)
+
+
+def _raised(cds: list) -> list:
+    """``cds``, or the first error among them raised."""
+    for cd in cds:
+        if isinstance(cd, Exception):
+            raise cd
+    return cds
+
+
+def _roots(row: np.ndarray, seeds) -> list[complex] | None:
+    """The roots of the f of coefficient row ``row`` continuing ``seeds``, sorted from a
+    global solve where they are None; None where a seeded solve fails."""
+    try:
+        roots = list(all_roots(CPoly(tuple(row.tolist())), start=seeds).roots)
+    except NonConvergenceError:
+        if seeds is None:
+            raise
+        return None
+    return roots if seeds is not None else _sort_points(roots)
+
+
+def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
+    """Data phase: critical data of each covering at the roots ``found`` of its f (None where
+    None), from one stacked R(f, g), one stacked R(f, f') and one frame evaluation; R(f, g)
+    enters in logarithms.  A covering whose data fails holds its error."""
+    out: list = [None] * len(coverings)
+    keep = [k for k, pts in enumerate(found) if pts is not None]
     if not keep:
         return out
+    # off the boundary R(f, g) is its pole/flat factorization times the profile
+    # constant prod k_i^-(k_i^2 - 1), the scale to call it zero against
+    log_zero = math.log(1e-10) - sum((k * k - 1) * math.log(k) for k in coverings[0].profile[1:])
     kept = [coverings[k] for k in keep]
     flats = [flat_coords(c) for c in kept]
-    # before the determinant: huge tails overflow here as an OverflowError, not a warning
-    denoms = [factorization_denominator(c, fc) for c, fc in zip(kept, flats)]
-    res_fg = resultant(fs[keep], gs[keep]).tolist()
-    for k, c, denom, res in zip(keep, kept, denoms, res_fg):
-        scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
-        for a, b in ((a, p.b) for a in found[k] for p in c.poles):
-            if abs(a - b) < ROOT_POLE_GUARD * scale_b:
-                raise CommonRootError(f"critical point {a} collides with pole {b}")
-        # off the boundary R(f, g) is its pole/flat factorization times the
-        # profile constant prod k_i^-(k_i^2 - 1), the scale to call it zero against
-        if c.poles and abs(res) < 1e-10 * abs(denom) * profile_constant(c):
-            raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
+    log_fg = log_resultant(fs[keep], gs[keep])
+    log_ratio = log_fg - [log_factorization_denominator(c, fc) for c, fc in zip(kept, flats)]
+    res_fg, ratios = np.exp(log_fg).tolist(), np.exp(log_ratio).tolist()
     log_ff = _log_r_ff(fs[keep]).tolist()
     rows = eval_p_derivs(kept, [np.array(found[k]) for k in keep], 4)
-    for j, (k, fc, denom, res, log_r) in enumerate(zip(keep, flats, denoms, res_fg, log_ff)):
+    for j, (k, c, fc) in enumerate(zip(keep, kept, flats)):
         pts = found[k]
-        lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * len(pts) : (j + 1) * len(pts)])
+        scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
+        try:
+            for a, b in ((a, p.b) for a in pts for p in c.poles):
+                if abs(a - b) < ROOT_POLE_GUARD * scale_b:
+                    raise CommonRootError(f"critical point {a} collides with pole {b}")
+            if c.poles and log_ratio[j].real < log_zero:
+                raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
+            lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * len(pts) : (j + 1) * len(pts)])
+        except (CommonRootError, OverflowError) as exc:
+            out[k] = exc
+            continue
         out[k] = CriticalData0(
             pts=tuple(pts), lam=tuple(lam), fsq=tuple(fsq.tolist()), sb=tuple(sb.tolist()),
             min_lambda_gap=min_lgap,
             min_point_gap=min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf),
-            caustic=caustic, resultant_fg=complex(res), resultant_ratio=res / denom,
-            log_resultant_ff=log_r, flat=fc)
+            caustic=caustic, resultant_fg=res_fg[j], resultant_ratio=ratios[j],
+            log_resultant_ff=log_ff[j], flat=fc)
     return out
 
 

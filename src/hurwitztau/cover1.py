@@ -60,6 +60,7 @@ __all__ = [
     "eval_param_derivs",
     "critical_data",
     "critical_data_many",
+    "critical_round",
     "reject_ill_conditioned",
     "flat_coords",
     "tau_product",
@@ -228,14 +229,12 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     contour yields every zero), or with ``seeds`` from the one-covering case
     of ``critical_data_many``, whose failure raises ``CountMismatchError``.
     """
-    if seeds is not None:
-        (cd,) = critical_data_many([c], [seeds])
-        if cd is None:
-            raise CountMismatchError("a seeded lane did not converge, collapsed or hit a pole")
-        return cd
-    # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): the principal parts of a pole of order k_i + 1
-    zs = elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles])
-    return _critical_data_at([c], np.array([_sort_cell_points(zs, c.modulus.sigma)]))[0]
+    if seeds is None:
+        return critical_round([c], lambda zs: [])[0]
+    (cd,) = critical_data_many([c], [seeds])
+    if cd is None:
+        raise CountMismatchError("a seeded lane did not converge, collapsed or hit a pole")
+    return cd
 
 
 def critical_data_many(coverings: Sequence[Covering1],
@@ -250,24 +249,45 @@ def critical_data_many(coverings: Sequence[Covering1],
     if any(len(s) != c.dim for c, s in zip(coverings, seeds)):
         raise ValueError("seed count must equal the moduli dimension")
     if len({(c.modulus, c.profile) for c in coverings}) == 1:
-        z0 = np.array(seeds, dtype=complex).ravel()
-        starts = coverings[0].dim * np.arange(len(coverings) + 1)  # each covering's first lane
-
-        def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
-            cut = np.searchsorted(live, starts)
-            _, v, d = eval_p_derivs(coverings, [z[live[a:b]] for a, b in zip(cut, cut[1:])], 2)
-            return v / d
-
         try:
-            tracked, ok = _iterate_lanes(newton_step, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
-            zs = np.array([reduce_to_cell(complex(z), coverings[0].modulus.sigma) for z in tracked])
-            zs[~ok] = np.nan  # an unconverged lane fails the gap test of _critical_data_at
-            return _critical_data_at(coverings, zs.reshape(len(coverings), -1))
+            return _critical_data_at(coverings, _seeded_zeros(coverings, seeds))
         except NearPoleError:
             if len(coverings) == 1:
                 return [None]
     # one covering at a time, so that a lane at a pole fails its own covering only
     return [critical_data_many([c], [s])[0] for c, s in zip(coverings, seeds)]
+
+
+def critical_round(coverings: Sequence[Covering1], predict) -> list[CriticalData1 | None]:
+    """``cover0.critical_round`` at genus 1: the global search, the lanes of ``critical_data_many``
+    and one ``_critical_data_at``, or where a zero or a lane reaches a pole, the first covering's
+    data alone and then the others'.  A data error (the frame rows overflow) raises here."""
+    c = coverings[0]
+    # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): the principal parts of a pole of order k_i + 1
+    zs = _sort_cell_points(elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles]),
+                           c.modulus.sigma)
+    seeds = predict(zs)
+    try:
+        moved = _seeded_zeros(coverings[1:], seeds) if seeds else ()
+        return _critical_data_at(coverings, np.array([zs, *moved]))
+    except NearPoleError:
+        return _critical_data_at([c], np.array([zs])) + critical_data_many(coverings[1:], seeds)
+
+
+def _seeded_zeros(coverings: Sequence[Covering1], seeds) -> np.ndarray:
+    """One Newton lane run: row k holds the zeros of covering k, NaN where a lane failed."""
+    z0 = np.array(seeds, dtype=complex).ravel()
+    starts = coverings[0].dim * np.arange(len(coverings) + 1)  # each covering's first lane
+
+    def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+        cut = np.searchsorted(live, starts)
+        _, v, d = eval_p_derivs(coverings, [z[live[a:b]] for a, b in zip(cut, cut[1:])], 2)
+        return v / d
+
+    tracked, ok = _iterate_lanes(newton_step, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
+    zs = np.array([reduce_to_cell(complex(z), coverings[0].modulus.sigma) for z in tracked])
+    zs[~ok] = np.nan  # an unconverged lane fails the gap test of _critical_data_at
+    return zs.reshape(len(coverings), -1)
 
 
 def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalData1 | None]:

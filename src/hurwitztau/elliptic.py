@@ -11,9 +11,8 @@ and sigma_w(z) = z + O(z^5) rather than hard-coded, and verified at
 construction time.  The theta series is summed at points reduced to the
 base cell only, and its length ``Modulus.theta_terms`` is sized for them.
 
-Array contract.  ``theta1_derivs``, ``wp_derivs``/``wp``,
-``zeta_derivs``/``zeta_w``, ``zeta_sigma_derivs``, ``sigma_w`` and
-``lattice_distance`` take either a complex scalar or an ndarray of points.
+Array contract.  ``theta1_derivs``, ``wp_derivs``/``wp``, ``zeta_derivs``,
+``sigma_w`` and ``lattice_distance`` take either a complex scalar or an ndarray of points.
 A scalar returns plain ``complex`` values (a list of them for the
 ``*_derivs`` functions); an array returns an ndarray with the point axes
 last, so ``derivs[k]`` is the k-th derivative at every point.  An array is
@@ -49,7 +48,6 @@ from .poly import CPoly, all_roots
 __all__ = [
     "Modulus",
     "WeierstrassContext",
-    "theta1",
     "theta1_derivs",
     "log_dedekind_eta",
     "eta_tilde",
@@ -57,9 +55,7 @@ __all__ = [
     "weierstrass_context",
     "wp",
     "wp_derivs",
-    "zeta_w",
     "zeta_derivs",
-    "zeta_sigma_derivs",
     "sigma_w",
     "elliptic_zeros",
     "reduce_to_cell",
@@ -250,13 +246,6 @@ def theta1_derivs(mod: Modulus, z, n_max: int):
         raw = raw[1:] + mu * raw[:-1]
         out[k] = raw[0]
     return shape_rows(out * pref, shape)
-
-
-def theta1(mod: Modulus, z: complex, n_deriv: int = 0) -> complex:
-    """n_deriv-th z-derivative of the odd theta function on Z + sigma*Z."""
-    if n_deriv < 0:
-        raise ValueError("n_deriv must be >= 0")
-    return theta1_derivs(mod, z, n_deriv)[n_deriv]
 
 
 def eisenstein(mod: Modulus, weight: int) -> complex:
@@ -498,12 +487,6 @@ def _parts_hd(ctx: WeierstrassContext, constant: complex, parts, w: np.ndarray) 
     return _principal_sum(np.zeros((2, len(w)), dtype=complex), constant, tails, zd)
 
 
-def zeta_sigma_derivs(ctx: WeierstrassContext, z, n_max: int):
-    """[d/dsigma zeta^(n)(z), n = 0..n_max] at fixed z (``_zeta_sigma_rows``), scalar or array z."""
-    pts, shape = point_array(z)
-    return shape_rows(_zeta_sigma_rows(ctx, zeta_derivs(ctx, pts, n_max + 2), pts, n_max), shape)
-
-
 def _zeta_sigma_rows(ctx: WeierstrassContext, zeta: np.ndarray, pts, n_max: int) -> np.ndarray:
     """d/dsigma zeta^(n) at fixed argument, n = 0..n_max, from the zeta rows at ``pts``.
 
@@ -526,11 +509,6 @@ def _zeta_sigma_rows(ctx: WeierstrassContext, zeta: np.ndarray, pts, n_max: int)
     if n_max >= 1:
         out[1] += 2.0 * ctx.calib_sigma_dsigma
     return out
-
-
-def zeta_w(ctx: WeierstrassContext, z, n_deriv: int = 0):
-    """Weierstrass zeta and derivatives: zeta' = -wp, zeta'' = -wp', ..."""
-    return zeta_derivs(ctx, z, n_deriv)[n_deriv]
 
 
 def sigma_w(ctx: WeierstrassContext, z):

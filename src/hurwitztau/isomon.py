@@ -23,10 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cover0, cover1
-from .cover0 import Covering0, TauProduct, route_a
+from .cover0 import Covering0, TauProduct, _raised, route_a
 from .cover1 import Covering1
 from .elliptic import lattice_distance, wp
-from .errors import CoincidentPointsError, IllConditionedError
+from .errors import CoincidentPointsError, HurwitzError, IllConditionedError
 
 __all__ = [
     "Analysis",
@@ -266,7 +266,7 @@ def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
     return out
 
 
-def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarray]:
+def exact_parameter_derivatives(an: Analysis, partials=None) -> tuple[list[str], dict, np.ndarray]:
     """The analysis' parameter derivatives in closed form.
 
     Same layout as ``parameter_derivatives``: (paths, arrays of shape
@@ -278,13 +278,13 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarr
     d fsq_m = -2 (d_theta p'' + p^(3) d z_m)/p''^2; h_s follows its top tail
     (h_s^k_s is proportional to it), and so does t_s.  T, log tau^-48 and G
     are ``route_a`` of the rows d log f_m^2, d log h_s = d log t_s and
-    d log eta = eta_tilde d sigma.
+    d log eta = eta_tilde d sigma.  ``partials`` is the model's
+    ``eval_param_derivs`` at the analysis' points where the caller has it.
     """
     cov = an.covering
     model = (cover0, cover1)[an.genus]
     paths = model.deformation_params(cov)
-    pts = np.array(an.pts)
-    rows, dp = model.eval_param_derivs(cov, pts)  # (4, M), (P, 3, M)
+    rows, dp = partials or model.eval_param_derivs(cov, np.array(an.pts))  # (4, M), (P, 3, M)
     p2, p3 = rows[2], rows[3]
     dz = -dp[:, 1] / p2
     dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
@@ -434,18 +434,40 @@ def identity_report(
 ) -> list[IdentityCheck]:
     """Run every applicable differential/closed-form identity at one point.
 
-    Gradient identities use the exact lambda derivatives of the one
-    analysis; the cross-route constancy identities run a short
-    deterministic parameter sweep of SWEEP_STEPS coverings around the
-    instance.  A not-None ``tol`` replaces every default.  A covering
+    Gradient identities use the exact lambda derivatives of the one analysis;
+    the cross-route constancy identities run a short deterministic parameter
+    sweep of SWEEP_STEPS coverings around the instance, the middle one the
+    covering itself.  All make one critical-data round (``critical_round``):
+    the covering solves globally, each other step continues its points from
+    z_m + move * dz_m/d path (dz of ``exact_parameter_derivatives``), and one
+    data pass serves them all.  A step that cannot be built, or at genus 0
+    whose data fails, raises after the checks at the covering, whose own
+    errors come first.  A not-None ``tol`` replaces every default.  A covering
     whose critical points sit too near a pole to verify (the model's
     ``reject_ill_conditioned``) raises ``OnBoundaryError``.
     """
-    an = analyze(covering)
-    (cover0, cover1)[covering.genus].reject_ill_conditioned(covering, an.pts)
+    model = (cover0, cover1)[covering.genus]
+    rng = np.random.default_rng(seed)
+    path = model.default_sweep_param(covering)
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    try:  # an error here raises where the sweep starts, after the checks at the covering
+        sweep, sweep_error = _sweep_coverings(covering, path, phase), None
+    except (HurwitzError, KeyError) as exc:  # KeyError: no sweep path where M = 0
+        sweep, sweep_error = [], exc
+    partials = []
+
+    def predict(pts) -> list[np.ndarray]:
+        partials.append(model.eval_param_derivs(covering, np.array(pts)))
+        (rows, dp), moves = partials[0], _sweep_offsets(covering, path, phase)[: len(sweep)]
+        tangent = -dp[model.deformation_params(covering).index(path), 1] / rows[2]
+        return [np.array(pts) + move * tangent for move in moves]
+
+    cds = model.critical_round([covering, *sweep], predict)
+    an = _analysis(covering, *_raised(cds[:1]))
+    model.reject_ill_conditioned(covering, an.pts)
     iso = build_isomonodromy(covering, an)
     B, Binf = iso.bergmann, iso.bergmann_poles
-    paths, pderivs, dz = exact_parameter_derivatives(an)
+    _, pderivs, _ = exact_parameter_derivatives(an, partials[0])
     d = _chain_to_lambda(pderivs)
     m = len(an.lam)
     lam = np.array(an.lam)
@@ -507,18 +529,11 @@ def identity_report(
         checks.append(IdentityCheck("modulus-flow", err, tolerance("modulus-flow"),
                                     "d sigma / d lambda_k vs pi i f_k^2"))
 
-    # cross-route constancy on a short deterministic sweep
-    rng = np.random.default_rng(seed)
-    path = (cover0, cover1)[covering.genus].default_sweep_param(covering)
-    phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    sweep = _sweep_coverings(covering, path, phase)
-    # every sweep covering continues the base point's critical points, all in
-    # one round, each from its tangent prediction z_m + offset * dz_m/d path;
-    # the middle step is the covering itself, whose critical data and route A
-    # come from the analysis already made
-    tangent = dz[paths.index(path)]
-    cds = _continued(sweep, [np.array(an.pts) + move * tangent
-                             for move in _sweep_offsets(covering, path, phase)])
+    # cross-route constancy; a failed seeded solve solves globally alone, and the
+    # middle step takes its critical data and route A from the analysis
+    if sweep_error is not None:
+        raise sweep_error
+    cds = [cd or model.critical_data(cov) for cov, cd in zip(sweep, _raised(cds[1:]))]
     mid = SWEEP_STEPS // 2
     rows = _route_rows(sweep[:mid] + [covering] + sweep[mid:],
                        cds[:mid] + [an.critical] + cds[mid:],

@@ -35,6 +35,7 @@ from hurwitztau.elliptic import (
     _newton_tol,
     _split_lattice,
     _theta1_raw,
+    _zeta_sigma_rows,
     cell_coords,
     eisenstein,
     lattice_distance,
@@ -43,9 +44,9 @@ from hurwitztau.elliptic import (
     reduce_to_cell,
     shape_rows,
     sigma_w,
+    theta1_derivs,
     wp,
     zeta_derivs,
-    zeta_sigma_derivs,
 )
 from hurwitztau.errors import ContourClashError, CountMismatchError, NearPoleError
 from hurwitztau.poly import CPoly
@@ -69,6 +70,30 @@ def g_invariants(mod: Modulus) -> tuple[complex, complex]:
 
 def half_periods(sigma: complex) -> tuple[complex, complex, complex]:
     return (0.5, sigma / 2.0, (1.0 + sigma) / 2.0)
+
+
+def theta1(mod: Modulus, z: complex, n_deriv: int = 0) -> complex:
+    """n_deriv-th z-derivative of the odd theta function on Z + sigma*Z."""
+    if n_deriv < 0:
+        raise ValueError("n_deriv must be >= 0")
+    return theta1_derivs(mod, z, n_deriv)[n_deriv]
+
+
+def zeta_w(ctx, z, n_deriv: int = 0):
+    """Weierstrass zeta and derivatives: zeta' = -wp, zeta'' = -wp', ..."""
+    return zeta_derivs(ctx, z, n_deriv)[n_deriv]
+
+
+def zeta_sigma_derivs(ctx, z, n_max: int):
+    """[d/dsigma zeta^(n)(z), n = 0..n_max] at fixed z (``_zeta_sigma_rows``), scalar or array z."""
+    pts, shape = point_array(z)
+    return shape_rows(_zeta_sigma_rows(ctx, zeta_derivs(ctx, pts, n_max + 2), pts, n_max), shape)
+
+
+def profile_constant(c: cover0.Covering0) -> float:
+    """prod k_i^-(k_i^2 - 1) over the finite poles: off the boundary |R(f, g)| is this
+    constant times its pole/flat factorization."""
+    return math.prod(float(k) ** -(k * k - 1) for k in c.profile[1:])
 
 
 def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,

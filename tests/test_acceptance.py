@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import zeta_w
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole
 from hurwitztau.cover1 import Covering1
@@ -23,7 +24,6 @@ from hurwitztau.elliptic import (
     sigma_w,
     theta1_derivs,
     wp,
-    zeta_w,
 )
 from hurwitztau.errors import CausticWarning
 from hurwitztau.samples import random_covering0, random_covering1

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import zeta_w
 from hurwitztau.cover0 import Pole
 from hurwitztau.cover1 import Covering1, critical_data, eval_p_derivs
 from hurwitztau.elliptic import (
@@ -26,7 +27,6 @@ from hurwitztau.elliptic import (
     wp,
     wp_derivs,
     zeta_derivs,
-    zeta_w,
 )
 from hurwitztau.errors import LatticePointError, NearPoleError
 from hurwitztau.samples import random_covering1

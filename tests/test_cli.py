@@ -325,6 +325,21 @@ class TestFewCriticalPoints:
         assert rep["hamiltonians"]["status"] == "checked"
 
 
+class TestCloseHighOrderPoles:
+    # two order-5 poles 1e-5 apart: R(f, g)'s pole/flat factor underflows, so it is
+    # taken in logarithms; the critical points lie too near the poles to verify (S2)
+    SPEC = {"genus": 0, "profile": [1, 5, 5], "poly_coeffs": [],
+            "poles": [{"b": [0, 0], "c": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]},
+                      {"b": [1e-5, 0], "c": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]}]}
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_exits_3_at_s2(self, command, tmp_path, capsys):
+        rc = main([command, _write(tmp_path, "close.json", self.SPEC)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and "boundary point (S2)" in err
+
+
 class TestStrictJson:
     """``analyze --json`` and ``sweep --json`` print no ``NaN`` or ``Infinity``."""
 

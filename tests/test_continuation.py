@@ -2,7 +2,7 @@
 
 The global genus-1 zero search is counted by wrapping
 ``cover1.elliptic_zeros``, and the genus-0 solves by wrapping
-``cover0.critical_data`` and its ``critical_data_many`` hook.  Every
+``cover0._roots``, where every genus-0 solve finds its roots.  Every
 continued route ratio is compared with the ratio from a fresh global solve
 at the same covering.  The theta and sigma evaluations of a genus-1 check
 are counted by wrapping ``elliptic._theta1_raw`` and ``cover1.sigma_w``,
@@ -170,21 +170,16 @@ class TestSeededCriticalData:
 
 @pytest.fixture()
 def solves0(monkeypatch):
-    """Coverings solved since set up: globally by ``cover0.critical_data``, and from
-    seeds by the ``cover0.critical_data_many`` hook (calls on one profile only)."""
+    """Genus-0 root solves since set up: global (seeds None) and seeded, counted where
+    ``cover0.critical_data_many`` and ``cover0.critical_round`` both find their roots."""
     count = {"global": 0, "seeded": 0}
-    orig, orig_many = cover0.critical_data, cover0.critical_data_many
+    orig = cover0._roots
 
-    def counted(c, seeds=None):
-        count["global"] += seeds is None
-        return orig(c, seeds)
+    def counted(row, seeds):
+        count["global" if seeds is None else "seeded"] += 1
+        return orig(row, seeds)
 
-    def counted_many(coverings, seeds):
-        count["seeded"] += sum(s is not None for s in seeds)
-        return orig_many(coverings, seeds)
-
-    monkeypatch.setattr(cover0, "critical_data", counted)
-    monkeypatch.setattr(cover0, "critical_data_many", counted_many)
+    monkeypatch.setattr(cover0, "_roots", counted)
     return count
 
 
@@ -219,14 +214,21 @@ def _sweep20_g0(cov):
 
 
 class TestGenus0:
-    def test_check_makes_one_global_solve(self, g0_32, tmp_path, capsys, solves0):
+    def test_check_makes_one_global_solve(self, monkeypatch, g0_32, tmp_path, capsys, solves0):
+        built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
+        logs = _calls(monkeypatch, cover0, "log_resultant")
+        evals = _calls(monkeypatch, cover0, "eval_p_derivs")
         spec = tmp_path / "g0.json"
         spec.write_text(json.dumps(covering_to_spec(g0_32)))
         assert main(["check", str(spec)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        # the base analysis solves globally; the 4 other sweep steps continue
-        # from it in one round
+        # one round: the base covering solves globally and the 4 other sweep steps
+        # continue from it; f and g, R(f, g), R(f, f') and the order-4 frame rows of
+        # all 5 come from one call each
         assert solves0 == {"global": 1, "seeded": 4}
+        assert [len(cs) for (cs,) in built] == [5]
+        assert [len(fs) for fs, _ in logs] == [5, 5]
+        assert [len(cs) for cs, _, n_max in evals if n_max == 4] == [5]
 
     def test_sweep_ratios_match_global(self, g0_32, solves0):
         table = _sweep20_g0(g0_32)
@@ -245,9 +247,11 @@ class TestGenus0:
     def test_failed_step_of_the_round_solves_alone(self, monkeypatch, g0_32, solves0, routed):
         # the round solves the sweep steps 0, 1, 3 and 4 in that order; step 1 stalls
         _failing_seeded_solve(monkeypatch, failing_call=2)
+        built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
         checks = isomon.identity_report(g0_32)
         assert all(c.passed for c in checks)
         assert solves0 == {"global": 2, "seeded": 4}
+        assert [len(cs) for (cs,) in built] == [5, 1]  # the round, then step 1 alone
         sweep = _sweep_rows(routed, g0_32)
         assert len(sweep) == 4
         cov1, row1 = sweep[1]
@@ -354,8 +358,9 @@ class TestGenus0OncePerSolve:
     def test_identity_report_stacks_log_resultants(self, monkeypatch, g0_32):
         logs = _calls(monkeypatch, cover0, "log_resultant")
         isomon.identity_report(g0_32)
-        # one for the base analysis, one stacked call for the sweep round
-        assert [len(fs) for fs, _ in logs] == [1, 4]
+        # R(f, g), then R(f, f'): one stacked call each for the base covering and
+        # the 4 other sweep steps
+        assert [len(fs) for fs, _ in logs] == [5, 5]
 
     def test_caustic_orders_solve_each_ray_in_one_call(self, monkeypatch):
         cov = random_covering0((2, 1, 1), seed=7)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import profile_constant
 from hurwitztau import isomon
 from hurwitztau.cover0 import (
     Covering0,
@@ -16,7 +17,6 @@ from hurwitztau.cover0 import (
     flat_coords,
     gamma,
     p_prime_as_ratio,
-    profile_constant,
     reject_ill_conditioned,
     set_param,
     tau_product,
@@ -191,6 +191,14 @@ class TestBoundaryConstant:
         cd = critical_data(cov)
         assert len(cd.pts) == cov.dim
         assert abs(abs(cd.resultant_ratio) / profile_constant(cov) - 1.0) < 1e-6
+
+    def test_ratio_survives_a_factor_below_double_precision(self, quiet_caustic):
+        # two order-5 poles 1e-5 apart: R(f, g) and its pole/flat factor, near e^-810
+        # and e^-732, underflow; their ratio, taken in logarithms, does not
+        top = (1, 0, 0, 0, 1)
+        cov = Covering0((1, 5, 5), (), (Pole(0, top), Pole(1e-5, top)))
+        cd = critical_data(cov)
+        assert abs(abs(cd.resultant_ratio) / profile_constant(cov) - 1.0) < 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_generic_instances_with_two_order_four_poles(self, seed):

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 import oracles
+from oracles import theta1, zeta_w
 from hurwitztau import elliptic
 from hurwitztau.elliptic import (
     Modulus,
@@ -16,11 +17,9 @@ from hurwitztau.elliptic import (
     log_dedekind_eta,
     reduce_to_cell,
     sigma_w,
-    theta1,
     theta1_derivs,
     wp,
     zeta_derivs,
-    zeta_w,
 )
 from hurwitztau.errors import LatticePointError
 from hurwitztau.samples import random_covering1

@@ -7,6 +7,7 @@ differences with one Richardson level) over the analyses that
 reference it is compared with.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -16,9 +17,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import zeta_sigma_derivs
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cli import main
-from hurwitztau.elliptic import Modulus, weierstrass_context, zeta_derivs, zeta_sigma_derivs
+from hurwitztau.elliptic import Modulus, weierstrass_context, zeta_derivs
 from hurwitztau.errors import CountMismatchError
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
@@ -124,7 +126,8 @@ class TestIdentityErrors:
 class TestOneAnalysis:
     @pytest.mark.parametrize("name", ["h0_surf", "g1(2,1)"])
     def test_identity_report_runs_no_fd(self, name, monkeypatch):
-        calls = {"analyze": 0, "parameter_derivatives": 0}
+        # the one analysis comes from the critical-data round, not from analyze
+        calls = {"_analysis": 0, "analyze": 0, "parameter_derivatives": 0}
         for fn in calls:
             real = getattr(isomon, fn)
 
@@ -134,17 +137,31 @@ class TestOneAnalysis:
 
             monkeypatch.setattr(isomon, fn, counted)
         isomon.identity_report(NAMED[name]())
-        assert calls == {"analyze": 1, "parameter_derivatives": 0}
+        assert calls == {"_analysis": 1, "analyze": 0, "parameter_derivatives": 0}
 
     def test_genus0_sweep_builds_p_prime_once_per_step(self, monkeypatch):
         cov = random_covering0((3, 2), 3)
         calls = []
         real = cover0.p_prime_as_ratio
-        monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda cs: calls.extend(cs) or real(cs))
+        monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda cs: calls.append(cs) or real(cs))
         isomon.identity_report(cov)
-        # the base analysis, then one per sweep step; the middle step is the
-        # covering itself and reuses the base analysis
-        assert len(calls) == 1 + 4
+        # one build for the base covering and the 4 other sweep steps; the middle
+        # step is the covering itself
+        assert [len(cs) for cs in calls] == [1 + 4]
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_check_analysis_is_analyze_bit_for_bit(self, name, monkeypatch, quiet_caustic):
+        # check verifies the analysis that analyze reports: the base covering's data
+        # from the shared round equals its data from a round of its own
+        cov = NAMED[name]()
+        made = []
+        real = isomon._analysis
+        monkeypatch.setattr(isomon, "_analysis", lambda c, cd: made.append(real(c, cd)) or made[-1])
+        isomon.identity_report(cov)
+        want = isomon.analyze(cov)
+        assert len(made) == 2 and made[1] == want  # the report's, then analyze's
+        for field in dataclasses.fields(isomon.Analysis):
+            assert repr(getattr(made[0], field.name)) == repr(getattr(want, field.name)), field.name
 
 
 class TestRouteAOnce:

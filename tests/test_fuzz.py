@@ -2,7 +2,8 @@
 
 Genus 1: Im sigma in [0.11, 8], Re sigma in [-1/2, 1/2], one to three poles of orders
 1-5 anywhere in the cell.  Genus 0: a pole of order 1-5 at infinity and up to two
-finite ones.  Every coefficient has a modulus from 1e-6 to 1e6 (12 decades) and any
+finite ones in [-2, 2]^2, or two finite ones of orders 1-5 that nearly meet (1e-6 to
+1e-2 apart).  Every coefficient has a modulus from 1e-6 to 1e6 (12 decades) and any
 phase.  Whatever the spec, ``cli.main`` returns a documented exit code, raises nothing,
 prints exactly one stderr line with every exit but 0 and 1 (none with those), and
 ``analyze --json`` prints JSON that a strict parser reads.
@@ -13,6 +14,7 @@ the profile's 1000 (``conftest.py``).
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import json
@@ -58,14 +60,27 @@ def genus1_specs(draw) -> dict:
                        "c": [_pair(v) for v in tail]} for tail in tails]}
 
 
+def _genus0(draw, profile: list[int], bs: list[complex]) -> dict:
+    return {"genus": 0, "profile": profile,
+            "poly_coeffs": [_pair(draw(coefficients())) for _ in range(profile[0] - 1)],
+            "poles": [{"b": _pair(b), "c": [_pair(draw(coefficients())) for _ in range(k)]}
+                      for k, b in zip(profile[1:], bs)]}
+
+
 @st.composite
 def genus0_specs(draw) -> dict:
     profile = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    return {"genus": 0, "profile": profile,
-            "poly_coeffs": [_pair(draw(coefficients())) for _ in range(profile[0] - 1)],
-            "poles": [{"b": _pair(complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))),
-                       "c": [_pair(draw(coefficients())) for _ in range(k)]}
-                      for k in profile[1:]]}
+    return _genus0(draw, profile, [complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+                                   for _ in profile[1:]])
+
+
+@st.composite
+def close_pole_specs(draw) -> dict:
+    """Genus 0 with two finite poles of orders 1-5 that nearly meet: 1e-6 to 1e-2 apart."""
+    profile = [draw(st.integers(1, 5)) for _ in range(3)]
+    b = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    gap = 10.0 ** draw(st.floats(-6.0, -2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return _genus0(draw, profile, [b, b + gap])
 
 
 def _reject_constant(name: str):
@@ -85,7 +100,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 @FUZZ
-@given(spec=st.one_of(genus1_specs(), genus0_specs()))
+@given(spec=st.one_of(genus1_specs(), genus0_specs(), close_pole_specs()))
 def test_check_and_analyze_exit_cleanly(spec_path, spec):
     spec_path.write_text(json.dumps(spec, allow_nan=False), encoding="utf-8")
     for argv in (["check", str(spec_path)], ["analyze", str(spec_path), "--json"]):

@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 import oracles
+from oracles import zeta_w
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Pole
 from hurwitztau.cover1 import Covering1, tau_resultant
-from hurwitztau.elliptic import Modulus, lattice_distance, log_dedekind_eta, zeta_w
+from hurwitztau.elliptic import Modulus, lattice_distance, log_dedekind_eta
 from hurwitztau.errors import ContourClashError, HurwitzError
 from hurwitztau.samples import random_covering0, random_covering1
 

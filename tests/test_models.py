@@ -21,6 +21,7 @@ from hurwitztau.samples import random_covering0, random_covering1
 MODEL_NAMES = [
     "critical_data",
     "critical_data_many",
+    "critical_round",
     "reject_ill_conditioned",
     "flat_coords",
     "eval_p_derivs",

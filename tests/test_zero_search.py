@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import zeta_w
 from hurwitztau import cover1, elliptic
 from hurwitztau.elliptic import (
     Modulus,
@@ -24,7 +25,6 @@ from hurwitztau.elliptic import (
     elliptic_zeros,
     lattice_distance,
     wp,
-    zeta_w,
 )
 from hurwitztau.errors import ContourClashError, HurwitzError, NonConvergenceError
 from hurwitztau.poly import CPoly, RootSet
