@@ -9,9 +9,10 @@ Subcommands:
 
 ``check`` takes its gradient identities from exact lambda derivatives of one
 analysis (implicit differentiation at the critical points), so it has no
-step size to choose.  The commands do not ask for the genus: the report
-calls the genus module ``(cover0, cover1)[cov.genus]`` through the names
-both define.
+step size to choose.  Its cross-route sweep and ``sweep`` walk their segment
+alike: one critical-data round continued along the exact tangent.  The
+commands do not ask for the genus: the report calls the genus module
+``(cover0, cover1)[cov.genus]`` through the names both define.
 
 Covering spec files are JSON; complex numbers are two-element [re, im]
 arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error

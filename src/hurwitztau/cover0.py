@@ -51,7 +51,6 @@ __all__ = [
     "p_prime_as_ratio",
     "log_factorization_denominator",
     "critical_data",
-    "critical_data_many",
     "critical_round",
     "flat_coords",
     "tau_product",
@@ -378,38 +377,26 @@ def log_factorization_denominator(c: Covering0, fc: "FlatCoords0") -> complex:
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
     """Critical points (roots of f), critical values, f_m^2 and Schwarzians.
 
-    The one-covering case of ``critical_data_many``.  Without ``seeds`` the
-    roots come from a global solve, sorted.  With ``seeds`` (one per critical
-    point, such as the previous step of a sweep) Aberth starts from them and
-    point i continues seed i; a solve that stalls or whose iterates coincide
-    raises ``CountMismatchError``, so the caller can fall back to the global solve.
+    Without ``seeds`` the roots come from a global solve, sorted.  With
+    ``seeds`` (one per critical point) Aberth starts from them and point i
+    continues seed i; a solve that stalls or whose iterates coincide raises
+    ``CountMismatchError``.
     """
-    (cd,) = critical_data_many([c], [seeds])
-    if cd is None:
+    fs, gs = p_prime_as_ratio([c])
+    pts = _roots(fs[0], seeds)
+    if pts is None:
         raise CountMismatchError("seeded root solve stalled or its iterates coincided")
-    return cd
-
-
-def critical_data_many(coverings: Sequence[Covering0], seeds) -> list[CriticalData0 | None]:
-    """``critical_data(c, seeds=s)`` of several coverings, None where a seeded solve fails.
-
-    Coverings of one profile share one f/g build and one data pass; the roots
-    are solved covering by covering (globally where s is None).  Mixed
-    profiles go one at a time.
-    """
-    if len({c.profile for c in coverings}) > 1:
-        return [critical_data_many([c], [s])[0] for c, s in zip(coverings, seeds)]
-    fs, gs = p_prime_as_ratio(coverings)
-    return _raised(_critical_data_at(coverings, [_roots(f, s) for f, s in zip(fs, seeds)], fs, gs))
+    return _raised(_critical_data_at([c], [pts], fs, gs))[0]
 
 
 def critical_round(coverings: Sequence[Covering0], predict) -> list:
     """Critical data of ``coverings[0]``, solved globally, and of the others (of its profile),
     seeded with ``predict(its critical points)``, from one f/g build and one data pass.
-    None stands for a failed seeded solve and the error for a covering whose data fails."""
+    A covering whose seeded solve fails solves globally; the error of a covering whose
+    solve or data fails stands in its place."""
     fs, gs = p_prime_as_ratio(coverings)
-    pts = _roots(fs[0], None)
-    found = [pts] + [_roots(f, s) for f, s in zip(fs[1:], predict(pts))]
+    (pts,) = _raised([_roots(fs[0], None)])
+    found = [pts] + [_roots(f, s) or _roots(f, None) for f, s in zip(fs[1:], predict(pts))]
     return _critical_data_at(coverings, found, fs, gs)
 
 
@@ -421,24 +408,23 @@ def _raised(cds: list) -> list:
     return cds
 
 
-def _roots(row: np.ndarray, seeds) -> list[complex] | None:
+def _roots(row: np.ndarray, seeds) -> list[complex] | NonConvergenceError | None:
     """The roots of the f of coefficient row ``row`` continuing ``seeds``, sorted from a
-    global solve where they are None; None where a seeded solve fails."""
+    global solve where they are None; None where a seeded solve fails, and the error
+    where the global solve fails."""
     try:
         roots = list(all_roots(CPoly(tuple(row.tolist())), start=seeds).roots)
-    except NonConvergenceError:
-        if seeds is None:
-            raise
-        return None
+    except NonConvergenceError as exc:
+        return exc if seeds is None else None
     return roots if seeds is not None else _sort_points(roots)
 
 
 def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
-    """Data phase: critical data of each covering at the roots ``found`` of its f (None where
-    None), from one stacked R(f, g), one stacked R(f, f') and one frame evaluation; R(f, g)
-    enters in logarithms.  A covering whose data fails holds its error."""
-    out: list = [None] * len(coverings)
-    keep = [k for k, pts in enumerate(found) if pts is not None]
+    """Data phase: critical data of each covering at the roots ``found`` of its f (its error
+    where that is one), from one stacked R(f, g), one stacked R(f, f') and one frame
+    evaluation; R(f, g) enters in logarithms.  A covering whose data fails holds its error."""
+    out: list = [pts if isinstance(pts, Exception) else None for pts in found]
+    keep = [k for k, pts in enumerate(found) if out[k] is None]
     if not keep:
         return out
     # off the boundary R(f, g) is its pole/flat factorization times the profile

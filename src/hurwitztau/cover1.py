@@ -49,7 +49,7 @@ from .elliptic import (
     weierstrass_context,
     zeta_derivs,
 )
-from .errors import CountMismatchError, NearPoleError, OnBoundaryError
+from .errors import CountMismatchError, HurwitzError, NearPoleError, OnBoundaryError
 
 __all__ = [
     "Covering1",
@@ -59,7 +59,6 @@ __all__ = [
     "eval_p_derivs",
     "eval_param_derivs",
     "critical_data",
-    "critical_data_many",
     "critical_round",
     "reject_ill_conditioned",
     "flat_coords",
@@ -162,7 +161,7 @@ def eval_p_derivs(c: Covering1 | Sequence[Covering1], z, n_max: int):
 
 def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray]:
     """p, ..., p^(3) at the points z, and d/d theta of [p, p', p''] for each
-    path theta of ``deformation_params``, from one zeta evaluation.
+    path theta of ``params``, from one zeta evaluation.
 
     z and the pole positions are held fixed (z is the uniformizing
     coordinate).  Returns the rows, shape (4, len(z)), and the partials,
@@ -187,7 +186,7 @@ def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray]:
         blocks[f"poles.{i}.c.0"] = zd[:3, i] - zd[:3, -1]
         for a in range(1, pole.order):
             blocks[f"poles.{i}.c.{a}"] = zd[a: a + 3, i]
-    return rows, np.array([blocks[path] for path in deformation_params(c)], dtype=complex)
+    return rows, np.array([blocks[path] for path in params(c)], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -224,54 +223,56 @@ def _sort_cell_points(pts: list[complex], sigma: complex) -> list[complex]:
 def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> CriticalData1:
     """All M = l + N zeros of p' in the fundamental cell, with frame data.
 
-    Zeros come from the global search ``elliptic.elliptic_zeros`` (contour
-    moments seeding an elliptic Aberth polish, ``ContourClashError`` when no
-    contour yields every zero), or with ``seeds`` from the one-covering case
-    of ``critical_data_many``, whose failure raises ``CountMismatchError``.
+    Zeros come from the global search ``elliptic.elliptic_zeros`` (contour moments seeding an
+    elliptic Aberth polish, ``ContourClashError`` when no contour yields every zero), or with
+    ``seeds`` from Newton lanes: lane m steps from seeds[m] by p'/p'' (capped at 0.2, at most
+    60 steps) to 1e-14*(1 + |seed|).  M converged, distinct lanes are the M zeros; a lane that
+    does not converge, collapses or reaches a pole raises ``CountMismatchError``.
     """
     if seeds is None:
         return critical_round([c], lambda zs: [])[0]
-    (cd,) = critical_data_many([c], [seeds])
+    if len(seeds) != c.dim:
+        raise ValueError("seed count must equal the moduli dimension")
+    try:
+        (cd,) = _critical_data_at([c], _seeded_zeros([c], [seeds]))
+    except NearPoleError:
+        cd = None
     if cd is None:
         raise CountMismatchError("a seeded lane did not converge, collapsed or hit a pole")
     return cd
 
 
-def critical_data_many(coverings: Sequence[Covering1],
-                       seeds: Sequence[tuple[complex, ...]]) -> list[CriticalData1 | None]:
-    """``critical_data(c, seeds=s)`` of several coverings, None where it fails.
-
-    Lane m of covering k steps from seeds[k][m] by p'/p'' (capped at 0.2, at most 60 steps)
-    to its tolerance 1e-14*(1 + |seed|); M converged, distinct lanes are all M zeros.  One
-    lane run and one frame evaluation serve coverings of one modulus and one profile; a lane
-    that does not converge, collapses or reaches a pole fails its own covering only.
-    """
-    if any(len(s) != c.dim for c, s in zip(coverings, seeds)):
-        raise ValueError("seed count must equal the moduli dimension")
-    if len({(c.modulus, c.profile) for c in coverings}) == 1:
-        try:
-            return _critical_data_at(coverings, _seeded_zeros(coverings, seeds))
-        except NearPoleError:
-            if len(coverings) == 1:
-                return [None]
-    # one covering at a time, so that a lane at a pole fails its own covering only
-    return [critical_data_many([c], [s])[0] for c, s in zip(coverings, seeds)]
-
-
-def critical_round(coverings: Sequence[Covering1], predict) -> list[CriticalData1 | None]:
-    """``cover0.critical_round`` at genus 1: the global search, the lanes of ``critical_data_many``
-    and one ``_critical_data_at``, or where a zero or a lane reaches a pole, the first covering's
-    data alone and then the others'.  A data error (the frame rows overflow) raises here."""
+def critical_round(coverings: Sequence[Covering1], predict) -> list:
+    """``cover0.critical_round`` at genus 1: the global search, then one lane run (as in
+    ``critical_data``) and one ``_critical_data_at`` for coverings of one modulus; for mixed
+    moduli, or where a zero or a lane reaches a pole, the first covering alone and the others one
+    at a time through ``critical_data(c, s)``.  A covering whose lanes fail searches globally,
+    the error of that search in its place; a data error (the frame rows overflow) raises here."""
     c = coverings[0]
     # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): the principal parts of a pole of order k_i + 1
     zs = _sort_cell_points(elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles]),
                            c.modulus.sigma)
     seeds = predict(zs)
+    cds = None
+    if len({cv.modulus for cv in coverings}) == 1:
+        try:
+            moved = _seeded_zeros(coverings[1:], seeds) if seeds else ()
+            cds = _critical_data_at(coverings, np.array([zs, *moved]))
+        except NearPoleError:
+            pass
+    if cds is None:
+        cds = _critical_data_at([c], np.array([zs])) + [
+            _or_error(critical_data, cv, s) for cv, s in zip(coverings[1:], seeds)]
+    return cds[:1] + [cd if isinstance(cd, CriticalData1) else _or_error(critical_data, cv)
+                      for cv, cd in zip(coverings[1:], cds[1:])]
+
+
+def _or_error(fn, *args):
+    """``fn(*args)``, or the ``HurwitzError`` it raises."""
     try:
-        moved = _seeded_zeros(coverings[1:], seeds) if seeds else ()
-        return _critical_data_at(coverings, np.array([zs, *moved]))
-    except NearPoleError:
-        return _critical_data_at([c], np.array([zs])) + critical_data_many(coverings[1:], seeds)
+        return fn(*args)
+    except HurwitzError as exc:
+        return exc
 
 
 def _seeded_zeros(coverings: Sequence[Covering1], seeds) -> np.ndarray:
@@ -402,20 +403,22 @@ def tau_resultant_many(coverings: Sequence[Covering1],
 def _sigma_args(c: Covering1, cd: CriticalData1) -> list[np.ndarray]:
     """Route B's sigma_w arguments: z_r - z_s, b_1 - b_j, b_1 - z_m and b_i - b_j.
 
-    The zero representatives are shifted by a lattice vector so their sum
+    The zero representatives are shifted by lattice vectors so their sum
     matches the pole divisor exactly, which makes route B independent of the
     fundamental-cell choice.
     """
     sigma = c.modulus.sigma
-    zs = list(cd.pts)
-    diff = sum((k + 1) * p.b for k, p in zip(c.profile, c.poles)) - sum(zs)
+    diff = sum((k + 1) * p.b for k, p in zip(c.profile, c.poles)) - sum(cd.pts)
     mu, nu = (round(x) for x in cell_coords(diff, sigma))
     if abs(diff - mu - nu * sigma) > 1e-6 * (1.0 + abs(sigma)):
         raise CountMismatchError(
             "critical divisor does not match the pole divisor modulo the lattice"
         )
-    zs[-1] = cd.pts[-1] + mu + nu * sigma
-    zs = np.array(zs)
+    # mu + nu sigma spread one lattice unit per zero from the last one on: no difference
+    # z_r - z_s grows with it (one zero moved by 3 sigma underflows sigma_w on a thick torus)
+    m = len(cd.pts)
+    units = [[int(math.copysign((abs(n) + j) // m, n)) for j in range(m)] for n in (mu, nu)]
+    zs = np.array([z + a + b * sigma for z, a, b in zip(cd.pts, *units)])
     bs = np.array([p.b for p in c.poles])
     return [(zs[:, None] - zs[None, :])[~np.eye(len(zs), dtype=bool)], bs[0] - bs[1:],
             bs[0] - zs, (bs[:, None] - bs[None, :])[~np.eye(len(bs), dtype=bool)]]

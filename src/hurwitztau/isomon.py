@@ -7,10 +7,11 @@ values) from the implicit function theorem at the critical points, which
 the identity suite uses.  Route A's tau and G come from ``cover0.route_a``
 alone: ``analyze`` reports it on principal logarithms, and
 ``exact_parameter_derivatives`` differentiates it by applying it to rows of
-logarithmic derivatives.  ``parameter_derivatives`` (central differences
-over the covering parameters) drives the finite-difference reference in
-``tests/oracles.py``; it stays here while ``perfbench/tracer.py`` wraps it
-by name.
+logarithmic derivatives.  The identity sweep and the sweep command solve
+their segment in one critical-data round, ``_segment_round``.
+``parameter_derivatives`` (central differences over the covering
+parameters) drives the finite-difference reference in ``tests/oracles.py``;
+it stays here while ``perfbench/tracer.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -279,12 +280,14 @@ def exact_parameter_derivatives(an: Analysis, partials=None) -> tuple[list[str],
     (h_s^k_s is proportional to it), and so does t_s.  T, log tau^-48 and G
     are ``route_a`` of the rows d log f_m^2, d log h_s = d log t_s and
     d log eta = eta_tilde d sigma.  ``partials`` is the model's
-    ``eval_param_derivs`` at the analysis' points where the caller has it.
+    ``eval_param_derivs`` at the analysis' points where the caller has it;
+    its rows of the ``params`` paths outside ``deformation_params`` are dropped.
     """
     cov = an.covering
     model = (cover0, cover1)[an.genus]
-    paths = model.deformation_params(cov)
-    rows, dp = partials or model.eval_param_derivs(cov, np.array(an.pts))  # (4, M), (P, 3, M)
+    paths, table = model.deformation_params(cov), list(model.params(cov))
+    rows, dp = partials or model.eval_param_derivs(cov, np.array(an.pts))  # (4, M), (P', 3, M)
+    dp = dp[[table.index(path) for path in paths]]
     p2, p3 = rows[2], rows[3]
     dz = -dp[:, 1] / p2
     dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
@@ -335,11 +338,29 @@ def _sweep_offsets(covering: Covering, path: str, phase: float) -> list[complex]
             for s in range(SWEEP_STEPS) if s != SWEEP_STEPS // 2]
 
 
-def _sweep_coverings(covering: Covering, path: str, phase: float) -> list[Covering]:
-    """The identity sweep's steps but the middle one, ``covering`` itself: ``_sweep_offsets``."""
+def _moved(covering: Covering, path: str, moves: Sequence[complex]) -> list[Covering]:
+    """``covering`` with ``path`` moved by each of ``moves``."""
     model = (cover0, cover1)[covering.genus]
     v0 = model.params(covering)[path]
-    return [model.set_param(covering, path, v0 + d) for d in _sweep_offsets(covering, path, phase)]
+    return [model.set_param(covering, path, v0 + d) for d in moves]
+
+
+def _segment_round(base: Covering, path: str, moves, others) -> tuple[list, tuple]:
+    """Critical data of ``base`` and of ``others``, ``base`` with ``path`` moved by ``moves``, from
+    one ``critical_round``: ``base`` solves globally and each other covering continues
+    z_m + move * dz_m/d path.  Returns the data, in that order, and the model's
+    ``eval_param_derivs`` at the base points, which give dz and ``exact_parameter_derivatives``."""
+    model = (cover0, cover1)[base.genus]
+    partials = []
+
+    def predict(pts) -> list[np.ndarray]:
+        partials.append(model.eval_param_derivs(base, np.array(pts)))
+        rows, dp = partials[0]
+        tangent = -dp[list(model.params(base)).index(path), 1] / rows[2]
+        return [np.array(pts) + move * tangent for move in moves]
+
+    cds = model.critical_round([base, *others], predict)
+    return cds, partials[0]
 
 
 def _rel_error(diff, ref) -> float:
@@ -379,34 +400,23 @@ def _route_rows(coverings: Sequence[Covering], cds: Sequence, tas=None) -> list[
             for cov, cd, tb, ta in zip(coverings, cds, tbs, tas or [None] * len(cds))]
 
 
-def _continued(coverings: Sequence[Covering], seeds) -> list:
-    """Critical data of each covering from its seeds in one call; failures solve globally alone."""
-    model = (cover0, cover1)[coverings[0].genus]
-    cds = [None] * len(coverings) if seeds[0] is None else model.critical_data_many(coverings, seeds)
-    return [cd or model.critical_data(cov) for cov, cd in zip(coverings, cds)]
-
-
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     """Coverings and cross-route tau data along a straight parameter segment.
 
-    Returns (step index, covering, dict of per-step scalars) triples.  Used
-    by the sweep command; raises the underlying boundary/caustic errors at
-    the offending step (``OnBoundaryError`` for a step too near S2 to
-    verify, the model's ``reject_ill_conditioned``), and ``ValueError`` for
-    fewer than 2 steps.
+    Returns (step index, covering, dict of per-step scalars) triples for the
+    sweep command, from one ``_segment_round`` based at step 0.  Raises the
+    underlying boundary/caustic errors of the first offending step
+    (``OnBoundaryError`` for a step too near S2 to verify, the model's
+    ``reject_ill_conditioned``), and ``ValueError`` for fewer than 2 steps.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     model = (cover0, cover1)[covering.genus]
     v0 = model.params(covering)[path]
-    coverings = [
-        model.set_param(covering, path, v0 + (target - v0) * (s / (steps - 1)))
-        for s in range(steps)
-    ]
-    cds = []
-    for cov in coverings:  # each step continues the one before; the first solves globally
-        cds += _continued([cov], [cds[-1].pts if cds else None])
-    rows = _route_rows(coverings, cds)
+    moves = [(target - v0) * (s / (steps - 1)) for s in range(steps)]
+    coverings = _moved(covering, path, moves)
+    cds, _ = _segment_round(coverings[0], path, moves[1:], coverings[1:])
+    rows = _route_rows(coverings, _raised(cds))
     for cov, row in zip(coverings, rows):
         model.reject_ill_conditioned(cov, row["pts"])
     return list(zip(range(steps), coverings, rows))
@@ -437,11 +447,11 @@ def identity_report(
     Gradient identities use the exact lambda derivatives of the one analysis;
     the cross-route constancy identities run a short deterministic parameter
     sweep of SWEEP_STEPS coverings around the instance, the middle one the
-    covering itself.  All make one critical-data round (``critical_round``):
-    the covering solves globally, each other step continues its points from
-    z_m + move * dz_m/d path (dz of ``exact_parameter_derivatives``), and one
-    data pass serves them all.  A step that cannot be built, or at genus 0
-    whose data fails, raises after the checks at the covering, whose own
+    covering itself.  All make one critical-data round (``_segment_round``,
+    as the sweep command does): the covering solves globally, each other step
+    continues its points along the exact tangent, and one data pass serves
+    them all.  A step that cannot be built, or whose global fallback or (at
+    genus 0) data fails, raises after the checks at the covering, whose own
     errors come first.  A not-None ``tol`` replaces every default.  A covering
     whose critical points sit too near a pole to verify (the model's
     ``reject_ill_conditioned``) raises ``OnBoundaryError``.
@@ -451,23 +461,16 @@ def identity_report(
     path = model.default_sweep_param(covering)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     try:  # an error here raises where the sweep starts, after the checks at the covering
-        sweep, sweep_error = _sweep_coverings(covering, path, phase), None
+        moves = _sweep_offsets(covering, path, phase)
+        sweep, sweep_error = _moved(covering, path, moves), None
     except (HurwitzError, KeyError) as exc:  # KeyError: no sweep path where M = 0
-        sweep, sweep_error = [], exc
-    partials = []
-
-    def predict(pts) -> list[np.ndarray]:
-        partials.append(model.eval_param_derivs(covering, np.array(pts)))
-        (rows, dp), moves = partials[0], _sweep_offsets(covering, path, phase)[: len(sweep)]
-        tangent = -dp[model.deformation_params(covering).index(path), 1] / rows[2]
-        return [np.array(pts) + move * tangent for move in moves]
-
-    cds = model.critical_round([covering, *sweep], predict)
+        moves, sweep, sweep_error = [], [], exc
+    cds, partials = _segment_round(covering, path, moves, sweep)
     an = _analysis(covering, *_raised(cds[:1]))
     model.reject_ill_conditioned(covering, an.pts)
     iso = build_isomonodromy(covering, an)
     B, Binf = iso.bergmann, iso.bergmann_poles
-    _, pderivs, _ = exact_parameter_derivatives(an, partials[0])
+    _, pderivs, _ = exact_parameter_derivatives(an, partials)
     d = _chain_to_lambda(pderivs)
     m = len(an.lam)
     lam = np.array(an.lam)
@@ -529,11 +532,11 @@ def identity_report(
         checks.append(IdentityCheck("modulus-flow", err, tolerance("modulus-flow"),
                                     "d sigma / d lambda_k vs pi i f_k^2"))
 
-    # cross-route constancy; a failed seeded solve solves globally alone, and the
-    # middle step takes its critical data and route A from the analysis
+    # cross-route constancy; the middle step takes its critical data and route A
+    # from the analysis
     if sweep_error is not None:
         raise sweep_error
-    cds = [cd or model.critical_data(cov) for cov, cd in zip(sweep, _raised(cds[1:]))]
+    cds = _raised(cds[1:])
     mid = SWEEP_STEPS // 2
     rows = _route_rows(sweep[:mid] + [covering] + sweep[mid:],
                        cds[:mid] + [an.critical] + cds[mid:],

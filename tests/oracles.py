@@ -272,7 +272,7 @@ def per_pole_param_derivs(cov, z) -> np.ndarray:
 
     The reference for the partials of ``cover1.eval_param_derivs``: per pole
     one ``zeta_derivs`` and one ``zeta_sigma_derivs`` call.  Shape
-    (P, 3, len(z)), rows in ``cover1.deformation_params`` order.
+    (P, 3, len(z)), rows in ``cover1.params`` order.
     """
     pts = np.asarray(z, dtype=complex)
     ctx = cov.ctx
@@ -286,7 +286,7 @@ def per_pole_param_derivs(cov, z) -> np.ndarray:
         blocks[f"poles.{i}.c.0"] = zd[:3] - zetas[-1][:3]
         for a in range(1, pole.order):
             blocks[f"poles.{i}.c.{a}"] = zd[a: a + 3]
-    return np.array([blocks[path] for path in cover1.deformation_params(cov)], dtype=complex)
+    return np.array([blocks[path] for path in cover1.params(cov)], dtype=complex)
 
 
 def per_point_p_derivs0(cov, z: complex, n_max: int) -> list[complex]:

@@ -1,5 +1,10 @@
 """Sweeps continue the critical points instead of solving again, at both genera.
 
+``sweep_ratios`` and ``identity_report`` walk their segment in one
+``critical_round``: the first covering solves globally, the others continue
+from tangent-predicted seeds, and a covering whose seeded solve fails solves
+globally inside the round.
+
 The global genus-1 zero search is counted by wrapping
 ``cover1.elliptic_zeros``, and the genus-0 solves by wrapping
 ``cover0._roots``, where every genus-0 solve finds its roots.  Every
@@ -134,7 +139,8 @@ class TestSweepRatios:
         _assert_ratios_match_global([(cov, row) for _, cov, row in table])
 
     def test_unconverged_lane_falls_back(self, monkeypatch, g1_21, searches):
-        _failing_lane(monkeypatch, failing_call=2)
+        # the one lane run holds steps 1..19 in turn: lane M is the first lane of step 2
+        _failing_lane(monkeypatch, failing_call=1, lane=g1_21.dim)
         table = _sweep20(g1_21)
         # step 0 searches; step 2's continuation fails and searches again
         assert searches["n"] == 2
@@ -144,12 +150,42 @@ class TestSweepRatios:
 
     def test_collapsed_seeds_fall_back(self, g1_21, searches):
         cov = g1_21
-        z0 = cover1.critical_data(cov).pts
-        assert searches["n"] == 1
-        (cd,) = isomon._continued([cov], [(z0[0],) * len(z0)])
-        (row,) = isomon._route_rows([cov], [cd])
-        assert searches["n"] == 2
-        assert row["route_ratio"] == _global_ratio(cov)
+        (step,) = _sweep_steps(cov, 1)
+        _, cd = cover1.critical_round([cov, step], lambda zs: [(zs[0],) * len(zs)])
+        assert searches["n"] == 2  # the base and the collapsed step
+        assert cd.pts == cover1.critical_data(step).pts
+
+    @pytest.mark.parametrize("path, move", [("modulus", 0.3), ("modulus", 0.4j),
+                                            ("poles.0.b", 0.3 + 0.2j), ("constant", 2.0)])
+    def test_genus1_paths_match_global(self, g1_21, path, move):
+        # a modulus sweep changes sigma at every step: its round solves one step at a time
+        v0 = cover1.params(g1_21)[path]
+        table = isomon.sweep_ratios(g1_21, path, v0 + move * max(1.0, abs(v0)), 8)
+        _assert_ratios_match_global([(cov, row) for _, cov, row in table])
+
+
+class TestOneRoundPerWalk:
+    """``sweep_ratios`` and ``identity_report`` reach the critical data through one round."""
+
+    @pytest.mark.parametrize("walk", ["sweep", "check"])
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_one_critical_round(self, monkeypatch, walk, genus, g0_32, g1_21):
+        cov, model = (g0_32, cover0) if genus == 0 else (g1_21, cover1)
+        rounds = _calls(monkeypatch, model, "critical_round")
+        built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
+        lanes = _calls(monkeypatch, cover1, "_iterate_lanes")
+        if walk == "sweep":
+            path = model.default_sweep_param(cov)
+            v0 = model.params(cov)[path]
+            steps = len(isomon.sweep_ratios(cov, path, v0 + 0.3 * max(1.0, abs(v0)), 20))
+        else:
+            isomon.identity_report(cov)
+            steps = isomon.SWEEP_STEPS
+        assert [len(coverings) for coverings, _ in rounds] == [steps]
+        if genus == 0:
+            assert [len(coverings) for (coverings,) in built] == [steps]
+        else:
+            assert not built and len(lanes) == 1
 
 
 class TestSeededCriticalData:
@@ -171,7 +207,7 @@ class TestSeededCriticalData:
 @pytest.fixture()
 def solves0(monkeypatch):
     """Genus-0 root solves since set up: global (seeds None) and seeded, counted where
-    ``cover0.critical_data_many`` and ``cover0.critical_round`` both find their roots."""
+    ``cover0.critical_data`` and ``cover0.critical_round`` both find their roots."""
     count = {"global": 0, "seeded": 0}
     orig = cover0._roots
 
@@ -251,7 +287,7 @@ class TestGenus0:
         checks = isomon.identity_report(g0_32)
         assert all(c.passed for c in checks)
         assert solves0 == {"global": 2, "seeded": 4}
-        assert [len(cs) for (cs,) in built] == [5, 1]  # the round, then step 1 alone
+        assert [len(cs) for (cs,) in built] == [5]  # step 1 solves its row of the round again
         sweep = _sweep_rows(routed, g0_32)
         assert len(sweep) == 4
         cov1, row1 = sweep[1]
@@ -261,7 +297,7 @@ class TestGenus0:
 def _sweep_steps(cov, count):
     """The first ``count`` coverings of the identity sweep around ``cov``."""
     path = cover1.default_sweep_param(cov)
-    return isomon._sweep_coverings(cov, path, 0.7)[:count]
+    return isomon._moved(cov, path, isomon._sweep_offsets(cov, path, 0.7))[:count]
 
 
 @pytest.fixture(scope="module")
@@ -277,30 +313,34 @@ class TestStackedSolve:
         cov = {"h12": h12, "g1(2,1)": g1_21, "g1(1,1)": g1_11}[name]
         seeds = cover1.critical_data(cov).pts
         steps = _sweep_steps(cov, count)
-        stacked = cover1.critical_data_many(steps, [seeds] * count)
-        for step, cd in zip(steps, stacked):
+        stacked = cover1.critical_round([cov, *steps], lambda zs: [seeds] * count)
+        assert stacked[0].pts == seeds
+        for step, cd in zip(steps, stacked[1:]):
             one = cover1.critical_data(step, seeds=seeds)
             for field in ("pts", "lam", "fsq"):
                 got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
                 assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13, field
 
-    def test_lane_at_a_pole_isolates_its_covering(self, g1_21):
+    def test_lane_at_a_pole_isolates_its_covering(self, g1_21, searches):
         cov = g1_21
         seeds = cover1.critical_data(cov).pts
         steps = _sweep_steps(cov, 3)
         at_pole = (steps[1].poles[0].b,) + seeds[1:]
         with pytest.raises(NearPoleError):
             cover1.eval_p_derivs(steps[:2], [np.array(seeds), np.array(at_pole)], 2)
-        got = cover1.critical_data_many(steps, [seeds, at_pole, seeds])
-        assert got[1] is None
+        got = cover1.critical_round([cov, *steps], lambda zs: [seeds, at_pole, seeds])
+        # the covering with the lane at the pole searches globally; the others continue
+        assert searches["n"] == 3  # the seeds', the round's and the one fallback
+        assert got[2].pts == cover1.critical_data(steps[1]).pts
         for k in (0, 2):
             want = cover1.critical_data(steps[k], seeds=seeds)
-            assert np.max(np.abs(np.array(got[k].pts) - np.array(want.pts))) < 1e-13
+            assert np.max(np.abs(np.array(got[k + 1].pts) - np.array(want.pts))) < 1e-13
 
 
 def _sweep_steps0(cov, count):
     """The first ``count`` coverings of the identity sweep around a genus-0 ``cov``."""
-    return isomon._sweep_coverings(cov, cover0.default_sweep_param(cov), 0.7)[:count]
+    path = cover0.default_sweep_param(cov)
+    return isomon._moved(cov, path, isomon._sweep_offsets(cov, path, 0.7))[:count]
 
 
 class TestStackedSolve0:
@@ -310,32 +350,25 @@ class TestStackedSolve0:
         cov = random_covering0(profile, seed)
         seeds = cover0.critical_data(cov).pts
         steps = _sweep_steps0(cov, 4)
-        stacked = cover0.critical_data_many(steps, [seeds] * 4)
-        for step, cd in zip(steps, stacked):
+        stacked = cover0.critical_round([cov, *steps], lambda pts: [seeds] * 4)
+        assert stacked[0].pts == seeds
+        for step, cd in zip(steps, stacked[1:]):
             one = cover0.critical_data(step, seeds=seeds)
             for field in ("pts", "lam", "fsq"):
                 got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
                 assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12, field
             assert abs(cd.resultant_fg / one.resultant_fg - 1.0) < 1e-10
 
-    def test_coincident_seeds_fail_their_covering_only(self, g0_32):
+    def test_coincident_seeds_fail_their_covering_only(self, g0_32, solves0):
         seeds = cover0.critical_data(g0_32).pts
         steps = _sweep_steps0(g0_32, 3)
-        got = cover0.critical_data_many(steps, [seeds, (seeds[0],) * len(seeds), seeds])
-        assert got[1] is None
+        got = cover0.critical_round([g0_32, *steps],
+                                    lambda pts: [seeds, (seeds[0],) * len(seeds), seeds])
+        # the seeds' solve and the round's; step 1's seeded solve fails and solves globally
+        assert solves0 == {"global": 3, "seeded": 3}
+        assert got[2].pts == cover0.critical_data(steps[1]).pts
         for k in (0, 2):
-            assert got[k].pts == cover0.critical_data(steps[k], seeds=seeds).pts
-
-    def test_mixed_profiles_go_one_at_a_time(self, monkeypatch, g0_32):
-        coverings = [g0_32, random_covering0((2, 1, 1), 5), g0_32]
-        seeds = [cover0.critical_data(c).pts for c in coverings]
-        want = [cover0.critical_data(c, seeds=s) for c, s in zip(coverings, seeds)]
-        built = []
-        real = cover0.p_prime_as_ratio
-        monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda cs: built.append(len(cs)) or real(cs))
-        got = cover0.critical_data_many(coverings, seeds)
-        assert built == [1, 1, 1]
-        assert [cd.pts for cd in got] == [cd.pts for cd in want]
+            assert got[k + 1].pts == cover0.critical_data(steps[k], seeds=seeds).pts
 
 
 def _calls(monkeypatch, module, name: str) -> list:
@@ -405,16 +438,15 @@ class TestGenus1OncePerCheck:
         rows, partials = cover1.eval_param_derivs(cov, pts)
         want = oracles.per_pole_param_derivs(cov, pts)
         assert partials.shape == want.shape
-        for path, got_p, want_p in zip(cover1.deformation_params(cov), partials, want):
+        for path, got_p, want_p in zip(cover1.params(cov), partials, want):
             assert _rel(got_p, want_p) < 1e-12, path
         assert _rel(rows, cover1.eval_p_derivs(cov, pts, 3)) < 1e-12
 
     @pytest.mark.parametrize("name", ["h12", "g1(2,1)", "g1(1,1)"])
     def test_tau_resultant_many_matches_one_covering_calls(self, name, h12, g1_21, g1_11):
         cov = {"h12": h12, "g1(2,1)": g1_21, "g1(1,1)": g1_11}[name]
-        seeds = cover1.critical_data(cov).pts
         steps = [cov] + _sweep_steps(cov, 4)
-        cds = cover1.critical_data_many(steps, [seeds] * len(steps))
+        cds = cover1.critical_round(steps, lambda zs: [zs] * 4)
         many = cover1.tau_resultant_many(steps, cds)
         for step, cd, got in zip(steps, cds, many):
             one = cover1.tau_resultant(step, cd)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from hurwitztau import isomon
+from hurwitztau.cli import spec_to_covering
 from hurwitztau.cover0 import Pole
 from hurwitztau.cover1 import (
     Covering1,
@@ -389,9 +390,9 @@ class TestRouteBLogs:
         assert worst <= 1e-12
 
     def test_kappa_below_double_precision_stays_finite(self):
-        # pool spec g1-1.1.1-2 at Im sigma = 4: kappa is about e^-842, a float product
+        # a (3,2,1) spec at Im sigma = 4: kappa is about e^-837, a float product
         # underflows to 0, and the route ratio divided by it
-        base = random_covering1((1, 1, 1), 914002)
+        base = random_covering1((3, 2, 1), 5)
         cov = set_param(base, "modulus", complex(base.modulus.sigma.real, 4.0))
         an = isomon.analyze(cov)
         tb = tau_resultant(cov, an.critical)
@@ -401,3 +402,31 @@ class TestRouteBLogs:
         ratio = isomon.route_ratio(an.tau, tb)
         (base_row,) = isomon._route_rows([base], [critical_data(base)])
         assert abs(ratio / base_row["route_ratio"] - 1.0) < 1e-8
+
+    def test_thick_torus_spreads_the_lattice_shift_over_the_zeros(self):
+        # Im sigma = 5.87: the critical divisor is the pole divisor minus (-1 - 3 sigma).
+        # Put on one zero, the shift makes its z_r - z_s about 3 sigma long, sigma_w
+        # underflows there, and route B is -inf (CoincidentPointsError); spread one unit
+        # per zero, every identity holds
+        cov = spec_to_covering(THICK_TORUS)
+        an = isomon.analyze(cov)
+        tb = tau_resultant(cov, an.critical)
+        assert cmath.isfinite(tb.log_tau_inv48) and an.critical.min_point_gap > 0.15
+        isomon.route_ratio(an.tau, tb)  # raises CoincidentPointsError on a route B of -inf
+        assert all(c.passed for c in isomon.identity_report(cov))
+
+
+# a fuzz-drawn (4,4,1) spec, residues rounded; its divisor shift is -1 - 3 sigma
+THICK_TORUS = {
+    "genus": 1, "profile": [4, 4, 1], "modulus": [0.09064682048844441, 5.87],
+    "constant": [1.0, 0.0],
+    "poles": [
+        {"b": [0.6319007993980061, 0.0],
+         "c": [[1.0, 0.0], [0.4045795148637246, 0.3637436475900354],
+               [-0.05767110195509459, 0.00954045362926612], [1.0, 0.0]]},
+        {"b": [0.027328742985767634, 1.7693794546010604],
+         "c": [[100.0, 69.224], [0.999617898139151, 0.027641594018178187], [1.0, 0.0],
+               [0.02913074836146968, -0.04647218869903869]]},
+        {"b": [0.8914504544472838, 1.8376021265238625], "c": [[-101.0, -69.224]]},
+    ],
+}

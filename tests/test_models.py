@@ -20,7 +20,6 @@ from hurwitztau.samples import random_covering0, random_covering1
 
 MODEL_NAMES = [
     "critical_data",
-    "critical_data_many",
     "critical_round",
     "reject_ill_conditioned",
     "flat_coords",
