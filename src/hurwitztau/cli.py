@@ -41,7 +41,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -152,13 +151,11 @@ def _pairs(v) -> list:
 def build_report(cov: Covering0 | Covering1) -> dict:
     """Assemble the full analysis report, annotating verification status."""
     model = (cover0, cover1)[cov.genus]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CausticWarning)
-        an = isomon.analyze(cov)
-        cd = an.critical
-        model.reject_ill_conditioned(cov, an.pts)
-        iso = isomon.build_isomonodromy(cov, an)
-        tb = model.tau_resultant(cov, cd)
+    an = isomon.analyze(cov)
+    cd = an.critical
+    model.reject_ill_conditioned(cov, an.pts)
+    iso = isomon.build_isomonodromy(cov, an)
+    (tb,) = model.tau_resultant([cov], [cd])
     # every flat coordinate but h_s, the root that t_s is built from
     fc = cd.flat
     flat = {name: _pairs(v) for name, v in vars(fc).items() if name != "h"}
@@ -288,9 +285,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     cov = _load_or_exit(args.file)
     if isinstance(cov, int):
         return cov
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CausticWarning)
-        checks = isomon.identity_report(cov, tol=args.tol, seed=args.seed)
+    checks = isomon.identity_report(cov, tol=args.tol, seed=args.seed)
     failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -319,10 +314,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param not in (cover0, cover1)[cov.genus].params(cov):
         return _parse_error(f"--param: no parameter {args.param!r} in this covering")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CausticWarning)
-            table = isomon.sweep_ratios(cov, args.param, target, args.steps)
-    except (OnBoundaryError, CommonRootError, CausticWarning, HurwitzError, ValueError) as exc:
+        table = isomon.sweep_ratios(cov, args.param, target, args.steps)
+    except (CausticWarning, HurwitzError, ValueError) as exc:
         print(f"sweep left the moduli space: {exc}", file=sys.stderr)
         return EXIT_SWEEP
     ref = table[0][2]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 from typing import Sequence
@@ -27,7 +26,6 @@ import numpy as np
 
 from .elliptic import point_array, shape_rows
 from .errors import (
-    CausticWarning,
     CommonRootError,
     CountMismatchError,
     NoCriticalPointsError,
@@ -49,13 +47,11 @@ __all__ = [
     "eval_p_derivs",
     "eval_param_derivs",
     "p_prime_as_ratio",
-    "log_factorization_denominator",
     "critical_data",
     "critical_round",
     "flat_coords",
     "tau_product",
     "tau_resultant",
-    "tau_resultant_many",
     "caustic_orders",
     "principal_root",
 ]
@@ -316,8 +312,11 @@ def p_prime_as_ratio(cs: Sequence[Covering0]) -> tuple[np.ndarray, np.ndarray]:
 class CriticalData0:
     """Per-critical-point bundle driving every downstream formula.
 
-    ``resultant_ratio`` is R(f, g) over its pole/flat factorization
-    ``log_factorization_denominator``, constant along any deformation;
+    ``log_pole_flat`` is log prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1))
+    prod t_i^((k_i+1)(k_i-2)), route B's pole/flat denominator, on no fixed
+    branch (the product underflows where poles of high order nearly meet);
+    ``resultant_ratio`` is R(f, g) over its factorization, that denominator
+    times prod t_i^(2(k_i+1)), constant along any deformation;
     ``log_resultant_ff`` is log R(f, f') (f of p' = f/g, whose roots are
     ``pts``), the route-B numerator; ``flat`` is ``flat_coords`` of the covering.
     """
@@ -332,6 +331,7 @@ class CriticalData0:
     resultant_fg: complex
     resultant_ratio: complex
     log_resultant_ff: complex
+    log_pole_flat: complex
     flat: FlatCoords0
 
     @property
@@ -346,7 +346,8 @@ def frame_data(d: np.ndarray) -> tuple[list[complex], np.ndarray, np.ndarray, fl
     ``d`` holds the rows p, p', ..., p^(4) at the critical points.  f_m^2 is
     2/p'' and the Schwarzian (2 beta^2 - 3 alpha gamma)/alpha^3 comes from the
     cubic Taylor data of p' there.  Critical values closer than
-    CAUSTIC_REL_TOL (relative) flag the caustic, with a ``CausticWarning``.
+    CAUSTIC_REL_TOL (relative) set the caustic flag; the data is returned all
+    the same, and only ``isomon.sweep_ratios`` turns the flag into an error.
     Rows that overflow double precision raise ``OverflowError``.
     """
     if not np.isfinite(d).all():
@@ -355,23 +356,11 @@ def frame_data(d: np.ndarray) -> tuple[list[complex], np.ndarray, np.ndarray, fl
     lam = d[0].tolist()
     min_lgap = min((abs(a - b) for a, b in combinations(lam, 2)), default=math.inf)
     caustic = min_lgap < CAUSTIC_REL_TOL * (max(abs(v) for v in lam) + 1.0)
-    if caustic:
-        warnings.warn(
-            f"critical values nearly collide (gap {min_lgap:.3e})", CausticWarning
-        )
     return lam, 2.0 / al, (2.0 * be * be - 3.0 * al * ga) / (al * al * al), min_lgap, caustic
 
 
 def _sort_points(pts: list[complex]) -> list[complex]:
     return sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-
-
-def log_factorization_denominator(c: Covering0, fc: "FlatCoords0") -> complex:
-    """log prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^(k_i(k_i+1)), R(f, g)'s pole/flat factor,
-    on no fixed branch: the factor itself underflows where poles of high order nearly meet."""
-    pairs = permutations(zip(c.profile[1:], (p.b for p in c.poles)), 2)
-    return (sum(((ki + 1) * (kj + 1) * cmath.log(bi - bj) for (ki, bi), (kj, bj) in pairs), 0j)
-            + sum(k * (k + 1) * cmath.log(t) for k, t in zip(c.profile[1:], fc.t)))
 
 
 def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
@@ -422,7 +411,8 @@ def _roots(row: np.ndarray, seeds) -> list[complex] | NonConvergenceError | None
 def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
     """Data phase: critical data of each covering at the roots ``found`` of its f (its error
     where that is one), from one stacked R(f, g), one stacked R(f, f') and one frame
-    evaluation; R(f, g) enters in logarithms.  A covering whose data fails holds its error."""
+    evaluation; R(f, g) enters in logarithms, over its factorization from ``log_pole_flat``.
+    A covering whose data fails holds its error."""
     out: list = [pts if isinstance(pts, Exception) else None for pts in found]
     keep = [k for k, pts in enumerate(found) if out[k] is None]
     if not keep:
@@ -432,8 +422,11 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
     log_zero = math.log(1e-10) - sum((k * k - 1) * math.log(k) for k in coverings[0].profile[1:])
     kept = [coverings[k] for k in keep]
     flats = [flat_coords(c) for c in kept]
+    log_t = [[cmath.log(t) for t in fc.t] for fc in flats]
+    log_pf = [_log_pole_flat(c, lt) for c, lt in zip(kept, log_t)]
     log_fg = log_resultant(fs[keep], gs[keep])
-    log_ratio = log_fg - [log_factorization_denominator(c, fc) for c, fc in zip(kept, flats)]
+    log_ratio = log_fg - [lpf + 2.0 * sum((k + 1) * v for k, v in zip(c.profile[1:], lt))
+                          for c, lpf, lt in zip(kept, log_pf, log_t)]
     res_fg, ratios = np.exp(log_fg).tolist(), np.exp(log_ratio).tolist()
     log_ff = _log_r_ff(fs[keep]).tolist()
     rows = eval_p_derivs(kept, [np.array(found[k]) for k in keep], 4)
@@ -455,8 +448,15 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
             min_lambda_gap=min_lgap,
             min_point_gap=min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf),
             caustic=caustic, resultant_fg=res_fg[j], resultant_ratio=ratios[j],
-            log_resultant_ff=log_ff[j], flat=fc)
+            log_resultant_ff=log_ff[j], log_pole_flat=log_pf[j], flat=fc)
     return out
+
+
+def _log_pole_flat(c: Covering0, log_t: list[complex]) -> complex:
+    """``CriticalData0.log_pole_flat`` of ``c`` from the logarithms of its t_i."""
+    bs = [p.b for p in c.poles]
+    log_d = [cmath.log(bi - bj) for i, bi in enumerate(bs) for j, bj in enumerate(bs) if i != j]
+    return sum(route_b_denominator_terms(c.profile[1:], log_d, log_t), 0j)
 
 
 def _log_r_ff(fs: np.ndarray) -> np.ndarray:
@@ -571,22 +571,16 @@ class TauResultant:
         return cmath.exp(self.log_tau_inv48)
 
 
-def tau_resultant(c: Covering0, cd: CriticalData0) -> TauResultant:
-    """tau^(-48) = R(f, f') / [prod (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2))].
+def tau_resultant(coverings: Sequence[Covering0],
+                  cds: Sequence[CriticalData0]) -> list[TauResultant]:
+    """Route B of each covering from its critical data, in logarithms:
+    tau^(-48) = R(f, f') / [prod (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2))].
 
-    Uses no root of f, only its coefficients (``cd.log_resultant_ff``);
-    vanishes exactly on the caustic R(f, f') = 0.
+    Uses no root of f, only its coefficients: both logarithms,
+    ``log_resultant_ff`` and ``log_pole_flat``, come with the critical data.
+    Vanishes exactly on the caustic R(f, f') = 0.
     """
-    bs = [p.b for p in c.poles]
-    log_d = [cmath.log(bi - bj) for i, bi in enumerate(bs) for j, bj in enumerate(bs) if i != j]
-    return TauResultant(cd.log_resultant_ff - sum(route_b_denominator_terms(
-        c.profile[1:], log_d, [cmath.log(t) for t in cd.flat.t]), 0j))
-
-
-def tau_resultant_many(coverings: Sequence[Covering0],
-                       cds: Sequence[CriticalData0]) -> list[TauResultant]:
-    """``tau_resultant`` of each covering: R(f, f') comes stacked in its critical data."""
-    return [tau_resultant(c, cd) for c, cd in zip(coverings, cds)]
+    return [TauResultant(cd.log_resultant_ff - cd.log_pole_flat) for cd in cds]
 
 
 def gamma(c: Covering0) -> complex:

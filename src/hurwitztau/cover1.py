@@ -64,7 +64,6 @@ __all__ = [
     "flat_coords",
     "tau_product",
     "tau_resultant",
-    "tau_resultant_many",
 ]
 
 RESIDUE_TOL = 1e-12
@@ -364,13 +363,8 @@ class TauResultant1(TauResultant):
         return cmath.exp(self.log_kappa)
 
 
-def tau_resultant(c: Covering1, cd: CriticalData1) -> TauResultant1:
-    """Route B of one covering: the one-covering case of ``tau_resultant_many``."""
-    return tau_resultant_many([c], [cd])[0]
-
-
-def tau_resultant_many(coverings: Sequence[Covering1],
-                       cds: Sequence[CriticalData1]) -> list[TauResultant1]:
+def tau_resultant(coverings: Sequence[Covering1],
+                  cds: Sequence[CriticalData1]) -> list[TauResultant1]:
     """tau^(-48) as eta^48 f0^(2M) kappa / [prod sigma_w(b_i-b_j)^((k_i+1)(k_j+1))
     prod t_i^((k_i+1)(k_i-2))] of each covering from its critical data, in logarithms.
 
@@ -379,14 +373,15 @@ def tau_resultant_many(coverings: Sequence[Covering1],
     kappa vanishes exactly on the caustic.  Every factor enters as the sum of
     its logarithms, so a kappa below double precision (thick tori) stays
     finite.  One ``sigma_w`` call and one ``np.log`` serve coverings of one
-    modulus; mixed moduli go one at a time.
+    modulus; mixed moduli take one each.
     """
-    if len({c.modulus for c in coverings}) > 1:
-        return [tau_resultant_many([c], [cd])[0] for c, cd in zip(coverings, cds)]
-    ctx = coverings[0].ctx
-    args = [a for c, cd in zip(coverings, cds) for a in _sigma_args(c, cd)]
-    logs = np.split(np.log(sigma_w(ctx, np.concatenate(args))),
-                    list(accumulate(len(a) for a in args[:-1])))
+    n = len(coverings)
+    groups = [range(n)] if len({c.modulus for c in coverings}) == 1 else [[k] for k in range(n)]
+    logs = []
+    for group in groups:
+        args = [a for k in group for a in _sigma_args(coverings[k], cds[k])]
+        logs += np.split(np.log(sigma_w(coverings[group[0]].ctx, np.concatenate(args))),
+                         list(accumulate(len(a) for a in args[:-1])))
     out = []
     for k, (c, cd) in enumerate(zip(coverings, cds)):
         l_zz, l_b1, l_bz, l_bb = (v.tolist() for v in logs[4 * k: 4 * k + 4])
@@ -394,7 +389,7 @@ def tau_resultant_many(coverings: Sequence[Covering1],
         log_kappa = sum(l_zz, 0j)
         log_f0 = (cmath.log(-ks[0]) + ks[0] * log_t[0] - sum(l_bz, 0j)
                   + sum((kb + 1) * lb for lb, kb in zip(l_b1, ks[1:])))
-        log48 = 48.0 * ctx.log_eta + 2.0 * c.dim * log_f0 + log_kappa
+        log48 = 48.0 * c.ctx.log_eta + 2.0 * c.dim * log_f0 + log_kappa
         log48 -= sum(route_b_denominator_terms(ks, l_bb, log_t), 0j)
         out.append(TauResultant1(log_tau_inv48=log48, log_kappa=log_kappa))
     return out

@@ -61,4 +61,9 @@ class CoincidentPointsError(HurwitzError):
 
 
 class CausticWarning(UserWarning):
-    """Critical values nearly collide; derived quantities blow up smoothly."""
+    """Critical values nearly collide; derived quantities blow up smoothly.
+
+    The critical data records the caustic as its ``caustic`` flag and never
+    warns; ``isomon.sweep_ratios`` alone raises this, as an exception, for a
+    segment that reaches the caustic.
+    """

@@ -27,7 +27,7 @@ from . import cover0, cover1
 from .cover0 import Covering0, TauProduct, _raised, route_a
 from .cover1 import Covering1
 from .elliptic import lattice_distance, wp
-from .errors import CoincidentPointsError, HurwitzError, IllConditionedError
+from .errors import CausticWarning, CoincidentPointsError, HurwitzError, IllConditionedError
 
 __all__ = [
     "Analysis",
@@ -163,7 +163,7 @@ def build_isomonodromy(covering: Covering, an: Analysis) -> IsomonodromyData:
     connection value sb/24 at each ramification point.  Both are returned;
     their agreement is the central consistency check of the construction.
     On a near-caustic instance the data is still produced, tagged by the
-    ``caustic`` flag (a CausticWarning is emitted by the critical data).
+    ``caustic`` flag of the critical data; nothing is raised or warned.
     """
     B, Binf = bergmann_values(covering, an)
     m = len(an.lam)
@@ -395,7 +395,7 @@ def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1,
 def _route_rows(coverings: Sequence[Covering], cds: Sequence, tas=None) -> list[dict]:
     """Cross-route tau data of each covering: route B in one call, route A unless ``tas`` has it."""
     model = (cover0, cover1)[coverings[0].genus]
-    tbs = model.tau_resultant_many(coverings, cds)
+    tbs = model.tau_resultant(coverings, cds)
     return [_route_row(cov, cd, tb, ta or model.tau_product(cov, cd))
             for cov, cd, tb, ta in zip(coverings, cds, tbs, tas or [None] * len(cds))]
 
@@ -404,10 +404,12 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     """Coverings and cross-route tau data along a straight parameter segment.
 
     Returns (step index, covering, dict of per-step scalars) triples for the
-    sweep command, from one ``_segment_round`` based at step 0.  Raises the
-    underlying boundary/caustic errors of the first offending step
-    (``OnBoundaryError`` for a step too near S2 to verify, the model's
-    ``reject_ill_conditioned``), and ``ValueError`` for fewer than 2 steps.
+    sweep command, from one ``_segment_round`` based at step 0.  Raises
+    ``CausticWarning`` for the first step whose critical data carries the
+    caustic flag, whatever the warning filters; then the error of the first
+    step whose solve or data failed; then ``OnBoundaryError`` for the first
+    step too near S2 to verify (the model's ``reject_ill_conditioned``).
+    Fewer than 2 steps raise ``ValueError``.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -416,6 +418,9 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     moves = [(target - v0) * (s / (steps - 1)) for s in range(steps)]
     coverings = _moved(covering, path, moves)
     cds, _ = _segment_round(coverings[0], path, moves[1:], coverings[1:])
+    for cd in cds:
+        if not isinstance(cd, Exception) and cd.caustic:
+            raise CausticWarning(f"critical values nearly collide (gap {cd.min_lambda_gap:.3e})")
     rows = _route_rows(coverings, _raised(cds))
     for cov, row in zip(coverings, rows):
         model.reject_ill_conditioned(cov, row["pts"])

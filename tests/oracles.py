@@ -648,7 +648,7 @@ def theta1_long(sigma: complex, z, n_max: int, terms: int = 40) -> tuple[np.ndar
 def tau_resultant_float_product(c: cover1.Covering1, cd: cover1.CriticalData1) -> complex:
     """log tau^-48 of genus-1 route B with kappa and f0 formed as float products.
 
-    The same sigma_w values as ``cover1.tau_resultant_many``, multiplied out
+    The same sigma_w values as ``cover1.tau_resultant``, multiplied out
     before one logarithm each: the float-product form of route B, which
     underflows where kappa = prod sigma_w(z_r - z_s) leaves double precision.
     """

@@ -6,7 +6,6 @@ Tolerances are pinned here; nothing is deferred to later calibration.
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from hurwitztau.elliptic import (
     theta1_derivs,
     wp,
 )
-from hurwitztau.errors import CausticWarning
 from hurwitztau.samples import random_covering0, random_covering1
 
 G0_PROFILES = [(3,), (2, 1), (2, 2), (3, 2), (2, 1, 1)]
@@ -87,11 +85,9 @@ def battery_g0():
 @pytest.fixture(scope="module")
 def battery_g1():
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CausticWarning)
-        for i, profile in enumerate(G1_PROFILES):
-            cov = random_covering1(profile, seed=5000 + 31 * i)
-            out.append(_instance_checks(cov))
+    for i, profile in enumerate(G1_PROFILES):
+        cov = random_covering1(profile, seed=5000 + 31 * i)
+        out.append(_instance_checks(cov))
     return out
 
 
@@ -177,7 +173,7 @@ def test_criterion_6_route_constancy():
         seeds = cd.pts
         ratios1.append(
             cover1.tau_product(c2, cd).tau_inv48
-            / cover1.tau_resultant(c2, cd).tau_inv48
+            / cover1.tau_resultant([c2], [cd])[0].tau_inv48
         )
     d_route1 = max(abs(r / ratios1[0] - 1) for r in ratios1)
     _verdict(
@@ -241,45 +237,43 @@ def test_criterion_8_order_two_family_closed_form():
 
 
 def test_criterion_9_caustic_behavior():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CausticWarning)
-        # genus 0: R(f, f') -> 0 along the simple-pole tail ray, estimated
-        # vanishing order >= 1; pole-collision order >= k_r + k_s
-        cov = random_covering0((2, 1), seed=41)
-        rays = {(r.kind, r.indices): r for r in cover0.caustic_orders(cov).rays}
-        r_tail = rays[("top-tail", (0,))]
-        ok = r_tail.order >= 1.0 - max(0.03, r_tail.fit_residual)
-        mags = []
-        for s in np.geomspace(1e-1, 1e-5, 7):
-            tails = (cov.poles[0].c[0] * s,)
-            c2 = Covering0(cov.profile, cov.poly_coeffs, (Pole(cov.poles[0].b, tails),))
-            mags.append(abs(cover0.tau_resultant(c2, cover0.critical_data(c2)).tau_inv48))
-        ok &= all(a > b for a, b in zip(mags, mags[1:])) and mags[-1] / mags[0] < 1e-3
+    # genus 0: R(f, f') -> 0 along the simple-pole tail ray, estimated
+    # vanishing order >= 1; pole-collision order >= k_r + k_s
+    cov = random_covering0((2, 1), seed=41)
+    rays = {(r.kind, r.indices): r for r in cover0.caustic_orders(cov).rays}
+    r_tail = rays[("top-tail", (0,))]
+    ok = r_tail.order >= 1.0 - max(0.03, r_tail.fit_residual)
+    mags = []
+    for s in np.geomspace(1e-1, 1e-5, 7):
+        tails = (cov.poles[0].c[0] * s,)
+        c2 = Covering0(cov.profile, cov.poly_coeffs, (Pole(cov.poles[0].b, tails),))
+        mags.append(abs(cover0.tau_resultant([c2], [cover0.critical_data(c2)])[0].tau_inv48))
+    ok &= all(a > b for a, b in zip(mags, mags[1:])) and mags[-1] / mags[0] < 1e-3
 
-        cov2 = random_covering0((2, 1, 1), seed=42)
-        rays2 = {
-            (r.kind, r.indices): r for r in cover0.caustic_orders(cov2).rays
-        }
-        for (kind, idx), r in rays2.items():
-            if kind == "pole-collision":
-                ok &= r.order >= r.expected_min - max(0.03, r.fit_residual)
+    cov2 = random_covering0((2, 1, 1), seed=42)
+    rays2 = {
+        (r.kind, r.indices): r for r in cover0.caustic_orders(cov2).rays
+    }
+    for (kind, idx), r in rays2.items():
+        if kind == "pole-collision":
+            ok &= r.order >= r.expected_min - max(0.03, r.fit_residual)
 
-        # genus 1: kappa -> 0 with order >= 1 along the simple-pole tail ray
-        cov3 = random_covering1((2, 1), seed=43)
-        c11 = cov3.poles[0].c[0]
-        kappas, ts = [], []
-        for s in np.geomspace(1e-1, 1e-5, 9):
-            poles = (
-                Pole(cov3.poles[0].b, (c11 * s, cov3.poles[0].c[1])),
-                Pole(cov3.poles[1].b, (-c11 * s,)),
-            )
-            c2 = Covering1(cov3.modulus, cov3.constant, poles)
-            cd = cover1.critical_data(c2)
-            kappas.append(abs(cover1.tau_resultant(c2, cd).kappa))
-            ts.append(abs(cover1.flat_coords(c2).t[1]))
-        slope = float(np.polyfit(np.log10(ts), np.log10(kappas), 1)[0])
-        ok &= all(a > b for a, b in zip(kappas, kappas[1:]))
-        ok &= slope >= 1.0 - 0.05
+    # genus 1: kappa -> 0 with order >= 1 along the simple-pole tail ray
+    cov3 = random_covering1((2, 1), seed=43)
+    c11 = cov3.poles[0].c[0]
+    kappas, ts = [], []
+    for s in np.geomspace(1e-1, 1e-5, 9):
+        poles = (
+            Pole(cov3.poles[0].b, (c11 * s, cov3.poles[0].c[1])),
+            Pole(cov3.poles[1].b, (-c11 * s,)),
+        )
+        c2 = Covering1(cov3.modulus, cov3.constant, poles)
+        cd = cover1.critical_data(c2)
+        kappas.append(abs(cover1.tau_resultant([c2], [cd])[0].kappa))
+        ts.append(abs(cover1.flat_coords(c2).t[1]))
+    slope = float(np.polyfit(np.log10(ts), np.log10(kappas), 1)[0])
+    ok &= all(a > b for a, b in zip(kappas, kappas[1:]))
+    ok &= slope >= 1.0 - 0.05
     _verdict(
         9,
         "caustic rays: R(f,f') and kappa vanish with orders above the "

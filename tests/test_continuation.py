@@ -85,7 +85,7 @@ def _failing_lane(monkeypatch, failing_call: int, lane: int = 0):
 
 def _global_ratio(cov) -> complex:
     cd = cover1.critical_data(cov)
-    return isomon.route_ratio(cover1.tau_product(cov, cd), cover1.tau_resultant(cov, cd))
+    return isomon.route_ratio(cover1.tau_product(cov, cd), cover1.tau_resultant([cov], [cd])[0])
 
 
 def _assert_ratios_match_global(pairs):
@@ -236,7 +236,7 @@ def _failing_seeded_solve(monkeypatch, failing_call: int):
 
 def _global_ratio0(cov) -> complex:
     cd = cover0.critical_data(cov)
-    return isomon.route_ratio(cover0.tau_product(cov, cd), cover0.tau_resultant(cov, cd))
+    return isomon.route_ratio(cover0.tau_product(cov, cd), cover0.tau_resultant([cov], [cd])[0])
 
 
 @pytest.fixture(scope="module")
@@ -444,12 +444,13 @@ class TestGenus1OncePerCheck:
 
     @pytest.mark.parametrize("name", ["h12", "g1(2,1)", "g1(1,1)"])
     def test_tau_resultant_many_matches_one_covering_calls(self, name, h12, g1_21, g1_11):
+        """A stacked route-B call equals its one-element calls."""
         cov = {"h12": h12, "g1(2,1)": g1_21, "g1(1,1)": g1_11}[name]
         steps = [cov] + _sweep_steps(cov, 4)
         cds = cover1.critical_round(steps, lambda zs: [zs] * 4)
-        many = cover1.tau_resultant_many(steps, cds)
-        for step, cd, got in zip(steps, cds, many):
-            one = cover1.tau_resultant(step, cd)
+        stacked = cover1.tau_resultant(steps, cds)  # one sigma_w call for all five
+        for step, cd, got in zip(steps, cds, stacked):
+            one = cover1.tau_resultant([step], [cd])[0]
             assert abs(got.tau_inv48 / one.tau_inv48 - 1.0) < 1e-13
             assert abs(got.kappa / one.kappa - 1.0) < 1e-13
 

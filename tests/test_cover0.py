@@ -181,7 +181,7 @@ class TestBoundaryConstant:
         assert abs(abs(cd.resultant_ratio) / profile_constant(cov) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("profile", [(2, 4, 4), (3, 4, 4), (5, 4, 4), (6, 5, 5, 4)])
-    def test_profiles_with_two_high_order_poles_sample(self, profile, quiet_caustic):
+    def test_profiles_with_two_high_order_poles_sample(self, profile):
         # |R(f, g)| / factorization is 4^-30 or less here: below the boundary
         # test's 1e-10 unless that test is scaled by the profile constant.
         # min_gap=0 takes the first draw with critical data: with 14 or 21
@@ -192,7 +192,7 @@ class TestBoundaryConstant:
         assert len(cd.pts) == cov.dim
         assert abs(abs(cd.resultant_ratio) / profile_constant(cov) - 1.0) < 1e-6
 
-    def test_ratio_survives_a_factor_below_double_precision(self, quiet_caustic):
+    def test_ratio_survives_a_factor_below_double_precision(self):
         # two order-5 poles 1e-5 apart: R(f, g) and its pole/flat factor, near e^-810
         # and e^-732, underflow; their ratio, taken in logarithms, does not
         top = (1, 0, 0, 0, 1)
@@ -306,13 +306,13 @@ class TestTauResultant:
         for s in range(20):
             c2 = set_param(cov, "poles.0.b", v0 + 0.02 * s * cmath.exp(0.5j))
             cd = critical_data(c2)
-            ratios.append(tau_product(c2, cd).tau_inv48 / tau_resultant(c2, cd).tau_inv48)
+            ratios.append(tau_product(c2, cd).tau_inv48 / tau_resultant([c2], [cd])[0].tau_inv48)
         drift = max(abs(r / ratios[0] - 1.0) for r in ratios)
         assert drift < 1e-8
 
-    def test_collided_critical_points_vanish(self, quiet_caustic):
+    def test_collided_critical_points_vanish(self):
         z3 = Covering0((3,), (0.0, 0.0), ())  # pure cube: double critical point
-        assert tau_resultant(z3, critical_data(z3)).tau_inv48 == 0
+        assert tau_resultant([z3], [critical_data(z3)])[0].tau_inv48 == 0
 
     def test_resultant_factorization_constant(self):
         cov = random_covering0((2, 1, 1), seed=8)
@@ -386,7 +386,7 @@ class TestCausticOrders:
 
 
 class TestEulerInvariants:
-    def test_hamiltonian_sum_and_degree(self, quiet_caustic):
+    def test_hamiltonian_sum_and_degree(self):
         rng = np.random.default_rng(12)
         cov0 = random_covering0((2, 1), seed=13)
         expected = euler_scaling_expected(cov0)

@@ -81,7 +81,7 @@ NAMED = {
 
 class TestAgainstFiniteDifferences:
     @pytest.mark.parametrize("name", sorted(NAMED))
-    def test_named_specs(self, name, quiet_caustic):
+    def test_named_specs(self, name):
         _assert_exact_matches_fd(NAMED[name]())
 
     @SETTINGS
@@ -104,7 +104,7 @@ class TestAgainstFiniteDifferences:
 
 class TestIdentityErrors:
     @pytest.mark.parametrize("name", sorted(NAMED))
-    def test_named_specs(self, name, quiet_caustic):
+    def test_named_specs(self, name):
         _assert_identities_tight(NAMED[name]())
 
     @SETTINGS
@@ -150,7 +150,7 @@ class TestOneAnalysis:
         assert [len(cs) for cs in calls] == [1 + 4]
 
     @pytest.mark.parametrize("name", sorted(NAMED))
-    def test_check_analysis_is_analyze_bit_for_bit(self, name, monkeypatch, quiet_caustic):
+    def test_check_analysis_is_analyze_bit_for_bit(self, name, monkeypatch):
         # check verifies the analysis that analyze reports: the base covering's data
         # from the shared round equals its data from a round of its own
         cov = NAMED[name]()
@@ -184,7 +184,7 @@ class TestContinuedBundle:
     """The finite-difference reference continues the analysis that ``check`` differentiates."""
 
     @pytest.mark.parametrize("name", sorted(NAMED))
-    def test_base_is_the_analysis_bit_for_bit(self, name, quiet_caustic):
+    def test_base_is_the_analysis_bit_for_bit(self, name):
         # on the base analysis' own critical data (the seeded re-solve of the base
         # covering moves the points by round-off), the continued branches are the
         # principal ones and route A is analyze's

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import oracles
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
-from hurwitztau.errors import CoincidentPointsError
+from hurwitztau.errors import CausticWarning, CoincidentPointsError
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 
@@ -52,15 +53,15 @@ class TestRouteRatio:
     def test_exp_of_the_log_difference(self, name):
         cov = builtin_example(name)
         an = isomon.analyze(cov)
-        tb = (cover0, cover1)[cov.genus].tau_resultant(cov, an.critical)
+        tb = (cover0, cover1)[cov.genus].tau_resultant([cov], [an.critical])[0]
         ratio = isomon.route_ratio(an.tau, tb)
         assert ratio == cmath.exp(an.tau.log_tau_inv48 - tb.log_tau_inv48)
         assert abs(ratio / (an.tau.tau_inv48 / tb.tau_inv48) - 1.0) < 1e-12
 
-    def test_vanishing_route_b_raises(self, a2, quiet_caustic):
+    def test_vanishing_route_b_raises(self, a2):
         # z^3 has a double critical point: R(f, f') = 0 and log tau^-48 of route B is -inf
         z3 = Covering0((3,), (0.0, 0.0), ())
-        tb = cover0.tau_resultant(z3, critical_data0(z3))
+        tb = cover0.tau_resultant([z3], [critical_data0(z3)])[0]
         assert tb.log_tau_inv48.real == -math.inf
         with pytest.raises(CoincidentPointsError, match="route B vanishes"):
             isomon.route_ratio(isomon.analyze(a2).tau, tb)
@@ -213,7 +214,7 @@ class TestDeformationEngine:
         ratio = abs(d1 - d2) / abs(d2 - d4)
         assert 3.5 < ratio < 4.5
 
-    def test_hamiltonian_blowup_towards_caustic(self, quiet_caustic):
+    def test_hamiltonian_blowup_towards_caustic(self):
         # two critical values collide like sqrt(c); the Hamiltonians grow
         # monotonically through four decades of the tail coefficient
         b = 0.3 + 0.2j
@@ -225,13 +226,40 @@ class TestDeformationEngine:
         assert all(a < b2 for a, b2 in zip(values, values[1:]))
         assert values[-1] / values[0] > 1e3
 
-    def test_caustic_guard_flags_partial_data(self, quiet_caustic):
+    def test_caustic_guard_flags_partial_data(self):
         # near-coincident critical values: data still produced, flagged
         cov = Covering0((1, 1), (), (Pole(0.3 + 0.2j, (-1e-14,)),))
         cd = critical_data0(cov)
         assert cd.caustic
         iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
         assert iso.caustic
+
+
+class TestCausticFlag:
+    """The critical data flags the caustic and never warns; ``sweep_ratios`` raises."""
+
+    def _cusp(self, a1: float) -> Covering0:
+        # z^3 + a1 z + 0.2: the two critical values meet as a1 -> 0
+        return Covering0((3,), (0.2, a1), ())
+
+    def test_sweep_into_the_caustic_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            with pytest.raises(CausticWarning, match="critical values nearly collide"):
+                isomon.sweep_ratios(self._cusp(-1.0), "poly_coeffs.1", 1e-9, 3)
+
+    def test_analysis_near_the_caustic_flags_without_warning(self, monkeypatch):
+        cov = self._cusp(1e-7)
+        analyses = []
+        real = isomon._analysis
+        monkeypatch.setattr(isomon, "_analysis",
+                            lambda *args: analyses.append(real(*args)) or analyses[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            an = isomon.analyze(cov)
+            isomon.identity_report(cov)
+        assert an.critical.caustic
+        assert len(analyses) == 2 and all(a.critical.caustic for a in analyses)
 
 
 class TestEulerChecks:

@@ -30,7 +30,6 @@ MODEL_NAMES = [
     "set_param",
     "tau_product",
     "tau_resultant",
-    "tau_resultant_many",
     "gamma",
     "euler_scaling_expected",
     "default_sweep_param",
