@@ -7,23 +7,26 @@ Subcommands:
   sweep   <file> --param PATH --to RE,IM --steps N [--json]   ratio constancy
   example <name> [--out FILE] [--seed]     emit a built-in covering spec
 
-``check`` takes its gradient identities from exact lambda derivatives of one
-analysis (implicit differentiation at the critical points), so it has no
-step size to choose.  Its cross-route sweep and ``sweep`` walk their segment
-alike: one critical-data round continued along the exact tangent.  The
-commands do not ask for the genus: the report calls the genus module
-``(cover0, cover1)[cov.genus]`` through the names both define.
+``analyze`` formats the one ``isomon.analyze`` of the covering and adds
+only route B and its ratio to route A; ``check`` runs ``identity_report``,
+which verifies the same analysis.  The gradient identities take exact lambda
+derivatives of it (implicit differentiation at the critical points), so
+there is no step size to choose.  The identity sweep and ``sweep`` walk
+their segment alike: one critical-data round continued along the exact
+tangent.  The commands do not ask for the genus: the genus module is
+``(cover0, cover1)[cov.genus]``, called through the names both define.
 
 Covering spec files are JSON; complex numbers are two-element [re, im]
-arrays throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse error
-(an unreadable spec, one with a non-finite number or nesting deeper than
-the recursion limit included; a ``--tol`` that is not positive and finite;
-a negative ``--seed``; an ``example --out`` path that cannot be written; or
-a ``sweep`` path that is not in the covering's parameter table, a target
-that is not two finite numbers or fewer than 2 steps),
+arrays of numbers throughout.  Exit codes: 0 ok, 1 failed identity, 2 parse
+error (an unreadable spec, one with a field of the wrong type, a
+non-finite number, an integer beyond double precision or nesting deeper
+than the recursion limit included; a ``--tol`` that is not positive and
+finite; a negative ``--seed``; an ``example --out`` path that cannot be
+written; or a ``sweep`` path that is not in the covering's parameter table,
+a target that is not two finite numbers or fewer than 2 steps),
 3 boundary point (a spec on the boundary is rejected when it is loaded, by
 every command; ``analyze`` and ``check`` also reject critical data too near
-a pole to verify, the model's ``reject_ill_conditioned``), 4 caustic under
+a pole to verify, inside ``isomon.analyze``), 4 caustic under
 --strict, 5 sweep left the moduli space,
 6 numerical failure (any other ``HurwitzError``, such as coincident
 critical points or a route B that vanishes, or a floating-point overflow),
@@ -64,9 +67,13 @@ def _c2pair(z: complex) -> list[float]:
 
 
 def _pair2c(v, where: str) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ValueError(f"{where}: complex values are [re, im] pairs, got {v!r}")
-    z = complex(float(v[0]), float(v[1]))
+    if not (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(type(x) in (int, float) for x in v)):  # not bool, not str
+        raise ValueError(f"{where}: complex values are [re, im] pairs of numbers, got {v!r}")
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except OverflowError:  # an int literal beyond double precision
+        raise ValueError(f"{where}: an integer overflows double precision") from None
     if not cmath.isfinite(z):  # json reads NaN and Infinity
         raise ValueError(f"{where}: complex values are finite, got {v!r}")
     return z
@@ -93,8 +100,11 @@ def covering_to_spec(cov: Covering0 | Covering1) -> dict:
 def spec_to_covering(doc: dict) -> Covering0 | Covering1:
     if not isinstance(doc, dict):
         raise ValueError(f"a covering spec is a JSON object, got {type(doc).__name__}")
-    genus = doc.get("genus")
-    profile = tuple(int(k) for k in doc.get("profile", ()))
+    genus, profile = doc.get("genus"), doc.get("profile", [])
+    if type(genus) is not int or genus not in (0, 1):  # not bool, not float
+        raise ValueError(f"genus must be 0 or 1, got {genus!r}")
+    if not (isinstance(profile, list) and all(type(k) is int for k in profile)):
+        raise ValueError(f"profile must be a list of integers, got {profile!r}")
     poles = tuple(
         Pole(
             _pair2c(p["b"], f"poles[{i}].b"),
@@ -107,12 +117,10 @@ def spec_to_covering(doc: dict) -> Covering0 | Covering1:
             _pair2c(v, f"poly_coeffs[{r}]") for r, v in enumerate(doc.get("poly_coeffs", ()))
         )
         return cover0.reject_near_s2(Covering0(profile, coeffs, poles))
-    if genus == 1:
-        if profile != (orders := tuple(p.order for p in poles)):
-            raise ValueError(f"profile {list(profile)} is not the pole orders {list(orders)}")
-        mod = Modulus(_pair2c(doc["modulus"], "modulus"))
-        return Covering1(mod, _pair2c(doc["constant"], "constant"), poles)
-    raise ValueError(f"genus must be 0 or 1, got {genus!r}")
+    if tuple(profile) != (orders := tuple(p.order for p in poles)):
+        raise ValueError(f"profile {profile} is not the pole orders {list(orders)}")
+    mod = Modulus(_pair2c(doc["modulus"], "modulus"))
+    return Covering1(mod, _pair2c(doc["constant"], "constant"), poles)
 
 
 def load_covering(path: str) -> Covering0 | Covering1:
@@ -149,46 +157,41 @@ def _pairs(v) -> list:
 
 
 def build_report(cov: Covering0 | Covering1) -> dict:
-    """Assemble the full analysis report, annotating verification status."""
-    model = (cover0, cover1)[cov.genus]
+    """The report of ``isomon.analyze(cov)`` with route B and its ratio to route A,
+    annotating verification status."""
     an = isomon.analyze(cov)
-    cd = an.critical
-    model.reject_ill_conditioned(cov, an.pts)
-    iso = isomon.build_isomonodromy(cov, an)
-    (tb,) = model.tau_resultant([cov], [cd])
+    cd, iso, ta = an.critical, an.iso, an.tau
+    (tb,) = (cover0, cover1)[cov.genus].tau_resultant([cov], [cd])
     # every flat coordinate but h_s, the root that t_s is built from
     fc = cd.flat
     flat = {name: _pairs(v) for name, v in vars(fc).items() if name != "h"}
-    ta = an.tau
-
-    h1 = np.array(iso.hamiltonians)
-    h2 = np.array(iso.hamiltonians_bergmann)
-    h_disc = isomon._rel_error(h1 - h2, h1)
+    h_disc = iso.hamiltonian_discrepancy
     ratio = isomon.route_ratio(ta, tb)
     # G and log(tau / J^(1/24)) differ by -(1/24) sum (k_s+1) log(t_s / h_s)
-    cross_const = -sum((k + 1) * cmath.log(t / h) for k, t, h in zip(an.ks, fc.t, fc.h)) / 24.0
+    cross_const = -sum((p.order + 1) * cmath.log(t / h)
+                       for p, t, h in zip(cov.poles, fc.t, fc.h)) / 24.0
     g_cross_err = abs(ta.G - ta.g_from_jacobian - cross_const)
 
-    order = np.argsort([(v.real, v.imag) for v in an.lam], axis=0)[:, 0]
-    report = {
+    order = np.argsort([(v.real, v.imag) for v in cd.lam], axis=0)[:, 0]
+    return {
         "genus": cov.genus,
         "profile": list(cov.profile),
         "dim": cov.dim,
         "canonical": {
-            "lambda": [_c2pair(an.lam[i]) for i in order],
-            "points": [_c2pair(an.pts[i]) for i in order],
-            "status": "checked" if len(an.lam) == cov.dim else "warned",
+            "lambda": [_c2pair(cd.lam[i]) for i in order],
+            "points": [_c2pair(cd.pts[i]) for i in order],
+            "status": "checked" if len(cd.lam) == cov.dim else "warned",
         },
         "flat": {**flat, "status": "unchecked"},
         "frame": {
-            "fsq": [_c2pair(an.fsq[i]) for i in order],
-            "sb": [_c2pair(an.sb[i]) for i in order],
-            "sw": [_c2pair(an.sw[i]) for i in order],
+            "fsq": [_c2pair(cd.fsq[i]) for i in order],
+            "sb": [_c2pair(cd.sb[i]) for i in order],
+            "sw": [_c2pair(cd.sw[i]) for i in order],
             "status": "unchecked",
         },
         "hamiltonians": {
-            "quadratic": [_c2pair(h1[i]) for i in order],
-            "connection": [_c2pair(h2[i]) for i in order],
+            "quadratic": [_c2pair(iso.hamiltonians[i]) for i in order],
+            "connection": [_c2pair(iso.hamiltonians_bergmann[i]) for i in order],
             "max_discrepancy": h_disc,
             "status": "checked" if h_disc < 1e-6 else "warned",
         },
@@ -212,7 +215,6 @@ def build_report(cov: Covering0 | Covering1) -> dict:
             "status": "warned" if cd.caustic else "checked",
         },
     }
-    return report
 
 
 def _gap(value: float) -> float | None:

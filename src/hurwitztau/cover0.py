@@ -159,7 +159,7 @@ def reject_near_s2(c: Covering0, tol: float = BOUNDARY_TOL) -> Covering0:
     """``c``, or ``OnBoundaryError`` (S2) when a top tail is within ``tol`` of 0.
 
     A spec read from a file and every ``set_param`` result are held to
-    BOUNDARY_TOL, as every ``Covering1`` is.
+    BOUNDARY_TOL, and so is every ``Covering1`` at construction.
     """
     for i, p in enumerate(c.poles):
         if abs(p.top) <= tol:

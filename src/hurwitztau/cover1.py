@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .cover0 import (
+    BOUNDARY_TOL,
     Pole,
     TauProduct,
     TauResultant,
@@ -29,6 +30,7 @@ from .cover0 import (
     frame_data,
     principal_root,
     principal_route_a,
+    reject_near_s2,
     route_b_denominator_terms,
 )
 from .elliptic import (
@@ -98,12 +100,10 @@ class Covering1:
         scale = max(max(abs(v) for v in p.c) for p in self.poles)
         if abs(res) > RESIDUE_TOL * max(1.0, scale):
             raise ValueError(f"residues must sum to zero, got {res}")
-        for i, p in enumerate(self.poles):
-            if abs(p.top) <= 1e-10:
-                raise OnBoundaryError("S2", (i,))
+        reject_near_s2(self)
         i, j = _pair_indices(len(self.poles))
         bs = np.array([p.b for p in self.poles])
-        clash = np.flatnonzero(lattice_distance(bs[i] - bs[j], sigma) <= 1e-10)
+        clash = np.flatnonzero(lattice_distance(bs[i] - bs[j], sigma) <= BOUNDARY_TOL)
         if clash.size:
             raise OnBoundaryError("S1", (int(i[clash[0]]), int(j[clash[0]])))
 

@@ -1,11 +1,14 @@
 """Isomonodromy layer shared by both genera.
 
-Rotation coefficients from the Bergmann kernel, the commutator matrix V,
-quadratic Hamiltonians by two independent routes, Schlesinger residue
-matrices, and exact derivatives in the canonical coordinates (the critical
-values) from the implicit function theorem at the critical points, which
-the identity suite uses.  Route A's tau and G come from ``cover0.route_a``
-alone: ``analyze`` reports it on principal logarithms, and
+``analyze`` is the whole per-covering stage that the ``analyze`` and
+``check`` commands share: the critical data, the rejection of data too near
+a pole to verify, the isomonodromy data (rotation coefficients from the
+Bergmann kernel, the commutator matrix V, quadratic Hamiltonians by two
+independent routes and their discrepancy, Schlesinger residue matrices),
+route A's tau and G, and the anomaly gamma.  Exact derivatives in the
+canonical coordinates (the critical values) come from the implicit function
+theorem at the critical points, for the identity suite.  Route A comes from
+``cover0.route_a`` alone: ``analyze`` takes it on principal logarithms, and
 ``exact_parameter_derivatives`` differentiates it by applying it to rows of
 logarithmic derivatives.  The identity sweep and the sweep command solve
 their segment in one critical-data round, ``_segment_round``.
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 Covering = Covering0 | Covering1
+CriticalData = cover0.CriticalData0 | cover1.CriticalData1
 # The finite-difference step, relative to max(1, |parameter|).  Richardson
 # truncation is O(h^4) while the round-off of the perturbed root solves grows
 # as 1/h; at 1e-4 round-off dominates and is about 10x below that at 1e-5
@@ -58,81 +62,65 @@ COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything the identity checks consume, on principal branches.
+    """One covering's critical data, isomonodromy data, route A and anomaly.
 
-    ``tau`` is the genus module's ``tau_product`` and ``critical`` its
-    critical data, in the order of ``pts``.
+    ``critical`` is the genus module's critical data, ``iso`` its
+    ``build_isomonodromy``, ``tau`` its ``tau_product`` and ``gamma`` the
+    scaling anomaly of G.  ``f`` (the roots of f_m^2) and ``h`` (the flat
+    h_s) are the branches route A is on: the principal ones here, the ones
+    continued from a base analysis in ``tests/oracles.continue_branches``.
     """
 
     covering: Covering
-    genus: int
-    pts: tuple[complex, ...]
-    lam: tuple[complex, ...]
-    fsq: tuple[complex, ...]
-    sw: tuple[complex, ...]
-    sb: tuple[complex, ...]
-    f: tuple[complex, ...]
-    h: tuple[complex, ...]
-    ks: tuple[int, ...]
-    sigma: complex | None
-    eta_tilde: complex | None
+    critical: CriticalData
+    iso: IsomonodromyData
     tau: TauProduct
     gamma: complex
-    critical: cover0.CriticalData0 | cover1.CriticalData1
+    f: tuple[complex, ...]
+    h: tuple[complex, ...]
 
 
-def analyze(covering: Covering) -> Analysis:
-    """Critical data, flat data and closed-form scalars in one bundle."""
-    return _analysis(covering, (cover0, cover1)[covering.genus].critical_data(covering))
+def analyze(covering: Covering, cd: CriticalData | None = None) -> Analysis:
+    """The analysis of ``covering`` from its critical data ``cd``, solved here where None.
 
-
-def _analysis(covering: Covering, cd) -> Analysis:
-    """``analyze`` of ``covering`` from its critical data ``cd``."""
+    Critical points too near a pole to verify (the model's
+    ``reject_ill_conditioned``) raise ``OnBoundaryError``.
+    """
     model = (cover0, cover1)[covering.genus]
-    return Analysis(
-        covering=covering,
-        genus=covering.genus,
-        pts=tuple(cd.pts),
-        lam=tuple(cd.lam),
-        fsq=tuple(cd.fsq),
-        sw=tuple(cd.sw),
-        sb=tuple(cd.sb),
-        f=tuple(cmath.sqrt(v) for v in cd.fsq),
-        h=tuple(cd.flat.h),
-        ks=tuple(p.order for p in covering.poles),
-        sigma=covering.modulus.sigma if covering.genus else None,
-        eta_tilde=covering.ctx.eta_tilde if covering.genus else None,
-        tau=model.tau_product(covering, cd),
-        gamma=model.gamma(covering),
-        critical=cd,
-    )
+    if cd is None:
+        cd = model.critical_data(covering)
+    tau, gamma = model.tau_product(covering, cd), model.gamma(covering)
+    model.reject_ill_conditioned(covering, cd.pts)
+    return Analysis(covering, cd, build_isomonodromy(covering, cd), tau, gamma,
+                    tuple(map(cmath.sqrt, cd.fsq)), cd.flat.h)
 
 
 # --------------------------------------------------------------------------
 # Bergmann kernel values and the isomonodromy data
 
 
-def bergmann_values(covering: Covering, an: Analysis) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel values b(P_m, P_n) (zero diagonal) and b(P_m, infinity_s).
+def bergmann_values(covering: Covering, cd: CriticalData) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values b(P_m, P_n) (zero diagonal) and b(P_m, infinity_s) at the points of ``cd``.
 
     Genus 0: f_m f_n / (z_m - z_n)^2 and f_m h_s / (z_m - b_s)^2 (s >= 2).
     Genus 1: [wp(z_m - z_n) - 4 pi i eta_tilde] f_m f_n and the analogue
     with the pole positions.
     """
-    m = len(an.pts)
+    m = len(cd.pts)
     # columns: the critical points, then the poles; the diagonal holds 1/2,
     # a regular point of both kernels, until it is zeroed
-    diff = np.subtract.outer(an.pts, an.pts + tuple(p.b for p in covering.poles))
+    diff = np.subtract.outer(cd.pts, cd.pts + tuple(p.b for p in covering.poles))
     diff.reshape(-1)[:: diff.shape[1] + 1] = 0.5
-    if an.genus:
-        values = wp(covering.ctx, diff) - 4j * math.pi * an.eta_tilde
-        coincident = lattice_distance(diff[:, :m], an.sigma) < 1e-10
+    if covering.genus:
+        values = wp(covering.ctx, diff) - 4j * math.pi * covering.ctx.eta_tilde
+        coincident = lattice_distance(diff[:, :m], covering.modulus.sigma) < 1e-10
     else:
         values = 1.0 / diff**2
         coincident = np.abs(diff[:, :m]) < 1e-12
     if coincident.any():
         raise CoincidentPointsError("coincident critical points")
-    values *= np.multiply.outer(an.f, an.f + an.h)
+    f = tuple(map(cmath.sqrt, cd.fsq))
+    values *= np.multiply.outer(f, f + cd.flat.h)
     values.reshape(-1)[:: values.shape[1] + 1] = 0.0
     return values[:, :m], values[:, m:]
 
@@ -152,12 +140,16 @@ class IsomonodromyData:
     hamiltonians: tuple[complex, ...]
     hamiltonians_bergmann: tuple[complex, ...]
     residues: tuple[np.ndarray, ...]
-    lam: tuple[complex, ...]
-    caustic: bool
+
+    @property
+    def hamiltonian_discrepancy(self) -> float:
+        """The two routes' disagreement, max |H - sb/24| relative to max |H|."""
+        h = np.array(self.hamiltonians)
+        return _rel_error(h - np.array(self.hamiltonians_bergmann), h)
 
 
-def build_isomonodromy(covering: Covering, an: Analysis) -> IsomonodromyData:
-    """Gamma (= half the kernel values), V = [Gamma, U], and H by two routes.
+def build_isomonodromy(covering: Covering, cd: CriticalData) -> IsomonodromyData:
+    """Gamma (= half the kernel values), V = [Gamma, U] and H by two routes, from ``cd``.
 
     Route one is the quadratic form in V; route two is the projective
     connection value sb/24 at each ramification point.  Both are returned;
@@ -165,29 +157,19 @@ def build_isomonodromy(covering: Covering, an: Analysis) -> IsomonodromyData:
     On a near-caustic instance the data is still produced, tagged by the
     ``caustic`` flag of the critical data; nothing is raised or warned.
     """
-    B, Binf = bergmann_values(covering, an)
-    m = len(an.lam)
+    B, Binf = bergmann_values(covering, cd)
+    m = len(cd.lam)
     gamma = 0.5 * B
-    lam = np.array(an.lam)
+    lam = np.array(cd.lam)
     v = gamma * (lam[None, :] - lam[:, None])
     h = [
         0.5 * sum((gamma[i, n] ** 2 * (lam[i] - lam[n]) for n in range(m) if n != i), 0j)
         for i in range(m)
     ]
-    h_sb = tuple(s / 24.0 for s in an.sb)
+    h_sb = tuple(s / 24.0 for s in cd.sb)
     # the k-th residue keeps the k-th row of V
     residues = [np.where(np.arange(m)[:, None] == k, v, 0j) for k in range(m)]
-    return IsomonodromyData(
-        bergmann=B,
-        bergmann_poles=Binf,
-        gamma_matrix=gamma,
-        v_matrix=v,
-        hamiltonians=tuple(h),
-        hamiltonians_bergmann=h_sb,
-        residues=tuple(residues),
-        lam=an.lam,
-        caustic=an.critical.caustic,
-    )
+    return IsomonodromyData(B, Binf, gamma, v, tuple(h), h_sb, tuple(residues))
 
 
 # --------------------------------------------------------------------------
@@ -248,14 +230,14 @@ def _chain_to_lambda(derivs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 # exact deformation derivatives
 
 
-def _top_derivs(an: Analysis, paths: Sequence[str]) -> np.ndarray:
+def _top_derivs(covering: Covering, paths: Sequence[str]) -> np.ndarray:
     """d(top tail of pole s)/d theta, shape (P, S).
 
     A path moves its own pole's top tail.  A top tail that is not a path is
     the residue of a simple last pole that the residue constraint fixes
     (genus 1): every other residue path moves it, with weight -1.
     """
-    poles = an.covering.poles
+    poles = covering.poles
     row = {path: j for j, path in enumerate(paths)}
     out = np.zeros((len(paths), len(poles)))
     for i, pole in enumerate(poles):
@@ -283,19 +265,20 @@ def exact_parameter_derivatives(an: Analysis, partials=None) -> tuple[list[str],
     ``eval_param_derivs`` at the analysis' points where the caller has it;
     its rows of the ``params`` paths outside ``deformation_params`` are dropped.
     """
-    cov = an.covering
-    model = (cover0, cover1)[an.genus]
+    cov, cd = an.covering, an.critical
+    model = (cover0, cover1)[cov.genus]
     paths, table = model.deformation_params(cov), list(model.params(cov))
-    rows, dp = partials or model.eval_param_derivs(cov, np.array(an.pts))  # (4, M), (P', 3, M)
+    rows, dp = partials or model.eval_param_derivs(cov, np.array(cd.pts))  # (4, M), (P', 3, M)
     dp = dp[[table.index(path) for path in paths]]
     p2, p3 = rows[2], rows[3]
     dz = -dp[:, 1] / p2
     dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
     top = np.array([p.top for p in cov.poles], dtype=complex)
-    dlog_h = _top_derivs(an, paths) / (np.array(an.ks) * top)  # (P, S)
+    ks = [p.order for p in cov.poles]
+    dlog_h = _top_derivs(cov, paths) / (np.array(ks) * top)  # (P, S)
     dsigma = np.array([float(path == "modulus") for path in paths])
-    tau = route_a(an.ks, (dfsq / np.array(an.fsq)).T, dlog_h.T, dlog_h.T,
-                  (an.eta_tilde or 0.0) * dsigma)
+    tau = route_a(ks, (dfsq / np.array(cd.fsq)).T, dlog_h.T, dlog_h.T,
+                  (cov.ctx.eta_tilde if cov.genus else 0.0) * dsigma)
     derivs = {
         "lam": dp[:, 0],
         "fsq": dfsq,
@@ -305,7 +288,7 @@ def exact_parameter_derivatives(an: Analysis, partials=None) -> tuple[list[str],
         "log_tau48": tau.log_tau_inv48,
         "G": tau.G,
     }
-    if an.genus:
+    if cov.genus:
         derivs["sigma"] = dsigma
     n = len(paths)
     return paths, {k: np.asarray(v, dtype=complex).reshape(n, -1) for k, v in derivs.items()}, dz
@@ -383,21 +366,17 @@ def route_ratio(ta: TauProduct, tb: cover0.TauResultant) -> complex:
     return cmath.exp(ta.log_tau_inv48 - tb.log_tau_inv48)
 
 
-def _route_row(cov: Covering, cd: cover0.CriticalData0 | cover1.CriticalData1,
-               tb, ta) -> dict:
-    """Cross-route tau data of one covering from its critical data and routes A and B."""
-    row = {"pts": cd.pts, "route_ratio": route_ratio(ta, tb)}
-    if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
-        row["resultant_ratio"] = cd.resultant_ratio
-    return row
-
-
 def _route_rows(coverings: Sequence[Covering], cds: Sequence, tas=None) -> list[dict]:
     """Cross-route tau data of each covering: route B in one call, route A unless ``tas`` has it."""
     model = (cover0, cover1)[coverings[0].genus]
-    tbs = model.tau_resultant(coverings, cds)
-    return [_route_row(cov, cd, tb, ta or model.tau_product(cov, cd))
-            for cov, cd, tb, ta in zip(coverings, cds, tbs, tas or [None] * len(cds))]
+    rows = []
+    for cov, cd, tb, ta in zip(coverings, cds, model.tau_resultant(coverings, cds),
+                               tas or [None] * len(cds)):
+        row = {"pts": cd.pts, "route_ratio": route_ratio(ta or model.tau_product(cov, cd), tb)}
+        if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
+            row["resultant_ratio"] = cd.resultant_ratio
+        rows.append(row)
+    return rows
 
 
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
@@ -471,23 +450,19 @@ def identity_report(
     except (HurwitzError, KeyError) as exc:  # KeyError: no sweep path where M = 0
         moves, sweep, sweep_error = [], [], exc
     cds, partials = _segment_round(covering, path, moves, sweep)
-    an = _analysis(covering, *_raised(cds[:1]))
-    model.reject_ill_conditioned(covering, an.pts)
-    iso = build_isomonodromy(covering, an)
+    an = analyze(covering, *_raised(cds[:1]))
+    cd, iso = an.critical, an.iso
     B, Binf = iso.bergmann, iso.bergmann_poles
     _, pderivs, _ = exact_parameter_derivatives(an, partials)
     d = _chain_to_lambda(pderivs)
-    m = len(an.lam)
-    lam = np.array(an.lam)
+    m = len(cd.lam)
+    lam = np.array(cd.lam)
     h = np.array(iso.hamiltonians)
 
     def tolerance(name: str) -> float:
         if tol is not None:
             return tol
-        t = DEFAULT_TOLS[name]
-        if name == "hamiltonian-two-route" and an.genus:
-            t = 1e-6
-        return t
+        return 1e-6 if name == "hamiltonian-two-route" and covering.genus else DEFAULT_TOLS[name]
 
     checks: list[IdentityCheck] = []
 
@@ -512,13 +487,13 @@ def identity_report(
                                     "d h_s / d lambda_m vs (1/2) b(P_m,inf_s) f_m"))
 
     dT = d["T"][0]
-    sw = np.array(an.sw)
+    sw = np.array(cd.sw)
     err = _rel_error(dT - sw, sw)
     checks.append(IdentityCheck("schwarzian-gradient", err, tolerance("schwarzian-gradient"),
                                 "d T / d lambda_k vs Schwarzian at P_k"))
 
-    err = _rel_error(h - np.array(iso.hamiltonians_bergmann), h)
-    checks.append(IdentityCheck("hamiltonian-two-route", err, tolerance("hamiltonian-two-route"),
+    checks.append(IdentityCheck("hamiltonian-two-route", iso.hamiltonian_discrepancy,
+                                tolerance("hamiltonian-two-route"),
                                 "H from V-quadratic form vs projective connection"))
 
     err = _rel_error(np.sum(h), h)
@@ -530,9 +505,9 @@ def identity_report(
     checks.append(IdentityCheck("euler-anomaly", err, tolerance("euler-anomaly"),
                                 "E(G) vs closed-form gamma"))
 
-    if an.genus:
+    if covering.genus:
         dsig = d["sigma"][0]
-        rhs_s = 1j * math.pi * np.array(an.fsq)
+        rhs_s = 1j * math.pi * np.array(cd.fsq)
         err = _rel_error(dsig - rhs_s, rhs_s)
         checks.append(IdentityCheck("modulus-flow", err, tolerance("modulus-flow"),
                                     "d sigma / d lambda_k vs pi i f_k^2"))
@@ -544,7 +519,7 @@ def identity_report(
     cds = _raised(cds[1:])
     mid = SWEEP_STEPS // 2
     rows = _route_rows(sweep[:mid] + [covering] + sweep[mid:],
-                       cds[:mid] + [an.critical] + cds[mid:],
+                       cds[:mid] + [cd] + cds[mid:],
                        [None] * mid + [an.tau] + [None] * (len(sweep) - mid))
     ratios = [row["route_ratio"] for row in rows]
     factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]

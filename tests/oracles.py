@@ -684,44 +684,46 @@ def continue_branches(an: isomon.Analysis, base: isomon.Analysis) -> isomon.Anal
     fixed multiple of h_s).  ``cover0.route_a`` of these gives ``tau``.  With
     ``an`` = ``base`` every value is base's own, bit for bit.
     """
+    fsq, ks = an.critical.fsq, [p.order for p in an.covering.poles]
     f = tuple(r if abs(r - rf) <= abs(-r - rf) else -r
-              for r, rf in zip((cmath.sqrt(v) for v in an.fsq), base.f))
+              for r, rf in zip((cmath.sqrt(v) for v in fsq), base.f))
     h = tuple(
         min((hv * cmath.exp(2j * math.pi * j / k) for j in range(k)), key=lambda w: abs(w - rh))
-        for hv, k, rh in zip(an.h, an.ks, base.h)
+        for hv, k, rh in zip(an.h, ks, base.h)
     )
-    log_fsq = [_nearest_log(v, cmath.log(rv)) for v, rv in zip(an.fsq, base.fsq)]
+    log_fsq = [_nearest_log(v, cmath.log(rv)) for v, rv in zip(fsq, base.critical.fsq)]
     log_h0 = [cmath.log(rh) for rh in base.h]
     log_h = [_nearest_log(hv, lh0) for hv, lh0 in zip(h, log_h0)]
     log_t = [cmath.log(rt) + (lh - lh0) for rt, lh, lh0 in zip(base.critical.flat.t, log_h, log_h0)]
-    log_eta = an.covering.ctx.log_eta if an.genus else 0
+    log_eta = an.covering.ctx.log_eta if an.covering.genus else 0
     return dataclasses.replace(an, f=f, h=h,
-                               tau=cover0.route_a(an.ks, log_fsq, log_h, log_t, log_eta))
+                               tau=cover0.route_a(ks, log_fsq, log_h, log_t, log_eta))
 
 
 def continued_analysis(cov, base: isomon.Analysis) -> isomon.Analysis:
-    """The analysis of ``cov`` with the critical points tracked from ``base.pts``.
+    """The analysis of ``cov`` with the critical points tracked from ``base``'s.
 
     The seeded solve returns the tracked points lane by lane, in the order of
-    base.pts; when each is nearest its own base point the identity is an
+    base's points; when each is nearest its own base point the identity is an
     optimal assignment, so that order is kept, and a tracked point nearer
     another base point raises ``CountMismatchError``.  The branches continue
     base's (``continue_branches``).
     """
-    cd = (cover0, cover1)[cov.genus].critical_data(cov, seeds=base.pts)
-    diff = np.subtract.outer(np.array(cd.pts), np.array(base.pts))
+    base_pts = base.critical.pts
+    cd = (cover0, cover1)[cov.genus].critical_data(cov, seeds=base_pts)
+    diff = np.subtract.outer(np.array(cd.pts), np.array(base_pts))
     gaps = lattice_distance(diff, cov.modulus.sigma) if cov.genus else np.abs(diff)
     if (np.argmin(gaps, axis=1) != np.arange(len(cd.pts))).any():
         raise CountMismatchError("a tracked critical point is nearer another base point")
-    return continue_branches(isomon._analysis(cov, cd), base)
+    return continue_branches(isomon.analyze(cov, cd), base)
 
 
 def bundle(an: isomon.Analysis) -> dict:
     """The quantities ``isomon.exact_parameter_derivatives`` differentiates, by key."""
-    out = {"lam": an.lam, "fsq": an.fsq, "f": an.f, "h": an.h, "T": an.tau.T,
+    out = {"lam": an.critical.lam, "fsq": an.critical.fsq, "f": an.f, "h": an.h, "T": an.tau.T,
            "log_tau48": an.tau.log_tau_inv48, "G": an.tau.G}
-    if an.genus:
-        out["sigma"] = an.sigma
+    if an.covering.genus:
+        out["sigma"] = an.covering.modulus.sigma
     return out
 
 

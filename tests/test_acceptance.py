@@ -41,8 +41,8 @@ def _verdict(num: int, desc: str, passed: bool, detail: str = "") -> None:
 def _instance_checks(cov):
     """Error measures shared by criteria 1, 2, 4, 5 and 7."""
     an = isomon.analyze(cov)
-    iso = isomon.build_isomonodromy(cov, an)
-    B, Binf = isomon.bergmann_values(cov, an)
+    cd, iso = an.critical, an.iso
+    B, Binf = isomon.bergmann_values(cov, cd)
     _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
     h = np.array(iso.hamiltonians)
     h_scale = float(np.max(np.abs(h)))
@@ -62,12 +62,12 @@ def _instance_checks(cov):
         out["rauch_h"] = float(np.max(np.abs(d["h"] - rhs_h))) / float(
             np.max(np.abs(rhs_h))
         )
-    if an.genus == 1:
-        rhs_s = 1j * math.pi * np.array(an.fsq)
+    if cov.genus == 1:
+        rhs_s = 1j * math.pi * np.array(cd.fsq)
         out["modulus_flow"] = float(np.max(np.abs(d["sigma"][0] - rhs_s))) / float(
             np.max(np.abs(rhs_s))
         )
-    eg = complex(d["G"][0] @ np.array(an.lam))
+    eg = complex(d["G"][0] @ np.array(cd.lam))
     out["euler_anomaly"] = abs(eg - an.gamma) / max(1.0, abs(an.gamma))
     return out
 
@@ -118,14 +118,14 @@ def test_criterion_3_cubic_anchor(a2):
     # (and by hand series inversion): lambda -2 pairs with sb = +1/12,
     # H = +1/288; lambda +2 with the opposite signs, so that sum H = 0
     cd = cover0.critical_data(a2)
-    iso = isomon.build_isomonodromy(a2, isomon.analyze(a2))
+    iso = isomon.analyze(a2).iso
     ok = len(cd.lam) == 2
     pairs = sorted(zip(cd.lam, cd.sb), key=lambda t: t[0].real)
     ok &= abs(pairs[0][0] + 2) < 1e-12 and abs(pairs[1][0] - 2) < 1e-12
     ok &= abs(pairs[0][1] - 1 / 12) < 1e-12 and abs(pairs[1][1] + 1 / 12) < 1e-12
-    hp = sorted(zip(iso.lam, iso.hamiltonians), key=lambda t: t[0].real)
+    hp = sorted(zip(cd.lam, iso.hamiltonians), key=lambda t: t[0].real)
     ok &= abs(hp[0][1] - 1 / 288) < 1e-13 and abs(hp[1][1] + 1 / 288) < 1e-13
-    hb = sorted(zip(iso.lam, iso.hamiltonians_bergmann), key=lambda t: t[0].real)
+    hb = sorted(zip(cd.lam, iso.hamiltonians_bergmann), key=lambda t: t[0].real)
     ok &= abs(hb[0][1] - 1 / 288) < 1e-13 and abs(hb[1][1] + 1 / 288) < 1e-13
     _verdict(
         3,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitztau import cli, cover1
+from hurwitztau import cli, cover0, cover1, isomon
 from hurwitztau.cli import covering_to_spec, load_covering, main
 from hurwitztau.cover0 import Pole
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
@@ -197,6 +197,32 @@ class TestSpecShape:
         assert rc == 2
         assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
 
+    A2 = {"genus": 0, "profile": [3], "poly_coeffs": [[0, 0], [-3, 0]], "poles": []}
+    H12 = {"genus": 1, "profile": [2], "modulus": [0, 1.1], "constant": [0, 0],
+           "poles": [{"b": [0.23, 0.31], "c": [[0, 0], [1, 0.05]]}]}
+    # each was once read as a covering: a profile entry or genus cast to int, a
+    # string read as numbers, or an int literal beyond double precision (exit 6)
+    WRONG_TYPES = {
+        "profile-float": {**A2, "profile": [3.9]},
+        "profile-string": {**A2, "profile": "3"},
+        "profile-bool": {"genus": 0, "profile": [True, 2], "poly_coeffs": [],
+                         "poles": [{"b": [0.5, 0], "c": [[0.2, 0], [1, 0]]}]},
+        "genus-bool": {**H12, "genus": True},
+        "genus-float": {**A2, "genus": 0.0},
+        "pair-string": {**A2, "poly_coeffs": [[0, 0], ["-3", 0]]},
+        "pair-bool": {**H12, "constant": [False, 0]},
+        "pair-int-400-digits": {**A2, "poly_coeffs": [[0, 0], [10 ** 400, 0]]},
+    }
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    @pytest.mark.parametrize("name", list(WRONG_TYPES))
+    def test_field_of_the_wrong_type_exits_2(self, command, name, tmp_path, capsys):
+        rc = main([command, _write(tmp_path, "typed.json", self.WRONG_TYPES[name])])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
+
     @pytest.mark.parametrize("command", ["check", "analyze"])
     def test_nesting_deeper_than_the_recursion_limit_exits_2(self, command, tmp_path, capsys):
         doc = "[" * 100000 + "]" * 100000
@@ -205,6 +231,34 @@ class TestSpecShape:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "invalid covering spec" in captured.err
+
+
+class TestOneAnalysisPerOp:
+    """``analyze`` and ``check`` share ``isomon.analyze``, the only caller of the
+    isomonodromy build and of the ill-conditioning rejection."""
+
+    @pytest.mark.parametrize("command", [["check"], ["analyze", "--json"], ["analyze"]],
+                             ids=["check", "analyze-json", "analyze"])
+    @pytest.mark.parametrize("name", ["a2", "h0_surf", "h12"])
+    def test_one_build_per_op_made_by_analyze(self, command, name, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def caller_recorded(module, fn):
+            real = getattr(module, fn)
+
+            def recorded(*args):
+                frame = sys._getframe(1)
+                calls.append((fn, frame.f_globals["__name__"], frame.f_code.co_name))
+                return real(*args)
+
+            monkeypatch.setattr(module, fn, recorded)
+
+        caller_recorded(isomon, "build_isomonodromy")
+        for model in (cover0, cover1):
+            caller_recorded(model, "reject_ill_conditioned")
+        assert main([command[0], _spec_file(tmp_path, name), *command[1:]]) == 0
+        assert sorted(calls) == [("build_isomonodromy", "hurwitztau.isomon", "analyze"),
+                                 ("reject_ill_conditioned", "hurwitztau.isomon", "analyze")]
 
 
 class TestGenus1PointCollision:

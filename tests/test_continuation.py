@@ -47,14 +47,14 @@ def searches(monkeypatch):
 def routed(monkeypatch):
     """(covering, row) of every cross-route row made since set up, in order."""
     seen = []
-    orig = isomon._route_row
+    orig = isomon._route_rows
 
-    def recorded(cov, cd, tb, ta):
-        row = orig(cov, cd, tb, ta)
-        seen.append((cov, row))
-        return row
+    def recorded(coverings, cds, tas=None):
+        rows = orig(coverings, cds, tas)
+        seen.extend(zip(coverings, rows))
+        return rows
 
-    monkeypatch.setattr(isomon, "_route_row", recorded)
+    monkeypatch.setattr(isomon, "_route_rows", recorded)
     return seen
 
 
@@ -521,6 +521,6 @@ class TestCriticalPointTangent:
                "h12": h12, "g1(2,1)": g1_21, "g1(1,1,1)": random_covering1((1, 1, 1), 7)}[name]
         an = isomon.analyze(cov)
         paths, _, dz = isomon.exact_parameter_derivatives(an)
-        assert dz.shape == (len(paths), len(an.pts))
-        fd = np.array([_tangent_fd(cov, path, an.pts) for path in paths])
+        assert dz.shape == (len(paths), len(an.critical.pts))
+        fd = np.array([_tangent_fd(cov, path, an.critical.pts) for path in paths])
         assert _rel(dz, fd) < 1e-6

@@ -254,7 +254,7 @@ class TestTauProduct:
 
     def test_gradient_is_hamiltonian(self, a2):
         an = isomon.analyze(a2)
-        iso = isomon.build_isomonodromy(a2, an)
+        iso = an.iso
         _, d = oracles.lambda_derivatives(a2, oracles.check_bundle(an))
         dlogtau = -d["log_tau48"][0] / 48.0
         err = max(abs(a - b) for a, b in zip(dlogtau, iso.hamiltonians))
@@ -393,8 +393,8 @@ class TestEulerInvariants:
         values = []
         for _ in range(20):
             cov = random_covering0((2, 1), rng)
-            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
-            h = np.array(iso.hamiltonians)
+            an = isomon.analyze(cov)
+            h = np.array(an.iso.hamiltonians)
             assert abs(np.sum(h)) / np.max(np.abs(h)) < 1e-9
-            values.append(complex(h @ np.array(iso.lam)))
+            values.append(complex(h @ np.array(an.critical.lam)))
         assert max(abs(v - expected) for v in values) < 1e-8

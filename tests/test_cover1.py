@@ -222,7 +222,7 @@ class TestTauRoutes:
     def test_gradient_is_hamiltonian(self):
         cov = random_covering1((1, 1), seed=11)
         an = isomon.analyze(cov)
-        iso = isomon.build_isomonodromy(cov, an)
+        iso = an.iso
         _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
         dlogtau = -d["log_tau48"][0] / 48.0
         h = np.array(iso.hamiltonians)
@@ -232,7 +232,7 @@ class TestTauRoutes:
         cov = random_covering1((2,), seed=12)
         an = isomon.analyze(cov)
         _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
-        rhs = 1j * math.pi * np.array(an.fsq)
+        rhs = 1j * math.pi * np.array(an.critical.fsq)
         err = float(np.max(np.abs(d["sigma"][0] - rhs))) / float(np.max(np.abs(rhs)))
         assert err < 1e-5
 
@@ -320,8 +320,8 @@ class TestGFunction:
         cov = random_covering1((1, 1), seed=14)
         errors = {c.name: c.error for c in isomon.identity_report(cov)}
         assert errors["euler-anomaly"] < 1e-5
-        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
-        euler_log_tau = complex(np.array(iso.hamiltonians) @ np.array(iso.lam))
+        an = isomon.analyze(cov)
+        euler_log_tau = complex(np.array(an.iso.hamiltonians) @ np.array(an.critical.lam))
         assert abs(euler_log_tau - euler_scaling_expected(cov)) < 1e-8
 
     def test_modulus_gradient_of_g(self):
@@ -353,11 +353,11 @@ class TestGFunction:
         assert abs(tp1.tau_inv48 - tp2.tau_inv48) / abs(tp1.tau_inv48) < 1e-10
         assert abs(tp1.G - tp2.G) < 1e-12
         h1 = sorted(
-            isomon.build_isomonodromy(cov, isomon.analyze(cov)).hamiltonians,
+            isomon.analyze(cov).iso.hamiltonians,
             key=lambda z: (round(z.real, 8), z.imag),
         )
         h2 = sorted(
-            isomon.build_isomonodromy(shifted, isomon.analyze(shifted)).hamiltonians,
+            isomon.analyze(shifted).iso.hamiltonians,
             key=lambda z: (round(z.real, 8), z.imag),
         )
         assert max(abs(a - b) for a, b in zip(h1, h2)) < 1e-10

@@ -6,23 +6,24 @@ import numpy as np
 import pytest
 
 import oracles
-from hurwitztau import cover0, cover1, isomon
+from hurwitztau import cli, cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
-from hurwitztau.errors import CausticWarning, CoincidentPointsError
+from hurwitztau.errors import CausticWarning, CoincidentPointsError, OnBoundaryError
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 
 class TestBergmann:
     def test_symmetry(self):
         for cov in (random_covering0((2, 2), seed=1), random_covering1((1, 1), seed=2)):
-            B, _ = isomon.bergmann_values(cov, isomon.analyze(cov))
+            B, _ = isomon.bergmann_values(cov, isomon.analyze(cov).critical)
             assert np.max(np.abs(B - B.T)) < 1e-12 * np.max(np.abs(B))
 
     def test_cubic_closed_form(self, a2):
         an = isomon.analyze(a2)
-        B, _ = isomon.bergmann_values(a2, an)
+        B, _ = isomon.bergmann_values(a2, an.critical)
+        pts = an.critical.pts
         # critical points are +-1, so the kernel value is f1 f2 / 4
-        want = an.f[0] * an.f[1] / (an.pts[0] - an.pts[1]) ** 2
+        want = an.f[0] * an.f[1] / (pts[0] - pts[1]) ** 2
         assert abs(B[0, 1] - want) < 1e-14
 
     def test_one_evaluation_per_identity_report(self, monkeypatch, a2, h12):
@@ -67,10 +68,30 @@ class TestRouteRatio:
             isomon.route_ratio(isomon.analyze(a2).tau, tb)
 
 
+class TestAnalyze:
+    def test_rejects_critical_points_too_near_a_pole(self):
+        # p = z - 1e-7/(z - 0.5): the top tail is above the boundary tolerance, but
+        # the critical points lie 3.2e-4 from the pole, too near to verify (S2)
+        cov = Covering0((1, 1), (), (Pole(0.5, (1e-7,)),))
+        with pytest.raises(OnBoundaryError, match="too ill-conditioned to verify") as info:
+            isomon.analyze(cov)
+        assert info.value.component == "S2"
+
+    @pytest.mark.parametrize("name", ["a2", "h0_surf", "h12"])
+    def test_report_and_check_read_one_discrepancy(self, name):
+        # the two Hamiltonian routes' discrepancy is formed once, on the analysis' data
+        cov = builtin_example(name)
+        an = isomon.analyze(cov)
+        report = cli.build_report(cov)["hamiltonians"]["max_discrepancy"]
+        (check,) = [c for c in isomon.identity_report(cov) if c.name == "hamiltonian-two-route"]
+        assert report == check.error == an.iso.hamiltonian_discrepancy < 1e-8
+
+
 class TestIsomonodromyData:
     def test_cubic_hamiltonians_both_routes(self, a2):
-        iso = isomon.build_isomonodromy(a2, isomon.analyze(a2))
-        by_lam = {round(l.real): h for l, h in zip(iso.lam, iso.hamiltonians)}
+        an = isomon.analyze(a2)
+        iso = an.iso
+        by_lam = {round(l.real): h for l, h in zip(an.critical.lam, iso.hamiltonians)}
         assert abs(by_lam[-2] - 1 / 288) < 1e-14
         assert abs(by_lam[2] + 1 / 288) < 1e-14
         for h1, h2 in zip(iso.hamiltonians, iso.hamiltonians_bergmann):
@@ -78,18 +99,19 @@ class TestIsomonodromyData:
 
     def test_v_antisymmetric_and_consistent(self):
         cov = random_covering0((3, 2), seed=3)
-        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
+        an = isomon.analyze(cov)
+        iso = an.iso
         v = iso.v_matrix
         assert np.max(np.abs(v + v.T)) < 1e-12 * np.max(np.abs(v))
-        lam = np.array(iso.lam)
+        lam = np.array(an.critical.lam)
         want = iso.gamma_matrix * (lam[None, :] - lam[:, None])
         assert np.max(np.abs(v - want)) < 1e-14 * max(1, np.max(np.abs(v)))
 
     def test_residue_row_structure(self):
         cov = random_covering0((2, 1), seed=4)
-        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
+        iso = isomon.analyze(cov).iso
         for k, a in enumerate(iso.residues):
-            mask = np.ones(len(iso.lam), dtype=bool)
+            mask = np.ones(len(iso.hamiltonians), dtype=bool)
             mask[k] = False
             assert np.all(a[mask, :] == 0)
             assert np.max(np.abs(a[k, :] - iso.v_matrix[k, :])) == 0
@@ -97,8 +119,9 @@ class TestIsomonodromyData:
     def test_residue_extraction(self):
         # contour integrals of sum_k A_k/(lambda - lambda_k) recover each A_k
         cov = random_covering0((2, 2), seed=5)
-        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
-        lam = np.array(iso.lam)
+        an = isomon.analyze(cov)
+        iso = an.iso
+        lam = np.array(an.critical.lam)
         m = len(lam)
 
         def mat(l):
@@ -120,7 +143,7 @@ class TestIsomonodromyData:
     def test_two_route_agreement_random(self):
         for seed, make in [(6, random_covering0), (7, random_covering1)]:
             cov = make((2, 1), seed=seed)
-            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
+            iso = isomon.analyze(cov).iso
             h1 = np.array(iso.hamiltonians)
             h2 = np.array(iso.hamiltonians_bergmann)
             tol = 1e-8 if isinstance(cov, Covering0) else 1e-6
@@ -131,7 +154,7 @@ class TestDeformationEngine:
     def test_jacobian_well_conditioned(self):
         for cov in (random_covering0((2, 2), seed=8), random_covering1((2,), seed=9)):
             an = isomon.analyze(cov)
-            bundle = lambda c: {"lam": oracles.continued_analysis(c, an).lam}
+            bundle = lambda c: {"lam": oracles.continued_analysis(c, an).critical.lam}
             _, _, derivs = isomon.parameter_derivatives(cov, bundle)
             jac = derivs["lam"].T  # (M, P)
             m = cov.dim
@@ -142,8 +165,8 @@ class TestDeformationEngine:
         cov = random_covering0((2, 1), seed=10)
         an = isomon.analyze(cov)
         # the functional F = lambda, evaluated apart from the bundle's own "lam"
-        bundle = lambda c: {"lam": oracles.continued_analysis(c, an).lam,
-                            "F": oracles.continued_analysis(c, an).lam}
+        bundle = lambda c: {"lam": oracles.continued_analysis(c, an).critical.lam,
+                            "F": oracles.continued_analysis(c, an).critical.lam}
         _, d = oracles.lambda_derivatives(cov, bundle)
         for k in range(cov.dim):
             for j in range(cov.dim):
@@ -153,7 +176,7 @@ class TestDeformationEngine:
         # rotation coefficients: d sqrt(metric_mm) / d lambda_n / sqrt(metric_nn)
         cov = random_covering0((2, 1), seed=11)
         an = isomon.analyze(cov)
-        iso = isomon.build_isomonodromy(cov, an)
+        iso = an.iso
         _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
         df = d["f"]  # df[n, m] = d f_n / d lambda_m
         m = cov.dim
@@ -168,7 +191,7 @@ class TestDeformationEngine:
         for cov in (random_covering0((3, 2), seed=12), random_covering1((1, 1), seed=13)):
             an = isomon.analyze(cov)
             _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
-            sw = np.array(an.sw)
+            sw = np.array(an.critical.sw)
             err = np.max(np.abs(d["T"][0] - sw)) / np.max(np.abs(sw))
             assert err < 1e-5
 
@@ -184,12 +207,13 @@ class TestDeformationEngine:
             (random_covering1((1, 1), seed=22), ev1),
         ):
             an = isomon.analyze(cov)
+            cd = an.critical
             _, d = oracles.lambda_derivatives(cov, oracles.check_bundle(an))
-            for k in range(len(an.lam)):
-                dlogf = d["fsq"][k, k] / (2 * an.fsq[k])
-                der = ev(cov, an.pts[k], 4)
+            for k in range(len(cd.lam)):
+                dlogf = d["fsq"][k, k] / (2 * cd.fsq[k])
+                der = ev(cov, cd.pts[k], 4)
                 al, be, ga = der[2], der[3] / 2, der[4] / 6
-                rhs = an.sb[k] / 12 + 5 * be * be / (6 * al**3) - 3 * ga / (4 * al**2)
+                rhs = cd.sb[k] / 12 + 5 * be * be / (6 * al**3) - 3 * ga / (4 * al**2)
                 assert abs(dlogf - rhs) / max(1.0, abs(rhs)) < 1e-5
 
     def test_richardson_convergence_ratio(self):
@@ -204,7 +228,7 @@ class TestDeformationEngine:
 
         def h1(value):
             c2 = set_param(cov, path, value)
-            return isomon.build_isomonodromy(c2, oracles.continued_analysis(c2, an)).hamiltonians[0]
+            return oracles.continued_analysis(c2, an).iso.hamiltonians[0]
 
         def central(h):
             return (h1(v0 + h) - h1(v0 - h)) / (2 * h)
@@ -216,23 +240,28 @@ class TestDeformationEngine:
 
     def test_hamiltonian_blowup_towards_caustic(self):
         # two critical values collide like sqrt(c); the Hamiltonians grow
-        # monotonically through four decades of the tail coefficient
+        # monotonically through four decades of the tail coefficient.  Below
+        # c = 1e-6 the critical points lie too near the pole for analyze to
+        # verify, so the data is built from the critical data directly
         b = 0.3 + 0.2j
         values = []
         for c in np.geomspace(1e-1, 1e-8, 8):
             cov = Covering0((1, 1), (), (Pole(b, (complex(-c),)),))
-            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
+            iso = isomon.build_isomonodromy(cov, critical_data0(cov))
             values.append(float(np.max(np.abs(iso.hamiltonians))))
         assert all(a < b2 for a, b2 in zip(values, values[1:]))
         assert values[-1] / values[0] > 1e3
 
     def test_caustic_guard_flags_partial_data(self):
-        # near-coincident critical values: data still produced, flagged
+        # near-coincident critical values: data still produced from the flagged
+        # critical data, which analyze rejects as too near the pole to verify
         cov = Covering0((1, 1), (), (Pole(0.3 + 0.2j, (-1e-14,)),))
         cd = critical_data0(cov)
         assert cd.caustic
-        iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
-        assert iso.caustic
+        iso = isomon.build_isomonodromy(cov, cd)
+        assert len(iso.hamiltonians) == len(cd.lam) == 2
+        with pytest.raises(OnBoundaryError, match="too ill-conditioned to verify"):
+            isomon.analyze(cov)
 
 
 class TestCausticFlag:
@@ -251,8 +280,8 @@ class TestCausticFlag:
     def test_analysis_near_the_caustic_flags_without_warning(self, monkeypatch):
         cov = self._cusp(1e-7)
         analyses = []
-        real = isomon._analysis
-        monkeypatch.setattr(isomon, "_analysis",
+        real = isomon.analyze
+        monkeypatch.setattr(isomon, "analyze",
                             lambda *args: analyses.append(real(*args)) or analyses[-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -270,8 +299,8 @@ class TestEulerChecks:
             errors = {c.name: c.error for c in isomon.identity_report(cov)}
             assert errors["hamiltonian-sum"] < 1e-10
             assert errors["euler-anomaly"] < 1e-5
-            iso = isomon.build_isomonodromy(cov, isomon.analyze(cov))
-            euler_log_tau = complex(np.array(iso.hamiltonians) @ np.array(iso.lam))
+            an = isomon.analyze(cov)
+            euler_log_tau = complex(np.array(an.iso.hamiltonians) @ np.array(an.critical.lam))
             model = (cover0, cover1)[cov.genus]
             assert abs(euler_log_tau - model.euler_scaling_expected(cov)) < 1e-8
 

@@ -51,10 +51,11 @@ def _sample(profile, seed, sampler=random_covering1):
         assume(False)
 
 
-def _by_lambda(an, iso):
-    """(lambda, H) pairs in lambda order."""
-    order = sorted(range(len(an.lam)), key=lambda i: (round(an.lam[i].real, 8), an.lam[i].imag))
-    return np.array([an.lam[i] for i in order]), np.array([iso.hamiltonians[i] for i in order])
+def _by_lambda(an):
+    """(lambda, H) pairs of an analysis in lambda order."""
+    lam = an.critical.lam
+    order = sorted(range(len(lam)), key=lambda i: (round(lam[i].real, 8), lam[i].imag))
+    return np.array([lam[i] for i in order]), np.array([an.iso.hamiltonians[i] for i in order])
 
 
 def _rel(got, want) -> float:
@@ -71,8 +72,8 @@ class TestTMove:
                     for p, q in zip(cov.poles, moved.poles))
         moved = Covering1(moved.modulus, cov.constant - drift, moved.poles)
         an, an_t = isomon.analyze(cov), isomon.analyze(moved)
-        lam, h = _by_lambda(an, isomon.build_isomonodromy(cov, an))
-        lam_t, h_t = _by_lambda(an_t, isomon.build_isomonodromy(moved, an_t))
+        lam, h = _by_lambda(an)
+        lam_t, h_t = _by_lambda(an_t)
         assert _rel(lam_t, lam) < 1e-12
         assert _rel(h_t, h) < 1e-12
         shift = log_dedekind_eta(moved.modulus) - log_dedekind_eta(cov.modulus)
@@ -110,26 +111,26 @@ class TestSMove:
         sigma = -1.0 / complex(re, im)  # the image modulus -1/sigma is re + i im
         try:
             cov = cover1.set_param(_sample(profile, seed), "modulus", sigma)
-            an = isomon.analyze(cov)
+            cd = cover1.critical_data(cov)
         except HurwitzError:  # poles clash on this lattice, or a degenerate instance
             assume(False)
         moved = _s_moved(cov)
         sigma_s = moved.modulus.sigma
-        want = np.array(an.pts) / sigma
+        want = np.array(cd.pts) / sigma
         try:
-            an_s = isomon.analyze(moved)
+            cd_s = cover1.critical_data(moved)
         except ContourClashError:  # allowed only where a zero is not determined to the tolerance
             oracles.assert_not_determined(want, *_p_prime(moved))
             return
         # round-off moves a zero of p' by up to oracles.round_off_spread in either frame
         slack = 1e-10 + oracles.round_off_spread(want, *_p_prime(moved))
-        slack += oracles.round_off_spread(an.pts, *_p_prime(cov)) / abs(sigma)
+        slack += oracles.round_off_spread(cd.pts, *_p_prime(cov)) / abs(sigma)
         # the same critical values, at the points z/sigma
-        lam, lam_s = np.array(an.lam), np.array(an_s.lam)
+        lam, lam_s = np.array(cd.lam), np.array(cd_s.lam)
         scale = max(1.0, float(np.abs(lam).max()))
         assert _nearest(lam, lam_s)[1].max() < 1e-10 * scale
         assert _nearest(lam_s, lam)[1].max() < 1e-10 * scale
-        match, gaps = _nearest(want, an_s.pts, lambda d: lattice_distance(d, sigma_s))
+        match, gaps = _nearest(want, cd_s.pts, lambda d: lattice_distance(d, sigma_s))
         assert (gaps <= slack).all()
         assert sorted(match) == list(range(len(match)))
         # f^2 = 2/p'': a point off by dz moves it by |p'''/p''| dz, relative, and
@@ -138,7 +139,7 @@ class TestSMove:
         hd, poles, _ = _p_prime(moved)
         size = np.abs(hd(oracles.first_contour(poles, sigma_s))[1]).max()
         bound = 1e-10 + (10 * np.finfo(float).eps * size + np.abs(d[3]) * slack) / np.abs(d[2])
-        fsq, fsq_s = np.array(an.fsq) / sigma**2, np.array(an_s.fsq)[match]
+        fsq, fsq_s = np.array(cd.fsq) / sigma**2, np.array(cd_s.fsq)[match]
         assert (np.abs(fsq_s / fsq - 1.0) <= bound).all()
         # eta(-1/sigma) = sqrt(-i sigma) eta(sigma)
         shift = log_dedekind_eta(moved.modulus) - log_dedekind_eta(cov.modulus)
@@ -155,11 +156,11 @@ class TestLambdaShift:
         shifted = Covering1(cov.modulus, cov.constant + c, cov.poles)
         an, an_s = isomon.analyze(cov), isomon.analyze(shifted)
         # p' is unchanged, so the search returns the same points in the same order
-        assert an_s.pts == an.pts
-        lam, lam_s = np.array(an.lam), np.array(an_s.lam)
+        assert an_s.critical.pts == an.critical.pts
+        lam, lam_s = np.array(an.critical.lam), np.array(an_s.critical.lam)
         assert _rel(lam_s - c, lam) < 1e-12
-        h = np.array(isomon.build_isomonodromy(cov, an).hamiltonians)
-        h_s = np.array(isomon.build_isomonodromy(shifted, an_s).hamiltonians)
+        h = np.array(an.iso.hamiltonians)
+        h_s = np.array(an_s.iso.hamiltonians)
         assert _rel(h_s, h) < 1e-12
         assert abs(an_s.tau.log_tau - an.tau.log_tau) < 1e-12
         assert abs(an_s.tau.G - an.tau.G) < 1e-12
@@ -179,11 +180,11 @@ class TestLambdaShiftGenus0:
         shifted = cover0.set_param(cov, "poly_coeffs.0", cov.poly_coeffs[0] + c)
         an, an_s = isomon.analyze(cov), isomon.analyze(shifted)
         # p' is unchanged, so the root solve returns the same points in the same order
-        assert an_s.pts == an.pts
-        lam, lam_s = np.array(an.lam), np.array(an_s.lam)
+        assert an_s.critical.pts == an.critical.pts
+        lam, lam_s = np.array(an.critical.lam), np.array(an_s.critical.lam)
         assert _rel(lam_s - c, lam) < 1e-12
-        h = np.array(isomon.build_isomonodromy(cov, an).hamiltonians)
-        h_s = np.array(isomon.build_isomonodromy(shifted, an_s).hamiltonians)
+        h = np.array(an.iso.hamiltonians)
+        h_s = np.array(an_s.iso.hamiltonians)
         assert _rel(h_s, h) < 1e-12
         assert abs(an_s.tau.log_tau - an.tau.log_tau) < 1e-12
         assert abs(an_s.tau.G - an.tau.G) < 1e-12

@@ -69,8 +69,8 @@ def test_commands_load_no_scipy(tmp_path):
 def test_swapped_tracked_points_raise(module, name, monkeypatch):
     cov = builtin_example(name)
     base = isomon.analyze(cov)
-    tracked = oracles.continued_analysis(cov, base).pts
-    assert np.allclose(tracked, base.pts, rtol=0.0, atol=1e-12)
+    tracked = oracles.continued_analysis(cov, base).critical.pts
+    assert np.allclose(tracked, base.critical.pts, rtol=0.0, atol=1e-12)
     real = module.critical_data
 
     def swapped(c, seeds=None):
