@@ -316,7 +316,7 @@ class CriticalData0:
     prod t_i^((k_i+1)(k_i-2)), route B's pole/flat denominator, on no fixed
     branch (the product underflows where poles of high order nearly meet);
     ``resultant_ratio`` is R(f, g) over its factorization, that denominator
-    times prod t_i^(2(k_i+1)), constant along any deformation;
+    times prod t_i^(2(k_i+1)), the profile constant ``log_resultant_constant``;
     ``log_resultant_ff`` is log R(f, f') (f of p' = f/g, whose roots are
     ``pts``), the route-B numerator; ``flat`` is ``flat_coords`` of the covering.
     """
@@ -418,8 +418,8 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
     if not keep:
         return out
     # off the boundary R(f, g) is its pole/flat factorization times the profile
-    # constant prod k_i^-(k_i^2 - 1), the scale to call it zero against
-    log_zero = math.log(1e-10) - sum((k * k - 1) * math.log(k) for k in coverings[0].profile[1:])
+    # constant, the scale to call it zero against
+    log_zero = math.log(1e-10) + log_resultant_constant(coverings[0]).real
     kept = [coverings[k] for k in keep]
     flats = [flat_coords(c) for c in kept]
     log_t = [[cmath.log(t) for t in fc.t] for fc in flats]
@@ -588,6 +588,31 @@ def gamma(c: Covering0) -> complex:
     return complex(-(c.n_poles - 2 + sum(1.0 / k for k in c.profile) + c.dim / c.profile[0]) / 24.0)
 
 
+def log_resultant_constant(c: Covering0) -> complex:
+    """log of R(f, g) over its factorization, s prod k_i^(1-k_i^2), s = (-1)^(M D), D = deg g.
+
+    Over the roots z_m of f (degree M, leading coefficient k1), prod_m (z_m - b_i) =
+    (-1)^M f(b_i)/k1 and f(b_i) = k_i c_top,i prod_{j!=i} (b_i-b_j)^(k_j+1), so R(f, g) =
+    k1^D prod_m g(z_m) = s prod (k_i c_top,i)^(k_i+1) prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1));
+    the factorization's t_i^(k_i(k_i+1)) = (k_i^k_i c_top,i)^(k_i+1) leaves the constant.
+    """
+    ks = c.profile[1:]
+    odd = c.dim * sum(k + 1 for k in ks) % 2
+    return sum((1 - k * k) * math.log(k) for k in ks) + 1j * math.pi * odd
+
+
+def log_route_constant(c: Covering0) -> complex:
+    """log of tau^-48 by route A over route B, s 2^-M k1^(2-k1) prod k_i^((k_i+1)(k_i-3)).
+
+    f'(z_m) = p''(z_m) g(z_m) = 2 g(z_m)/f_m^2, so R(f, f') = 2^M k1^(M-1-D) R(f, g)/prod f_m^2;
+    with t_i = k_i h_i the ratio is ``log_resultant_constant`` times
+    2^-M k1^(D+1-M) prod k_i^(2(k_i+1)(k_i-2)), and D + 1 - M = 2 - k1.
+    """
+    k1, ks = c.profile[0], c.profile[1:]
+    return (log_resultant_constant(c) - c.dim * math.log(2) + (2 - k1) * math.log(k1)
+            + sum(2 * (k + 1) * (k - 2) * math.log(k) for k in ks))
+
+
 def euler_scaling_expected(c: Covering0) -> complex:
     """Closed-form value of E(log tau) = sum lambda_m H_m from the profile."""
     k1 = c.profile[0]
@@ -700,11 +725,6 @@ def caustic_orders(c: Covering0) -> CausticOrders:
 
 # --------------------------------------------------------------------------
 # parameter addressing (shared by the deformation engine and the CLI)
-
-
-def default_sweep_param(c: Covering0) -> str:
-    """The parameter the identity suite's cross-route sweep moves."""
-    return "poles.0.b" if c.poles else "poly_coeffs.0"
 
 
 def params(c: Covering0) -> dict[str, complex]:

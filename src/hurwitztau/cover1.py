@@ -424,6 +424,17 @@ def gamma(c: Covering1) -> complex:
     return complex(-(len(c.profile) + sum(1.0 / k for k in c.profile)) / 24.0)
 
 
+def log_route_constant(c: Covering1) -> complex:
+    """log of tau^-48 by route A over route B, 2^-M prod k_i^-(k_i+1).
+
+    p' = f0 prod sigma_w(z - z_m) / prod sigma_w(z - b_i)^(k_i+1) (divisors matched as in
+    ``_sigma_args``) and p' ~ -k_i t_i^k_i (z - b_i)^(-k_i-1) give prod_m sigma_w(b_i - z_m);
+    with f_m^2 = 2/p''(z_m) and sum (k_i+1) = M, prod f_m^2 = 2^M prod k_i^(k_i+1)
+    t_i^(k_i(k_i+1)) prod_{i!=j} sigma_w(b_i - b_j)^((k_i+1)(k_j+1)) / (f0^(2M) kappa).
+    """
+    return -c.dim * math.log(2) - sum((k + 1) * math.log(k) for k in c.profile)
+
+
 def euler_scaling_expected(c: Covering1) -> complex:
     """Closed-form value of E(log tau) = sum lambda_m H_m from the profile."""
     return complex((-0.5 * c.dim - sum((k + 1) / k for k in c.profile)) / 24.0)
@@ -431,14 +442,6 @@ def euler_scaling_expected(c: Covering1) -> complex:
 
 # --------------------------------------------------------------------------
 # parameter addressing
-
-
-def default_sweep_param(c: Covering1) -> str:
-    """The parameter the identity suite's cross-route sweep moves."""
-    k1 = c.poles[0].order
-    if k1 > 1:
-        return f"poles.0.c.{k1 - 1}"
-    return "poles.1.b" if len(c.poles) > 1 else "constant"
 
 
 def params(c: Covering1) -> dict[str, complex]:

@@ -10,8 +10,9 @@ canonical coordinates (the critical values) come from the implicit function
 theorem at the critical points, for the identity suite.  Route A comes from
 ``cover0.route_a`` alone: ``analyze`` takes it on principal logarithms, and
 ``exact_parameter_derivatives`` differentiates it by applying it to rows of
-logarithmic derivatives.  The identity sweep and the sweep command solve
-their segment in one critical-data round, ``_segment_round``.
+logarithmic derivatives.  The identity suite checks route A over route B,
+and R(f, g) over its factorization, against closed-form profile constants.
+The sweep command solves its segment in one critical-data round.
 ``parameter_derivatives`` (central differences over the covering
 parameters) drives the finite-difference reference in ``tests/oracles.py``;
 it stays here while ``perfbench/tracer.py`` wraps it by name.
@@ -30,7 +31,7 @@ from . import cover0, cover1
 from .cover0 import Covering0, TauProduct, _raised, route_a
 from .cover1 import Covering1
 from .elliptic import lattice_distance, wp
-from .errors import CausticWarning, CoincidentPointsError, HurwitzError, IllConditionedError
+from .errors import CausticWarning, CoincidentPointsError, IllConditionedError
 
 __all__ = [
     "Analysis",
@@ -41,6 +42,7 @@ __all__ = [
     "exact_parameter_derivatives",
     "identity_report",
     "IdentityCheck",
+    "route_error",
     "route_ratio",
     "sweep_ratios",
 ]
@@ -52,7 +54,6 @@ CriticalData = cover0.CriticalData0 | cover1.CriticalData1
 # as 1/h; at 1e-4 round-off dominates and is about 10x below that at 1e-5
 # (worst of 60 sampled specs of both genera: 1.5e-8 against 1.5e-7).
 FD_STEP = 1e-4
-SWEEP_STEPS = 5  # odd: the middle step is the covering itself
 COND_LIMIT = 1e8
 
 
@@ -60,7 +61,7 @@ COND_LIMIT = 1e8
 # uniform analysis of a covering (both genera)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Analysis:
     """One covering's critical data, isomonodromy data, route A and anomaly.
 
@@ -69,6 +70,7 @@ class Analysis:
     scaling anomaly of G.  ``f`` (the roots of f_m^2) and ``h`` (the flat
     h_s) are the branches route A is on: the principal ones here, the ones
     continued from a base analysis in ``tests/oracles.continue_branches``.
+    Its ndarray fields have no truth value, so an analysis equals itself only.
     """
 
     covering: Covering
@@ -125,12 +127,13 @@ def bergmann_values(covering: Covering, cd: CriticalData) -> tuple[np.ndarray, n
     return values[:, :m], values[:, m:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsomonodromyData:
     """Rotation coefficients, commutator matrix, Hamiltonians, residues.
 
     ``bergmann`` and ``bergmann_poles`` are the kernel values of
-    ``bergmann_values`` the data is built from.
+    ``bergmann_values`` the data is built from.  Equality is identity, as
+    for ``Analysis``.
     """
 
     bergmann: np.ndarray
@@ -249,7 +252,7 @@ def _top_derivs(covering: Covering, paths: Sequence[str]) -> np.ndarray:
     return out
 
 
-def exact_parameter_derivatives(an: Analysis, partials=None) -> tuple[list[str], dict, np.ndarray]:
+def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarray]:
     """The analysis' parameter derivatives in closed form.
 
     Same layout as ``parameter_derivatives``: (paths, arrays of shape
@@ -261,14 +264,14 @@ def exact_parameter_derivatives(an: Analysis, partials=None) -> tuple[list[str],
     d fsq_m = -2 (d_theta p'' + p^(3) d z_m)/p''^2; h_s follows its top tail
     (h_s^k_s is proportional to it), and so does t_s.  T, log tau^-48 and G
     are ``route_a`` of the rows d log f_m^2, d log h_s = d log t_s and
-    d log eta = eta_tilde d sigma.  ``partials`` is the model's
-    ``eval_param_derivs`` at the analysis' points where the caller has it;
-    its rows of the ``params`` paths outside ``deformation_params`` are dropped.
+    d log eta = eta_tilde d sigma.  The partials come from the model's
+    ``eval_param_derivs`` at the analysis' points; its rows of the ``params``
+    paths outside ``deformation_params`` are dropped.
     """
     cov, cd = an.covering, an.critical
     model = (cover0, cover1)[cov.genus]
     paths, table = model.deformation_params(cov), list(model.params(cov))
-    rows, dp = partials or model.eval_param_derivs(cov, np.array(cd.pts))  # (4, M), (P', 3, M)
+    rows, dp = model.eval_param_derivs(cov, np.array(cd.pts))  # (4, M), (P', 3, M)
     dp = dp[[table.index(path) for path in paths]]
     p2, p3 = rows[2], rows[3]
     dz = -dp[:, 1] / p2
@@ -310,17 +313,6 @@ class IdentityCheck:
         return self.error < self.tol
 
 
-def _sweep_offsets(covering: Covering, path: str, phase: float) -> list[complex]:
-    """The identity sweep's moves of ``path``: SWEEP_STEPS steps but the middle one (no move).
-
-    ``path`` moves by up to 5% of max(1, |value|) either way, along ``phase``.
-    """
-    v0 = (cover0, cover1)[covering.genus].params(covering)[path]
-    delta = 0.1 * max(1.0, abs(v0)) * cmath.exp(1j * phase)
-    return [delta * (s / (SWEEP_STEPS - 1) - 0.5)
-            for s in range(SWEEP_STEPS) if s != SWEEP_STEPS // 2]
-
-
 def _moved(covering: Covering, path: str, moves: Sequence[complex]) -> list[Covering]:
     """``covering`` with ``path`` moved by each of ``moves``."""
     model = (cover0, cover1)[covering.genus]
@@ -328,22 +320,18 @@ def _moved(covering: Covering, path: str, moves: Sequence[complex]) -> list[Cove
     return [model.set_param(covering, path, v0 + d) for d in moves]
 
 
-def _segment_round(base: Covering, path: str, moves, others) -> tuple[list, tuple]:
-    """Critical data of ``base`` and of ``others``, ``base`` with ``path`` moved by ``moves``, from
-    one ``critical_round``: ``base`` solves globally and each other covering continues
-    z_m + move * dz_m/d path.  Returns the data, in that order, and the model's
-    ``eval_param_derivs`` at the base points, which give dz and ``exact_parameter_derivatives``."""
+def _segment_round(base: Covering, path: str, moves, others) -> list:
+    """Critical data of ``base`` and of ``others``, ``base`` with ``path`` moved by ``moves``, in
+    that order, from one ``critical_round``: ``base`` solves globally and each other covering
+    continues z_m + move * dz_m/d path."""
     model = (cover0, cover1)[base.genus]
-    partials = []
 
     def predict(pts) -> list[np.ndarray]:
-        partials.append(model.eval_param_derivs(base, np.array(pts)))
-        rows, dp = partials[0]
+        rows, dp = model.eval_param_derivs(base, np.array(pts))
         tangent = -dp[list(model.params(base)).index(path), 1] / rows[2]
         return [np.array(pts) + move * tangent for move in moves]
 
-    cds = model.critical_round([base, *others], predict)
-    return cds, partials[0]
+    return model.critical_round([base, *others], predict)
 
 
 def _rel_error(diff, ref) -> float:
@@ -351,11 +339,6 @@ def _rel_error(diff, ref) -> float:
     err = float(np.max(np.abs(diff)))
     scale = float(np.max(np.abs(ref)))
     return err / scale if scale else err
-
-
-def _ratio_drift(values: list[complex]) -> float:
-    ref = values[0]
-    return max(abs(v / ref - 1.0) for v in values)
 
 
 def route_ratio(ta: TauProduct, tb: cover0.TauResultant) -> complex:
@@ -366,17 +349,11 @@ def route_ratio(ta: TauProduct, tb: cover0.TauResultant) -> complex:
     return cmath.exp(ta.log_tau_inv48 - tb.log_tau_inv48)
 
 
-def _route_rows(coverings: Sequence[Covering], cds: Sequence, tas=None) -> list[dict]:
-    """Cross-route tau data of each covering: route B in one call, route A unless ``tas`` has it."""
-    model = (cover0, cover1)[coverings[0].genus]
-    rows = []
-    for cov, cd, tb, ta in zip(coverings, cds, model.tau_resultant(coverings, cds),
-                               tas or [None] * len(cds)):
-        row = {"pts": cd.pts, "route_ratio": route_ratio(ta or model.tau_product(cov, cd), tb)}
-        if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
-            row["resultant_ratio"] = cd.resultant_ratio
-        rows.append(row)
-    return rows
+def route_error(covering: Covering, ratio: complex) -> float:
+    """The ``tau-route-ratio`` error |ratio e^(-c) - 1| of route A over route B, ``ratio``,
+    c the model's ``log_route_constant``."""
+    model = (cover0, cover1)[covering.genus]
+    return abs(ratio * cmath.exp(-model.log_route_constant(covering)) - 1.0)
 
 
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
@@ -396,13 +373,17 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     v0 = model.params(covering)[path]
     moves = [(target - v0) * (s / (steps - 1)) for s in range(steps)]
     coverings = _moved(covering, path, moves)
-    cds, _ = _segment_round(coverings[0], path, moves[1:], coverings[1:])
+    cds = _segment_round(coverings[0], path, moves[1:], coverings[1:])
     for cd in cds:
         if not isinstance(cd, Exception) and cd.caustic:
             raise CausticWarning(f"critical values nearly collide (gap {cd.min_lambda_gap:.3e})")
-    rows = _route_rows(coverings, _raised(cds))
-    for cov, row in zip(coverings, rows):
-        model.reject_ill_conditioned(cov, row["pts"])
+    cds = _raised(cds)
+    rows = [{"route_ratio": route_ratio(model.tau_product(cov, cd), tb)}
+            for cov, cd, tb in zip(coverings, cds, model.tau_resultant(coverings, cds))]
+    for cov, cd, row in zip(coverings, cds, rows):
+        model.reject_ill_conditioned(cov, cd.pts)
+        if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
+            row["resultant_ratio"] = cd.resultant_ratio
     return list(zip(range(steps), coverings, rows))
 
 
@@ -421,39 +402,22 @@ DEFAULT_TOLS = {
 }
 
 
-def identity_report(
-    covering: Covering,
-    tol: float | None = None,
-    seed: int = 42,
-) -> list[IdentityCheck]:
+def identity_report(covering: Covering, tol: float | None = None) -> list[IdentityCheck]:
     """Run every applicable differential/closed-form identity at one point.
 
-    Gradient identities use the exact lambda derivatives of the one analysis;
-    the cross-route constancy identities run a short deterministic parameter
-    sweep of SWEEP_STEPS coverings around the instance, the middle one the
-    covering itself.  All make one critical-data round (``_segment_round``,
-    as the sweep command does): the covering solves globally, each other step
-    continues its points along the exact tangent, and one data pass serves
-    them all.  A step that cannot be built, or whose global fallback or (at
-    genus 0) data fails, raises after the checks at the covering, whose own
-    errors come first.  A not-None ``tol`` replaces every default.  A covering
-    whose critical points sit too near a pole to verify (the model's
-    ``reject_ill_conditioned``) raises ``OnBoundaryError``.
+    All of them read the one analysis of the covering.  The gradient
+    identities take its exact lambda derivatives; the cross-route identities
+    compare route A over route B (one ``tau_resultant``) with the model's
+    ``log_route_constant`` and, at genus 0, R(f, g) over its factorization with
+    ``cover0.log_resultant_constant``.  A not-None ``tol`` replaces every
+    default.  A covering whose critical points sit too near a pole to verify
+    (``reject_ill_conditioned``) raises ``OnBoundaryError``, and a route B that
+    vanishes ``CoincidentPointsError``.
     """
-    model = (cover0, cover1)[covering.genus]
-    rng = np.random.default_rng(seed)
-    path = model.default_sweep_param(covering)
-    phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    try:  # an error here raises where the sweep starts, after the checks at the covering
-        moves = _sweep_offsets(covering, path, phase)
-        sweep, sweep_error = _moved(covering, path, moves), None
-    except (HurwitzError, KeyError) as exc:  # KeyError: no sweep path where M = 0
-        moves, sweep, sweep_error = [], [], exc
-    cds, partials = _segment_round(covering, path, moves, sweep)
-    an = analyze(covering, *_raised(cds[:1]))
+    an = analyze(covering)
     cd, iso = an.critical, an.iso
     B, Binf = iso.bergmann, iso.bergmann_poles
-    _, pderivs, _ = exact_parameter_derivatives(an, partials)
+    _, pderivs, _ = exact_parameter_derivatives(an)
     d = _chain_to_lambda(pderivs)
     m = len(cd.lam)
     lam = np.array(cd.lam)
@@ -512,22 +476,13 @@ def identity_report(
         checks.append(IdentityCheck("modulus-flow", err, tolerance("modulus-flow"),
                                     "d sigma / d lambda_k vs pi i f_k^2"))
 
-    # cross-route constancy; the middle step takes its critical data and route A
-    # from the analysis
-    if sweep_error is not None:
-        raise sweep_error
-    cds = _raised(cds[1:])
-    mid = SWEEP_STEPS // 2
-    rows = _route_rows(sweep[:mid] + [covering] + sweep[mid:],
-                       cds[:mid] + [cd] + cds[mid:],
-                       [None] * mid + [an.tau] + [None] * (len(sweep) - mid))
-    ratios = [row["route_ratio"] for row in rows]
-    factorization_ratios = [row["resultant_ratio"] for row in rows if "resultant_ratio" in row]
-    checks.append(IdentityCheck("tau-route-ratio", _ratio_drift(ratios),
+    (tb,) = (cover0, cover1)[covering.genus].tau_resultant([covering], [cd])
+    checks.append(IdentityCheck("tau-route-ratio", route_error(covering, route_ratio(an.tau, tb)),
                                 tolerance("tau-route-ratio"),
-                                f"product vs resultant route along {path}"))
-    if factorization_ratios:
-        checks.append(IdentityCheck("resultant-factorization", _ratio_drift(factorization_ratios),
+                                "product vs resultant route: closed-form profile constant"))
+    if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
+        err = abs(cd.resultant_ratio * cmath.exp(-cover0.log_resultant_constant(covering)) - 1.0)
+        checks.append(IdentityCheck("resultant-factorization", err,
                                     tolerance("resultant-factorization"),
-                                    f"R(f,g) vs pole/flat factorization along {path}"))
+                                    "R(f,g) vs pole/flat factorization: closed-form constant"))
     return checks

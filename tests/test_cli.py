@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -54,6 +55,14 @@ class TestAnalyze:
         assert abs(hs[0] + 1 / 288) < 1e-12 and abs(hs[1] - 1 / 288) < 1e-12
         assert rep["hamiltonians"]["status"] == "checked"
         assert rep["hamiltonians"]["max_discrepancy"] < 1e-10
+
+    def test_tau_status_reads_the_route_constant(self, monkeypatch, tmp_path, capsys):
+        # route B scaled by e^1e-6 is off the closed-form profile constant by 1e-6
+        real = cover0.tau_resultant
+        monkeypatch.setattr(cover0, "tau_resultant", lambda cs, cds: [
+            dataclasses.replace(tb, log_tau_inv48=tb.log_tau_inv48 + 1e-6) for tb in real(cs, cds)])
+        assert main(["analyze", _a2_file(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tau"]["status"] == "warned"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.json", '{"genus": 0,\n  "profile": [3,],\n}')
@@ -136,7 +145,7 @@ class TestCheck:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("option, value", [
-        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "0"), ("--seed", "-1"),
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "0"),
     ])
     def test_bad_option_exits_2(self, option, value, tmp_path, capsys):
         rc = main(["check", _a2_file(tmp_path), option, value])
@@ -145,13 +154,20 @@ class TestCheck:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and option in captured.err
 
-    def test_deterministic_under_seed(self, tmp_path, capsys):
+    def test_deterministic(self, tmp_path, capsys):
         f = _a2_file(tmp_path)
-        main(["check", f, "--seed", "7"])
+        main(["check", f])
         out1 = capsys.readouterr().out
-        main(["check", f, "--seed", "7"])
+        main(["check", f])
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # check draws nothing at random: argparse rejects --seed, exit 2
+        with pytest.raises(SystemExit) as info:
+            main(["check", _a2_file(tmp_path), "--seed", "7"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestParser:

@@ -1,9 +1,9 @@
 """Sweeps continue the critical points instead of solving again, at both genera.
 
-``sweep_ratios`` and ``identity_report`` walk their segment in one
-``critical_round``: the first covering solves globally, the others continue
-from tangent-predicted seeds, and a covering whose seeded solve fails solves
-globally inside the round.
+``sweep_ratios`` walks its segment in one ``critical_round``: the first
+covering solves globally, the others continue from tangent-predicted seeds,
+and a covering whose seeded solve fails solves globally inside the round.
+``identity_report`` walks no segment: it solves the covering once.
 
 The global genus-1 zero search is counted by wrapping
 ``cover1.elliptic_zeros``, and the genus-0 solves by wrapping
@@ -15,6 +15,7 @@ and the per-modulus constants by wrapping ``log_dedekind_eta`` and
 ``eisenstein``.
 """
 
+import cmath
 import dataclasses
 import json
 
@@ -43,24 +44,11 @@ def searches(monkeypatch):
     return count
 
 
-@pytest.fixture()
-def routed(monkeypatch):
-    """(covering, row) of every cross-route row made since set up, in order."""
-    seen = []
-    orig = isomon._route_rows
-
-    def recorded(coverings, cds, tas=None):
-        rows = orig(coverings, cds, tas)
-        seen.extend(zip(coverings, rows))
-        return rows
-
-    monkeypatch.setattr(isomon, "_route_rows", recorded)
-    return seen
-
-
-def _sweep_rows(routed, cov):
-    """The identity sweep's rows but the base covering's, in sweep order."""
-    return [(c, row) for c, row in routed if c is not cov]
+def _segment(cov, path: str, count: int) -> list:
+    """The first ``count`` of four coverings around ``cov``: ``path`` moved by -5%, -2.5%,
+    2.5% and 5% of max(1, |value|) along the phase 0.7."""
+    delta = 0.1 * max(1.0, abs((cover0, cover1)[cov.genus].params(cov)[path])) * cmath.exp(0.7j)
+    return isomon._moved(cov, path, [delta * f for f in (-0.5, -0.25, 0.25, 0.5)])[:count]
 
 
 def _failing_lane(monkeypatch, failing_call: int, lane: int = 0):
@@ -107,28 +95,12 @@ def _sweep20(cov):
 
 class TestIdentityReport:
     @pytest.mark.parametrize("name", ["h12", "g1(2,1)"])
-    def test_one_global_search(self, name, h12, g1_21, searches, routed):
+    def test_one_global_search(self, monkeypatch, name, h12, g1_21, searches):
         cov = h12 if name == "h12" else g1_21
+        lanes = _calls(monkeypatch, cover1, "_iterate_lanes")
         checks = isomon.identity_report(cov)
-        assert searches["n"] == 1
+        assert searches["n"] == 1 and not lanes  # the covering's own solve, no continuation
         assert all(c.passed for c in checks)
-        sweep = _sweep_rows(routed, cov)
-        assert len(sweep) == 4  # the middle step reuses the base analysis
-        _assert_ratios_match_global(sweep)
-
-    def test_failing_lane_sends_only_its_covering_to_the_search(self, monkeypatch, g1_21,
-                                                                 searches, routed):
-        # the one round stacks the sweep steps 0, 1, 3 and 4 in that order;
-        # lane 2M is the first lane of step 3
-        _failing_lane(monkeypatch, failing_call=1, lane=2 * g1_21.dim)
-        checks = isomon.identity_report(g1_21)
-        assert searches["n"] == 2  # the base analysis and step 3 alone
-        assert all(c.passed for c in checks)
-        sweep = _sweep_rows(routed, g1_21)
-        assert len(sweep) == 4
-        cov3, row3 = sweep[2]
-        assert row3["route_ratio"] == _global_ratio(cov3)
-        _assert_ratios_match_global(sweep)
 
 
 class TestSweepRatios:
@@ -165,27 +137,50 @@ class TestSweepRatios:
 
 
 class TestOneRoundPerWalk:
-    """``sweep_ratios`` and ``identity_report`` reach the critical data through one round."""
+    """``sweep_ratios`` reaches the critical data through one round; ``identity_report``
+    through the one ``critical_data`` of its analysis."""
 
-    @pytest.mark.parametrize("walk", ["sweep", "check"])
+    @pytest.mark.parametrize("walk", ["sweep"])
     @pytest.mark.parametrize("genus", [0, 1])
     def test_one_critical_round(self, monkeypatch, walk, genus, g0_32, g1_21):
-        cov, model = (g0_32, cover0) if genus == 0 else (g1_21, cover1)
+        cov, model, path = (g0_32, cover0, "poles.0.b") if genus == 0 else (
+            g1_21, cover1, "poles.0.c.1")
         rounds = _calls(monkeypatch, model, "critical_round")
         built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
         lanes = _calls(monkeypatch, cover1, "_iterate_lanes")
-        if walk == "sweep":
-            path = model.default_sweep_param(cov)
-            v0 = model.params(cov)[path]
-            steps = len(isomon.sweep_ratios(cov, path, v0 + 0.3 * max(1.0, abs(v0)), 20))
-        else:
-            isomon.identity_report(cov)
-            steps = isomon.SWEEP_STEPS
+        v0 = model.params(cov)[path]
+        steps = len(isomon.sweep_ratios(cov, path, v0 + 0.3 * max(1.0, abs(v0)), 20))
         assert [len(coverings) for coverings, _ in rounds] == [steps]
         if genus == 0:
             assert [len(coverings) for (coverings,) in built] == [steps]
         else:
             assert not built and len(lanes) == 1
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_check_solves_once(self, monkeypatch, genus, g0_32, g1_21):
+        # genus 1 finds its zeros through a critical_round of the one covering, inside
+        # critical_data; no other round is made
+        cov, model = (g0_32, cover0) if genus == 0 else (g1_21, cover1)
+        depth, solves, rounds = [0], [], []
+        real_data, real_round = model.critical_data, model.critical_round
+
+        def critical_data(*args):
+            solves.append(args)
+            depth[0] += 1
+            try:
+                return real_data(*args)
+            finally:
+                depth[0] -= 1
+
+        def critical_round(*args):
+            rounds.append(depth[0])
+            return real_round(*args)
+
+        monkeypatch.setattr(model, "critical_data", critical_data)
+        monkeypatch.setattr(model, "critical_round", critical_round)
+        assert all(c.passed for c in isomon.identity_report(cov))
+        assert solves == [(cov,)]
+        assert rounds == [1] * genus  # none outside critical_data
 
 
 class TestSeededCriticalData:
@@ -258,13 +253,12 @@ class TestGenus0:
         spec.write_text(json.dumps(covering_to_spec(g0_32)))
         assert main(["check", str(spec)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        # one round: the base covering solves globally and the 4 other sweep steps
-        # continue from it; f and g, R(f, g), R(f, f') and the order-4 frame rows of
-        # all 5 come from one call each
-        assert solves0 == {"global": 1, "seeded": 4}
-        assert [len(cs) for (cs,) in built] == [5]
-        assert [len(fs) for fs, _ in logs] == [5, 5]
-        assert [len(cs) for cs, _, n_max in evals if n_max == 4] == [5]
+        # the covering solves globally and continues nothing; f and g, R(f, g),
+        # R(f, f') and the order-4 frame rows come from one call each
+        assert solves0 == {"global": 1, "seeded": 0}
+        assert [len(cs) for (cs,) in built] == [1]
+        assert [len(fs) for fs, _ in logs] == [1, 1]
+        assert [len(cs) for cs, _, n_max in evals if n_max == 4] == [1]
 
     def test_sweep_ratios_match_global(self, g0_32, solves0):
         table = _sweep20_g0(g0_32)
@@ -280,31 +274,30 @@ class TestGenus0:
         _, cov2, row2 = table[2]
         assert row2["route_ratio"] == _global_ratio0(cov2)
 
-    def test_failed_step_of_the_round_solves_alone(self, monkeypatch, g0_32, solves0, routed):
-        # the round solves the sweep steps 0, 1, 3 and 4 in that order; step 1 stalls
+    def test_failed_step_of_the_round_solves_alone(self, monkeypatch, g0_32, solves0):
+        # the round continues steps 1, ..., 4 in that order; step 2 stalls
         _failing_seeded_solve(monkeypatch, failing_call=2)
         built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
-        checks = isomon.identity_report(g0_32)
-        assert all(c.passed for c in checks)
+        logs = _calls(monkeypatch, cover0, "log_resultant")
+        table = isomon.sweep_ratios(g0_32, "poles.0.b", g0_32.poles[0].b + 0.05, 5)
         assert solves0 == {"global": 2, "seeded": 4}
-        assert [len(cs) for (cs,) in built] == [5]  # step 1 solves its row of the round again
-        sweep = _sweep_rows(routed, g0_32)
-        assert len(sweep) == 4
-        cov1, row1 = sweep[1]
-        assert row1["route_ratio"] == _global_ratio0(cov1)
+        # step 2 solves its row of the round again; R(f, g) and R(f, f') stack all 5
+        assert [len(cs) for (cs,) in built] == [5]
+        assert [len(fs) for fs, _ in logs] == [5, 5]
+        _, cov2, row2 = table[2]
+        assert row2["route_ratio"] == _global_ratio0(cov2)
 
 
 def _sweep_steps(cov, count):
-    """The first ``count`` coverings of the identity sweep around ``cov``."""
-    path = cover1.default_sweep_param(cov)
-    return isomon._moved(cov, path, isomon._sweep_offsets(cov, path, 0.7))[:count]
+    """The first ``count`` coverings of the segment around ``cov``, along ``poles.1.b`` for
+    simple poles and the top tail of pole 0 otherwise."""
+    k1 = cov.poles[0].order
+    return _segment(cov, f"poles.0.c.{k1 - 1}" if k1 > 1 else "poles.1.b", count)
 
 
 @pytest.fixture(scope="module")
 def g1_11():
-    cov = random_covering1((1, 1), seed=11)
-    assert cover1.default_sweep_param(cov) == "poles.1.b"
-    return cov
+    return random_covering1((1, 1), seed=11)
 
 
 class TestStackedSolve:
@@ -338,9 +331,9 @@ class TestStackedSolve:
 
 
 def _sweep_steps0(cov, count):
-    """The first ``count`` coverings of the identity sweep around a genus-0 ``cov``."""
-    path = cover0.default_sweep_param(cov)
-    return isomon._moved(cov, path, isomon._sweep_offsets(cov, path, 0.7))[:count]
+    """The first ``count`` coverings of the segment around a genus-0 ``cov``, along
+    ``poles.0.b`` or, without poles, ``poly_coeffs.0``."""
+    return _segment(cov, "poles.0.b" if cov.poles else "poly_coeffs.0", count)
 
 
 class TestStackedSolve0:
@@ -385,15 +378,7 @@ class TestGenus0OncePerSolve:
     def test_identity_report_builds_flat_coords_once_per_covering(self, monkeypatch, g0_32):
         flat = _calls(monkeypatch, cover0, "flat_coords")
         isomon.identity_report(g0_32)
-        # the base covering and the 4 other sweep steps, each inside its solve
-        assert len(flat) == 5
-
-    def test_identity_report_stacks_log_resultants(self, monkeypatch, g0_32):
-        logs = _calls(monkeypatch, cover0, "log_resultant")
-        isomon.identity_report(g0_32)
-        # R(f, g), then R(f, f'): one stacked call each for the base covering and
-        # the 4 other sweep steps
-        assert [len(fs) for fs, _ in logs] == [5, 5]
+        assert len(flat) == 1  # inside the covering's solve
 
     def test_caustic_orders_solve_each_ray_in_one_call(self, monkeypatch):
         cov = random_covering0((2, 1, 1), seed=7)
@@ -407,7 +392,7 @@ class TestGenus0OncePerSolve:
 @pytest.fixture(scope="module")
 def g1_111():
     # pool spec g1-1.1.1-5: seeded at the base points instead of the tangent
-    # prediction, one of its sweep lanes fails and goes to the global search
+    # prediction, one of its segment's lanes fails and goes to the global search
     return random_covering1((1, 1, 1), 914005)
 
 
@@ -423,12 +408,15 @@ class TestGenus1OncePerCheck:
     def test_identity_report_makes_one_route_b_sigma_call(self, monkeypatch, g1_21):
         sigmas = _calls(monkeypatch, cover1, "sigma_w")
         isomon.identity_report(g1_21)
-        assert len(sigmas) == 1  # the 5 sweep steps, the middle one included
+        assert len(sigmas) == 1
 
     def test_predicted_seeds_keep_every_lane(self, g1_111, searches):
-        checks = isomon.identity_report(g1_111)
-        assert all(c.passed for c in checks)
-        assert searches["n"] == 1  # the base analysis only
+        # poles.1.b moved by 5% of max(1, |b|) along the phase 4.863, in 3 steps
+        b = g1_111.poles[1].b
+        table = isomon.sweep_ratios(g1_111, "poles.1.b",
+                                    b + 0.05 * max(1.0, abs(b)) * cmath.exp(4.863j), 3)
+        assert searches["n"] == 1  # step 0 only
+        _assert_ratios_match_global([(cov, row) for _, cov, row in table])
 
     @pytest.mark.parametrize("profile, seed", [((2,), 3), ((1, 1), 5), ((3,), 4), ((2, 1), 2025),
                                                ((1, 1, 1), 7), ((2, 2), 9), ((3, 1), 6), ((4,), 1)])
@@ -478,7 +466,7 @@ class TestGenus1OncePerModulus:
         cov = _unbuilt(g1_21)
         logs = _calls_anywhere(monkeypatch, "log_dedekind_eta")
         isomon.identity_report(cov)
-        assert len(logs) == 1  # the base analysis and both routes of the 5 sweep steps
+        assert len(logs) == 1  # the analysis and route B
 
     def test_build_report_computes_log_eta_once(self, monkeypatch, g1_21):
         cov = _unbuilt(g1_21)

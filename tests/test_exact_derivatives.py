@@ -137,8 +137,7 @@ class TestIdentityErrors:
 class TestOneAnalysis:
     @pytest.mark.parametrize("name", ["h0_surf", "g1(2,1)"])
     def test_identity_report_runs_no_fd(self, name, monkeypatch):
-        # the one analysis is analyze of the critical data from the round, which
-        # analyze does not solve again
+        # the one analysis solves the covering itself
         calls = {"analyze": [], "parameter_derivatives": []}
         for fn in calls:
             real = getattr(isomon, fn)
@@ -149,7 +148,7 @@ class TestOneAnalysis:
 
             monkeypatch.setattr(isomon, fn, counted)
         isomon.identity_report(NAMED[name]())
-        assert [args[1] is not None for args in calls["analyze"]] == [True]
+        assert len(calls["analyze"]) == 1
         assert calls["parameter_derivatives"] == []
 
     def test_genus0_sweep_builds_p_prime_once_per_step(self, monkeypatch):
@@ -157,15 +156,12 @@ class TestOneAnalysis:
         calls = []
         real = cover0.p_prime_as_ratio
         monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda cs: calls.append(cs) or real(cs))
-        isomon.identity_report(cov)
-        # one build for the base covering and the 4 other sweep steps; the middle
-        # step is the covering itself
-        assert [len(cs) for cs in calls] == [1 + 4]
+        isomon.sweep_ratios(cov, "poles.0.b", cov.poles[0].b + 0.1, 5)
+        assert [len(cs) for cs in calls] == [5]  # one build for all 5 steps
 
     @pytest.mark.parametrize("name", sorted(NAMED))
     def test_check_analysis_is_analyze_bit_for_bit(self, name, monkeypatch):
-        # check verifies the analysis that analyze reports: the base covering's data
-        # from the shared round equals its data from a round of its own
+        # check verifies the analysis that analyze reports
         cov = NAMED[name]()
         made = []
         real = isomon.analyze

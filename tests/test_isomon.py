@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -38,15 +39,14 @@ class TestBergmann:
 
     @pytest.mark.parametrize("name", ["h0_surf", "h12"])
     def test_route_a_once_per_covering(self, monkeypatch, name):
-        # the analysis and the four sweep coverings: the middle sweep row reuses
-        # the analysis's route A instead of building it again
+        # the cross-route identity reuses the analysis's route A
         cov = builtin_example(name)
         model = (cover0, cover1)[cov.genus]
         calls = []
         real = model.tau_product
         monkeypatch.setattr(model, "tau_product", lambda *args: calls.append(1) or real(*args))
         isomon.identity_report(cov)
-        assert len(calls) == isomon.SWEEP_STEPS == 5
+        assert len(calls) == 1
 
 
 class TestRouteRatio:
@@ -68,7 +68,20 @@ class TestRouteRatio:
             isomon.route_ratio(isomon.analyze(a2).tau, tb)
 
 
+def _route_b_scaled(monkeypatch, model, log_factor: float) -> None:
+    """Route B of ``model`` times e^log_factor: a constant along any segment."""
+    real = model.tau_resultant
+    monkeypatch.setattr(model, "tau_resultant", lambda cs, cds: [
+        dataclasses.replace(tb, log_tau_inv48=tb.log_tau_inv48 + log_factor) for tb in real(cs, cds)])
+
+
 class TestAnalyze:
+    def test_analyses_compare_without_raising(self, a2):
+        # the ndarray fields have no truth value: an analysis equals itself only
+        an = isomon.analyze(a2)
+        assert an == an and an.iso == an.iso
+        assert (isomon.analyze(a2) == isomon.analyze(a2)) is False
+
     def test_rejects_critical_points_too_near_a_pole(self):
         # p = z - 1e-7/(z - 0.5): the top tail is above the boundary tolerance, but
         # the critical points lie 3.2e-4 from the pole, too near to verify (S2)
@@ -333,6 +346,24 @@ class TestIdentityReport:
         assert "modulus-flow" in {c.name for c in checks}
         for c in checks:
             assert c.passed, f"{c.name}: {c.error} >= {c.tol}"
+
+    @pytest.mark.parametrize("name", ["h0_surf", "h12"])
+    def test_route_b_scaled_by_a_constant_fails(self, monkeypatch, name):
+        cov = builtin_example(name)
+        _route_b_scaled(monkeypatch, (cover0, cover1)[cov.genus], 1e-6)
+        checks = {c.name: c for c in isomon.identity_report(cov)}
+        assert 5e-7 < checks["tau-route-ratio"].error < 2e-6
+        assert [name for name, c in checks.items() if not c.passed] == ["tau-route-ratio"]
+
+    def test_route_b_without_its_flat_terms_fails(self, monkeypatch):
+        # route B's denominator without its (k+1)(k-2) log t terms, which an
+        # order-3 pole weights by 4; R(f, g)'s factorization shares the denominator
+        real = cover0.route_b_denominator_terms
+        monkeypatch.setattr(cover0, "route_b_denominator_terms",
+                            lambda ks, log_d, log_t: real(ks, log_d, []))
+        checks = isomon.identity_report(random_covering0((2, 3), seed=4))
+        assert [c.name for c in checks if not c.passed] == [
+            "tau-route-ratio", "resultant-factorization"]
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_too_few_sweep_ratio_steps_raise(self, a2, steps):

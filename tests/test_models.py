@@ -6,6 +6,7 @@ modules with the same parameters.  The genus-0 covering evaluation takes
 arrays of points, and is checked against a per-point reference.
 """
 
+import cmath
 import inspect
 
 import numpy as np
@@ -32,7 +33,7 @@ MODEL_NAMES = [
     "tau_resultant",
     "gamma",
     "euler_scaling_expected",
-    "default_sweep_param",
+    "log_route_constant",
 ]
 # the genus-0 and genus-1 profiles of the benchmark pool
 POOL_PROFILES = [(3,), (4,), (2, 1), (2, 2), (3, 2), (2, 1, 1), (3, 3), (2, 3), (4, 2), (3, 1, 1)]
@@ -71,6 +72,50 @@ def test_every_error_type_is_exported():
              if isinstance(obj, type) and issubclass(obj, (errors.HurwitzError, Warning))]
     assert types and all(name in hurwitztau.__all__ for name in types)
     assert hurwitztau.CoincidentPointsError is errors.CoincidentPointsError
+
+
+def _route_ratio(cov) -> complex:
+    an = isomon.analyze(cov)
+    (tb,) = (cover0, cover1)[cov.genus].tau_resultant([cov], [an.critical])
+    return isomon.route_ratio(an.tau, tb)
+
+
+class TestProfileConstants:
+    """tau^-48 by route A over route B, and R(f, g) over its pole/flat factorization, are
+    the closed-form constants ``log_route_constant`` and ``cover0.log_resultant_constant``."""
+
+    # (profile, route A / route B, R(f, g) / factorization) evaluated by hand; the sign
+    # (-1)^(M sum (k_i + 1)) is -1 in each
+    @pytest.mark.parametrize("profile, route, factorization", [
+        ((1, 2), -1 / 64, -1 / 8), ((3, 2), -1 / 768, -1 / 8), ((1, 4), -32.0, -(4.0 ** -15)),
+        ((3, 3, 2), -1 / 12288, -1 / (3**8 * 8))])
+    def test_genus0_negative_signs(self, profile, route, factorization):
+        cov = random_covering0(profile, 1)
+        assert abs(cmath.exp(cover0.log_route_constant(cov)) / route - 1.0) < 1e-14
+        assert abs(cmath.exp(cover0.log_resultant_constant(cov)) / factorization - 1.0) < 1e-14
+        assert abs(_route_ratio(cov) / route - 1.0) < 1e-9
+        assert abs(cover0.critical_data(cov).resultant_ratio / factorization - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("profile, route", [((4,), 2.0 ** -15), ((4, 1), 2.0 ** -17)])
+    def test_genus1_order_four_pole(self, profile, route):
+        cov = random_covering1(profile, 1)
+        assert abs(cmath.exp(cover1.log_route_constant(cov)) / route - 1.0) < 1e-14
+        assert abs(_route_ratio(cov) / route - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_every_pool_profile(self, genus):
+        # the first pool spec of each profile, and the magnitude of R(f, g)'s
+        # constant against the reference of tests/oracles.py
+        model = (cover0, cover1)[genus]
+        for i, profile in enumerate((POOL_PROFILES, GENUS1_PROFILES)[genus]):
+            cov = (random_covering0, random_covering1)[genus](profile, 920_000 - 10_000 * genus
+                                                                + 1000 * i)
+            const = cmath.exp(model.log_route_constant(cov))
+            assert abs(_route_ratio(cov) / const - 1.0) < 1e-9, profile
+            if genus == 0:
+                const = cmath.exp(cover0.log_resultant_constant(cov))
+                assert abs(abs(const) / oracles.profile_constant(cov) - 1.0) < 1e-14, profile
+                assert abs(cover0.critical_data(cov).resultant_ratio / const - 1.0) < 1e-9, profile
 
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
