@@ -8,11 +8,12 @@ Subcommands:
   example <name> [--out FILE] [--seed]     emit a built-in covering spec
 
 ``analyze`` formats the one ``isomon.analyze`` of the covering and adds
-only route B and its ratio to route A; ``check`` runs ``identity_report``,
-which verifies the same analysis.  The gradient identities take exact lambda
-derivatives of it (implicit differentiation at the critical points), so
-there is no step size to choose; the cross-route identities, and the tau
-status of ``analyze``, compare with closed-form profile constants.  The
+only route B (``Analysis.route_b``) and its ratio to route A; ``check`` runs
+``identity_report``, which verifies the same analysis.  The gradient
+identities take exact lambda derivatives of it (implicit differentiation at
+the critical points), so there is no step size to choose; the cross-route
+identities compare with closed-form profile constants, and the statuses of
+``analyze`` grade at the tolerances of ``check`` (``isomon.default_tol``).  The
 commands do not ask for the genus: the genus module is
 ``(cover0, cover1)[cov.genus]``, called through the names both define.
 
@@ -158,20 +159,19 @@ def _pairs(v) -> list:
 
 def build_report(cov: Covering0 | Covering1) -> dict:
     """The report of ``isomon.analyze(cov)`` with route B and its ratio to route A,
-    annotating verification status."""
+    annotating verification status at the tolerances of ``check``."""
     an = isomon.analyze(cov)
-    cd, iso, ta = an.critical, an.iso, an.tau
-    (tb,) = (cover0, cover1)[cov.genus].tau_resultant([cov], [cd])
+    cd, iso, ta, tb = an.critical, an.iso, an.tau, an.route_b
     # every flat coordinate but h_s, the root that t_s is built from
     fc = cd.flat
     flat = {name: _pairs(v) for name, v in vars(fc).items() if name != "h"}
     h_disc = iso.hamiltonian_discrepancy
     ratio = isomon.route_ratio(ta, tb)
-    route_err = isomon.route_error(cov, ratio)
     # G and log(tau / J^(1/24)) differ by -(1/24) sum (k_s+1) log(t_s / h_s)
     cross_const = -sum((p.order + 1) * cmath.log(t / h)
                        for p, t, h in zip(cov.poles, fc.t, fc.h)) / 24.0
     g_cross_err = abs(ta.G - ta.g_from_jacobian - cross_const)
+    tol = functools.partial(isomon.default_tol, genus=cov.genus)
 
     order = np.argsort([(v.real, v.imag) for v in cd.lam], axis=0)[:, 0]
     return {
@@ -194,14 +194,14 @@ def build_report(cov: Covering0 | Covering1) -> dict:
             "quadratic": [_c2pair(iso.hamiltonians[i]) for i in order],
             "connection": [_c2pair(iso.hamiltonians_bergmann[i]) for i in order],
             "max_discrepancy": h_disc,
-            "status": "checked" if h_disc < 1e-6 else "warned",
+            "status": "checked" if h_disc < tol("hamiltonian-two-route") else "warned",
         },
         "tau": {
             "log_tau_product": _c2pair(ta.log_tau),
             "tau_inv48_product": _c2pair(ta.tau_inv48),
             "tau_inv48_resultant": _c2pair(tb.tau_inv48),
             "route_ratio": _c2pair(ratio),
-            "status": "checked" if route_err < isomon.DEFAULT_TOLS["tau-route-ratio"] else "warned",
+            "status": "checked" if an.route_error < tol("tau-route-ratio") else "warned",
         },
         "g_function": {
             "g": _c2pair(ta.G),

@@ -239,14 +239,14 @@ def eval_p_derivs(c: Covering0 | Sequence[Covering0], z, n_max: int):
     return shape_rows(out.reshape(n_max + 1, n), shape)
 
 
-def eval_param_derivs(c: Covering0, z) -> tuple[np.ndarray, np.ndarray]:
-    """p, ..., p^(3) at the points z, and d/d theta of [p, p', p''] for each
-    path theta of ``deformation_params``.
+def eval_param_derivs(c: Covering0, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p, ..., p^(3) at the points z, d/d theta of [p, p', p''] and of the top
+    tails for each path theta of ``params`` (= ``deformation_params``).
 
     z is held fixed (it is the uniformizing coordinate).  Returns the rows,
-    shape (4, len(z)), and the partials, shape (P, 3, len(z)):
+    shape (4, len(z)), the partials, shape (P, 3, len(z)):
     d p/d a_r = z^r, d p/d c_{i,a} = -(z-b_i)^(-a), and
-    d p/d b_i = -(pole part i)'(z).
+    d p/d b_i = -(pole part i)'(z), and ``_top_tail_derivs``, shape (P, S).
     """
     pts = np.asarray(z, dtype=complex)
     blocks = {
@@ -265,8 +265,15 @@ def eval_param_derivs(c: Covering0, z) -> tuple[np.ndarray, np.ndarray]:
         blocks[f"poles.{i}.b"] = [
             -sum(coeff * rows[n + 1] for coeff, rows in zip(pole.c, tails)) for n in range(3)
         ]
-    partials = [blocks[path] for path in deformation_params(c)]
-    return eval_p_derivs(c, pts, 3), np.array(partials, dtype=complex)
+    paths = deformation_params(c)
+    partials = np.array([blocks[path] for path in paths], dtype=complex)
+    return eval_p_derivs(c, pts, 3), partials, _top_tail_derivs(c, paths)
+
+
+def _top_tail_derivs(c, paths) -> np.ndarray:
+    """d(top tail of pole s)/d theta over ``paths``, shape (P, S): 1 where theta is the tail."""
+    tops = [f"poles.{i}.c.{p.order - 1}" for i, p in enumerate(c.poles)]
+    return np.array([[float(path == top) for top in tops] for path in paths])
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,7 +335,6 @@ class CriticalData0:
     min_lambda_gap: float
     min_point_gap: float
     caustic: bool
-    resultant_fg: complex
     resultant_ratio: complex
     log_resultant_ff: complex
     log_pole_flat: complex
@@ -378,14 +384,12 @@ def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> Cri
     return _raised(_critical_data_at([c], [pts], fs, gs))[0]
 
 
-def critical_round(coverings: Sequence[Covering0], predict) -> list:
-    """Critical data of ``coverings[0]``, solved globally, and of the others (of its profile),
-    seeded with ``predict(its critical points)``, from one f/g build and one data pass.
-    A covering whose seeded solve fails solves globally; the error of a covering whose
-    solve or data fails stands in its place."""
+def critical_round(coverings: Sequence[Covering0], seeds) -> list:
+    """Critical data of ``coverings`` (of one profile), covering k continuing ``seeds[k]``, from
+    one f/g build and one data pass.  A covering whose seeded solve fails solves globally; the
+    error of a covering whose solve or data fails stands in its place."""
     fs, gs = p_prime_as_ratio(coverings)
-    (pts,) = _raised([_roots(fs[0], None)])
-    found = [pts] + [_roots(f, s) or _roots(f, None) for f, s in zip(fs[1:], predict(pts))]
+    found = [_roots(f, s) or _roots(f, None) for f, s in zip(fs, seeds)]
     return _critical_data_at(coverings, found, fs, gs)
 
 
@@ -427,7 +431,7 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
     log_fg = log_resultant(fs[keep], gs[keep])
     log_ratio = log_fg - [lpf + 2.0 * sum((k + 1) * v for k, v in zip(c.profile[1:], lt))
                           for c, lpf, lt in zip(kept, log_pf, log_t)]
-    res_fg, ratios = np.exp(log_fg).tolist(), np.exp(log_ratio).tolist()
+    ratios = np.exp(log_ratio).tolist()
     log_ff = _log_r_ff(fs[keep]).tolist()
     rows = eval_p_derivs(kept, [np.array(found[k]) for k in keep], 4)
     for j, (k, c, fc) in enumerate(zip(keep, kept, flats)):
@@ -447,7 +451,7 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
             pts=tuple(pts), lam=tuple(lam), fsq=tuple(fsq.tolist()), sb=tuple(sb.tolist()),
             min_lambda_gap=min_lgap,
             min_point_gap=min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf),
-            caustic=caustic, resultant_fg=res_fg[j], resultant_ratio=ratios[j],
+            caustic=caustic, resultant_ratio=ratios[j],
             log_resultant_ff=log_ff[j], log_pole_flat=log_pf[j], flat=fc)
     return out
 

@@ -26,6 +26,7 @@ from .cover0 import (
     Pole,
     TauProduct,
     TauResultant,
+    _top_tail_derivs,
     check_pole_gaps,
     frame_data,
     principal_root,
@@ -158,15 +159,15 @@ def eval_p_derivs(c: Covering1 | Sequence[Covering1], z, n_max: int):
     return shape_rows(out, shape)
 
 
-def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray]:
-    """p, ..., p^(3) at the points z, and d/d theta of [p, p', p''] for each
-    path theta of ``params``, from one zeta evaluation.
+def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p, ..., p^(3) at the points z, and d/d theta of [p, p', p''] and of the
+    top tails for each path theta of ``params``, from one zeta evaluation.
 
-    z and the pole positions are held fixed (z is the uniformizing
-    coordinate).  Returns the rows, shape (4, len(z)), and the partials,
-    shape (P, 3, len(z)); every z - b_i takes one ``zeta_derivs`` call.  A
-    residue column c_{i,1} carries the rebalanced last residue,
-    zeta(z - b_i) - zeta(z - b_l); the modulus column differentiates every
+    z and the pole positions are held fixed (z is the uniformizing coordinate).  Returns
+    the rows, shape (4, len(z)), the partials, shape (P, 3, len(z)), and the top-tail
+    derivatives, shape (P, S); every z - b_i takes one ``zeta_derivs`` call.  A residue
+    column c_{i,1} carries the rebalanced last residue, zeta(z - b_i) - zeta(z - b_l), and
+    moves a simple last pole's top tail by -1; the modulus column differentiates every
     zeta^(n) at fixed argument (``_zeta_sigma_rows``).
     """
     pts = np.asarray(z, dtype=complex)
@@ -185,7 +186,11 @@ def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray]:
         blocks[f"poles.{i}.c.0"] = zd[:3, i] - zd[:3, -1]
         for a in range(1, pole.order):
             blocks[f"poles.{i}.c.{a}"] = zd[a: a + 3, i]
-    return rows, np.array([blocks[path] for path in params(c)], dtype=complex)
+    paths = list(params(c))
+    dtop = _top_tail_derivs(c, paths)
+    if c.poles[-1].order == 1:
+        dtop[:, -1] = [-1.0 if path.endswith(".c.0") else 0.0 for path in paths]
+    return rows, np.array([blocks[path] for path in paths], dtype=complex), dtop
 
 
 @dataclass(frozen=True)
@@ -229,7 +234,9 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     does not converge, collapses or reaches a pole raises ``CountMismatchError``.
     """
     if seeds is None:
-        return critical_round([c], lambda zs: [])[0]
+        # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): principal parts of poles of order k_i + 1
+        zs = elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles])
+        return _critical_data_at([c], np.array([_sort_cell_points(zs, c.modulus.sigma)]))[0]
     if len(seeds) != c.dim:
         raise ValueError("seed count must equal the moduli dimension")
     try:
@@ -241,29 +248,21 @@ def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> Cri
     return cd
 
 
-def critical_round(coverings: Sequence[Covering1], predict) -> list:
-    """``cover0.critical_round`` at genus 1: the global search, then one lane run (as in
-    ``critical_data``) and one ``_critical_data_at`` for coverings of one modulus; for mixed
-    moduli, or where a zero or a lane reaches a pole, the first covering alone and the others one
-    at a time through ``critical_data(c, s)``.  A covering whose lanes fail searches globally,
-    the error of that search in its place; a data error (the frame rows overflow) raises here."""
-    c = coverings[0]
-    # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): the principal parts of a pole of order k_i + 1
-    zs = _sort_cell_points(elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles]),
-                           c.modulus.sigma)
-    seeds = predict(zs)
+def critical_round(coverings: Sequence[Covering1], seeds) -> list:
+    """``cover0.critical_round`` at genus 1: one lane run (as in ``critical_data``) and one
+    ``_critical_data_at`` for coverings of one modulus; for mixed moduli, or where a lane reaches
+    a pole, one covering at a time through ``critical_data(c, s)``.  A covering whose lanes fail
+    searches globally, that search's error in its place; a frame overflow raises here."""
     cds = None
     if len({cv.modulus for cv in coverings}) == 1:
         try:
-            moved = _seeded_zeros(coverings[1:], seeds) if seeds else ()
-            cds = _critical_data_at(coverings, np.array([zs, *moved]))
+            cds = _critical_data_at(coverings, _seeded_zeros(coverings, seeds))
         except NearPoleError:
             pass
     if cds is None:
-        cds = _critical_data_at([c], np.array([zs])) + [
-            _or_error(critical_data, cv, s) for cv, s in zip(coverings[1:], seeds)]
-    return cds[:1] + [cd if isinstance(cd, CriticalData1) else _or_error(critical_data, cv)
-                      for cv, cd in zip(coverings[1:], cds[1:])]
+        cds = [_or_error(critical_data, cv, s) for cv, s in zip(coverings, seeds)]
+    return [cd if isinstance(cd, CriticalData1) else _or_error(critical_data, cv)
+            for cv, cd in zip(coverings, cds)]
 
 
 def _or_error(fn, *args):

@@ -11,8 +11,9 @@ theorem at the critical points, for the identity suite.  Route A comes from
 ``cover0.route_a`` alone: ``analyze`` takes it on principal logarithms, and
 ``exact_parameter_derivatives`` differentiates it by applying it to rows of
 logarithmic derivatives.  The identity suite checks route A over route B,
-and R(f, g) over its factorization, against closed-form profile constants.
-The sweep command solves its segment in one critical-data round.
+and R(f, g) over its factorization, against closed-form profile constants
+(route B is ``Analysis.route_b``).  The sweep command continues its first
+step's critical points along their tangent, in one critical-data round.
 ``parameter_derivatives`` (central differences over the covering
 parameters) drives the finite-difference reference in ``tests/oracles.py``;
 it stays here while ``perfbench/tracer.py`` wraps it by name.
@@ -23,12 +24,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import cover0, cover1
-from .cover0 import Covering0, TauProduct, _raised, route_a
+from .cover0 import Covering0, TauProduct, TauResultant, _raised, route_a
 from .cover1 import Covering1
 from .elliptic import lattice_distance, wp
 from .errors import CausticWarning, CoincidentPointsError, IllConditionedError
@@ -39,10 +41,10 @@ __all__ = [
     "analyze",
     "bergmann_values",
     "build_isomonodromy",
+    "default_tol",
     "exact_parameter_derivatives",
     "identity_report",
     "IdentityCheck",
-    "route_error",
     "route_ratio",
     "sweep_ratios",
 ]
@@ -71,6 +73,8 @@ class Analysis:
     h_s) are the branches route A is on: the principal ones here, the ones
     continued from a base analysis in ``tests/oracles.continue_branches``.
     Its ndarray fields have no truth value, so an analysis equals itself only.
+    ``route_b`` is route B, one ``tau_resultant`` made on first read, and
+    ``route_error`` its ``tau-route-ratio`` error.
     """
 
     covering: Covering
@@ -80,6 +84,17 @@ class Analysis:
     gamma: complex
     f: tuple[complex, ...]
     h: tuple[complex, ...]
+
+    @cached_property
+    def route_b(self) -> TauResultant:
+        model = (cover0, cover1)[self.covering.genus]
+        return model.tau_resultant([self.covering], [self.critical])[0]
+
+    @property
+    def route_error(self) -> float:
+        """|r e^(-c) - 1|, r = ``route_ratio`` and c the model's ``log_route_constant``."""
+        c = (cover0, cover1)[self.covering.genus].log_route_constant(self.covering)
+        return abs(route_ratio(self.tau, self.route_b) * cmath.exp(-c) - 1.0)
 
 
 def analyze(covering: Covering, cd: CriticalData | None = None) -> Analysis:
@@ -233,23 +248,11 @@ def _chain_to_lambda(derivs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 # exact deformation derivatives
 
 
-def _top_derivs(covering: Covering, paths: Sequence[str]) -> np.ndarray:
-    """d(top tail of pole s)/d theta, shape (P, S).
-
-    A path moves its own pole's top tail.  A top tail that is not a path is
-    the residue of a simple last pole that the residue constraint fixes
-    (genus 1): every other residue path moves it, with weight -1.
-    """
-    poles = covering.poles
-    row = {path: j for j, path in enumerate(paths)}
-    out = np.zeros((len(paths), len(poles)))
-    for i, pole in enumerate(poles):
-        top = f"poles.{i}.c.{pole.order - 1}"
-        if top in row:
-            out[row[top], i] = 1.0
-        else:
-            out[[row[f"poles.{r}.c.0"] for r in range(i)], i] = -1.0
-    return out
+def _tangent(covering: Covering, pts) -> tuple[np.ndarray, ...]:
+    """The model's ``eval_param_derivs`` at the critical points ``pts``, then the tangent
+    d z_m/d theta = -d_theta p'/p'' of each ``params`` path theta, shape (P, M)."""
+    rows, dp, dtop = (cover0, cover1)[covering.genus].eval_param_derivs(covering, np.array(pts))
+    return rows, dp, dtop, -dp[:, 1] / rows[2]
 
 
 def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarray]:
@@ -260,25 +263,26 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarr
     ``log_tau48``, ``G`` and, at genus 1, ``sigma``; then the tangent of the
     critical points, d z_m/d theta of shape (P, M).  At a critical point
     p'(z_m) = 0, so with the partials d_theta p^(n) at fixed z:
-    d lambda_m = d_theta p, d z_m = -d_theta p'/p'', and
+    d lambda_m = d_theta p, d z_m = -d_theta p'/p'' (``_tangent``), and
     d fsq_m = -2 (d_theta p'' + p^(3) d z_m)/p''^2; h_s follows its top tail
     (h_s^k_s is proportional to it), and so does t_s.  T, log tau^-48 and G
     are ``route_a`` of the rows d log f_m^2, d log h_s = d log t_s and
-    d log eta = eta_tilde d sigma.  The partials come from the model's
-    ``eval_param_derivs`` at the analysis' points; its rows of the ``params``
-    paths outside ``deformation_params`` are dropped.
+    d log eta = eta_tilde d sigma.  The partials and the top-tail
+    derivatives come from the model's ``eval_param_derivs`` at the
+    analysis' points; its rows of the ``params`` paths outside
+    ``deformation_params`` are dropped.
     """
     cov, cd = an.covering, an.critical
     model = (cover0, cover1)[cov.genus]
     paths, table = model.deformation_params(cov), list(model.params(cov))
-    rows, dp = model.eval_param_derivs(cov, np.array(cd.pts))  # (4, M), (P', 3, M)
-    dp = dp[[table.index(path) for path in paths]]
+    rows, dp, dtop, dz = _tangent(cov, cd.pts)  # (4, M), (P', 3, M), (P', S), (P', M)
+    keep = [table.index(path) for path in paths]
+    dp, dtop, dz = dp[keep], dtop[keep], dz[keep]
     p2, p3 = rows[2], rows[3]
-    dz = -dp[:, 1] / p2
     dfsq = -2.0 * (dp[:, 2] + p3 * dz) / (p2 * p2)
     top = np.array([p.top for p in cov.poles], dtype=complex)
     ks = [p.order for p in cov.poles]
-    dlog_h = _top_derivs(cov, paths) / (np.array(ks) * top)  # (P, S)
+    dlog_h = dtop / (np.array(ks) * top)  # (P, S)
     dsigma = np.array([float(path == "modulus") for path in paths])
     tau = route_a(ks, (dfsq / np.array(cd.fsq)).T, dlog_h.T, dlog_h.T,
                   (cov.ctx.eta_tilde if cov.genus else 0.0) * dsigma)
@@ -313,27 +317,6 @@ class IdentityCheck:
         return self.error < self.tol
 
 
-def _moved(covering: Covering, path: str, moves: Sequence[complex]) -> list[Covering]:
-    """``covering`` with ``path`` moved by each of ``moves``."""
-    model = (cover0, cover1)[covering.genus]
-    v0 = model.params(covering)[path]
-    return [model.set_param(covering, path, v0 + d) for d in moves]
-
-
-def _segment_round(base: Covering, path: str, moves, others) -> list:
-    """Critical data of ``base`` and of ``others``, ``base`` with ``path`` moved by ``moves``, in
-    that order, from one ``critical_round``: ``base`` solves globally and each other covering
-    continues z_m + move * dz_m/d path."""
-    model = (cover0, cover1)[base.genus]
-
-    def predict(pts) -> list[np.ndarray]:
-        rows, dp = model.eval_param_derivs(base, np.array(pts))
-        tangent = -dp[list(model.params(base)).index(path), 1] / rows[2]
-        return [np.array(pts) + move * tangent for move in moves]
-
-    return model.critical_round([base, *others], predict)
-
-
 def _rel_error(diff, ref) -> float:
     """max |diff| relative to max |ref|; the absolute error where ref is all zero."""
     err = float(np.max(np.abs(diff)))
@@ -349,18 +332,13 @@ def route_ratio(ta: TauProduct, tb: cover0.TauResultant) -> complex:
     return cmath.exp(ta.log_tau_inv48 - tb.log_tau_inv48)
 
 
-def route_error(covering: Covering, ratio: complex) -> float:
-    """The ``tau-route-ratio`` error |ratio e^(-c) - 1| of route A over route B, ``ratio``,
-    c the model's ``log_route_constant``."""
-    model = (cover0, cover1)[covering.genus]
-    return abs(ratio * cmath.exp(-model.log_route_constant(covering)) - 1.0)
-
-
 def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     """Coverings and cross-route tau data along a straight parameter segment.
 
     Returns (step index, covering, dict of per-step scalars) triples for the
-    sweep command, from one ``_segment_round`` based at step 0.  Raises
+    sweep command.  Step 0 solves with the model's ``critical_data``, which
+    raises its error; the other steps continue z_m + move * dz_m/d path from
+    its points (``_tangent``) in one ``critical_round``.  Then raises
     ``CausticWarning`` for the first step whose critical data carries the
     caustic flag, whatever the warning filters; then the error of the first
     step whose solve or data failed; then ``OnBoundaryError`` for the first
@@ -370,10 +348,12 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     model = (cover0, cover1)[covering.genus]
-    v0 = model.params(covering)[path]
-    moves = [(target - v0) * (s / (steps - 1)) for s in range(steps)]
-    coverings = _moved(covering, path, moves)
-    cds = _segment_round(coverings[0], path, moves[1:], coverings[1:])
+    table = model.params(covering)
+    moves = [(target - table[path]) * (s / (steps - 1)) for s in range(steps)]
+    coverings = [model.set_param(covering, path, table[path] + d) for d in moves]
+    cds = [model.critical_data(coverings[0])]
+    dz = _tangent(coverings[0], cds[0].pts)[3][list(table).index(path)]
+    cds += model.critical_round(coverings[1:], [np.array(cds[0].pts) + d * dz for d in moves[1:]])
     for cd in cds:
         if not isinstance(cd, Exception) and cd.caustic:
             raise CausticWarning(f"critical values nearly collide (gap {cd.min_lambda_gap:.3e})")
@@ -393,13 +373,19 @@ DEFAULT_TOLS = {
     "rauch-ramification": 1e-9,
     "rauch-puncture": 1e-9,
     "schwarzian-gradient": 1e-9,
-    "hamiltonian-two-route": 1e-8,  # 1e-6 at genus 1
+    "hamiltonian-two-route": 1e-8,  # 1e-6 at genus 1 (``default_tol``)
     "hamiltonian-sum": 1e-10,
     "euler-anomaly": 1e-9,
     "modulus-flow": 1e-9,
     "tau-route-ratio": 1e-7,
     "resultant-factorization": 1e-8,
 }
+
+
+def default_tol(name: str, genus: int) -> float:
+    """The default tolerance of identity ``name`` at ``genus``, which ``check`` and the
+    ``analyze`` statuses both read."""
+    return 1e-6 if genus and name == "hamiltonian-two-route" else DEFAULT_TOLS[name]
 
 
 def identity_report(covering: Covering, tol: float | None = None) -> list[IdentityCheck]:
@@ -424,9 +410,7 @@ def identity_report(covering: Covering, tol: float | None = None) -> list[Identi
     h = np.array(iso.hamiltonians)
 
     def tolerance(name: str) -> float:
-        if tol is not None:
-            return tol
-        return 1e-6 if name == "hamiltonian-two-route" and covering.genus else DEFAULT_TOLS[name]
+        return default_tol(name, covering.genus) if tol is None else tol
 
     checks: list[IdentityCheck] = []
 
@@ -476,9 +460,7 @@ def identity_report(covering: Covering, tol: float | None = None) -> list[Identi
         checks.append(IdentityCheck("modulus-flow", err, tolerance("modulus-flow"),
                                     "d sigma / d lambda_k vs pi i f_k^2"))
 
-    (tb,) = (cover0, cover1)[covering.genus].tau_resultant([covering], [cd])
-    checks.append(IdentityCheck("tau-route-ratio", route_error(covering, route_ratio(an.tau, tb)),
-                                tolerance("tau-route-ratio"),
+    checks.append(IdentityCheck("tau-route-ratio", an.route_error, tolerance("tau-route-ratio"),
                                 "product vs resultant route: closed-form profile constant"))
     if cd.resultant_ratio is not None:  # a genus test: R(f, g) factorizes at genus 0 only
         err = abs(cd.resultant_ratio * cmath.exp(-cover0.log_resultant_constant(covering)) - 1.0)

@@ -64,6 +64,21 @@ class TestAnalyze:
         assert main(["analyze", _a2_file(tmp_path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["tau"]["status"] == "warned"
 
+    @pytest.mark.parametrize("name", ["a2", "h0_surf", "h12"])
+    def test_hamiltonian_status_reads_the_check_tolerance(self, name, monkeypatch, tmp_path,
+                                                          capsys):
+        # a discrepancy of 5e-8 fails check at genus 0 (1e-8) and passes it at genus 1
+        # (1e-6); the analyze status says the same
+        monkeypatch.setattr(isomon.IsomonodromyData, "hamiltonian_discrepancy",
+                            property(lambda self: 5e-8))
+        spec = _spec_file(tmp_path, name)
+        passed = main(["check", spec]) == 0
+        assert ("FAIL  hamiltonian-two-route" in capsys.readouterr().out) is not passed
+        assert passed is (builtin_example(name).genus == 1)
+        assert main(["analyze", spec, "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)["hamiltonians"]["status"]
+        assert status == ("checked" if passed else "warned")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.json", '{"genus": 0,\n  "profile": [3,],\n}')
         rc = main(["analyze", path])
@@ -251,7 +266,8 @@ class TestSpecShape:
 
 class TestOneAnalysisPerOp:
     """``analyze`` and ``check`` share ``isomon.analyze``, the only caller of the
-    isomonodromy build and of the ill-conditioning rejection."""
+    isomonodromy build and of the ill-conditioning rejection, and read route B from
+    ``Analysis.route_b``, which makes the op's one ``tau_resultant`` call."""
 
     @pytest.mark.parametrize("command", [["check"], ["analyze", "--json"], ["analyze"]],
                              ids=["check", "analyze-json", "analyze"])
@@ -272,9 +288,11 @@ class TestOneAnalysisPerOp:
         caller_recorded(isomon, "build_isomonodromy")
         for model in (cover0, cover1):
             caller_recorded(model, "reject_ill_conditioned")
+            caller_recorded(model, "tau_resultant")
         assert main([command[0], _spec_file(tmp_path, name), *command[1:]]) == 0
         assert sorted(calls) == [("build_isomonodromy", "hurwitztau.isomon", "analyze"),
-                                 ("reject_ill_conditioned", "hurwitztau.isomon", "analyze")]
+                                 ("reject_ill_conditioned", "hurwitztau.isomon", "analyze"),
+                                 ("tau_resultant", "hurwitztau.isomon", "route_b")]
 
 
 class TestGenus1PointCollision:

@@ -1,8 +1,9 @@
 """Sweeps continue the critical points instead of solving again, at both genera.
 
-``sweep_ratios`` walks its segment in one ``critical_round``: the first
-covering solves globally, the others continue from tangent-predicted seeds,
-and a covering whose seeded solve fails solves globally inside the round.
+``sweep_ratios`` solves the first covering of its segment globally and
+continues the others from tangent-predicted seeds in one ``critical_round``;
+a covering whose seeded solve fails solves globally inside the round, which
+makes no other global solve.
 ``identity_report`` walks no segment: it solves the covering once.
 
 The global genus-1 zero search is counted by wrapping
@@ -47,8 +48,10 @@ def searches(monkeypatch):
 def _segment(cov, path: str, count: int) -> list:
     """The first ``count`` of four coverings around ``cov``: ``path`` moved by -5%, -2.5%,
     2.5% and 5% of max(1, |value|) along the phase 0.7."""
-    delta = 0.1 * max(1.0, abs((cover0, cover1)[cov.genus].params(cov)[path])) * cmath.exp(0.7j)
-    return isomon._moved(cov, path, [delta * f for f in (-0.5, -0.25, 0.25, 0.5)])[:count]
+    model = (cover0, cover1)[cov.genus]
+    v0 = model.params(cov)[path]
+    delta = 0.1 * max(1.0, abs(v0)) * cmath.exp(0.7j)
+    return [model.set_param(cov, path, v0 + delta * f) for f in (-0.5, -0.25, 0.25, 0.5)][:count]
 
 
 def _failing_lane(monkeypatch, failing_call: int, lane: int = 0):
@@ -123,7 +126,8 @@ class TestSweepRatios:
     def test_collapsed_seeds_fall_back(self, g1_21, searches):
         cov = g1_21
         (step,) = _sweep_steps(cov, 1)
-        _, cd = cover1.critical_round([cov, step], lambda zs: [(zs[0],) * len(zs)])
+        zs = cover1.critical_data(cov).pts
+        (cd,) = cover1.critical_round([step], [(zs[0],) * len(zs)])
         assert searches["n"] == 2  # the base and the collapsed step
         assert cd.pts == cover1.critical_data(step).pts
 
@@ -137,8 +141,9 @@ class TestSweepRatios:
 
 
 class TestOneRoundPerWalk:
-    """``sweep_ratios`` reaches the critical data through one round; ``identity_report``
-    through the one ``critical_data`` of its analysis."""
+    """``sweep_ratios`` reaches the critical data through the ``critical_data`` of step 0 and
+    one round of the others; ``identity_report`` through the one ``critical_data`` of its
+    analysis."""
 
     @pytest.mark.parametrize("walk", ["sweep"])
     @pytest.mark.parametrize("genus", [0, 1])
@@ -150,16 +155,15 @@ class TestOneRoundPerWalk:
         lanes = _calls(monkeypatch, cover1, "_iterate_lanes")
         v0 = model.params(cov)[path]
         steps = len(isomon.sweep_ratios(cov, path, v0 + 0.3 * max(1.0, abs(v0)), 20))
-        assert [len(coverings) for coverings, _ in rounds] == [steps]
-        if genus == 0:
-            assert [len(coverings) for (coverings,) in built] == [steps]
+        assert [len(coverings) for coverings, _ in rounds] == [steps - 1]
+        if genus == 0:  # step 0's build, then the round's
+            assert [len(coverings) for (coverings,) in built] == [1, steps - 1]
         else:
             assert not built and len(lanes) == 1
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_check_solves_once(self, monkeypatch, genus, g0_32, g1_21):
-        # genus 1 finds its zeros through a critical_round of the one covering, inside
-        # critical_data; no other round is made
+        # the one critical_data of the analysis, and no round
         cov, model = (g0_32, cover0) if genus == 0 else (g1_21, cover1)
         depth, solves, rounds = [0], [], []
         real_data, real_round = model.critical_data, model.critical_round
@@ -180,7 +184,7 @@ class TestOneRoundPerWalk:
         monkeypatch.setattr(model, "critical_round", critical_round)
         assert all(c.passed for c in isomon.identity_report(cov))
         assert solves == [(cov,)]
-        assert rounds == [1] * genus  # none outside critical_data
+        assert rounds == []
 
 
 class TestSeededCriticalData:
@@ -274,16 +278,27 @@ class TestGenus0:
         _, cov2, row2 = table[2]
         assert row2["route_ratio"] == _global_ratio0(cov2)
 
+    def test_failed_step_0_raises_before_the_round(self, monkeypatch, g0_32):
+        # step 0 solves alone, and its error raises before the other steps are solved
+        def stalled(c, seeds=None):
+            raise NonConvergenceError("root iteration stalled")
+
+        monkeypatch.setattr(cover0, "critical_data", stalled)
+        rounds = _calls(monkeypatch, cover0, "critical_round")
+        with pytest.raises(NonConvergenceError):
+            _sweep20_g0(g0_32)
+        assert rounds == []
+
     def test_failed_step_of_the_round_solves_alone(self, monkeypatch, g0_32, solves0):
-        # the round continues steps 1, ..., 4 in that order; step 2 stalls
+        # step 0 solves alone; the round continues steps 1, ..., 4 in that order; step 2 stalls
         _failing_seeded_solve(monkeypatch, failing_call=2)
         built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
         logs = _calls(monkeypatch, cover0, "log_resultant")
         table = isomon.sweep_ratios(g0_32, "poles.0.b", g0_32.poles[0].b + 0.05, 5)
         assert solves0 == {"global": 2, "seeded": 4}
-        # step 2 solves its row of the round again; R(f, g) and R(f, f') stack all 5
-        assert [len(cs) for (cs,) in built] == [5]
-        assert [len(fs) for fs, _ in logs] == [5, 5]
+        # step 2 solves its row of the round again; R(f, g) and R(f, f') stack the round's 4
+        assert [len(cs) for (cs,) in built] == [1, 4]
+        assert [len(fs) for fs, _ in logs] == [1, 1, 4, 4]
         _, cov2, row2 = table[2]
         assert row2["route_ratio"] == _global_ratio0(cov2)
 
@@ -306,9 +321,8 @@ class TestStackedSolve:
         cov = {"h12": h12, "g1(2,1)": g1_21, "g1(1,1)": g1_11}[name]
         seeds = cover1.critical_data(cov).pts
         steps = _sweep_steps(cov, count)
-        stacked = cover1.critical_round([cov, *steps], lambda zs: [seeds] * count)
-        assert stacked[0].pts == seeds
-        for step, cd in zip(steps, stacked[1:]):
+        stacked = cover1.critical_round(steps, [seeds] * count)
+        for step, cd in zip(steps, stacked):
             one = cover1.critical_data(step, seeds=seeds)
             for field in ("pts", "lam", "fsq"):
                 got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
@@ -321,13 +335,13 @@ class TestStackedSolve:
         at_pole = (steps[1].poles[0].b,) + seeds[1:]
         with pytest.raises(NearPoleError):
             cover1.eval_p_derivs(steps[:2], [np.array(seeds), np.array(at_pole)], 2)
-        got = cover1.critical_round([cov, *steps], lambda zs: [seeds, at_pole, seeds])
+        got = cover1.critical_round(steps, [seeds, at_pole, seeds])
         # the covering with the lane at the pole searches globally; the others continue
-        assert searches["n"] == 3  # the seeds', the round's and the one fallback
-        assert got[2].pts == cover1.critical_data(steps[1]).pts
+        assert searches["n"] == 2  # the seeds' and the one fallback
+        assert got[1].pts == cover1.critical_data(steps[1]).pts
         for k in (0, 2):
             want = cover1.critical_data(steps[k], seeds=seeds)
-            assert np.max(np.abs(np.array(got[k + 1].pts) - np.array(want.pts))) < 1e-13
+            assert np.max(np.abs(np.array(got[k].pts) - np.array(want.pts))) < 1e-13
 
 
 def _sweep_steps0(cov, count):
@@ -343,25 +357,39 @@ class TestStackedSolve0:
         cov = random_covering0(profile, seed)
         seeds = cover0.critical_data(cov).pts
         steps = _sweep_steps0(cov, 4)
-        stacked = cover0.critical_round([cov, *steps], lambda pts: [seeds] * 4)
-        assert stacked[0].pts == seeds
-        for step, cd in zip(steps, stacked[1:]):
+        stacked = cover0.critical_round(steps, [seeds] * 4)
+        for step, cd in zip(steps, stacked):
             one = cover0.critical_data(step, seeds=seeds)
             for field in ("pts", "lam", "fsq"):
                 got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
                 assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12, field
-            assert abs(cd.resultant_fg / one.resultant_fg - 1.0) < 1e-10
+            assert abs(cd.resultant_ratio / one.resultant_ratio - 1.0) < 1e-10
 
     def test_coincident_seeds_fail_their_covering_only(self, g0_32, solves0):
         seeds = cover0.critical_data(g0_32).pts
         steps = _sweep_steps0(g0_32, 3)
-        got = cover0.critical_round([g0_32, *steps],
-                                    lambda pts: [seeds, (seeds[0],) * len(seeds), seeds])
-        # the seeds' solve and the round's; step 1's seeded solve fails and solves globally
-        assert solves0 == {"global": 3, "seeded": 3}
-        assert got[2].pts == cover0.critical_data(steps[1]).pts
+        got = cover0.critical_round(steps, [seeds, (seeds[0],) * len(seeds), seeds])
+        # the seeds' solve; step 1's seeded solve fails and solves globally
+        assert solves0 == {"global": 2, "seeded": 3}
+        assert got[1].pts == cover0.critical_data(steps[1]).pts
         for k in (0, 2):
-            assert got[k + 1].pts == cover0.critical_data(steps[k], seeds=seeds).pts
+            assert got[k].pts == cover0.critical_data(steps[k], seeds=seeds).pts
+
+
+class TestRoundContinuesOnly:
+    """``critical_round`` continues its seeds: where every seed converges, it makes no global
+    solve."""
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_converged_seeds_make_no_global_solve(self, genus, g0_32, g1_21, searches, solves0):
+        cov, model = (g0_32, cover0) if genus == 0 else (g1_21, cover1)
+        seeds = model.critical_data(cov).pts
+        steps = (_sweep_steps0 if genus == 0 else _sweep_steps)(cov, 4)
+        before = (dict(solves0), searches["n"])
+        cds = model.critical_round(steps, [seeds] * 4)
+        assert [type(cd) for cd in cds] == [(cover0.CriticalData0, cover1.CriticalData1)[genus]] * 4
+        assert (solves0["global"], searches["n"]) == (before[0]["global"], before[1])
+        assert solves0["seeded"] - before[0]["seeded"] == 4 * (genus == 0)
 
 
 def _calls(monkeypatch, module, name: str) -> list:
@@ -423,7 +451,7 @@ class TestGenus1OncePerCheck:
     def test_fused_partials_match_per_pole_code(self, profile, seed):
         cov = random_covering1(profile, seed)
         pts = np.array(cover1.critical_data(cov).pts)
-        rows, partials = cover1.eval_param_derivs(cov, pts)
+        rows, partials, _ = cover1.eval_param_derivs(cov, pts)
         want = oracles.per_pole_param_derivs(cov, pts)
         assert partials.shape == want.shape
         for path, got_p, want_p in zip(cover1.params(cov), partials, want):
@@ -435,7 +463,7 @@ class TestGenus1OncePerCheck:
         """A stacked route-B call equals its one-element calls."""
         cov = {"h12": h12, "g1(2,1)": g1_21, "g1(1,1)": g1_11}[name]
         steps = [cov] + _sweep_steps(cov, 4)
-        cds = cover1.critical_round(steps, lambda zs: [zs] * 4)
+        cds = cover1.critical_round(steps, [cover1.critical_data(cov).pts] * 5)
         stacked = cover1.tau_resultant(steps, cds)  # one sigma_w call for all five
         for step, cd, got in zip(steps, cds, stacked):
             one = cover1.tau_resultant([step], [cd])[0]

@@ -162,7 +162,7 @@ class TestCriticalData:
         for profile in [(2, 1), (2, 2)]:
             cov = random_covering0(profile, seed=23)
             cd = critical_data(cov)
-            assert abs(cd.resultant_fg) > 1e-8
+            assert abs(cd.resultant_ratio) > 1e-8  # R(f, g) over its factorization
 
 
 def _set_close(got, want, tol):

@@ -157,7 +157,7 @@ class TestOneAnalysis:
         real = cover0.p_prime_as_ratio
         monkeypatch.setattr(cover0, "p_prime_as_ratio", lambda cs: calls.append(cs) or real(cs))
         isomon.sweep_ratios(cov, "poles.0.b", cov.poles[0].b + 0.1, 5)
-        assert [len(cs) for cs in calls] == [5]  # one build for all 5 steps
+        assert [len(cs) for cs in calls] == [1, 4]  # step 0's solve, then one build for the rest
 
     @pytest.mark.parametrize("name", sorted(NAMED))
     def test_check_analysis_is_analyze_bit_for_bit(self, name, monkeypatch):
@@ -206,7 +206,12 @@ class TestContinuedBundle:
 
 
 class TestPartials:
-    """The covering-level partials d_theta [p, p', p''] at fixed points."""
+    """The covering-level partials d_theta [p, p', p''] at fixed points, and d_theta of the
+    top tails, whose last one the residue constraint moves at genus 1."""
+
+    @staticmethod
+    def _tops(cov, _) -> np.ndarray:
+        return np.array([p.top for p in cov.poles])
 
     @staticmethod
     def _fd(cov, path, z, evaluate, setter):
@@ -218,22 +223,27 @@ class TestPartials:
     def test_genus0_columns(self):
         cov = random_covering0((3, 2, 1), 4)
         z = np.array([0.3 + 0.7j, -1.1 + 0.2j, 2.0 - 1.0j])
-        _, got = cover0.eval_param_derivs(cov, z)
+        _, got, dtop = cover0.eval_param_derivs(cov, z)
         evaluate = lambda c, pts: np.array([cover0.eval_p_derivs(c, w, 2) for w in pts]).T
         for j, path in enumerate(cover0.deformation_params(cov)):
             want = self._fd(cov, path, z, evaluate, cover0.set_param)
             assert _rel(got[j], want) < 1e-8, path
+            want = self._fd(cov, path, z, self._tops, cover0.set_param)
+            assert np.max(np.abs(dtop[j] - want)) < 1e-8, path
 
     @pytest.mark.parametrize("profile,seed", [((1, 1, 1), 7), ((4, 1), 3), ((2, 2), 9)])
     def test_genus1_columns(self, profile, seed):
         cov = random_covering1(profile, seed)
         s = cov.modulus.sigma
         z = np.array([0.41 + 0.27 * s, 0.93 + 0.61 * s, 0.07 + 0.88 * s])
-        _, got = cover1.eval_param_derivs(cov, z)
+        _, got, dtop = cover1.eval_param_derivs(cov, z)
         evaluate = lambda c, pts: cover1.eval_p_derivs(c, pts, 2)
         for j, path in enumerate(cover1.params(cov)):  # poles.0.b too, which sweeps move
             want = self._fd(cov, path, z, evaluate, cover1.set_param)
             assert _rel(got[j], want) < 1e-7, path
+            want = self._fd(cov, path, z, self._tops, cover1.set_param)
+            assert np.max(np.abs(dtop[j] - want)) < 1e-8, path
+        assert (dtop[:, -1] != 0).sum() == (len(profile) - 1 if profile[-1] == 1 else 1)
 
     @pytest.mark.parametrize("sigma", [0.23 + 0.97j, -0.4 + 0.35j, 0.1 + 1.6j])
     def test_zeta_sigma_derivatives(self, sigma):
