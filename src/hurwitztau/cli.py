@@ -306,7 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return cov
     try:
         target = complex(*(float(x) for x in args.to.split(",")))
-        if not cmath.isfinite(target):
+        if args.to.count(",") != 1 or not cmath.isfinite(target):
             raise ValueError
     except (TypeError, ValueError):
         return _parse_error("--to expects RE,IM (finite numbers)")

@@ -32,7 +32,7 @@ import numpy as np
 from . import cover0, cover1
 from .cover0 import Covering0, TauProduct, TauResultant, _raised, route_a
 from .cover1 import Covering1
-from .elliptic import lattice_distance, wp
+from .elliptic import LATTICE_GUARD, lattice_distance, wp
 from .errors import CausticWarning, CoincidentPointsError, IllConditionedError
 
 __all__ = [
@@ -128,14 +128,15 @@ def bergmann_values(covering: Covering, cd: CriticalData) -> tuple[np.ndarray, n
     # a regular point of both kernels, until it is zeroed
     diff = np.subtract.outer(cd.pts, cd.pts + tuple(p.b for p in covering.poles))
     diff.reshape(-1)[:: diff.shape[1] + 1] = 0.5
+    # coincidence is tested first: wp's own lattice guard would raise on it
     if covering.genus:
-        values = wp(covering.ctx, diff) - 4j * math.pi * covering.ctx.eta_tilde
-        coincident = lattice_distance(diff[:, :m], covering.modulus.sigma) < 1e-10
+        coincident = lattice_distance(diff[:, :m], covering.modulus.sigma) <= LATTICE_GUARD
     else:
-        values = 1.0 / diff**2
         coincident = np.abs(diff[:, :m]) < 1e-12
     if coincident.any():
         raise CoincidentPointsError("coincident critical points")
+    values = (wp(covering.ctx, diff) - 4j * math.pi * covering.ctx.eta_tilde if covering.genus
+              else 1.0 / diff**2)
     f = tuple(map(cmath.sqrt, cd.fsq))
     values *= np.multiply.outer(f, f + cd.flat.h)
     values.reshape(-1)[:: values.shape[1] + 1] = 0.0

@@ -1,9 +1,8 @@
 """Complex polynomials.
 
 Evaluation with derivatives (Horner), simultaneous root finding
-(Aberth-Ehrlich with Newton polish) and Sylvester resultants of stacked
-coefficient rows.  Everything is plain double-precision complex; no exact
-arithmetic.
+(Aberth-Ehrlich) and Sylvester resultants of stacked coefficient rows.
+Everything is plain double-precision complex; no exact arithmetic.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .errors import NonConvergenceError
 
 __all__ = ["CPoly", "RootSet", "all_roots", "resultant", "log_resultant"]
 
-# Newton polish target: |p(r)| < POLISH_REL * max|coeff|  (or 50 iterations).
-POLISH_REL = 1e-13
-POLISH_MAX_ITER = 50
 ABERTH_MAX_ITER = 400
 
 
@@ -86,32 +82,15 @@ class RootSet:
     residual: float
 
 
-def _newton_polish(high_first: Sequence[complex], z: complex, tol_abs: float) -> complex:
-    """Newton steps on the polynomial of coefficients ``high_first`` (highest degree first)."""
-    for _ in range(POLISH_MAX_ITER):
-        val = der = 0j
-        for c in high_first:
-            der = der * z + val
-            val = val * z + c
-        if abs(val) < tol_abs:
-            break
-        if der == 0:
-            break
-        step = val / der
-        z = z - step
-        if abs(step) < 1e-16 * (1.0 + abs(z)):
-            break
-    return z
-
-
 def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
     """All roots of ``p`` (with multiplicity) by simultaneous iteration.
 
     Aberth-Ehrlich from ``start`` (one point per root, returned root i
     continues start point i), or from a scaled circle of initial guesses
-    when None, then a Newton polish of every root.  Root clusters from
-    nearly multiple roots are kept as-is; detecting them is the caller's
-    business.
+    when None, until every step is below 1e-14 * (1 + |z|).  There
+    |p(root)| is already at round-off, so no separate polish follows.  Root
+    clusters from nearly multiple roots are kept as-is; detecting them is
+    the caller's business.
 
     Raises ``NonConvergenceError`` for a coefficient that is not finite, and
     when the iteration stalls or two iterates coincide (coincident start
@@ -139,9 +118,9 @@ def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
         raise ValueError(f"need {n} start points, got {len(start)}")
     else:
         zs = [complex(z) for z in start]
-    # Python complex arithmetic with p and p' by inline Horner, here and in
-    # the polish: at a handful of roots per iteration, numpy's per-call
-    # overhead and the general eval_derivatives cost more than the arithmetic
+    # Python complex arithmetic with p and p' by inline Horner: at a handful
+    # of roots per iteration, numpy's per-call overhead and the general
+    # eval_derivatives cost more than the arithmetic
     high_first = p.coeffs[::-1]
     for _ in range(ABERTH_MAX_ITER):
         new_zs, converged = [], True
@@ -178,10 +157,7 @@ def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
                 f"root iteration stalled, residual {resid:.3e}"
             )
 
-    tol_abs = POLISH_REL * coeff_scale
-    roots = tuple(_newton_polish(high_first, z, tol_abs) for z in zs)
-    residual = max(abs(p(r)) for r in roots)
-    return RootSet(roots=roots, residual=residual)
+    return RootSet(roots=tuple(zs), residual=max(abs(p(z)) for z in zs))
 
 
 def _shifted(coeffs: Sequence[complex], z0: complex) -> list[complex]:

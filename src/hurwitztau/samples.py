@@ -37,7 +37,7 @@ def random_covering0(
     """Generic genus-0 instance: poles separated by > 0.8, order-one tails.
 
     Instances whose critical values come closer than ``min_gap`` (relative)
-    are resampled, keeping the finite-difference checks well conditioned.
+    are resampled, so that every instance stays clear of the caustic.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k1 = profile[0]

@@ -428,6 +428,35 @@ class TestCloseHighOrderPoles:
         assert err.count("\n") == 1 and "boundary point (S2)" in err
 
 
+class TestGuardPaths:
+    # two simple poles 1e-6 apart, with equal residues, next to a quartic part: R(f, g)
+    # over its pole/flat factorization is below 1e-10 of the profile constant
+    VANISHING_RESULTANT = {"genus": 0, "profile": [4, 1, 1], "poly_coeffs": [[1, 0]] * 3,
+                           "poles": [{"b": [0, 0], "c": [[1, 0]]}, {"b": [1e-6, 0], "c": [[1, 0]]}]}
+    # z^3 + 1e-18 z + 0.2: critical points 1.2e-9 apart, lambda derivatives too ill-conditioned
+    CUSP = {"genus": 0, "profile": [3], "poly_coeffs": [[0.2, 0], [1e-18, 0]], "poles": []}
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_vanishing_resultant_exits_3(self, command, tmp_path, capsys):
+        rc = main([command, _write(tmp_path, "r.json", self.VANISHING_RESULTANT)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "boundary point: resultant(f, g) vanishes; point is on the boundary\n"
+
+    def test_ill_conditioned_jacobian_fails_check_only(self, tmp_path, capsys):
+        path = _write(tmp_path, "cusp.json", self.CUSP)
+        rc = main(["check", path])
+        captured = capsys.readouterr()
+        assert rc == 6
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "IllConditionedError): deformation Jacobian condition" in captured.err
+        # analyze inverts no Jacobian: it reports, and flags the caustic
+        assert main(["analyze", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["caustic"]["warned"] is True
+
+
 class TestStrictJson:
     """``analyze --json`` and ``sweep --json`` print no ``NaN`` or ``Infinity``."""
 
@@ -535,7 +564,7 @@ class TestSweep:
         assert len(captured.err.splitlines()) == 1 and "--param" in captured.err
 
     @pytest.mark.parametrize("spec, param", [("a2", "poly_coeffs.0"), ("h12", "constant")])
-    @pytest.mark.parametrize("to", ["nan,0", "0,nan", "inf,0", "0,-inf"])
+    @pytest.mark.parametrize("to", ["nan,0", "0,nan", "inf,0", "0,-inf", "0.2", "1,2,3"])
     def test_non_finite_target_exits_2(self, spec, param, to, tmp_path, capsys):
         path = _write(tmp_path, f"{spec}.json", covering_to_spec(builtin_example(spec)))
         rc = main(["sweep", path, "--param", param, f"--to={to}", "--steps", "3"])

@@ -27,6 +27,15 @@ class TestBergmann:
         want = an.f[0] * an.f[1] / (pts[0] - pts[1]) ** 2
         assert abs(B[0, 1] - want) < 1e-14
 
+    @pytest.mark.parametrize("gap", [1e-9, 1e-11])
+    def test_genus1_coincident_points_raise(self, gap):
+        # within wp's lattice guard of each other: the coincidence, not the guard, is reported
+        cov = random_covering1((2, 1), 3)
+        cd = isomon.analyze(cov).critical
+        pts = (cd.pts[0], cd.pts[0] + gap, *cd.pts[2:])
+        with pytest.raises(CoincidentPointsError, match="coincident critical points"):
+            isomon.bergmann_values(cov, dataclasses.replace(cd, pts=pts))
+
     def test_one_evaluation_per_identity_report(self, monkeypatch, a2, h12):
         # the report takes the kernel values build_isomonodromy was built from
         calls = []

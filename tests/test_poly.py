@@ -128,6 +128,18 @@ class TestRoots:
         with pytest.raises(NonConvergenceError, match="not finite"):
             all_roots(CPoly((bad, 0.3 + 0.1j, -0.2j, 0.5, 1, 0, 1)))
 
+    @pytest.mark.parametrize("profile", [(3,), (4,), (2, 1), (2, 2), (3, 2), (2, 1, 1), (3, 3),
+                                         (2, 3), (4, 2), (3, 1, 1)])
+    def test_converged_roots_are_at_round_off(self, profile):
+        # the genus-0 profiles of the benchmark pool: where Aberth stops, |f| already
+        # sits below 1e-13 max|coeff|, globally and from seeds off by 1e-3
+        for seed in range(20):
+            f = CPoly(tuple(p_prime_as_ratio([random_covering0(profile, seed)])[0][0]))
+            bound = 1e-13 * max(map(abs, f.coeffs))
+            found = all_roots(f)
+            assert found.residual < bound
+            assert all_roots(f, start=[z * (1 + 1e-3) for z in found.roots]).residual < bound
+
     def test_stationary_start_off_a_root(self):
         # z^3 + 1 has p'(0) = 0, and the Aberth sum at 0 cancels for starts
         # at +-i: no step is defined, which is a stall, not a root at 0
