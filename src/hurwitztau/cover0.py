@@ -6,11 +6,12 @@ A point of the moduli space is a rational map
 
 with distinct poles and non-vanishing top Laurent coefficients.  This module
 computes the critical data (critical points, critical values, squared local
-frame f_m^2, Schwarzian values), the flat coordinates, the tau-function by
-two independent closed-form routes, the G-function with its scaling anomaly,
-and vanishing-order diagnostics on the caustic.  ``cover1`` defines the same
-model names; the formulas both share (``route_a``,
-``route_b_denominator_terms``, ``frame_data``) live here.
+frame f_m^2, Schwarzian values) by a global solve, or in a ``critical_round``
+from seeds, the flat coordinates, the tau-function by two independent
+closed-form routes, the G-function with its scaling anomaly, and
+vanishing-order diagnostics on the caustic.  ``cover1`` defines the same
+model names; the record and formulas both share (``CriticalData``,
+``route_a``, ``route_b_denominator_terms``, ``frame_data``) live here.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .elliptic import point_array, shape_rows
 from .errors import (
     CommonRootError,
-    CountMismatchError,
     NoCriticalPointsError,
     NonConvergenceError,
     OnBoundaryError,
@@ -35,10 +35,13 @@ from .errors import (
 )
 from .poly import CPoly, all_roots, log_resultant
 
+if TYPE_CHECKING:
+    from .cover1 import FlatCoords1
+
 __all__ = [
     "Pole",
     "Covering0",
-    "CriticalData0",
+    "CriticalData",
     "FlatCoords0",
     "TauProduct",
     "TauResultant",
@@ -316,34 +319,31 @@ def p_prime_as_ratio(cs: Sequence[Covering0]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class CriticalData0:
-    """Per-critical-point bundle driving every downstream formula.
+class CriticalData:
+    """Per-critical-point bundle driving every downstream formula, at both genera.
 
-    ``log_pole_flat`` is log prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1))
-    prod t_i^((k_i+1)(k_i-2)), route B's pole/flat denominator, on no fixed
-    branch (the product underflows where poles of high order nearly meet);
-    ``resultant_ratio`` is R(f, g) over its factorization, that denominator
-    times prod t_i^(2(k_i+1)), the profile constant ``log_resultant_constant``;
-    ``log_resultant_ff`` is log R(f, f') (f of p' = f/g, whose roots are
-    ``pts``), the route-B numerator; ``flat`` is ``flat_coords`` of the covering.
+    ``sw`` is the Schwarzian of the uniformizing coordinate in the local parameter, ``sb`` its
+    Bergmann part: sb = sw - 24*pi*i*eta_tilde*fsq at genus 1, sb = sw on the sphere.  ``flat``
+    is ``flat_coords`` of the covering.  Route B's genus-0 data, None at genus 1 (no R(f, g)):
+    ``log_pole_flat`` is log prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2)),
+    its pole/flat denominator, on no fixed branch (it underflows where high-order poles nearly
+    meet); ``resultant_ratio`` is R(f, g) over its factorization, that denominator times prod
+    t_i^(2(k_i+1)), the profile constant ``log_resultant_constant``; ``log_resultant_ff`` is log
+    R(f, f') (f of p' = f/g, whose roots are ``pts``), the route-B numerator.
     """
 
     pts: tuple[complex, ...]
     lam: tuple[complex, ...]
     fsq: tuple[complex, ...]
+    sw: tuple[complex, ...]
     sb: tuple[complex, ...]
     min_lambda_gap: float
     min_point_gap: float
     caustic: bool
-    resultant_ratio: complex
-    log_resultant_ff: complex
-    log_pole_flat: complex
-    flat: FlatCoords0
-
-    @property
-    def sw(self) -> tuple[complex, ...]:
-        # On the sphere the Bergmann and Wirtinger connections coincide.
-        return self.sb
+    flat: FlatCoords0 | FlatCoords1
+    resultant_ratio: complex | None = None
+    log_resultant_ff: complex | None = None
+    log_pole_flat: complex | None = None
 
 
 def frame_data(d: np.ndarray) -> tuple[list[complex], np.ndarray, np.ndarray, float, bool]:
@@ -369,25 +369,18 @@ def _sort_points(pts: list[complex]) -> list[complex]:
     return sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
-def critical_data(c: Covering0, seeds: tuple[complex, ...] | None = None) -> CriticalData0:
-    """Critical points (roots of f), critical values, f_m^2 and Schwarzians.
-
-    Without ``seeds`` the roots come from a global solve, sorted.  With
-    ``seeds`` (one per critical point) Aberth starts from them and point i
-    continues seed i; a solve that stalls or whose iterates coincide raises
-    ``CountMismatchError``.
-    """
+def critical_data(c: Covering0) -> CriticalData:
+    """Critical points (the roots of f from a global solve, sorted), critical values, f_m^2
+    and Schwarzians; the error of the solve or of the data raises."""
     fs, gs = p_prime_as_ratio([c])
-    pts = _roots(fs[0], seeds)
-    if pts is None:
-        raise CountMismatchError("seeded root solve stalled or its iterates coincided")
-    return _raised(_critical_data_at([c], [pts], fs, gs))[0]
+    return _raised(_critical_data_at([c], [_roots(fs[0], None)], fs, gs))[0]
 
 
 def critical_round(coverings: Sequence[Covering0], seeds) -> list:
-    """Critical data of ``coverings`` (of one profile), covering k continuing ``seeds[k]``, from
-    one f/g build and one data pass.  A covering whose seeded solve fails solves globally; the
-    error of a covering whose solve or data fails stands in its place."""
+    """Critical data of ``coverings`` (of one profile), covering k continuing ``seeds[k]`` (Aberth
+    started from them, point i continuing seed i), from one f/g build and one data pass.  A
+    covering whose seeded solve stalls or whose iterates coincide solves globally; the error of a
+    covering whose solve or data fails stands in its place.  The one seeded entry of the model."""
     fs, gs = p_prime_as_ratio(coverings)
     found = [_roots(f, s) or _roots(f, None) for f, s in zip(fs, seeds)]
     return _critical_data_at(coverings, found, fs, gs)
@@ -447,17 +440,18 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
         except (CommonRootError, OverflowError) as exc:
             out[k] = exc
             continue
-        out[k] = CriticalData0(
-            pts=tuple(pts), lam=tuple(lam), fsq=tuple(fsq.tolist()), sb=tuple(sb.tolist()),
+        sb = tuple(sb.tolist())
+        out[k] = CriticalData(
+            pts=tuple(pts), lam=tuple(lam), fsq=tuple(fsq.tolist()), sw=sb, sb=sb,
             min_lambda_gap=min_lgap,
             min_point_gap=min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf),
-            caustic=caustic, resultant_ratio=ratios[j],
-            log_resultant_ff=log_ff[j], log_pole_flat=log_pf[j], flat=fc)
+            caustic=caustic, flat=fc, resultant_ratio=ratios[j],
+            log_resultant_ff=log_ff[j], log_pole_flat=log_pf[j])
     return out
 
 
 def _log_pole_flat(c: Covering0, log_t: list[complex]) -> complex:
-    """``CriticalData0.log_pole_flat`` of ``c`` from the logarithms of its t_i."""
+    """``CriticalData.log_pole_flat`` of ``c`` from the logarithms of its t_i."""
     bs = [p.b for p in c.poles]
     log_d = [cmath.log(bi - bj) for i, bi in enumerate(bs) for j, bj in enumerate(bs) if i != j]
     return sum(route_b_denominator_terms(c.profile[1:], log_d, log_t), 0j)
@@ -547,7 +541,7 @@ def principal_route_a(c, fsq, fc, log_eta: complex = 0) -> TauProduct:
     return tau
 
 
-def tau_product(c: Covering0, cd: CriticalData0) -> TauProduct:
+def tau_product(c: Covering0, cd: CriticalData) -> TauProduct:
     """Route A: log tau = (1/24) [sum log f_m - sum (k_s+1) log h_s], principal branches."""
     return principal_route_a(c, cd.fsq, cd.flat)
 
@@ -576,7 +570,7 @@ class TauResultant:
 
 
 def tau_resultant(coverings: Sequence[Covering0],
-                  cds: Sequence[CriticalData0]) -> list[TauResultant]:
+                  cds: Sequence[CriticalData]) -> list[TauResultant]:
     """Route B of each covering from its critical data, in logarithms:
     tau^(-48) = R(f, f') / [prod (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2))].
 

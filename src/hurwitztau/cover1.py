@@ -5,9 +5,9 @@ A point of the moduli space is an elliptic function on C/(Z + sigma*Z)
     p(z) = a + sum_{i=1..l} sum_{alpha=1..k_i} c_{i,alpha} zeta^(alpha-1)(z - b_i)
 
 whose residues sum to zero (ellipticity).  The module defines the genus-0
-model's names with the same parameters: critical data via zero localization
-of p', flat coordinates, the tau-function by two closed-form routes, and the
-G-function with anomaly.
+model's names with the same parameters: critical data (``cover0.CriticalData``)
+via zero localization of p', flat coordinates, the tau-function by two
+closed-form routes, and the G-function with anomaly.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .cover0 import (
     BOUNDARY_TOL,
+    CriticalData,
     Pole,
     TauProduct,
     TauResultant,
@@ -50,13 +51,12 @@ from .elliptic import (
     shape_rows,
     sigma_w,
     weierstrass_context,
-    zeta_derivs,
 )
-from .errors import CountMismatchError, HurwitzError, NearPoleError, OnBoundaryError
+from .errors import (CommonRootError, CountMismatchError, HurwitzError, NearPoleError,
+                     OnBoundaryError)
 
 __all__ = [
     "Covering1",
-    "CriticalData1",
     "FlatCoords1",
     "TauResultant1",
     "eval_p_derivs",
@@ -165,16 +165,17 @@ def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     z and the pole positions are held fixed (z is the uniformizing coordinate).  Returns
     the rows, shape (4, len(z)), the partials, shape (P, 3, len(z)), and the top-tail
-    derivatives, shape (P, S); every z - b_i takes one ``zeta_derivs`` call.  A residue
+    derivatives, shape (P, S); every z - b_i takes one ``_pole_zeta_rows`` pass.  A residue
     column c_{i,1} carries the rebalanced last residue, zeta(z - b_i) - zeta(z - b_l), and
     moves a simple last pole's top tail by -1; the modulus column differentiates every
     zeta^(n) at fixed argument (``_zeta_sigma_rows``).
     """
     pts = np.asarray(z, dtype=complex)
     ctx = c.ctx
-    diffs = pts[None, :] - np.array([[p.b] for p in c.poles])
+    bs = np.array([[p.b] for p in c.poles])
+    diffs = pts[None, :] - bs
     top = max(c.profile) + 3
-    zd = zeta_derivs(ctx, diffs, top)  # (top + 1, S, M)
+    zd = _pole_zeta_rows(ctx, pts, bs, top, len(bs))  # (top + 1, S, M)
     zs = _zeta_sigma_rows(ctx, zd, diffs, top - 2)
     rows = np.zeros((4, pts.size), dtype=complex)
     _principal_sum(rows, c.constant, [p.c for p in c.poles], zd)
@@ -193,29 +194,6 @@ def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, np.array([blocks[path] for path in paths], dtype=complex), dtop
 
 
-@dataclass(frozen=True)
-class CriticalData1:
-    """Critical points of p in the fundamental cell with local frame data.
-
-    ``sw`` is the Schwarzian of the uniformizing coordinate in the local
-    parameter; ``sb`` subtracts the marking-dependent part:
-    sb = sw - 24*pi*i*eta_tilde*fsq.  ``flat`` is ``flat_coords`` of the
-    covering.  There is no R(f, g) factorization at genus 1, so
-    ``resultant_ratio`` is None.
-    """
-
-    pts: tuple[complex, ...]
-    lam: tuple[complex, ...]
-    fsq: tuple[complex, ...]
-    sw: tuple[complex, ...]
-    sb: tuple[complex, ...]
-    min_lambda_gap: float
-    min_point_gap: float
-    caustic: bool
-    flat: FlatCoords1
-    resultant_ratio: None = None
-
-
 def _sort_cell_points(pts: list[complex], sigma: complex) -> list[complex]:
     def key(z: complex):
         u, v = cell_coords(z, sigma)
@@ -224,45 +202,45 @@ def _sort_cell_points(pts: list[complex], sigma: complex) -> list[complex]:
     return sorted(pts, key=key)
 
 
-def critical_data(c: Covering1, seeds: tuple[complex, ...] | None = None) -> CriticalData1:
+def critical_data(c: Covering1) -> CriticalData:
     """All M = l + N zeros of p' in the fundamental cell, with frame data.
 
     Zeros come from the global search ``elliptic.elliptic_zeros`` (contour moments seeding an
-    elliptic Aberth polish, ``ContourClashError`` when no contour yields every zero), or with
-    ``seeds`` from Newton lanes: lane m steps from seeds[m] by p'/p'' (capped at 0.2, at most
-    60 steps) to 1e-14*(1 + |seed|).  M converged, distinct lanes are the M zeros; a lane that
-    does not converge, collapses or reaches a pole raises ``CountMismatchError``.
+    elliptic Aberth polish, ``ContourClashError`` when no contour yields every zero).  A search
+    whose failed contours include one with a lane at a pole (``NearPoleError``) has found a
+    critical point at the pole, the boundary: ``CommonRootError``, as at genus 0.
     """
-    if seeds is None:
-        # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): principal parts of poles of order k_i + 1
-        zs = elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles])
-        return _critical_data_at([c], np.array([_sort_cell_points(zs, c.modulus.sigma)]))[0]
-    if len(seeds) != c.dim:
-        raise ValueError("seed count must equal the moduli dimension")
+    # p' = sum_i sum_a c_{i,a} zeta^(a+1)(z - b_i): principal parts of poles of order k_i + 1
     try:
-        (cd,) = _critical_data_at([c], _seeded_zeros([c], [seeds]))
-    except NearPoleError:
-        cd = None
-    if cd is None:
-        raise CountMismatchError("a seeded lane did not converge, collapsed or hit a pole")
-    return cd
+        zs = elliptic_zeros(c.ctx, 0, [(p.b, (0,) + p.c) for p in c.poles])
+    except NearPoleError as exc:
+        raise CommonRootError(f"a critical point collides with a pole: {exc}") from None
+    return _critical_data_at([c], np.array([_sort_cell_points(zs, c.modulus.sigma)]))[0]
 
 
 def critical_round(coverings: Sequence[Covering1], seeds) -> list:
-    """``cover0.critical_round`` at genus 1: one lane run (as in ``critical_data``) and one
-    ``_critical_data_at`` for coverings of one modulus; for mixed moduli, or where a lane reaches
-    a pole, one covering at a time through ``critical_data(c, s)``.  A covering whose lanes fail
-    searches globally, that search's error in its place; a frame overflow raises here."""
-    cds = None
-    if len({cv.modulus for cv in coverings}) == 1:
-        try:
-            cds = _critical_data_at(coverings, _seeded_zeros(coverings, seeds))
-        except NearPoleError:
-            pass
-    if cds is None:
-        cds = [_or_error(critical_data, cv, s) for cv, s in zip(coverings, seeds)]
-    return [cd if isinstance(cd, CriticalData1) else _or_error(critical_data, cv)
+    """``cover0.critical_round`` at genus 1, by Newton lanes: lane m of covering k steps from
+    seeds[k][m] by p'/p'' (capped at 0.2, at most 60 steps) to 1e-14*(1 + |seed|).  Each modulus
+    group (as in ``tau_resultant``) takes one lane run and one ``_critical_data_at``, again one
+    covering at a time where a lane reaches a pole; a covering whose lanes fail, collapse or reach
+    a pole searches globally, that search's error in its place.  A frame overflow raises here."""
+    n = len(coverings)
+    groups = [range(n)] if len({c.modulus for c in coverings}) == 1 else [[k] for k in range(n)]
+    cds = [cd for group in groups for cd in _seeded_data([coverings[k] for k in group],
+                                                         [seeds[k] for k in group])]
+    return [cd if isinstance(cd, CriticalData) else _or_error(critical_data, cv)
             for cv, cd in zip(coverings, cds)]
+
+
+def _seeded_data(cs: Sequence[Covering1], seeds) -> list[CriticalData | None]:
+    """``_critical_data_at`` of one lane run over ``cs``; where a lane reaches a pole, each
+    covering's own run, None for the covering at the pole."""
+    try:
+        return _critical_data_at(cs, _seeded_zeros(cs, seeds))
+    except NearPoleError:
+        if len(cs) == 1:
+            return [None]
+        return [cd for c, s in zip(cs, seeds) for cd in _seeded_data([c], [s])]
 
 
 def _or_error(fn, *args):
@@ -289,7 +267,7 @@ def _seeded_zeros(coverings: Sequence[Covering1], seeds) -> np.ndarray:
     return zs.reshape(len(coverings), -1)
 
 
-def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalData1 | None]:
+def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalData | None]:
     """Critical data of each covering cs[k] with zeros zs[k], from one order-4 evaluation.
 
     None where two zeros lie within 1e-10 modulo the lattice or are NaN (failed seeded lanes).
@@ -297,13 +275,13 @@ def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalD
     i, j = _pair_indices(zs.shape[1])
     gaps = lattice_distance(zs[:, i] - zs[:, j], cs[0].modulus.sigma)
     keep = np.flatnonzero((gaps >= 1e-10).all(axis=1))
-    out: list[CriticalData1 | None] = [None] * len(cs)
+    out: list[CriticalData | None] = [None] * len(cs)
     if keep.size:
         rows = eval_p_derivs([cs[k] for k in keep], zs[keep], 4).reshape(5, keep.size, -1)
         for k, d in zip(keep, rows.transpose(1, 0, 2)):
             lam, f2, s, min_lgap, caustic = frame_data(d)
             sb = s - 24j * math.pi * cs[k].ctx.eta_tilde * f2
-            out[k] = CriticalData1(
+            out[k] = CriticalData(
                 pts=tuple(zs[k].tolist()), lam=tuple(lam), fsq=tuple(f2.tolist()),
                 sw=tuple(s.tolist()), sb=tuple(sb.tolist()), min_lambda_gap=min_lgap,
                 min_point_gap=float(gaps[k].min(initial=math.inf)), caustic=caustic,
@@ -341,7 +319,7 @@ def flat_coords(c: Covering1) -> FlatCoords1:
     return FlatCoords1(t0=c.modulus.sigma, t=tuple(ts))
 
 
-def tau_product(c: Covering1, cd: CriticalData1) -> TauProduct:
+def tau_product(c: Covering1, cd: CriticalData) -> TauProduct:
     """Route A: log tau = -log eta + (1/24)[sum log f_m - sum_{s=1..l} (k_s+1) log h_s].
 
     G = -log eta(t0) - (1/24) sum_{i=1..l} (k_i+1) log t_i sums over every pole,
@@ -363,7 +341,7 @@ class TauResultant1(TauResultant):
 
 
 def tau_resultant(coverings: Sequence[Covering1],
-                  cds: Sequence[CriticalData1]) -> list[TauResultant1]:
+                  cds: Sequence[CriticalData]) -> list[TauResultant1]:
     """tau^(-48) as eta^48 f0^(2M) kappa / [prod sigma_w(b_i-b_j)^((k_i+1)(k_j+1))
     prod t_i^((k_i+1)(k_i-2))] of each covering from its critical data, in logarithms.
 
@@ -394,7 +372,7 @@ def tau_resultant(coverings: Sequence[Covering1],
     return out
 
 
-def _sigma_args(c: Covering1, cd: CriticalData1) -> list[np.ndarray]:
+def _sigma_args(c: Covering1, cd: CriticalData) -> list[np.ndarray]:
     """Route B's sigma_w arguments: z_r - z_s, b_1 - b_j, b_1 - z_m and b_i - b_j.
 
     The zero representatives are shifted by lattice vectors so their sum

@@ -29,7 +29,7 @@ roots of the polynomial they define and polishes them by an elliptic Aberth
 iteration, one theta pass per step: the zeta rows at each live lane minus
 every pole and every lane give h, h' and both zeta sums.  It tries the
 admissible contours in turn and raises ``ContourClashError`` when none
-yields every zero.
+yields every zero (``NearPoleError`` when a lane of one reached a pole).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContourClashError, HurwitzError, LatticePointError, NearPoleError
+from .errors import ContourClashError, LatticePointError, NearPoleError, NonConvergenceError
 from .poly import CPoly, all_roots
 
 __all__ = [
@@ -667,7 +667,7 @@ def _moment_zeros(ctx: WeierstrassContext, constant: complex, parts, corner: com
         seeds = all_roots(CPoly(tuple((-1) ** k * e[k] for k in range(total, -1, -1)))).roots
         zs, ok = _iterate_lanes(_aberth_step(ctx, constant, parts), np.array(seeds) + centre,
                                 _newton_tol(sigma), ABERTH_MAX_STEP, ABERTH_STEPS)
-    except HurwitzError:
+    except NonConvergenceError:  # a lane at a pole raises its NearPoleError
         return None
     if not ok.all():
         return None
@@ -724,13 +724,18 @@ def elliptic_zeros(ctx: WeierstrassContext, constant: complex, parts) -> list[co
     many zeros as those numbers add up to.  The residues c_{k,0} must sum to
     zero.  Each admissible contour of ``_contour_corners`` is tried in turn
     (``_moment_zeros``: contour moments of h'/h seed an elliptic Aberth
-    polish) until one yields every zero; when none does,
+    polish) until one yields every zero; when none does, the ``NearPoleError``
+    of the first contour with a lane at a pole (a zero lies there), or else
     ``ContourClashError``.  Zeros are returned reduced to
     {x + y*sigma : x, y in [-1e-12, 1 - 1e-12)}.
     """
     sigma = ctx.modulus.sigma
+    at_pole = None
     for corner, poles_uv in _contour_corners([(b, len(tail)) for b, tail in parts], sigma):
-        found = _moment_zeros(ctx, constant, parts, corner, poles_uv)
+        try:
+            found = _moment_zeros(ctx, constant, parts, corner, poles_uv)
+        except NearPoleError as exc:
+            found, at_pole = None, at_pole or exc
         if found is not None:
             return [_cell_representative(r, sigma) for r in found]
-    raise ContourClashError("zero search failed: no admissible contour gave every zero")
+    raise at_pole or ContourClashError("zero search failed: no admissible contour gave every zero")

@@ -13,7 +13,7 @@ theorem at the critical points, for the identity suite.  Route A comes from
 logarithmic derivatives.  The identity suite checks route A over route B,
 and R(f, g) over its factorization, against closed-form profile constants
 (route B is ``Analysis.route_b``).  The sweep command continues its first
-step's critical points along their tangent, in one critical-data round.
+step's critical points along their tangent, in one ``critical_round``.
 ``parameter_derivatives`` (central differences over the covering
 parameters) drives the finite-difference reference in ``tests/oracles.py``;
 it stays here while ``perfbench/tracer.py`` wraps it by name.
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import cover0, cover1
-from .cover0 import Covering0, TauProduct, TauResultant, _raised, route_a
+from .cover0 import Covering0, CriticalData, TauProduct, TauResultant, _raised, route_a
 from .cover1 import Covering1
 from .elliptic import LATTICE_GUARD, lattice_distance, wp
 from .errors import CausticWarning, CoincidentPointsError, IllConditionedError
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 Covering = Covering0 | Covering1
-CriticalData = cover0.CriticalData0 | cover1.CriticalData1
 # The finite-difference step, relative to max(1, |parameter|).  Richardson
 # truncation is O(h^4) while the round-off of the perturbed root solves grows
 # as 1/h; at 1e-4 round-off dominates and is about 10x below that at 1e-5

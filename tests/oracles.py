@@ -645,7 +645,7 @@ def theta1_long(sigma: complex, z, n_max: int, terms: int = 40) -> tuple[np.ndar
     return sums, np.exp(log_size.max(axis=-1))
 
 
-def tau_resultant_float_product(c: cover1.Covering1, cd: cover1.CriticalData1) -> complex:
+def tau_resultant_float_product(c: cover1.Covering1, cd: cover0.CriticalData) -> complex:
     """log tau^-48 of genus-1 route B with kappa and f0 formed as float products.
 
     The same sigma_w values as ``cover1.tau_resultant``, multiplied out
@@ -700,17 +700,27 @@ def continue_branches(an: isomon.Analysis, base: isomon.Analysis) -> isomon.Anal
                                tau=cover0.route_a(ks, log_fsq, log_h, log_t, log_eta))
 
 
+def seeded_critical_data(cov, seeds):
+    """The critical data of ``cov`` continuing ``seeds``: its one-covering ``critical_round``,
+    whose error raises.  A seed that fails makes the round solve globally."""
+    (cd,) = (cover0, cover1)[cov.genus].critical_round([cov], [seeds])
+    if isinstance(cd, Exception):
+        raise cd
+    return cd
+
+
 def continued_analysis(cov, base: isomon.Analysis) -> isomon.Analysis:
     """The analysis of ``cov`` with the critical points tracked from ``base``'s.
 
     The seeded solve returns the tracked points lane by lane, in the order of
     base's points; when each is nearest its own base point the identity is an
     optimal assignment, so that order is kept, and a tracked point nearer
-    another base point raises ``CountMismatchError``.  The branches continue
+    another base point raises ``CountMismatchError``, as does a global
+    fallback of the round that reorders the points.  The branches continue
     base's (``continue_branches``).
     """
     base_pts = base.critical.pts
-    cd = (cover0, cover1)[cov.genus].critical_data(cov, seeds=base_pts)
+    cd = seeded_critical_data(cov, base_pts)
     diff = np.subtract.outer(np.array(cd.pts), np.array(base_pts))
     gaps = lattice_distance(diff, cov.modulus.sigma) if cov.genus else np.abs(diff)
     if (np.argmin(gaps, axis=1) != np.arange(len(cd.pts))).any():

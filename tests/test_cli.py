@@ -685,6 +685,20 @@ class TestBoundarySpecs:
         assert rc == 0
         assert capsys.readouterr().out.strip().endswith("9/9 identities passed")
 
+    @pytest.mark.parametrize("v, reason", [(1e-8, "(S2)"), (3e-9, "collides with a pole"),
+                                           (1e-9, "collides with a pole")])
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_genus1_top_tail_towards_0_exits_3(self, v, reason, command, tmp_path, capsys):
+        # the (2, 1) covering's double pole loses its top tail: at 1e-8 a critical point lies
+        # 4.7e-8 from the pole, too near to verify; nearer S2 the zero search's lanes reach the
+        # pole on every contour, a critical point at the pole, as at genus 0
+        cov = cover1.set_param(random_covering1((2, 1), 5), "poles.0.c.1", v)
+        rc = main([command, _write(tmp_path, "s2.json", covering_to_spec(cov))])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and reason in captured.err
+
     def test_sweep_reaching_tail_within_tolerance_exits_5(self, tmp_path, capsys):
         spec = {**self.NEAR_S2, "poles": [{"b": [0.5, 0.0], "c": [[0.5, 0.0]]}]}
         rc = main(["sweep", _write(tmp_path, "ok.json", spec), "--param", "poles.0.c.0",

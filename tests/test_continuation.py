@@ -27,7 +27,7 @@ import oracles
 from hurwitztau import cli, cover0, cover1, elliptic, isomon
 from hurwitztau.cli import covering_to_spec, main
 from hurwitztau.elliptic import _split_lattice, lattice_distance
-from hurwitztau.errors import CountMismatchError, NearPoleError, NonConvergenceError
+from hurwitztau.errors import NearPoleError, NonConvergenceError
 from hurwitztau.samples import random_covering0, random_covering1
 
 
@@ -188,17 +188,22 @@ class TestOneRoundPerWalk:
 
 
 class TestSeededCriticalData:
-    def test_unconverged_lane_raises(self, monkeypatch, g1_21):
+    """A one-covering ``critical_round`` continues its seeds, and searches globally where a
+    lane fails."""
+
+    def test_unconverged_lane_searches_globally(self, monkeypatch, g1_21, searches):
         cov = g1_21
         z0 = cover1.critical_data(cov).pts
         _failing_lane(monkeypatch, failing_call=1)
-        with pytest.raises(CountMismatchError, match="did not converge"):
-            cover1.critical_data(cov, seeds=z0)
+        (cd,) = cover1.critical_round([cov], [z0])
+        assert searches["n"] == 2  # the base's, then the failed lane's covering's
+        assert cd.pts == z0
 
-    def test_converged_lanes_return_the_zeros(self, g1_21):
+    def test_converged_lanes_return_the_zeros(self, g1_21, searches):
         cov = g1_21
         cd = cover1.critical_data(cov)
-        tracked = cover1.critical_data(cov, seeds=cd.pts)
+        tracked = oracles.seeded_critical_data(cov, cd.pts)
+        assert searches["n"] == 1
         gaps = lattice_distance(np.array(tracked.pts) - np.array(cd.pts), cov.modulus.sigma)
         assert np.max(gaps) < 1e-12
 
@@ -280,7 +285,7 @@ class TestGenus0:
 
     def test_failed_step_0_raises_before_the_round(self, monkeypatch, g0_32):
         # step 0 solves alone, and its error raises before the other steps are solved
-        def stalled(c, seeds=None):
+        def stalled(c):
             raise NonConvergenceError("root iteration stalled")
 
         monkeypatch.setattr(cover0, "critical_data", stalled)
@@ -323,7 +328,7 @@ class TestStackedSolve:
         steps = _sweep_steps(cov, count)
         stacked = cover1.critical_round(steps, [seeds] * count)
         for step, cd in zip(steps, stacked):
-            one = cover1.critical_data(step, seeds=seeds)
+            one = oracles.seeded_critical_data(step, seeds)
             for field in ("pts", "lam", "fsq"):
                 got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
                 assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13, field
@@ -340,7 +345,7 @@ class TestStackedSolve:
         assert searches["n"] == 2  # the seeds' and the one fallback
         assert got[1].pts == cover1.critical_data(steps[1]).pts
         for k in (0, 2):
-            want = cover1.critical_data(steps[k], seeds=seeds)
+            want = oracles.seeded_critical_data(steps[k], seeds)
             assert np.max(np.abs(np.array(got[k].pts) - np.array(want.pts))) < 1e-13
 
 
@@ -359,7 +364,7 @@ class TestStackedSolve0:
         steps = _sweep_steps0(cov, 4)
         stacked = cover0.critical_round(steps, [seeds] * 4)
         for step, cd in zip(steps, stacked):
-            one = cover0.critical_data(step, seeds=seeds)
+            one = oracles.seeded_critical_data(step, seeds)
             for field in ("pts", "lam", "fsq"):
                 got, want = np.array(getattr(cd, field)), np.array(getattr(one, field))
                 assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12, field
@@ -373,7 +378,7 @@ class TestStackedSolve0:
         assert solves0 == {"global": 2, "seeded": 3}
         assert got[1].pts == cover0.critical_data(steps[1]).pts
         for k in (0, 2):
-            assert got[k].pts == cover0.critical_data(steps[k], seeds=seeds).pts
+            assert got[k].pts == oracles.seeded_critical_data(steps[k], seeds).pts
 
 
 class TestRoundContinuesOnly:
@@ -387,7 +392,12 @@ class TestRoundContinuesOnly:
         steps = (_sweep_steps0 if genus == 0 else _sweep_steps)(cov, 4)
         before = (dict(solves0), searches["n"])
         cds = model.critical_round(steps, [seeds] * 4)
-        assert [type(cd) for cd in cds] == [(cover0.CriticalData0, cover1.CriticalData1)[genus]] * 4
+        assert [type(cd) for cd in cds] == [cover0.CriticalData] * 4  # one record at both genera
+        for cd in cds:
+            if genus:  # no R(f, g): route B's genus-0 data stays None
+                assert (cd.resultant_ratio, cd.log_resultant_ff, cd.log_pole_flat) == (None,) * 3
+            else:  # the Bergmann and Wirtinger connections coincide on the sphere
+                assert cd.sw == cd.sb
         assert (solves0["global"], searches["n"]) == (before[0]["global"], before[1])
         assert solves0["seeded"] - before[0]["seeded"] == 4 * (genus == 0)
 
@@ -521,7 +531,7 @@ def _tangent_fd(cov, path, base_pts, h_rel=1e-4) -> np.ndarray:
     moved = []
     for s in (2, 1, -1, -2):
         step = model.set_param(cov, path, v0 + s * h)
-        shift = np.array(model.critical_data(step, seeds=base_pts).pts) - z0
+        shift = np.array(oracles.seeded_critical_data(step, base_pts).pts) - z0
         if cov.genus:  # the points are reduced to the cell: take the shortest lattice shift
             shift = _split_lattice(shift, step.modulus.sigma)[2]
         moved.append(shift)

@@ -21,7 +21,6 @@ from oracles import zeta_sigma_derivs
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cli import main
 from hurwitztau.elliptic import Modulus, weierstrass_context, zeta_derivs
-from hurwitztau.errors import CountMismatchError
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 SETTINGS = settings(max_examples=8, deadline=None, database=None, derandomize=True)
@@ -271,24 +270,47 @@ class TestPartials:
         assert np.array_equal(cover1.eval_p_derivs(cov, z, 1)[1], cover1.eval_p_derivs(cov, z, 2)[1])
 
 
+@pytest.fixture()
+def global_solves(monkeypatch) -> list:
+    """The genus-0 global root solves (``cover0._roots`` without seeds) made since set up."""
+    calls = []
+    orig = cover0._roots
+
+    def counted(row, seeds):
+        if seeds is None:
+            calls.append(row)
+        return orig(row, seeds)
+
+    monkeypatch.setattr(cover0, "_roots", counted)
+    return calls
+
+
 class TestSeededGenus0:
-    def test_tracks_the_global_roots(self):
+    """A one-covering ``critical_round`` continues its seeds, and solves globally where they
+    fail."""
+
+    def test_tracks_the_global_roots(self, global_solves):
         cov = random_covering0((3, 2), 3)
         cd = cover0.critical_data(cov)
-        seeded = cover0.critical_data(cov, seeds=tuple(a + 1e-3 for a in cd.pts))
+        before = len(global_solves)  # the sampler's and the base's
+        seeded = oracles.seeded_critical_data(cov, tuple(a + 1e-3 for a in cd.pts))
+        assert len(global_solves) == before  # the seeded solve converged
         assert max(abs(a - b) for a, b in zip(seeded.pts, cd.pts)) < 1e-12
 
     @pytest.mark.parametrize("seeds", [(0.0, 1.1), (0.9, 1.1)], ids=["stationary", "one_basin"])
-    def test_lanes_reach_both_roots(self, a2, seeds):
+    def test_lanes_reach_both_roots(self, a2, seeds, global_solves):
         # f = 3z^2 - 3: f'(0) = 0 at the first seed, and both seeds of the
         # second pair lie nearest 1; the Aberth repulsion still finds both roots
-        pts = cover0.critical_data(a2, seeds=seeds).pts
+        pts = oracles.seeded_critical_data(a2, seeds).pts
+        assert global_solves == []
         got = sorted(pts, key=lambda z: z.real)
         assert max(abs(a - b) for a, b in zip(got, (-1.0, 1.0))) < 1e-12
 
-    def test_coincident_seeds_raise(self, a2):
-        with pytest.raises(CountMismatchError):
-            cover0.critical_data(a2, seeds=(1.1, 1.1))
+    def test_coincident_seeds_solve_globally(self, a2, global_solves):
+        # coincident Aberth iterates fail the seeded solve: the round solves once, globally
+        cd = oracles.seeded_critical_data(a2, (1.1, 1.1))
+        assert len(global_solves) == 1
+        assert cd.pts == cover0.critical_data(a2).pts
 
 
 class TestNumericalFailureExit:

@@ -49,6 +49,12 @@ def test_both_genera_define_the_name_alike(name):
         p.default for p in sig1.parameters.values()]
 
 
+@pytest.mark.parametrize("model", [cover0, cover1], ids=lambda m: m.__name__)
+def test_critical_data_takes_the_covering_alone(model):
+    # the global solve; critical_round is the one seeded entry of each model
+    assert list(inspect.signature(model.critical_data).parameters) == ["c"]
+
+
 @pytest.mark.parametrize("genus", [0, 1])
 @settings(max_examples=10, deadline=None, database=None, derandomize=True)
 @given(data=st.data())

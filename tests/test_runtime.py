@@ -71,12 +71,12 @@ def test_swapped_tracked_points_raise(module, name, monkeypatch):
     base = isomon.analyze(cov)
     tracked = oracles.continued_analysis(cov, base).critical.pts
     assert np.allclose(tracked, base.critical.pts, rtol=0.0, atol=1e-12)
-    real = module.critical_data
+    real = module.critical_round
 
-    def swapped(c, seeds=None):
-        cd = real(c, seeds=seeds)
-        return dataclasses.replace(cd, pts=(cd.pts[1], cd.pts[0]) + cd.pts[2:])
+    def swapped(coverings, seeds):
+        return [dataclasses.replace(cd, pts=(cd.pts[1], cd.pts[0]) + cd.pts[2:])
+                for cd in real(coverings, seeds)]
 
-    monkeypatch.setattr(module, "critical_data", swapped)
+    monkeypatch.setattr(module, "critical_round", swapped)
     with pytest.raises(CountMismatchError):
         oracles.continued_analysis(cov, base)

@@ -3,7 +3,7 @@
 ``elliptic_zeros`` takes h by its principal parts and seeds an elliptic
 Aberth polish from contour moments of h'/h (``_moment_zeros``), one
 admissible contour after another, and raises ``ContourClashError`` when no
-contour yields every zero.  The reference is the argument-principle
+contour yields every zero (``NearPoleError`` when a lane of one reached a pole).  The reference is the argument-principle
 subdivision search in ``oracles``: both must find the same zero set, and the
 search may fail only where the zeros are not determined to its tolerance.
 The one-pass Aberth step is checked against the two-pass one in ``oracles``.
@@ -26,7 +26,7 @@ from hurwitztau.elliptic import (
     lattice_distance,
     wp,
 )
-from hurwitztau.errors import ContourClashError, HurwitzError, NonConvergenceError
+from hurwitztau.errors import ContourClashError, HurwitzError, NearPoleError, NonConvergenceError
 from hurwitztau.poly import CPoly, RootSet
 from hurwitztau.samples import builtin_example, random_covering1
 
@@ -302,3 +302,30 @@ class TestFailure:
         with pytest.raises(ContourClashError):
             elliptic_zeros(ctx, 0, parts)
         assert len(tried) == len(list(elliptic._contour_corners(poles, ctx.modulus.sigma)))
+
+    def test_lane_at_a_pole_moves_to_the_next_contour(self, monkeypatch):
+        cov = random_covering1((2, 1), 2025)
+        ctx, parts, hd, poles = _search_args(cov)
+        want = elliptic_zeros(ctx, 0, parts)
+        real = elliptic._moment_zeros
+        tried = []
+
+        def first_at_pole(*args):
+            tried.append(args[3])
+            if len(tried) == 1:
+                raise NearPoleError("a lane reached a pole")
+            return real(*args)
+
+        monkeypatch.setattr(elliptic, "_moment_zeros", first_at_pole)
+        got = elliptic_zeros(ctx, 0, parts)
+        assert len(tried) == 2
+        _assert_same_zeros(got, want, hd, poles, ctx.modulus.sigma)
+
+    def test_zero_at_a_pole_raises_near_pole(self):
+        # the (2, 1) covering with its double pole's top tail at 3e-9: a zero of p' lies
+        # inside the pole guard, so every contour fails, a lane of one at the pole
+        cov = cover1.set_param(random_covering1((2, 1), 5), "poles.0.c.1", 3e-9)
+        ctx, parts, _, _ = _search_args(cov)
+        with pytest.raises(NearPoleError):
+            elliptic_zeros(ctx, 0, parts)
+
