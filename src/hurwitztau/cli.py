@@ -173,7 +173,7 @@ def build_report(cov: Covering0 | Covering1) -> dict:
     g_cross_err = abs(ta.G - ta.g_from_jacobian - cross_const)
     tol = functools.partial(isomon.default_tol, genus=cov.genus)
 
-    order = np.argsort([(v.real, v.imag) for v in cd.lam], axis=0)[:, 0]
+    order = sorted(range(len(cd.lam)), key=lambda i: (cd.lam[i].real, cd.lam[i].imag))
     return {
         "genus": cov.genus,
         "profile": list(cov.profile),

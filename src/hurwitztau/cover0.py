@@ -10,8 +10,8 @@ frame f_m^2, Schwarzian values) by a global solve, or in a ``critical_round``
 from seeds, the flat coordinates, the tau-function by two independent
 closed-form routes, the G-function with its scaling anomaly, and
 vanishing-order diagnostics on the caustic.  ``cover1`` defines the same
-model names; the record and formulas both share (``CriticalData``,
-``route_a``, ``route_b_denominator_terms``, ``frame_data``) live here.
+model names; what both share (``CriticalData``, ``route_a``, ``frame_data``,
+``route_b_denominator_terms``, the Newton lanes ``_seeded_points``) is here.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .elliptic import point_array, shape_rows
+from .elliptic import _iterate_lanes, _pair_indices, point_array, shape_rows
 from .errors import (
     CommonRootError,
     NoCriticalPointsError,
@@ -373,17 +373,37 @@ def critical_data(c: Covering0) -> CriticalData:
     """Critical points (the roots of f from a global solve, sorted), critical values, f_m^2
     and Schwarzians; the error of the solve or of the data raises."""
     fs, gs = p_prime_as_ratio([c])
-    return _raised(_critical_data_at([c], [_roots(fs[0], None)], fs, gs))[0]
+    return _raised(_critical_data_at([c], [_roots(fs[0])], fs, gs))[0]
 
 
 def critical_round(coverings: Sequence[Covering0], seeds) -> list:
-    """Critical data of ``coverings`` (of one profile), covering k continuing ``seeds[k]`` (Aberth
-    started from them, point i continuing seed i), from one f/g build and one data pass.  A
-    covering whose seeded solve stalls or whose iterates coincide solves globally; the error of a
-    covering whose solve or data fails stands in its place.  The one seeded entry of the model."""
+    """Critical data of ``coverings`` (of one profile), covering k continuing ``seeds[k]`` by
+    ``_seeded_points`` (point i from seed i), from one f/g build and one data pass.  A covering
+    with a failed lane, or two points within 1e-10, solves f globally; the error of a covering
+    whose solve or data fails stands in its place.  The one seeded entry of the model."""
     fs, gs = p_prime_as_ratio(coverings)
-    found = [_roots(f, s) or _roots(f, None) for f, s in zip(fs, seeds)]
+    zs = _seeded_points(eval_p_derivs, coverings, seeds)
+    i, j = _pair_indices(zs.shape[1])
+    kept = (np.abs(zs[:, i] - zs[:, j]) >= 1e-10).all(axis=1)  # False on a NaN lane
+    found = [row.tolist() if ok else _roots(f) for f, row, ok in zip(fs, zs, kept)]
     return _critical_data_at(coverings, found, fs, gs)
+
+
+def _seeded_points(eval_p_derivs, coverings, seeds) -> np.ndarray:
+    """One Newton lane run on p' in pole-tail form (a model's stacked ``eval_p_derivs``): lane m
+    of covering k steps from seeds[k][m] by p'/p'' (capped at 0.2, at most 60 steps) to
+    1e-14*(1 + |seed|).  Row k holds the points of covering k, NaN where a lane failed."""
+    z0 = np.array(seeds, dtype=complex).ravel()
+    starts = coverings[0].dim * np.arange(len(coverings) + 1)  # each covering's first lane
+
+    def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+        cut, lanes = np.searchsorted(live, starts), z[live]
+        _, v, d = eval_p_derivs(coverings, [lanes[a:b] for a, b in zip(cut, cut[1:])], 2)
+        return v / d
+
+    zs, ok = _iterate_lanes(newton_step, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
+    zs[~ok] = np.nan
+    return zs.reshape(len(coverings), -1)
 
 
 def _raised(cds: list) -> list:
@@ -394,15 +414,12 @@ def _raised(cds: list) -> list:
     return cds
 
 
-def _roots(row: np.ndarray, seeds) -> list[complex] | NonConvergenceError | None:
-    """The roots of the f of coefficient row ``row`` continuing ``seeds``, sorted from a
-    global solve where they are None; None where a seeded solve fails, and the error
-    where the global solve fails."""
+def _roots(row: np.ndarray) -> list[complex] | NonConvergenceError:
+    """The roots of the f of coefficient row ``row`` from a global solve, sorted, or its error."""
     try:
-        roots = list(all_roots(CPoly(tuple(row.tolist())), start=seeds).roots)
+        return _sort_points(all_roots(CPoly(tuple(row.tolist()))).roots)
     except NonConvergenceError as exc:
-        return exc if seeds is None else None
-    return roots if seeds is not None else _sort_points(roots)
+        return exc
 
 
 def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:

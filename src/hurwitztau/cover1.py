@@ -6,8 +6,8 @@ A point of the moduli space is an elliptic function on C/(Z + sigma*Z)
 
 whose residues sum to zero (ellipticity).  The module defines the genus-0
 model's names with the same parameters: critical data (``cover0.CriticalData``)
-via zero localization of p', flat coordinates, the tau-function by two
-closed-form routes, and the G-function with anomaly.
+via zero localization of p' or, in a round, the shared Newton lanes, flat
+coordinates, the tau-function by two closed-form routes, and the G-function.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .cover0 import (
     Pole,
     TauProduct,
     TauResultant,
+    _seeded_points,
     _top_tail_derivs,
     check_pole_gaps,
     frame_data,
@@ -38,7 +39,6 @@ from .cover0 import (
 from .elliptic import (
     Modulus,
     WeierstrassContext,
-    _iterate_lanes,
     _pair_indices,
     _pole_zeta_rows,
     _principal_sum,
@@ -219,9 +219,8 @@ def critical_data(c: Covering1) -> CriticalData:
 
 
 def critical_round(coverings: Sequence[Covering1], seeds) -> list:
-    """``cover0.critical_round`` at genus 1, by Newton lanes: lane m of covering k steps from
-    seeds[k][m] by p'/p'' (capped at 0.2, at most 60 steps) to 1e-14*(1 + |seed|).  Each modulus
-    group (as in ``tau_resultant``) takes one lane run and one ``_critical_data_at``, again one
+    """``cover0.critical_round`` at genus 1: each modulus group (as in ``tau_resultant``) takes
+    one ``_seeded_points`` lane run, reduced to the cell, and one ``_critical_data_at``, again one
     covering at a time where a lane reaches a pole; a covering whose lanes fail, collapse or reach
     a pole searches globally, that search's error in its place.  A frame overflow raises here."""
     n = len(coverings)
@@ -236,7 +235,10 @@ def _seeded_data(cs: Sequence[Covering1], seeds) -> list[CriticalData | None]:
     """``_critical_data_at`` of one lane run over ``cs``; where a lane reaches a pole, each
     covering's own run, None for the covering at the pole."""
     try:
-        return _critical_data_at(cs, _seeded_zeros(cs, seeds))
+        zs = _seeded_points(eval_p_derivs, cs, seeds)
+        live = ~np.isnan(zs)
+        zs[live] = [reduce_to_cell(z, cs[0].modulus.sigma) for z in zs[live].tolist()]
+        return _critical_data_at(cs, zs)
     except NearPoleError:
         if len(cs) == 1:
             return [None]
@@ -249,22 +251,6 @@ def _or_error(fn, *args):
         return fn(*args)
     except HurwitzError as exc:
         return exc
-
-
-def _seeded_zeros(coverings: Sequence[Covering1], seeds) -> np.ndarray:
-    """One Newton lane run: row k holds the zeros of covering k, NaN where a lane failed."""
-    z0 = np.array(seeds, dtype=complex).ravel()
-    starts = coverings[0].dim * np.arange(len(coverings) + 1)  # each covering's first lane
-
-    def newton_step(z: np.ndarray, live: np.ndarray) -> np.ndarray:
-        cut = np.searchsorted(live, starts)
-        _, v, d = eval_p_derivs(coverings, [z[live[a:b]] for a, b in zip(cut, cut[1:])], 2)
-        return v / d
-
-    tracked, ok = _iterate_lanes(newton_step, z0, 1e-14 * (1.0 + np.abs(z0)), 0.2, 60)
-    zs = np.array([reduce_to_cell(complex(z), coverings[0].modulus.sigma) for z in tracked])
-    zs[~ok] = np.nan  # an unconverged lane fails the gap test of _critical_data_at
-    return zs.reshape(len(coverings), -1)
 
 
 def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalData | None]:

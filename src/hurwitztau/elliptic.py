@@ -462,11 +462,12 @@ def _pole_zeta_rows(ctx: WeierstrassContext, pts: np.ndarray, bs: np.ndarray, to
     u = pts - bs
     u[own] = 0.5  # a regular point
     _, n, z0 = _split_lattice(u.ravel(), sigma)
-    near = _centered_distance(z0[: n_poles * len(pts)], sigma) <= POLE_GUARD * (1.0 + abs(sigma))
-    if near.any():
-        i, j = divmod(int(near.argmax()), u.shape[1])
-        raise NearPoleError(f"z = {complex(pts[j])} is too close to the pole at "
-                            f"{complex(np.broadcast_to(bs, u.shape)[i, j])}")
+    dist = _centered_distance(z0[: n_poles * len(pts)], sigma)
+    near = np.flatnonzero(dist <= POLE_GUARD * (1.0 + abs(sigma)))
+    if near.size:
+        i, j = divmod(int(near[0]), u.shape[1])
+        raise NearPoleError(f"z = {complex(pts[j])} lies {dist[near[0]]:.1e} modulo the lattice "
+                            f"from the pole at {complex(np.broadcast_to(bs, u.shape)[i, j])}")
     return _zeta_rows(ctx, u.ravel(), n, z0, top).reshape((top + 1,) + u.shape)
 
 

@@ -28,7 +28,7 @@ class NoCriticalPointsError(HurwitzError):
 
 
 class CountMismatchError(HurwitzError):
-    """Seeded zeros were lost or merged, or miss the pole divisor modulo the lattice."""
+    """The critical divisor misses the pole divisor modulo the lattice (genus-1 route B)."""
 
 
 class OnBoundaryError(HurwitzError):

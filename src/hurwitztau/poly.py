@@ -82,20 +82,17 @@ class RootSet:
     residual: float
 
 
-def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
+def all_roots(p: CPoly) -> RootSet:
     """All roots of ``p`` (with multiplicity) by simultaneous iteration.
 
-    Aberth-Ehrlich from ``start`` (one point per root, returned root i
-    continues start point i), or from a scaled circle of initial guesses
-    when None, until every step is below 1e-14 * (1 + |z|).  There
-    |p(root)| is already at round-off, so no separate polish follows.  Root
-    clusters from nearly multiple roots are kept as-is; detecting them is
-    the caller's business.
+    Aberth-Ehrlich from a scaled circle of initial guesses until every step
+    is below 1e-14 * (1 + |z|).  There |p(root)| is already at round-off, so
+    no separate polish follows.  Root clusters from nearly multiple roots are
+    kept as-is; detecting them is the caller's business.
 
     Raises ``NonConvergenceError`` for a coefficient that is not finite, and
-    when the iteration stalls or two iterates coincide (coincident start
-    points included), which signals an ill-conditioned instance that the
-    caller may perturb.
+    when the iteration stalls or two iterates coincide, which signals an
+    ill-conditioned instance that the caller may perturb.
     """
     n = p.degree
     if n < 1:
@@ -106,18 +103,10 @@ def all_roots(p: CPoly, start: Sequence[complex] | None = None) -> RootSet:
     if coeff_scale == 0:
         raise ValueError("zero polynomial has no well-defined root set")
 
-    if start is None:
-        # Cauchy bound for the root radius; slightly irrational angle offset so
-        # symmetric polynomials do not start in an unstable configuration.
-        radius = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading)
-        zs = [
-            0.8 * radius * cmath.exp(2j * math.pi * (k + 0.354) / n + 0.41j)
-            for k in range(n)
-        ]
-    elif len(start) != n:
-        raise ValueError(f"need {n} start points, got {len(start)}")
-    else:
-        zs = [complex(z) for z in start]
+    # Cauchy bound for the root radius; slightly irrational angle offset so
+    # symmetric polynomials do not start in an unstable configuration.
+    radius = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading)
+    zs = [0.8 * radius * cmath.exp(2j * math.pi * (k + 0.354) / n + 0.41j) for k in range(n)]
     # Python complex arithmetic with p and p' by inline Horner: at a handful
     # of roots per iteration, numpy's per-call overhead and the general
     # eval_derivatives cost more than the arithmetic

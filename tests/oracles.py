@@ -253,11 +253,11 @@ def per_pole_p_derivs(cov, z, n_max: int):
     pts, shape = point_array(z)
     sigma = cov.modulus.sigma
     for pole in cov.poles:
-        near = lattice_distance(pts - pole.b, sigma) <= POLE_GUARD * (1.0 + abs(sigma))
+        dist = lattice_distance(pts - pole.b, sigma)
+        near = dist <= POLE_GUARD * (1.0 + abs(sigma))
         if near.any():
-            raise NearPoleError(
-                f"z = {complex(pts[near][0])} is too close to the pole at {pole.b}"
-            )
+            raise NearPoleError(f"z = {complex(pts[near][0])} lies {dist[near][0]:.1e} modulo the "
+                                f"lattice from the pole at {pole.b}")
     out = np.zeros((n_max + 1, len(pts)), dtype=complex)
     out[0] = cov.constant
     for pole in cov.poles:

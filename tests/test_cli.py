@@ -56,6 +56,17 @@ class TestAnalyze:
         assert rep["hamiltonians"]["status"] == "checked"
         assert rep["hamiltonians"]["max_discrepancy"] < 1e-10
 
+    def test_critical_values_sort_by_real_then_imaginary_part(self, tmp_path, capsys):
+        # a real quartic: its two complex critical values are conjugate, with bit-equal
+        # real parts, and the one with the smaller imaginary part comes first
+        cov = cover0.Covering0((4,), (0.1, -0.2, 0.9), ())
+        assert main(["analyze", _write(tmp_path, "q.json", covering_to_spec(cov)), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)["canonical"]
+        assert len({re for re, _ in rep["lambda"]}) == 2  # the tie
+        assert rep["lambda"] == sorted(rep["lambda"])
+        for lam, z in zip(rep["lambda"], rep["points"]):  # each point next to its value
+            assert abs(cover0.eval_p_derivs(cov, complex(*z), 0)[0] - complex(*lam)) < 1e-12
+
     def test_tau_status_reads_the_route_constant(self, monkeypatch, tmp_path, capsys):
         # route B scaled by e^1e-6 is off the closed-form profile constant by 1e-6
         real = cover0.tau_resultant

@@ -1,14 +1,16 @@
 """Sweeps continue the critical points instead of solving again, at both genera.
 
 ``sweep_ratios`` solves the first covering of its segment globally and
-continues the others from tangent-predicted seeds in one ``critical_round``;
-a covering whose seeded solve fails solves globally inside the round, which
-makes no other global solve.
+continues the others from tangent-predicted seeds in one ``critical_round``,
+whose Newton lanes (``cover0._seeded_points``) serve both genera; a covering
+whose lanes fail solves globally inside the round, which makes no other
+global solve.
 ``identity_report`` walks no segment: it solves the covering once.
 
 The global genus-1 zero search is counted by wrapping
-``cover1.elliptic_zeros``, and the genus-0 solves by wrapping
-``cover0._roots``, where every genus-0 solve finds its roots.  Every
+``cover1.elliptic_zeros``, the global genus-0 solves by wrapping
+``cover0._roots``, and the lane runs of both genera by wrapping
+``cover0._iterate_lanes``.  Every
 continued route ratio is compared with the ratio from a fresh global solve
 at the same covering.  The theta and sigma evaluations of a genus-1 check
 are counted by wrapping ``elliptic._theta1_raw`` and ``cover1.sigma_w``,
@@ -57,11 +59,11 @@ def _segment(cov, path: str, count: int) -> list:
 def _failing_lane(monkeypatch, failing_call: int, lane: int = 0):
     """Make the seeded Newton run number ``failing_call`` report ``lane`` unconverged.
 
-    The run is the one ``_iterate_lanes`` call of a stacked seeded solve;
-    its lanes are those of every covering of the round, covering by covering.
+    The run is the one ``cover0._iterate_lanes`` call of a round's ``_seeded_points``, at
+    either genus; its lanes are those of every covering of the round, covering by covering.
     """
     calls = {"n": 0}
-    orig = cover1._iterate_lanes
+    orig = cover0._iterate_lanes
 
     def lanes(*args, **kwargs):
         z, ok = orig(*args, **kwargs)
@@ -71,7 +73,7 @@ def _failing_lane(monkeypatch, failing_call: int, lane: int = 0):
             ok[lane] = False
         return z, ok
 
-    monkeypatch.setattr(cover1, "_iterate_lanes", lanes)
+    monkeypatch.setattr(cover0, "_iterate_lanes", lanes)
 
 
 def _global_ratio(cov) -> complex:
@@ -100,7 +102,7 @@ class TestIdentityReport:
     @pytest.mark.parametrize("name", ["h12", "g1(2,1)"])
     def test_one_global_search(self, monkeypatch, name, h12, g1_21, searches):
         cov = h12 if name == "h12" else g1_21
-        lanes = _calls(monkeypatch, cover1, "_iterate_lanes")
+        lanes = _calls(monkeypatch, cover0, "_iterate_lanes")
         checks = isomon.identity_report(cov)
         assert searches["n"] == 1 and not lanes  # the covering's own solve, no continuation
         assert all(c.passed for c in checks)
@@ -152,14 +154,15 @@ class TestOneRoundPerWalk:
             g1_21, cover1, "poles.0.c.1")
         rounds = _calls(monkeypatch, model, "critical_round")
         built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
-        lanes = _calls(monkeypatch, cover1, "_iterate_lanes")
+        lanes = _calls(monkeypatch, cover0, "_iterate_lanes")
         v0 = model.params(cov)[path]
         steps = len(isomon.sweep_ratios(cov, path, v0 + 0.3 * max(1.0, abs(v0)), 20))
         assert [len(coverings) for coverings, _ in rounds] == [steps - 1]
+        assert len(lanes) == 1  # the round's one lane run, at both genera
         if genus == 0:  # step 0's build, then the round's
             assert [len(coverings) for (coverings,) in built] == [1, steps - 1]
         else:
-            assert not built and len(lanes) == 1
+            assert not built
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_check_solves_once(self, monkeypatch, genus, g0_32, g1_21):
@@ -210,32 +213,16 @@ class TestSeededCriticalData:
 
 @pytest.fixture()
 def solves0(monkeypatch):
-    """Genus-0 root solves since set up: global (seeds None) and seeded, counted where
-    ``cover0.critical_data`` and ``cover0.critical_round`` both find their roots."""
-    count = {"global": 0, "seeded": 0}
-    orig = cover0._roots
+    """Global genus-0 root solves (``cover0._roots``) and Newton lane runs of either genus
+    (``cover0._iterate_lanes``) since set up."""
+    count = {"global": 0, "lanes": 0}
+    for name, key in (("_roots", "global"), ("_iterate_lanes", "lanes")):
+        def counted(*args, _orig=getattr(cover0, name), _key=key):
+            count[_key] += 1
+            return _orig(*args)
 
-    def counted(row, seeds):
-        count["global" if seeds is None else "seeded"] += 1
-        return orig(row, seeds)
-
-    monkeypatch.setattr(cover0, "_roots", counted)
+        monkeypatch.setattr(cover0, name, counted)
     return count
-
-
-def _failing_seeded_solve(monkeypatch, failing_call: int):
-    """Make the seeded genus-0 root solve number ``failing_call`` stall."""
-    calls = {"n": 0}
-    orig = cover0.all_roots
-
-    def roots(f, start=None):
-        if start is not None:
-            calls["n"] += 1
-            if calls["n"] == failing_call:
-                raise NonConvergenceError("root iteration stalled")
-        return orig(f, start)
-
-    monkeypatch.setattr(cover0, "all_roots", roots)
 
 
 def _global_ratio0(cov) -> complex:
@@ -264,22 +251,23 @@ class TestGenus0:
         assert "FAIL" not in capsys.readouterr().out
         # the covering solves globally and continues nothing; f and g, R(f, g),
         # R(f, f') and the order-4 frame rows come from one call each
-        assert solves0 == {"global": 1, "seeded": 0}
+        assert solves0 == {"global": 1, "lanes": 0}
         assert [len(cs) for (cs,) in built] == [1]
         assert [len(fs) for fs, _ in logs] == [1, 1]
         assert [len(cs) for cs, _, n_max in evals if n_max == 4] == [1]
 
     def test_sweep_ratios_match_global(self, g0_32, solves0):
         table = _sweep20_g0(g0_32)
-        assert solves0 == {"global": 1, "seeded": 19}
+        assert solves0 == {"global": 1, "lanes": 1}  # step 0, then one run for steps 1-19
         for _, cov, row in table:
             assert abs(row["route_ratio"] / _global_ratio0(cov) - 1.0) < 1e-12
 
     def test_failed_seeded_solve_falls_back(self, monkeypatch, g0_32, solves0):
-        _failing_seeded_solve(monkeypatch, failing_call=2)
+        # the one lane run holds steps 1..19 in turn: lane M is the first lane of step 2
+        _failing_lane(monkeypatch, failing_call=1, lane=g0_32.dim)
         table = _sweep20_g0(g0_32)
-        # step 0 solves globally; step 2's seeded solve fails and solves again
-        assert solves0 == {"global": 2, "seeded": 19}
+        # step 0 solves globally; step 2's lane fails and its covering solves again
+        assert solves0 == {"global": 2, "lanes": 1}
         _, cov2, row2 = table[2]
         assert row2["route_ratio"] == _global_ratio0(cov2)
 
@@ -295,12 +283,13 @@ class TestGenus0:
         assert rounds == []
 
     def test_failed_step_of_the_round_solves_alone(self, monkeypatch, g0_32, solves0):
-        # step 0 solves alone; the round continues steps 1, ..., 4 in that order; step 2 stalls
-        _failing_seeded_solve(monkeypatch, failing_call=2)
+        # step 0 solves alone; the round continues steps 1, ..., 4 in that order; a lane of
+        # step 2 stalls
+        _failing_lane(monkeypatch, failing_call=1, lane=g0_32.dim)
         built = _calls(monkeypatch, cover0, "p_prime_as_ratio")
         logs = _calls(monkeypatch, cover0, "log_resultant")
         table = isomon.sweep_ratios(g0_32, "poles.0.b", g0_32.poles[0].b + 0.05, 5)
-        assert solves0 == {"global": 2, "seeded": 4}
+        assert solves0 == {"global": 2, "lanes": 1}
         # step 2 solves its row of the round again; R(f, g) and R(f, f') stack the round's 4
         assert [len(cs) for (cs,) in built] == [1, 4]
         assert [len(fs) for fs, _ in logs] == [1, 1, 4, 4]
@@ -374,8 +363,8 @@ class TestStackedSolve0:
         seeds = cover0.critical_data(g0_32).pts
         steps = _sweep_steps0(g0_32, 3)
         got = cover0.critical_round(steps, [seeds, (seeds[0],) * len(seeds), seeds])
-        # the seeds' solve; step 1's seeded solve fails and solves globally
-        assert solves0 == {"global": 2, "seeded": 3}
+        # the seeds' solve; step 1's lanes collapse onto one point and it solves globally
+        assert solves0 == {"global": 2, "lanes": 1}
         assert got[1].pts == cover0.critical_data(steps[1]).pts
         for k in (0, 2):
             assert got[k].pts == oracles.seeded_critical_data(steps[k], seeds).pts
@@ -383,7 +372,7 @@ class TestStackedSolve0:
 
 class TestRoundContinuesOnly:
     """``critical_round`` continues its seeds: where every seed converges, it makes no global
-    solve."""
+    solve, and it runs one set of Newton lanes per modulus."""
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_converged_seeds_make_no_global_solve(self, genus, g0_32, g1_21, searches, solves0):
@@ -399,7 +388,20 @@ class TestRoundContinuesOnly:
             else:  # the Bergmann and Wirtinger connections coincide on the sphere
                 assert cd.sw == cd.sb
         assert (solves0["global"], searches["n"]) == (before[0]["global"], before[1])
-        assert solves0["seeded"] - before[0]["seeded"] == 4 * (genus == 0)
+        assert solves0["lanes"] - before[0]["lanes"] == 1
+
+    @pytest.mark.parametrize("genus, path, runs", [(0, "poles.0.b", 1), (1, "poles.0.c.1", 1),
+                                                   (1, "modulus", 4)])
+    def test_one_lane_run_per_modulus(self, monkeypatch, genus, path, runs, g0_32, g1_21):
+        # genus 0 and a genus-1 round at one modulus run their lanes once; a modulus
+        # path gives each covering a modulus, and so a run, of its own
+        cov, model = (g0_32, cover0) if genus == 0 else (g1_21, cover1)
+        seeds = model.critical_data(cov).pts
+        steps = _segment(cov, path, 4)
+        lanes = _calls(monkeypatch, cover0, "_iterate_lanes")
+        cds = model.critical_round(steps, [seeds] * 4)
+        assert all(isinstance(cd, cover0.CriticalData) for cd in cds)
+        assert [z.size for _, z, *_ in lanes] == [4 * cov.dim // runs] * runs
 
 
 def _calls(monkeypatch, module, name: str) -> list:

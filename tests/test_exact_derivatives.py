@@ -21,6 +21,7 @@ from oracles import zeta_sigma_derivs
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.cli import main
 from hurwitztau.elliptic import Modulus, weierstrass_context, zeta_derivs
+from hurwitztau.poly import CPoly
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 SETTINGS = settings(max_examples=8, deadline=None, database=None, derandomize=True)
@@ -272,22 +273,21 @@ class TestPartials:
 
 @pytest.fixture()
 def global_solves(monkeypatch) -> list:
-    """The genus-0 global root solves (``cover0._roots`` without seeds) made since set up."""
+    """The genus-0 global root solves (``cover0._roots``) made since set up."""
     calls = []
     orig = cover0._roots
 
-    def counted(row, seeds):
-        if seeds is None:
-            calls.append(row)
-        return orig(row, seeds)
+    def counted(row):
+        calls.append(row)
+        return orig(row)
 
     monkeypatch.setattr(cover0, "_roots", counted)
     return calls
 
 
 class TestSeededGenus0:
-    """A one-covering ``critical_round`` continues its seeds, and solves globally where they
-    fail."""
+    """A one-covering ``critical_round`` continues its seeds by Newton lanes on p' in pole-tail
+    form, and solves globally where a lane fails or two lanes collapse."""
 
     def test_tracks_the_global_roots(self, global_solves):
         cov = random_covering0((3, 2), 3)
@@ -299,18 +299,41 @@ class TestSeededGenus0:
 
     @pytest.mark.parametrize("seeds", [(0.0, 1.1), (0.9, 1.1)], ids=["stationary", "one_basin"])
     def test_lanes_reach_both_roots(self, a2, seeds, global_solves):
-        # f = 3z^2 - 3: f'(0) = 0 at the first seed, and both seeds of the
-        # second pair lie nearest 1; the Aberth repulsion still finds both roots
+        # p' = 3z^2 - 3: p''(0) = 0 fails the lane of the first seed, and both seeds of the
+        # second pair converge to 1; the one global solve of the round finds both roots
         pts = oracles.seeded_critical_data(a2, seeds).pts
-        assert global_solves == []
+        assert len(global_solves) == 1
         got = sorted(pts, key=lambda z: z.real)
         assert max(abs(a - b) for a, b in zip(got, (-1.0, 1.0))) < 1e-12
 
     def test_coincident_seeds_solve_globally(self, a2, global_solves):
-        # coincident Aberth iterates fail the seeded solve: the round solves once, globally
+        # coincident seeds run coincident lanes, which collapse: the round solves once, globally
         cd = oracles.seeded_critical_data(a2, (1.1, 1.1))
         assert len(global_solves) == 1
         assert cd.pts == cover0.critical_data(a2).pts
+
+    @pytest.mark.parametrize("profile", [(3,), (4,), (2, 1), (2, 2), (3, 2), (2, 1, 1), (3, 3),
+                                         (2, 3), (4, 2), (3, 1, 1)])
+    def test_continued_points_are_at_round_off(self, profile, global_solves):
+        # the genus-0 profiles of the benchmark pool, seeded off the global roots by 1e-3:
+        # where the lanes stop, |f| sits below 1e-13 max|coeff|, as at the global roots
+        for seed in range(20):
+            cov = random_covering0(profile, seed)
+            f = CPoly(tuple(cover0.p_prime_as_ratio([cov])[0][0]))
+            seeds = [z * (1 + 1e-3) for z in cover0.critical_data(cov).pts]
+            before = len(global_solves)
+            cd = oracles.seeded_critical_data(cov, seeds)
+            assert len(global_solves) == before  # the lanes continued every point
+            assert max(abs(f(z)) for z in cd.pts) < 1e-13 * max(map(abs, f.coeffs))
+
+    def test_points_are_newton_fixed_points(self):
+        # a degree-9 f whose Aberth roots stop 6e-11 (relative) short of the Newton fixed
+        # point of p'; the round's lanes on p' in pole-tail form end well inside their tolerance
+        cov = random_covering0((2, 4, 3), 9730)
+        seeds = [z * (1 + 1e-6) for z in cover0.critical_data(cov).pts]
+        pts = np.array(oracles.seeded_critical_data(cov, seeds).pts)
+        _, d1, d2 = cover0.eval_p_derivs(cov, pts, 2)
+        assert np.max(np.abs(d1 / d2) / (1.0 + np.abs(pts))) < 1e-14
 
 
 class TestNumericalFailureExit:

@@ -22,8 +22,10 @@ from hurwitztau import cover1, elliptic
 from hurwitztau.elliptic import (
     Modulus,
     WeierstrassContext,
+    _pole_zeta_rows,
     elliptic_zeros,
     lattice_distance,
+    weierstrass_context,
     wp,
 )
 from hurwitztau.errors import ContourClashError, HurwitzError, NearPoleError, NonConvergenceError
@@ -320,6 +322,17 @@ class TestFailure:
         got = elliptic_zeros(ctx, 0, parts)
         assert len(tried) == 2
         _assert_same_zeros(got, want, hd, poles, ctx.modulus.sigma)
+
+    def test_near_pole_message_states_the_lattice_distance(self):
+        # a point 2.5e-9 from the pole modulo the lattice but 3.3 from it in the plane: the
+        # message states the distance modulo the lattice
+        sigma = 0.338 + 2.992j
+        b = 0.31 + 0.2 * sigma
+        ctx = weierstrass_context(Modulus(sigma))
+        z = b + 1 + sigma + 2.5e-9
+        with pytest.raises(NearPoleError) as err:
+            _pole_zeta_rows(ctx, np.array([z]), np.array([[b]]), 1, 1)
+        assert str(err.value) == f"z = {z} lies 2.5e-09 modulo the lattice from the pole at {b}"
 
     def test_zero_at_a_pole_raises_near_pole(self):
         # the (2, 1) covering with its double pole's top tail at 3e-9: a zero of p' lies
