@@ -33,7 +33,7 @@ from .errors import (
     OnBoundaryError,
     SlopeUnstableError,
 )
-from .poly import CPoly, all_roots, log_resultant
+from .poly import log_resultant
 
 if TYPE_CHECKING:
     from .cover1 import FlatCoords1
@@ -62,6 +62,8 @@ __all__ = [
 BOUNDARY_TOL = 1e-10
 CAUSTIC_REL_TOL = 1e-6
 ROOT_POLE_GUARD = 1e-8
+# the largest Newton step, relative to the smallest point gap, that polishes a global solve
+STEP_GAP_TOL = 1e-3
 # round-off a verified covering may lose near S2 (the gradient identities' 1e-9)
 S2_CONDITION_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -327,9 +329,10 @@ class CriticalData:
     is ``flat_coords`` of the covering.  Route B's genus-0 data, None at genus 1 (no R(f, g)):
     ``log_pole_flat`` is log prod_{i!=j} (b_i-b_j)^((k_i+1)(k_j+1)) prod t_i^((k_i+1)(k_i-2)),
     its pole/flat denominator, on no fixed branch (it underflows where high-order poles nearly
-    meet); ``resultant_ratio`` is R(f, g) over its factorization, that denominator times prod
-    t_i^(2(k_i+1)), the profile constant ``log_resultant_constant``; ``log_resultant_ff`` is log
-    R(f, f') (f of p' = f/g, whose roots are ``pts``), the route-B numerator.
+    meet); ``resultant_ratio`` is R(f, g), taken over ``pts``, over its factorization, that
+    denominator times prod t_i^(2(k_i+1)): the profile constant ``log_resultant_constant``;
+    ``log_resultant_ff`` is log R(f, f') (f of p' = f/g, whose roots are ``pts``), the route-B
+    numerator, from f's coefficients alone.
     """
 
     pts: tuple[complex, ...]
@@ -370,10 +373,10 @@ def _sort_points(pts: list[complex]) -> list[complex]:
 
 
 def critical_data(c: Covering0) -> CriticalData:
-    """Critical points (the roots of f from a global solve, sorted), critical values, f_m^2
-    and Schwarzians; the error of the solve or of the data raises."""
-    fs, gs = p_prime_as_ratio([c])
-    return _raised(_critical_data_at([c], [_roots(fs[0])], fs, gs))[0]
+    """Critical points (f's companion eigenvalues, sorted, and one Newton step), critical values,
+    f_m^2 and Schwarzians; the error of the solve or of the data raises."""
+    fs, _ = p_prime_as_ratio([c])
+    return _raised(_critical_data_at([c], [_roots(fs[0])], fs))[0]
 
 
 def critical_round(coverings: Sequence[Covering0], seeds) -> list:
@@ -381,12 +384,12 @@ def critical_round(coverings: Sequence[Covering0], seeds) -> list:
     ``_seeded_points`` (point i from seed i), from one f/g build and one data pass.  A covering
     with a failed lane, or two points within 1e-10, solves f globally; the error of a covering
     whose solve or data fails stands in its place.  The one seeded entry of the model."""
-    fs, gs = p_prime_as_ratio(coverings)
+    fs, _ = p_prime_as_ratio(coverings)
     zs = _seeded_points(eval_p_derivs, coverings, seeds)
     i, j = _pair_indices(zs.shape[1])
     kept = (np.abs(zs[:, i] - zs[:, j]) >= 1e-10).all(axis=1)  # False on a NaN lane
     found = [row.tolist() if ok else _roots(f) for f, row, ok in zip(fs, zs, kept)]
-    return _critical_data_at(coverings, found, fs, gs)
+    return _critical_data_at(coverings, found, fs)
 
 
 def _seeded_points(eval_p_derivs, coverings, seeds) -> np.ndarray:
@@ -414,46 +417,66 @@ def _raised(cds: list) -> list:
     return cds
 
 
-def _roots(row: np.ndarray) -> list[complex] | NonConvergenceError:
-    """The roots of the f of coefficient row ``row`` from a global solve, sorted, or its error."""
+def _roots(row: np.ndarray) -> list[complex] | NonConvergenceError | OverflowError:
+    """The roots of the f of row ``row`` (lowest degree first, leading coefficient k1): the
+    eigenvalues of its companion matrix, sorted, or the error; f overflowing there is one."""
+    if not np.isfinite(row).all():
+        return NonConvergenceError("a coefficient is not finite")
+    companion = np.eye(len(row) - 1, k=-1, dtype=complex)
+    companion[:, -1] = -row[:-1] / row[-1]
     try:
-        return _sort_points(all_roots(CPoly(tuple(row.tolist()))).roots)
-    except NonConvergenceError as exc:
-        return exc
+        pts = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        return NonConvergenceError(f"companion eigensolve failed: {exc}")
+    if not np.isfinite(np.vander(pts, len(row), increasing=True) @ row).all():
+        return OverflowError("f overflows at its own roots")
+    return _sort_points(pts.tolist())
 
 
-def _critical_data_at(coverings: Sequence[Covering0], found, fs, gs) -> list:
+def _critical_data_at(coverings: Sequence[Covering0], found, fs) -> list:
     """Data phase: critical data of each covering at the roots ``found`` of its f (its error
-    where that is one), from one stacked R(f, g), one stacked R(f, f') and one frame
-    evaluation; R(f, g) enters in logarithms, over its factorization from ``log_pole_flat``.
-    A covering whose data fails holds its error."""
+    where that is one), from one stacked R(f, f') of the f rows ``fs`` and one order-5 frame
+    evaluation.  The frame rows give one Newton step on p' in pole-tail form and are moved
+    with it; R(f, g) is taken over the polished points, in logarithms, over its factorization
+    from ``log_pole_flat``.  A covering whose data fails holds its error."""
     out: list = [pts if isinstance(pts, Exception) else None for pts in found]
     keep = [k for k, pts in enumerate(found) if out[k] is None]
     if not keep:
         return out
-    # off the boundary R(f, g) is its pole/flat factorization times the profile
-    # constant, the scale to call it zero against
-    log_zero = math.log(1e-10) + log_resultant_constant(coverings[0]).real
     kept = [coverings[k] for k in keep]
+    zs = np.array([found[k] for k in keep])
+    m = zs.shape[1]
+    rows = eval_p_derivs(kept, list(zs), 5)
+    # one Newton step on p' in pole-tail form, the rows moved with it to first order (the
+    # O(step^2) left is of the order of the polished points' own error); a covering keeps its
+    # points unpolished where a step is not finite or reaches STEP_GAP_TOL of its smallest gap
+    step = (rows[1] / rows[2]).reshape(zs.shape)
+    lo, hi = _pair_indices(m)
+    gaps = np.abs(zs[:, lo] - zs[:, hi]).min(axis=1, initial=math.inf)
+    ok = (np.abs(step) < STEP_GAP_TOL * gaps[:, None]).all(axis=1)  # False where not finite
+    step = np.where(ok[:, None], step, 0.0)
+    zs -= step
+    rows = rows[:5] - rows[1:] * step.ravel()
     flats = [flat_coords(c) for c in kept]
     log_t = [[cmath.log(t) for t in fc.t] for fc in flats]
     log_pf = [_log_pole_flat(c, lt) for c, lt in zip(kept, log_t)]
-    log_fg = log_resultant(fs[keep], gs[keep])
+    # log R(f, g) = deg g log k1 + sum_m sum_i (k_i+1) log(z_m - b_i), on any branch
+    weights = np.array(kept[0].profile[1:]) + 1
+    bs = np.array([[p.b for p in c.poles] for c in kept])
+    log_fg = weights.sum() * math.log(kept[0].profile[0]) + (
+        np.log(zs[:, :, None] - bs[:, None, :]) @ weights).sum(axis=1)
     log_ratio = log_fg - [lpf + 2.0 * sum((k + 1) * v for k, v in zip(c.profile[1:], lt))
                           for c, lpf, lt in zip(kept, log_pf, log_t)]
     ratios = np.exp(log_ratio).tolist()
     log_ff = _log_r_ff(fs[keep]).tolist()
-    rows = eval_p_derivs(kept, [np.array(found[k]) for k in keep], 4)
     for j, (k, c, fc) in enumerate(zip(keep, kept, flats)):
-        pts = found[k]
+        pts = zs[j].tolist()
         scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
         try:
             for a, b in ((a, p.b) for a in pts for p in c.poles):
                 if abs(a - b) < ROOT_POLE_GUARD * scale_b:
                     raise CommonRootError(f"critical point {a} collides with pole {b}")
-            if c.poles and log_ratio[j].real < log_zero:
-                raise CommonRootError("resultant(f, g) vanishes; point is on the boundary")
-            lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * len(pts) : (j + 1) * len(pts)])
+            lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * m : (j + 1) * m])
         except (CommonRootError, OverflowError) as exc:
             out[k] = exc
             continue

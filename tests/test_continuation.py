@@ -249,12 +249,13 @@ class TestGenus0:
         spec.write_text(json.dumps(covering_to_spec(g0_32)))
         assert main(["check", str(spec)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        # the covering solves globally and continues nothing; f and g, R(f, g),
-        # R(f, f') and the order-4 frame rows come from one call each
+        # the covering solves globally and continues nothing; f and g, R(f, f') and the
+        # order-5 frame rows (with the Newton step) come from one call each, and R(f, g)
+        # from the polished points, without a determinant
         assert solves0 == {"global": 1, "lanes": 0}
         assert [len(cs) for (cs,) in built] == [1]
-        assert [len(fs) for fs, _ in logs] == [1, 1]
-        assert [len(cs) for cs, _, n_max in evals if n_max == 4] == [1]
+        assert [len(fs) for fs, _ in logs] == [1]
+        assert [len(cs) for cs, _, n_max in evals if n_max == 5] == [1]
 
     def test_sweep_ratios_match_global(self, g0_32, solves0):
         table = _sweep20_g0(g0_32)
@@ -290,9 +291,9 @@ class TestGenus0:
         logs = _calls(monkeypatch, cover0, "log_resultant")
         table = isomon.sweep_ratios(g0_32, "poles.0.b", g0_32.poles[0].b + 0.05, 5)
         assert solves0 == {"global": 2, "lanes": 1}
-        # step 2 solves its row of the round again; R(f, g) and R(f, f') stack the round's 4
+        # step 2 solves its row of the round again; R(f, f') stacks the round's 4
         assert [len(cs) for (cs,) in built] == [1, 4]
-        assert [len(fs) for fs, _ in logs] == [1, 1, 4, 4]
+        assert [len(fs) for fs, _ in logs] == [1, 4]
         _, cov2, row2 = table[2]
         assert row2["route_ratio"] == _global_ratio0(cov2)
 

@@ -158,6 +158,21 @@ class TestCriticalData:
         with pytest.raises(CommonRootError):
             critical_data(cov)
 
+    def test_high_degree_points_are_newton_fixed_points(self):
+        # a degree-9 f: its companion eigenvalues stop about 3e-10 (relative) short of the
+        # Newton fixed point of p', Aberth's roots about 4e-11; the data pass's one step on
+        # p' in pole-tail form reaches it
+        cov = random_covering0((2, 4, 3), 9730)
+        pts = np.array(critical_data(cov).pts)
+        _, d1, d2 = eval_p_derivs(cov, pts, 2)
+        assert np.max(np.abs(d1 / d2) / (1.0 + np.abs(pts))) < 1e-14
+
+    def test_high_degree_identities_pass(self):
+        # unpolished, f_m^2 = 2/p'' was off by about 1e-9: tau-gradient and
+        # schwarzian-gradient failed at 3.3e-9
+        checks = isomon.identity_report(random_covering0((2, 4, 3), 9730))
+        assert [c.name for c in checks if not c.passed] == []
+
     def test_resultant_membership(self):
         for profile in [(2, 1), (2, 2)]:
             cov = random_covering0(profile, seed=23)

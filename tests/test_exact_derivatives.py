@@ -327,8 +327,8 @@ class TestSeededGenus0:
             assert max(abs(f(z)) for z in cd.pts) < 1e-13 * max(map(abs, f.coeffs))
 
     def test_points_are_newton_fixed_points(self):
-        # a degree-9 f whose Aberth roots stop 6e-11 (relative) short of the Newton fixed
-        # point of p'; the round's lanes on p' in pole-tail form end well inside their tolerance
+        # a degree-9 f, seeded 1e-6 (relative) off the global points: the lanes on p' in
+        # pole-tail form, and the data pass's one step after them, end well inside tolerance
         cov = random_covering0((2, 4, 3), 9730)
         seeds = [z * (1 + 1e-6) for z in cover0.critical_data(cov).pts]
         pts = np.array(oracles.seeded_critical_data(cov, seeds).pts)
