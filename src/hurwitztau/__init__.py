@@ -25,7 +25,6 @@ from .errors import (
     NoCriticalPointsError,
     NonConvergenceError,
     OnBoundaryError,
-    SlopeUnstableError,
 )
 from .isomon import (
     Analysis,
@@ -71,5 +70,4 @@ __all__ = [
     "NoCriticalPointsError",
     "NonConvergenceError",
     "OnBoundaryError",
-    "SlopeUnstableError",
 ]

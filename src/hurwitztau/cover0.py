@@ -8,10 +8,10 @@ with distinct poles and non-vanishing top Laurent coefficients.  This module
 computes the critical data (critical points, critical values, squared local
 frame f_m^2, Schwarzian values) by a global solve, or in a ``critical_round``
 from seeds, the flat coordinates, the tau-function by two independent
-closed-form routes, the G-function with its scaling anomaly, and
-vanishing-order diagnostics on the caustic.  ``cover1`` defines the same
-model names; what both share (``CriticalData``, ``route_a``, ``frame_data``,
-``route_b_denominator_terms``, the Newton lanes ``_seeded_points``) is here.
+closed-form routes, and the G-function with its scaling anomaly.  ``cover1``
+defines the same model names; what both share (``CriticalData``, ``route_a``,
+``frame_data``, ``route_b_denominator_terms``, the Newton lanes
+``_seeded_points``) is here.
 """
 
 from __future__ import annotations
@@ -20,18 +20,18 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .elliptic import _iterate_lanes, _pair_indices, point_array, shape_rows
 from .errors import (
+    CoincidentPointsError,
     CommonRootError,
     NoCriticalPointsError,
     NonConvergenceError,
     OnBoundaryError,
-    SlopeUnstableError,
 )
 from .poly import log_resultant
 
@@ -55,13 +55,14 @@ __all__ = [
     "flat_coords",
     "tau_product",
     "tau_resultant",
-    "caustic_orders",
     "principal_root",
 ]
 
 BOUNDARY_TOL = 1e-10
 CAUSTIC_REL_TOL = 1e-6
 ROOT_POLE_GUARD = 1e-8
+# critical points closer than this coincide (the Bergmann kernel is singular there)
+COINCIDENT_TOL = 1e-12
 # the largest Newton step, relative to the smallest point gap, that polishes a global solve
 STEP_GAP_TOL = 1e-3
 # round-off a verified covering may lose near S2 (the gradient identities' 1e-9)
@@ -106,9 +107,8 @@ class Covering0:
     Construction rejects the boundary: poles that coincide (S1, within
     BOUNDARY_TOL of the pole scale) or a top tail that is exactly 0 (S2).  A
     tiny non-zero top tail is a covering whose critical points approach the
-    pole (``caustic_orders`` walks such rays); ``critical_data`` rejects it
-    with ``CommonRootError`` once they reach it.  ``reject_near_s2`` holds
-    a covering to BOUNDARY_TOL from S2.
+    pole; ``critical_data`` rejects it with ``CommonRootError`` once they
+    reach it.  ``reject_near_s2`` holds a covering to BOUNDARY_TOL from S2.
     """
 
     profile: tuple[int, ...]
@@ -438,21 +438,26 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs) -> list:
     where that is one), from one stacked R(f, f') of the f rows ``fs`` and one order-5 frame
     evaluation.  The frame rows give one Newton step on p' in pole-tail form and are moved
     with it; R(f, g) is taken over the polished points, in logarithms, over its factorization
-    from ``log_pole_flat``.  A covering whose data fails holds its error."""
+    from ``log_pole_flat``.  A covering whose data fails holds its error, and one with two
+    points within COINCIDENT_TOL holds ``CoincidentPointsError`` before any evaluation."""
     out: list = [pts if isinstance(pts, Exception) else None for pts in found]
     keep = [k for k, pts in enumerate(found) if out[k] is None]
+    m = coverings[0].dim
+    zs = np.array([found[k] for k in keep]).reshape(len(keep), m)
+    lo, hi = _pair_indices(m)
+    gaps = np.abs(zs[:, lo] - zs[:, hi]).min(axis=1, initial=math.inf)
+    apart = gaps >= COINCIDENT_TOL
+    for k in compress(keep, ~apart):
+        out[k] = CoincidentPointsError("coincident critical points")
+    keep, zs, gaps = list(compress(keep, apart)), zs[apart], gaps[apart]
     if not keep:
         return out
     kept = [coverings[k] for k in keep]
-    zs = np.array([found[k] for k in keep])
-    m = zs.shape[1]
     rows = eval_p_derivs(kept, list(zs), 5)
     # one Newton step on p' in pole-tail form, the rows moved with it to first order (the
     # O(step^2) left is of the order of the polished points' own error); a covering keeps its
     # points unpolished where a step is not finite or reaches STEP_GAP_TOL of its smallest gap
     step = (rows[1] / rows[2]).reshape(zs.shape)
-    lo, hi = _pair_indices(m)
-    gaps = np.abs(zs[:, lo] - zs[:, hi]).min(axis=1, initial=math.inf)
     ok = (np.abs(step) < STEP_GAP_TOL * gaps[:, None]).all(axis=1)  # False where not finite
     step = np.where(ok[:, None], step, 0.0)
     zs -= step
@@ -649,116 +654,6 @@ def log_route_constant(c: Covering0) -> complex:
     k1, ks = c.profile[0], c.profile[1:]
     return (log_resultant_constant(c) - c.dim * math.log(2) + (2 - k1) * math.log(k1)
             + sum(2 * (k + 1) * (k - 2) * math.log(k) for k in ks))
-
-
-def euler_scaling_expected(c: Covering0) -> complex:
-    """Closed-form value of E(log tau) = sum lambda_m H_m from the profile."""
-    k1 = c.profile[0]
-    return complex(
-        (c.dim * (1.0 / k1 - 0.5) - sum((k + 1) * (1.0 / k + 1.0 / k1) for k in c.profile[1:]))
-        / 24.0
-    )
-
-
-# --------------------------------------------------------------------------
-# caustic vanishing-order diagnostics
-
-
-@dataclass(frozen=True)
-class RayOrder:
-    kind: str  # "top-tail" or "pole-collision"
-    indices: tuple[int, ...]
-    order: float
-    fit_residual: float
-    expected_min: float
-
-
-@dataclass(frozen=True)
-class CausticOrders:
-    rays: tuple[RayOrder, ...]
-
-
-def _fit_slope(xs: list[float], ys: list[float], label: str) -> tuple[float, float]:
-    """Least-squares log-log slope with endpoint trimming.
-
-    Shallow samples carry curvature from subleading terms and the deepest
-    may hit the determinant noise floor; endpoints are dropped (keeping at
-    least six points) until the fit residual is below 0.05.
-    """
-    xs = list(xs)
-    ys = list(ys)
-
-    def fit(x, y):
-        a = np.vstack([x, np.ones(len(x))]).T
-        sol, *_ = np.linalg.lstsq(a, np.array(y), rcond=None)
-        return float(sol[0]), float(np.max(np.abs(a @ sol - y)))
-
-    slope, resid = fit(xs, ys)
-    while resid > 0.05 and len(xs) > 6:
-        s_head, r_head = fit(xs[1:], ys[1:])
-        s_tail, r_tail = fit(xs[:-1], ys[:-1])
-        if r_head <= r_tail:
-            xs, ys, slope, resid = xs[1:], ys[1:], s_head, r_head
-        else:
-            xs, ys, slope, resid = xs[:-1], ys[:-1], s_tail, r_tail
-    if resid > 0.05:
-        raise SlopeUnstableError(f"{label}: fit residual {resid:.3f} exceeds 0.05")
-    return slope, resid
-
-
-def _ray_slope(ray: Sequence[Covering0], xs: list[float], label: str) -> tuple[float, float]:
-    """``_fit_slope`` of log10 |R(f, f')| over the coverings of ``ray`` against ``xs``.
-
-    One f build and one stacked determinant serve the whole ray; a covering
-    whose R(f, f') is exactly 0 drops out of the fit.
-    """
-    fs, _ = p_prime_as_ratio(ray)
-    ys = _log_r_ff(fs).real.tolist()
-    keep = [j for j, y in enumerate(ys) if math.isfinite(y)]
-    return _fit_slope([xs[j] for j in keep], [ys[j] / math.log(10) for j in keep], label)
-
-
-def _with_pole(c: Covering0, i: int, pole: Pole) -> Covering0:
-    """``c`` with pole i replaced by ``pole``."""
-    return Covering0(c.profile, c.poly_coeffs, c.poles[:i] + (pole,) + c.poles[i + 1 :])
-
-
-def caustic_orders(c: Covering0) -> CausticOrders:
-    """Vanishing order of R(f, f') along boundary rays, by log-log slope.
-
-    Rays: each top tail scaled towards zero (vanishing expected exactly when
-    k_i = 1; for k_i >= 2 the ray leaves the moduli space at t_i = 0, so the
-    evaluation stops at distance 1e-4), and each pole driven into each other
-    pole (order >= k_r + k_s expected).  Windows are placed deep enough for
-    the asymptote but above the determinant noise floor.
-    """
-    rays: list[RayOrder] = []
-    fc = flat_coords(c)
-    ks = c.profile[1:]
-
-    for i, pole in enumerate(c.poles):
-        k = ks[i]
-        t0 = abs(fc.t[i])
-        t_hi = t0 * 10.0 ** (-2.0)
-        t_lo = max(1e-4, t0 * 10.0 ** (-5.5)) if k >= 2 else t0 * 10.0 ** (-6.0)
-        if t_lo >= t_hi:
-            continue
-        tgrid = np.geomspace(t_hi, t_lo, 12)
-        ray = [_with_pole(c, i, Pole(pole.b, pole.c[:-1] + (pole.top * (tmag / t0) ** k,)))
-               for tmag in tgrid]
-        fit = _ray_slope(ray, [math.log10(t) for t in tgrid], f"top-tail ray {i}")
-        rays.append(RayOrder("top-tail", (i,), *fit, expected_min=1.0 if k == 1 else 0.0))
-
-    for r, s in permutations(range(len(c.poles)), 2):
-        # aim the window at |R| between ~1e-4 and ~1e-10 of its scale,
-        # using the expected order as the guide
-        guide = float(ks[r] + ks[s])
-        eps = np.geomspace(10.0 ** (-4.0 / guide), 10.0 ** (-10.0 / guide), 12)
-        br, bs = c.poles[r].b, c.poles[s].b
-        ray = [_with_pole(c, r, Pole(bs + e * (br - bs), c.poles[r].c)) for e in eps]
-        fit = _ray_slope(ray, [math.log10(e) for e in eps], f"pole-collision ray ({r},{s})")
-        rays.append(RayOrder("pole-collision", (r, s), *fit, expected_min=guide))
-    return CausticOrders(rays=tuple(rays))
 
 
 # --------------------------------------------------------------------------

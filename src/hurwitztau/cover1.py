@@ -321,10 +321,6 @@ class TauResultant1(TauResultant):
 
     log_kappa: complex
 
-    @property
-    def kappa(self) -> complex:
-        return cmath.exp(self.log_kappa)
-
 
 def tau_resultant(coverings: Sequence[Covering1],
                   cds: Sequence[CriticalData]) -> list[TauResultant1]:
@@ -396,11 +392,6 @@ def log_route_constant(c: Covering1) -> complex:
     t_i^(k_i(k_i+1)) prod_{i!=j} sigma_w(b_i - b_j)^((k_i+1)(k_j+1)) / (f0^(2M) kappa).
     """
     return -c.dim * math.log(2) - sum((k + 1) * math.log(k) for k in c.profile)
-
-
-def euler_scaling_expected(c: Covering1) -> complex:
-    """Closed-form value of E(log tau) = sum lambda_m H_m from the profile."""
-    return complex((-0.5 * c.dim - sum((k + 1) / k for k in c.profile)) / 24.0)
 
 
 # --------------------------------------------------------------------------

@@ -52,10 +52,6 @@ class IllConditionedError(HurwitzError):
     """Deformation Jacobian is too ill-conditioned to invert."""
 
 
-class SlopeUnstableError(HurwitzError):
-    """Log-log slope fit residual exceeded the stability threshold."""
-
-
 class CoincidentPointsError(HurwitzError):
     """Kernel evaluation requested at coincident points."""
 

@@ -131,7 +131,7 @@ def bergmann_values(covering: Covering, cd: CriticalData) -> tuple[np.ndarray, n
     if covering.genus:
         coincident = lattice_distance(diff[:, :m], covering.modulus.sigma) <= LATTICE_GUARD
     else:
-        coincident = np.abs(diff[:, :m]) < 1e-12
+        coincident = np.abs(diff[:, :m]) < cover0.COINCIDENT_TOL
     if coincident.any():
         raise CoincidentPointsError("coincident critical points")
     values = (wp(covering.ctx, diff) - 4j * math.pi * covering.ctx.eta_tilde if covering.genus

@@ -18,6 +18,7 @@ import cmath
 import dataclasses
 import functools
 import math
+from itertools import permutations
 
 import numpy as np
 
@@ -94,6 +95,15 @@ def profile_constant(c: cover0.Covering0) -> float:
     """prod k_i^-(k_i^2 - 1) over the finite poles: off the boundary |R(f, g)| is this
     constant times its pole/flat factorization."""
     return math.prod(float(k) ** -(k * k - 1) for k in c.profile[1:])
+
+
+def euler_scaling_expected(c) -> complex:
+    """Closed-form value of E(log tau) = sum lambda_m H_m from the profile, at either genus."""
+    if c.genus:
+        return complex((-0.5 * c.dim - sum((k + 1) / k for k in c.profile)) / 24.0)
+    k1 = c.profile[0]
+    return complex((c.dim * (1.0 / k1 - 0.5)
+                    - sum((k + 1) * (1.0 / k + 1.0 / k1) for k in c.profile[1:])) / 24.0)
 
 
 def newton_lanes(hd: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], z,
@@ -409,6 +419,39 @@ def product_resultant(f, g) -> complex:
     for r in roots:
         acc *= np.polyval(list(reversed(g)), complex(r))
     return complex(acc)
+
+
+def boundary_ray_orders(c: cover0.Covering0) -> dict[tuple, float]:
+    """Least-squares slope of log10 |R(f, f')| against log10 of the ray parameter, per ray.
+
+    ("top-tail", (i,)) scales pole i's top tail so that |t_i| runs over 12 points from 1e-2
+    of its value down to 1e-6 (to 1e-5.5, and not below 1e-4, when k_i >= 2: t_i = 0 leaves
+    the moduli space).  ("pole-collision", (r, s)) moves b_r to b_s + eps (b_r - b_s), eps
+    from 10^(-4/(k_r+k_s)) to 10^(-10/(k_r+k_s)), so |R| spans about 1e-4 to 1e-10 of its
+    scale.  Every ray's R(f, f') comes from one stacked f build and one determinant call.
+    """
+    ks, t0s = c.profile[1:], [abs(t) for t in cover0.flat_coords(c).t]
+
+    def moved(i: int, **change) -> cover0.Covering0:
+        poles = list(c.poles)
+        poles[i] = dataclasses.replace(poles[i], **change)
+        return cover0.Covering0(c.profile, c.poly_coeffs, tuple(poles))
+
+    rays = {}
+    for i, (k, t0, pole) in enumerate(zip(ks, t0s, c.poles)):
+        t_lo = max(1e-4, t0 * 10**-5.5) if k >= 2 else t0 * 1e-6
+        if t_lo < t0 * 1e-2:
+            ts = np.geomspace(t0 * 1e-2, t_lo, 12)
+            rays["top-tail", (i,)] = ts, [moved(i, c=pole.c[:-1] + (pole.top * (t / t0) ** k,))
+                                          for t in ts]
+    for r, s in permutations(range(len(ks)), 2):
+        eps = np.logspace(-4.0, -10.0, 12) ** (1.0 / (ks[r] + ks[s]))
+        b_r, b_s = c.poles[r].b, c.poles[s].b
+        rays["pole-collision", (r, s)] = eps, [moved(r, b=b_s + e * (b_r - b_s)) for e in eps]
+    fs, _ = cover0.p_prime_as_ratio([cov for _, ray in rays.values() for cov in ray])
+    ys = np.split(cover0._log_r_ff(fs).real / math.log(10), len(rays))
+    return {key: float(np.polyfit(np.log10(xs), y, 1)[0])
+            for (key, (xs, _)), y in zip(rays.items(), ys)}
 
 
 # --------------------------------------------------------------------------

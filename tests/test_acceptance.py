@@ -240,9 +240,8 @@ def test_criterion_9_caustic_behavior():
     # genus 0: R(f, f') -> 0 along the simple-pole tail ray, estimated
     # vanishing order >= 1; pole-collision order >= k_r + k_s
     cov = random_covering0((2, 1), seed=41)
-    rays = {(r.kind, r.indices): r for r in cover0.caustic_orders(cov).rays}
-    r_tail = rays[("top-tail", (0,))]
-    ok = r_tail.order >= 1.0 - max(0.03, r_tail.fit_residual)
+    tail_order = oracles.boundary_ray_orders(cov)["top-tail", (0,)]
+    ok = tail_order >= 1.0 - 0.03
     mags = []
     for s in np.geomspace(1e-1, 1e-5, 7):
         tails = (cov.poles[0].c[0] * s,)
@@ -251,17 +250,14 @@ def test_criterion_9_caustic_behavior():
     ok &= all(a > b for a, b in zip(mags, mags[1:])) and mags[-1] / mags[0] < 1e-3
 
     cov2 = random_covering0((2, 1, 1), seed=42)
-    rays2 = {
-        (r.kind, r.indices): r for r in cover0.caustic_orders(cov2).rays
-    }
-    for (kind, idx), r in rays2.items():
+    for (kind, poles), order in oracles.boundary_ray_orders(cov2).items():
         if kind == "pole-collision":
-            ok &= r.order >= r.expected_min - max(0.03, r.fit_residual)
+            ok &= order >= sum(cov2.profile[1 + i] for i in poles) - 0.03
 
     # genus 1: kappa -> 0 with order >= 1 along the simple-pole tail ray
     cov3 = random_covering1((2, 1), seed=43)
     c11 = cov3.poles[0].c[0]
-    kappas, ts = [], []
+    log_kappas, ts = [], []
     for s in np.geomspace(1e-1, 1e-5, 9):
         poles = (
             Pole(cov3.poles[0].b, (c11 * s, cov3.poles[0].c[1])),
@@ -269,17 +265,17 @@ def test_criterion_9_caustic_behavior():
         )
         c2 = Covering1(cov3.modulus, cov3.constant, poles)
         cd = cover1.critical_data(c2)
-        kappas.append(abs(cover1.tau_resultant([c2], [cd])[0].kappa))
+        log_kappas.append(cover1.tau_resultant([c2], [cd])[0].log_kappa.real / math.log(10))
         ts.append(abs(cover1.flat_coords(c2).t[1]))
-    slope = float(np.polyfit(np.log10(ts), np.log10(kappas), 1)[0])
-    ok &= all(a > b for a, b in zip(kappas, kappas[1:]))
+    slope = float(np.polyfit(np.log10(ts), log_kappas, 1)[0])
+    ok &= all(a > b for a, b in zip(log_kappas, log_kappas[1:]))
     ok &= slope >= 1.0 - 0.05
     _verdict(
         9,
         "caustic rays: R(f,f') and kappa vanish with orders above the "
         "factorization bounds",
         ok,
-        f"tail order {r_tail.order:.3f}, kappa slope {slope:.3f}",
+        f"tail order {tail_order:.3f}, kappa slope {slope:.3f}",
     )
 
 

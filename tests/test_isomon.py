@@ -69,9 +69,10 @@ class TestRouteRatio:
         assert abs(ratio / (an.tau.tau_inv48 / tb.tau_inv48) - 1.0) < 1e-12
 
     def test_vanishing_route_b_raises(self, a2):
-        # z^3 has a double critical point: R(f, f') = 0 and log tau^-48 of route B is -inf
-        z3 = Covering0((3,), (0.0, 0.0), ())
-        tb = cover0.tau_resultant([z3], [critical_data0(z3)])[0]
+        # z^3 has a double critical point: R(f, f') = 0 and log tau^-48 of route B, which
+        # has no pole/flat denominator without poles, is -inf
+        fs, _ = cover0.p_prime_as_ratio([Covering0((3,), (0.0, 0.0), ())])
+        tb = cover0.TauResultant(complex(cover0._log_r_ff(fs)[0]))
         assert tb.log_tau_inv48.real == -math.inf
         with pytest.raises(CoincidentPointsError, match="route B vanishes"):
             isomon.route_ratio(isomon.analyze(a2).tau, tb)
@@ -323,12 +324,11 @@ class TestEulerChecks:
             assert errors["euler-anomaly"] < 1e-5
             an = isomon.analyze(cov)
             euler_log_tau = complex(np.array(an.iso.hamiltonians) @ np.array(an.critical.lam))
-            model = (cover0, cover1)[cov.genus]
-            assert abs(euler_log_tau - model.euler_scaling_expected(cov)) < 1e-8
+            assert abs(euler_log_tau - oracles.euler_scaling_expected(cov)) < 1e-8
 
     def test_scaling_degree_closed_form_cubic(self, a2):
         # for the cubic family: sum lambda_m H_m = -1/72
-        assert abs(cover0.euler_scaling_expected(a2) - (-1.0 / 72.0)) < 1e-15
+        assert abs(oracles.euler_scaling_expected(a2) - (-1.0 / 72.0)) < 1e-15
 
 
 class TestIdentityReport:

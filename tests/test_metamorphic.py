@@ -62,6 +62,11 @@ def _rel(got, want) -> float:
     return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1.0)
 
 
+def _rel_to(got, want) -> float:
+    """max |got - want| relative to max |want|."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 class TestTMove:
     @SETTINGS
     @given(st.sampled_from(PROFILES), st.integers(0, 10_000))
@@ -146,6 +151,27 @@ class TestSMove:
         shift -= 0.5 * cmath.log(-1j * sigma)
         assert abs(shift - 2j * math.pi * round(shift.imag / (2 * math.pi))) < 1e-12
 
+    @SETTINGS
+    @given(st.sampled_from(PROFILES), st.integers(0, 10_000))
+    def test_bergmann_and_hamiltonians(self, profile, seed):
+        # the a-cycle becomes the old b-cycle: B' = B - 2 pi i f_i f_j / sigma off the
+        # diagonal and H' = H - (pi i / 2) f^2 / sigma, in frames f' = +-f / sigma matched
+        # by lambda; at the sampler's modulus and its image, both of ordinary shape
+        cov = _sample(profile, seed)
+        sigma, moved = cov.modulus.sigma, _s_moved(cov)
+        cd, cd_s = cover1.critical_data(cov), cover1.critical_data(moved)
+        iso, iso_s = isomon.build_isomonodromy(cov, cd), isomon.build_isomonodromy(moved, cd_s)
+        at = _nearest(cd.lam, cd_s.lam)[0]
+        assert sorted(at) == list(range(len(at)))
+        fsq = np.array(cd.fsq)
+        f = np.sqrt(fsq)
+        sign = np.sign((np.sqrt(np.array(cd_s.fsq)[at]) * sigma / f).real)
+        b_want = iso.bergmann - 2j * math.pi * np.outer(f, f) / sigma
+        np.fill_diagonal(b_want, 0.0)
+        assert _rel_to(iso_s.bergmann[np.ix_(at, at)] * np.outer(sign, sign), b_want) < 1e-10
+        h_want = np.array(iso.hamiltonians) - 0.5j * math.pi * fsq / sigma
+        assert _rel_to(np.array(iso_s.hamiltonians)[at], h_want) < 1e-10
+
 
 class TestLambdaShift:
     @SETTINGS
@@ -191,3 +217,39 @@ class TestLambdaShiftGenus0:
         tb = cover0.tau_resultant([cov], [an.critical])[0]
         tb_s = cover0.tau_resultant([shifted], [an_s.critical])[0]
         assert abs(cmath.exp(tb_s.log_tau_inv48 - tb.log_tau_inv48) - 1.0) < 1e-12
+
+
+def _euler_moved(an: isomon.Analysis, scaled: isomon.Analysis, lam_scale: float) -> list:
+    """Both routes' log tau^-48 at ``scaled`` less their values at ``an`` and the Euler move
+    -48 E log(lam_scale), E the closed form ``oracles.euler_scaling_expected``, mod 2 pi i."""
+    move = -48.0 * oracles.euler_scaling_expected(an.covering) * math.log(lam_scale)
+    out = []
+    for a, b in ((an.tau, scaled.tau), (an.route_b, scaled.route_b)):
+        d = b.log_tau_inv48 - a.log_tau_inv48 - move
+        out.append(abs(d - 2j * math.pi * round(d.imag / (2 * math.pi))))
+    return out
+
+
+class TestQuasiHomogeneousScaling:
+    """Scaling every critical value by a real positive factor is the Euler flow, along which
+    log tau moves by E log(factor), E = sum lambda_m H_m, a constant of the profile."""
+
+    @SETTINGS
+    @given(st.sampled_from(PROFILES0), st.integers(0, 10_000), st.floats(0.5, 2.0))
+    def test_genus0_rescaled_coordinate(self, profile, seed, s):
+        # p(s z) / s^k1: b -> b/s, a_r -> a_r s^r / s^k1, c_{i,a} -> c_{i,a} / (s^k1 s^a)
+        cov = _sample(profile, seed, random_covering0)
+        k1 = profile[0]
+        coeffs = tuple(a * s**r / s**k1 for r, a in enumerate(cov.poly_coeffs))
+        poles = tuple(Pole(p.b / s, tuple(c / (s**k1 * s**a) for a, c in enumerate(p.c, 1)))
+                      for p in cov.poles)
+        scaled = cover0.Covering0(profile, coeffs, poles)
+        assert max(_euler_moved(isomon.analyze(cov), isomon.analyze(scaled), s**-k1)) < 1e-10
+
+    @SETTINGS
+    @given(st.sampled_from(PROFILES), st.integers(0, 10_000), st.floats(0.5, 2.0))
+    def test_genus1_scaled_map(self, profile, seed, mu):
+        cov = _sample(profile, seed)
+        poles = tuple(Pole(p.b, tuple(mu * c for c in p.c)) for p in cov.poles)
+        scaled = Covering1(cov.modulus, mu * cov.constant, poles)
+        assert max(_euler_moved(isomon.analyze(cov), isomon.analyze(scaled), mu)) < 1e-10

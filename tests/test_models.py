@@ -32,7 +32,6 @@ MODEL_NAMES = [
     "tau_product",
     "tau_resultant",
     "gamma",
-    "euler_scaling_expected",
     "log_route_constant",
 ]
 # the genus-0 and genus-1 profiles of the benchmark pool

@@ -23,17 +23,7 @@ ALLOWED = {
     "isomon.FD_STEP": "the step of parameter_derivatives, which the tracer wraps",
     "poly.CPoly.eval_derivatives": "perfbench/tracer.py wraps it by name",
     "poly.resultant": "perfbench/tracer.py wraps it by name; exported library API",
-    "cover0.euler_scaling_expected": "ROADMAP item 2 replaces it with the Euler-field data",
-    "cover1.euler_scaling_expected": "ROADMAP item 2 replaces it with the Euler-field data",
-    "cover0.caustic_orders": "ROADMAP item 3 decides where the caustic rays live",
-    "cover0.RayOrder": "a result type of caustic_orders (ROADMAP item 3)",
-    "cover0.CausticOrders": "a result type of caustic_orders (ROADMAP item 3)",
-    "cover0._fit_slope": "a helper of caustic_orders (ROADMAP item 3)",
-    "cover0._ray_slope": "a helper of caustic_orders (ROADMAP item 3)",
-    "cover0._with_pole": "a helper of caustic_orders (ROADMAP item 3)",
-    "errors.SlopeUnstableError": "the error of caustic_orders' slope fit (ROADMAP item 3)",
     "samples.random_covering1": "documented library API: the genus-1 sampler",
-    "cover1.TauResultant1.kappa": "documented in the README: route B's kappa, exp(log_kappa)",
 }
 
 
