@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, compress, islice
 from typing import TYPE_CHECKING, Sequence
 
@@ -244,11 +244,11 @@ def eval_p_derivs(c: Covering0 | Sequence[Covering0], z, n_max: int):
     return shape_rows(out.reshape(n_max + 1, n), shape)
 
 
-def eval_param_derivs(c: Covering0, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eval_param_derivs(c: Covering0, z, zd=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p, ..., p^(3) at the points z, d/d theta of [p, p', p''] and of the top
     tails for each path theta of ``params`` (= ``deformation_params``).
 
-    z is held fixed (it is the uniformizing coordinate).  Returns the rows,
+    z is held fixed (the uniformizing coordinate); ``zd`` is None.  Returns the rows,
     shape (4, len(z)), the partials, shape (P, 3, len(z)):
     d p/d a_r = z^r, d p/d c_{i,a} = -(z-b_i)^(-a), and
     d p/d b_i = -(pole part i)'(z), and ``_top_tail_derivs``, shape (P, S).
@@ -332,7 +332,8 @@ class CriticalData:
     meet); ``resultant_ratio`` is R(f, g), taken over ``pts``, over its factorization, that
     denominator times prod t_i^(2(k_i+1)): the profile constant ``log_resultant_constant``;
     ``log_resultant_ff`` is log R(f, f') (f of p' = f/g, whose roots are ``pts``), the route-B
-    numerator, from f's coefficients alone.
+    numerator, from f's coefficients alone.  ``zeta_rows`` (genus 1; not in == or repr), the zeta
+    rows at every pts[m] - b_i for ``cover1.eval_param_derivs``: a copy with new pts must drop it.
     """
 
     pts: tuple[complex, ...]
@@ -347,6 +348,7 @@ class CriticalData:
     resultant_ratio: complex | None = None
     log_resultant_ff: complex | None = None
     log_pole_flat: complex | None = None
+    zeta_rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def frame_data(d: np.ndarray) -> tuple[list[complex], np.ndarray, np.ndarray, float, bool]:

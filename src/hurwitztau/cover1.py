@@ -145,27 +145,32 @@ def eval_p_derivs(c: Covering1 | Sequence[Covering1], z, n_max: int):
     (``elliptic._pole_zeta_rows``, whose pole guard raises ``NearPoleError``).
     """
     if isinstance(c, Covering1):
-        cs, (pts, shape) = (c,), point_array(z)
-        counts = [len(pts)]
-    else:
-        cs, pts, counts = c, np.concatenate(z), [len(part) for part in z]
-        shape = pts.shape
+        pts, shape = point_array(z)
+        return shape_rows(_p_rows((c,), [pts], n_max)[0], shape)
+    return _p_rows(c, z, n_max)[0]
+
+
+def _p_rows(cs: Sequence[Covering1], z, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """p, ..., p^(n_max) of each cs[k] at its points z[k], (n_max + 1, N) over all N of them,
+    and the zeta rows at every point minus every b_i they come from, (k_max + n_max, S, N)."""
+    pts, counts = np.concatenate(z), [len(part) for part in z]
     ends = list(accumulate(counts, initial=0))
     bs = np.repeat(np.array([[p.b for p in cv.poles] for cv in cs]), counts, axis=0).T
     zd = _pole_zeta_rows(cs[0].ctx, pts, bs, max(cs[0].profile) - 1 + n_max, len(bs))
     out = np.zeros((n_max + 1, len(pts)), dtype=complex)
     for cv, lo, hi in zip(cs, ends, ends[1:]):
         _principal_sum(out[:, lo:hi], cv.constant, [p.c for p in cv.poles], zd[:, :, lo:hi])
-    return shape_rows(out, shape)
+    return out, zd
 
 
-def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eval_param_derivs(c: Covering1, z, zd=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p, ..., p^(3) at the points z, and d/d theta of [p, p', p''] and of the
     top tails for each path theta of ``params``, from one zeta evaluation.
 
     z and the pole positions are held fixed (z is the uniformizing coordinate).  Returns
     the rows, shape (4, len(z)), the partials, shape (P, 3, len(z)), and the top-tail
-    derivatives, shape (P, S); every z - b_i takes one ``_pole_zeta_rows`` pass.  A residue
+    derivatives, shape (P, S), from the zeta rows ``zd`` at every z - b_i to order k_max + 3
+    (``CriticalData.zeta_rows`` at its points), or else one ``_pole_zeta_rows`` pass.  A residue
     column c_{i,1} carries the rebalanced last residue, zeta(z - b_i) - zeta(z - b_l), and
     moves a simple last pole's top tail by -1; the modulus column differentiates every
     zeta^(n) at fixed argument (``_zeta_sigma_rows``).
@@ -173,10 +178,10 @@ def eval_param_derivs(c: Covering1, z) -> tuple[np.ndarray, np.ndarray, np.ndarr
     pts = np.asarray(z, dtype=complex)
     ctx = c.ctx
     bs = np.array([[p.b] for p in c.poles])
-    diffs = pts[None, :] - bs
     top = max(c.profile) + 3
-    zd = _pole_zeta_rows(ctx, pts, bs, top, len(bs))  # (top + 1, S, M)
-    zs = _zeta_sigma_rows(ctx, zd, diffs, top - 2)
+    if zd is None:
+        zd = _pole_zeta_rows(ctx, pts, bs, top, len(bs))  # (top + 1, S, M)
+    zs = _zeta_sigma_rows(ctx, zd, pts[None, :] - bs, top - 2)
     rows = np.zeros((4, pts.size), dtype=complex)
     _principal_sum(rows, c.constant, [p.c for p in c.poles], zd)
     blocks = {"constant": np.zeros((3, pts.size), dtype=complex), "modulus": 0}
@@ -254,7 +259,7 @@ def _or_error(fn, *args):
 
 
 def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalData | None]:
-    """Critical data of each covering cs[k] with zeros zs[k], from one order-4 evaluation.
+    """Critical data of each covering cs[k] with zeros zs[k], zeta rows kept, from one order-4 pass.
 
     None where two zeros lie within 1e-10 modulo the lattice or are NaN (failed seeded lanes).
     """
@@ -263,15 +268,15 @@ def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalD
     keep = np.flatnonzero((gaps >= 1e-10).all(axis=1))
     out: list[CriticalData | None] = [None] * len(cs)
     if keep.size:
-        rows = eval_p_derivs([cs[k] for k in keep], zs[keep], 4).reshape(5, keep.size, -1)
-        for k, d in zip(keep, rows.transpose(1, 0, 2)):
+        rows, zd = _p_rows([cs[k] for k in keep], zs[keep], 4)
+        for k, d, zeta_rows in zip(keep, np.split(rows, keep.size, 1), np.split(zd, keep.size, 2)):
             lam, f2, s, min_lgap, caustic = frame_data(d)
             sb = s - 24j * math.pi * cs[k].ctx.eta_tilde * f2
             out[k] = CriticalData(
                 pts=tuple(zs[k].tolist()), lam=tuple(lam), fsq=tuple(f2.tolist()),
                 sw=tuple(s.tolist()), sb=tuple(sb.tolist()), min_lambda_gap=min_lgap,
                 min_point_gap=float(gaps[k].min(initial=math.inf)), caustic=caustic,
-                flat=flat_coords(cs[k]))
+                flat=flat_coords(cs[k]), zeta_rows=zeta_rows)
     return out
 
 

@@ -183,22 +183,20 @@ def _theta_weights(freq: np.ndarray, coeff: np.ndarray, n_max: int) -> np.ndarra
 def _theta1_raw(mod: Modulus, z0: np.ndarray, n_max: int) -> np.ndarray:
     """z-derivatives 0..n_max of the odd theta series at base-cell points z0.
 
-    One sin and one cos over the (points x terms) grid, weighted per order
-    and summed along the contiguous terms axis, one order at a time.  That
-    sum gives each point the same bits whatever the batch it comes in (a
-    BLAS product does not), so a scalar call reproduces its value inside an
-    array call exactly.  Returns shape (n_max + 1, len(z0)).
+    One sin and one cos over the (points x terms) grid, one product with the weights of
+    orders 0..n_max | 1 (even ones on sines, odd ones on cosines) and one sum along the
+    contiguous terms axis, which gives each point the same bits in any batch (a BLAS product
+    does not): a scalar call reproduces its array entry.  Returns shape (n_max + 1, len(z0)).
     """
     freq, coeff, table = mod._theta_tabs
-    weights = table if n_max <= THETA_TABLE_ORDER else _theta_weights(freq, coeff, n_max)
+    top = n_max | 1
+    weights = table[: top + 1] if top <= THETA_TABLE_ORDER else _theta_weights(freq, coeff, top)
     ang = np.multiply.outer(z0, freq)
     trig = np.empty((2,) + ang.shape, dtype=complex)
     np.sin(ang, out=trig[0])
     np.cos(ang, out=trig[1])
-    out = np.empty((n_max + 1, len(z0)), dtype=complex)
-    for k in range(n_max + 1):
-        out[k] = (trig[k % 2] * weights[k]).sum(axis=1)
-    return out
+    out = (trig * weights.reshape(-1, 2, 1, len(freq))).sum(axis=-1)
+    return out.reshape(top + 1, len(z0))[: n_max + 1]
 
 
 def cell_coords(z, sigma: complex):
@@ -286,9 +284,6 @@ def reduce_to_cell(z: complex, sigma: complex) -> complex:
     return z - math.floor(u) - math.floor(v) * sigma
 
 
-_NEAR_M, _NEAR_N = (a.ravel() for a in np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]))
-
-
 def lattice_distance(z, sigma: complex):
     """Distance from z to the nearest lattice point of Z + sigma*Z (per point for an array)."""
     pts, shape = point_array(z)
@@ -298,7 +293,21 @@ def lattice_distance(z, sigma: complex):
 
 def _centered_distance(z0: np.ndarray, sigma: complex) -> np.ndarray:
     """lattice_distance of points already reduced by _split_lattice."""
-    return np.abs(z0[:, None] - (_NEAR_M + _NEAR_N * sigma)).min(axis=1)
+    return np.abs(z0[:, None] - _stencil(sigma)).min(axis=1)
+
+
+@lru_cache(maxsize=16)
+def _stencil(sigma: complex) -> np.ndarray:
+    """Read-only lattice points m + n*sigma, among them the nearest of each reduced u + v*sigma:
+    within the covering radius r <= max(1, |sigma|, min |1 -+ sigma|)/sqrt(3), |v - n| <= r/Im
+    sigma, and m is nearest u + (v - n) Re sigma.  9 at Im sigma >= 0.8 and |Re sigma| <= 1/2."""
+    r = max(1.0, abs(sigma), min(abs(1.0 - sigma), abs(1.0 + sigma))) / math.sqrt(3.0)
+    n_top = int(0.5 + r / sigma.imag)
+    m_top = int(1.0 + (n_top + 0.5) * abs(sigma.real))
+    m, n = np.mgrid[-m_top: m_top + 1, -n_top: n_top + 1]
+    out = (m + n * sigma).ravel()
+    out.flags.writeable = False
+    return out
 
 
 @cache
@@ -379,11 +388,12 @@ def weierstrass_context(modulus: Modulus) -> WeierstrassContext:
 
 
 def _reduce_and_guard(ctx: WeierstrassContext, z) -> tuple:
-    """Points, shape, n and z0 of z = m + n*sigma + z0; LatticePointError within LATTICE_GUARD."""
+    """Points, shape, n and z0 of z = m + n*sigma + z0; LatticePointError where |z0| <= g =
+    LATTICE_GUARD: 0 is the nearest lattice point of that z0 if g (1 + |sigma|) < min(1, Im sigma)/2
+    (here |sigma| < 1e6), so |z0| is its ``lattice_distance``."""
     pts, shape = point_array(z)
-    sigma = ctx.modulus.sigma
-    _, n, z0 = _split_lattice(pts, sigma)
-    near = _centered_distance(z0, sigma) <= LATTICE_GUARD
+    _, n, z0 = _split_lattice(pts, ctx.modulus.sigma)
+    near = np.abs(z0) <= LATTICE_GUARD
     if near.any():
         raise LatticePointError(
             f"z = {complex(pts[near][0])} is within {LATTICE_GUARD} of the lattice"
@@ -455,14 +465,15 @@ def _pole_zeta_rows(ctx: WeierstrassContext, pts: np.ndarray, bs: np.ndarray, to
     """zeta, ..., zeta^(top) over the grid u = pts - bs in one theta pass: (top + 1, *u.shape).
 
     ``bs`` holds centres, (R, 1) or (R, len(pts)); its first ``n_poles`` rows are poles, and a
-    point within POLE_GUARD*(1 + |sigma|) >= LATTICE_GUARD of one modulo the lattice raises
-    ``NearPoleError``.  The entries ``own`` of u (z_i - z_i of an Aberth sum) become 1/2.
+    point within g = POLE_GUARD*(1 + |sigma|) >= LATTICE_GUARD of one modulo the lattice, read
+    as |z0| of the reduced u (``_reduce_and_guard``; |sigma| < 2000), raises ``NearPoleError``.
+    The entries ``own`` of u (z_i - z_i of an Aberth sum) become 1/2.
     """
     sigma = ctx.modulus.sigma
     u = pts - bs
     u[own] = 0.5  # a regular point
     _, n, z0 = _split_lattice(u.ravel(), sigma)
-    dist = _centered_distance(z0[: n_poles * len(pts)], sigma)
+    dist = np.abs(z0[: n_poles * len(pts)])
     near = np.flatnonzero(dist <= POLE_GUARD * (1.0 + abs(sigma)))
     if near.size:
         i, j = divmod(int(near[0]), u.shape[1])
@@ -550,20 +561,20 @@ def _iterate_lanes(step_of, z, tol, max_step: float,
     tol = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)
     ok = np.zeros(z.shape, dtype=bool)
     live = np.arange(z.size)
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not live.size:
+                break
             step = step_of(z, live)
-        finite = np.isfinite(step)
-        live, step = live[finite], step[finite]
-        size = np.abs(step)
-        big = size > max_step
-        step[big] = max_step * step[big] / size[big]
-        z[live] -= step
-        done = np.abs(step) < tol[live]
-        ok[live[done]] = True
-        live = live[~done]
+            finite = np.isfinite(step)
+            live, step = live[finite], step[finite]
+            size = np.abs(step)
+            big = size > max_step
+            step[big] = max_step * step[big] / size[big]
+            z[live] -= step
+            done = np.abs(step) < tol[live]
+            ok[live[done]] = True
+            live = live[~done]
     return z, ok
 
 

@@ -248,10 +248,11 @@ def _chain_to_lambda(derivs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 # exact deformation derivatives
 
 
-def _tangent(covering: Covering, pts) -> tuple[np.ndarray, ...]:
-    """The model's ``eval_param_derivs`` at the critical points ``pts``, then the tangent
-    d z_m/d theta = -d_theta p'/p'' of each ``params`` path theta, shape (P, M)."""
-    rows, dp, dtop = (cover0, cover1)[covering.genus].eval_param_derivs(covering, np.array(pts))
+def _tangent(covering: Covering, cd: CriticalData) -> tuple[np.ndarray, ...]:
+    """The model's ``eval_param_derivs`` at the points of ``cd`` (at genus 1 from its zeta rows:
+    no theta pass), then the tangent d z_m/d theta = -d_theta p'/p'' per path theta, (P, M)."""
+    model = (cover0, cover1)[covering.genus]
+    rows, dp, dtop = model.eval_param_derivs(covering, np.array(cd.pts), cd.zeta_rows)
     return rows, dp, dtop, -dp[:, 1] / rows[2]
 
 
@@ -275,7 +276,7 @@ def exact_parameter_derivatives(an: Analysis) -> tuple[list[str], dict, np.ndarr
     cov, cd = an.covering, an.critical
     model = (cover0, cover1)[cov.genus]
     paths, table = model.deformation_params(cov), list(model.params(cov))
-    rows, dp, dtop, dz = _tangent(cov, cd.pts)  # (4, M), (P', 3, M), (P', S), (P', M)
+    rows, dp, dtop, dz = _tangent(cov, cd)  # (4, M), (P', 3, M), (P', S), (P', M)
     keep = [table.index(path) for path in paths]
     dp, dtop, dz = dp[keep], dtop[keep], dz[keep]
     p2, p3 = rows[2], rows[3]
@@ -352,7 +353,7 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     moves = [(target - table[path]) * (s / (steps - 1)) for s in range(steps)]
     coverings = [model.set_param(covering, path, table[path] + d) for d in moves]
     cds = [model.critical_data(coverings[0])]
-    dz = _tangent(coverings[0], cds[0].pts)[3][list(table).index(path)]
+    dz = _tangent(coverings[0], cds[0])[3][list(table).index(path)]
     cds += model.critical_round(coverings[1:], [np.array(cds[0].pts) + d * dz for d in moves[1:]])
     for cd in cds:
         if not isinstance(cd, Exception) and cd.caustic:

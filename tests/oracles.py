@@ -6,6 +6,9 @@ with the local square root, kernel diagonal limits, and a trapezoid
 argument-principle count, the argument-principle subdivision search
 that ``elliptic.elliptic_zeros`` replaced, as the reference for its zeros,
 and the two-pass elliptic Aberth step, as the reference for its one-pass step.
+The per-order theta loop, the 9-neighbour lattice rule and a brute-force
+lattice distance are the references of the fused theta pass, the guards
+and ``lattice_distance``.
 The finite-difference reference for ``isomon.exact_parameter_derivatives``
 is here too: ``check_bundle`` continues an analysis from a base one (seeded
 critical points, nearest branches), and ``lambda_derivatives`` differences
@@ -27,6 +30,7 @@ from typing import Callable, Sequence
 from hurwitztau import cover0, cover1, isomon
 from hurwitztau.elliptic import (
     POLE_GUARD,
+    THETA_TABLE_ORDER,
     Modulus,
     _cell_representative,
     _contour_corners,
@@ -36,6 +40,7 @@ from hurwitztau.elliptic import (
     _newton_tol,
     _split_lattice,
     _theta1_raw,
+    _theta_weights,
     _zeta_sigma_rows,
     cell_coords,
     eisenstein,
@@ -89,6 +94,37 @@ def zeta_sigma_derivs(ctx, z, n_max: int):
     """[d/dsigma zeta^(n)(z), n = 0..n_max] at fixed z (``_zeta_sigma_rows``), scalar or array z."""
     pts, shape = point_array(z)
     return shape_rows(_zeta_sigma_rows(ctx, zeta_derivs(ctx, pts, n_max + 2), pts, n_max), shape)
+
+
+def theta1_raw_per_order(mod: Modulus, z0: np.ndarray, n_max: int) -> np.ndarray:
+    """``elliptic._theta1_raw`` one derivative order at a time: the bit-for-bit reference of
+    its fused product, each order's weighted sines or cosines summed along the terms axis."""
+    freq, coeff, table = mod._theta_tabs
+    weights = table if n_max <= THETA_TABLE_ORDER else _theta_weights(freq, coeff, n_max)
+    ang = np.multiply.outer(z0, freq)
+    trig = np.empty((2,) + ang.shape, dtype=complex)
+    np.sin(ang, out=trig[0])
+    np.cos(ang, out=trig[1])
+    out = np.empty((n_max + 1, len(z0)), dtype=complex)
+    for k in range(n_max + 1):
+        out[k] = (trig[k % 2] * weights[k]).sum(axis=1)
+    return out
+
+
+def nine_point_distance(z0: np.ndarray, sigma: complex) -> np.ndarray:
+    """Distance of points reduced by ``_split_lattice`` to the lattice points m + n*sigma with
+    m, n in {-1, 0, 1}: the 9-neighbour rule that the guards' |z0| must agree with."""
+    m, n = (a.ravel() for a in np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]))
+    return np.abs(z0[:, None] - (m + n * sigma)).min(axis=1)
+
+
+def brute_lattice_distance(z, sigma: complex, reach: int = 20) -> np.ndarray:
+    """Distance of the points z to the lattice, over every m + n*sigma with |m|, |n| <= reach
+    around the reduced point: the reference of ``elliptic.lattice_distance``."""
+    z0 = _split_lattice(np.asarray(z, dtype=complex).ravel(), sigma)[2]
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(-reach, reach + 1.0),
+                                           np.arange(-reach, reach + 1.0)))
+    return np.abs(z0[:, None] - (m + n * sigma)).min(axis=1)
 
 
 def profile_constant(c: cover0.Covering0) -> float:

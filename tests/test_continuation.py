@@ -430,13 +430,36 @@ def g1_111():
 
 
 class TestGenus1OncePerCheck:
-    """A genus-1 check evaluates zeta once for the exact derivatives and sigma once for route B."""
+    """A genus-1 check's exact derivatives read the zeta rows of its critical data, and route B
+    evaluates sigma once."""
 
-    def test_exact_derivatives_make_one_theta_evaluation(self, monkeypatch, g1_21):
+    def test_exact_derivatives_make_no_own_theta_pass(self, monkeypatch, g1_21):
         an = isomon.analyze(g1_21)
         theta = _calls(monkeypatch, elliptic, "_theta1_raw")
         isomon.exact_parameter_derivatives(an)
-        assert len(theta) == 1  # every pole, the d/dsigma column and p, ..., p^(3) share it
+        assert len(theta) == 0  # every pole, the d/dsigma column and p, ..., p^(3) read cd's rows
+
+    def test_identity_report_makes_eight_theta_passes(self, monkeypatch, g1_21):
+        # the zero search's moment pass and 4 Aberth steps, the critical-data pass, the kernel's
+        # wp and route B's sigma_w: nine when the exact derivatives made a pass of their own
+        g1_21.ctx  # built: its calibration passes are not the report's
+        theta = _calls(monkeypatch, elliptic, "_theta1_raw")
+        isomon.identity_report(g1_21)
+        assert len(theta) == 8
+
+    @pytest.mark.parametrize("profile, seed", [((2,), 3), ((1, 1, 1), 7), ((3, 1), 6)])
+    def test_kept_zeta_rows_give_the_bits_of_a_fresh_evaluation(self, profile, seed):
+        # a global solve, and each covering of a stacked round
+        cov = random_covering1(profile, seed)
+        cd = cover1.critical_data(cov)
+        steps = _sweep_steps(cov, 3)
+        for step, data in zip([cov] + steps, [cd] + cover1.critical_round(steps, [cd.pts] * 3)):
+            pts = np.array(data.pts)
+            kept = cover1.eval_param_derivs(step, pts, data.zeta_rows)
+            fresh = cover1.eval_param_derivs(step, pts)
+            assert data.zeta_rows is not None
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, fresh))
+        assert cd == dataclasses.replace(cd, zeta_rows=None) and "zeta_rows" not in repr(cd)
 
     def test_identity_report_makes_one_route_b_sigma_call(self, monkeypatch, g1_21):
         sigmas = _calls(monkeypatch, cover1, "sigma_w")
