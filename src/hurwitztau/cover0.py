@@ -20,7 +20,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -378,14 +378,14 @@ def critical_data(c: Covering0) -> CriticalData:
     """Critical points (f's companion eigenvalues, sorted, and one Newton step), critical values,
     f_m^2 and Schwarzians; the error of the solve or of the data raises."""
     fs, _ = p_prime_as_ratio([c])
-    return _raised(_critical_data_at([c], [_roots(fs[0])], fs))[0]
+    return _critical_data_at([c], [_roots(fs[0])], fs)[0]
 
 
-def critical_round(coverings: Sequence[Covering0], seeds) -> list:
+def critical_round(coverings: Sequence[Covering0], seeds) -> list[CriticalData]:
     """Critical data of ``coverings`` (of one profile), covering k continuing ``seeds[k]`` by
     ``_seeded_points`` (point i from seed i), from one f/g build and one data pass.  A covering
-    with a failed lane, or two points within 1e-10, solves f globally; the error of a covering
-    whose solve or data fails stands in its place.  The one seeded entry of the model."""
+    with a failed lane, or two points within 1e-10, solves f globally; the first error of a
+    solve, then of the data, raises.  The one seeded entry of the model."""
     fs, _ = p_prime_as_ratio(coverings)
     zs = _seeded_points(eval_p_derivs, coverings, seeds)
     i, j = _pair_indices(zs.shape[1])
@@ -411,51 +411,37 @@ def _seeded_points(eval_p_derivs, coverings, seeds) -> np.ndarray:
     return zs.reshape(len(coverings), -1)
 
 
-def _raised(cds: list) -> list:
-    """``cds``, or the first error among them raised."""
-    for cd in cds:
-        if isinstance(cd, Exception):
-            raise cd
-    return cds
-
-
-def _roots(row: np.ndarray) -> list[complex] | NonConvergenceError | OverflowError:
+def _roots(row: np.ndarray) -> list[complex]:
     """The roots of the f of row ``row`` (lowest degree first, leading coefficient k1): the
-    eigenvalues of its companion matrix, sorted, or the error; f overflowing there is one."""
+    eigenvalues of its companion matrix, sorted.  A failed eigensolve raises
+    ``NonConvergenceError``, and f overflowing at its roots ``OverflowError``."""
     if not np.isfinite(row).all():
-        return NonConvergenceError("a coefficient is not finite")
+        raise NonConvergenceError("a coefficient is not finite")
     companion = np.eye(len(row) - 1, k=-1, dtype=complex)
     companion[:, -1] = -row[:-1] / row[-1]
     try:
         pts = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
-        return NonConvergenceError(f"companion eigensolve failed: {exc}")
+        raise NonConvergenceError(f"companion eigensolve failed: {exc}") from None
     if not np.isfinite(np.vander(pts, len(row), increasing=True) @ row).all():
-        return OverflowError("f overflows at its own roots")
+        raise OverflowError("f overflows at its own roots")
     return _sort_points(pts.tolist())
 
 
-def _critical_data_at(coverings: Sequence[Covering0], found, fs) -> list:
-    """Data phase: critical data of each covering at the roots ``found`` of its f (its error
-    where that is one), from one stacked R(f, f') of the f rows ``fs`` and one order-5 frame
-    evaluation.  The frame rows give one Newton step on p' in pole-tail form and are moved
-    with it; R(f, g) is taken over the polished points, in logarithms, over its factorization
-    from ``log_pole_flat``.  A covering whose data fails holds its error, and one with two
-    points within COINCIDENT_TOL holds ``CoincidentPointsError`` before any evaluation."""
-    out: list = [pts if isinstance(pts, Exception) else None for pts in found]
-    keep = [k for k, pts in enumerate(found) if out[k] is None]
+def _critical_data_at(coverings: Sequence[Covering0], found, fs) -> list[CriticalData]:
+    """Data phase: critical data of each covering at the roots ``found`` of its f, from one
+    stacked R(f, f') of the f rows ``fs`` and one order-5 frame evaluation.  The frame rows give
+    one Newton step on p' in pole-tail form and are moved with it; R(f, g) is taken over the
+    polished points, in logarithms, over its factorization from ``log_pole_flat``.  Two points
+    of a covering within COINCIDENT_TOL raise ``CoincidentPointsError`` before any evaluation;
+    a point at a pole raises ``CommonRootError``, and frame rows that overflow ``OverflowError``."""
     m = coverings[0].dim
-    zs = np.array([found[k] for k in keep]).reshape(len(keep), m)
+    zs = np.array(found).reshape(len(coverings), m)
     lo, hi = _pair_indices(m)
     gaps = np.abs(zs[:, lo] - zs[:, hi]).min(axis=1, initial=math.inf)
-    apart = gaps >= COINCIDENT_TOL
-    for k in compress(keep, ~apart):
-        out[k] = CoincidentPointsError("coincident critical points")
-    keep, zs, gaps = list(compress(keep, apart)), zs[apart], gaps[apart]
-    if not keep:
-        return out
-    kept = [coverings[k] for k in keep]
-    rows = eval_p_derivs(kept, list(zs), 5)
+    if not (gaps >= COINCIDENT_TOL).all():
+        raise CoincidentPointsError("coincident critical points")
+    rows = eval_p_derivs(coverings, list(zs), 5)
     # one Newton step on p' in pole-tail form, the rows moved with it to first order (the
     # O(step^2) left is of the order of the polished points' own error); a covering keeps its
     # points unpolished where a step is not finite or reaches STEP_GAP_TOL of its smallest gap
@@ -464,36 +450,33 @@ def _critical_data_at(coverings: Sequence[Covering0], found, fs) -> list:
     step = np.where(ok[:, None], step, 0.0)
     zs -= step
     rows = rows[:5] - rows[1:] * step.ravel()
-    flats = [flat_coords(c) for c in kept]
+    flats = [flat_coords(c) for c in coverings]
     log_t = [[cmath.log(t) for t in fc.t] for fc in flats]
-    log_pf = [_log_pole_flat(c, lt) for c, lt in zip(kept, log_t)]
+    log_pf = [_log_pole_flat(c, lt) for c, lt in zip(coverings, log_t)]
     # log R(f, g) = deg g log k1 + sum_m sum_i (k_i+1) log(z_m - b_i), on any branch
-    weights = np.array(kept[0].profile[1:]) + 1
-    bs = np.array([[p.b for p in c.poles] for c in kept])
-    log_fg = weights.sum() * math.log(kept[0].profile[0]) + (
+    weights = np.array(coverings[0].profile[1:]) + 1
+    bs = np.array([[p.b for p in c.poles] for c in coverings])
+    log_fg = weights.sum() * math.log(coverings[0].profile[0]) + (
         np.log(zs[:, :, None] - bs[:, None, :]) @ weights).sum(axis=1)
     log_ratio = log_fg - [lpf + 2.0 * sum((k + 1) * v for k, v in zip(c.profile[1:], lt))
-                          for c, lpf, lt in zip(kept, log_pf, log_t)]
+                          for c, lpf, lt in zip(coverings, log_pf, log_t)]
     ratios = np.exp(log_ratio).tolist()
-    log_ff = _log_r_ff(fs[keep]).tolist()
-    for j, (k, c, fc) in enumerate(zip(keep, kept, flats)):
+    log_ff = _log_r_ff(fs).tolist()
+    out = []
+    for j, (c, fc) in enumerate(zip(coverings, flats)):
         pts = zs[j].tolist()
         scale_b = 1.0 + max((abs(p.b) for p in c.poles), default=0.0)
-        try:
-            for a, b in ((a, p.b) for a in pts for p in c.poles):
-                if abs(a - b) < ROOT_POLE_GUARD * scale_b:
-                    raise CommonRootError(f"critical point {a} collides with pole {b}")
-            lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * m : (j + 1) * m])
-        except (CommonRootError, OverflowError) as exc:
-            out[k] = exc
-            continue
+        for a, b in ((a, p.b) for a in pts for p in c.poles):
+            if abs(a - b) < ROOT_POLE_GUARD * scale_b:
+                raise CommonRootError(f"critical point {a} collides with pole {b}")
+        lam, fsq, sb, min_lgap, caustic = frame_data(rows[:, j * m : (j + 1) * m])
         sb = tuple(sb.tolist())
-        out[k] = CriticalData(
+        out.append(CriticalData(
             pts=tuple(pts), lam=tuple(lam), fsq=tuple(fsq.tolist()), sw=sb, sb=sb,
             min_lambda_gap=min_lgap,
             min_point_gap=min((abs(a - b) for a, b in combinations(pts, 2)), default=math.inf),
             caustic=caustic, flat=fc, resultant_ratio=ratios[j],
-            log_resultant_ff=log_ff[j], log_pole_flat=log_pf[j])
+            log_resultant_ff=log_ff[j], log_pole_flat=log_pf[j]))
     return out
 
 

@@ -52,8 +52,7 @@ from .elliptic import (
     sigma_w,
     weierstrass_context,
 )
-from .errors import (CommonRootError, CountMismatchError, HurwitzError, NearPoleError,
-                     OnBoundaryError)
+from .errors import CommonRootError, CountMismatchError, NearPoleError, OnBoundaryError
 
 __all__ = [
     "Covering1",
@@ -223,17 +222,21 @@ def critical_data(c: Covering1) -> CriticalData:
     return _critical_data_at([c], np.array([_sort_cell_points(zs, c.modulus.sigma)]))[0]
 
 
-def critical_round(coverings: Sequence[Covering1], seeds) -> list:
-    """``cover0.critical_round`` at genus 1: each modulus group (as in ``tau_resultant``) takes
-    one ``_seeded_points`` lane run, reduced to the cell, and one ``_critical_data_at``, again one
+def critical_round(coverings: Sequence[Covering1], seeds) -> list[CriticalData]:
+    """``cover0.critical_round`` at genus 1: each modulus group (``_modulus_groups``) takes one
+    ``_seeded_points`` lane run, reduced to the cell, and one ``_critical_data_at``, again one
     covering at a time where a lane reaches a pole; a covering whose lanes fail, collapse or reach
-    a pole searches globally, that search's error in its place.  A frame overflow raises here."""
+    a pole searches globally (``critical_data``), and the first such search's error raises."""
+    cds = [cd for group in _modulus_groups(coverings)
+           for cd in _seeded_data([coverings[k] for k in group], [seeds[k] for k in group])]
+    return [cd or critical_data(cv) for cv, cd in zip(coverings, cds)]
+
+
+def _modulus_groups(coverings: Sequence[Covering1]) -> list:
+    """Index groups that share one theta pass: all coverings where they share a modulus, one
+    each where they do not."""
     n = len(coverings)
-    groups = [range(n)] if len({c.modulus for c in coverings}) == 1 else [[k] for k in range(n)]
-    cds = [cd for group in groups for cd in _seeded_data([coverings[k] for k in group],
-                                                         [seeds[k] for k in group])]
-    return [cd if isinstance(cd, CriticalData) else _or_error(critical_data, cv)
-            for cv, cd in zip(coverings, cds)]
+    return [range(n)] if len({c.modulus for c in coverings}) == 1 else [[k] for k in range(n)]
 
 
 def _seeded_data(cs: Sequence[Covering1], seeds) -> list[CriticalData | None]:
@@ -250,18 +253,12 @@ def _seeded_data(cs: Sequence[Covering1], seeds) -> list[CriticalData | None]:
         return [cd for c, s in zip(cs, seeds) for cd in _seeded_data([c], [s])]
 
 
-def _or_error(fn, *args):
-    """``fn(*args)``, or the ``HurwitzError`` it raises."""
-    try:
-        return fn(*args)
-    except HurwitzError as exc:
-        return exc
-
-
 def _critical_data_at(cs: Sequence[Covering1], zs: np.ndarray) -> list[CriticalData | None]:
     """Critical data of each covering cs[k] with zeros zs[k], zeta rows kept, from one order-4 pass.
 
-    None where two zeros lie within 1e-10 modulo the lattice or are NaN (failed seeded lanes).
+    None where two zeros lie within 1e-10 modulo the lattice or are NaN (failed seeded lanes):
+    not an error but the signal for ``critical_round`` to search that covering globally.  Frame
+    rows that overflow raise ``OverflowError``.
     """
     i, j = _pair_indices(zs.shape[1])
     gaps = lattice_distance(zs[:, i] - zs[:, j], cs[0].modulus.sigma)
@@ -339,10 +336,8 @@ def tau_resultant(coverings: Sequence[Covering1],
     finite.  One ``sigma_w`` call and one ``np.log`` serve coverings of one
     modulus; mixed moduli take one each.
     """
-    n = len(coverings)
-    groups = [range(n)] if len({c.modulus for c in coverings}) == 1 else [[k] for k in range(n)]
     logs = []
-    for group in groups:
+    for group in _modulus_groups(coverings):
         args = [a for k in group for a in _sigma_args(coverings[k], cds[k])]
         logs += np.split(np.log(sigma_w(coverings[group[0]].ctx, np.concatenate(args))),
                          list(accumulate(len(a) for a in args[:-1])))

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import cover0, cover1
-from .cover0 import Covering0, CriticalData, TauProduct, TauResultant, _raised, route_a
+from .cover0 import Covering0, CriticalData, TauProduct, TauResultant, route_a
 from .cover1 import Covering1
 from .elliptic import LATTICE_GUARD, lattice_distance, wp
 from .errors import CausticWarning, CoincidentPointsError, IllConditionedError
@@ -339,11 +339,11 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     Returns (step index, covering, dict of per-step scalars) triples for the
     sweep command.  Step 0 solves with the model's ``critical_data``, which
     raises its error; the other steps continue z_m + move * dz_m/d path from
-    its points (``_tangent``) in one ``critical_round``.  Then raises
-    ``CausticWarning`` for the first step whose critical data carries the
-    caustic flag, whatever the warning filters; then the error of the first
-    step whose solve or data failed; then ``OnBoundaryError`` for the first
-    step too near S2 to verify (the model's ``reject_ill_conditioned``).
+    its points (``_tangent``) in one ``critical_round``, which raises the
+    first error of its solves or data.  Then raises ``CausticWarning`` for
+    the first step whose critical data carries the caustic flag, whatever
+    the warning filters; then ``OnBoundaryError`` for the first step too
+    near S2 to verify (the model's ``reject_ill_conditioned``).
     Fewer than 2 steps raise ``ValueError``.
     """
     if steps < 2:
@@ -356,9 +356,8 @@ def sweep_ratios(covering: Covering, path: str, target: complex, steps: int):
     dz = _tangent(coverings[0], cds[0])[3][list(table).index(path)]
     cds += model.critical_round(coverings[1:], [np.array(cds[0].pts) + d * dz for d in moves[1:]])
     for cd in cds:
-        if not isinstance(cd, Exception) and cd.caustic:
+        if cd.caustic:
             raise CausticWarning(f"critical values nearly collide (gap {cd.min_lambda_gap:.3e})")
-    cds = _raised(cds)
     rows = [{"route_ratio": route_ratio(model.tau_product(cov, cd), tb)}
             for cov, cd, tb in zip(coverings, cds, model.tau_resultant(coverings, cds))]
     for cov, cd, row in zip(coverings, cds, rows):

@@ -783,8 +783,6 @@ def seeded_critical_data(cov, seeds):
     """The critical data of ``cov`` continuing ``seeds``: its one-covering ``critical_round``,
     whose error raises.  A seed that fails makes the round solve globally."""
     (cd,) = (cover0, cover1)[cov.genus].critical_round([cov], [seeds])
-    if isinstance(cd, Exception):
-        raise cd
     return cd
 
 

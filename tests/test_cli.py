@@ -635,6 +635,14 @@ class TestSweep:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["max_drift"]["route_ratio"] < 1e-7
 
+    def test_genus1_sweep_reports_a_failed_search_before_the_caustic(self, tmp_path, capsys):
+        # to Im sigma = 7 in 8 steps: one step's lambda gap is flagged and another's zero
+        # search fails; the failure is what the one stderr line reports
+        rc = main(["sweep", _h12_file(tmp_path), "--param", "modulus", "--to=0,7", "--steps", "8"])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.err.count("\n") == 1 and "zero search failed" in captured.err
+
     def test_genus1_ratio_constancy(self, tmp_path, capsys):
         path = _h12_file(tmp_path)
         rc = main([

@@ -370,6 +370,25 @@ class TestStackedSolve0:
         for k in (0, 2):
             assert got[k].pts == oracles.seeded_critical_data(steps[k], seeds).pts
 
+    @pytest.mark.parametrize("path, value, error, message", [
+        ("poles.0.b", 1e110, OverflowError, "f overflows at its own roots"),
+        ("poles.0.b", 1e200, NonConvergenceError, "a coefficient is not finite"),
+        ("poles.0.c.0", 1e300, OverflowError, "overflow at the critical points"),
+    ])
+    def test_failing_covering_raises_its_own_error(self, path, value, error, message):
+        # a (2, 1) covering moved far out: its global solve (pole at 1e110 or 1e200) or its
+        # frame rows (tail 1e300) fail; collapsed seeds send it to that global solve, between
+        # two coverings that continue, and the round raises what its critical_data raises
+        ok = random_covering0((2, 1), 4)
+        bad = cover0.set_param(ok, path, value)
+        seeds = cover0.critical_data(ok).pts
+        with np.errstate(all="ignore"):
+            with pytest.raises(error, match=message) as alone:
+                cover0.critical_data(bad)
+            with pytest.raises(error) as got:
+                cover0.critical_round([ok, bad, ok], [seeds, (seeds[0],) * len(seeds), seeds])
+        assert str(got.value) == str(alone.value)
+
 
 class TestRoundContinuesOnly:
     """``critical_round`` continues its seeds: where every seed converges, it makes no global

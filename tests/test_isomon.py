@@ -9,7 +9,8 @@ import pytest
 import oracles
 from hurwitztau import cli, cover0, cover1, isomon
 from hurwitztau.cover0 import Covering0, Pole, critical_data as critical_data0
-from hurwitztau.errors import CausticWarning, CoincidentPointsError, OnBoundaryError
+from hurwitztau.errors import (CausticWarning, CoincidentPointsError, ContourClashError,
+                               OnBoundaryError)
 from hurwitztau.samples import builtin_example, random_covering0, random_covering1
 
 
@@ -299,6 +300,12 @@ class TestCausticFlag:
             warnings.simplefilter("default")
             with pytest.raises(CausticWarning, match="critical values nearly collide"):
                 isomon.sweep_ratios(self._cusp(-1.0), "poly_coeffs.1", 1e-9, 3)
+
+    def test_failing_step_comes_before_a_flagged_one(self, h12):
+        # h12 thickened to Im sigma = 7: the round's steps include one whose lambda gap is
+        # flagged and one whose global zero search fails; the failure raises
+        with pytest.raises(ContourClashError, match="zero search failed"):
+            isomon.sweep_ratios(h12, "modulus", 7j, 8)
 
     def test_analysis_near_the_caustic_flags_without_warning(self, monkeypatch):
         cov = self._cusp(1e-7)
